@@ -1,10 +1,9 @@
 //! Benchmarks for the multi-backend aggregation cluster: the full
 //! weekly round against N backend shards behind the routing bus.
 //!
-//! `round_cluster_1` measures pure cluster-plumbing overhead — one
-//! shard, so routing, journaling and the view merge buy nothing — and
-//! should stay within ~10% of `round_bus_inproc` (the single-backend bus
-//! round in the `parallel` bench). `round_cluster_{2,4}` split the
+//! `round_cluster_1` is the system's default round — a single backend
+//! is a cluster of one — and the baseline `round_bus_wire` (in the
+//! `parallel` bench) is read against. `round_cluster_{2,4}` split the
 //! cohort's reports over 2 and 4 shard backends; outcomes are
 //! bit-identical across all sizes (pinned by `tests/cluster_parity.rs`),
 //! so the numbers compare scheduling and merge cost only. On a
@@ -42,7 +41,7 @@ fn bench_round_cluster(c: &mut Criterion) {
         group.bench_function(format!("round_cluster_{backends}"), |b| {
             b.iter(|| {
                 round += 1;
-                black_box(sys.run_round_clustered(round, &[]))
+                black_box(sys.run_round(round, &[]))
             })
         });
     }
@@ -85,7 +84,7 @@ fn bench_round_cluster_tracing(c: &mut Criterion) {
         group.bench_function("round_cluster_4_tracing_off", |b| {
             b.iter(|| {
                 round += 1;
-                black_box(sys.run_round_clustered(round, &[]))
+                black_box(sys.run_round(round, &[]))
             })
         });
     }
@@ -96,7 +95,7 @@ fn bench_round_cluster_tracing(c: &mut Criterion) {
         group.bench_function("round_cluster_4_tracing_on", |b| {
             b.iter(|| {
                 round += 1;
-                black_box(sys.run_round_clustered(round, &[]))
+                black_box(sys.run_round(round, &[]))
             })
         });
         trace::disable();
@@ -140,100 +139,61 @@ fn bench_round_cluster_restart(c: &mut Criterion) {
         b.iter(|| {
             round += 1;
             let mut backend = sys.new_cluster(&map);
+            backend.script_restart(ShardRestart {
+                shard: 0,
+                phase: RestartPhase::Reports,
+            });
             let mut bus = RoutingBus::in_proc(map.clone(), None);
-            black_box(sys.run_round_clustered_with_restart(
-                &mut backend,
-                &mut bus,
-                round,
-                &[],
-                ShardRestart {
-                    shard: 0,
-                    phase: RestartPhase::Reports,
-                },
-            ))
+            black_box(sys.run_round_on(&mut backend, &mut bus, round, &[]))
         })
     });
     group.finish();
 }
 
-/// The epoch coordinator's end-to-end price tag. `campaign_3epochs`
-/// runs a three-epoch churn campaign (20-member rosters, ~10% churn:
-/// two silent drops replaced by two joins per epoch) through the
-/// tick-driven coordinator — admission, warmup, per-epoch shard
-/// directory rebuild, incremental blinding re-sync, drop recovery,
-/// finalize. `closed_world_3rounds` drives three plain clustered
-/// rounds over a static 20-client cohort with the same two-silent
-/// recovery load. Same per-round population, same recovery work; the
-/// gap is the whole churn subsystem's overhead, and the acceptance bar
-/// is ≤10% of the closed-world time.
+/// The closed-world baseline of the churn campaign:
+/// `closed_world_3rounds` drives three plain rounds over a static
+/// 20-client cohort with the two-silent recovery load each epoch of
+/// `epoch_deadline/campaign_3epochs` carries. Same per-round
+/// population, same recovery work; the gap between the two arms is the
+/// whole churn subsystem's overhead (admission, warmup, per-epoch shard
+/// directory rebuild, incremental blinding re-sync, per-tick
+/// checkpoints), and the acceptance bar is ≤10% of this arm.
 fn bench_epoch_churn(c: &mut Criterion) {
-    let spec = |joins: Vec<u32>, leaves: Vec<u32>, drops: Vec<u32>| EpochChurn {
-        joins,
-        leaves,
-        drops,
-    };
-    // Rosters stay at exactly 20 members: each epoch's two dropouts are
-    // replaced by two fresh joiners.
-    let schedule = vec![
-        spec((0..20).collect(), vec![], vec![0, 1]),
-        spec(vec![20, 21], vec![], vec![2, 3]),
-        spec(vec![22, 23], vec![], vec![4, 5]),
-    ];
+    let driver = WeeklyDriver::new(16, DriverScale::Fraction(20), 20);
+    let log = driver.week(0);
+    let mut sys = EyewnderSystem::new(
+        SystemConfig {
+            seed: 16,
+            ..SystemConfig::default()
+        }
+        .with_cluster_backends(2),
+        driver.cohort(),
+    );
+    sys.ingest(driver.scenario(), &log);
+    let silent = [0u32, 1];
 
     let mut group = c.benchmark_group("epoch_churn");
     group.sample_size(10);
-
-    {
-        let driver = WeeklyDriver::new(16, DriverScale::Fraction(20), 24);
-        let log = driver.week(0);
-        let mut sys = EyewnderSystem::new(
-            SystemConfig {
-                seed: 16,
-                ..SystemConfig::default()
+    group.bench_function("closed_world_3rounds", |b| {
+        b.iter(|| {
+            // The campaign restarts its coordinator each iteration
+            // and therefore replays rounds 1..=3; cycle the same
+            // round numbers here so the cross-round blinding cache
+            // sees an identical access pattern in both arms.
+            for round in 1..=3u64 {
+                black_box(sys.run_round(round, &silent));
             }
-            .with_cluster_backends(2),
-            driver.cohort(),
-        );
-        sys.ingest(driver.scenario(), &log);
-        group.bench_function("campaign_3epochs", |b| {
-            b.iter(|| black_box(sys.run_epochs_clustered(4, &schedule)))
-        });
-    }
-    {
-        let driver = WeeklyDriver::new(16, DriverScale::Fraction(20), 20);
-        let log = driver.week(0);
-        let mut sys = EyewnderSystem::new(
-            SystemConfig {
-                seed: 16,
-                ..SystemConfig::default()
-            }
-            .with_cluster_backends(2),
-            driver.cohort(),
-        );
-        sys.ingest(driver.scenario(), &log);
-        let silent = [0u32, 1];
-        group.bench_function("closed_world_3rounds", |b| {
-            b.iter(|| {
-                // The campaign restarts its coordinator each iteration
-                // and therefore replays rounds 1..=3; cycle the same
-                // round numbers here so the cross-round blinding cache
-                // sees an identical access pattern in both arms.
-                for round in 1..=3u64 {
-                    black_box(sys.run_round_clustered(round, &silent));
-                }
-            })
-        });
-    }
+        })
+    });
     group.finish();
 }
 
-/// The deadline scheduler's price tag: the same three-epoch,
-/// 20-member, ~10% churn campaign as `epoch_churn/campaign_3epochs`,
-/// driven through the deadline runner on a `LogicalClock` with nothing
-/// scripted to go wrong. The two arms execute the identical epoch
-/// state walk; the gap is the clock seam plus the per-tick coordinator
-/// checkpoint into the control journal, and the acceptance bar is ≤10%
-/// of the `epoch_churn` arm.
+/// The epoch coordinator's end-to-end price tag: a three-epoch churn
+/// campaign (20-member rosters, ~10% churn: two silent drops replaced
+/// by two joins per epoch) through the one campaign driver on a
+/// `LogicalClock` with nothing scripted to go wrong. Read against
+/// `epoch_churn/closed_world_3rounds`. (The former
+/// `epoch_churn/campaign_3epochs` arm ran this identical path.)
 fn bench_epoch_deadline(c: &mut Criterion) {
     let spec = |joins: Vec<u32>, leaves: Vec<u32>, drops: Vec<u32>| EpochChurn {
         joins,

@@ -17,6 +17,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use ew_crypto::oprf::{OprfClient, OprfServerKey};
 use ew_proto::FaultConfig;
 use ew_simnet::{DriverScale, WeeklyDriver};
+use ew_system::cluster::RoutingBus;
 use ew_system::{EyewnderSystem, SystemConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -121,11 +122,12 @@ fn bench_round_par(c: &mut Criterion) {
 }
 
 fn bench_round_bus(c: &mut Criterion) {
-    // Envelope + framing overhead of the unified bus round: the same
-    // typestate machine drives both entries, so `round_bus_wire` minus
-    // `round_bus_inproc` is pure serialization/framing/CRC cost (the
-    // in-proc bus moves envelopes without touching their bytes; target:
-    // in-proc within 10% of the PR 2 direct-call round).
+    // Envelope + framing overhead of the bus round: the same typestate
+    // machine drives every transport, so `round_bus_wire` minus the
+    // in-proc cluster of one (`round_cluster/round_cluster_1` in the
+    // `cluster` bench — the arm that used to be `round_bus_inproc`) is
+    // pure serialization/framing/CRC cost: the in-proc bus moves
+    // envelopes without touching their bytes.
     let driver = WeeklyDriver::new(15, DriverScale::Fraction(20), 25);
     let log = driver.week(0);
     let scenario = driver.scenario().clone();
@@ -133,40 +135,24 @@ fn bench_round_bus(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("round_bus");
     group.sample_size(10);
-    {
-        let mut sys = EyewnderSystem::new(
-            SystemConfig {
-                seed: 15,
-                ..SystemConfig::default()
-            },
-            cohort,
-        );
-        sys.ingest(&scenario, &log);
-        let mut round = 0u64;
-        group.bench_function("round_bus_inproc", |b| {
-            b.iter(|| {
-                round += 1;
-                black_box(sys.run_round(round, &[]))
-            })
-        });
-    }
-    {
-        let mut sys = EyewnderSystem::new(
-            SystemConfig {
-                seed: 15,
-                ..SystemConfig::default()
-            },
-            cohort,
-        );
-        sys.ingest(&scenario, &log);
-        let mut round = 0u64;
-        group.bench_function("round_bus_wire", |b| {
-            b.iter(|| {
-                round += 1;
-                black_box(sys.run_round_over_wire(round, FaultConfig::perfect()))
-            })
-        });
-    }
+    let mut sys = EyewnderSystem::new(
+        SystemConfig {
+            seed: 15,
+            ..SystemConfig::default()
+        },
+        cohort,
+    );
+    sys.ingest(&scenario, &log);
+    let map = sys.cluster_map();
+    let mut round = 0u64;
+    group.bench_function("round_bus_wire", |b| {
+        b.iter(|| {
+            round += 1;
+            let mut backend = sys.new_cluster(&map);
+            let mut bus = RoutingBus::over_wire(map.clone(), Some(FaultConfig::perfect()), None);
+            black_box(sys.run_round_on(&mut backend, &mut bus, round, &[]))
+        })
+    });
     group.finish();
 }
 

@@ -42,8 +42,8 @@
 //!   recodes the exponent once, up front, into windows over *odd*
 //!   digits: a 16-entry odd-power table (one squaring + 15 multiplies
 //!   to build) and `≈bits/6` window multiplies, ~20% fewer multiplies
-//!   than the 4-bit fixed-window ladder (kept as
-//!   [`MontgomeryCtx::modpow_fixed_window`] for differential tests).
+//!   than the 4-bit fixed-window ladder (kept, test-only, as the
+//!   differential reference).
 //! * **Zero-allocation steady state** — every hot operation works out
 //!   of a [`MontScratch`] arena (explicit via `modpow_into` /
 //!   `mulmod_into`, or the persistent per-thread arena behind the

@@ -24,10 +24,10 @@
 //! always end on a set bit — a `b`-bit exponent needs `≈b/6`
 //! multiplies on average versus `≈(15/16)·b/4` for the classic 4-bit
 //! fixed-window ladder: ~20% fewer multiplies per exponent, with half
-//! the table-build work. The 4-bit fixed-window ladder is kept as
-//! [`MontgomeryCtx::modpow_fixed_window`] purely as a differential
-//! reference; the `ops_trace` regression tests pin the sliding-window
-//! multiply count strictly below it.
+//! the table-build work. The 4-bit fixed-window ladder is kept as the
+//! test-only `modpow_fixed_window`, purely as a differential reference;
+//! the `ops_trace` regression tests pin the sliding-window multiply
+//! count strictly below it.
 //!
 //! ## The scratch arena and allocation-free steady state
 //!
@@ -356,7 +356,8 @@ impl MontgomeryCtx {
     /// the PR 1 reference path, kept for differential testing against
     /// the sliding-window recoding (and for the `ops_trace` regression
     /// pinning the sliding window's multiply count strictly lower).
-    pub fn modpow_fixed_window(&self, base: &UBig, exp: &UBig) -> UBig {
+    #[cfg(test)]
+    pub(crate) fn modpow_fixed_window(&self, base: &UBig, exp: &UBig) -> UBig {
         if exp.is_zero() {
             return UBig::one();
         }

@@ -5,7 +5,6 @@
 
 use crate::ids::AdIdMapper;
 use crate::node::ClientNode;
-use crate::oprf_server::OprfService;
 use ew_bigint::UBig;
 use ew_core::{AdKey, Detector, DomainKey, GlobalView, UserCounters, Verdict};
 use ew_crypto::blinding::{BlindingGenerator, BlindingParams};
@@ -131,37 +130,11 @@ impl Client {
         self.blinding.as_ref().is_some_and(|g| g.cache_enabled())
     }
 
-    /// Step 1 of the OPRF for an uncached URL: returns the pending state
-    /// and the blinded element to send (wire path). Returns `None` if
-    /// the URL is already cached.
-    pub fn oprf_blind(&mut self, url: &str) -> Option<(PendingRequest, Vec<u8>)> {
-        if self.id_cache.contains_key(url) {
-            return None;
-        }
-        let pending = self
-            .oprf
-            .blind(&mut self.rng, url.as_bytes())
-            .expect("blinding is always invertible for valid N");
-        let wire = pending.blinded.to_bytes_be();
-        Some((pending, wire))
-    }
-
-    /// Step 3 of the OPRF: unblinds the server's response and caches the
-    /// resulting ad ID.
-    pub fn oprf_finish(&mut self, url: &str, pending: &PendingRequest, response: &[u8]) -> AdKey {
-        let out = self
-            .oprf
-            .finalize(pending, &UBig::from_bytes_be(response))
-            .expect("response in range");
-        let ad = self.mapper.to_ad_id(&out);
-        self.id_cache.insert(url.to_string(), ad);
-        ad
-    }
-
-    /// Blinds every *uncached* URL (first-seen order, duplicates
-    /// collapsed) with one shared modular inversion. Empty if
-    /// everything was already cached.
-    fn blind_fresh_urls(&mut self, urls: &[&str]) -> Vec<(String, PendingRequest)> {
+    /// Batched step 1: blinds every *uncached* URL (first-seen order,
+    /// duplicates collapsed) with one shared modular inversion, and
+    /// returns the per-URL pending state plus the wire bytes for an
+    /// `OprfBatchRequest`. `None` if everything was already cached.
+    pub fn oprf_blind_batch(&mut self, urls: &[&str]) -> Option<PendingBatch> {
         let mut seen: HashSet<&str> = HashSet::new();
         let mut fresh: Vec<&str> = Vec::new();
         for &url in urls {
@@ -170,32 +143,18 @@ impl Client {
             }
         }
         if fresh.is_empty() {
-            return Vec::new();
+            return None;
         }
         let inputs: Vec<&[u8]> = fresh.iter().map(|u| u.as_bytes()).collect();
         let pendings = self
             .oprf
             .blind_batch(&mut self.rng, &inputs)
             .expect("blinding is always invertible for valid N");
-        fresh
+        let wire = pendings.iter().map(|p| p.blinded.to_bytes_be()).collect();
+        let pendings = fresh
             .into_iter()
             .map(str::to_string)
             .zip(pendings)
-            .collect()
-    }
-
-    /// Batched step 1: blinds every *uncached* URL (first-seen order,
-    /// duplicates collapsed) with one shared modular inversion, and
-    /// returns the per-URL pending state plus the wire bytes for an
-    /// `OprfBatchRequest`. `None` if everything was already cached.
-    pub fn oprf_blind_batch(&mut self, urls: &[&str]) -> Option<PendingBatch> {
-        let pendings = self.blind_fresh_urls(urls);
-        if pendings.is_empty() {
-            return None;
-        }
-        let wire = pendings
-            .iter()
-            .map(|(_, p)| p.blinded.to_bytes_be())
             .collect();
         Some((pendings, wire))
     }
@@ -223,33 +182,14 @@ impl Client {
             .collect()
     }
 
-    /// Resolves a URL to an ad ID via a direct call to the service
-    /// (the fast path used by the simulation harness; the wire path is
-    /// exercised by the system-level tests).
-    pub fn map_ad(&mut self, url: &str, service: &OprfService) -> AdKey {
-        if let Some(&ad) = self.id_cache.get(url) {
-            return ad;
-        }
-        let (pending, wire) = self.oprf_blind(url).expect("uncached URL yields a request");
-        let response = service
-            .evaluate(&UBig::from_bytes_be(&wire))
-            .expect("in-range element");
-        self.oprf_finish(
-            url,
-            &pending,
-            &response.to_bytes_be_padded(self.oprf.public().element_len()),
-        )
-    }
-
     /// Resolves a slice of URLs to ad IDs through a
     /// [`ServiceBus`](crate::node::ServiceBus): the
     /// uncached remainder travels as **one** `OprfBatchRequest` envelope
     /// (one shared blinding inversion), the front-end answers with one
     /// `OprfBatchResponse` envelope, and every resolved ID is cached.
     ///
-    /// This is the node-API path `EyewnderSystem::ingest` drives; the
-    /// direct-call [`Self::map_ads_batch`] remains for harnesses that
-    /// bypass the bus.
+    /// This is the one way to map an ad — the path
+    /// `EyewnderSystem::ingest` drives.
     ///
     /// # Panics
     /// Panics if the front-end rejects the batch or the bus loses it —
@@ -272,32 +212,6 @@ impl Client {
         }
         urls.iter()
             .map(|url| self.cached_ad(url).expect("resolved just above"))
-            .collect()
-    }
-
-    /// Resolves a slice of URLs to ad IDs via one batched round trip to
-    /// the service: cached URLs are answered locally, the rest are
-    /// blinded together (one modular inversion for the whole batch —
-    /// Montgomery's trick) and evaluated on the server's cached
-    /// CRT/Montgomery path.
-    pub fn map_ads_batch(&mut self, urls: &[&str], service: &OprfService) -> Vec<AdKey> {
-        // Direct path: stay on `UBig`s end to end — serialization is
-        // only for the wire ([`Self::oprf_blind_batch`]).
-        let pendings = self.blind_fresh_urls(urls);
-        if !pendings.is_empty() {
-            let blinded: Vec<UBig> = pendings.iter().map(|(_, p)| p.blinded.clone()).collect();
-            let responses = service.evaluate_batch(&blinded).expect("in-range batch");
-            for ((url, pending), response) in pendings.iter().zip(&responses) {
-                let out = self
-                    .oprf
-                    .finalize(pending, response)
-                    .expect("response in range");
-                let ad = self.mapper.to_ad_id(&out);
-                self.id_cache.insert(url.clone(), ad);
-            }
-        }
-        urls.iter()
-            .map(|url| *self.id_cache.get(*url).expect("resolved just above"))
             .collect()
     }
 
@@ -415,6 +329,8 @@ impl ClientNode for Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::{InProcBus, ServiceBus, WireBus};
+    use crate::oprf_server::OprfService;
     use ew_core::DetectorConfig;
     use ew_core::ThresholdPolicy;
 
@@ -425,20 +341,27 @@ mod tests {
         (group, service, AdIdMapper::new(1 << 16), rng)
     }
 
+    /// The non-oblivious reference: what `url` must map to.
+    fn direct(service: &OprfService, mapper: AdIdMapper, url: &str) -> AdKey {
+        mapper.to_ad_id(&service.evaluate_direct(url.as_bytes()))
+    }
+
     #[test]
     fn url_mapping_cached() {
         let (group, service, mapper, _) = setup();
         let mut c = Client::new(1, &group, service.public().clone(), mapper, 7);
-        let a1 = c.map_ad("https://x.example/1", &service);
-        let a2 = c.map_ad("https://x.example/1", &service);
+        let mut bus = InProcBus::new();
+        let a1 = c.map_ads_on(&["https://x.example/1"], &service, &mut bus);
+        let a2 = c.map_ads_on(&["https://x.example/1"], &service, &mut bus);
         assert_eq!(a1, a2);
         assert_eq!(service.requests_served(), 1, "second lookup is cached");
-        let b = c.map_ad("https://x.example/2", &service);
+        let b = c.map_ads_on(&["https://x.example/2"], &service, &mut bus);
         assert_ne!(a1, b);
     }
 
-    #[test]
-    fn batch_mapping_matches_single_and_caches() {
+    /// `map_ads_on` ≡ `evaluate_direct` per URL, one URL at a time or
+    /// batched; duplicate and cached URLs issue no second request.
+    fn batch_mapping_over<B: ServiceBus>(mut make_bus: impl FnMut() -> B) {
         let (group, service, mapper, _) = setup();
         let mut single = Client::new(1, &group, service.public().clone(), mapper, 7);
         let mut batched = Client::new(2, &group, service.public().clone(), mapper, 8);
@@ -448,19 +371,32 @@ mod tests {
             "https://x.example/1", // duplicate inside the batch
             "https://x.example/3",
         ];
-        let expected: Vec<_> = urls.iter().map(|u| single.map_ad(u, &service)).collect();
-        let served_before = service.requests_served();
-        let got = batched.map_ads_batch(&urls, &service);
+        let expected: Vec<AdKey> = urls.iter().map(|u| direct(&service, mapper, u)).collect();
+        let mut bus = make_bus();
+        let one_by_one: Vec<AdKey> = urls
+            .iter()
+            .map(|u| single.map_ads_on(&[u], &service, &mut bus)[0])
+            .collect();
+        assert_eq!(one_by_one, expected, "same PRF, same IDs");
+        assert_eq!(service.requests_served(), 3, "the repeated URL is cached");
+
+        let mut bus = make_bus();
+        let got = batched.map_ads_on(&urls, &service, &mut bus);
         assert_eq!(got, expected, "same PRF, same IDs");
         assert_eq!(
-            service.requests_served() - served_before,
-            3,
+            service.requests_served(),
+            6,
             "duplicates collapse inside the batch"
         );
         // Second batch is fully cached: zero server traffic.
-        let served_before = service.requests_served();
-        assert_eq!(batched.map_ads_batch(&urls, &service), expected);
-        assert_eq!(service.requests_served(), served_before);
+        assert_eq!(batched.map_ads_on(&urls, &service, &mut bus), expected);
+        assert_eq!(service.requests_served(), 6);
+    }
+
+    #[test]
+    fn batch_mapping_matches_single_and_caches() {
+        batch_mapping_over(InProcBus::new);
+        batch_mapping_over(WireBus::perfect);
     }
 
     #[test]
@@ -470,8 +406,12 @@ mod tests {
         let (group, service, mapper, _) = setup();
         let mut c1 = Client::new(1, &group, service.public().clone(), mapper, 7);
         let mut c2 = Client::new(2, &group, service.public().clone(), mapper, 8);
-        let url = "https://adnet.example/shared";
-        assert_eq!(c1.map_ad(url, &service), c2.map_ad(url, &service));
+        let url = ["https://adnet.example/shared"];
+        let mut bus = InProcBus::new();
+        assert_eq!(
+            c1.map_ads_on(&url, &service, &mut bus),
+            c2.map_ads_on(&url, &service, &mut bus)
+        );
     }
 
     #[test]

@@ -68,6 +68,7 @@ use ew_core::{GlobalView, ThresholdPolicy};
 use ew_proto::crc32::crc32;
 use ew_proto::transport::TransportError;
 use ew_proto::{Envelope, FaultConfig, JournalEvent, Membership, Message, NodeId, ShardMap};
+use ew_simnet::{RestartPhase, ShardRestart};
 use ew_sketch::{CmsParams, SketchAccumulator};
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -586,6 +587,9 @@ pub struct ClusterBackend {
     /// Journal replay duration distribution (failover adoption + cold
     /// restart).
     replay_hist: Hist64,
+    /// A scripted crash-restart drill still waiting for its phase
+    /// boundary ([`Self::script_restart`]); fires once, then is spent.
+    restart_script: Option<ShardRestart>,
 }
 
 impl ClusterBackend {
@@ -627,6 +631,7 @@ impl ClusterBackend {
             late_parked: 0,
             absorb_hist: Hist64::new(),
             replay_hist: Hist64::new(),
+            restart_script: None,
         }
     }
 
@@ -785,6 +790,39 @@ impl ClusterBackend {
         trace::instant("journal_replay", shard as u64, replayed as u64);
         drop(span);
         replayed
+    }
+
+    /// Scripts a cold crash-restart drill — the restart twin of the
+    /// bus's [`ShardFailure`]: `restart.shard`'s process state is
+    /// destroyed at the [`RestartPhase`] boundary of the next round and
+    /// rebuilt from the round log alone before the round proceeds
+    /// (twice over for [`RestartPhase::MidReplay`], the
+    /// replay-idempotence proof). The boundaries are the backend's own
+    /// control-plane calls — `Reports`/`MidReplay` fire at the top of
+    /// `missing_clients` (the report wave is absorbed), `Recovery` at
+    /// the top of `finalize` (the adjustment wave is absorbed) — so any
+    /// round or campaign driver drills restarts without knowing it. The
+    /// script fires once; the map is untouched throughout.
+    pub fn script_restart(&mut self, restart: ShardRestart) {
+        self.restart_script = Some(restart);
+    }
+
+    /// Fires the scripted drill if it is due at this boundary
+    /// (`finalizing`: the top of `finalize`, else `missing_clients`).
+    fn fire_scripted_restart(&mut self, finalizing: bool) {
+        let due = |r: &mut ShardRestart| (r.phase == RestartPhase::Recovery) == finalizing;
+        let Some(restart) = self.restart_script.take_if(due) else {
+            return;
+        };
+        let crashes = if restart.phase == RestartPhase::MidReplay {
+            2
+        } else {
+            1
+        };
+        for _ in 0..crashes {
+            self.crash_shard(restart.shard);
+            self.restart_shard(restart.shard);
+        }
     }
 
     /// The control-plane log (read-only): coordinator checkpoints and
@@ -1232,6 +1270,7 @@ impl AggregationBackend for ClusterBackend {
     }
 
     fn missing_clients(&mut self) -> Result<Vec<u32>, RoundError> {
+        self.fire_scripted_restart(false);
         let mut missing = BTreeSet::new();
         for (id, shard) in self.shards.iter_mut().enumerate() {
             let Some(shard) = shard else { continue };
@@ -1248,6 +1287,7 @@ impl AggregationBackend for ClusterBackend {
     }
 
     fn finalize(&mut self) -> Result<GlobalView, RoundError> {
+        self.fire_scripted_restart(true);
         let round = self.round.take().ok_or(RoundError::NoOpenRound)?;
         let mut merger = ViewMerger::new(self.params, round);
         for shard in self.shards.iter_mut().flatten() {
@@ -1324,13 +1364,40 @@ mod tests {
 
     #[test]
     fn cluster_absorb_and_finalize_match_single_backend() {
+        // The bare-`BackendServer` reference for the whole round, not
+        // only the absorb: user 7 stays silent, so the missing set and
+        // the survivors' `Adjustment` envelopes (each routed to — and
+        // subtracted on — its sender's owning shard) are covered too.
         let p = params();
-        let stream = reports(p, 1);
+        let silent = 7u32;
+        let stream: Vec<Envelope> = reports(p, 1)
+            .into_iter()
+            .filter(|env| env.sender != NodeId::Client(silent))
+            .collect();
+        let adjustments: Vec<Envelope> = (0..10u32)
+            .filter(|&u| u != silent)
+            .map(|user| {
+                let cells = (0..p.num_cells() as u32).map(|c| c * 31 + user).collect();
+                Envelope::new(
+                    NodeId::Client(user),
+                    1,
+                    Message::Adjustment {
+                        user,
+                        round: 1,
+                        cells,
+                    },
+                )
+            })
+            .collect();
         let mut baseline = single(10);
         baseline.open_round(1);
-        for env in stream.clone() {
+        for env in stream.iter().chain(&adjustments).cloned() {
             AggregationBackend::on_envelope(&mut baseline, env).unwrap();
         }
+        assert_eq!(
+            AggregationBackend::missing_clients(&mut baseline).unwrap(),
+            vec![silent]
+        );
         let base_view = baseline.finalize_round().unwrap().clone();
 
         for shards in [1u32, 2, 3, 4] {
@@ -1341,8 +1408,11 @@ mod tests {
                 assert!(results.iter().all(|r| matches!(r, Ok(None))));
                 assert_eq!(
                     AggregationBackend::missing_clients(&mut c).unwrap(),
-                    Vec::<u32>::new()
+                    vec![silent]
                 );
+                for env in adjustments.iter().cloned() {
+                    assert_eq!(AggregationBackend::on_envelope(&mut c, env), Ok(None));
+                }
                 let view = AggregationBackend::finalize(&mut c).unwrap();
                 assert_eq!(view, base_view, "shards={shards} threads={threads}");
                 assert_eq!(view.sorted_estimates(), base_view.sorted_estimates());

@@ -90,7 +90,6 @@
 //! [`error_code::EPOCH_CLOSED`] reply carries an [`AdmissionHint`] —
 //! which epoch to rejoin and how long to back off.
 
-use crate::node::ServiceBus;
 use crate::telemetry::ChurnMetrics;
 use crate::trace;
 use ew_proto::{
@@ -908,29 +907,10 @@ impl Coordinator {
     }
 }
 
-/// Pumps every envelope queued for the coordinator role through
-/// `coordinator`, routing each reply (state broadcasts, error replies)
-/// back to its sender. Returns the number of replies routed.
-pub fn pump_coordinator<B>(coordinator: &mut Coordinator, bus: &mut B) -> usize
-where
-    B: ServiceBus,
-{
-    let (requests, _corrupt) = bus.drain(NodeId::Coordinator);
-    let mut replies = 0usize;
-    for req in requests {
-        let requester = req.sender;
-        if let Some(reply) = coordinator.on_envelope(&req) {
-            bus.send(requester, reply).expect("requester mailbox open");
-            replies += 1;
-        }
-    }
-    replies
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::InProcBus;
+    use crate::node::{pump, InProcBus, ServiceBus};
 
     fn coordinator(min: u32) -> Coordinator {
         Coordinator::new(EpochConfig::default().with_min_clients(min))
@@ -1476,7 +1456,7 @@ mod tests {
             Envelope::new(NodeId::Backend, 0, Message::Tick { now: 1 }),
         )
         .unwrap();
-        let replies = pump_coordinator(&mut c, &mut bus);
+        let replies = pump(&mut bus, NodeId::Coordinator, |req| c.on_envelope(&req));
         assert_eq!(replies, 1, "joins are silent, the tick is answered");
         let (mail, _) = bus.drain(NodeId::Backend);
         assert_eq!(mail.len(), 1);

@@ -80,26 +80,25 @@ pub use backend::{BackendServer, RoundCheckpoint};
 pub use client::Client;
 pub use cluster::{ClusterBackend, RoutingBus, ShardFailure, ShardView, ViewMerger};
 pub use coordinator::{
-    epoch_phase_index, pump_coordinator, Clock, Coordinator, EpochConfig, EpochEvent, LogicalClock,
-    MonotonicClock, VirtualClock,
+    epoch_phase_index, Clock, Coordinator, EpochConfig, EpochEvent, LogicalClock, MonotonicClock,
+    VirtualClock,
 };
 pub use crawler::Crawler;
 pub use eval::{EvalOracles, EvalTree};
 pub use ids::AdIdMapper;
 pub use journal::{dedupe_key, AbsorbedEntry, RoundLog};
 pub use node::{
-    drive_round, pump_telemetry, AggregationBackend, ClientNode, DrivenRound, InProcBus,
-    OprfFrontend, RoundPhase, ServiceBus, WireBus,
+    drive_round, pump, AggregationBackend, ClientNode, DrivenRound, InProcBus, OprfFrontend,
+    RoundPhase, ServiceBus, WireBus,
 };
 pub use oprf_server::OprfService;
 pub use pipeline::{
-    cms_user_distribution, resolve_ad_ids_batched, resolve_ad_ids_batched_par,
-    resolve_ad_ids_on_bus, run_cleartext_pipeline, run_segmented_pipeline, PipelineResult,
+    cms_user_distribution, run_cleartext_pipeline, run_segmented_pipeline, PipelineResult,
 };
 pub use store::{RoundRecord, Store, UserRecord};
 pub use system::{
-    deliver_late_report, restart_coordinator, EpochOutcome, EyewnderSystem, ParallelConfig,
-    RoundOutcome, SystemConfig,
+    deliver_late_report, restart_coordinator, EpochOutcome, EyewnderSystem, RoundOutcome,
+    SystemConfig,
 };
 pub use telemetry::{
     hist_kind, phase_index, ChurnMetrics, Hist64, ReplayMetrics, TelemetryService,

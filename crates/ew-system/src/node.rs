@@ -34,13 +34,6 @@
 //! the associative cell-wise accumulation at the backend this keeps
 //! every [`DrivenRound`] bit-identical across thread counts and across
 //! bus implementations (for a lossless link).
-//!
-//! ## Migration from the `EyewnderSystem` monolith
-//!
-//! `EyewnderSystem::{ingest, run_round, run_round_over_wire,
-//! audit_over_wire}` survive with unchanged signatures but are now thin
-//! drivers over this module — see `crate::system` for the mapping and
-//! the `*_on` generic entry points that accept any [`ServiceBus`].
 
 use crate::backend::RoundError;
 use crate::trace;
@@ -305,8 +298,8 @@ impl ServiceBus for WireBus {
     }
 }
 
-/// The finalized result of one driven round (the bus-level analogue of
-/// `crate::system::RoundOutcome`, without the store bookkeeping).
+/// The finalized result of one driven round (`crate::system::RoundOutcome`
+/// is this same type).
 #[derive(Debug, Clone)]
 pub struct DrivenRound {
     /// The round index.
@@ -588,9 +581,8 @@ impl RoundRecovery {
     }
 }
 
-/// Runs one complete round through the typestate machine — the shared
-/// engine behind `EyewnderSystem::run_round` and
-/// `EyewnderSystem::run_round_over_wire`.
+/// Runs one complete round through the typestate machine — the engine
+/// behind `EyewnderSystem::run_round_on` and every campaign epoch.
 pub fn drive_round<C, A, B>(
     clients: &[C],
     backend: &mut A,
@@ -614,8 +606,7 @@ where
 /// One complete OPRF batch exchange over the bus: `blinded` leaves as a
 /// single `OprfBatchRequest` envelope from `sender`, the front-end is
 /// pumped, and the positionally matching response elements come back.
-/// The shared protocol step behind `Client::map_ads_on` and
-/// `pipeline::resolve_ad_ids_on_bus`.
+/// The protocol step behind `Client::map_ads_on`.
 ///
 /// # Panics
 /// Panics if the front-end rejects the batch or the bus loses the
@@ -645,7 +636,7 @@ where
         ),
     )
     .expect("oprf mailbox open");
-    pump_oprf(frontend, bus);
+    pump(bus, NodeId::Oprf, |req| frontend.on_envelope(req));
     let (replies, _) = bus.drain(sender);
     for env in replies {
         match env.msg {
@@ -674,62 +665,24 @@ where
     panic!("oprf batch {request_id} lost on a supposedly lossless bus")
 }
 
-/// Pumps every envelope queued for the OPRF front-end through
-/// `frontend`, routing each reply back to its request's sender. Returns
-/// the number of replies routed.
-pub fn pump_oprf<F, B>(frontend: &F, bus: &mut B) -> usize
-where
-    F: OprfFrontend + ?Sized,
-    B: ServiceBus,
-{
-    let (requests, _corrupt) = bus.drain(NodeId::Oprf);
+/// Pumps every envelope queued for `dest` through `handler` — the role
+/// service living at that mailbox — routing each reply back to its
+/// request's sender. Requests the handler answers with `None` (absorbed,
+/// rejected, or an incoming error) produce no reply. Returns the number
+/// of replies routed.
+pub fn pump<B: ServiceBus>(
+    bus: &mut B,
+    dest: NodeId,
+    mut handler: impl FnMut(Envelope) -> Option<Envelope>,
+) -> usize {
+    let (requests, _corrupt) = bus.drain(dest);
     let mut replies = 0usize;
     for req in requests {
         let requester = req.sender;
-        if let Some(reply) = frontend.on_envelope(req) {
+        if let Some(reply) = handler(req) {
             bus.send(requester, reply).expect("requester mailbox open");
             replies += 1;
         }
-    }
-    replies
-}
-
-/// Pumps every envelope queued for the backend through `backend`,
-/// routing each reply (query answers, error replies) back to its
-/// sender. Absorbed or rejected envelopes produce no reply. Returns the
-/// number of replies routed.
-pub fn pump_backend<A, B>(backend: &mut A, bus: &mut B) -> usize
-where
-    A: AggregationBackend + ?Sized,
-    B: ServiceBus,
-{
-    let (requests, _corrupt) = bus.drain(NodeId::Backend);
-    let mut replies = 0usize;
-    for req in requests {
-        let requester = req.sender;
-        if let Ok(Some(reply)) = backend.on_envelope(req) {
-            bus.send(requester, reply).expect("requester mailbox open");
-            replies += 1;
-        }
-    }
-    replies
-}
-
-/// Pumps every envelope queued for the telemetry role through `svc`,
-/// routing each reply (metrics snapshots, error replies) back to its
-/// sender. Every query gets exactly one reply. Returns the number of
-/// replies routed.
-pub fn pump_telemetry<B>(svc: &crate::telemetry::TelemetryService, bus: &mut B) -> usize
-where
-    B: ServiceBus,
-{
-    let (requests, _corrupt) = bus.drain(NodeId::Telemetry);
-    let mut replies = 0usize;
-    for req in requests {
-        let requester = req.sender;
-        let reply = svc.on_envelope(&req);
-        bus.send(requester, reply).expect("requester mailbox open");
-        replies += 1;
     }
     replies
 }

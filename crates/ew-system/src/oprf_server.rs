@@ -88,24 +88,6 @@ impl OprfService {
         Ok(out)
     }
 
-    /// Multi-threaded batch evaluation
-    /// ([`OprfServerKey::evaluate_blinded_batch_par`]): contiguous
-    /// shards on scoped threads, results reassembled in input order —
-    /// bit-identical to [`Self::evaluate_batch`] for every thread count.
-    /// Accounting is identical too: the batch total is added once, after
-    /// the whole batch succeeds.
-    pub fn evaluate_batch_par(
-        &self,
-        blinded: &[UBig],
-        threads: usize,
-    ) -> Result<Vec<UBig>, OprfError> {
-        let started = std::time::Instant::now();
-        let out = self.key.evaluate_blinded_batch_par(blinded, threads)?;
-        self.record_batch_nanos(started.elapsed().as_nanos() as u64);
-        self.record_served(blinded.len() as u64);
-        Ok(out)
-    }
-
     /// Records one batch's wall-clock service time.
     fn record_batch_nanos(&self, nanos: u64) {
         self.batch_nanos
@@ -377,6 +359,8 @@ mod tests {
 
     #[test]
     fn parallel_batch_counts_every_element_exactly_once() {
+        // The shared-service contract of the module docs: concurrent
+        // workers (the parallel ingest path) each add their batch once.
         let mut rng = StdRng::seed_from_u64(56);
         let service = OprfService::generate(&mut rng, 128);
         let client = OprfClient::new(service.public().clone());
@@ -387,13 +371,20 @@ mod tests {
         let pendings = client.blind_batch(&mut rng, &url_refs).unwrap();
         let blinded: Vec<UBig> = pendings.iter().map(|p| p.blinded.clone()).collect();
         let seq = service.evaluate_batch(&blinded).unwrap();
-        let par = service.evaluate_batch_par(&blinded, 4).unwrap();
-        assert_eq!(par, seq);
-        assert_eq!(service.requests_served(), 18, "9 sequential + 9 parallel");
-        // Both batch paths record exactly one service-time sample each,
-        // and the drain resets the histogram.
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| assert_eq!(service.evaluate_batch(&blinded).unwrap(), seq));
+            }
+        });
+        assert_eq!(
+            service.requests_served(),
+            45,
+            "9 sequential + 4 × 9 parallel"
+        );
+        // Every batch records exactly one service-time sample, and the
+        // drain resets the histogram.
         let hist = service.take_batch_hist();
-        assert_eq!(hist.count(), 2);
+        assert_eq!(hist.count(), 5);
         assert!(service.take_batch_hist().is_empty(), "drain resets");
     }
 
@@ -410,8 +401,6 @@ mod tests {
         let blinded = vec![pending.blinded.clone(); 3];
         service.evaluate_batch(&blinded).unwrap();
         assert_eq!(service.requests_served(), u64::MAX);
-        service.evaluate_batch_par(&blinded, 2).unwrap();
-        assert_eq!(service.requests_served(), u64::MAX);
         service.evaluate(&pending.blinded).unwrap();
         assert_eq!(service.requests_served(), u64::MAX);
     }
@@ -424,7 +413,6 @@ mod tests {
         assert!(service
             .evaluate_batch(std::slice::from_ref(&too_big))
             .is_err());
-        assert!(service.evaluate_batch_par(&[too_big], 4).is_err());
         assert_eq!(service.requests_served(), 0);
     }
 

@@ -9,20 +9,12 @@
 //! through blinded sketches lives in [`crate::system`]; Figure 2 is the
 //! comparison of the two.
 
-use crate::ids::AdIdMapper;
-use crate::node::{oprf_batch_exchange, ServiceBus};
-use crate::oprf_server::OprfService;
-use ew_bigint::UBig;
 use ew_core::{
     AdKey, Detector, DetectorConfig, GlobalView, SegmentedGlobalView, UserCounters, Verdict,
 };
-use ew_crypto::oprf::OprfClient;
-use ew_proto::NodeId;
-use ew_simnet::{AdClass, ImpressionLog, Scenario};
+use ew_simnet::{AdClass, ImpressionLog};
 use ew_sketch::{CmsParams, CountMinSketch};
 use ew_stats::ConfusionMatrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 
 /// Output of one pipeline run.
@@ -36,125 +28,6 @@ pub struct PipelineResult {
     pub insufficient: usize,
     /// The global `Users_th` used.
     pub users_threshold: f64,
-}
-
-/// Resolves every distinct ad of a log to its OPRF ad identifier in one
-/// batched blind-evaluate round trip — the evaluation harness's version
-/// of the §7.1 "once per (unique) ad" mapping cost.
-///
-/// The whole batch shares a single blinding inversion
-/// ([`OprfClient::blind_batch`]) and the server signs on its cached
-/// CRT/Montgomery context ([`OprfService::evaluate_batch`]), so mapping
-/// a week's worth of distinct ads costs what the hardware allows rather
-/// than one extended GCD per ad.
-pub fn resolve_ad_ids_batched(
-    scenario: &Scenario,
-    log: &ImpressionLog,
-    service: &OprfService,
-    mapper: AdIdMapper,
-    seed: u64,
-) -> BTreeMap<u64, AdKey> {
-    resolve_ad_ids_batched_par(scenario, log, service, mapper, seed, 1)
-}
-
-/// Multi-threaded [`resolve_ad_ids_batched`]: the distinct-ad batch is
-/// fanned out over `threads` contiguous shards, each blinded (one
-/// shared inversion per shard — the PR 1 contract holds per client-side
-/// shard), evaluated and unblinded on its own scoped worker, and the
-/// per-shard mappings are merged after the join.
-///
-/// The resulting map is identical for every thread count: the PRF
-/// output for an ad depends only on the server key and the URL, never
-/// on the blinding randomness, so sharding the blinding RNG cannot
-/// change a single ad ID.
-pub fn resolve_ad_ids_batched_par(
-    scenario: &Scenario,
-    log: &ImpressionLog,
-    service: &OprfService,
-    mapper: AdIdMapper,
-    seed: u64,
-    threads: usize,
-) -> BTreeMap<u64, AdKey> {
-    let ads: Vec<u64> = log.distinct_ads().into_iter().collect();
-    let urls: Vec<String> = ads
-        .iter()
-        .map(|&ad| scenario.campaigns[ad as usize].ad.url())
-        .collect();
-    let client = OprfClient::new(service.public().clone());
-    let work: Vec<(u64, &str)> = ads
-        .iter()
-        .copied()
-        .zip(urls.iter().map(String::as_str))
-        .collect();
-    let shards = crossbeam::thread::map_shards(&work, threads.max(1), |shard| {
-        // Per-shard RNG: blinding randomness may differ between thread
-        // counts, the unblinded PRF outputs cannot.
-        let mut rng = StdRng::seed_from_u64(seed ^ shard.first().map_or(0, |&(ad, _)| ad << 1));
-        let inputs: Vec<&[u8]> = shard.iter().map(|&(_, url)| url.as_bytes()).collect();
-        let pendings = client
-            .blind_batch(&mut rng, &inputs)
-            .expect("blinding always invertible for a valid modulus");
-        let blinded: Vec<_> = pendings.iter().map(|p| p.blinded.clone()).collect();
-        let responses = service.evaluate_batch(&blinded).expect("in-range batch");
-        shard
-            .iter()
-            .zip(pendings.iter().zip(&responses))
-            .map(|(&(ad, _), (pending, response))| {
-                let out = client.finalize(pending, response).expect("in range");
-                (ad, mapper.to_ad_id(&out))
-            })
-            .collect::<Vec<_>>()
-    });
-    shards.into_iter().flatten().collect()
-}
-
-/// [`resolve_ad_ids_batched`] over a [`ServiceBus`]: the whole distinct-
-/// ad batch crosses the bus as one `OprfBatchRequest` envelope and the
-/// service answers through its [`crate::node::OprfFrontend`] surface —
-/// the node-API version of the mapping step, usable with the in-proc or
-/// the wire bus interchangeably.
-///
-/// The resulting map is identical to the direct-call resolvers for any
-/// bus that loses nothing: the PRF output depends only on the server
-/// key and the URL.
-pub fn resolve_ad_ids_on_bus<B: ServiceBus>(
-    scenario: &Scenario,
-    log: &ImpressionLog,
-    service: &OprfService,
-    mapper: AdIdMapper,
-    seed: u64,
-    bus: &mut B,
-) -> BTreeMap<u64, AdKey> {
-    let ads: Vec<u64> = log.distinct_ads().into_iter().collect();
-    let urls: Vec<String> = ads
-        .iter()
-        .map(|&ad| scenario.campaigns[ad as usize].ad.url())
-        .collect();
-    let client = OprfClient::new(service.public().clone());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let inputs: Vec<&[u8]> = urls.iter().map(|u| u.as_bytes()).collect();
-    let pendings = client
-        .blind_batch(&mut rng, &inputs)
-        .expect("blinding always invertible for a valid modulus");
-    if pendings.is_empty() {
-        return BTreeMap::new();
-    }
-    let elements = oprf_batch_exchange(
-        service,
-        bus,
-        NodeId::Client(0), // the evaluation harness's identity
-        seed,
-        pendings.iter().map(|p| p.blinded.to_bytes_be()).collect(),
-    );
-    ads.iter()
-        .zip(pendings.iter().zip(&elements))
-        .map(|(&ad, (pending, element))| {
-            let out = client
-                .finalize(pending, &UBig::from_bytes_be(element))
-                .expect("response in range");
-            (ad, mapper.to_ad_id(&out))
-        })
-        .collect()
 }
 
 /// Runs the detector over a cleartext impression log: every user audits
@@ -359,65 +232,6 @@ mod tests {
 
     fn log() -> ImpressionLog {
         Scenario::build(ScenarioConfig::small(42)).run_week(0)
-    }
-
-    #[test]
-    fn batched_ad_resolution_matches_direct_evaluation() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let scenario = Scenario::build(ScenarioConfig::small(42));
-        let log = scenario.run_week(0);
-        let mut rng = StdRng::seed_from_u64(90);
-        let service = crate::oprf_server::OprfService::generate(&mut rng, 128);
-        let mapper = crate::ids::AdIdMapper::new(1 << 16);
-        let mapping = resolve_ad_ids_batched(&scenario, &log, &service, mapper, 91);
-        assert_eq!(mapping.len(), log.distinct_ads().len());
-        for (&ad, &key) in &mapping {
-            let url = scenario.campaigns[ad as usize].ad.url();
-            let direct = mapper.to_ad_id(&service.evaluate_direct(url.as_bytes()));
-            assert_eq!(key, direct, "ad {ad}");
-        }
-    }
-
-    #[test]
-    fn bus_ad_resolution_identical_on_inproc_and_wire() {
-        use crate::node::{InProcBus, WireBus};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let scenario = Scenario::build(ScenarioConfig::small(42));
-        let log = scenario.run_week(0);
-        let mut rng = StdRng::seed_from_u64(95);
-        let service = crate::oprf_server::OprfService::generate(&mut rng, 128);
-        let mapper = crate::ids::AdIdMapper::new(1 << 16);
-        let baseline = resolve_ad_ids_batched(&scenario, &log, &service, mapper, 96);
-        let inproc =
-            resolve_ad_ids_on_bus(&scenario, &log, &service, mapper, 96, &mut InProcBus::new());
-        assert_eq!(inproc, baseline);
-        let wire = resolve_ad_ids_on_bus(
-            &scenario,
-            &log,
-            &service,
-            mapper,
-            96,
-            &mut WireBus::perfect(),
-        );
-        assert_eq!(wire, baseline, "framing must not change a single ad ID");
-    }
-
-    #[test]
-    fn parallel_ad_resolution_identical_for_any_thread_count() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let scenario = Scenario::build(ScenarioConfig::small(42));
-        let log = scenario.run_week(0);
-        let mut rng = StdRng::seed_from_u64(92);
-        let service = crate::oprf_server::OprfService::generate(&mut rng, 128);
-        let mapper = crate::ids::AdIdMapper::new(1 << 16);
-        let baseline = resolve_ad_ids_batched(&scenario, &log, &service, mapper, 93);
-        for threads in [2usize, 4, 7] {
-            let par = resolve_ad_ids_batched_par(&scenario, &log, &service, mapper, 93, threads);
-            assert_eq!(par, baseline, "threads={threads}");
-        }
     }
 
     #[test]

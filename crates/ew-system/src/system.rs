@@ -2,28 +2,27 @@
 //! oprf-server running weekly aggregation rounds.
 //!
 //! Every entry point is a **thin driver over the node bus**
-//! ([`crate::node`]): `ingest`, `run_round`, `run_round_over_wire` and
-//! `audit_over_wire` all route versioned envelopes through a
-//! [`ServiceBus`] and execute the *same* typestate round machine. The
-//! only difference between the in-proc and wire paths is the bus handed
-//! to the `*_on` generic methods:
-//!
-//! | legacy entry point            | equivalent bus call                               |
-//! |-------------------------------|---------------------------------------------------|
-//! | `run_round(round, silent)`    | `run_round_on(&mut InProcBus::new(), round, silent)` |
-//! | `run_round_over_wire(round, f)` | `run_round_on(&mut WireBus::new(Some(f)), round, &[])` |
-//! | `ingest(scenario, log)`       | `ingest_on(scenario, log, InProcBus::new)`        |
-//! | `audit_over_wire(user, ad)`   | `audit_on(&mut WireBus::perfect(), user, ad)`     |
-//!
-//! The signatures of the legacy entry points are unchanged, so existing
-//! callers migrate by doing nothing — or by picking their own bus.
-//! `tests/bus_parity.rs` pins the in-proc and wire paths bit-identical.
+//! ([`crate::node`]) and there is one driver per thing the week does:
+//! [`EyewnderSystem::ingest_on`] maps and observes a week of
+//! impressions, [`EyewnderSystem::run_round_on`] runs one aggregation
+//! round, [`EyewnderSystem::run_epochs_deadline_on`] runs a churn
+//! campaign, [`EyewnderSystem::audit_on`] answers one real-time audit.
+//! Everything that varies — transport, shard count, clock, fault script
+//! — is an argument the caller builds ([`RoutingBus::in_proc`] /
+//! [`RoutingBus::over_wire`], [`EyewnderSystem::new_cluster`], a
+//! [`Clock`], a [`CoordinatorFault`],
+//! [`ClusterBackend::script_restart`]); `ingest`, `run_round` and
+//! `run_epochs_deadline` are the same drivers with the defaults filled
+//! in (in-proc bus, a fresh [`SystemConfig::cluster_backends`]-shard
+//! cluster, a genesis coordinator). A single backend is a cluster of
+//! one. `tests/bus_parity.rs` pins the in-proc and wire paths
+//! bit-identical, `tests/cluster_parity.rs` the shard counts.
 //!
 //! ## Parallel rounds and determinism
 //!
 //! The weekly round is embarrassingly parallel: each client's OPRF
 //! batch, report blinding and adjustment derivation is independent of
-//! every other client's. With [`ParallelConfig::threads`] > 1 the
+//! every other client's. With [`SystemConfig::threads`] > 1 the
 //! cohort is split into contiguous shards of clients, each processed on
 //! its own scoped worker thread.
 //!
@@ -55,13 +54,10 @@
 use crate::backend::BackendServer;
 use crate::client::Client;
 use crate::cluster::{ClusterBackend, RoutingBus};
-use crate::coordinator::{
-    pump_coordinator, Clock, Coordinator, EpochConfig, EpochEvent, LogicalClock,
-};
+use crate::coordinator::{Clock, Coordinator, EpochConfig, EpochEvent};
 use crate::ids::AdIdMapper;
 use crate::node::{
-    drive_round, pump_backend, pump_telemetry, ClientNode, InProcBus, RoundOpen, ServiceBus,
-    WireBus,
+    drive_round, pump, AggregationBackend, ClientNode, DrivenRound, InProcBus, ServiceBus,
 };
 use crate::oprf_server::OprfService;
 use crate::store::{RoundRecord, Store};
@@ -70,41 +66,13 @@ use crate::trace;
 use ew_core::{AdKey, Detector, DetectorConfig, GlobalView, ThresholdPolicy, Verdict};
 use ew_crypto::directory::KeyDirectory;
 use ew_crypto::group::ModpGroup;
-use ew_proto::{error_code, Envelope, EpochPhase, FaultConfig, Message, NodeId, ShardMap};
-use ew_simnet::{
-    AdClass, CoordinatorFault, CrashPoint, EpochChurn, ImpressionLog, RestartPhase, Scenario,
-    ShardRestart,
-};
+use ew_proto::{error_code, Envelope, EpochPhase, Message, NodeId, ShardMap};
+use ew_simnet::{AdClass, CoordinatorFault, CrashPoint, EpochChurn, ImpressionLog, Scenario};
 use ew_sketch::CmsParams;
 use ew_stats::ConfusionMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-
-/// Parallel execution settings for the system layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Worker threads for sharded ingest / round execution. `1` (the
-    /// default) runs everything on the calling thread; higher values
-    /// split the cohort into that many contiguous shards. Results are
-    /// bit-identical for every value (see the module docs).
-    pub threads: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig { threads: 1 }
-    }
-}
-
-impl ParallelConfig {
-    /// Convenience constructor.
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelConfig {
-            threads: threads.max(1),
-        }
-    }
-}
 
 /// System-wide parameters.
 #[derive(Debug, Clone)]
@@ -124,12 +92,15 @@ pub struct SystemConfig {
     pub policy: ThresholdPolicy,
     /// Detector settings for audits.
     pub detector: DetectorConfig,
-    /// Parallel execution settings (sharded ingest / rounds).
-    pub parallel: ParallelConfig,
-    /// Backend shards for the clustered round entry points (`1`, the
-    /// default, is a single-shard cluster; the clustered round is
-    /// bit-identical to [`EyewnderSystem::run_round`] for every value —
-    /// see `crate::cluster`).
+    /// Worker threads for sharded ingest / round execution. `1` (the
+    /// default) runs everything on the calling thread; higher values
+    /// split the cohort into that many contiguous shards. Results are
+    /// bit-identical for every value (see the module docs).
+    pub threads: usize,
+    /// Backend shards of the clusters [`EyewnderSystem::cluster_map`]
+    /// and the one-call drivers build (`1`, the default, is a cluster
+    /// of one; rounds are bit-identical for every value — see
+    /// `crate::cluster`).
     pub cluster_backends: usize,
     /// Rounds of blinding streams each client keeps resident (`0`
     /// disables the cache). With the default `2`, the recovery round
@@ -149,7 +120,7 @@ impl Default for SystemConfig {
             ad_capacity: 1 << 18,
             policy: ThresholdPolicy::Mean,
             detector: DetectorConfig::default(),
-            parallel: ParallelConfig::default(),
+            threads: 1,
             cluster_backends: 1,
             blinding_cache_rounds: 2,
         }
@@ -159,7 +130,7 @@ impl Default for SystemConfig {
 impl SystemConfig {
     /// Returns the config with `threads` parallel workers.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.parallel = ParallelConfig::with_threads(threads);
+        self.threads = threads.max(1);
         self
     }
 
@@ -177,20 +148,9 @@ impl SystemConfig {
     }
 }
 
-/// Outcome of one aggregation round.
-#[derive(Debug, Clone)]
-pub struct RoundOutcome {
-    /// The round index.
-    pub round: u64,
-    /// The finalized global view.
-    pub view: GlobalView,
-    /// How many reports were folded in.
-    pub reports: usize,
-    /// Which clients were declared missing (recovery ran if non-empty).
-    pub missing: Vec<u32>,
-    /// Frames rejected as corrupt on the wire path (0 on direct path).
-    pub corrupt_frames: usize,
-}
+/// Outcome of one aggregation round: the [`DrivenRound`] the typestate
+/// machine finalized.
+pub type RoundOutcome = DrivenRound;
 
 /// Outcome of one scheduled epoch in a churn campaign.
 #[derive(Debug, Clone)]
@@ -228,8 +188,8 @@ pub struct EyewnderSystem {
     /// (evaluation-side bookkeeping only).
     sim_ad_to_key: HashMap<u64, AdKey>,
     /// The telemetry role service: accumulates the replay-path metrics
-    /// every clustered round drains from its bus and backend, and
-    /// answers `MetricsQuery` envelopes.
+    /// every round drains from its bus and backend, and answers
+    /// `MetricsQuery` envelopes.
     telemetry: TelemetryService,
 }
 
@@ -308,7 +268,7 @@ impl EyewnderSystem {
     /// per client) and observed into the local counters.
     ///
     /// Resolution is batched per client and week — every URL a client
-    /// first saw this week goes through [`Client::map_ads_batch`] in one
+    /// first saw this week goes through [`Client::map_ads_on`] in one
     /// go, so the whole batch shares a single blinding inversion and the
     /// server answers on a hot key context (the §7.1 "once per (unique)
     /// ad" cost, amortized).
@@ -317,7 +277,7 @@ impl EyewnderSystem {
     /// ingested (the scenario may simulate more users than enrolled —
     /// the paper's panel was 100 out of a larger population).
     ///
-    /// With [`ParallelConfig::threads`] > 1 the cohort is split into
+    /// With [`SystemConfig::threads`] > 1 the cohort is split into
     /// contiguous client shards, each ingested on its own worker
     /// thread; each client's whole batch (blinding, one shared
     /// inversion, evaluation, caching, counter updates) stays on one
@@ -352,7 +312,7 @@ impl EyewnderSystem {
                     .push((r.ad, r.site as u64));
             }
         }
-        let threads = self.config.parallel.threads.max(1);
+        let threads = self.config.threads.max(1);
         let oprf = &self.oprf;
         let make_bus = &make_bus;
         // Clients are indexed by id, so contiguous `chunks_mut` shards
@@ -389,61 +349,80 @@ impl EyewnderSystem {
     /// Runs an aggregation round in-process. `silent` lists client ids
     /// that fail to report (the fault-tolerance path).
     ///
-    /// Equivalent to [`Self::run_round_on`] with an [`InProcBus`]: the
-    /// same typestate machine as the wire path, with envelopes moved
-    /// instead of framed.
+    /// [`Self::run_round_on`] against a fresh
+    /// [`SystemConfig::cluster_backends`]-shard cluster behind an
+    /// in-proc [`RoutingBus`].
     pub fn run_round(&mut self, round: u64, silent: &[u32]) -> RoundOutcome {
-        self.run_round_on(&mut InProcBus::new(), round, silent)
+        let map = self.cluster_map();
+        let mut backend = self.new_cluster(&map);
+        let mut bus = RoutingBus::in_proc(map, None);
+        self.run_round_on(&mut backend, &mut bus, round, silent)
     }
 
-    /// Runs an aggregation round **over the wire**: every report crosses
-    /// a framed, checksummed transport with the given fault profile.
-    /// Reports lost to drops or corruption make their senders "missing";
-    /// the recovery round then runs over a clean link (in practice a
-    /// retry/second round-trip — [`WireBus`] re-establishes it at the
-    /// `Recovery` phase boundary).
+    /// Runs one aggregation round — the typestate machine of
+    /// [`crate::node`] (Open → Reports → Recovery → Finalize) — over a
+    /// caller-prepared cluster backend and bus. Every axis is the
+    /// caller's: [`RoutingBus::over_wire`] for framed, fault-injected
+    /// per-shard uplinks (lost reports make their senders "missing";
+    /// recovery runs over the re-established clean links), a scripted
+    /// `crate::cluster::ShardFailure` on the bus for the failover drill,
+    /// [`ClusterBackend::script_restart`] for the crash-restart drill.
+    /// The outcome is bit-identical across all of them on lossless
+    /// links.
     ///
-    /// Equivalent to [`Self::run_round_on`] with a [`WireBus`].
-    pub fn run_round_over_wire(&mut self, round: u64, fault: FaultConfig) -> RoundOutcome {
-        self.run_round_on(&mut WireBus::new(Some(fault)), round, &[])
-    }
-
-    /// Runs one aggregation round over an arbitrary [`ServiceBus`] —
-    /// the single round code path behind [`Self::run_round`] and
-    /// [`Self::run_round_over_wire`] (the typestate machine of
-    /// [`crate::node`]: Open → Reports → Recovery → Finalize).
-    ///
-    /// With [`ParallelConfig::threads`] > 1, report building (the
+    /// With [`SystemConfig::threads`] > 1, report building (the
     /// per-client blinding-vector derivation — the round's hot loop) and
     /// adjustment derivation run on sharded worker threads; envelopes
     /// cross the bus in client order regardless, and the backend's
     /// cell-wise accumulation is associative, so the finalized view is
-    /// bit-identical for every thread count and every lossless bus.
+    /// bit-identical for every thread count.
     pub fn run_round_on<B: ServiceBus>(
         &mut self,
+        backend: &mut ClusterBackend,
         bus: &mut B,
         round: u64,
         silent: &[u32],
     ) -> RoundOutcome {
         let params = self.config.cms;
-        let threads = self.config.parallel.threads.max(1);
-        let driven = drive_round(
-            &self.clients,
-            &mut self.backend,
-            bus,
-            params,
-            round,
-            silent,
-            threads,
-        );
-        self.record_round(driven.round, driven.reports, &driven.missing, &driven.view);
-        RoundOutcome {
-            round: driven.round,
-            view: driven.view,
-            reports: driven.reports,
-            missing: driven.missing,
-            corrupt_frames: driven.corrupt_frames,
+        let threads = self.config.threads.max(1);
+        let driven = drive_round(&self.clients, backend, bus, params, round, silent, threads);
+        let roster: Vec<u32> = self.clients.iter().map(Client::id).collect();
+        self.finish_round(backend, bus, &roster, &driven);
+        driven
+    }
+
+    /// Shared tail of every finalized round, single or campaign epoch:
+    /// drains the bus, cluster and OPRF telemetry into the telemetry
+    /// service, records the round over `roster` in the metadata store
+    /// and installs the view on the resident backend, so audits and
+    /// `#Users` queries answer from it.
+    fn finish_round<B: ServiceBus>(
+        &mut self,
+        backend: &mut ClusterBackend,
+        bus: &mut B,
+        roster: &[u32],
+        driven: &DrivenRound,
+    ) {
+        if let Some(metrics) = bus.take_metrics() {
+            self.telemetry.observe(driven.round, &metrics);
         }
+        self.telemetry
+            .observe(driven.round, &backend.take_metrics());
+        self.telemetry.observe_oprf(&self.oprf.take_batch_hist());
+        for &user in roster {
+            if !driven.missing.contains(&user) {
+                self.store.mark_reported(user, driven.round);
+            }
+        }
+        self.store.record_round(RoundRecord {
+            round: driven.round,
+            reports: driven.reports,
+            missing: driven.missing.len(),
+            policy: self.config.policy,
+            users_threshold: driven.view.users_threshold(),
+            positive_ads: driven.view.num_ads(),
+        });
+        self.backend.install_view(driven.round, driven.view.clone());
     }
 
     /// The key-space partition for this system's configured cluster
@@ -470,104 +449,11 @@ impl EyewnderSystem {
         cluster
     }
 
-    /// Runs an aggregation round against
-    /// [`SystemConfig::cluster_backends`] in-process backend shards
-    /// behind a [`RoutingBus`] — the same typestate round machine as
-    /// [`Self::run_round`], with reports fanned out by key-space
-    /// ownership and per-shard partials merged through
-    /// `crate::cluster::ViewMerger`. Bit-identical to the single-backend
-    /// round for every cluster size.
-    pub fn run_round_clustered(&mut self, round: u64, silent: &[u32]) -> RoundOutcome {
-        let map = self.cluster_map();
-        let mut backend = self.new_cluster(&map);
-        let mut bus = RoutingBus::in_proc(map, None);
-        self.run_round_clustered_on(&mut backend, &mut bus, round, silent)
-    }
-
-    /// The clustered round **over the wire**: every report crosses its
-    /// owning shard's framed, checksummed uplink, each uplink carrying
-    /// its own instance of the given fault profile (one lossy shard does
-    /// not perturb its siblings). Equivalent to
-    /// [`Self::run_round_clustered_on`] with a wire [`RoutingBus`].
-    pub fn run_round_clustered_over_wire(
-        &mut self,
-        round: u64,
-        fault: FaultConfig,
-    ) -> RoundOutcome {
-        let map = self.cluster_map();
-        let mut backend = self.new_cluster(&map);
-        let mut bus = RoutingBus::over_wire(map, Some(fault), None);
-        self.run_round_clustered_on(&mut backend, &mut bus, round, &[])
-    }
-
-    /// Runs one clustered round over a caller-prepared cluster backend
-    /// and bus (the seam the failover drills use: hand in a
-    /// [`RoutingBus`] with a scripted `crate::cluster::ShardFailure`).
-    /// The finalized view is recorded in the metadata store and
-    /// installed on the system's resident backend, so audits and
-    /// `#Users` queries see cluster rounds exactly like local ones.
-    pub fn run_round_clustered_on<B: ServiceBus>(
-        &mut self,
-        backend: &mut ClusterBackend,
-        bus: &mut B,
-        round: u64,
-        silent: &[u32],
-    ) -> RoundOutcome {
-        let params = self.config.cms;
-        let threads = self.config.parallel.threads.max(1);
-        let driven = drive_round(&self.clients, backend, bus, params, round, silent, threads);
-        self.finish_clustered_round(backend, bus, driven)
-    }
-
-    /// [`Self::run_round_clustered_on`] with a scripted cold
-    /// crash-restart: `restart.shard`'s process state is destroyed at
-    /// the [`RestartPhase`] boundary and rebuilt from the unified round
-    /// log alone (checkpoint + `Absorbed` replay) before the round
-    /// proceeds. The shard map is untouched throughout — this is the
-    /// "machine rebooted" drill, not the "machine is gone" failover —
-    /// and the outcome is bit-identical to the undisturbed round.
-    pub fn run_round_clustered_with_restart<B: ServiceBus>(
-        &mut self,
-        backend: &mut ClusterBackend,
-        bus: &mut B,
-        round: u64,
-        silent: &[u32],
-        restart: ShardRestart,
-    ) -> RoundOutcome {
-        let params = self.config.cms;
-        let threads = self.config.parallel.threads.max(1);
-        let opened = RoundOpen::open(backend, bus, round);
-        let collected =
-            opened.collect_reports(&self.clients, silent, params, threads, backend, bus);
-        if matches!(
-            restart.phase,
-            RestartPhase::Reports | RestartPhase::MidReplay
-        ) {
-            Self::crash_restart(backend, restart);
-        }
-        let recovered = collected.recover(&self.clients, params, threads, backend, bus);
-        if restart.phase == RestartPhase::Recovery {
-            Self::crash_restart(backend, restart);
-        }
-        let driven = recovered.finalize(backend, bus);
-        self.finish_clustered_round(backend, bus, driven)
-    }
-
-    /// Executes one scripted crash-restart against the cluster. A
-    /// [`RestartPhase::MidReplay`] drill crashes the shard a second
-    /// time right after its first replay lands, so the rebuilt state is
-    /// itself rebuilt — the replay-idempotence proof.
-    fn crash_restart(backend: &mut ClusterBackend, restart: ShardRestart) {
-        backend.crash_shard(restart.shard);
-        backend.restart_shard(restart.shard);
-        if restart.phase == RestartPhase::MidReplay {
-            backend.crash_shard(restart.shard);
-            backend.restart_shard(restart.shard);
-        }
-    }
-
-    /// Runs a multi-epoch churn campaign against one long-lived cluster
-    /// backend, driven by the tick-based epoch [`Coordinator`]:
+    /// The one churn-campaign driver: runs a multi-epoch schedule
+    /// against one long-lived cluster backend, driven by the tick-based
+    /// epoch [`Coordinator`] with `now` drawn from an arbitrary
+    /// [`Clock`] and the coordinator's state checkpointed into the
+    /// cluster's control journal at every tick boundary:
     ///
     /// 1. each epoch's joins cross the bus as [`Message::Join`]
     ///    envelopes and the coordinator is ticked to admission
@@ -591,37 +477,10 @@ impl EyewnderSystem {
     ///
     /// Epoch ids the schedule churns must be below the system's cohort
     /// size (the campaign population is a subset of the built cohort).
-    /// Everything is logical-time driven, so a fixed schedule produces
-    /// bit-identical finalized views for every thread count, bus and
-    /// cluster size — `tests/cluster_parity.rs` pins it.
-    ///
-    /// This is [`Self::run_epochs_deadline_on`] on a [`LogicalClock`]
-    /// resuming at the coordinator's last tick, with nothing scripted
-    /// to go wrong — the pre-deadline driver loop, reproduced verbatim.
-    pub fn run_epochs_clustered_on<B: ServiceBus>(
-        &mut self,
-        backend: &mut ClusterBackend,
-        bus: &mut B,
-        coordinator: &mut Coordinator,
-        schedule: &[EpochChurn],
-    ) -> Vec<EpochOutcome> {
-        let mut clock = LogicalClock::starting_at(coordinator.last_tick());
-        self.run_epochs_deadline_on(
-            backend,
-            bus,
-            coordinator,
-            &mut clock,
-            schedule,
-            &CoordinatorFault::none(),
-        )
-    }
-
-    /// The deadline-driven heart of every churn campaign: runs a
-    /// multi-epoch schedule against one long-lived cluster backend with
-    /// `now` drawn from an arbitrary [`Clock`], the coordinator's state
-    /// checkpointed into the cluster's control journal at every tick
-    /// boundary, and an optional scripted [`CoordinatorFault`] layered
-    /// on top:
+    /// An undisturbed campaign is a
+    /// [`crate::coordinator::LogicalClock`] with
+    /// [`CoordinatorFault::none()`]; a scripted [`CoordinatorFault`]
+    /// layers on top:
     ///
     /// * a [`ew_simnet::CoordinatorCrash`] destroys the coordinator at
     ///   its [`CrashPoint`] in every epoch and rebuilds it from the
@@ -643,8 +502,10 @@ impl EyewnderSystem {
     /// deadline and lateness is compared against `grace_ticks`
     /// logically, so outcomes are insensitive to clock jitter: any
     /// [`crate::coordinator::VirtualClock`] schedule produces the same
-    /// `EpochOutcome`s as the [`LogicalClock`] baseline
-    /// (`tests/coordinator_soak.rs` pins it).
+    /// `EpochOutcome`s as the `LogicalClock` baseline
+    /// (`tests/coordinator_soak.rs` pins it), and a fixed schedule
+    /// finalizes bit-identically for every thread count, bus and cluster
+    /// size (`tests/cluster_parity.rs`).
     pub fn run_epochs_deadline_on<B: ServiceBus, C: Clock>(
         &mut self,
         backend: &mut ClusterBackend,
@@ -655,7 +516,7 @@ impl EyewnderSystem {
         fault: &CoordinatorFault,
     ) -> Vec<EpochOutcome> {
         let params = self.config.cms;
-        let threads = self.config.parallel.threads.max(1);
+        let threads = self.config.threads.max(1);
         let mut outcomes = Vec::with_capacity(schedule.len());
 
         for spec in schedule {
@@ -695,7 +556,9 @@ impl EyewnderSystem {
                 bus.send(NodeId::Coordinator, env)
                     .expect("coordinator mailbox open");
             }
-            pump_coordinator(coordinator, bus);
+            pump(bus, NodeId::Coordinator, |req| {
+                coordinator.on_envelope(&req)
+            });
             backend.checkpoint_coordinator(coordinator.checkpoint());
 
             // Admission: one tick folds the pending joins; below
@@ -758,7 +621,9 @@ impl EyewnderSystem {
                 bus.send(NodeId::Coordinator, env)
                     .expect("coordinator mailbox open");
             }
-            pump_coordinator(coordinator, bus);
+            pump(bus, NodeId::Coordinator, |req| {
+                coordinator.on_envelope(&req)
+            });
             for &user in &spec.drops {
                 coordinator.mark_dropped(user);
             }
@@ -857,28 +722,9 @@ impl EyewnderSystem {
                 }
             }
 
-            if let Some(metrics) = bus.take_metrics() {
-                self.telemetry.observe(round, &metrics);
-            }
-            let backend_metrics = backend.take_metrics();
-            self.telemetry.observe(round, &backend_metrics);
-            self.telemetry.observe_oprf(&self.oprf.take_batch_hist());
+            self.finish_round(backend, bus, membership.members(), &driven);
             self.telemetry
                 .observe_churn(&coordinator.take_churn_metrics());
-            for &user in membership.members() {
-                if !driven.missing.contains(&user) {
-                    self.store.mark_reported(user, round);
-                }
-            }
-            self.store.record_round(RoundRecord {
-                round,
-                reports: driven.reports,
-                missing: driven.missing.len(),
-                policy: self.config.policy,
-                users_threshold: driven.view.users_threshold(),
-                positive_ads: driven.view.num_ads(),
-            });
-            self.backend.install_view(round, driven.view.clone());
             outcomes.push(EpochOutcome {
                 epoch,
                 round,
@@ -886,13 +732,7 @@ impl EyewnderSystem {
                 joined: joining,
                 dropped: silent,
                 collapsed: false,
-                outcome: Some(RoundOutcome {
-                    round: driven.round,
-                    view: driven.view,
-                    reports: driven.reports,
-                    missing: driven.missing,
-                    corrupt_frames: driven.corrupt_frames,
-                }),
+                outcome: Some(driven),
             });
         }
         // Campaign over: one snapshot line set per campaign when
@@ -901,23 +741,6 @@ impl EyewnderSystem {
             .snapshot()
             .export_json_env("deadline_campaign");
         outcomes
-    }
-
-    /// [`Self::run_epochs_clustered_on`] with a fresh in-proc routing
-    /// bus, a fresh cluster for [`SystemConfig::cluster_backends`]
-    /// shards and a fresh genesis coordinator with the given admission
-    /// threshold — the one-call entry point for churn campaigns.
-    pub fn run_epochs_clustered(
-        &mut self,
-        min_clients: u32,
-        schedule: &[EpochChurn],
-    ) -> Vec<EpochOutcome> {
-        let map = self.cluster_map();
-        let mut backend = self.new_cluster(&map);
-        let mut bus = RoutingBus::in_proc(map, None);
-        let mut coordinator =
-            Coordinator::new(EpochConfig::default().with_min_clients(min_clients));
-        self.run_epochs_clustered_on(&mut backend, &mut bus, &mut coordinator, schedule)
     }
 
     /// [`Self::run_epochs_deadline_on`] with a fresh in-proc routing
@@ -949,34 +772,8 @@ impl EyewnderSystem {
         )
     }
 
-    /// Shared tail of every clustered round: drains the bus and backend
-    /// replay metrics into the telemetry service, records the round in
-    /// the metadata store and installs the view on the resident backend.
-    fn finish_clustered_round<B: ServiceBus>(
-        &mut self,
-        backend: &mut ClusterBackend,
-        bus: &mut B,
-        driven: crate::node::DrivenRound,
-    ) -> RoundOutcome {
-        if let Some(metrics) = bus.take_metrics() {
-            self.telemetry.observe(driven.round, &metrics);
-        }
-        let backend_metrics = backend.take_metrics();
-        self.telemetry.observe(driven.round, &backend_metrics);
-        self.telemetry.observe_oprf(&self.oprf.take_batch_hist());
-        self.record_round(driven.round, driven.reports, &driven.missing, &driven.view);
-        self.backend.install_view(driven.round, driven.view.clone());
-        RoundOutcome {
-            round: driven.round,
-            view: driven.view,
-            reports: driven.reports,
-            missing: driven.missing,
-            corrupt_frames: driven.corrupt_frames,
-        }
-    }
-
     /// The telemetry role service (per-round and lifetime replay-path
-    /// metrics, fed by every clustered round).
+    /// metrics, fed by every round).
     pub fn telemetry(&self) -> &TelemetryService {
         &self.telemetry
     }
@@ -998,7 +795,9 @@ impl EyewnderSystem {
             Envelope::new(me, round, Message::MetricsQuery { round }),
         )
         .ok()?;
-        pump_telemetry(&self.telemetry, bus);
+        pump(bus, NodeId::Telemetry, |req| {
+            Some(self.telemetry.on_envelope(&req))
+        });
         let (replies, _) = bus.drain(me);
         replies.into_iter().find_map(|env| match env.msg {
             Message::MetricsReply {
@@ -1033,33 +832,10 @@ impl EyewnderSystem {
         })
     }
 
-    /// Writes one finalized round into the metadata store.
-    fn record_round(&mut self, round: u64, reports: usize, missing: &[u32], view: &GlobalView) {
-        for c in &self.clients {
-            if !missing.contains(&c.id()) {
-                self.store.mark_reported(c.id(), round);
-            }
-        }
-        self.store.record_round(RoundRecord {
-            round,
-            reports,
-            missing: missing.len(),
-            policy: self.config.policy,
-            users_threshold: view.users_threshold(),
-            positive_ads: view.num_ads(),
-        });
-    }
-
-    /// The real-time audit path **over the wire** (Figure 1, arrow 5 +
-    /// the per-ad query). Equivalent to [`Self::audit_on`] with a
-    /// lossless [`WireBus`].
-    pub fn audit_over_wire(&mut self, user: u32, sim_ad: u64) -> Option<Verdict> {
-        self.audit_on(&mut WireBus::perfect(), user, sim_ad)
-    }
-
-    /// The real-time audit over an arbitrary [`ServiceBus`]: the client
-    /// sends a `UsersQuery` envelope for the ad's ID, the backend
-    /// answers a `UsersReply` envelope from its latest finalized view,
+    /// The real-time audit (Figure 1, arrow 5 + the per-ad query) over
+    /// an arbitrary [`ServiceBus`]: the client sends a `UsersQuery`
+    /// envelope for the ad's ID, the backend answers a `UsersReply`
+    /// envelope from its latest finalized view,
     /// and the client combines the estimate with its local counters and
     /// the broadcast `Users_th`. Returns `None` if no round has been
     /// finalized yet, the user id is unknown, or the bus lost the
@@ -1081,7 +857,9 @@ impl EyewnderSystem {
             Envelope::new(me, 0, Message::UsersQuery { round: 0, ad }),
         )
         .ok()?;
-        pump_backend(&mut self.backend, bus);
+        pump(bus, NodeId::Backend, |req| {
+            self.backend.on_envelope(req).ok().flatten()
+        });
         let (replies, _) = bus.drain(me);
         let estimate = replies.into_iter().find_map(|env| match env.msg {
             Message::UsersReply { estimate, .. } => Some(estimate),
@@ -1114,7 +892,6 @@ impl EyewnderSystem {
     /// verdicts are scored against the simulator's ground truth.
     pub fn audit_against(
         &self,
-        _scenario: &Scenario,
         log: &ImpressionLog,
         view: &GlobalView,
     ) -> (ConfusionMatrix, usize) {
@@ -1241,7 +1018,9 @@ pub fn deliver_late_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ew_simnet::ScenarioConfig;
+    use crate::coordinator::LogicalClock;
+    use ew_proto::FaultConfig;
+    use ew_simnet::{RestartPhase, ScenarioConfig, ShardRestart};
 
     fn small_system() -> (EyewnderSystem, Scenario, ImpressionLog) {
         let mut cfg = ScenarioConfig::small(5);
@@ -1305,7 +1084,7 @@ mod tests {
         let (mut sys, scenario, log) = small_system();
         sys.ingest(&scenario, &log);
         let outcome = sys.run_round(1, &[]);
-        let (confusion, _skipped) = sys.audit_against(&scenario, &log, &outcome.view);
+        let (confusion, _skipped) = sys.audit_against(&log, &outcome.view);
         assert!(confusion.total() > 0);
         assert!(
             confusion.fpr() < 0.15,
@@ -1325,7 +1104,10 @@ mod tests {
             reorder_prob: 0.1,
             seed: 9,
         };
-        let outcome = sys.run_round_over_wire(3, fault);
+        let map = sys.cluster_map();
+        let mut backend = sys.new_cluster(&map);
+        let mut bus = RoutingBus::over_wire(map, Some(fault), None);
+        let outcome = sys.run_round_on(&mut backend, &mut bus, 3, &[]);
         // Some reports were lost...
         assert!(outcome.reports < 24 || outcome.corrupt_frames > 0 || outcome.missing.is_empty());
         // ...but recovery kept the aggregate clean.
@@ -1343,7 +1125,7 @@ mod tests {
 
         let mut backend = sys.new_cluster(&map);
         let mut bus = RoutingBus::in_proc(map.clone(), None);
-        let base = sys.run_round_clustered_on(&mut backend, &mut bus, 1, &silent);
+        let base = sys.run_round_on(&mut backend, &mut bus, 1, &silent);
 
         for shard in [0u32, 1] {
             for phase in [
@@ -1352,17 +1134,24 @@ mod tests {
                 RestartPhase::MidReplay,
             ] {
                 let mut backend = sys.new_cluster(&map);
+                backend.script_restart(ShardRestart { shard, phase });
                 let mut bus = RoutingBus::in_proc(map.clone(), None);
-                let outcome = sys.run_round_clustered_with_restart(
-                    &mut backend,
-                    &mut bus,
-                    1,
-                    &silent,
-                    ShardRestart { shard, phase },
-                );
+                let outcome = sys.run_round_on(&mut backend, &mut bus, 1, &silent);
                 assert_eq!(outcome.view, base.view, "shard={shard} phase={phase:?}");
                 assert_eq!(outcome.missing, base.missing);
                 assert_eq!(outcome.reports, base.reports);
+
+                // The script is one-shot: a second round on the same
+                // backend is not crashed, so nothing more is replayed.
+                let replayed = sys.telemetry().totals().replayed;
+                let again = sys.run_round_on(&mut backend, &mut bus, 2, &silent);
+                assert_eq!(again.missing, base.missing);
+                assert_eq!(again.reports, base.reports);
+                assert_eq!(
+                    sys.telemetry().totals().replayed,
+                    replayed,
+                    "shard={shard} phase={phase:?}: the spent script fired again"
+                );
             }
         }
         // The drills actually exercised the replay path.
@@ -1374,7 +1163,7 @@ mod tests {
         let (mut sys, scenario, log) = small_system();
         sys.ingest(&scenario, &log);
         sys.config.cluster_backends = 2;
-        let outcome = sys.run_round_clustered(1, &[]);
+        let outcome = sys.run_round(1, &[]);
         assert_eq!(outcome.reports, 24);
 
         let metrics = sys
@@ -1410,7 +1199,13 @@ mod tests {
             spec(vec![], vec![], vec![0, 3, 4, 5, 6]),
             spec(vec![10, 11], vec![], vec![]),
         ];
-        let outcomes = sys.run_epochs_clustered(4, &schedule);
+        let outcomes = sys.run_epochs_deadline(
+            4,
+            EpochConfig::default().grace_ticks,
+            &mut LogicalClock::new(),
+            &schedule,
+            &CoordinatorFault::none(),
+        );
         assert_eq!(outcomes.len(), 4);
 
         assert_eq!(outcomes[0].members, (0..8).collect::<Vec<u32>>());

@@ -11,6 +11,7 @@
 use eyewnder::core::Verdict;
 use eyewnder::proto::FaultConfig;
 use eyewnder::simnet::{Scenario, ScenarioConfig};
+use eyewnder::system::cluster::RoutingBus;
 use eyewnder::system::{EyewnderSystem, SystemConfig};
 
 fn main() {
@@ -46,7 +47,10 @@ fn main() {
         reorder_prob: 0.05,
         seed: 11,
     };
-    let outcome = system.run_round_over_wire(1, fault);
+    let map = system.cluster_map();
+    let mut backend = system.new_cluster(&map);
+    let mut bus = RoutingBus::over_wire(map, Some(fault), None);
+    let outcome = system.run_round_on(&mut backend, &mut bus, 1, &[]);
     println!(
         "reports accepted: {}   corrupt frames rejected: {}   declared missing: {:?}",
         outcome.reports, outcome.corrupt_frames, outcome.missing
@@ -62,7 +66,7 @@ fn main() {
     );
 
     println!("== real-time audits ==");
-    let (confusion, skipped) = system.audit_against(&scenario, &week, &outcome.view);
+    let (confusion, skipped) = system.audit_against(&week, &outcome.view);
     println!(
         "audited {} (user, ad) pairs ({} below the 4-domain activity gate)",
         confusion.total(),

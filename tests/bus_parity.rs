@@ -1,8 +1,8 @@
 //! The acceptance property of the node-API redesign: `run_round` and
-//! `run_round_over_wire` are thin drivers over the *same* `ServiceBus`
-//! round state machine, so on a lossless link the in-proc and wire
-//! paths produce **bit-identical** `RoundOutcome`s — for every thread
-//! count, in debug and release (CI runs both).
+//! `run_round_on` over wire uplinks are thin drivers over the *same*
+//! `ServiceBus` round state machine, so on a lossless link the in-proc
+//! and wire paths produce **bit-identical** `RoundOutcome`s — for every
+//! thread count, in debug and release (CI runs both).
 //!
 //! Fault coverage on the new bus: reordering must not change the
 //! outcome at all (every report still arrives; backend accumulation is
@@ -12,6 +12,7 @@
 
 use eyewnder::proto::FaultConfig;
 use eyewnder::simnet::{DriverScale, ImpressionLog, Scenario, WeeklyDriver};
+use eyewnder::system::cluster::RoutingBus;
 use eyewnder::system::node::WireBus;
 use eyewnder::system::{EyewnderSystem, RoundOutcome, SystemConfig};
 
@@ -34,6 +35,20 @@ fn system(threads: usize, cohort: usize) -> EyewnderSystem {
         .with_threads(threads),
         cohort,
     )
+}
+
+/// One round over the wire: a fresh cluster of the configured size (one
+/// shard here) behind framed uplinks carrying `fault`.
+fn wire_round(
+    sys: &mut EyewnderSystem,
+    round: u64,
+    fault: Option<FaultConfig>,
+    silent: &[u32],
+) -> RoundOutcome {
+    let map = sys.cluster_map();
+    let mut backend = sys.new_cluster(&map);
+    let mut bus = RoutingBus::over_wire(map, fault, None);
+    sys.run_round_on(&mut backend, &mut bus, round, silent)
 }
 
 fn assert_bit_identical(a: &RoundOutcome, b: &RoundOutcome, label: &str) {
@@ -98,7 +113,7 @@ fn lossless_wire_round_bit_identical_to_inproc_for_thread_counts_1_2_4_7() {
             }
             let round = week as u64 + 1;
             let direct = inproc.run_round(round, &[]);
-            let framed = wire.run_round_over_wire(round, FaultConfig::perfect());
+            let framed = wire_round(&mut wire, round, Some(FaultConfig::perfect()), &[]);
             assert_eq!(framed.reports, cohort, "threads={threads}");
             assert_bit_identical(&direct, &framed, &format!("threads={threads} week={week}"));
             assert_same_ad_keys(&inproc, &wire, log, &format!("threads={threads}"));
@@ -126,7 +141,7 @@ fn reordering_link_changes_nothing() {
             seed: 21,
             ..FaultConfig::perfect()
         };
-        let framed = wire.run_round_over_wire(1, reordered);
+        let framed = wire_round(&mut wire, 1, Some(reordered), &[]);
         assert_bit_identical(&direct, &framed, &format!("threads={threads}"));
     }
 }
@@ -142,7 +157,7 @@ fn duplicating_link_never_double_counts() {
         seed: 22,
         ..FaultConfig::perfect()
     };
-    let framed = wire.run_round_over_wire(1, duplicating);
+    let framed = wire_round(&mut wire, 1, Some(duplicating), &[]);
     assert_bit_identical(&direct, &framed, "duplicate-only link");
 }
 
@@ -165,7 +180,7 @@ fn corrupting_dropping_link_recovers_residue_free_and_deterministically() {
     for threads in [1usize, 4] {
         let mut wire = system(threads, cohort);
         wire.ingest_on(scenario, &weeks[0], WireBus::perfect);
-        let outcome = wire.run_round_over_wire(1, fault);
+        let outcome = wire_round(&mut wire, 1, Some(fault), &[]);
         assert!(
             outcome.reports < cohort || outcome.corrupt_frames > 0 || outcome.missing.is_empty(),
             "the harsh link must actually bite (or lose nothing)"
@@ -200,6 +215,6 @@ fn silent_clients_and_wire_losses_take_the_same_recovery_path() {
     // A drop-everything-from-those-two link is not expressible with
     // FaultConfig probabilities, so run the wire round with the same
     // clients silent instead (the driver supports it on any bus).
-    let framed = wire.run_round_on(&mut WireBus::new(None), 1, &silent);
+    let framed = wire_round(&mut wire, 1, None, &silent);
     assert_bit_identical(&direct, &framed, "silent cohort");
 }

@@ -10,9 +10,13 @@
 //!   no matter how the membership churned around it;
 //! * an identical campaign replays bit-identically, run to run.
 
-use eyewnder::simnet::{churn_matrix, ChurnCampaign, ChurnConfig, DriverScale, WeeklyDriver};
+use eyewnder::simnet::{
+    churn_matrix, ChurnCampaign, ChurnConfig, CoordinatorFault, DriverScale, WeeklyDriver,
+};
 use eyewnder::sketch::CmsParams;
-use eyewnder::system::{ChurnMetrics, EpochOutcome, EyewnderSystem, SystemConfig};
+use eyewnder::system::{
+    ChurnMetrics, EpochConfig, EpochOutcome, EyewnderSystem, LogicalClock, SystemConfig,
+};
 
 const SEED: u64 = 0x50AC_0008;
 
@@ -43,7 +47,13 @@ fn run_campaign(config: ChurnConfig) -> (Vec<EpochOutcome>, ChurnMetrics, ChurnC
     );
     sys.ingest(scenario, &weeks[0]);
     sys.config.cluster_backends = 3;
-    let outcomes = sys.run_epochs_clustered(config.min_clients, campaign.epochs());
+    let outcomes = sys.run_epochs_deadline(
+        config.min_clients,
+        EpochConfig::default().grace_ticks,
+        &mut LogicalClock::new(),
+        campaign.epochs(),
+        &CoordinatorFault::none(),
+    );
     let churn = sys.telemetry().churn();
     (outcomes, churn, campaign)
 }

@@ -2,11 +2,12 @@
 //! a weekly round driven against N backend shards behind a routing bus
 //! — in-proc or over per-shard wire uplinks, with or without a
 //! mid-round shard failover — produces a `RoundOutcome` **bit-identical**
-//! to the single-backend round, for every cluster size and thread
-//! count. Blinded cell accumulation is associative and commutative and
-//! key-space ownership partitions the per-user validation state, so
-//! sharding (and re-sharding, mid-round) must be unobservable in the
-//! output.
+//! to the single-backend round (`run_round`'s default cluster of one,
+//! itself pinned ≡ a bare `BackendServer` by `cluster.rs`'s unit
+//! tests), for every cluster size and thread count. Blinded cell
+//! accumulation is associative and commutative and key-space ownership
+//! partitions the per-user validation state, so sharding (and
+//! re-sharding, mid-round) must be unobservable in the output.
 //!
 //! Fault coverage: per-shard wire uplinks under drop+corrupt+duplicate+
 //! reorder recover residue-free and deterministically (same seeds →
@@ -14,11 +15,14 @@
 
 use eyewnder::proto::{FaultConfig, ShardMap};
 use eyewnder::simnet::{
-    ClusterScenario, DriverScale, EpochChurn, RestartPhase, ShardKill, ShardRestart, WeeklyDriver,
+    ClusterScenario, CoordinatorFault, DriverScale, EpochChurn, RestartPhase, ShardKill,
+    ShardRestart, WeeklyDriver,
 };
 use eyewnder::system::cluster::{ClusterBackend, RoutingBus, ShardFailure};
+use eyewnder::system::node::WireBus;
 use eyewnder::system::{
-    Coordinator, EpochConfig, EpochOutcome, EyewnderSystem, RoundOutcome, ServiceBus, SystemConfig,
+    Coordinator, EpochConfig, EpochOutcome, EyewnderSystem, LogicalClock, RoundOutcome, ServiceBus,
+    SystemConfig,
 };
 
 const fn seed() -> u64 {
@@ -95,11 +99,11 @@ fn clustered_round(
     let mut backend = sys.new_cluster(&map);
     if wire {
         let mut bus = RoutingBus::over_wire(map, None, failure_plan(scenario.failover));
-        let outcome = sys.run_round_clustered_on(&mut backend, &mut bus, round, silent);
+        let outcome = sys.run_round_on(&mut backend, &mut bus, round, silent);
         (outcome, bus.map().version())
     } else {
         let mut bus = RoutingBus::in_proc(map, failure_plan(scenario.failover));
-        let outcome = sys.run_round_clustered_on(&mut backend, &mut bus, round, silent);
+        let outcome = sys.run_round_on(&mut backend, &mut bus, round, silent);
         (outcome, bus.map().version())
     }
 }
@@ -274,7 +278,10 @@ fn clustered_wire_round_under_drop_corrupt_recovers_residue_free_and_determinist
             let mut sys = system(1, cohort);
             sys.config.cluster_backends = backends;
             sys.ingest(scenario, &weeks[0]);
-            let outcome = sys.run_round_clustered_over_wire(1, fault);
+            let map = sys.cluster_map();
+            let mut backend = sys.new_cluster(&map);
+            let mut bus = RoutingBus::over_wire(map, Some(fault), None);
+            let outcome = sys.run_round_on(&mut backend, &mut bus, 1, &[]);
             // The assertion must be falsifiable: with these
             // probabilities and seeds the faults deterministically fire,
             // so a regression that silently disables the per-shard
@@ -318,12 +325,13 @@ fn restart_round(
     sys.config.cluster_backends = backends;
     let map = sys.cluster_map();
     let mut backend = sys.new_cluster(&map);
+    backend.script_restart(restart);
     if wire {
         let mut bus = RoutingBus::over_wire(map, None, None);
-        sys.run_round_clustered_with_restart(&mut backend, &mut bus, round, silent, restart)
+        sys.run_round_on(&mut backend, &mut bus, round, silent)
     } else {
         let mut bus = RoutingBus::in_proc(map, None);
-        sys.run_round_clustered_with_restart(&mut backend, &mut bus, round, silent, restart)
+        sys.run_round_on(&mut backend, &mut bus, round, silent)
     }
 }
 
@@ -426,6 +434,27 @@ fn fresh_coordinator() -> Coordinator {
     Coordinator::new(EpochConfig::default().with_min_clients(4))
 }
 
+/// An undisturbed campaign leg: the deadline driver on a logical clock
+/// resuming at the coordinator's last tick, with nothing scripted to go
+/// wrong.
+fn run_epochs<B: ServiceBus>(
+    sys: &mut EyewnderSystem,
+    backend: &mut ClusterBackend,
+    bus: &mut B,
+    coordinator: &mut Coordinator,
+    schedule: &[EpochChurn],
+) -> Vec<EpochOutcome> {
+    let mut clock = LogicalClock::starting_at(coordinator.last_tick());
+    sys.run_epochs_deadline_on(
+        backend,
+        bus,
+        coordinator,
+        &mut clock,
+        schedule,
+        &CoordinatorFault::none(),
+    )
+}
+
 /// Runs the full churn campaign against a fresh cluster + coordinator
 /// over the requested transport.
 fn epoch_campaign(
@@ -440,10 +469,10 @@ fn epoch_campaign(
     let mut coordinator = fresh_coordinator();
     if wire {
         let mut bus = RoutingBus::over_wire(map, None, None);
-        sys.run_epochs_clustered_on(&mut backend, &mut bus, &mut coordinator, schedule)
+        run_epochs(sys, &mut backend, &mut bus, &mut coordinator, schedule)
     } else {
         let mut bus = RoutingBus::in_proc(map, None);
-        sys.run_epochs_clustered_on(&mut backend, &mut bus, &mut coordinator, schedule)
+        run_epochs(sys, &mut backend, &mut bus, &mut coordinator, schedule)
     }
 }
 
@@ -537,13 +566,13 @@ fn interrupted_campaign<B: ServiceBus>(
     schedule: &[EpochChurn],
     victim: u32,
 ) -> Vec<EpochOutcome> {
-    let mut out = sys.run_epochs_clustered_on(backend, bus, coordinator, &schedule[..1]);
+    let mut out = run_epochs(sys, backend, bus, coordinator, &schedule[..1]);
     backend.crash_shard(victim);
     backend.restart_shard(victim);
-    out.extend(sys.run_epochs_clustered_on(backend, bus, coordinator, &schedule[1..3]));
+    out.extend(run_epochs(sys, backend, bus, coordinator, &schedule[1..3]));
     backend.crash_shard(0);
     backend.restart_shard(0);
-    out.extend(sys.run_epochs_clustered_on(backend, bus, coordinator, &schedule[3..]));
+    out.extend(run_epochs(sys, backend, bus, coordinator, &schedule[3..]));
     out
 }
 
@@ -612,15 +641,15 @@ fn clustered_views_serve_audits_like_local_rounds() {
     let mut clustered = system(1, cohort);
     clustered.config.cluster_backends = 4;
     clustered.ingest(scenario, &weeks[0]);
-    clustered.run_round_clustered(1, &[]);
+    clustered.run_round(1, &[]);
 
     let map = ShardMap::uniform(4);
     assert_eq!(map.version(), 0, "no failover in this round");
     let mut audits = 0usize;
     for record in weeks[0].records() {
         if (record.user as usize) < cohort && audits < 20 {
-            let a = local.audit_over_wire(record.user, record.ad);
-            let b = clustered.audit_over_wire(record.user, record.ad);
+            let a = local.audit_on(&mut WireBus::perfect(), record.user, record.ad);
+            let b = clustered.audit_on(&mut WireBus::perfect(), record.user, record.ad);
             assert_eq!(a, b, "user {} ad {}", record.user, record.ad);
             assert!(b.is_some(), "a finalized cluster view must answer");
             audits += 1;

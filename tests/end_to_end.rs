@@ -107,7 +107,7 @@ fn audits_remain_precise_through_the_privacy_path() {
     let mut sys = small_system(5);
     sys.ingest(&scenario, &log);
     let outcome = sys.run_round(1, &[]);
-    let (confusion, _) = sys.audit_against(&scenario, &log, &outcome.view);
+    let (confusion, _) = sys.audit_against(&log, &outcome.view);
     assert!(confusion.total() > 0);
     assert!(
         confusion.fpr() <= 0.15,

@@ -9,10 +9,13 @@
 //! addition (see the `ew_system::system` module docs).
 
 use eyewnder::proto::EpochPhase;
-use eyewnder::simnet::{DriverScale, EpochChurn, ImpressionLog, Scenario, WeeklyDriver};
+use eyewnder::simnet::{
+    CoordinatorFault, DriverScale, EpochChurn, ImpressionLog, Scenario, WeeklyDriver,
+};
 use eyewnder::system::cluster::RoutingBus;
 use eyewnder::system::{
-    Coordinator, EpochConfig, EpochEvent, EpochOutcome, EyewnderSystem, RoundOutcome, SystemConfig,
+    Coordinator, EpochConfig, EpochEvent, EpochOutcome, EyewnderSystem, LogicalClock, RoundOutcome,
+    SystemConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -142,7 +145,10 @@ fn weekly_rounds_over_wire_bit_identical_for_all_thread_counts() {
         .with_threads(threads);
         let mut sys = EyewnderSystem::new(config, cohort);
         sys.ingest(driver.scenario(), &weeks[0]);
-        vec![sys.run_round_over_wire(1, FaultConfig::perfect())]
+        let map = sys.cluster_map();
+        let mut backend = sys.new_cluster(&map);
+        let mut bus = RoutingBus::over_wire(map, Some(FaultConfig::perfect()), None);
+        vec![sys.run_round_on(&mut backend, &mut bus, 1, &[])]
     };
 
     let baseline = run_wire(1);
@@ -313,12 +319,28 @@ fn epoch_campaign(threads: usize, wire: bool, schedule: &[EpochChurn]) -> Vec<Ep
     let map = sys.cluster_map();
     let mut backend = sys.new_cluster(&map);
     let mut coordinator = Coordinator::new(EpochConfig::default().with_min_clients(4));
+    let mut clock = LogicalClock::new();
+    let fault = CoordinatorFault::none();
     if wire {
         let mut bus = RoutingBus::over_wire(map, None, None);
-        sys.run_epochs_clustered_on(&mut backend, &mut bus, &mut coordinator, schedule)
+        sys.run_epochs_deadline_on(
+            &mut backend,
+            &mut bus,
+            &mut coordinator,
+            &mut clock,
+            schedule,
+            &fault,
+        )
     } else {
         let mut bus = RoutingBus::in_proc(map, None);
-        sys.run_epochs_clustered_on(&mut backend, &mut bus, &mut coordinator, schedule)
+        sys.run_epochs_deadline_on(
+            &mut backend,
+            &mut bus,
+            &mut coordinator,
+            &mut clock,
+            schedule,
+            &fault,
+        )
     }
 }
 

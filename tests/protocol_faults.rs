@@ -3,7 +3,9 @@
 
 use eyewnder::proto::{channel_pair, FaultConfig, Message};
 use eyewnder::simnet::{Scenario, ScenarioConfig};
-use eyewnder::system::{EyewnderSystem, SystemConfig};
+use eyewnder::system::cluster::RoutingBus;
+use eyewnder::system::node::WireBus;
+use eyewnder::system::{EyewnderSystem, RoundOutcome, SystemConfig};
 
 fn world(seed: u64) -> (Scenario, eyewnder::simnet::ImpressionLog, EyewnderSystem) {
     let cfg = ScenarioConfig {
@@ -27,10 +29,19 @@ fn world(seed: u64) -> (Scenario, eyewnder::simnet::ImpressionLog, EyewnderSyste
     (scenario, log, sys)
 }
 
+/// One round over the wire: a fresh one-shard cluster behind a framed
+/// uplink carrying `fault`.
+fn wire_round(sys: &mut EyewnderSystem, round: u64, fault: FaultConfig) -> RoundOutcome {
+    let map = sys.cluster_map();
+    let mut backend = sys.new_cluster(&map);
+    let mut bus = RoutingBus::over_wire(map, Some(fault), None);
+    sys.run_round_on(&mut backend, &mut bus, round, &[])
+}
+
 #[test]
 fn harsh_link_round_still_produces_clean_aggregate() {
     let (_s, _log, mut sys) = world(1);
-    let outcome = sys.run_round_over_wire(1, FaultConfig::harsh(5));
+    let outcome = wire_round(&mut sys, 1, FaultConfig::harsh(5));
     // Whatever was lost, the recovery round must leave no blinding
     // residue: every estimate bounded by the cohort size plus CMS slack.
     for est in outcome.view.distribution() {
@@ -41,7 +52,7 @@ fn harsh_link_round_still_produces_clean_aggregate() {
 #[test]
 fn perfect_link_loses_nothing() {
     let (_s, _log, mut sys) = world(2);
-    let outcome = sys.run_round_over_wire(1, FaultConfig::perfect());
+    let outcome = wire_round(&mut sys, 1, FaultConfig::perfect());
     assert_eq!(outcome.reports, 14);
     assert!(outcome.missing.is_empty());
     assert_eq!(outcome.corrupt_frames, 0);
@@ -50,7 +61,7 @@ fn perfect_link_loses_nothing() {
 #[test]
 fn wire_and_direct_rounds_agree_when_lossless() {
     let (scenario, log, mut sys_wire) = world(3);
-    let wire = sys_wire.run_round_over_wire(1, FaultConfig::perfect());
+    let wire = wire_round(&mut sys_wire, 1, FaultConfig::perfect());
 
     let mut sys_direct = EyewnderSystem::new(
         SystemConfig {
@@ -78,7 +89,7 @@ fn duplicated_reports_are_rejected_not_double_counted() {
         seed: 9,
         ..FaultConfig::perfect()
     };
-    let outcome = sys.run_round_over_wire(1, dup_only);
+    let outcome = wire_round(&mut sys, 1, dup_only);
     assert_eq!(outcome.reports, 14, "duplicates rejected by the backend");
     // Counts not inflated: every estimate is at most cohort + CMS slack.
     for (sim_ad, users) in log.users_per_ad() {
@@ -278,7 +289,7 @@ fn query_reply_flow_over_wire() {
 }
 
 #[test]
-fn real_time_audit_over_wire_matches_direct_classification() {
+fn real_time_audit_on_the_wire_matches_direct_classification() {
     use eyewnder::core::Verdict;
     let (_scenario, log, mut sys) = world(6);
     sys.run_round(1, &[]);
@@ -293,7 +304,7 @@ fn real_time_audit_over_wire_matches_direct_classification() {
             .find(|r| r.ad == sim_ad)
             .map(|r| r.user)
             .unwrap();
-        if let Some(v) = sys.audit_over_wire(user, sim_ad) {
+        if let Some(v) = sys.audit_on(&mut WireBus::perfect(), user, sim_ad) {
             audited += 1;
             if v == Verdict::Targeted {
                 targeted += 1;

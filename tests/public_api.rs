@@ -164,3 +164,27 @@ fn public_api_surface_matches_snapshot() {
          EW_UPDATE_API=1 cargo test --test public_api"
     );
 }
+
+#[test]
+fn system_exposes_exactly_four_round_drivers() {
+    // One driver per thing the week does: `run_round{,_on}` and
+    // `run_epochs_deadline{,_on}`. Bus, shard count, clock and fault
+    // script are arguments, never a fifth spelling.
+    let listing = surface(&PathBuf::from(env!("CARGO_MANIFEST_DIR")));
+    let section = listing
+        .split("# crates/ew-system/src/system.rs\n")
+        .nth(1)
+        .expect("system.rs is listed")
+        .split("\n\n")
+        .next()
+        .expect("section body");
+    let drivers: Vec<&str> = section
+        .lines()
+        .filter(|decl| decl.starts_with("pub fn run_"))
+        .collect();
+    assert_eq!(
+        drivers.len(),
+        4,
+        "the entry-point lattice regrew: {drivers:#?}"
+    );
+}
