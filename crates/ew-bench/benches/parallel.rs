@@ -1,12 +1,8 @@
-//! Benchmarks for the multi-threaded OPRF and the parallel weekly-round
-//! pipeline, against their sequential baselines.
-//!
-//! `oprf_batch_par/seq_baseline` is the server half of the existing
-//! `oprf_batch_32` workload (32 blinded 2048-bit elements, one
-//! private op each); the `threads_n` entries run the same batch through
-//! `evaluate_blinded_batch_par`. Outputs are bit-identical by
-//! construction (asserted by `tests/parallel_determinism.rs` and the
-//! ew-crypto proptests), so the numbers compare pure scheduling.
+//! Benchmarks for the parallel weekly-round pipeline — the client-shard
+//! fan-out of ingest and report building — against its one-thread
+//! baseline, plus the framed-wire round. Outputs are bit-identical for
+//! every thread count (asserted by `tests/parallel_determinism.rs`), so
+//! the numbers compare pure scheduling.
 //!
 //! `ingest_par` runs a full multi-client weekly ingest (25-user slice of
 //! the Table 1 world via `WeeklyDriver`) per thread count, fresh system
@@ -14,49 +10,10 @@
 //! work being measured.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use ew_crypto::oprf::{OprfClient, OprfServerKey};
 use ew_proto::FaultConfig;
 use ew_simnet::{DriverScale, WeeklyDriver};
 use ew_system::cluster::RoutingBus;
 use ew_system::{EyewnderSystem, SystemConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn bench_oprf_batch_par(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(11);
-    let server = OprfServerKey::generate(&mut rng, 2048);
-    let client = OprfClient::new(server.public().clone());
-    let urls: Vec<Vec<u8>> = (0..32)
-        .map(|i| format!("https://adnet.example/creative/{i:08x}").into_bytes())
-        .collect();
-    let url_refs: Vec<&[u8]> = urls.iter().map(|u| u.as_slice()).collect();
-    let pendings = client.blind_batch(&mut rng, &url_refs).expect("blindable");
-    let blinded: Vec<_> = pendings.iter().map(|p| p.blinded.clone()).collect();
-
-    let mut group = c.benchmark_group("oprf_batch_par");
-    group.sample_size(10);
-    group.bench_function("seq_baseline", |b| {
-        b.iter(|| {
-            black_box(
-                server
-                    .evaluate_blinded_batch(black_box(&blinded))
-                    .expect("valid"),
-            )
-        })
-    });
-    for threads in [1usize, 2, 4] {
-        group.bench_function(format!("threads_{threads}"), |b| {
-            b.iter(|| {
-                black_box(
-                    server
-                        .evaluate_blinded_batch_par(black_box(&blinded), threads)
-                        .expect("valid"),
-                )
-            })
-        });
-    }
-    group.finish();
-}
 
 fn bench_ingest_par(c: &mut Criterion) {
     let driver = WeeklyDriver::new(13, DriverScale::Fraction(20), 25);
@@ -156,11 +113,5 @@ fn bench_round_bus(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_oprf_batch_par,
-    bench_ingest_par,
-    bench_round_par,
-    bench_round_bus
-);
+criterion_group!(benches, bench_ingest_par, bench_round_par, bench_round_bus);
 criterion_main!(benches);

@@ -18,14 +18,13 @@
 //!
 //! ## Parallelism & determinism
 //!
-//! Server-side batch evaluation has a work-sharded multi-threaded path
-//! ([`OprfServerKey::evaluate_blinded_batch_par`]): contiguous shards
-//! on scoped threads sharing the read-only key contexts, reassembled in
-//! input order — bit-identical to the sequential path for every thread
-//! count, with the all-or-nothing range check still running up front.
-//! Client-side batch blinding keeps the one-inversion-per-batch
-//! contract under parallel ingest because each client's batch is
-//! blinded wholly on one worker (pinned by the `ops_trace` tests).
+//! Server-side evaluation is read-only over the key, so one key serves
+//! any number of client workers by reference; a batch itself is
+//! evaluated serially ([`OprfServerKey::evaluate_blinded_batch`]), with
+//! the all-or-nothing range check running up front. Client-side batch
+//! blinding keeps the one-inversion-per-batch contract under parallel
+//! ingest because each client's batch is blinded wholly on one worker
+//! (pinned by the `ops_trace` tests).
 
 use crate::rsa::{RsaKeyPair, RsaPublicKey};
 use crate::sha256::Sha256;
@@ -125,45 +124,6 @@ impl OprfServerKey {
             return Err(OprfError::ElementOutOfRange);
         }
         Ok(blinded.iter().map(|b| self.key.private_op(b)).collect())
-    }
-
-    /// Multi-threaded [`Self::evaluate_blinded_batch`]: splits the batch
-    /// into contiguous shards and signs each shard on its own scoped
-    /// thread, reassembling results **in input order**.
-    ///
-    /// ## Determinism
-    /// Every private op is a pure function of `(key, element)` and the
-    /// per-prime CRT [`ew_bigint::MontgomeryCtx`]s inside the key are
-    /// read-only after key setup, so the workers share them by reference
-    /// (scoped threads make an `Arc` unnecessary) and the output is
-    /// **bit-identical** to the sequential path for every thread count.
-    ///
-    /// ## All-or-nothing
-    /// The whole batch is range-validated up front, *before* any worker
-    /// is spawned: one hostile element fails the batch without burning a
-    /// single private op, exactly like the sequential path.
-    ///
-    /// `threads` is clamped to `[1, batch_len]`; `threads <= 1` (and
-    /// batches of at most one element) take the sequential path with no
-    /// spawn overhead.
-    pub fn evaluate_blinded_batch_par(
-        &self,
-        blinded: &[UBig],
-        threads: usize,
-    ) -> Result<Vec<UBig>, OprfError> {
-        if threads <= 1 || blinded.len() <= 1 {
-            return self.evaluate_blinded_batch(blinded);
-        }
-        if blinded.iter().any(|b| b >= &self.key.public().n) {
-            return Err(OprfError::ElementOutOfRange);
-        }
-        let shards = crossbeam::thread::map_shards(blinded, threads, |shard| {
-            shard
-                .iter()
-                .map(|b| self.key.private_op(b))
-                .collect::<Vec<UBig>>()
-        });
-        Ok(shards.into_iter().flatten().collect())
     }
 
     /// Non-oblivious evaluation `F(k, x)` — ground truth for tests and
@@ -463,47 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_identical_to_sequential_for_any_thread_count() {
-        let (server, client, mut rng) = setup(42);
-        let urls: Vec<Vec<u8>> = (0..13)
-            .map(|i| format!("https://ads.example/par/{i}").into_bytes())
-            .collect();
-        let url_refs: Vec<&[u8]> = urls.iter().map(|u| u.as_slice()).collect();
-        let pendings = client.blind_batch(&mut rng, &url_refs).unwrap();
-        let blinded: Vec<UBig> = pendings.iter().map(|p| p.blinded.clone()).collect();
-        let sequential = server.evaluate_blinded_batch(&blinded).unwrap();
-        // Thread counts below, equal to, and above the batch length —
-        // including 0 (clamped to 1) and 7 (uneven shards).
-        for threads in [0usize, 1, 2, 4, 7, 13, 32] {
-            let parallel = server
-                .evaluate_blinded_batch_par(&blinded, threads)
-                .unwrap();
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-        assert!(server
-            .evaluate_blinded_batch_par(&[], 4)
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn parallel_batch_rejects_any_out_of_range_before_any_work() {
-        let (server, client, mut rng) = setup(43);
-        let pending = client.blind(&mut rng, b"ok").unwrap();
-        let too_big = server.public().n.add_ref(&UBig::one());
-        for threads in [1usize, 2, 4] {
-            assert_eq!(
-                server.evaluate_blinded_batch_par(
-                    &[pending.blinded.clone(), too_big.clone()],
-                    threads
-                ),
-                Err(OprfError::ElementOutOfRange),
-                "threads={threads}: one bad element poisons the whole batch"
-            );
-        }
-    }
-
-    #[test]
     fn parallel_blinding_one_inversion_per_client_batch() {
         // The PR 1 one-inversion contract under parallelism: when each
         // client's batch is blinded wholly on one worker thread (the
@@ -542,10 +461,16 @@ mod tests {
         let (server, client, mut rng) = setup(41);
         let pending = client.blind(&mut rng, b"ok").unwrap();
         let too_big = server.public().n.add_ref(&UBig::one());
+        let before = ew_bigint::ops_trace::mont_mul_calls();
         assert_eq!(
             server.evaluate_blinded_batch(&[pending.blinded.clone(), too_big]),
             Err(OprfError::ElementOutOfRange),
             "one bad element poisons the whole batch"
+        );
+        assert_eq!(
+            ew_bigint::ops_trace::mont_mul_calls(),
+            before,
+            "rejected before any private op ran on the valid element"
         );
     }
 

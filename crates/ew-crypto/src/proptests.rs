@@ -160,51 +160,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_batch_evaluation_equals_sequential(
-        count in 0usize..9,
-        threads in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        // evaluate_blinded_batch_par ≡ evaluate_blinded_batch for
-        // arbitrary batch sizes, including empty batches and batches
-        // shorter than the thread count.
-        let server = shared_oprf();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let blinded: Vec<UBig> = (0..count)
-            .map(|_| random_below(&mut rng, &server.public().n))
-            .collect();
-        let sequential = server.evaluate_blinded_batch(&blinded).unwrap();
-        let parallel = server.evaluate_blinded_batch_par(&blinded, threads).unwrap();
-        prop_assert_eq!(parallel, sequential);
-    }
-
-    #[test]
-    fn parallel_batch_out_of_range_is_all_or_nothing(
-        count in 1usize..7,
-        bad_at in 0usize..7,
-        threads in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        // One out-of-range element anywhere in the batch rejects the
-        // whole batch before any result is visible, for every thread
-        // count — and performs zero private ops doing so (no Montgomery
-        // multiplications beyond the range check).
-        let server = shared_oprf();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut blinded: Vec<UBig> = (0..count)
-            .map(|_| random_below(&mut rng, &server.public().n))
-            .collect();
-        let bad_at = bad_at % count;
-        blinded[bad_at] = server.public().n.add_ref(&UBig::one());
-        let before = ew_bigint::ops_trace::mont_mul_calls();
-        let result = server.evaluate_blinded_batch_par(&blinded, threads);
-        prop_assert_eq!(result, Err(crate::oprf::OprfError::ElementOutOfRange));
-        // The range check spawns no workers, so any private-op work
-        // would show up on *this* thread's counter.
-        prop_assert_eq!(ew_bigint::ops_trace::mont_mul_calls(), before);
-    }
-
-    #[test]
     fn hash_to_zn_always_in_range(input in proptest::collection::vec(any::<u8>(), 0..64)) {
         let server = shared_oprf();
         let h = hash_to_zn(&input, server.public());

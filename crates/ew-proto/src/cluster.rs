@@ -23,8 +23,7 @@
 use std::collections::BTreeSet;
 
 /// Upper bound on the shard-id space a [`ShardMap`] will address, so a
-/// hostile `ShardMapUpdate` cannot force a huge cluster allocation
-/// (mirrors [`crate::shard::MAX_SHARD_COUNT`]).
+/// hostile `ShardMapUpdate` cannot force a huge cluster allocation.
 pub const MAX_CLUSTER_SHARDS: u32 = 1024;
 
 /// Slots allocated per shard by [`ShardMap::uniform`]: enough ring

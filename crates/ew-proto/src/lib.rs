@@ -27,7 +27,8 @@
 //!   frame decodes to [`FrameError::BadChecksum`] instead of garbage.
 //!
 //! Payloads are [`Message`]s encoded with explicit little-endian codecs
-//! ([`codec`]).
+//! ([`codec`]). Wire tags and [`error_code`]s are append-only; a retired
+//! frame kind's tag is never reassigned and decodes to `BadTag`.
 
 pub mod cluster;
 pub mod codec;
@@ -38,7 +39,6 @@ pub mod framing;
 pub mod journal;
 pub mod membership;
 pub mod message;
-pub mod shard;
 pub mod transport;
 
 #[cfg(test)]
@@ -51,5 +51,4 @@ pub use framing::{FrameDecoder, FrameError, MAGIC};
 pub use journal::{JournalEvent, JournalRecord};
 pub use membership::{EpochPhase, Membership, MembershipError, MAX_MEMBERS};
 pub use message::{error_code, AdmissionHint, HistogramSnapshot, Message};
-pub use shard::{split_shards, ShardAssembler, ShardError, MAX_SHARD_COUNT};
 pub use transport::{channel_pair, Endpoint, TransportError};

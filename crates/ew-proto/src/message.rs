@@ -17,9 +17,7 @@ pub mod error_code {
     /// A request element was outside the valid range (e.g. a blinded
     /// OPRF element not below the RSA modulus).
     pub const OUT_OF_RANGE: u32 = 2;
-    /// A shard header was malformed (zero / oversized shard count, index
-    /// out of range).
-    pub const BAD_SHARD_HEADER: u32 = 3;
+    // 3 (malformed OPRF shard header) is retired, never reassigned.
     /// The node cannot answer yet (e.g. a `#Users` query before any
     /// round has been finalized).
     pub const NOT_READY: u32 = 4;
@@ -128,37 +126,6 @@ pub enum Message {
         /// Echoed correlation id.
         request_id: u64,
         /// `(blinded_i)^d mod N` for each request element.
-        elements: Vec<Vec<u8>>,
-    },
-    /// Client → oprf-server: one **shard** of a large blinded batch.
-    ///
-    /// The parallel weekly round splits a batch into `shard_count`
-    /// contiguous shards so every frame stays shard-sized (bounded
-    /// memory per frame, one frame per worker thread) and the server can
-    /// evaluate shards independently; `(request_id, shard_index)`
-    /// identifies the shard for in-order reassembly at the receiver
-    /// (see [`crate::shard::ShardAssembler`]).
-    OprfShardRequest {
-        /// Client-chosen correlation id, shared by all shards of one
-        /// logical batch.
-        request_id: u64,
-        /// This shard's position in `[0, shard_count)`.
-        shard_index: u32,
-        /// Total number of shards in the logical batch.
-        shard_count: u32,
-        /// The shard's blinded elements, in batch order.
-        blinded: Vec<Vec<u8>>,
-    },
-    /// oprf-server → client: the signed shard, positionally matching the
-    /// corresponding [`Message::OprfShardRequest`].
-    OprfShardResponse {
-        /// Echoed correlation id.
-        request_id: u64,
-        /// Echoed shard position.
-        shard_index: u32,
-        /// Echoed shard total.
-        shard_count: u32,
-        /// `(blinded_i)^d mod N` for each shard element.
         elements: Vec<Vec<u8>>,
     },
     /// Client → backend: the weekly blinded CMS report.
@@ -367,8 +334,8 @@ mod tag {
     pub const USERS_REPLY: u8 = 0x09;
     pub const OPRF_BATCH_REQUEST: u8 = 0x0A;
     pub const OPRF_BATCH_RESPONSE: u8 = 0x0B;
-    pub const OPRF_SHARD_REQUEST: u8 = 0x0C;
-    pub const OPRF_SHARD_RESPONSE: u8 = 0x0D;
+    // 0x0C / 0x0D (the OPRF shard request / response no node ever
+    // sent) are retired, never reassigned: they decode to `BadTag`.
     pub const ERROR: u8 = 0x0E;
     pub const SHARD_MAP_UPDATE: u8 = 0x0F;
     pub const METRICS_QUERY: u8 = 0x10;
@@ -389,8 +356,6 @@ impl Message {
             Message::OprfResponse { .. } => "OprfResponse",
             Message::OprfBatchRequest { .. } => "OprfBatchRequest",
             Message::OprfBatchResponse { .. } => "OprfBatchResponse",
-            Message::OprfShardRequest { .. } => "OprfShardRequest",
-            Message::OprfShardResponse { .. } => "OprfShardResponse",
             Message::Report { .. } => "Report",
             Message::MissingClients { .. } => "MissingClients",
             Message::Adjustment { .. } => "Adjustment",
@@ -447,30 +412,6 @@ impl Message {
             } => {
                 buf.put_u8(tag::OPRF_BATCH_RESPONSE);
                 buf.put_u64_le(*request_id);
-                put_bytes_list(&mut buf, elements);
-            }
-            Message::OprfShardRequest {
-                request_id,
-                shard_index,
-                shard_count,
-                blinded,
-            } => {
-                buf.put_u8(tag::OPRF_SHARD_REQUEST);
-                buf.put_u64_le(*request_id);
-                buf.put_u32_le(*shard_index);
-                buf.put_u32_le(*shard_count);
-                put_bytes_list(&mut buf, blinded);
-            }
-            Message::OprfShardResponse {
-                request_id,
-                shard_index,
-                shard_count,
-                elements,
-            } => {
-                buf.put_u8(tag::OPRF_SHARD_RESPONSE);
-                buf.put_u64_le(*request_id);
-                buf.put_u32_le(*shard_index);
-                buf.put_u32_le(*shard_count);
                 put_bytes_list(&mut buf, elements);
             }
             Message::Report {
@@ -638,18 +579,6 @@ impl Message {
             },
             tag::OPRF_BATCH_RESPONSE => Message::OprfBatchResponse {
                 request_id: get_u64(buf)?,
-                elements: get_bytes_list(buf)?,
-            },
-            tag::OPRF_SHARD_REQUEST => Message::OprfShardRequest {
-                request_id: get_u64(buf)?,
-                shard_index: get_u32(buf)?,
-                shard_count: get_u32(buf)?,
-                blinded: get_bytes_list(buf)?,
-            },
-            tag::OPRF_SHARD_RESPONSE => Message::OprfShardResponse {
-                request_id: get_u64(buf)?,
-                shard_index: get_u32(buf)?,
-                shard_count: get_u32(buf)?,
                 elements: get_bytes_list(buf)?,
             },
             tag::REPORT => Message::Report {
@@ -833,18 +762,6 @@ mod tests {
                 request_id: 43,
                 elements: vec![vec![0x33; 16], vec![0x44; 16]],
             },
-            Message::OprfShardRequest {
-                request_id: 44,
-                shard_index: 1,
-                shard_count: 3,
-                blinded: vec![vec![0x55; 16], vec![0x66; 16]],
-            },
-            Message::OprfShardResponse {
-                request_id: 44,
-                shard_index: 2,
-                shard_count: 3,
-                elements: vec![vec![0x77; 16]],
-            },
             Message::Report {
                 user: 3,
                 round: 12,
@@ -976,6 +893,29 @@ mod tests {
     }
 
     #[test]
+    fn retired_oprf_shard_tags_decode_to_bad_tag() {
+        // The retired frames' exact old layout, well-formed everywhere
+        // but the tag — bare and enveloped (so an `Endpoint` counts such
+        // a frame as corrupt and never delivers it).
+        for retired in [0x0Cu8, 0x0D] {
+            let mut payload = vec![retired];
+            payload.put_u64_le(44);
+            payload.put_u32_le(1);
+            payload.put_u32_le(3);
+            put_bytes_list(&mut payload, &[vec![0x55; 16], vec![0x66; 16]]);
+            assert_eq!(Message::decode(&payload), Err(CodecError::BadTag(retired)));
+
+            let probe = Message::Tick { now: 0 };
+            let header = crate::Envelope::new(crate::NodeId::Client(7), 12, probe.clone());
+            let mut enveloped = header.encode();
+            enveloped.truncate(enveloped.len() - probe.encode().len());
+            enveloped.extend_from_slice(&payload);
+            let decoded = crate::Envelope::decode(&enveloped);
+            assert_eq!(decoded, Err(CodecError::BadTag(retired)));
+        }
+    }
+
+    #[test]
     fn empty_payload_rejected() {
         assert_eq!(Message::decode(&[]), Err(CodecError::UnexpectedEof));
     }
@@ -1042,8 +982,8 @@ mod tests {
     #[test]
     fn error_reply_roundtrips_and_rejects_bad_utf8() {
         let msg = Message::Error {
-            code: error_code::BAD_SHARD_HEADER,
-            detail: "shard 7 of 3".to_string(),
+            code: error_code::OUT_OF_RANGE,
+            detail: "batch 7: element out of range".to_string(),
             hint: None,
         };
         let encoded = msg.encode();

@@ -215,60 +215,6 @@ impl BackendServer {
         Ok(())
     }
 
-    /// Accepts one **shard** of reports pre-accumulated by a parallel
-    /// round worker: `users` lists the shard's reporting clients (in
-    /// shard order) and `shard` holds the cell-wise sum of their blinded
-    /// reports.
-    ///
-    /// Validation is per-user exactly as in [`Self::receive_report`]
-    /// (round, enrolment, duplicates, dimensions) and runs *before* the
-    /// merge, so a bad shard is rejected whole and leaves the round
-    /// untouched. Because cell addition in `Z_{2^32}` is associative and
-    /// commutative, merging per-shard partial accumulators produces an
-    /// aggregate **bit-identical** to receiving the same reports one by
-    /// one — the parallel round's determinism guarantee.
-    pub fn receive_shard(
-        &mut self,
-        users: &[u32],
-        round: u64,
-        shard: &SketchAccumulator,
-    ) -> Result<(), RoundError> {
-        let state = self.current.as_mut().ok_or(RoundError::NoOpenRound)?;
-        if state.round != round {
-            return Err(RoundError::WrongRound {
-                expected: state.round,
-                got: round,
-            });
-        }
-        // Full-params equality (not just cell count): a same-sized shard
-        // built under different dimensions must be a clean error here,
-        // never a panic inside `merge` after state was touched.
-        if shard.params() != self.params || shard.reports() != users.len() {
-            return Err(RoundError::DimensionMismatch);
-        }
-        for &user in users {
-            if self.directory.get(user).is_none() {
-                return Err(RoundError::UnknownUser(user));
-            }
-            if state.reported.contains(&user) {
-                return Err(RoundError::DuplicateReport(user));
-            }
-        }
-        // A user listed twice within the shard is a duplicate too.
-        let distinct: BTreeSet<u32> = users.iter().copied().collect();
-        if distinct.len() != users.len() {
-            let dup = users
-                .iter()
-                .copied()
-                .find(|u| users.iter().filter(|v| *v == u).count() > 1)
-                .expect("a duplicate exists");
-            return Err(RoundError::DuplicateReport(dup));
-        }
-        state.reported.extend(distinct);
-        state.accumulator.merge(shard);
-        Ok(())
-    }
-
     /// After the report deadline: the list of enrolled users whose
     /// reports never arrived. Broadcast to the cohort, whose members
     /// answer with adjustments (§6 "Fault-tolerance").
@@ -326,119 +272,6 @@ impl BackendServer {
         let view = GlobalView::from_estimates(estimates, self.policy);
         self.finalized.push((state.round, view));
         Ok(&self.finalized.last().expect("just pushed").1)
-    }
-
-    /// Validates one report envelope against the open round **without
-    /// touching any state**, mirroring the serial
-    /// [`AggregationBackend::on_envelope`] checks in exactly their
-    /// order (header cross-check, raw dimensions, round state,
-    /// enrolment, duplicates). `seen` carries the users already
-    /// accepted earlier in the same drain.
-    fn validate_report(
-        &self,
-        env: Envelope,
-        seen: &mut BTreeSet<u32>,
-    ) -> Result<(u32, BlindedSketch), RoundError> {
-        let Envelope {
-            round: env_round,
-            sender,
-            msg,
-            ..
-        } = env;
-        let Message::Report {
-            user,
-            round,
-            depth,
-            width,
-            seed,
-            cells,
-        } = msg
-        else {
-            unreachable!("caller batches only Report envelopes");
-        };
-        if sender != NodeId::Client(user) || env_round != round {
-            return Err(RoundError::EnvelopeMismatch);
-        }
-        if depth as usize != self.params.depth
-            || width as usize != self.params.width
-            || seed != self.params.hash_seed
-            || cells.len() != self.params.num_cells()
-        {
-            return Err(RoundError::DimensionMismatch);
-        }
-        let state = self.current.as_ref().ok_or(RoundError::NoOpenRound)?;
-        if state.round != round {
-            return Err(RoundError::WrongRound {
-                expected: state.round,
-                got: round,
-            });
-        }
-        if self.directory.get(user).is_none() {
-            return Err(RoundError::UnknownUser(user));
-        }
-        if state.reported.contains(&user) || !seen.insert(user) {
-            return Err(RoundError::DuplicateReport(user));
-        }
-        Ok((user, BlindedSketch::from_raw(self.params, cells)))
-    }
-
-    /// Absorbs one run of report envelopes through the sharded
-    /// pre-merge: stream-order validation (bit-identical accept/reject
-    /// decisions to the serial path), per-shard [`SketchAccumulator`]
-    /// partials built on scoped worker threads, then an in-order merge
-    /// through the public [`Self::receive_shard`] seam. Results are
-    /// appended to `out`, one per envelope.
-    fn absorb_report_run(
-        &mut self,
-        run: &mut Vec<Envelope>,
-        threads: usize,
-        out: &mut Vec<Result<Option<Envelope>, RoundError>>,
-    ) {
-        if run.is_empty() {
-            return;
-        }
-        if run.len() == 1 {
-            let env = run.pop().expect("length checked");
-            out.push(AggregationBackend::on_envelope(self, env));
-            return;
-        }
-        let mut seen = BTreeSet::new();
-        let mut accepted: Vec<(u32, BlindedSketch)> = Vec::with_capacity(run.len());
-        for env in run.drain(..) {
-            match self.validate_report(env, &mut seen) {
-                Ok(report) => {
-                    accepted.push(report);
-                    out.push(Ok(None));
-                }
-                Err(e) => out.push(Err(e)),
-            }
-        }
-        if accepted.is_empty() {
-            return;
-        }
-        let round = self
-            .current
-            .as_ref()
-            .expect("validation accepted a report, so a round is open")
-            .round;
-        // Cell-wise accumulation is the only per-report O(cells) work;
-        // shard it. Wrapping addition is associative and commutative,
-        // so per-shard partials merged in shard order are bit-identical
-        // to a serial walk for every thread count.
-        let params = self.params;
-        let partials = crossbeam::thread::map_shards(&accepted, threads, |shard| {
-            let mut acc = SketchAccumulator::new(params);
-            let mut users = Vec::with_capacity(shard.len());
-            for (user, report) in shard {
-                acc.add(report);
-                users.push(*user);
-            }
-            (users, acc)
-        });
-        for (users, partial) in partials {
-            self.receive_shard(&users, round, &partial)
-                .expect("pre-validated shard is always accepted");
-        }
     }
 
     /// Closes the round **without** computing a view, exporting the
@@ -587,39 +420,6 @@ impl AggregationBackend for BackendServer {
         }
     }
 
-    /// The bus-side sharded absorb: runs of consecutive `Report`
-    /// envelopes are validated in stream order, accumulated into
-    /// per-shard [`SketchAccumulator`] partials on worker threads and
-    /// merged through [`BackendServer::receive_shard`]; everything
-    /// else flows through the per-envelope path at its position in the
-    /// stream. Accept/reject decisions, replies and the final round
-    /// state are bit-identical to the serial default for every
-    /// `threads` value.
-    fn absorb_batch(
-        &mut self,
-        envelopes: Vec<Envelope>,
-        threads: usize,
-    ) -> Vec<Result<Option<Envelope>, RoundError>> {
-        if threads <= 1 || envelopes.len() < 2 {
-            return envelopes
-                .into_iter()
-                .map(|env| AggregationBackend::on_envelope(self, env))
-                .collect();
-        }
-        let mut out = Vec::with_capacity(envelopes.len());
-        let mut run: Vec<Envelope> = Vec::new();
-        for env in envelopes {
-            if matches!(env.msg, Message::Report { .. }) {
-                run.push(env);
-            } else {
-                self.absorb_report_run(&mut run, threads, &mut out);
-                out.push(AggregationBackend::on_envelope(self, env));
-            }
-        }
-        self.absorb_report_run(&mut run, threads, &mut out);
-        out
-    }
-
     fn missing_clients(&mut self) -> Result<Vec<u32>, RoundError> {
         BackendServer::missing_clients(self)
     }
@@ -726,98 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_path_equals_per_report_path() {
-        let p = CmsParams::new(2, 32, 3);
-        let reports: Vec<BlindedSketch> =
-            (0..5u64).map(|i| raw_report(p, &[i, 40 + i % 2])).collect();
-
-        let mut seq = server();
-        let mut sharded = server();
-        for u in 0..5 {
-            seq.enroll(u, UBig::from_u64(u as u64 + 1));
-            sharded.enroll(u, UBig::from_u64(u as u64 + 1));
-        }
-        seq.open_round(1);
-        sharded.open_round(1);
-        for (u, r) in reports.iter().enumerate() {
-            seq.receive_report(u as u32, 1, r).unwrap();
-        }
-        // Two uneven shards, delivered out of order.
-        let mut shard_a = SketchAccumulator::new(p);
-        for r in &reports[..2] {
-            shard_a.add(r);
-        }
-        let mut shard_b = SketchAccumulator::new(p);
-        for r in &reports[2..] {
-            shard_b.add(r);
-        }
-        sharded.receive_shard(&[2, 3, 4], 1, &shard_b).unwrap();
-        sharded.receive_shard(&[0, 1], 1, &shard_a).unwrap();
-        assert_eq!(sharded.missing_clients().unwrap(), Vec::<u32>::new());
-        assert_eq!(seq.missing_clients().unwrap(), Vec::<u32>::new());
-        let v1 = seq.finalize_round().unwrap().clone();
-        let v2 = sharded.finalize_round().unwrap().clone();
-        assert_eq!(v1, v2, "shard-merged view identical to per-report view");
-        assert_eq!(v1.sorted_estimates(), v2.sorted_estimates());
-    }
-
-    #[test]
-    fn shard_rejections_leave_round_untouched() {
-        let mut srv = server();
-        for u in 0..3 {
-            srv.enroll(u, UBig::from_u64(u as u64 + 1));
-        }
-        srv.open_round(1);
-        let p = srv.params();
-        let mut shard = SketchAccumulator::new(p);
-        shard.add(&raw_report(p, &[1]));
-        shard.add(&raw_report(p, &[2]));
-
-        // Report-count / user-list mismatch.
-        assert_eq!(
-            srv.receive_shard(&[0], 1, &shard),
-            Err(RoundError::DimensionMismatch)
-        );
-        // Same cell count, different dimensions: a clean error, not a
-        // panic inside the merge (and no user marked reported).
-        let mut wrong_params = SketchAccumulator::new(CmsParams::new(2, 32, 9));
-        wrong_params.add(&raw_report(CmsParams::new(2, 32, 9), &[1]));
-        wrong_params.add(&raw_report(CmsParams::new(2, 32, 9), &[2]));
-        assert_eq!(
-            srv.receive_shard(&[0, 1], 1, &wrong_params),
-            Err(RoundError::DimensionMismatch)
-        );
-        // Unknown user.
-        assert_eq!(
-            srv.receive_shard(&[0, 9], 1, &shard),
-            Err(RoundError::UnknownUser(9))
-        );
-        // Duplicate within the shard.
-        assert_eq!(
-            srv.receive_shard(&[0, 0], 1, &shard),
-            Err(RoundError::DuplicateReport(0))
-        );
-        // Wrong round.
-        assert_eq!(
-            srv.receive_shard(&[0, 1], 2, &shard),
-            Err(RoundError::WrongRound {
-                expected: 1,
-                got: 2
-            })
-        );
-        // After all those rejections the round is still pristine.
-        srv.receive_shard(&[0, 1], 1, &shard).unwrap();
-        // Cross-shard duplicate.
-        let mut again = SketchAccumulator::new(p);
-        again.add(&raw_report(p, &[3]));
-        assert_eq!(
-            srv.receive_shard(&[1], 1, &again),
-            Err(RoundError::DuplicateReport(1))
-        );
-        assert_eq!(srv.missing_clients().unwrap(), vec![2]);
-    }
-
-    #[test]
     fn hostile_report_envelope_rejected_without_panicking() {
         let mut srv = server();
         srv.enroll(0, UBig::from_u64(1));
@@ -892,83 +600,6 @@ mod tests {
         );
         assert_eq!(AggregationBackend::on_envelope(&mut srv, genuine), Ok(None));
         assert_eq!(srv.missing_clients().unwrap(), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn sharded_absorb_batch_identical_to_serial_for_any_thread_count() {
-        use ew_proto::Message;
-
-        let p = CmsParams::new(2, 32, 3);
-        // A hostile-ish drain: valid reports, a duplicate, an unknown
-        // user, a wrong-round report, a spoofed sender, a query and an
-        // error envelope interleaved mid-stream.
-        let mk_report = |user: u32, round: u64, ads: &[u64]| {
-            Envelope::new(
-                NodeId::Client(user),
-                round,
-                Message::Report {
-                    user,
-                    round,
-                    depth: p.depth as u32,
-                    width: p.width as u32,
-                    seed: p.hash_seed,
-                    cells: raw_report(p, ads).into_cells(),
-                },
-            )
-        };
-        let mut spoofed = mk_report(3, 1, &[9]);
-        spoofed.sender = NodeId::Client(4);
-        let stream = vec![
-            mk_report(0, 1, &[1, 5]),
-            mk_report(1, 1, &[2]),
-            Envelope::new(
-                NodeId::Client(0),
-                1,
-                Message::UsersQuery { round: 1, ad: 5 },
-            ),
-            mk_report(1, 1, &[2]), // duplicate
-            mk_report(9, 1, &[3]), // unknown user
-            mk_report(2, 2, &[4]), // wrong round
-            spoofed,               // spoofed sender
-            Envelope::new(
-                NodeId::Client(5),
-                1,
-                Message::Error {
-                    code: 1,
-                    detail: "spoof".to_string(),
-                    hint: None,
-                },
-            ),
-            mk_report(2, 1, &[4]),
-            mk_report(3, 1, &[6]),
-            mk_report(4, 1, &[7]),
-        ];
-
-        let build = || {
-            let mut srv = BackendServer::new(8, p, AdIdMapper::new(64), ThresholdPolicy::Mean);
-            for u in 0..6 {
-                srv.enroll(u, UBig::from_u64(u as u64 + 1));
-            }
-            AggregationBackend::open_round(&mut srv, 1);
-            srv
-        };
-
-        let mut serial = build();
-        let serial_results = serial.absorb_batch(stream.clone(), 1);
-        let serial_view = serial.finalize_round().unwrap().clone();
-
-        for threads in [2usize, 4, 7] {
-            let mut sharded = build();
-            let results = sharded.absorb_batch(stream.clone(), threads);
-            assert_eq!(results, serial_results, "threads={threads}");
-            let view = sharded.finalize_round().unwrap().clone();
-            assert_eq!(view, serial_view, "threads={threads}");
-            assert_eq!(
-                view.sorted_estimates(),
-                serial_view.sorted_estimates(),
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]

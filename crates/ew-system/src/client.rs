@@ -20,7 +20,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// A batch of in-flight OPRF requests: per-URL unblinding state plus
 /// the blinded wire bytes, positionally matched.
-pub type PendingBatch = (Vec<(String, PendingRequest)>, Vec<Vec<u8>>);
+type PendingBatch = (Vec<(String, PendingRequest)>, Vec<Vec<u8>>);
 
 /// One eyeWnder client (user + extension).
 #[derive(Debug)]
@@ -134,7 +134,7 @@ impl Client {
     /// duplicates collapsed) with one shared modular inversion, and
     /// returns the per-URL pending state plus the wire bytes for an
     /// `OprfBatchRequest`. `None` if everything was already cached.
-    pub fn oprf_blind_batch(&mut self, urls: &[&str]) -> Option<PendingBatch> {
+    fn oprf_blind_batch(&mut self, urls: &[&str]) -> Option<PendingBatch> {
         let mut seen: HashSet<&str> = HashSet::new();
         let mut fresh: Vec<&str> = Vec::new();
         for &url in urls {
@@ -161,25 +161,16 @@ impl Client {
 
     /// Batched step 3: unblinds a positionally matching batch response
     /// and caches every resulting ad ID.
-    pub fn oprf_finish_batch(
-        &mut self,
-        pendings: &[(String, PendingRequest)],
-        responses: &[Vec<u8>],
-    ) -> Vec<AdKey> {
+    fn oprf_finish_batch(&mut self, pendings: &[(String, PendingRequest)], responses: &[Vec<u8>]) {
         assert_eq!(pendings.len(), responses.len(), "batch length mismatch");
-        pendings
-            .iter()
-            .zip(responses)
-            .map(|((url, pending), response)| {
-                let out = self
-                    .oprf
-                    .finalize(pending, &UBig::from_bytes_be(response))
-                    .expect("response in range");
-                let ad = self.mapper.to_ad_id(&out);
-                self.id_cache.insert(url.clone(), ad);
-                ad
-            })
-            .collect()
+        for ((url, pending), response) in pendings.iter().zip(responses) {
+            let out = self
+                .oprf
+                .finalize(pending, &UBig::from_bytes_be(response))
+                .expect("response in range");
+            self.id_cache
+                .insert(url.clone(), self.mapper.to_ad_id(&out));
+        }
     }
 
     /// Resolves a slice of URLs to ad IDs through a

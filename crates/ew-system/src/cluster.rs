@@ -1079,7 +1079,6 @@ impl ClusterBackend {
     fn absorb_run(
         &mut self,
         run: &mut Vec<(usize, Envelope)>,
-        threads: usize,
         out: &mut [Option<Result<Option<Envelope>, RoundError>>],
     ) {
         if run.is_empty() {
@@ -1113,12 +1112,10 @@ impl ClusterBackend {
             let (indices, envelopes) = group.into_iter().unzip();
             work.push((shard as u32, indices, envelopes, server));
         }
-        // One worker per shard with a batch; each shard splits its
-        // share of the thread budget across its own sharded pre-merge.
-        // Workers hand the envelopes back alongside the results so the
-        // absorptions can be journaled afterwards without a second
-        // trip through the stream.
-        let inner_threads = (threads / work.len().max(1)).max(1);
+        // One worker per shard with a batch; each shard walks its
+        // group serially. Workers hand the envelopes back alongside the
+        // results so the absorptions can be journaled afterwards
+        // without a second trip through the stream.
         let fanout = work.len();
         let results = crossbeam::thread::map_shards_mut(&mut work, fanout, |chunk| {
             chunk
@@ -1131,7 +1128,7 @@ impl ClusterBackend {
                     // driver-side histogram (workers never touch
                     // telemetry state directly).
                     let started = Instant::now();
-                    let shard_results = server.absorb_batch(envelopes, inner_threads);
+                    let shard_results = server.absorb_batch(envelopes, 1);
                     let nanos = started.elapsed().as_nanos() as u64;
                     (*shard, std::mem::take(indices), kept, shard_results, nanos)
                 })
@@ -1219,10 +1216,11 @@ impl AggregationBackend for ClusterBackend {
     /// The cluster fan-out: the stream is cut at every
     /// [`Message::ShardMapUpdate`] (routing may change there), each
     /// segment is grouped by owning shard preserving stream order, and
-    /// the shard groups are absorbed concurrently — each inner
-    /// [`BackendServer::absorb_batch`] already pins bit-identical
-    /// accept/reject decisions, so the scattered results equal the
-    /// serial walk for every `threads` value and shard count.
+    /// the shard groups are absorbed concurrently, one worker per shard
+    /// with work, each walking its group serially through
+    /// [`BackendServer`]'s `on_envelope` — the single copy of report
+    /// validation — so the scattered results equal the serial walk for
+    /// every `threads` value and shard count.
     fn absorb_batch(
         &mut self,
         envelopes: Vec<Envelope>,
@@ -1254,13 +1252,13 @@ impl AggregationBackend for ClusterBackend {
             let mut run: Vec<(usize, Envelope)> = Vec::new();
             for (i, env) in envelopes.into_iter().enumerate() {
                 if matches!(env.msg, Message::ShardMapUpdate { .. }) {
-                    self.absorb_run(&mut run, threads, &mut out);
+                    self.absorb_run(&mut run, &mut out);
                     out[i] = Some(AggregationBackend::on_envelope(self, env));
                 } else {
                     run.push((i, env));
                 }
             }
-            self.absorb_run(&mut run, threads, &mut out);
+            self.absorb_run(&mut run, &mut out);
             out.into_iter()
                 .map(|r| r.expect("every stream position filled"))
                 .collect()
@@ -1419,6 +1417,66 @@ mod tests {
                 assert_eq!(
                     view.users_threshold().to_bits(),
                     base_view.users_threshold().to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_stream_absorb_matches_serial_single_backend_walk() {
+        let p = params();
+        // A hostile-ish drain: valid reports, an in-batch duplicate, an
+        // unknown user, a wrong-round report, a spoofed sender, a query
+        // and an error envelope interleaved mid-stream.
+        let mut spoofed = report_env(p, 3, 1, &[9]);
+        spoofed.sender = NodeId::Client(4);
+        let stream = vec![
+            report_env(p, 0, 1, &[1, 5]),
+            report_env(p, 1, 1, &[2]),
+            Envelope::new(
+                NodeId::Client(0),
+                1,
+                Message::UsersQuery { round: 1, ad: 5 },
+            ),
+            report_env(p, 1, 1, &[2]), // duplicate
+            report_env(p, 9, 1, &[3]), // unknown user
+            report_env(p, 2, 2, &[4]), // wrong round
+            spoofed,                   // spoofed sender
+            Envelope::new(
+                NodeId::Client(5),
+                1,
+                Message::Error {
+                    code: 1,
+                    detail: "spoof".to_string(),
+                    hint: None,
+                },
+            ),
+            report_env(p, 2, 1, &[4]),
+            report_env(p, 3, 1, &[6]),
+            report_env(p, 4, 1, &[7]),
+        ];
+
+        let mut serial = single(6);
+        serial.open_round(1);
+        let serial_results: Vec<_> = stream
+            .iter()
+            .cloned()
+            .map(|env| AggregationBackend::on_envelope(&mut serial, env))
+            .collect();
+        let serial_view = serial.finalize_round().unwrap().clone();
+
+        for shards in [1u32, 2, 4] {
+            for threads in [1usize, 2, 4, 7] {
+                let mut c = cluster(ShardMap::uniform(shards), 6);
+                AggregationBackend::open_round(&mut c, 1);
+                let results = c.absorb_batch(stream.clone(), threads);
+                assert_eq!(results, serial_results, "shards={shards} threads={threads}");
+                let view = AggregationBackend::finalize(&mut c).unwrap();
+                assert_eq!(view, serial_view, "shards={shards} threads={threads}");
+                assert_eq!(
+                    view.sorted_estimates(),
+                    serial_view.sorted_estimates(),
+                    "shards={shards} threads={threads}"
                 );
             }
         }

@@ -104,4 +104,4 @@ pub use telemetry::{
     hist_kind, phase_index, ChurnMetrics, Hist64, ReplayMetrics, TelemetryService,
     TelemetrySnapshot, MAX_ROUND_ROWS,
 };
-pub use trace::{NullSink, SpanGuard, TraceEvent, TraceEventKind, TraceRecorder, TraceSink};
+pub use trace::{SpanGuard, TraceEvent, TraceEventKind, TraceRecorder};

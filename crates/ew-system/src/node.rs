@@ -135,13 +135,14 @@ pub trait AggregationBackend {
     /// result per envelope (index-aligned with the input, with exactly
     /// the values a serial [`Self::on_envelope`] walk would produce).
     ///
-    /// The default implementation *is* that serial walk. Backends with
-    /// a parallel ingestion path override it — `BackendServer` shards
-    /// report envelopes into per-worker sketch accumulators and merges
-    /// them through its `receive_shard` seam — so the round driver
-    /// stays a thin, transport-agnostic loop either way. `threads` is
-    /// purely a performance hint: results and final backend state must
-    /// be **bit-identical** for every value.
+    /// The default implementation *is* that serial walk, and a single
+    /// `BackendServer` uses it: a shard is serial. The backend shard is
+    /// the one unit of server-side fan-out — `threads <= 1` is the
+    /// serial walk everywhere, `threads > 1` lets a `ClusterBackend`
+    /// absorb its shards' groups concurrently, one worker per shard
+    /// that has work. `threads` is purely a performance hint: results
+    /// and final backend state must be **bit-identical** for every
+    /// value.
     fn absorb_batch(
         &mut self,
         envelopes: Vec<Envelope>,
@@ -397,10 +398,9 @@ impl RoundOpen {
         }
         let (envelopes, corrupt_frames) = bus.drain(NodeId::Backend);
         // The whole drain goes to the backend as one batch: with
-        // `threads` > 1 a backend that supports it absorbs report
-        // envelopes through its sharded pre-merge instead of one at a
-        // time, with bit-identical results (see
-        // `AggregationBackend::absorb_batch`).
+        // `threads` > 1 a cluster absorbs its shards' groups
+        // concurrently instead of one envelope at a time, with
+        // bit-identical results (see `AggregationBackend::absorb_batch`).
         let routing: Vec<(bool, NodeId)> = envelopes
             .iter()
             .map(|env| {

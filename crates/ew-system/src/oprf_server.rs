@@ -7,10 +7,10 @@
 //! Evaluation is read-only over the key, so every entry point takes
 //! `&self` and the service can be shared across worker threads without
 //! locking. Request accounting is an atomic saturating counter: exact
-//! under the parallel ingest path (each worker adds its shard's count
-//! once) and incapable of wrapping back to small values near `u64::MAX`
-//! — a saturated counter reads as "at least this many", never as a
-//! freshly reset one.
+//! under the parallel ingest path (each client worker adds its
+//! batch's count once) and incapable of wrapping back to small values
+//! near `u64::MAX` — a saturated counter reads as "at least this many",
+//! never as a freshly reset one.
 
 use crate::node::OprfFrontend;
 use crate::telemetry::Hist64;
@@ -62,7 +62,7 @@ impl OprfService {
     /// `u64::MAX` instead of wrapping.
     fn record_served(&self, n: u64) {
         // fetch_update never fails with an always-Some closure; the CAS
-        // loop keeps concurrent shard updates exact.
+        // loop keeps concurrent worker updates exact.
         let _ = self
             .requests_served
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
@@ -103,12 +103,14 @@ impl OprfService {
         std::mem::take(&mut *self.batch_nanos.lock().expect("hist lock never poisoned"))
     }
 
-    /// Handles a wire message; every request gets an answer — the
-    /// response for well-formed requests, a [`Message::Error`] for
-    /// malformed or unsupported ones, so peers can distinguish "the
-    /// network dropped it" from "the service refused it". The single
-    /// exception is an incoming `Error`, which is never answered (no
-    /// error ping-pong).
+    /// Handles a wire message. The service serves two request kinds —
+    /// the per-ad [`Message::OprfRequest`] and the
+    /// [`Message::OprfBatchRequest`] clients map their ads with — and
+    /// every request gets an answer: the response for well-formed
+    /// requests, a [`Message::Error`] for malformed or unsupported
+    /// ones, so peers can distinguish "the network dropped it" from
+    /// "the service refused it". The single exception is an incoming
+    /// `Error`, which is never answered (no error ping-pong).
     pub fn handle(&self, msg: &Message) -> Option<Message> {
         let reject = |code: u32, detail: String| {
             Some(Message::Error {
@@ -145,35 +147,6 @@ impl OprfService {
                         elements: self.serialize_batch(&signed),
                     }),
                     Err(e) => reject(error_code::OUT_OF_RANGE, format!("batch {request_id}: {e}")),
-                }
-            }
-            // One shard of a parallel batch: evaluated independently —
-            // the server needs no reassembly state; the *client* merges
-            // responses with `ew_proto::ShardAssembler`.
-            Message::OprfShardRequest {
-                request_id,
-                shard_index,
-                shard_count,
-                blinded,
-            } => {
-                if *shard_count == 0
-                    || *shard_count > ew_proto::MAX_SHARD_COUNT
-                    || *shard_index >= *shard_count
-                {
-                    return reject(
-                        error_code::BAD_SHARD_HEADER,
-                        format!("shard {shard_index} of {shard_count}"),
-                    );
-                }
-                let elements: Vec<UBig> = blinded.iter().map(|b| UBig::from_bytes_be(b)).collect();
-                match self.evaluate_batch(&elements) {
-                    Ok(signed) => Some(Message::OprfShardResponse {
-                        request_id: *request_id,
-                        shard_index: *shard_index,
-                        shard_count: *shard_count,
-                        elements: self.serialize_batch(&signed),
-                    }),
-                    Err(e) => reject(error_code::OUT_OF_RANGE, format!("shard {request_id}: {e}")),
                 }
             }
             // Never answer an error with an error.
@@ -286,75 +259,6 @@ mod tests {
             assert_eq!(out, service.evaluate_direct(url));
         }
         assert_eq!(service.requests_served(), urls.len() as u64);
-    }
-
-    #[test]
-    fn sharded_wire_batch_reassembles_to_direct_results() {
-        let mut rng = StdRng::seed_from_u64(54);
-        let service = OprfService::generate(&mut rng, 128);
-        let client = OprfClient::new(service.public().clone());
-
-        let urls: Vec<Vec<u8>> = (0..7)
-            .map(|i| format!("https://adnet.example/shardwire/{i}").into_bytes())
-            .collect();
-        let url_refs: Vec<&[u8]> = urls.iter().map(|u| u.as_slice()).collect();
-        let pendings = client.blind_batch(&mut rng, &url_refs).unwrap();
-        let wire: Vec<Vec<u8>> = pendings.iter().map(|p| p.blinded.to_bytes_be()).collect();
-
-        let shards = ew_proto::split_shards(&wire, 3);
-        let shard_count = shards.len() as u32;
-        let mut asm = ew_proto::ShardAssembler::new(11, shard_count).unwrap();
-        // Serve the shards out of order, as independent frames.
-        for (idx, shard) in shards.into_iter().rev() {
-            let resp = service
-                .handle(&Message::OprfShardRequest {
-                    request_id: 11,
-                    shard_index: idx,
-                    shard_count,
-                    blinded: shard,
-                })
-                .expect("valid shard served");
-            asm.accept_message(&resp).unwrap();
-        }
-        let elements = asm.assemble().unwrap();
-        assert_eq!(elements.len(), urls.len());
-        for ((url, pending), element) in urls.iter().zip(&pendings).zip(&elements) {
-            let out = client
-                .finalize(pending, &UBig::from_bytes_be(element))
-                .unwrap();
-            assert_eq!(out, service.evaluate_direct(url));
-        }
-        assert_eq!(service.requests_served(), urls.len() as u64);
-    }
-
-    #[test]
-    fn malformed_shard_header_dropped() {
-        let mut rng = StdRng::seed_from_u64(55);
-        let service = OprfService::generate(&mut rng, 128);
-        let client = OprfClient::new(service.public().clone());
-        let pending = client.blind(&mut rng, b"x").unwrap();
-        let blinded = vec![pending.blinded.to_bytes_be()];
-        for (index, count) in [(0u32, 0u32), (2, 2), (0, ew_proto::MAX_SHARD_COUNT + 1)] {
-            let reply = service
-                .handle(&Message::OprfShardRequest {
-                    request_id: 1,
-                    shard_index: index,
-                    shard_count: count,
-                    blinded: blinded.clone(),
-                })
-                .expect("malformed requests get an explicit reject");
-            assert!(
-                matches!(
-                    reply,
-                    Message::Error {
-                        code: ew_proto::error_code::BAD_SHARD_HEADER,
-                        ..
-                    }
-                ),
-                "index={index} count={count}: {reply:?}"
-            );
-        }
-        assert_eq!(service.requests_served(), 0);
     }
 
     #[test]

@@ -43,13 +43,13 @@
 //! thread counts {1, 2, 4, 7}, in-proc and over the wire;
 //! `tests/bus_parity.rs` pins the bus axis.
 //!
-//! The per-shard [`ew_sketch::SketchAccumulator`] pre-merge runs
-//! **behind the bus**: the round driver hands each full mailbox drain
-//! to [`crate::node::AggregationBackend::absorb_batch`], and
-//! `BackendServer` shards the drained report envelopes into
-//! per-worker accumulators merged through its public `receive_shard`
-//! seam — closing the serial-absorb trade PR 3 documented, without
-//! touching the round machine or the party traits.
+//! Server-side absorb has its own, single unit of fan-out — the
+//! **backend shard**: the round driver hands each full mailbox drain to
+//! [`crate::node::AggregationBackend::absorb_batch`], and a
+//! [`ClusterBackend`] runs one worker per shard that has work, each
+//! walking its group serially through `BackendServer`'s `on_envelope`
+//! (the one copy of report validation). Nothing nests below that:
+//! absorb is ~1.5 % of a round, the client side is the cost.
 
 use crate::backend::BackendServer;
 use crate::client::Client;
@@ -589,6 +589,7 @@ impl EyewnderSystem {
                 CrashPoint::Warmup,
                 backend,
                 coordinator,
+                &mut self.telemetry,
             );
 
             // Warmup countdown (no churn is scheduled inside it here, so
@@ -679,6 +680,7 @@ impl EyewnderSystem {
                 CrashPoint::Reports,
                 backend,
                 coordinator,
+                &mut self.telemetry,
             );
 
             // Tick the coordinator through recovery, finalization and
@@ -694,6 +696,7 @@ impl EyewnderSystem {
                         CrashPoint::Recovery,
                         backend,
                         coordinator,
+                        &mut self.telemetry,
                     );
                 }
                 let completed = events
@@ -706,6 +709,7 @@ impl EyewnderSystem {
                         CrashPoint::Finalize,
                         backend,
                         coordinator,
+                        &mut self.telemetry,
                     );
                     if let Some(storm) = fault.storm {
                         for &user in &victims {
@@ -717,7 +721,14 @@ impl EyewnderSystem {
                         }
                     }
                     if coordinator.in_grace() {
-                        crash_drill(&mut crashed, fault, CrashPoint::Grace, backend, coordinator);
+                        crash_drill(
+                            &mut crashed,
+                            fault,
+                            CrashPoint::Grace,
+                            backend,
+                            coordinator,
+                            &mut self.telemetry,
+                        );
                     }
                 }
             }
@@ -944,16 +955,23 @@ pub fn restart_coordinator(backend: &ClusterBackend, config: EpochConfig) -> Coo
 /// Executes one scripted coordinator crash if `fault` names `point` and
 /// this epoch has not crashed yet: the coordinator is dropped on the
 /// floor and rebuilt from the control journal's latest checkpoint.
+///
+/// The drill knows the crash is coming, so it first drains the doomed
+/// coordinator's churn counters into `telemetry` — they live outside
+/// the checkpoint (and outside protocol state), and would otherwise
+/// vanish with the in-memory coordinator.
 fn crash_drill(
     crashed: &mut bool,
     fault: &CoordinatorFault,
     point: CrashPoint,
     backend: &ClusterBackend,
     coordinator: &mut Coordinator,
+    telemetry: &mut TelemetryService,
 ) {
     if *crashed || fault.crash.map(|c| c.phase) != Some(point) {
         return;
     }
+    telemetry.observe_churn(&coordinator.take_churn_metrics());
     let config = coordinator.config();
     // The causality chain a crash drill must leave in the flight
     // recorder: the crash instant, then a restart span whose child is

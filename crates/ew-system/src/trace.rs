@@ -64,24 +64,6 @@ pub struct TraceEvent {
     pub b: u64,
 }
 
-/// Where trace events land. The seam exists so tests can interpose a
-/// sink of their own; the production sink is the ring-buffered
-/// [`TraceRecorder`].
-pub trait TraceSink {
-    /// Accepts one event.
-    fn record(&mut self, event: TraceEvent);
-}
-
-/// A sink that drops everything — the moral equivalent of tracing
-/// disabled, useful where a `&mut dyn TraceSink` is demanded
-/// unconditionally.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: TraceEvent) {}
-}
-
 /// The flight recorder: a bounded ring of [`TraceEvent`]s. When full,
 /// the **oldest** events are overwritten — the recorder always holds
 /// the most recent window, which is the one a post-mortem wants.
@@ -167,10 +149,11 @@ impl TraceRecorder {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-}
 
-impl TraceSink for TraceRecorder {
-    fn record(&mut self, event: TraceEvent) {
+    /// Replays an externally built event (e.g. one harvested from
+    /// another recorder) through this recorder's own bookkeeping, so
+    /// `seq` and `parent` stay recorder-consistent.
+    pub fn record(&mut self, event: TraceEvent) {
         let TraceEvent {
             kind,
             span,
@@ -179,8 +162,6 @@ impl TraceSink for TraceRecorder {
             b,
             ..
         } = event;
-        // Externally built events re-enter through the same bookkeeping
-        // so seq/parent stay recorder-consistent.
         match kind {
             TraceEventKind::SpanOpen => {
                 self.next_span = self.next_span.max(span);
@@ -380,7 +361,5 @@ mod tests {
         let ev = t.events();
         assert_eq!(ev[0].seq, 1, "re-sequenced on entry");
         assert_eq!(ev[1].parent, 7, "imported span became the parent");
-        let mut null = NullSink;
-        null.record(ev[0]); // drops silently
     }
 }

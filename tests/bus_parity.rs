@@ -97,10 +97,8 @@ fn ingested_pair(
 
 #[test]
 fn lossless_wire_round_bit_identical_to_inproc_for_thread_counts_1_2_4_7() {
-    // Threads > 1 also exercise the backend-side sharded absorb (the
-    // per-shard sketch pre-merge behind the bus): outcomes must stay
-    // bit-identical to the single-threaded serial absorb, in-proc and
-    // over the wire alike.
+    // Outcomes must stay bit-identical to the single-threaded round
+    // for every client-worker count, in-proc and over the wire alike.
     let driver = driver();
     let (scenario, weeks, cohort) = driver.workload(2);
 

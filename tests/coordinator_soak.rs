@@ -29,8 +29,8 @@ use eyewnder::simnet::{
 };
 use eyewnder::system::cluster::RoutingBus;
 use eyewnder::system::{
-    Clock, Coordinator, EpochConfig, EpochOutcome, EyewnderSystem, LogicalClock, SystemConfig,
-    VirtualClock,
+    ChurnMetrics, Clock, Coordinator, EpochConfig, EpochOutcome, EyewnderSystem, LogicalClock,
+    SystemConfig, VirtualClock,
 };
 
 const SEED: u64 = 0xC0DE_0009;
@@ -120,18 +120,24 @@ fn deadline_campaign<C: Clock>(
 /// The no-fault, logical-clock, single-thread, single-shard, in-proc
 /// baseline every cell is held against.
 fn baseline() -> &'static [EpochOutcome] {
-    static BASELINE: OnceLock<Vec<EpochOutcome>> = OnceLock::new();
+    &baseline_with_churn().0
+}
+
+/// The baseline campaign's outcomes plus the churn telemetry it left
+/// behind — what a crash drill's telemetry is held against.
+fn baseline_with_churn() -> &'static (Vec<EpochOutcome>, ChurnMetrics) {
+    static BASELINE: OnceLock<(Vec<EpochOutcome>, ChurnMetrics)> = OnceLock::new();
     BASELINE.get_or_init(|| {
         let mut clock = LogicalClock::new();
-        deadline_campaign(
+        let (outcomes, sys) = deadline_campaign(
             1,
             1,
             false,
             &mut clock,
             &CoordinatorFault::none(),
             &churn_schedule(),
-        )
-        .0
+        );
+        (outcomes, sys.telemetry().churn())
     })
 }
 
@@ -167,7 +173,19 @@ fn crash_parity_matrix(phase: CrashPoint) {
         crash: Some(CoordinatorCrash { phase }),
         storm: None,
     };
-    let base = baseline();
+    let (base, base_churn) = baseline_with_churn();
+    let counters = |m: &ChurnMetrics| {
+        [
+            m.joins,
+            m.leaves,
+            m.drops,
+            m.deadline_drops,
+            m.collapses,
+            m.epochs_completed,
+        ]
+    };
+    assert_eq!(base_churn.coordinator_restarts, 0);
+    assert!(base_churn.epochs_completed > 0 && base_churn.joins > 0);
     for threads in [1usize, 4] {
         for backends in [1usize, 2, 4] {
             for wire in [false, true] {
@@ -186,6 +204,15 @@ fn crash_parity_matrix(phase: CrashPoint) {
                 assert!(
                     sys.telemetry().totals().coordinator_restarts > 0,
                     "{label}: the drill must actually restart the coordinator"
+                );
+                // The crash may cost the campaign nothing but the
+                // restart count: every churn counter folded before the
+                // crash point survives it.
+                let churn = sys.telemetry().churn();
+                assert_eq!(
+                    counters(&churn),
+                    counters(base_churn),
+                    "{label}: joins/leaves/drops/deadline_drops/collapses/epochs_completed"
                 );
             }
         }

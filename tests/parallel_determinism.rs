@@ -127,10 +127,8 @@ fn weekly_rounds_bit_identical_for_all_thread_counts() {
 
 #[test]
 fn weekly_rounds_over_wire_bit_identical_for_all_thread_counts() {
-    // The wire twin of the test above, pinning the backend-side
-    // sharded absorb (per-shard sketch pre-merge behind the bus): for
-    // every thread count the framed round must match the threads=1
-    // serial-absorb baseline bit for bit.
+    // The wire twin of the test above: for every thread count the
+    // framed round must match the threads=1 baseline bit for bit.
     use eyewnder::proto::FaultConfig;
 
     let driver = driver();

@@ -124,13 +124,11 @@ fn corruption_storm_never_wedges_the_receiver() {
 }
 
 #[test]
-fn truncated_shard_frame_rejected_without_panicking() {
+fn truncated_batch_frame_rejected_without_panicking() {
     use eyewnder::proto::framing::{encode_frame, FrameDecoder};
 
-    let msg = Message::OprfShardRequest {
+    let msg = Message::OprfBatchRequest {
         request_id: 21,
-        shard_index: 0,
-        shard_count: 2,
         blinded: vec![vec![0xAB; 16], vec![0xCD; 16]],
     };
     let payload = msg.encode();
@@ -152,113 +150,9 @@ fn truncated_shard_frame_rejected_without_panicking() {
     for cut in 0..payload.len() {
         assert!(
             Message::decode(&payload[..cut]).is_err(),
-            "truncated shard payload of {cut} bytes decoded"
+            "truncated batch payload of {cut} bytes decoded"
         );
     }
-}
-
-#[test]
-fn shard_count_mismatch_rejected() {
-    use eyewnder::proto::{ShardAssembler, ShardError};
-
-    let mut asm = ShardAssembler::new(5, 3).unwrap();
-    asm.accept_message(&Message::OprfShardRequest {
-        request_id: 5,
-        shard_index: 0,
-        shard_count: 3,
-        blinded: vec![vec![1; 4]],
-    })
-    .unwrap();
-    // A later frame disagreeing on the shard total is rejected and the
-    // assembler keeps waiting for the real shards.
-    let err = asm
-        .accept_message(&Message::OprfShardRequest {
-            request_id: 5,
-            shard_index: 1,
-            shard_count: 2,
-            blinded: vec![vec![2; 4]],
-        })
-        .unwrap_err();
-    assert_eq!(
-        err,
-        ShardError::CountMismatch {
-            expected: 3,
-            got: 2
-        }
-    );
-    assert!(!asm.is_complete());
-    assert_eq!(asm.missing(), 2);
-}
-
-#[test]
-fn duplicate_shard_replay_rejected_and_batch_not_double_counted() {
-    use eyewnder::proto::{ShardAssembler, ShardError};
-
-    let shard0 = Message::OprfShardRequest {
-        request_id: 6,
-        shard_index: 0,
-        shard_count: 2,
-        blinded: vec![vec![7; 4], vec![8; 4]],
-    };
-    let mut asm = ShardAssembler::new(6, 2).unwrap();
-    asm.accept_message(&shard0).unwrap();
-    // A duplicated link (or a replaying peer) delivers shard 0 again:
-    // rejected, state unchanged.
-    assert_eq!(
-        asm.accept_message(&shard0).unwrap_err(),
-        ShardError::DuplicateShard(0)
-    );
-    asm.accept_message(&Message::OprfShardRequest {
-        request_id: 6,
-        shard_index: 1,
-        shard_count: 2,
-        blinded: vec![vec![9; 4]],
-    })
-    .unwrap();
-    let batch = asm.assemble().unwrap();
-    assert_eq!(batch.len(), 3, "replayed shard not double counted");
-}
-
-#[test]
-fn shard_frames_survive_a_duplicating_reordering_link() {
-    use eyewnder::proto::{split_shards, ShardAssembler};
-
-    // Ten shard frames through a link that duplicates and reorders
-    // aggressively: the assembler accepts each shard exactly once and
-    // reassembles the original batch.
-    let batch: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 5]).collect();
-    let shards = split_shards(&batch, 10);
-    let shard_count = shards.len() as u32;
-    let fault = FaultConfig {
-        duplicate_prob: 0.8,
-        reorder_prob: 0.5,
-        seed: 77,
-        ..FaultConfig::perfect()
-    };
-    let (mut tx, mut rx) = channel_pair(Some(fault));
-    for (idx, shard) in shards {
-        tx.send(&Message::OprfShardRequest {
-            request_id: 8,
-            shard_index: idx,
-            shard_count,
-            blinded: shard,
-        })
-        .unwrap();
-    }
-    drop(tx);
-    let (msgs, corrupt) = rx.drain();
-    assert_eq!(corrupt, 0);
-    assert!(msgs.len() >= shard_count as usize, "duplicates arrived");
-
-    let mut asm = ShardAssembler::new(8, shard_count).unwrap();
-    let mut rejected = 0usize;
-    for msg in &msgs {
-        if asm.accept_message(msg).is_err() {
-            rejected += 1;
-        }
-    }
-    assert_eq!(rejected, msgs.len() - shard_count as usize);
-    assert_eq!(asm.assemble().unwrap(), batch);
 }
 
 #[test]
