@@ -2,7 +2,7 @@
 //! latency claims (OPRF mapping < 500 ms, weekly blinding derivation)
 //! plus the primitives underneath them.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, Criterion};
 use ew_bigint::{random_below, random_odd_bits, MontgomeryCtx};
 use ew_crypto::blinding::{BlindingGenerator, BlindingParams};
 use ew_crypto::dh::DhKeyPair;
@@ -294,4 +294,10 @@ criterion_group!(
     bench_blinding_multiweek,
     bench_blinding_churn
 );
-criterion_main!(benches);
+
+fn main() {
+    // The blinding/multilane rows depend on which instantiation of the
+    // SHA-256 lane kernel this CPU gets; say so before any number.
+    println!("blinding hash tier: {}", ew_crypto::hmac::expansion_tier());
+    benches();
+}

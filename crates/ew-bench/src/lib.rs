@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # ew-bench — experiment harness
 //!
 //! One binary per table/figure of the paper (see `src/bin/`), plus

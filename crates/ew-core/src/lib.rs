@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # ew-core — the count-based targeted-ad detection algorithm
 //!

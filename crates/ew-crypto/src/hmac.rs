@@ -13,15 +13,27 @@
 //!   blocks. The pairwise secret never changes, so those two
 //!   compressions are paid once per peer instead of once per counter
 //!   block — halving the steady-state work.
-//! * [`hmac_expand_multi`] runs the two remaining compressions for up
-//!   to eight *independent* counters at once through
-//!   [`crate::sha256::compress_lanes`], provided `info` is short
-//!   enough that `info || be32(counter)` plus padding fits a single
-//!   block (`info.len() ≤ 51`; the blinding label + round is 28
-//!   bytes). Longer infos fall back to the scalar midstate path.
+//! * [`hmac_expand_multi`] runs the two remaining compressions for 8
+//!   or 16 *independent* counters at once through the word-level lane
+//!   kernel `sha256::compress_lanes`, provided `info` is short enough
+//!   that `info || be32(counter)` plus padding fits a single block
+//!   (`info.len() ≤ 51`; the blinding label + round is 28 bytes). The
+//!   padded inner block is parsed to words once per stream and
+//!   broadcast; per group only the counter word(s) change, the inner
+//!   state lanes are copied as words into the outer block, and bytes
+//!   are produced only when writing the output. Longer infos fall back
+//!   to the scalar midstate path.
+//! * That one body (`expand_words::<L>`) is compiled three times —
+//!   AVX-512 (F+VL) × 16 lanes, AVX2 × 8, and a plain × 8 that is the
+//!   only one on non-x86-64 targets — and [`hmac_expand_multi_at`]
+//!   picks one per call from `is_x86_feature_detected!`: no build flag,
+//!   no knob. [`expansion_tier`] reports the pick. The body stays safe
+//!   rust without intrinsics; only the call into the wrapper whose CPU
+//!   features were just detected is not (see [`crate::sha256`]).
 //!
-//! Both layers are bit-identical to [`hmac_sha256`]/[`hmac_expand`] —
-//! pinned by the RFC 4231 suite and differential proptests.
+//! All layers and tiers are bit-identical to
+//! [`hmac_sha256`]/[`hmac_expand`] — pinned by the RFC 4231 suite, a
+//! per-tier differential test and differential proptests.
 
 use crate::sha256::{self, Sha256, DIGEST_LEN};
 
@@ -30,7 +42,7 @@ const BLOCK_LEN: usize = 64;
 /// Longest `info` for which `info || be32(counter)` still fits one
 /// padded SHA-256 block (1 byte 0x80 + 8-byte length ⇒ 55 payload
 /// bytes), enabling the multi-lane fast path.
-const LANE_INFO_MAX: usize = 55 - 4;
+pub(crate) const LANE_INFO_MAX: usize = 55 - 4;
 
 /// An HMAC-SHA256 key with precomputed ipad/opad midstates.
 ///
@@ -125,6 +137,7 @@ pub fn hmac_expand_multi(key: &HmacKey, info: &[u8], out: &mut [u8]) {
 /// `n` blocks grows to `m > n` blocks by expanding `first = n` into the
 /// tail, yielding bytes identical to a from-scratch `m`-block
 /// expansion (counter blocks are independent).
+#[allow(unsafe_code)]
 pub fn hmac_expand_multi_at(key: &HmacKey, info: &[u8], first: u32, out: &mut [u8]) {
     if out.is_empty() {
         return;
@@ -137,85 +150,111 @@ pub fn hmac_expand_multi_at(key: &HmacKey, info: &[u8], first: u32, out: &mut [u
         "expansion too large"
     );
 
-    if info.len() <= LANE_INFO_MAX {
-        expand_single_block(key, info, first, out);
-    } else {
-        expand_scalar(key, info, first, out);
+    if info.len() > LANE_INFO_MAX {
+        return expand_scalar(key, info, first, out);
     }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+            // SAFETY: avx512f and avx512vl were detected on this CPU on the line above.
+            return unsafe { expand_avx512(key, info, first, out) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: avx2 was detected on this CPU on the line above.
+            return unsafe { expand_avx2(key, info, first, out) };
+        }
+    }
+    expand_portable(key, info, first, out)
+}
+
+/// Which instantiation of the lane kernel [`hmac_expand_multi_at`] runs
+/// on this CPU, as `"<isa>/<lanes>"`: `"avx512/16"`, `"avx2/8"` or
+/// `"portable/8"`. A read-only report for benchmark headers — it cannot
+/// be set.
+pub fn expansion_tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+            return "avx512/16";
+        }
+        if is_x86_feature_detected!("avx2") {
+            return "avx2/8";
+        }
+    }
+    "portable/8"
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+pub(crate) fn expand_avx512(key: &HmacKey, info: &[u8], first: u32, out: &mut [u8]) {
+    expand_words::<16>(key, info, first, out)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub(crate) fn expand_avx2(key: &HmacKey, info: &[u8], first: u32, out: &mut [u8]) {
+    expand_words::<8>(key, info, first, out)
+}
+
+pub(crate) fn expand_portable(key: &HmacKey, info: &[u8], first: u32, out: &mut [u8]) {
+    expand_words::<8>(key, info, first, out)
 }
 
 /// Fast path: `info || be32(counter)` fits one padded block, so each
-/// `T_i` is exactly one inner + one outer compression — laned 8- and
-/// 4-wide over independent counters. No heap allocation.
-fn expand_single_block(key: &HmacKey, info: &[u8], first: u32, out: &mut [u8]) {
-    // Inner-block template: info, counter placeholder, then SHA-256
-    // padding for a (BLOCK_LEN + info.len() + 4)-byte message.
-    let mut inner_tmpl = [0u8; BLOCK_LEN];
-    inner_tmpl[..info.len()].copy_from_slice(info);
-    inner_tmpl[info.len() + 4] = 0x80;
-    let inner_bits = ((BLOCK_LEN + info.len() + 4) as u64) * 8;
-    inner_tmpl[56..64].copy_from_slice(&inner_bits.to_be_bytes());
+/// `T_i` is exactly one inner + one outer compression, `L` independent
+/// counters per pass, words end to end. A short last group is one more
+/// full-width pass whose surplus lanes are discarded. No heap
+/// allocation. `#[inline(always)]`: the body takes the target features
+/// of the tier wrapper it is instantiated in.
+#[inline(always)]
+fn expand_words<const L: usize>(key: &HmacKey, info: &[u8], first: u32, out: &mut [u8]) {
+    debug_assert!(info.len() <= LANE_INFO_MAX, "single-block infos only");
+    // Inner block: info, counter placeholder, then SHA-256 padding for
+    // a (BLOCK_LEN + info.len() + 4)-byte message — parsed to words
+    // once and broadcast to every lane.
+    let mut tmpl = [0u8; BLOCK_LEN];
+    tmpl[..info.len()].copy_from_slice(info);
+    tmpl[info.len() + 4] = 0x80;
+    tmpl[56..64].copy_from_slice(&(((BLOCK_LEN + info.len() + 4) as u64) * 8).to_be_bytes());
+    let mut inner = [[0u32; L]; 16];
+    for (i, w) in inner.iter_mut().enumerate() {
+        *w = [u32::from_be_bytes(tmpl[i * 4..i * 4 + 4].try_into().expect("4 bytes")); L];
+    }
+    // The counter sits at byte `info.len()`: in word `at` when aligned,
+    // else split over `at` and `at + 1` (≤ 13, as info.len() ≤ 51).
+    let (at, shift) = (info.len() / 4, 8 * (info.len() % 4) as u32);
+    let (hi_tmpl, lo_tmpl) = (inner[at][0], inner[at + 1][0]);
 
-    let mut counter = first;
-    let mut chunks = out.chunks_mut(DIGEST_LEN);
-    loop {
-        let remaining = chunks.len();
-        if remaining >= 8 {
-            let group = expand_group::<8>(key, &inner_tmpl, info.len(), counter);
-            for t in group {
-                write_block(chunks.next().expect("checked len"), &t);
+    // Outer block: the inner digest, then padding for a 96-byte message.
+    let mut outer = [[0u32; L]; 16];
+    outer[8] = [0x8000_0000; L];
+    outer[15] = [((BLOCK_LEN + DIGEST_LEN) * 8) as u32; L];
+
+    for (g, group) in out.chunks_mut(L * DIGEST_LEN).enumerate() {
+        // The group's first counter is at most the last block's, which
+        // the caller bounded; surplus lanes past it may wrap and are
+        // never written.
+        let base = first + (g * L) as u32;
+        let (hi, lo) = inner[at..at + 2].split_at_mut(1);
+        for (l, (hi, lo)) in hi[0].iter_mut().zip(&mut lo[0]).enumerate() {
+            let c = (base.wrapping_add(l as u32) as u64) << (32 - shift);
+            *hi = hi_tmpl | (c >> 32) as u32;
+            *lo = lo_tmpl | c as u32;
+        }
+        let mut state = key.inner.map(|w| [w; L]);
+        sha256::compress_lanes(&mut state, &inner);
+        outer[..8].copy_from_slice(&state);
+        let mut state = key.outer.map(|w| [w; L]);
+        sha256::compress_lanes(&mut state, &outer);
+
+        for (l, chunk) in group.chunks_mut(DIGEST_LEN).enumerate() {
+            let mut t = [0u8; DIGEST_LEN];
+            for (i, word) in state.iter().enumerate() {
+                t[i * 4..i * 4 + 4].copy_from_slice(&word[l].to_be_bytes());
             }
-            counter += 8;
-        } else if remaining >= 4 {
-            let group = expand_group::<4>(key, &inner_tmpl, info.len(), counter);
-            for t in group {
-                write_block(chunks.next().expect("checked len"), &t);
-            }
-            counter += 4;
-        } else if remaining >= 1 {
-            let [t] = expand_group::<1>(key, &inner_tmpl, info.len(), counter);
-            write_block(chunks.next().expect("checked len"), &t);
-            counter += 1;
-        } else {
-            break;
+            write_block(chunk, &t);
         }
     }
-}
-
-/// Computes `L` consecutive counter blocks through the lane-parallel
-/// compressor: one laned inner compression, one laned outer.
-fn expand_group<const L: usize>(
-    key: &HmacKey,
-    inner_tmpl: &[u8; BLOCK_LEN],
-    info_len: usize,
-    first: u32,
-) -> [[u8; DIGEST_LEN]; L] {
-    let mut blocks = [*inner_tmpl; L];
-    for (l, b) in blocks.iter_mut().enumerate() {
-        b[info_len..info_len + 4].copy_from_slice(&(first + l as u32).to_be_bytes());
-    }
-    let mut states = [key.inner; L];
-    sha256::compress_lanes(&mut states, &blocks);
-
-    // Outer block: inner digest + padding for a 96-byte message.
-    let mut outer_blocks = [[0u8; BLOCK_LEN]; L];
-    for (l, b) in outer_blocks.iter_mut().enumerate() {
-        for (i, word) in states[l].iter().enumerate() {
-            b[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        b[DIGEST_LEN] = 0x80;
-        b[56..64].copy_from_slice(&(((BLOCK_LEN + DIGEST_LEN) as u64) * 8).to_be_bytes());
-    }
-    let mut outer_states = [key.outer; L];
-    sha256::compress_lanes(&mut outer_states, &outer_blocks);
-
-    let mut out = [[0u8; DIGEST_LEN]; L];
-    for l in 0..L {
-        for (i, word) in outer_states[l].iter().enumerate() {
-            out[l][i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-    }
-    out
 }
 
 /// Slow path for long infos: scalar midstate HMAC per counter. One
@@ -224,8 +263,9 @@ fn expand_scalar(key: &HmacKey, info: &[u8], first: u32, out: &mut [u8]) {
     let mut msg = Vec::with_capacity(info.len() + 4);
     msg.extend_from_slice(info);
     msg.extend_from_slice(&[0u8; 4]);
-    for (counter, chunk) in (first..).zip(out.chunks_mut(DIGEST_LEN)) {
-        msg[info.len()..].copy_from_slice(&counter.to_be_bytes());
+    for (i, chunk) in out.chunks_mut(DIGEST_LEN).enumerate() {
+        // `first + i` is at most the last block's counter, which the caller bounded.
+        msg[info.len()..].copy_from_slice(&(first + i as u32).to_be_bytes());
         write_block(chunk, &key.mac(&msg));
     }
 }
@@ -350,17 +390,118 @@ mod tests {
 
     /// The pre-PR6 expansion, kept as the differential oracle.
     fn expand_naive(key: &[u8], info: &[u8], len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
-        let mut counter: u32 = 0;
+        expand_naive_at(key, info, 0, len)
+    }
+
+    fn expand_naive_at(key: &[u8], info: &[u8], first: u32, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len + DIGEST_LEN);
+        let mut counter = first;
         while out.len() < len {
             let mut msg = Vec::with_capacity(info.len() + 4);
             msg.extend_from_slice(info);
             msg.extend_from_slice(&counter.to_be_bytes());
             out.extend_from_slice(&hmac_naive(key, &msg));
-            counter += 1;
+            counter = counter.wrapping_add(1);
         }
         out.truncate(len);
         out
+    }
+
+    type TierFn = fn(&HmacKey, &[u8], u32, &mut [u8]);
+
+    /// Every instantiation this host can run, narrowest first, called
+    /// directly rather than through the dispatch.
+    #[allow(unsafe_code)]
+    fn host_tiers() -> Vec<(&'static str, TierFn)> {
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+        let mut tiers: Vec<(&'static str, TierFn)> = vec![("portable/8", expand_portable)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: only pushed (so only callable) once avx2 was detected above.
+                tiers.push(("avx2/8", |k, i, f, o| unsafe { expand_avx2(k, i, f, o) }));
+            }
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+                // SAFETY: only pushed once avx512f and avx512vl were detected above.
+                tiers.push(("avx512/16", |k, i, f, o| unsafe {
+                    expand_avx512(k, i, f, o)
+                }));
+            }
+        }
+        tiers
+    }
+
+    #[test]
+    fn every_host_tier_matches_naive_oracle() {
+        // All four counter alignments (info.len() % 4), the longest
+        // single-block info, lane remainders and truncated tails at both
+        // widths, and counters with the top bit set.
+        const LENS: [usize; 15] = [
+            0, 1, 31, 32, 33, 255, 256, 257, 480, 511, 512, 513, 544, 1000, 40_960,
+        ];
+        let tiers = host_tiers();
+        let names: Vec<&str> = tiers.iter().map(|t| t.0).collect();
+        println!(
+            "expansion tiers exercised: {names:?}; dispatch picks {}",
+            expansion_tier()
+        );
+        assert_eq!(
+            expansion_tier(),
+            *names.last().unwrap(),
+            "dispatch runs the widest tier"
+        );
+
+        let key_bytes = b"pairwise-secret";
+        let key = HmacKey::new(key_bytes);
+        let info: Vec<u8> = (0..LANE_INFO_MAX as u8)
+            .map(|i| i.wrapping_mul(73) ^ 0xa5)
+            .collect();
+        let mut out = vec![0u8; 40_960];
+        for info_len in 0..=LANE_INFO_MAX {
+            let info = &info[..info_len];
+            for first in [0u32, 3, 1 << 31] {
+                // Counter blocks are independent, so one oracle run at
+                // the longest length holds every shorter one as a prefix.
+                let want = expand_naive_at(key_bytes, info, first, 40_960);
+                for &(name, tier) in &tiers {
+                    for len in LENS {
+                        out[..len].fill(0);
+                        tier(&key, info, first, &mut out[..len]);
+                        assert!(
+                            out[..len] == want[..len],
+                            "tier={name} info_len={info_len} first={first} len={len}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn expansion_ending_at_the_last_counter_matches_per_counter_mac() {
+        // Stepping past counter u32::MAX after the last block must not
+        // overflow (it panicked in debug builds), on either path.
+        let key = HmacKey::new(b"edge-key");
+        for info_len in [4usize, 28, 30, 80] {
+            let info = vec![0x3cu8; info_len];
+            for blocks in [1u32, 21] {
+                let first = u32::MAX - (blocks - 1);
+                let mut out = vec![0u8; blocks as usize * DIGEST_LEN];
+                hmac_expand_multi_at(&key, &info, first, &mut out);
+                for (i, t) in out.chunks(DIGEST_LEN).enumerate() {
+                    let mut msg = info.clone();
+                    msg.extend_from_slice(&(first + i as u32).to_be_bytes());
+                    assert_eq!(t, key.mac(&msg), "info_len={info_len} counter={first}+{i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "expansion too large")]
+    fn expansion_past_the_last_counter_is_refused() {
+        let mut out = [0u8; 22 * DIGEST_LEN];
+        hmac_expand_multi_at(&HmacKey::new(b"edge-key"), b"info", u32::MAX - 20, &mut out);
     }
 
     #[test]

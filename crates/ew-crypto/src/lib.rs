@@ -1,3 +1,4 @@
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 //! # ew-crypto — cryptographic substrate for the eyeWnder reproduction
 //!

@@ -40,6 +40,22 @@ fn shared_rsa_keys() -> &'static [RsaKeyPair] {
     })
 }
 
+/// Counter-mode expansion straight from its definition:
+/// `T_first || T_{first+1} || …` with `T_i = HMAC(key, info || be32(i))`,
+/// truncated to `len`.
+fn per_counter_hmac(key: &[u8], info: &[u8], first: u32, len: usize) -> Vec<u8> {
+    let mut want = Vec::with_capacity(len + 32);
+    let mut counter = first;
+    while want.len() < len {
+        let mut msg = info.to_vec();
+        msg.extend_from_slice(&counter.to_be_bytes());
+        want.extend_from_slice(&crate::hmac::hmac_sha256(key, &msg));
+        counter = counter.wrapping_add(1);
+    }
+    want.truncate(len);
+    want
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -213,18 +229,31 @@ proptest! {
         // key and info (spanning the single-block fast path and the
         // long-info fallback) and any length (spanning lane remainders
         // and truncated tails), out = T_0 || T_1 || … truncated.
-        use crate::hmac::{hmac_expand, hmac_sha256};
-        let got = hmac_expand(&key, &info, len);
-        let mut want = Vec::with_capacity(len + 32);
-        let mut counter = 0u32;
-        while want.len() < len {
-            let mut msg = info.clone();
-            msg.extend_from_slice(&counter.to_be_bytes());
-            want.extend_from_slice(&hmac_sha256(&key, &msg));
-            counter += 1;
+        let got = crate::hmac::hmac_expand(&key, &info, len);
+        prop_assert_eq!(got, per_counter_hmac(&key, &info, 0, len));
+    }
+
+    #[test]
+    fn hmac_expand_tiers_agree_at_any_first_counter(
+        key in proptest::collection::vec(any::<u8>(), 0..201),
+        info in proptest::collection::vec(any::<u8>(), 0..81),
+        len in 0usize..2049,
+        first in any::<u32>(),
+    ) {
+        // Whatever tier the dispatch picks on this CPU, the plain tier
+        // (what every other CPU runs) and the definition agree, from
+        // any starting counter. `len` is at most 64 blocks.
+        use crate::hmac::{expand_portable, hmac_expand_multi_at, HmacKey, LANE_INFO_MAX};
+        let first = first.min(u32::MAX - 63);
+        let hkey = HmacKey::new(&key);
+        let mut got = vec![0u8; len];
+        hmac_expand_multi_at(&hkey, &info, first, &mut got);
+        if info.len() <= LANE_INFO_MAX {
+            let mut plain = vec![0u8; len];
+            expand_portable(&hkey, &info, first, &mut plain);
+            prop_assert_eq!(&plain, &got);
         }
-        want.truncate(len);
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(got, per_counter_hmac(&key, &info, first, len));
     }
 
     #[test]

@@ -9,13 +9,30 @@
 //! The blinding hot loop hashes thousands of *independent* one-block
 //! messages per round (HMAC counter-mode streams — see
 //! [`crate::hmac`]), so besides the incremental scalar hasher this
-//! module provides [`compress_lanes`]: a block-parallel compression
-//! that advances `L` independent states by one block each in a single
-//! interleaved pass. Every working variable is a `[u32; L]` lane array
-//! and every operation is elementwise, which the compiler
-//! auto-vectorizes into SIMD lanes on any target — pure safe rust, no
-//! intrinsics. [`digest_lanes`] is the one-shot convenience over equal
-//! length inputs. Outputs are **bit-identical** to the scalar path by
+//! module has one block-parallel kernel, `compress_lanes::<L>`: it
+//! advances `L` independent states by one block each, with state and
+//! message held as words indexed `[word][lane]`. Every working variable
+//! is a `[u32; L]` lane array and every operation is elementwise — safe
+//! rust, no vendor intrinsics; the compiler turns the lane loops into
+//! whatever vector ISA the *enclosing function* is compiled for.
+//!
+//! That ISA is chosen per CPU, not per build. The kernel is
+//! `#[inline(always)]` and is instantiated three times, inside thin
+//! wrappers: `#[target_feature(enable = "avx512f,avx512vl")]` (16 lanes
+//! in the HMAC expansion; one-instruction rotates and ternary logic),
+//! `#[target_feature(enable = "avx2")]` (8 lanes) and a plain one
+//! (8 lanes; SSE2 on baseline x86-64, NEON on aarch64 — the only one
+//! compiled off x86-64). The public entry points — [`digest_lanes`]
+//! here, [`crate::hmac::hmac_expand_multi_at`] for the hot loop — pick
+//! a wrapper with `is_x86_feature_detected!` on each call (a cached
+//! flag read); there is no build flag, feature or environment switch.
+//! The crate is `#![deny(unsafe_code)]`; the allowance is on exactly
+//! those two entry points, for the call into the wrapper whose features
+//! were just detected. Intrinsics were measured and rejected: a SHA-NI
+//! path was slower than the safe 16-lane instantiation (see
+//! ARCHITECTURE.md).
+//!
+//! Outputs are **bit-identical** to the scalar path on every tier by
 //! construction (same round function, differently scheduled); the
 //! differential tests and proptests pin it.
 
@@ -230,26 +247,16 @@ pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// Block-parallel compression: advances `states[l]` by `blocks[l]` for
-/// all `L` lanes at once.
+/// Block-parallel compression: advances lane `l` of `state` by lane `l`
+/// of `block`, for all `L` lanes at once. Both are indexed
+/// `[word][lane]`; each lane computes exactly [`compress_block`].
 ///
-/// The working variables are lane arrays and every step is an
-/// elementwise u32 operation, so the optimizer turns the inner `for l`
-/// loops into SIMD lanes (SSE2/AVX2/NEON) without any
-/// target-specific code. Each lane computes exactly the scalar
-/// compression function — outputs are bit-identical to
-/// [`Sha256::digest`] per lane.
-///
-/// `L` is typically 8 (one AVX2 register of u32s) or 4; any `L ≥ 1`
-/// is correct.
-pub fn compress_lanes<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8; 64]; L]) {
-    // Message schedule, structure-of-arrays: w[i] holds word i of all lanes.
+/// `#[inline(always)]` so the body is compiled with the target features
+/// of whichever tier wrapper it lands in (see the module docs).
+#[inline(always)]
+pub(crate) fn compress_lanes<const L: usize>(state: &mut [[u32; L]; 8], block: &[[u32; L]; 16]) {
     let mut w = [[0u32; L]; 64];
-    for i in 0..16 {
-        for l in 0..L {
-            w[i][l] = u32::from_be_bytes(blocks[l][i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-        }
-    }
+    w[..16].copy_from_slice(block);
     for i in 16..64 {
         let (lo, hi) = w.split_at_mut(i);
         let wi = &mut hi[0];
@@ -265,18 +272,7 @@ pub fn compress_lanes<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8;
         }
     }
 
-    let mut a = [0u32; L];
-    let mut b = [0u32; L];
-    let mut c = [0u32; L];
-    let mut d = [0u32; L];
-    let mut e = [0u32; L];
-    let mut f = [0u32; L];
-    let mut g = [0u32; L];
-    let mut h = [0u32; L];
-    for l in 0..L {
-        [a[l], b[l], c[l], d[l], e[l], f[l], g[l], h[l]] = states[l];
-    }
-
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
     for i in 0..64 {
         for l in 0..L {
             let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
@@ -300,16 +296,10 @@ pub fn compress_lanes<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8;
         }
     }
 
-    for l in 0..L {
-        let st = &mut states[l];
-        st[0] = st[0].wrapping_add(a[l]);
-        st[1] = st[1].wrapping_add(b[l]);
-        st[2] = st[2].wrapping_add(c[l]);
-        st[3] = st[3].wrapping_add(d[l]);
-        st[4] = st[4].wrapping_add(e[l]);
-        st[5] = st[5].wrapping_add(f[l]);
-        st[6] = st[6].wrapping_add(g[l]);
-        st[7] = st[7].wrapping_add(h[l]);
+    for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for l in 0..L {
+            word[l] = word[l].wrapping_add(v[l]);
+        }
     }
 }
 
@@ -317,22 +307,65 @@ pub fn compress_lanes<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8;
 ///
 /// All inputs must share one length (lanes advance in lockstep through
 /// the same block count); panics otherwise. Bit-identical to calling
-/// [`Sha256::digest`] on each input.
+/// [`Sha256::digest`] on each input. Runs the widest instantiation of
+/// the lane kernel the CPU supports (see the module docs).
+#[allow(unsafe_code)]
 pub fn digest_lanes<const L: usize>(inputs: &[&[u8]; L]) -> [[u8; DIGEST_LEN]; L] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+            // SAFETY: avx512f and avx512vl were detected on this CPU on the line above.
+            return unsafe { digest_lanes_avx512(inputs) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: avx2 was detected on this CPU on the line above.
+            return unsafe { digest_lanes_avx2(inputs) };
+        }
+    }
+    digest_lanes_words(inputs)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn digest_lanes_avx512<const L: usize>(inputs: &[&[u8]; L]) -> [[u8; DIGEST_LEN]; L] {
+    digest_lanes_words(inputs)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn digest_lanes_avx2<const L: usize>(inputs: &[&[u8]; L]) -> [[u8; DIGEST_LEN]; L] {
+    digest_lanes_words(inputs)
+}
+
+/// [`compress_lanes`] over per-lane byte blocks: the transpose to
+/// `[word][lane]` at [`digest_lanes`]' edge.
+#[inline(always)]
+fn compress_byte_blocks<const L: usize>(state: &mut [[u32; L]; 8], blocks: &[[u8; 64]; L]) {
+    let mut w = [[0u32; L]; 16];
+    for (i, wi) in w.iter_mut().enumerate() {
+        for l in 0..L {
+            wi[l] = u32::from_be_bytes(blocks[l][i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+        }
+    }
+    compress_lanes(state, &w);
+}
+
+/// The one body of [`digest_lanes`], compiled once per tier.
+#[inline(always)]
+fn digest_lanes_words<const L: usize>(inputs: &[&[u8]; L]) -> [[u8; DIGEST_LEN]; L] {
     let len = inputs[0].len();
     assert!(
         inputs.iter().all(|m| m.len() == len),
         "digest_lanes requires equal-length inputs"
     );
-
-    let mut states = [H0; L];
+    let mut state = H0.map(|h| [h; L]);
     let mut blocks = [[0u8; 64]; L];
     let full = len / 64;
     for blk in 0..full {
         for l in 0..L {
             blocks[l].copy_from_slice(&inputs[l][blk * 64..blk * 64 + 64]);
         }
-        compress_lanes(&mut states, &blocks);
+        compress_byte_blocks(&mut state, &blocks);
     }
 
     // Padding: 0x80, zeros, 8-byte bit length — spills into a second
@@ -347,19 +380,19 @@ pub fn digest_lanes<const L: usize>(inputs: &[&[u8]; L]) -> [[u8; DIGEST_LEN]; L
             blocks[l][56..64].copy_from_slice(&bit_len);
         }
     }
-    compress_lanes(&mut states, &blocks);
+    compress_byte_blocks(&mut state, &blocks);
     if rem >= 56 {
         let mut tail = [[0u8; 64]; L];
         for t in tail.iter_mut() {
             t[56..64].copy_from_slice(&bit_len);
         }
-        compress_lanes(&mut states, &tail);
+        compress_byte_blocks(&mut state, &tail);
     }
 
     let mut out = [[0u8; DIGEST_LEN]; L];
     for l in 0..L {
-        for (i, word) in states[l].iter().enumerate() {
-            out[l][i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (i, word) in state.iter().enumerate() {
+            out[l][i * 4..i * 4 + 4].copy_from_slice(&word[l].to_be_bytes());
         }
     }
     out
@@ -488,19 +521,29 @@ mod tests {
 
     #[test]
     fn compress_lanes_matches_scalar_compress() {
-        let mut blocks = [[0u8; 64]; 4];
-        for (l, b) in blocks.iter_mut().enumerate() {
-            for (i, byte) in b.iter_mut().enumerate() {
-                *byte = (i as u8).wrapping_add(l as u8 * 37);
+        fn check<const L: usize>() {
+            let blocks: [[u8; 64]; L] = std::array::from_fn(|l| {
+                std::array::from_fn(|i| (i as u8).wrapping_add((l as u8).wrapping_mul(37)))
+            });
+            // Distinct per-lane start states too: lane l has already
+            // absorbed its neighbour's block.
+            let mut scalar = [H0; L];
+            for l in 0..L {
+                compress_block(&mut scalar[l], &blocks[(l + 1) % L]);
+            }
+            let mut state: [[u32; L]; 8] =
+                std::array::from_fn(|i| std::array::from_fn(|l| scalar[l][i]));
+            compress_byte_blocks(&mut state, &blocks);
+            for l in 0..L {
+                compress_block(&mut scalar[l], &blocks[l]);
+                let lane: [u32; 8] = std::array::from_fn(|i| state[i][l]);
+                assert_eq!(lane, scalar[l], "L={L} lane={l}");
             }
         }
-        let mut lanes = [H0; 4];
-        compress_lanes(&mut lanes, &blocks);
-        for l in 0..4 {
-            let mut scalar = H0;
-            compress_block(&mut scalar, &blocks[l]);
-            assert_eq!(lanes[l], scalar, "lane={l}");
-        }
+        check::<1>();
+        check::<4>();
+        check::<8>();
+        check::<16>();
     }
 
     #[test]

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # ew-simnet — web browsing & ad-delivery ecosystem simulator
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # ew-sketch — synopsis data structures for distributed counting
 //!

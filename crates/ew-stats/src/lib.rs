@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # ew-stats — statistics substrate for the eyeWnder reproduction
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Offline stand-in for the subset of the `bytes` crate API this
 //! workspace uses: the [`Buf`] / [`BufMut`] traits implemented for
 //! `&[u8]` and `Vec<u8>`. The wire codec in `ew-proto` only reads and

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Offline stand-in for the subset of the `crossbeam` API this workspace
 //! uses: unbounded MPSC channels and scoped threads. Channels are backed
 //! by [`std::sync::mpsc`], whose `Sender` / `Receiver` / `TryRecvError`

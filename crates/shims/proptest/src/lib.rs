@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Offline stand-in for the subset of the `proptest` API this workspace
 //! uses. The build environment has no crates.io access, so this path
 //! crate supplies a small, source-compatible property-testing harness:

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Offline stand-in for the subset of the `rand` 0.8 API this workspace
 //! uses. The build environment has no access to crates.io, so this path
 //! crate supplies source-compatible replacements: the [`RngCore`] /

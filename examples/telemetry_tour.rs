@@ -50,7 +50,13 @@ fn main() {
         }),
         storm: None,
     };
-    println!("fault scenario: {}\n", fault.summary());
+    println!("fault scenario: {}", fault.summary());
+    // Report build time is almost all blinding hash; which kernel
+    // instantiation this CPU runs explains a 2-4x gap between hosts.
+    println!(
+        "blinding hash tier: {}\n",
+        eyewnder::crypto::hmac::expansion_tier()
+    );
 
     // 1. Flight recorder on: a bounded ring of structured events.
     trace::enable(8192);

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # eyewnder — crowdsourced, privacy-preserving detection of targeted ads
 //!
