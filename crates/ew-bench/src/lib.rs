@@ -1,10 +1,11 @@
 #![forbid(unsafe_code)]
 //! # ew-bench — experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus
-//! Criterion micro-benchmarks (see `benches/`). This library holds the
-//! shared experiment plumbing: sweep runners and plain-text table
-//! rendering.
+//! One binary per table/figure of the paper (see `src/bin/`). This
+//! library holds the shared experiment plumbing: sweep runners and
+//! plain-text table rendering. The timings `tab_overhead` and
+//! `tab3_comparison` print illustrate the paper's tables; speed
+//! *claims* come from the repository's `benchmark/` package alone.
 //!
 //! | Binary                 | Reproduces                                   |
 //! |------------------------|----------------------------------------------|
@@ -42,42 +43,6 @@ pub fn run_seeds(base: &ScenarioConfig, policy: ThresholdPolicy, seeds: &[u64]) 
         merged.merge(&run_once(config, policy));
     }
     merged
-}
-
-/// Appends one `{"name", "ns_per_iter"}` JSON line per quantile of
-/// `hist` to the `EW_BENCH_JSON` trajectory file — the same
-/// one-object-per-line shape the criterion shim emits, so
-/// `scripts/bench_diff.sh` diffs latency quantiles exactly like it
-/// diffs benchmark medians. No-op when the variable is unset or the
-/// histogram is empty; IO errors are reported, never fatal (a bench
-/// run must not die on a full disk).
-pub fn record_hist_quantiles(name: &str, hist: &ew_system::Hist64) {
-    use std::io::Write as _;
-    let Some(path) = std::env::var_os("EW_BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() || hist.is_empty() {
-        return;
-    }
-    let mut lines = String::new();
-    for (q, v) in [
-        ("p50", hist.p50()),
-        ("p90", hist.p90()),
-        ("p99", hist.p99()),
-    ] {
-        lines.push_str(&format!(
-            "{{\"name\": \"{name}/{q}\", \"ns_per_iter\": {:.1}}}\n",
-            v as f64
-        ));
-    }
-    let result = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| f.write_all(lines.as_bytes()));
-    if let Err(e) = result {
-        eprintln!("EW_BENCH_JSON: could not record {name} quantiles: {e}");
-    }
 }
 
 /// Renders one row of a fixed-width table.

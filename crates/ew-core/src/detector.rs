@@ -78,9 +78,11 @@ impl Detector {
     }
 
     /// Classifies every ad the user has seen, returning
-    /// `(ad, verdict)` pairs (deterministic order not guaranteed).
+    /// `(ad, verdict)` pairs sorted by ad.
     pub fn classify_all(&self, user: &UserCounters, global: &GlobalView) -> Vec<(AdKey, Verdict)> {
-        user.ads()
+        let mut ads: Vec<AdKey> = user.ads().collect();
+        ads.sort_unstable();
+        ads.into_iter()
             .map(|ad| (ad, self.classify(user, ad, global)))
             .collect()
     }
@@ -174,10 +176,9 @@ mod tests {
     fn classify_all_covers_every_ad() {
         let det = Detector::default();
         let verdicts = det.classify_all(&chased_user(), &global());
-        assert_eq!(verdicts.len(), 9);
-        assert!(verdicts
-            .iter()
-            .any(|&(ad, v)| ad == 1 && v == Verdict::Targeted));
+        let ads: Vec<AdKey> = verdicts.iter().map(|&(ad, _)| ad).collect();
+        assert_eq!(ads, (1..=9).collect::<Vec<AdKey>>(), "sorted by ad");
+        assert_eq!(verdicts[0], (1, Verdict::Targeted));
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl WeeklyWindow {
         self.today
     }
 
-    /// Number of days currently retained.
-    pub fn retained_days(&self) -> usize {
-        self.days.len()
-    }
-
     /// Total observations retained.
     pub fn len(&self) -> usize {
         self.days.iter().map(|d| d.len()).sum()

@@ -74,11 +74,6 @@ impl KeyDirectory {
     pub fn download_size_per_client(&self) -> usize {
         self.keys.len().saturating_sub(1) * (self.element_len + 4)
     }
-
-    /// Total upload across the cohort (each client publishes one key).
-    pub fn total_publish_size(&self) -> usize {
-        self.keys.len() * (self.element_len + 4)
-    }
 }
 
 #[cfg(test)]

@@ -43,11 +43,6 @@ impl RoundCheckpoint {
     pub fn round(&self) -> u64 {
         self.round
     }
-
-    /// How many users had reported when the checkpoint was taken.
-    pub fn reported_users(&self) -> usize {
-        self.reported.len()
-    }
 }
 
 /// The aggregation server.

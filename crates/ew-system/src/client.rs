@@ -125,11 +125,6 @@ impl Client {
         }
     }
 
-    /// Whether the blinding-stream cache is active on the generator.
-    pub fn blinding_cache_enabled(&self) -> bool {
-        self.blinding.as_ref().is_some_and(|g| g.cache_enabled())
-    }
-
     /// Batched step 1: blinds every *uncached* URL (first-seen order,
     /// duplicates collapsed) with one shared modular inversion, and
     /// returns the per-URL pending state plus the wire bytes for an

@@ -109,16 +109,6 @@ impl EvalTree {
         ratio(tn, self.classified_nontargeted)
     }
 
-    /// FP(CR) as a share of targeted-classified pairs (paper: 8.74%).
-    pub fn fp_cr_rate(&self) -> f64 {
-        ratio(self.fp_cr, self.classified_targeted)
-    }
-
-    /// TN(CR) as a share of non-targeted-classified pairs (paper: 27%).
-    pub fn tn_cr_rate(&self) -> f64 {
-        ratio(self.tn_cr, self.classified_nontargeted)
-    }
-
     /// Total pairs evaluated.
     pub fn total(&self) -> usize {
         self.classified_targeted + self.classified_nontargeted

@@ -167,8 +167,7 @@ pub fn run_segmented_pipeline(
         let g = group_of.get(&user).copied().unwrap_or(0) % num_groups;
         let view = segmented.view(g);
         threshold_sum += view.users_threshold();
-        for ad in counters.ads() {
-            let verdict = detector.classify(counters, ad, view);
+        for (ad, verdict) in detector.classify_all(counters, view) {
             verdicts.push((user, ad, verdict));
             match verdict {
                 Verdict::InsufficientData => insufficient += 1,
@@ -203,8 +202,7 @@ fn classify_against(
     let mut insufficient = 0usize;
 
     for (&user, counters) in per_user {
-        for ad in counters.ads() {
-            let verdict = detector.classify(counters, ad, global);
+        for (ad, verdict) in detector.classify_all(counters, global) {
             verdicts.push((user, ad, verdict));
             match verdict {
                 Verdict::InsufficientData => insufficient += 1,
@@ -240,6 +238,21 @@ mod tests {
         assert!(result.confusion.total() > 0, "some pairs classified");
         assert!(!result.verdicts.is_empty());
         assert!(result.users_threshold > 0.0);
+    }
+
+    #[test]
+    fn verdicts_are_ordered_by_user_then_ad() {
+        let log = log();
+        let params = CmsParams::from_error_bounds(0.001, 0.001, 10_000, 99);
+        let check = |run: &dyn Fn() -> PipelineResult| {
+            let first = run().verdicts;
+            assert_eq!(first, run().verdicts, "same log, same verdict list");
+            assert!(first
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        };
+        check(&|| run_cleartext_pipeline(&log, DetectorConfig::default()));
+        check(&|| run_cms_pipeline(&log, DetectorConfig::default(), params));
     }
 
     #[test]

@@ -28,9 +28,8 @@
 //!   timings, they ride outside every determinism comparison.
 //!
 //! Snapshots leave the process two ways: JSON lines appended to the
-//! file named by `EW_TELEMETRY_JSON` (mirroring the bench harness's
-//! `EW_BENCH_JSON`), and a Prometheus-style text exposition — see
-//! [`TelemetrySnapshot`].
+//! file named by `EW_TELEMETRY_JSON`, and a Prometheus-style text
+//! exposition — see [`TelemetrySnapshot`].
 
 use crate::node::RoundPhase;
 use ew_proto::{error_code, Envelope, HistogramSnapshot, Message, NodeId};
@@ -608,9 +607,9 @@ impl TelemetrySnapshot {
     }
 
     /// Appends the JSON-lines rendering to the file named by the
-    /// `EW_TELEMETRY_JSON` environment variable (mirroring the bench
-    /// harness's `EW_BENCH_JSON`). A no-op when the variable is unset;
-    /// IO errors are swallowed — telemetry export never fails a run.
+    /// `EW_TELEMETRY_JSON` environment variable. A no-op when the
+    /// variable is unset; IO errors are swallowed — telemetry export
+    /// never fails a run.
     pub fn export_json_env(&self, scope: &str) {
         let Ok(path) = std::env::var("EW_TELEMETRY_JSON") else {
             return;

@@ -7,9 +7,8 @@
 //! thread-local [`TraceRecorder`]. The recorder is **off by default**:
 //! every instrumentation point costs one thread-local lookup and an
 //! `Option` check when disabled, and call sites sit at phase and fault
-//! granularity — never per-cell or per-envelope — so the disabled
-//! overhead on a clustered round stays within the ≤ 1% budget (see
-//! `BENCH_PR10.json`).
+//! granularity — never per-cell or per-envelope — which is what the
+//! ≤ 1% disabled-overhead budget on a clustered round rests on.
 //!
 //! ## Determinism
 //!

