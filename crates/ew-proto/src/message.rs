@@ -96,20 +96,6 @@ pub enum Message {
         /// Serialized DH public key.
         public_key: Vec<u8>,
     },
-    /// Client → oprf-server: a blinded ad-URL hash to be "signed".
-    OprfRequest {
-        /// Client-chosen correlation id.
-        request_id: u64,
-        /// Blinded element `H(x)·r^e mod N`.
-        blinded: Vec<u8>,
-    },
-    /// oprf-server → client: the signed element.
-    OprfResponse {
-        /// Echoed correlation id.
-        request_id: u64,
-        /// `(blinded)^d mod N`.
-        element: Vec<u8>,
-    },
     /// Client → oprf-server: a whole batch of blinded elements in one
     /// message (the weekly wake-up maps every new ad URL at once; one
     /// message amortizes framing and lets the server keep its CRT
@@ -324,8 +310,8 @@ pub enum Message {
 /// Wire tags (stable; append-only).
 mod tag {
     pub const PUBLISH_KEY: u8 = 0x01;
-    pub const OPRF_REQUEST: u8 = 0x02;
-    pub const OPRF_RESPONSE: u8 = 0x03;
+    // 0x02 / 0x03 (the per-ad OPRF request / response; a single ad is
+    // a batch of one) are retired, never reassigned: `BadTag`.
     pub const REPORT: u8 = 0x04;
     pub const MISSING_CLIENTS: u8 = 0x05;
     pub const ADJUSTMENT: u8 = 0x06;
@@ -352,8 +338,6 @@ impl Message {
     pub fn kind(&self) -> &'static str {
         match self {
             Message::PublishKey { .. } => "PublishKey",
-            Message::OprfRequest { .. } => "OprfRequest",
-            Message::OprfResponse { .. } => "OprfResponse",
             Message::OprfBatchRequest { .. } => "OprfBatchRequest",
             Message::OprfBatchResponse { .. } => "OprfBatchResponse",
             Message::Report { .. } => "Report",
@@ -381,22 +365,6 @@ impl Message {
                 buf.put_u8(tag::PUBLISH_KEY);
                 buf.put_u32_le(*user);
                 put_bytes(&mut buf, public_key);
-            }
-            Message::OprfRequest {
-                request_id,
-                blinded,
-            } => {
-                buf.put_u8(tag::OPRF_REQUEST);
-                buf.put_u64_le(*request_id);
-                put_bytes(&mut buf, blinded);
-            }
-            Message::OprfResponse {
-                request_id,
-                element,
-            } => {
-                buf.put_u8(tag::OPRF_RESPONSE);
-                buf.put_u64_le(*request_id);
-                put_bytes(&mut buf, element);
             }
             Message::OprfBatchRequest {
                 request_id,
@@ -564,14 +532,6 @@ impl Message {
             tag::PUBLISH_KEY => Message::PublishKey {
                 user: get_u32(buf)?,
                 public_key: get_bytes(buf)?,
-            },
-            tag::OPRF_REQUEST => Message::OprfRequest {
-                request_id: get_u64(buf)?,
-                blinded: get_bytes(buf)?,
-            },
-            tag::OPRF_RESPONSE => Message::OprfResponse {
-                request_id: get_u64(buf)?,
-                element: get_bytes(buf)?,
             },
             tag::OPRF_BATCH_REQUEST => Message::OprfBatchRequest {
                 request_id: get_u64(buf)?,
@@ -746,14 +706,6 @@ mod tests {
                 user: 7,
                 public_key: vec![1, 2, 3, 4],
             },
-            Message::OprfRequest {
-                request_id: 42,
-                blinded: vec![0xff; 16],
-            },
-            Message::OprfResponse {
-                request_id: 42,
-                element: vec![0xee; 16],
-            },
             Message::OprfBatchRequest {
                 request_id: 43,
                 blinded: vec![vec![0x11; 16], vec![], vec![0x22; 3]],
@@ -897,12 +849,18 @@ mod tests {
         // The retired frames' exact old layout, well-formed everywhere
         // but the tag — bare and enveloped (so an `Endpoint` counts such
         // a frame as corrupt and never delivers it).
-        for retired in [0x0Cu8, 0x0D] {
+        for retired in [0x02u8, 0x03, 0x0C, 0x0D] {
             let mut payload = vec![retired];
             payload.put_u64_le(44);
-            payload.put_u32_le(1);
-            payload.put_u32_le(3);
-            put_bytes_list(&mut payload, &[vec![0x55; 16], vec![0x66; 16]]);
+            if retired < 0x0C {
+                // The per-ad request / response: one element.
+                put_bytes(&mut payload, &[0x55; 16]);
+            } else {
+                // The shard request / response: index, count, elements.
+                payload.put_u32_le(1);
+                payload.put_u32_le(3);
+                put_bytes_list(&mut payload, &[vec![0x55; 16], vec![0x66; 16]]);
+            }
             assert_eq!(Message::decode(&payload), Err(CodecError::BadTag(retired)));
 
             let probe = Message::Tick { now: 0 };

@@ -10,18 +10,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
         (any::<u32>(), proptest::collection::vec(any::<u8>(), 0..64))
             .prop_map(|(user, public_key)| Message::PublishKey { user, public_key }),
-        (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..64)).prop_map(
-            |(request_id, blinded)| Message::OprfRequest {
-                request_id,
-                blinded
-            }
-        ),
-        (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..64)).prop_map(
-            |(request_id, element)| Message::OprfResponse {
-                request_id,
-                element
-            }
-        ),
         (
             any::<u64>(),
             proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..32), 0..8)

@@ -82,7 +82,17 @@ impl SketchAccumulator {
     /// Panics if the report's dimensions don't match.
     pub fn add(&mut self, report: &BlindedSketch) {
         assert_eq!(self.params, report.params, "report dimension mismatch");
-        for (c, r) in self.cells.iter_mut().zip(&report.cells) {
+        self.add_cells(&report.cells);
+    }
+
+    /// Adds one blinded report given as its raw wire cells (the absorb
+    /// path borrows them straight from the `Report` message).
+    ///
+    /// # Panics
+    /// Panics if `cells` is not exactly one cell per accumulator cell.
+    pub fn add_cells(&mut self, cells: &[u32]) {
+        assert_eq!(self.cells.len(), cells.len(), "report dimension mismatch");
+        for (c, r) in self.cells.iter_mut().zip(cells) {
             *c = c.wrapping_add(*r);
         }
         self.reports += 1;

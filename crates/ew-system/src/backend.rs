@@ -1,6 +1,14 @@
 //! The back-end server (§5): bulletin board, report aggregation with the
 //! two-round missing-client recovery, unblinding-by-summation, `#Users`
 //! enumeration and `Users_th` computation.
+//!
+//! [`RoundState`] is the one shape of an open aggregation round. A
+//! [`BackendServer`] holds one; every shard of a
+//! [`crate::cluster::ClusterBackend`] *is* one; a journal checkpoint is
+//! a clone of one; a cluster finalizes by [`RoundState::merge`]-ing its
+//! shards' states and running the one [`RoundState::finalize`] sweep.
+//! Reports and adjustments are validated in one place,
+//! [`RoundState::absorb`], and every check there precedes any mutation.
 
 use crate::ids::AdIdMapper;
 use crate::node::AggregationBackend;
@@ -8,44 +16,198 @@ use ew_bigint::UBig;
 use ew_core::{GlobalView, ThresholdPolicy};
 use ew_crypto::directory::KeyDirectory;
 use ew_proto::{error_code, Envelope, Message, NodeId};
-use ew_sketch::{BlindedSketch, CmsParams, SketchAccumulator};
+use ew_sketch::{CmsParams, SketchAccumulator};
 use std::collections::BTreeSet;
 
-/// State of one aggregation round at the server.
-#[derive(Debug)]
-struct RoundState {
-    round: u64,
-    accumulator: SketchAccumulator,
-    reported: BTreeSet<u32>,
-    adjusted: BTreeSet<u32>,
-    missing: Vec<u32>,
-}
-
-/// An exported snapshot of one open round's aggregation state: what a
-/// cold-restarted shard restores before replaying the journal suffix.
+/// One open aggregation round: the still-blinded cell-wise sum of the
+/// reports absorbed so far (adjustments already subtracted) plus who
+/// reported and who adjusted.
 ///
-/// The fields mirror the server's private round state exactly — the
-/// checkpoint **is** the round state, so `restore(checkpoint())` is an
-/// identity and a restart that restores the latest checkpoint plus
-/// replays every later `Absorbed` record is bit-identical to a shard
-/// that never died.
+/// The Kursawe blinding terms only cancel over the *whole* cohort, so a
+/// cluster shard's state is a partial sum that means nothing alone:
+/// shards [`merge`](Self::merge) first and only the merged state is
+/// [`finalize`](Self::finalize)d. Cell addition in `Z_{2^32}` is
+/// associative and commutative, so any merge order or grouping gives
+/// the same bits as one node absorbing every report.
 #[derive(Debug, Clone)]
-pub struct RoundCheckpoint {
+pub struct RoundState {
     round: u64,
     accumulator: SketchAccumulator,
     reported: BTreeSet<u32>,
     adjusted: BTreeSet<u32>,
-    missing: Vec<u32>,
 }
 
-impl RoundCheckpoint {
-    /// The round the checkpoint belongs to.
+impl RoundState {
+    /// Round `round`, nothing absorbed yet (merging it is the identity).
+    pub fn open(params: CmsParams, round: u64) -> Self {
+        RoundState {
+            round,
+            accumulator: SketchAccumulator::new(params),
+            reported: BTreeSet::new(),
+            adjusted: BTreeSet::new(),
+        }
+    }
+
+    /// The round this state belongs to.
     pub fn round(&self) -> u64 {
         self.round
     }
+
+    /// Reports absorbed so far.
+    pub fn reports(&self) -> usize {
+        self.accumulator.reports()
+    }
+
+    /// True once `user`'s report has been absorbed.
+    pub(crate) fn has_reported(&self, user: u32) -> bool {
+        self.reported.contains(&user)
+    }
+
+    /// Absorbs one `Report` or `Adjustment` envelope; `enrolled` is the
+    /// bulletin board's verdict on a user id. Both kinds pass the same
+    /// sequence of checks — header against payload, shape against the
+    /// cohort's dimensions, round, membership, duplicate — and nothing
+    /// is mutated before the last one passes: a rejected envelope
+    /// leaves no trace, so a state rebuilt from the journal of
+    /// *accepted* envelopes is the same state. The shape check reads
+    /// the raw wire fields (never `CmsParams::new`, whose
+    /// degenerate-dimension assert a hostile depth or width of 0 would
+    /// trip). Any other message kind carries nothing to absorb and is
+    /// an [`RoundError::EnvelopeMismatch`].
+    pub fn absorb(
+        &mut self,
+        env: &Envelope,
+        enrolled: impl Fn(u32) -> bool,
+    ) -> Result<(), RoundError> {
+        let params = self.accumulator.params();
+        let (user, round, cells, report_header) = match &env.msg {
+            Message::Report {
+                user,
+                round,
+                depth,
+                width,
+                seed,
+                cells,
+            } => (*user, *round, cells, Some((*depth, *width, *seed))),
+            Message::Adjustment { user, round, cells } => (*user, *round, cells, None),
+            _ => return Err(RoundError::EnvelopeMismatch),
+        };
+        if env.sender != NodeId::Client(user) || env.round != round {
+            return Err(RoundError::EnvelopeMismatch);
+        }
+        let header_fits = report_header.is_none_or(|(depth, width, seed)| {
+            depth as usize == params.depth
+                && width as usize == params.width
+                && seed == params.hash_seed
+        });
+        if !header_fits || cells.len() != params.num_cells() {
+            return Err(RoundError::DimensionMismatch);
+        }
+        if round != self.round {
+            return Err(RoundError::WrongRound {
+                expected: self.round,
+                got: round,
+            });
+        }
+        if report_header.is_some() {
+            if !enrolled(user) {
+                return Err(RoundError::UnknownUser(user));
+            }
+            if !self.reported.insert(user) {
+                return Err(RoundError::DuplicateReport(user));
+            }
+            self.accumulator.add_cells(cells);
+        } else {
+            // An adjustment is only owed by a client that reported.
+            if !self.reported.contains(&user) {
+                return Err(RoundError::UnknownUser(user));
+            }
+            if !self.adjusted.insert(user) {
+                return Err(RoundError::DuplicateReport(user));
+            }
+            self.accumulator.subtract_adjustment(cells);
+        }
+        Ok(())
+    }
+
+    /// Folds another shard's state for the same round into this one.
+    /// Shards own disjoint key ranges, so a user present in both is a
+    /// [`RoundError::DuplicateReport`]; nothing is folded on an error.
+    pub fn merge(&mut self, other: &RoundState) -> Result<(), RoundError> {
+        if other.round != self.round {
+            return Err(RoundError::WrongRound {
+                expected: self.round,
+                got: other.round,
+            });
+        }
+        if other.accumulator.params() != self.accumulator.params() {
+            return Err(RoundError::DimensionMismatch);
+        }
+        if let Some(&dup) = self.reported.intersection(&other.reported).next() {
+            return Err(RoundError::DuplicateReport(dup));
+        }
+        self.accumulator.merge(&other.accumulator);
+        self.reported.extend(&other.reported);
+        self.adjusted.extend(&other.adjusted);
+        Ok(())
+    }
+
+    /// Closes the round: unblinds (by summation), enumerates the ad-ID
+    /// space and computes the global view + `Users_th`.
+    ///
+    /// Correct when the state covers the whole cohort and either every
+    /// enrolled client reported or every reporting client sent its
+    /// adjustment for the missing set.
+    pub fn finalize(self, mapper: &AdIdMapper, policy: ThresholdPolicy) -> GlobalView {
+        let reports = self.accumulator.reports();
+        let aggregate = self.accumulator.finalize(reports as u64);
+        let estimates = mapper.all_ids().map(|ad| (ad, aggregate.query(ad) as f64));
+        GlobalView::from_estimates(estimates, policy)
+    }
 }
 
-/// The aggregation server.
+/// Serves one envelope at a node whose round is `current`: reports and
+/// adjustments are absorbed into it (`Ok(None)`); everything else
+/// carries no aggregation state and gets its reply here — a `#Users`
+/// query is answered from `view` (a cluster shard has none: explicit
+/// `NOT_READY`), an `Error` is never answered with an error, any other
+/// kind is refused as unsupported.
+pub(crate) fn serve(
+    current: &mut Option<RoundState>,
+    view: Option<&GlobalView>,
+    env: &Envelope,
+    enrolled: impl Fn(u32) -> bool,
+) -> Result<Option<Envelope>, RoundError> {
+    let reply = match &env.msg {
+        Message::Report { .. } | Message::Adjustment { .. } => {
+            let state = current.as_mut().ok_or(RoundError::NoOpenRound)?;
+            state.absorb(env, enrolled)?;
+            return Ok(None);
+        }
+        Message::Error { .. } => return Ok(None),
+        Message::UsersQuery { round, ad } => match view {
+            Some(view) => Message::UsersReply {
+                round: *round,
+                ad: *ad,
+                estimate: view.users(*ad) as u32,
+            },
+            None => Message::Error {
+                code: error_code::NOT_READY,
+                detail: format!("no finalized round to answer #Users({ad})"),
+                hint: None,
+            },
+        },
+        other => Message::Error {
+            code: error_code::UNSUPPORTED_MESSAGE,
+            detail: format!("backend does not serve {}", other.kind()),
+            hint: None,
+        },
+    };
+    Ok(Some(Envelope::new(NodeId::Backend, env.round, reply)))
+}
+
+/// The one-node aggregation server: bulletin board, at most one open
+/// [`RoundState`], and the finalized views audits are answered from.
 #[derive(Debug)]
 pub struct BackendServer {
     directory: KeyDirectory,
@@ -86,14 +248,6 @@ pub enum RoundError {
         /// The shard the envelope was delivered to.
         got: u32,
     },
-    /// A `ShardMapUpdate` carried an older version than the receiver
-    /// already holds.
-    StaleShardMap {
-        /// The version the receiver holds.
-        current: u32,
-        /// The stale version the update carried.
-        got: u32,
-    },
 }
 
 impl std::fmt::Display for RoundError {
@@ -112,9 +266,6 @@ impl std::fmt::Display for RoundError {
             RoundError::WrongShard { owner, got } => {
                 write!(f, "envelope for shard {owner} delivered to shard {got}")
             }
-            RoundError::StaleShardMap { current, got } => {
-                write!(f, "shard map version {got} is older than current {current}")
-            }
         }
     }
 }
@@ -127,7 +278,6 @@ impl RoundError {
     pub fn error_code(&self) -> u32 {
         match self {
             RoundError::WrongShard { .. } => error_code::WRONG_SHARD,
-            RoundError::StaleShardMap { .. } => error_code::STALE_SHARD_MAP,
             _ => error_code::REJECTED_REPORT,
         }
     }
@@ -174,144 +324,24 @@ impl BackendServer {
 
     /// Opens aggregation round `round`.
     pub fn open_round(&mut self, round: u64) {
-        self.current = Some(RoundState {
-            round,
-            accumulator: SketchAccumulator::new(self.params),
-            reported: BTreeSet::new(),
-            adjusted: BTreeSet::new(),
-            missing: Vec::new(),
-        });
-    }
-
-    /// Accepts one blinded report.
-    pub fn receive_report(
-        &mut self,
-        user: u32,
-        round: u64,
-        report: &BlindedSketch,
-    ) -> Result<(), RoundError> {
-        let state = self.current.as_mut().ok_or(RoundError::NoOpenRound)?;
-        if state.round != round {
-            return Err(RoundError::WrongRound {
-                expected: state.round,
-                got: round,
-            });
-        }
-        if self.directory.get(user).is_none() {
-            return Err(RoundError::UnknownUser(user));
-        }
-        if !state.reported.insert(user) {
-            return Err(RoundError::DuplicateReport(user));
-        }
-        if report.params() != self.params {
-            return Err(RoundError::DimensionMismatch);
-        }
-        state.accumulator.add(report);
-        Ok(())
+        self.current = Some(RoundState::open(self.params, round));
     }
 
     /// After the report deadline: the list of enrolled users whose
     /// reports never arrived. Broadcast to the cohort, whose members
     /// answer with adjustments (§6 "Fault-tolerance").
     pub fn missing_clients(&mut self) -> Result<Vec<u32>, RoundError> {
-        let state = self.current.as_mut().ok_or(RoundError::NoOpenRound)?;
-        let missing: Vec<u32> = self
-            .directory
-            .user_ids()
-            .filter(|u| !state.reported.contains(u))
-            .collect();
-        state.missing = missing.clone();
-        Ok(missing)
+        let state = self.current.as_ref().ok_or(RoundError::NoOpenRound)?;
+        let silent = |user: &u32| !state.has_reported(*user);
+        Ok(self.directory.user_ids().filter(silent).collect())
     }
 
-    /// Accepts one recovery adjustment from a reporting client.
-    pub fn receive_adjustment(
-        &mut self,
-        user: u32,
-        round: u64,
-        adjustment: &[u32],
-    ) -> Result<(), RoundError> {
-        let state = self.current.as_mut().ok_or(RoundError::NoOpenRound)?;
-        if state.round != round {
-            return Err(RoundError::WrongRound {
-                expected: state.round,
-                got: round,
-            });
-        }
-        if !state.reported.contains(&user) {
-            return Err(RoundError::UnknownUser(user));
-        }
-        if !state.adjusted.insert(user) {
-            return Err(RoundError::DuplicateReport(user));
-        }
-        if adjustment.len() != self.params.num_cells() {
-            return Err(RoundError::DimensionMismatch);
-        }
-        state.accumulator.subtract_adjustment(adjustment);
-        Ok(())
-    }
-
-    /// Closes the round: unblinds (by summation), enumerates the ad-ID
-    /// space and computes the global view + `Users_th`.
-    ///
-    /// Correct when either every enrolled client reported, or every
-    /// reporting client sent its adjustment for the missing set.
+    /// Closes the round ([`RoundState::finalize`]) and keeps its view.
     pub fn finalize_round(&mut self) -> Result<&GlobalView, RoundError> {
         let state = self.current.take().ok_or(RoundError::NoOpenRound)?;
-        let reports = state.accumulator.reports();
-        let aggregate = state.accumulator.finalize(reports as u64);
-        let estimates = self
-            .mapper
-            .all_ids()
-            .map(|ad| (ad, aggregate.query(ad) as f64));
-        let view = GlobalView::from_estimates(estimates, self.policy);
-        self.finalized.push((state.round, view));
+        let round = state.round();
+        self.install_view(round, state.finalize(&self.mapper, self.policy));
         Ok(&self.finalized.last().expect("just pushed").1)
-    }
-
-    /// Closes the round **without** computing a view, exporting the
-    /// partial aggregation state instead — the per-shard half of a
-    /// cluster finalize. A shard's accumulator is still blinded (the
-    /// Kursawe terms only cancel over the *whole* cohort), so a shard
-    /// can never finalize alone; its [`crate::cluster::ShardView`] is
-    /// merged with its siblings' through [`crate::cluster::ViewMerger`]
-    /// and only the merged aggregate is unblinded and enumerated.
-    pub fn take_shard_view(&mut self) -> Result<crate::cluster::ShardView, RoundError> {
-        let state = self.current.take().ok_or(RoundError::NoOpenRound)?;
-        Ok(crate::cluster::ShardView::from_parts(
-            state.round,
-            state.accumulator,
-            state.reported,
-        ))
-    }
-
-    /// Exports the open round's aggregation state as a restartable
-    /// checkpoint, leaving the round open. `None` when no round is open.
-    ///
-    /// A checkpoint is the snapshot half of the journal's
-    /// snapshot-plus-replay recovery: a cold-restarted shard restores
-    /// the last checkpoint and then replays only the `Absorbed` records
-    /// above the snapshot watermark (see `crate::journal::RoundLog`).
-    pub fn checkpoint(&self) -> Option<RoundCheckpoint> {
-        self.current.as_ref().map(|state| RoundCheckpoint {
-            round: state.round,
-            accumulator: state.accumulator.clone(),
-            reported: state.reported.clone(),
-            adjusted: state.adjusted.clone(),
-            missing: state.missing.clone(),
-        })
-    }
-
-    /// Restores a round checkpoint taken with [`Self::checkpoint`],
-    /// replacing whatever round state the server held.
-    pub fn restore(&mut self, checkpoint: RoundCheckpoint) {
-        self.current = Some(RoundState {
-            round: checkpoint.round,
-            accumulator: checkpoint.accumulator,
-            reported: checkpoint.reported,
-            adjusted: checkpoint.adjusted,
-            missing: checkpoint.missing,
-        });
     }
 
     /// Publishes an externally finalized view for `round` (the cluster
@@ -336,83 +366,18 @@ impl BackendServer {
 }
 
 /// The backend as a message-driven role service: reports, adjustments
-/// and `#Users` queries arrive as [`Envelope`]s; the envelope header is
-/// cross-checked against the payload (spoofed sender or mismatched
-/// round is a clean rejection) before any state changes.
+/// and `#Users` queries arrive as [`Envelope`]s and are answered by the
+/// same `serve` function a cluster shard uses.
 impl AggregationBackend for BackendServer {
     fn open_round(&mut self, round: u64) {
         BackendServer::open_round(self, round);
     }
 
     fn on_envelope(&mut self, env: Envelope) -> Result<Option<Envelope>, RoundError> {
-        let Envelope {
-            round: env_round,
-            sender,
-            msg,
-            ..
-        } = env;
-        match msg {
-            Message::Report {
-                user,
-                round,
-                depth,
-                width,
-                seed,
-                cells,
-            } => {
-                if sender != NodeId::Client(user) || env_round != round {
-                    return Err(RoundError::EnvelopeMismatch);
-                }
-                // Full-header *and* cell-count check against the raw
-                // fields (never through `CmsParams::new`, whose
-                // degenerate-dimension assert a hostile depth/width of 0
-                // would trip): a corrupted or hostile frame that still
-                // decoded must be a clean error, never a panic.
-                if depth as usize != self.params.depth
-                    || width as usize != self.params.width
-                    || seed != self.params.hash_seed
-                    || cells.len() != self.params.num_cells()
-                {
-                    return Err(RoundError::DimensionMismatch);
-                }
-                let report = BlindedSketch::from_raw(self.params, cells);
-                self.receive_report(user, round, &report)?;
-                Ok(None)
-            }
-            Message::Adjustment { user, round, cells } => {
-                if sender != NodeId::Client(user) || env_round != round {
-                    return Err(RoundError::EnvelopeMismatch);
-                }
-                self.receive_adjustment(user, round, &cells)?;
-                Ok(None)
-            }
-            Message::UsersQuery { round, ad } => {
-                let reply = match self.latest_view() {
-                    Some(view) => Message::UsersReply {
-                        round,
-                        ad,
-                        estimate: view.users(ad) as u32,
-                    },
-                    None => Message::Error {
-                        code: error_code::NOT_READY,
-                        detail: format!("no finalized round to answer #Users({ad})"),
-                        hint: None,
-                    },
-                };
-                Ok(Some(Envelope::new(NodeId::Backend, env_round, reply)))
-            }
-            // Never answer an error with an error.
-            Message::Error { .. } => Ok(None),
-            other => Ok(Some(Envelope::new(
-                NodeId::Backend,
-                env_round,
-                Message::Error {
-                    code: error_code::UNSUPPORTED_MESSAGE,
-                    detail: format!("backend does not serve {}", other.kind()),
-                    hint: None,
-                },
-            ))),
-        }
+        let view = self.finalized.last().map(|(_, v)| v);
+        serve(&mut self.current, view, &env, |user| {
+            self.directory.get(user).is_some()
+        })
     }
 
     fn missing_clients(&mut self) -> Result<Vec<u32>, RoundError> {
@@ -425,9 +390,8 @@ impl AggregationBackend for BackendServer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use ew_sketch::BlindedSketch;
 
     fn server() -> BackendServer {
         BackendServer::new(
@@ -438,12 +402,33 @@ mod tests {
         )
     }
 
-    fn raw_report(params: CmsParams, ads: &[u64]) -> BlindedSketch {
-        let mut s = ew_sketch::CountMinSketch::new(params);
-        for &a in ads {
-            s.update(a);
+    /// `user`'s cleartext report of `ads` for `round`, enveloped.
+    pub(crate) fn report_env(p: CmsParams, user: u32, round: u64, ads: &[u64]) -> Envelope {
+        let mut sketch = ew_sketch::CountMinSketch::new(p);
+        for &ad in ads {
+            sketch.update(ad);
         }
-        BlindedSketch::from_raw(params, s.cells().to_vec())
+        Envelope::new(
+            NodeId::Client(user),
+            round,
+            Message::Report {
+                user,
+                round,
+                depth: p.depth as u32,
+                width: p.width as u32,
+                seed: p.hash_seed,
+                cells: sketch.cells().to_vec(),
+            },
+        )
+    }
+
+    fn adjustment_env(user: u32, round: u64, cells: Vec<u32>) -> Envelope {
+        let msg = Message::Adjustment { user, round, cells };
+        Envelope::new(NodeId::Client(user), round, msg)
+    }
+
+    fn send(srv: &mut BackendServer, env: Envelope) -> Result<Option<Envelope>, RoundError> {
+        AggregationBackend::on_envelope(srv, env)
     }
 
     #[test]
@@ -454,9 +439,9 @@ mod tests {
         }
         srv.open_round(1);
         let p = srv.params();
-        srv.receive_report(0, 1, &raw_report(p, &[5, 9])).unwrap();
-        srv.receive_report(1, 1, &raw_report(p, &[5])).unwrap();
-        srv.receive_report(2, 1, &raw_report(p, &[5, 60])).unwrap();
+        assert_eq!(send(&mut srv, report_env(p, 0, 1, &[5, 9])), Ok(None));
+        assert_eq!(send(&mut srv, report_env(p, 1, 1, &[5])), Ok(None));
+        assert_eq!(send(&mut srv, report_env(p, 2, 1, &[5, 60])), Ok(None));
         assert_eq!(srv.missing_clients().unwrap(), Vec::<u32>::new());
         let view = srv.finalize_round().unwrap();
         assert_eq!(view.users(5), 3.0);
@@ -474,14 +459,14 @@ mod tests {
 
         // No round open yet.
         assert_eq!(
-            srv.receive_report(0, 1, &raw_report(p, &[])),
+            send(&mut srv, report_env(p, 0, 1, &[])),
             Err(RoundError::NoOpenRound)
         );
 
         srv.open_round(1);
         // Wrong round.
         assert_eq!(
-            srv.receive_report(0, 2, &raw_report(p, &[])),
+            send(&mut srv, report_env(p, 0, 2, &[])),
             Err(RoundError::WrongRound {
                 expected: 1,
                 got: 2
@@ -489,21 +474,27 @@ mod tests {
         );
         // Unknown user.
         assert_eq!(
-            srv.receive_report(9, 1, &raw_report(p, &[])),
+            send(&mut srv, report_env(p, 9, 1, &[])),
             Err(RoundError::UnknownUser(9))
         );
         // Duplicate.
-        srv.receive_report(0, 1, &raw_report(p, &[1])).unwrap();
+        assert_eq!(send(&mut srv, report_env(p, 0, 1, &[1])), Ok(None));
         assert_eq!(
-            srv.receive_report(0, 1, &raw_report(p, &[1])),
+            send(&mut srv, report_env(p, 0, 1, &[1])),
             Err(RoundError::DuplicateReport(0))
         );
         // Dimension mismatch.
-        let bad = raw_report(CmsParams::new(2, 16, 3), &[]);
         srv.enroll(1, UBig::from_u64(2));
         assert_eq!(
-            srv.receive_report(1, 1, &bad),
+            send(&mut srv, report_env(CmsParams::new(2, 16, 3), 1, 1, &[])),
             Err(RoundError::DimensionMismatch)
+        );
+        // A round state absorbs reports and adjustments, nothing else.
+        let mut state = RoundState::open(p, 1);
+        let query = Message::UsersQuery { round: 1, ad: 5 };
+        assert_eq!(
+            state.absorb(&Envelope::new(NodeId::Client(0), 1, query), |_| true),
+            Err(RoundError::EnvelopeMismatch)
         );
     }
 
@@ -515,9 +506,40 @@ mod tests {
         }
         srv.open_round(2);
         let p = srv.params();
-        srv.receive_report(0, 2, &raw_report(p, &[1])).unwrap();
-        srv.receive_report(2, 2, &raw_report(p, &[1])).unwrap();
+        assert_eq!(send(&mut srv, report_env(p, 0, 2, &[1])), Ok(None));
+        assert_eq!(send(&mut srv, report_env(p, 2, 2, &[1])), Ok(None));
         assert_eq!(srv.missing_clients().unwrap(), vec![1, 3]);
+    }
+
+    #[test]
+    fn rejected_adjustment_leaves_no_trace() {
+        // Users 0 and 1 report, user 2 stays silent, both reporters owe
+        // an adjustment. In the hostile run user 0's first adjustment is
+        // three cells long: it must be refused *and forgotten*, so the
+        // genuine one that follows is still accepted and subtracted.
+        let run = |hostile: bool| {
+            let mut srv = server();
+            for u in 0..3 {
+                srv.enroll(u, UBig::from_u64(u as u64 + 1));
+            }
+            srv.open_round(1);
+            let p = srv.params();
+            assert_eq!(send(&mut srv, report_env(p, 0, 1, &[5, 9])), Ok(None));
+            assert_eq!(send(&mut srv, report_env(p, 1, 1, &[5])), Ok(None));
+            assert_eq!(srv.missing_clients().unwrap(), vec![2]);
+            if hostile {
+                assert_eq!(
+                    send(&mut srv, adjustment_env(0, 1, vec![7; 3])),
+                    Err(RoundError::DimensionMismatch)
+                );
+            }
+            for user in 0..2u32 {
+                let cells = (0..p.num_cells() as u32).map(|c| c * 31 + user).collect();
+                assert_eq!(send(&mut srv, adjustment_env(user, 1, cells)), Ok(None));
+            }
+            srv.finalize_round().unwrap().clone()
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -525,75 +547,36 @@ mod tests {
         let mut srv = server();
         srv.enroll(0, UBig::from_u64(1));
         srv.open_round(1);
+        let p = srv.params();
         // Zero depth/width decodes fine at the message layer but would
         // trip `CmsParams::new`'s degenerate-dimension assert — the
         // node API must reject it cleanly instead.
-        let degenerate = Envelope::new(
-            NodeId::Client(0),
-            1,
-            Message::Report {
-                user: 0,
-                round: 1,
-                depth: 0,
-                width: 0,
-                seed: 0,
-                cells: Vec::new(),
-            },
-        );
+        let mut degenerate = report_env(p, 0, 1, &[1]);
+        degenerate.msg = Message::Report {
+            user: 0,
+            round: 1,
+            depth: 0,
+            width: 0,
+            seed: 0,
+            cells: Vec::new(),
+        };
         assert_eq!(
-            AggregationBackend::on_envelope(&mut srv, degenerate),
+            send(&mut srv, degenerate),
             Err(RoundError::DimensionMismatch)
         );
         // Spoofed sender and mismatched envelope round are rejected
         // before any state change.
-        let p = srv.params();
-        let good_cells = raw_report(p, &[1]).into_cells();
-        let spoofed = Envelope::new(
-            NodeId::Client(7),
-            1,
-            Message::Report {
-                user: 0,
-                round: 1,
-                depth: p.depth as u32,
-                width: p.width as u32,
-                seed: p.hash_seed,
-                cells: good_cells.clone(),
-            },
-        );
+        let mut spoofed = report_env(p, 0, 1, &[1]);
+        spoofed.sender = NodeId::Client(7);
+        assert_eq!(send(&mut srv, spoofed), Err(RoundError::EnvelopeMismatch));
+        let mut wrong_round = report_env(p, 0, 1, &[1]);
+        wrong_round.round = 2;
         assert_eq!(
-            AggregationBackend::on_envelope(&mut srv, spoofed),
-            Err(RoundError::EnvelopeMismatch)
-        );
-        let wrong_round = Envelope::new(
-            NodeId::Client(0),
-            2,
-            Message::Report {
-                user: 0,
-                round: 1,
-                depth: p.depth as u32,
-                width: p.width as u32,
-                seed: p.hash_seed,
-                cells: good_cells.clone(),
-            },
-        );
-        assert_eq!(
-            AggregationBackend::on_envelope(&mut srv, wrong_round),
+            send(&mut srv, wrong_round),
             Err(RoundError::EnvelopeMismatch)
         );
         // The genuine envelope still lands.
-        let genuine = Envelope::new(
-            NodeId::Client(0),
-            1,
-            Message::Report {
-                user: 0,
-                round: 1,
-                depth: p.depth as u32,
-                width: p.width as u32,
-                seed: p.hash_seed,
-                cells: good_cells,
-            },
-        );
-        assert_eq!(AggregationBackend::on_envelope(&mut srv, genuine), Ok(None));
+        assert_eq!(send(&mut srv, report_env(p, 0, 1, &[1])), Ok(None));
         assert_eq!(srv.missing_clients().unwrap(), Vec::<u32>::new());
     }
 
@@ -604,8 +587,7 @@ mod tests {
         for round in 1..=2 {
             srv.open_round(round);
             let p = srv.params();
-            srv.receive_report(0, round, &raw_report(p, &[round]))
-                .unwrap();
+            assert_eq!(send(&mut srv, report_env(p, 0, round, &[round])), Ok(None));
             srv.finalize_round().unwrap();
         }
         assert!(srv.view_for_round(1).is_some());

@@ -1,10 +1,6 @@
 //! The multi-backend aggregation cluster: shard-routed report absorption
-//! over N backend shards, associative view merging, and mid-round
+//! over N backend shards, associative state merging, and mid-round
 //! failover with journal replay.
-//!
-//! The single [`BackendServer`] absorbing every report envelope is the
-//! last single-node bottleneck of the weekly round. This module splits
-//! it along the key-space seam the earlier PRs left open:
 //!
 //! * [`ew_proto::ShardMap`] deterministically partitions report
 //!   ownership by client id; the map is versioned and travels as a
@@ -14,14 +10,17 @@
 //!   (any inner bus — [`InProcBus`] moves, [`WireBus`] frames+CRC+faults
 //!   per shard): every backend-bound envelope is routed to its owning
 //!   shard's link; every other destination rides a shared side bus.
-//! * [`ClusterBackend`] implements [`AggregationBackend`] over N inner
-//!   [`BackendServer`]s: reports fan out to their owning shard
-//!   (`absorb_batch` runs the shards on scoped worker threads), and the
-//!   round finalizes by folding every shard's partial state through
-//!   [`ViewMerger`] — built on `SketchAccumulator::merge`, whose
-//!   cell-wise wrapping addition is associative and commutative, so the
-//!   merged view is **bit-identical** to the single-backend round for
-//!   every shard count.
+//! * [`ClusterBackend`] implements [`AggregationBackend`] over one
+//!   bulletin board and N shards, each of which **is** a
+//!   [`RoundState`] — the same type a single `BackendServer` holds.
+//!   Reports fan out to their owning shard (`absorb_batch` runs the
+//!   shards on scoped worker threads, every envelope through the one
+//!   validator, [`RoundState::absorb`]) and the round finalizes by
+//!   [`RoundState::merge`]-ing the shards and running the one
+//!   [`RoundState::finalize`] sweep. Cell-wise wrapping addition is
+//!   associative and commutative, so the merged view is
+//!   **bit-identical** to the single-backend round for every shard
+//!   count.
 //! * **Failover and crash-restart over one log**: when a shard's uplink
 //!   reports a [`TransportError`] (or a scripted [`ShardFailure`] severs
 //!   it) mid-round, the bus reassigns the dead shard's key range
@@ -38,11 +37,11 @@
 //!   re-delivery that slips through anyway, so every report lands
 //!   exactly once and the round finalizes bit-identically. The same log
 //!   gives [`ClusterBackend::restart_shard`] cold crash-restart: a
-//!   killed shard is rebuilt from the replicated enrolments, the last
-//!   snapshot checkpoint and the absorbed suffix, without touching the
-//!   survivors. Replay counters, journal depth and phase timings are
-//!   exported as [`ReplayMetrics`] so the whole path is observable
-//!   rather than trusted.
+//!   killed shard is the last snapshot's clone of its state (or a fresh
+//!   one) plus its absorbed suffix, without touching the survivors.
+//!   Replay counters, journal depth and phase timings are exported as
+//!   [`ReplayMetrics`] so the whole path is observable rather than
+//!   trusted.
 //!
 //! The round machine and the party traits are untouched: a cluster
 //! round is `drive_round(clients, &mut ClusterBackend, &mut RoutingBus,
@@ -52,25 +51,25 @@
 //!
 //! A shard's accumulator holds the cell-wise sum of *its* clients'
 //! blinded reports; the Kursawe blinding terms only cancel over the
-//! whole cohort, so any per-shard "view" is cryptographic noise. The
-//! only meaningful per-shard export is the partial [`ShardView`]
-//! (accumulator + reported set), and [`ViewMerger`] is the one place the
-//! cluster unblinds: merge everything, then enumerate once.
+//! whole cohort, so any per-shard "view" is cryptographic noise. A
+//! shard's state is only ever merged, and [`ClusterBackend`]'s
+//! `finalize` is the one place the cluster unblinds: merge everything,
+//! then enumerate once.
 
-use crate::backend::{BackendServer, RoundError};
+use crate::backend::{serve, RoundError, RoundState};
 use crate::ids::AdIdMapper;
 use crate::journal::{dedupe_key, RoundLog};
 use crate::node::{AggregationBackend, InProcBus, RoundPhase, ServiceBus, WireBus};
-use crate::telemetry::{phase_index, Hist64, ReplayMetrics};
+use crate::telemetry::{phase_index, ReplayMetrics};
 use crate::trace;
 use ew_bigint::UBig;
 use ew_core::{GlobalView, ThresholdPolicy};
+use ew_crypto::directory::KeyDirectory;
 use ew_proto::crc32::crc32;
 use ew_proto::transport::TransportError;
 use ew_proto::{Envelope, FaultConfig, JournalEvent, Membership, Message, NodeId, ShardMap};
 use ew_simnet::{RestartPhase, ShardRestart};
-use ew_sketch::{CmsParams, SketchAccumulator};
-use std::collections::BTreeSet;
+use ew_sketch::CmsParams;
 use std::time::Instant;
 
 /// The client id an envelope's shard ownership is decided by: the
@@ -78,17 +77,16 @@ use std::time::Instant;
 /// trusts), the sending client otherwise; non-client senders fall to
 /// slot 0's owner (control traffic has no key-space home).
 pub fn route_user(env: &Envelope) -> u32 {
-    match &env.msg {
-        Message::Report { user, .. } | Message::Adjustment { user, .. } => *user,
-        _ => match env.sender {
-            NodeId::Client(id) => id,
-            NodeId::Backend | NodeId::Oprf | NodeId::Telemetry | NodeId::Coordinator => 0,
-        },
+    match (dedupe_key(env), env.sender) {
+        (Some((_, user, _)), _) | (None, NodeId::Client(user)) => user,
+        (None, _) => 0,
     }
 }
 
+/// Reports and adjustments: the envelopes that carry aggregation state
+/// (exactly the ones with a dedupe identity).
 fn is_data_plane(env: &Envelope) -> bool {
-    matches!(env.msg, Message::Report { .. } | Message::Adjustment { .. })
+    dedupe_key(env).is_some()
 }
 
 fn map_update_envelope(map: &ShardMap) -> Envelope {
@@ -101,113 +99,6 @@ fn map_update_envelope(map: &ShardMap) -> Envelope {
             owners: map.owners().to_vec(),
         },
     )
-}
-
-/// One shard's partial aggregation state: the still-blinded cell-wise
-/// sum of its clients' reports (adjustments already subtracted) plus the
-/// set of users it heard from. The unit [`ViewMerger`] folds.
-#[derive(Debug, Clone)]
-pub struct ShardView {
-    round: u64,
-    accumulator: SketchAccumulator,
-    reported: BTreeSet<u32>,
-}
-
-impl ShardView {
-    /// An empty shard's view (a shard that owned no reporting clients
-    /// this round — merging it is the identity).
-    pub fn empty(params: CmsParams, round: u64) -> Self {
-        ShardView {
-            round,
-            accumulator: SketchAccumulator::new(params),
-            reported: BTreeSet::new(),
-        }
-    }
-
-    pub(crate) fn from_parts(
-        round: u64,
-        accumulator: SketchAccumulator,
-        reported: BTreeSet<u32>,
-    ) -> Self {
-        ShardView {
-            round,
-            accumulator,
-            reported,
-        }
-    }
-
-    /// The round this partial state belongs to.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Reports folded into this shard's accumulator.
-    pub fn reports(&self) -> usize {
-        self.accumulator.reports()
-    }
-
-    /// Folds `other` into `self`. Cell addition in `Z_{2^32}` is
-    /// associative and commutative and the reported sets are disjoint by
-    /// key-space ownership, so any merge order or grouping produces the
-    /// same state — the property `ViewMerger`'s proptest pins.
-    pub fn merge(&mut self, other: &ShardView) -> Result<(), RoundError> {
-        if other.round != self.round {
-            return Err(RoundError::WrongRound {
-                expected: self.round,
-                got: other.round,
-            });
-        }
-        if other.accumulator.params() != self.accumulator.params() {
-            return Err(RoundError::DimensionMismatch);
-        }
-        if let Some(&dup) = self.reported.intersection(&other.reported).next() {
-            return Err(RoundError::DuplicateReport(dup));
-        }
-        self.accumulator.merge(&other.accumulator);
-        self.reported.extend(other.reported.iter().copied());
-        Ok(())
-    }
-}
-
-/// Folds per-shard [`ShardView`]s into the single global view the
-/// cohort's blinding actually cancels over. Built on the
-/// `SketchAccumulator::merge` seam: absorption is associative and
-/// commutative, so shards may arrive in any order or pre-merged in any
-/// grouping, including empty shards, and the finalized view is
-/// bit-identical to the single-backend round's.
-#[derive(Debug)]
-pub struct ViewMerger {
-    merged: ShardView,
-}
-
-impl ViewMerger {
-    /// An empty merger for `round` under the cohort's dimensions.
-    pub fn new(params: CmsParams, round: u64) -> Self {
-        ViewMerger {
-            merged: ShardView::empty(params, round),
-        }
-    }
-
-    /// Folds one shard's partial state in.
-    pub fn absorb(&mut self, view: &ShardView) -> Result<(), RoundError> {
-        self.merged.merge(view)
-    }
-
-    /// Reports folded in so far, across every absorbed shard.
-    pub fn reports(&self) -> usize {
-        self.merged.reports()
-    }
-
-    /// Unblinds (by summation — the merged accumulator is the whole
-    /// cohort's, so the blinding terms cancel), enumerates the ad-ID
-    /// space and computes the global view, exactly as
-    /// `BackendServer::finalize_round` does for one node.
-    pub fn finalize(self, mapper: &AdIdMapper, policy: ThresholdPolicy) -> GlobalView {
-        let reports = self.merged.accumulator.reports();
-        let aggregate = self.merged.accumulator.finalize(reports as u64);
-        let estimates = mapper.all_ids().map(|ad| (ad, aggregate.query(ad) as f64));
-        GlobalView::from_estimates(estimates, policy)
-    }
 }
 
 /// A scripted mid-round shard death for the failover tests and fault
@@ -253,21 +144,11 @@ pub struct RoutingBus<B: ServiceBus> {
     journal: Vec<Vec<Envelope>>,
     failure: Option<ShardFailure>,
     backend_sends: usize,
-    /// Data-plane envelopes routed to an uplink (counter).
-    routed: u64,
-    /// In-flight envelopes re-sent by a failover (counter).
-    replayed: u64,
-    /// In-flight entries dropped at phase-transition truncation.
-    truncated: u64,
-    /// Deepest backend drain seen (high-water mark).
-    queue_depth: u64,
-    /// Busy wall-clock per phase; excluded from determinism checks.
-    phase_nanos: [u64; 4],
-    /// Per-phase latency distributions (one sample per phase
-    /// transition); excluded from determinism checks like every timing.
-    phase_hist: [Hist64; 4],
-    /// In-flight replay duration distribution (failover re-sends).
-    replay_hist: Hist64,
+    /// What `take_metrics` drains: `routed`, `replayed` (in-flight
+    /// re-sends), `truncated` (entries acknowledged at a phase
+    /// transition), the `queue_depth` high-water mark, and the phase
+    /// and replay timings (excluded from determinism checks).
+    metrics: ReplayMetrics,
     /// The phase the bus is currently in, and since when.
     clock: Option<(RoundPhase, Instant)>,
 }
@@ -318,13 +199,7 @@ impl<B: ServiceBus> RoutingBus<B> {
             journal,
             failure,
             backend_sends: 0,
-            routed: 0,
-            replayed: 0,
-            truncated: 0,
-            queue_depth: 0,
-            phase_nanos: [0; 4],
-            phase_hist: [Hist64::new(); 4],
-            replay_hist: Hist64::new(),
+            metrics: ReplayMetrics::default(),
             clock: None,
         }
     }
@@ -346,8 +221,8 @@ impl<B: ServiceBus> RoutingBus<B> {
         let now = Instant::now();
         if let Some((phase, since)) = self.clock.take() {
             let nanos = now.duration_since(since).as_nanos() as u64;
-            self.phase_nanos[phase_index(phase)] += nanos;
-            self.phase_hist[phase_index(phase)].record(nanos);
+            self.metrics.phase_nanos[phase_index(phase)] += nanos;
+            self.metrics.phase_hist[phase_index(phase)].record(nanos);
         }
         self.clock = next.map(|p| (p, now));
     }
@@ -376,7 +251,7 @@ impl<B: ServiceBus> RoutingBus<B> {
         let orphans = std::mem::take(&mut self.journal[dead as usize]);
         let _span = trace::span("shard_failover", dead as u64, orphans.len() as u64);
         let replay_started = Instant::now();
-        self.replayed += orphans.len() as u64;
+        self.metrics.replayed += orphans.len() as u64;
         for env in orphans {
             let owner = self.map.owner_of(route_user(&env)) as usize;
             self.links[owner]
@@ -386,7 +261,8 @@ impl<B: ServiceBus> RoutingBus<B> {
                 .expect("surviving uplink accepts the replay");
             self.journal[owner].push(env);
         }
-        self.replay_hist
+        self.metrics
+            .replay_hist
             .record(replay_started.elapsed().as_nanos() as u64);
     }
 
@@ -408,7 +284,7 @@ impl<B: ServiceBus> RoutingBus<B> {
         // map broadcast, and journaling it would double-deliver it.
         let track = is_data_plane(&env);
         if track {
-            self.routed += 1;
+            self.metrics.routed += 1;
         }
         let owner = self.map.owner_of(route_user(&env)) as usize;
         let sent = self.links[owner]
@@ -462,9 +338,8 @@ impl<B: ServiceBus> ServiceBus for RoutingBus<B> {
         // Drained ≠ absorbed: the in-flight journal is kept until the
         // next phase transition acknowledges the absorb, so an uplink
         // dying between drain and absorb still has its envelopes
-        // replayed. (This was the double-replay seam of the dual-journal
-        // design: clearing here *trusted* the absorb to happen.)
-        self.queue_depth = self.queue_depth.max(out.len() as u64);
+        // replayed.
+        self.metrics.queue_depth = self.metrics.queue_depth.max(out.len() as u64);
         (out, corrupt)
     }
 
@@ -475,8 +350,7 @@ impl<B: ServiceBus> ServiceBus for RoutingBus<B> {
         // transition is the absorb acknowledgment: everything tracked
         // here is now an `Absorbed` record in the backend's round log,
         // and keeping it would make a later failover double-deliver it.
-        let acked: usize = self.journal.iter().map(Vec::len).sum();
-        self.truncated += acked as u64;
+        self.metrics.truncated += self.in_flight() as u64;
         for journal in &mut self.journal {
             journal.clear();
         }
@@ -491,40 +365,25 @@ impl<B: ServiceBus> ServiceBus for RoutingBus<B> {
         // periodic observation never double-counts).
         let current = self.clock.map(|(p, _)| p);
         self.tick_clock(current);
-        let metrics = ReplayMetrics {
-            routed: self.routed,
-            replayed: self.replayed,
-            journal_depth: self.in_flight() as u64,
-            truncated: self.truncated,
-            queue_depth: self.queue_depth,
-            phase_nanos: self.phase_nanos,
-            phase_hist: self.phase_hist,
-            replay_hist: self.replay_hist,
-            ..ReplayMetrics::default()
-        };
-        self.routed = 0;
-        self.replayed = 0;
-        self.truncated = 0;
-        self.queue_depth = 0;
-        self.phase_nanos = [0; 4];
-        self.phase_hist = [Hist64::new(); 4];
-        self.replay_hist = Hist64::new();
-        Some(metrics)
+        self.metrics.journal_depth = self.in_flight() as u64;
+        Some(std::mem::take(&mut self.metrics))
     }
 }
 
-/// [`AggregationBackend`] over N [`BackendServer`] shards, each owning
-/// the key ranges its [`ShardMap`] assigns it. Every shard holds the
-/// full enrolment directory (the bulletin board is replicated state), so
-/// after a failover any shard can validate any replayed report.
+/// [`AggregationBackend`] over one bulletin board and N shards, each a
+/// [`RoundState`] owning the key ranges the [`ShardMap`] assigns it.
+/// The board is the cluster's, not a shard's, so neither a failover nor
+/// a cold restart ever has an enrolment to re-learn: any shard
+/// validates any replayed report against the same directory.
 ///
 /// The backend follows the map the bus broadcasts: a
 /// [`Message::ShardMapUpdate`] with a **strictly newer** version is
 /// adopted in-stream, the shards it removed are dropped, and their
-/// `Absorbed` records are replayed from the unified [`RoundLog`] into
-/// the ranges' new owners — reconstructing exactly the state each dead
-/// shard contributed, because validation and accumulation are
-/// deterministic and only *successful* absorptions are ever journaled.
+/// `Absorbed` records are replayed from the [`RoundLog`] into the
+/// ranges' new owners — reconstructing exactly the state each dead
+/// shard contributed, because [`RoundState::absorb`] is deterministic,
+/// a rejected envelope leaves no trace in a state, and only *accepted*
+/// envelopes are ever journaled.
 ///
 /// The log is the single source of truth for every replay flow:
 ///
@@ -532,41 +391,42 @@ impl<B: ServiceBus> ServiceBus for RoutingBus<B> {
 ///   replay the dead shard's records through routing into the new
 ///   owners, after dropping its dedupe-index entries so the replay
 ///   re-absorbs instead of self-deduping;
-/// * **cold crash-restart** ([`Self::restart_shard`]) — rebuild a
-///   killed shard in place from the replicated enrolments, the last
-///   [`Self::snapshot`] checkpoint and the absorbed suffix;
+/// * **cold crash-restart** ([`Self::restart_shard`]) — the last
+///   [`Self::snapshot`]'s clone of the shard's state, else a fresh
+///   state for the open round, then the absorbed suffix;
 /// * **duplicate suppression** ([`Self::deliver_to_shard`]) — a
 ///   byte-identical re-delivery of a record absorbed before the current
-///   batch is acknowledged silently instead of erroring (the
-///   double-replay window of the dual-journal design), while an
+///   batch is acknowledged silently instead of erroring, while an
 ///   in-batch duplicate still gets the same `DuplicateReport` answer a
 ///   single backend gives, keeping cluster-vs-single bit parity.
 #[derive(Debug)]
 pub struct ClusterBackend {
     map: ShardMap,
-    shards: Vec<Option<BackendServer>>,
+    /// One slot per shard id: `None` is a dead shard, `Some(None)` a
+    /// live shard with no round open, `Some(Some(_))` a shard mid-round.
+    shards: Vec<Option<Option<RoundState>>>,
+    /// The bulletin board — one for the whole cluster. Under a
+    /// coordinator it is read through the epoch's roster ([`roster`]).
+    directory: KeyDirectory,
     /// The event-sourced round log: one appender, many readers.
     log: RoundLog,
     round: Option<u64>,
-    element_len: usize,
     params: CmsParams,
     mapper: AdIdMapper,
     policy: ThresholdPolicy,
-    /// Replicated enrolment stream, replayed into cold-restarted shards
-    /// (every shard holds the full bulletin board).
-    enrollments: Vec<(u32, UBig)>,
     /// Dedupe horizon while a batch is absorbing: only records at or
     /// below this sequence number count as prior absorptions, so a wire
     /// duplicate *within* one batch is still answered exactly like the
     /// single-backend path answers it.
     batch_horizon: Option<u64>,
-    /// Envelopes re-absorbed from the log (failover + restart).
-    replayed: u64,
-    /// Re-deliveries suppressed by the log's dedupe index.
-    deduped: u64,
+    /// What `take_metrics` drains: `replayed` (re-absorbed from the
+    /// log, failover + restart), `deduped`, `late_reports_parked`, and
+    /// the absorb and replay timings (wall-clock; excluded from
+    /// determinism checks like every timing).
+    metrics: ReplayMetrics,
     /// The coordinator's epoch context, when this cluster is driven by
     /// one: the epoch number and its frozen membership ledger. Restricts
-    /// shard directories to the epoch roster (so `missing_clients` is
+    /// the bulletin board to the epoch roster (so `missing_clients` is
     /// roster-minus-reported, not cohort-minus-reported) and stamps
     /// `EpochOpened`/`MembershipInstalled` records into every round log
     /// so a cold restart replays across the epoch boundary.
@@ -579,23 +439,30 @@ pub struct ClusterBackend {
     /// Sequence watermark of the last parked report already folded into
     /// an epoch's report set; parked records at or below it are spent.
     parked_consumed: u64,
-    /// Late reports parked since the last `take_metrics` drain.
-    late_parked: u64,
-    /// Per-shard absorb-batch service-time distribution (wall-clock;
-    /// excluded from determinism checks like every timing).
-    absorb_hist: Hist64,
-    /// Journal replay duration distribution (failover adoption + cold
-    /// restart).
-    replay_hist: Hist64,
     /// A scripted crash-restart drill still waiting for its phase
     /// boundary ([`Self::script_restart`]); fires once, then is spent.
     restart_script: Option<ShardRestart>,
 }
 
+/// The bulletin board as a round sees it: a user counts as enrolled
+/// when their key is published and — under a coordinator — the epoch's
+/// frozen roster lists them.
+fn roster<'a>(
+    directory: &'a KeyDirectory,
+    epoch_context: &'a Option<(u64, Membership)>,
+) -> impl Fn(u32) -> bool + Copy + 'a {
+    move |user| {
+        directory.get(user).is_some()
+            && epoch_context
+                .as_ref()
+                .is_none_or(|(_, membership)| membership.contains(user))
+    }
+}
+
 impl ClusterBackend {
-    /// A cluster of one fresh [`BackendServer`] per live shard in `map`,
-    /// all sharing the cohort parameters. Enrolments are broadcast with
-    /// [`Self::enroll`].
+    /// A cluster of one live shard per live shard id in `map`, no round
+    /// open, sharing the cohort parameters and one bulletin board that
+    /// [`Self::enroll`] fills.
     pub fn new(
         map: ShardMap,
         element_len: usize,
@@ -603,46 +470,30 @@ impl ClusterBackend {
         mapper: AdIdMapper,
         policy: ThresholdPolicy,
     ) -> Self {
-        let shards: Vec<Option<BackendServer>> = (0..map.shard_ids())
-            .map(|s| {
-                if map.is_live(s) {
-                    Some(BackendServer::new(element_len, params, mapper, policy))
-                } else {
-                    None
-                }
-            })
+        let shards = (0..map.shard_ids())
+            .map(|s| map.is_live(s).then_some(None))
             .collect();
         ClusterBackend {
             map,
             shards,
+            directory: KeyDirectory::new(element_len),
             log: RoundLog::new(),
             round: None,
-            element_len,
             params,
             mapper,
             policy,
-            enrollments: Vec::new(),
             batch_horizon: None,
-            replayed: 0,
-            deduped: 0,
+            metrics: ReplayMetrics::default(),
             epoch_context: None,
             control: RoundLog::new(),
             parked_consumed: 0,
-            late_parked: 0,
-            absorb_hist: Hist64::new(),
-            replay_hist: Hist64::new(),
             restart_script: None,
         }
     }
 
-    /// Publishes a user's DH public key on every shard's bulletin board
-    /// (replicated, so neither failover nor a cold restart ever strands
-    /// an enrolment).
+    /// Publishes a user's DH public key on the cluster's bulletin board.
     pub fn enroll(&mut self, user: u32, public_key: UBig) {
-        for shard in self.shards.iter_mut().flatten() {
-            shard.enroll(user, public_key.clone());
-        }
-        self.enrollments.push((user, public_key));
+        self.directory.publish(user, public_key);
     }
 
     /// The map this backend currently routes by.
@@ -650,42 +501,20 @@ impl ClusterBackend {
         &self.map
     }
 
-    /// The enrolment stream restricted to the current epoch roster (the
-    /// whole bulletin board when no epoch context is installed).
-    fn active_enrollments(&self) -> Vec<(u32, UBig)> {
-        match &self.epoch_context {
-            Some((_, membership)) => self
-                .enrollments
-                .iter()
-                .filter(|(user, _)| membership.contains(*user))
-                .cloned()
-                .collect(),
-            None => self.enrollments.clone(),
-        }
-    }
-
-    /// Installs an epoch's frozen membership ledger and rebuilds every
-    /// live shard's directory down to exactly that roster. From here on
-    /// `missing_clients` means *roster* minus reported — a mid-epoch
-    /// dropout folds into the existing silent-client recovery path, and
-    /// a departed member is simply absent rather than forever "missing".
-    /// The next [`AggregationBackend::open_round`] stamps the matching
-    /// `EpochOpened` and `MembershipInstalled` records into the fresh
-    /// round log.
-    ///
-    /// Keys come from the replicated bulletin board, so a member absent
-    /// from it is skipped (it enrolls on first join, like any cohort
-    /// build).
+    /// Installs an epoch's frozen membership ledger and closes whatever
+    /// round the live shards still held. From here on the bulletin
+    /// board is read through that roster: `missing_clients` means
+    /// *roster* minus reported — a mid-epoch dropout folds into the
+    /// existing silent-client recovery path, and a departed member is
+    /// simply absent rather than forever "missing" — and a member with
+    /// no published key is not enrolled (it enrolls on first join, like
+    /// any cohort build). The next [`AggregationBackend::open_round`]
+    /// stamps the matching `EpochOpened` and `MembershipInstalled`
+    /// records into the fresh round log.
     pub fn begin_epoch(&mut self, epoch: u64, membership: &Membership) {
         self.epoch_context = Some((epoch, membership.clone()));
-        let keys = self.active_enrollments();
-        for server in self.shards.iter_mut().flatten() {
-            let mut fresh =
-                BackendServer::new(self.element_len, self.params, self.mapper, self.policy);
-            for (user, key) in &keys {
-                fresh.enroll(*user, key.clone());
-            }
-            *server = fresh;
+        for slot in self.shards.iter_mut().flatten() {
+            *slot = None;
         }
     }
 
@@ -720,20 +549,17 @@ impl ClusterBackend {
         &self.log
     }
 
-    /// Checkpoints every live shard's round state into the log and
-    /// truncates everything the checkpoints cover — the watermark that
-    /// keeps the journal's depth bounded by the traffic since the last
-    /// snapshot instead of the whole round. Exactly-once is unaffected:
-    /// the dedupe index survives truncation.
+    /// Checkpoints every live shard's round state — a clone — into the
+    /// log and truncates everything the checkpoints cover: the
+    /// watermark that keeps the journal's depth bounded by the traffic
+    /// since the last snapshot instead of the whole round. Exactly-once
+    /// is unaffected: the dedupe index survives truncation.
     pub fn snapshot(&mut self) {
         let checkpoints = self
             .shards
             .iter()
             .enumerate()
-            .filter_map(|(s, server)| {
-                let cp = server.as_ref()?.checkpoint()?;
-                Some((s as u32, cp))
-            })
+            .filter_map(|(s, slot)| Some((s as u32, slot.as_ref()?.clone()?)))
             .collect();
         self.log.snapshot(checkpoints);
     }
@@ -747,14 +573,14 @@ impl ClusterBackend {
         self.shards[shard as usize] = None;
     }
 
-    /// Cold-restarts shard `shard` from durable state only: a fresh
-    /// [`BackendServer`] is enrolled from the replicated bulletin board,
-    /// restored from the log's last snapshot checkpoint (if one exists)
-    /// and fed the shard's `Absorbed` suffix above the watermark, in
-    /// sequence order. Replay bypasses the dedupe check and appends no
-    /// new records — the log already proves these absorptions, so the
-    /// flow is idempotent and a double restart lands on identical
-    /// state. Returns the number of records replayed.
+    /// Cold-restarts shard `shard` from durable state only: the log's
+    /// last snapshot checkpoint of it, else a fresh state for the open
+    /// round, then the shard's `Absorbed` suffix above the watermark,
+    /// absorbed by reference in sequence order. Replay bypasses the
+    /// dedupe check and appends no new records — the log already proves
+    /// these absorptions, so the flow is idempotent and a double
+    /// restart lands on identical state. Returns the number of records
+    /// replayed.
     ///
     /// # Panics
     /// Panics if a journaled record is rejected on replay — the log
@@ -764,29 +590,22 @@ impl ClusterBackend {
     pub fn restart_shard(&mut self, shard: u32) -> usize {
         let span = trace::span("shard_restart", shard as u64, 0);
         let started = Instant::now();
-        let mut server =
-            BackendServer::new(self.element_len, self.params, self.mapper, self.policy);
-        for (user, key) in self.active_enrollments() {
-            server.enroll(user, key);
-        }
-        match self.log.checkpoint_for(shard) {
-            Some(checkpoint) => server.restore(checkpoint),
-            None => {
-                if let Some(round) = self.round {
-                    AggregationBackend::open_round(&mut server, round);
-                }
-            }
-        }
-        let suffix = self.log.replay_for_shard(shard);
-        let replayed = suffix.len();
-        for env in suffix {
-            server
-                .on_envelope(env)
+        let mut state = self.log.checkpoint_for(shard).cloned().or_else(|| {
+            let round = self.round?;
+            Some(RoundState::open(self.params, round))
+        });
+        let enrolled = roster(&self.directory, &self.epoch_context);
+        let mut replayed = 0;
+        for env in self.log.absorbed_by(shard) {
+            serve(&mut state, None, env, enrolled)
                 .expect("journaled absorption is re-accepted on restart replay");
+            replayed += 1;
         }
-        self.replayed += replayed as u64;
-        self.shards[shard as usize] = Some(server);
-        self.replay_hist.record(started.elapsed().as_nanos() as u64);
+        self.metrics.replayed += replayed as u64;
+        self.shards[shard as usize] = Some(state);
+        self.metrics
+            .replay_hist
+            .record(started.elapsed().as_nanos() as u64);
         trace::instant("journal_replay", shard as u64, replayed as u64);
         drop(span);
         replayed
@@ -870,7 +689,7 @@ impl ClusterBackend {
             round,
             envelope,
         });
-        self.late_parked += 1;
+        self.metrics.late_reports_parked += 1;
     }
 
     /// Drains every parked report not yet folded into an epoch, oldest
@@ -896,22 +715,9 @@ impl ClusterBackend {
     /// Drains the backend's replay counters (replayed, deduped, parked)
     /// and reports the log's current depth and truncation total.
     pub fn take_metrics(&mut self) -> ReplayMetrics {
-        let metrics = ReplayMetrics {
-            replayed: self.replayed,
-            deduped: self.deduped,
-            journal_depth: self.log.depth() as u64,
-            truncated: self.log.truncated_total(),
-            late_reports_parked: self.late_parked,
-            absorb_hist: self.absorb_hist,
-            replay_hist: self.replay_hist,
-            ..ReplayMetrics::default()
-        };
-        self.replayed = 0;
-        self.deduped = 0;
-        self.late_parked = 0;
-        self.absorb_hist = Hist64::new();
-        self.replay_hist = Hist64::new();
-        metrics
+        self.metrics.journal_depth = self.log.depth() as u64;
+        self.metrics.truncated = self.log.truncated_total();
+        std::mem::take(&mut self.metrics)
     }
 
     /// True when `env` is a byte-identical re-delivery of an envelope
@@ -938,40 +744,40 @@ impl ClusterBackend {
     ///
     /// A byte-identical re-delivery of an already-journaled absorption
     /// (a failover or restart replay crossing paths with the original)
-    /// is acknowledged with `Ok(None)` and counted as deduped — the
-    /// dual-journal design answered it `DuplicateReport`, which the
-    /// recovery driver treats as fatal. Absorption and journaling are
-    /// one step: the `Absorbed` record is appended only after the shard
-    /// accepts, so rejected envelopes never pollute the replay log.
+    /// is acknowledged with `Ok(None)` and counted as deduped, never
+    /// answered `DuplicateReport`, which the recovery driver treats as
+    /// fatal. Absorption and journaling are one step: the shard's state
+    /// borrows the envelope, and only once it accepts does the
+    /// `Absorbed` record take it by move — rejected envelopes never
+    /// reach the replay log, and no envelope is copied on the way in.
     pub fn deliver_to_shard(
         &mut self,
         shard: u32,
         env: Envelope,
     ) -> Result<Option<Envelope>, RoundError> {
-        if is_data_plane(&env) {
-            let owner = self.map.owner_of(route_user(&env));
+        let owner = self.map.owner_of(route_user(&env));
+        let data_plane = is_data_plane(&env);
+        if data_plane {
             if owner != shard {
                 return Err(RoundError::WrongShard { owner, got: shard });
             }
             if self.is_replay(&env) {
-                self.deduped += 1;
+                self.metrics.deduped += 1;
                 return Ok(None);
             }
         }
-        let Some(server) = self.shards.get_mut(shard as usize).and_then(Option::as_mut) else {
-            return Err(RoundError::WrongShard {
-                owner: self.map.owner_of(route_user(&env)),
-                got: shard,
-            });
+        let Some(slot) = self.shards.get_mut(shard as usize).and_then(Option::as_mut) else {
+            return Err(RoundError::WrongShard { owner, got: shard });
         };
-        let journal_copy = is_data_plane(&env).then(|| env.clone());
-        let result = server.on_envelope(env);
-        if matches!(result, Ok(None)) {
-            if let Some(envelope) = journal_copy {
-                self.log.append(JournalEvent::Absorbed { shard, envelope });
-            }
+        let enrolled = roster(&self.directory, &self.epoch_context);
+        let reply = serve(slot, None, &env, enrolled)?;
+        if data_plane {
+            self.log.append(JournalEvent::Absorbed {
+                shard,
+                envelope: env,
+            });
         }
-        result
+        Ok(reply)
     }
 
     /// Adopts (or rejects) a broadcast shard map under **strict version
@@ -1060,86 +866,92 @@ impl ClusterBackend {
             });
             let _span = trace::span("shard_adoption", dead as u64, orphans.len() as u64);
             let started = Instant::now();
-            self.replayed += orphans.len() as u64;
             let replayed = orphans.len() as u64;
+            self.metrics.replayed += replayed;
             for env in orphans {
                 let owner = self.map.owner_of(route_user(&env));
                 self.deliver_to_shard(owner, env)
                     .expect("journaled absorption is re-accepted by the adopting shard");
             }
-            self.replay_hist.record(started.elapsed().as_nanos() as u64);
+            self.metrics
+                .replay_hist
+                .record(started.elapsed().as_nanos() as u64);
             trace::instant("journal_replay", dead as u64, replayed);
         }
         Ok(None)
     }
 
-    /// Routes maximal runs of data-plane envelopes to their owning
-    /// shards and absorbs each shard's run on its own worker thread,
-    /// scattering results back into stream positions.
+    /// Routes a run of envelopes (everything between two map updates)
+    /// to their owning shards and absorbs each shard's group on its own
+    /// worker thread, scattering results back into stream positions.
     fn absorb_run(
         &mut self,
         run: &mut Vec<(usize, Envelope)>,
         out: &mut [Option<Result<Option<Envelope>, RoundError>>],
     ) {
-        if run.is_empty() {
-            return;
-        }
-        if run.len() == 1 {
-            let (i, env) = run.pop().expect("length checked");
-            out[i] = Some(AggregationBackend::on_envelope(self, env));
+        if run.len() <= 1 {
+            if let Some((i, env)) = run.pop() {
+                out[i] = Some(AggregationBackend::on_envelope(self, env));
+            }
             return;
         }
         // Dedupe runs serially, in stream order, against the pre-batch
         // horizon — exactly what the serial walk would do — before any
         // work is handed to a shard worker.
-        let mut groups: Vec<Vec<(usize, Envelope)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
+        let mut groups: Vec<(Vec<usize>, Vec<Envelope>)> =
+            (0..self.shards.len()).map(|_| Default::default()).collect();
         for (i, env) in run.drain(..) {
-            if is_data_plane(&env) && self.is_replay(&env) {
-                self.deduped += 1;
+            if self.is_replay(&env) {
+                self.metrics.deduped += 1;
                 out[i] = Some(Ok(None));
                 continue;
             }
             let shard = self.map.owner_of(route_user(&env)) as usize;
-            groups[shard].push((i, env));
-        }
-        let mut work: Vec<(u32, Vec<usize>, Vec<Envelope>, &mut BackendServer)> = Vec::new();
-        for (shard, (server, group)) in self.shards.iter_mut().zip(groups).enumerate() {
-            if group.is_empty() {
+            if self.shards[shard].is_none() {
+                // A crashed, not yet restarted shard has no worker to
+                // hand this to: the serial walk's answer.
+                out[i] = Some(AggregationBackend::on_envelope(self, env));
                 continue;
             }
-            let server = server.as_mut().expect("map routes only to live shards");
-            let (indices, envelopes) = group.into_iter().unzip();
-            work.push((shard as u32, indices, envelopes, server));
+            let (indices, envelopes) = &mut groups[shard];
+            indices.push(i);
+            envelopes.push(env);
         }
-        // One worker per shard with a batch; each shard walks its
-        // group serially. Workers hand the envelopes back alongside the
-        // results so the absorptions can be journaled afterwards
-        // without a second trip through the stream.
+        let mut work = Vec::new();
+        for (shard, (slot, (indices, envelopes))) in self.shards.iter_mut().zip(groups).enumerate()
+        {
+            if let (Some(slot), false) = (slot, indices.is_empty()) {
+                work.push((shard as u32, indices, envelopes, slot));
+            }
+        }
+        // One worker per shard with a group; each walks its group
+        // serially, borrowing the envelopes, and times its own absorb —
+        // the nanos ride back with the results and land in the
+        // driver-side histogram (workers never touch telemetry state).
+        let enrolled = roster(&self.directory, &self.epoch_context);
         let fanout = work.len();
         let results = crossbeam::thread::map_shards_mut(&mut work, fanout, |chunk| {
             chunk
                 .iter_mut()
-                .map(|(shard, indices, envelopes, server)| {
-                    let envelopes = std::mem::take(envelopes);
-                    let kept = envelopes.clone();
-                    // Each worker times its own shard's absorb; the
-                    // nanos ride back with the results and land in the
-                    // driver-side histogram (workers never touch
-                    // telemetry state directly).
+                .map(|(_, _, envelopes, slot)| {
                     let started = Instant::now();
-                    let shard_results = server.absorb_batch(envelopes, 1);
-                    let nanos = started.elapsed().as_nanos() as u64;
-                    (*shard, std::mem::take(indices), kept, shard_results, nanos)
+                    let results: Vec<_> = envelopes
+                        .iter()
+                        .map(|env| serve(slot, None, env, enrolled))
+                        .collect();
+                    (started.elapsed().as_nanos() as u64, results)
                 })
                 .collect::<Vec<_>>()
         });
-        // Journal the successful absorptions in stream order, so the
-        // log's record sequence is identical for every thread count.
+        // Journal the accepted envelopes — by move — in stream order,
+        // so the log's record sequence is identical for every thread
+        // count.
         let mut absorbed: Vec<(usize, u32, Envelope)> = Vec::new();
-        for (shard, indices, envelopes, shard_results, nanos) in results.into_iter().flatten() {
-            self.absorb_hist.record(nanos);
-            for ((i, env), result) in indices.into_iter().zip(envelopes).zip(shard_results) {
+        for ((shard, indices, envelopes, _), (nanos, results)) in
+            work.into_iter().zip(results.into_iter().flatten())
+        {
+            self.metrics.absorb_hist.record(nanos);
+            for ((i, env), result) in indices.into_iter().zip(envelopes).zip(results) {
                 if matches!(result, Ok(None)) && is_data_plane(&env) {
                     absorbed.push((i, shard, env));
                 }
@@ -1156,8 +968,8 @@ impl ClusterBackend {
 impl AggregationBackend for ClusterBackend {
     fn open_round(&mut self, round: u64) {
         self.round = Some(round);
-        for shard in self.shards.iter_mut().flatten() {
-            AggregationBackend::open_round(shard, round);
+        for slot in self.shards.iter_mut().flatten() {
+            *slot = Some(RoundState::open(self.params, round));
         }
         // A round is the log's epoch: records, dedupe index, snapshot
         // watermark and counters restart, and the opening map is the
@@ -1189,8 +1001,8 @@ impl AggregationBackend for ClusterBackend {
             });
         }
         self.batch_horizon = None;
-        self.replayed = 0;
-        self.deduped = 0;
+        self.metrics.replayed = 0;
+        self.metrics.deduped = 0;
     }
 
     fn on_envelope(&mut self, env: Envelope) -> Result<Option<Envelope>, RoundError> {
@@ -1203,8 +1015,8 @@ impl AggregationBackend for ClusterBackend {
                 let (version, shard_ids, owners) = (*version, *shard_ids, owners.clone());
                 self.handle_map_update(env.round, version, shard_ids, owners)
             }
-            // Never answer an error with an error (and an error carries
-            // no aggregation state worth routing to a shard).
+            // Never answer an error with an error — not even with the
+            // `WrongShard` routing it to a crashed shard would earn.
             Message::Error { .. } => Ok(None),
             _ => {
                 let shard = self.map.owner_of(route_user(&env));
@@ -1218,9 +1030,9 @@ impl AggregationBackend for ClusterBackend {
     /// segment is grouped by owning shard preserving stream order, and
     /// the shard groups are absorbed concurrently, one worker per shard
     /// with work, each walking its group serially through
-    /// [`BackendServer`]'s `on_envelope` — the single copy of report
-    /// validation — so the scattered results equal the serial walk for
-    /// every `threads` value and shard count.
+    /// [`RoundState::absorb`] — the single copy of report validation —
+    /// so the scattered results equal the serial walk for every
+    /// `threads` value and shard count.
     fn absorb_batch(
         &mut self,
         envelopes: Vec<Envelope>,
@@ -1243,7 +1055,9 @@ impl AggregationBackend for ClusterBackend {
                 .map(|env| AggregationBackend::on_envelope(self, env))
                 .collect();
             if !out.is_empty() {
-                self.absorb_hist.record(started.elapsed().as_nanos() as u64);
+                self.metrics
+                    .absorb_hist
+                    .record(started.elapsed().as_nanos() as u64);
             }
             out
         } else {
@@ -1269,27 +1083,26 @@ impl AggregationBackend for ClusterBackend {
 
     fn missing_clients(&mut self) -> Result<Vec<u32>, RoundError> {
         self.fire_scripted_restart(false);
-        let mut missing = BTreeSet::new();
-        for (id, shard) in self.shards.iter_mut().enumerate() {
-            let Some(shard) = shard else { continue };
-            for user in AggregationBackend::missing_clients(shard)? {
-                // Every shard holds the full directory, so it reports
-                // the whole cohort minus the clients *it* heard from;
-                // only the users this shard owns are its verdict.
-                if self.map.owner_of(user) == id as u32 {
-                    missing.insert(user);
-                }
-            }
+        if self.shards.iter().flatten().any(Option::is_none) {
+            return Err(RoundError::NoOpenRound);
         }
-        Ok(missing.into_iter().collect())
+        // A user is its owning shard's verdict; the board is sorted, so
+        // the union over shards is too.
+        let enrolled = roster(&self.directory, &self.epoch_context);
+        let silent = |user: &u32| {
+            let owner = self.map.owner_of(*user) as usize;
+            matches!(&self.shards[owner], Some(Some(state)) if !state.has_reported(*user))
+        };
+        let users = self.directory.user_ids();
+        Ok(users.filter(|u| enrolled(*u)).filter(silent).collect())
     }
 
     fn finalize(&mut self) -> Result<GlobalView, RoundError> {
         self.fire_scripted_restart(true);
         let round = self.round.take().ok_or(RoundError::NoOpenRound)?;
-        let mut merger = ViewMerger::new(self.params, round);
-        for shard in self.shards.iter_mut().flatten() {
-            merger.absorb(&shard.take_shard_view()?)?;
+        let mut merged = RoundState::open(self.params, round);
+        for slot in self.shards.iter_mut().flatten() {
+            merged.merge(&slot.take().ok_or(RoundError::NoOpenRound)?)?;
         }
         // Seal the round's history and truncate: everything at or below
         // the `RoundFinalized` record is dead weight once the merged
@@ -1297,43 +1110,21 @@ impl AggregationBackend for ClusterBackend {
         // consumed), so the log ends every round at depth 0.
         self.log.append(JournalEvent::RoundFinalized { round });
         self.log.snapshot(Vec::new());
-        Ok(merger.finalize(&self.mapper, self.policy))
+        Ok(merged.finalize(&self.mapper, self.policy))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{tests::report_env, BackendServer};
     use ew_proto::error_code;
-    use ew_sketch::BlindedSketch;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn params() -> CmsParams {
         CmsParams::new(2, 32, 3)
-    }
-
-    fn raw_report(p: CmsParams, ads: &[u64]) -> BlindedSketch {
-        let mut s = ew_sketch::CountMinSketch::new(p);
-        for &a in ads {
-            s.update(a);
-        }
-        BlindedSketch::from_raw(p, s.cells().to_vec())
-    }
-
-    fn report_env(p: CmsParams, user: u32, round: u64, ads: &[u64]) -> Envelope {
-        Envelope::new(
-            NodeId::Client(user),
-            round,
-            Message::Report {
-                user,
-                round,
-                depth: p.depth as u32,
-                width: p.width as u32,
-                seed: p.hash_seed,
-                cells: raw_report(p, ads).into_cells(),
-            },
-        )
     }
 
     fn cluster(map: ShardMap, users: u32) -> ClusterBackend {
@@ -1528,14 +1319,12 @@ mod tests {
 
     #[test]
     fn replayed_absorbed_envelope_dedupes_instead_of_erroring() {
-        // The regression at the heart of this PR. Under the dual-journal
-        // design an envelope that was already absorbed and then arrived
-        // again over a replay path (the bus journal re-sending in-flight
-        // traffic after a kill) was journaled a *second* time and
-        // answered `DuplicateReport` — fatal on the recovery link, and a
-        // double record waiting to be replayed into the next failover.
-        // The unified log dedupes it by (key, crc, seq) and acknowledges
-        // silently, leaving exactly one `Absorbed` record.
+        // An envelope that was already absorbed and then arrives again
+        // over a replay path (the bus re-sending in-flight traffic after
+        // a kill) must not be journaled a second time nor answered
+        // `DuplicateReport` — fatal on the recovery link. The log
+        // dedupes it by (key, crc, seq) and acknowledges silently,
+        // leaving exactly one `Absorbed` record.
         let p = params();
         let mut c = cluster(ShardMap::uniform(2), 4);
         AggregationBackend::open_round(&mut c, 1);
@@ -1602,6 +1391,26 @@ mod tests {
             assert_eq!(replays, vec![Ok(None)], "threads={threads}");
             assert_eq!(c.take_metrics().deduped, 1, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn crashed_shard_answers_wrong_shard_on_every_thread_count() {
+        // Between `crash_shard` and `restart_shard` the shard's key
+        // range has no state to absorb into: a typed rejection, the
+        // same one from the serial walk and from the fan-out.
+        let p = params();
+        let stream = reports(p, 1);
+        let answers = |threads: usize| {
+            let mut c = cluster(ShardMap::uniform(2), 10);
+            AggregationBackend::open_round(&mut c, 1);
+            c.crash_shard(0);
+            c.absorb_batch(stream.clone(), threads)
+        };
+        let serial = answers(1);
+        let dead = Err(RoundError::WrongShard { owner: 0, got: 0 });
+        assert_eq!(serial.iter().filter(|r| **r == dead).count(), 5);
+        assert_eq!(serial.iter().filter(|r| **r == Ok(None)).count(), 5);
+        assert_eq!(answers(4), serial);
     }
 
     #[test]
@@ -1829,7 +1638,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn view_merger_is_associative_and_commutative(
+        fn round_state_merge_is_associative_and_commutative(
             (num_users, shard_count, order_seed) in (1u32..24, 1usize..7, any::<u64>())
         ) {
             // Arbitrary per-user reports, partitioned over
@@ -1842,56 +1651,50 @@ mod tests {
             let mapper = AdIdMapper::new(64);
             let policy = ThresholdPolicy::Mean;
 
-            let user_reports: Vec<(u32, BlindedSketch)> = (0..num_users)
+            let user_reports: Vec<Envelope> = (0..num_users)
                 .map(|u| {
-                    let cells: Vec<u32> =
-                        (0..p.num_cells()).map(|_| rng.gen::<u32>()).collect();
-                    (u, BlindedSketch::from_raw(p, cells))
+                    let mut env = report_env(p, u, 1, &[]);
+                    if let Message::Report { cells, .. } = &mut env.msg {
+                        cells.iter_mut().for_each(|c| *c = rng.gen::<u32>());
+                    }
+                    env
                 })
                 .collect();
-
-            // The single-backend reference: one accumulator, one view.
-            let mut all = SketchAccumulator::new(p);
-            let mut all_users = BTreeSet::new();
-            for (u, r) in &user_reports {
-                all.add(r);
-                all_users.insert(*u);
-            }
-            let reference = {
-                let mut m = ViewMerger::new(p, 1);
-                m.absorb(&ShardView::from_parts(1, all, all_users)).unwrap();
-                m.finalize(&mapper, policy)
+            // What a cluster's finalize does: merge into a fresh state,
+            // then the one sweep.
+            let finalize = |state: &RoundState| {
+                let mut merged = RoundState::open(p, 1);
+                merged.merge(state).unwrap();
+                assert_eq!(merged.reports(), num_users as usize);
+                merged.finalize(&mapper, policy)
             };
+
+            // The single-backend reference: one state, one view.
+            let mut all = RoundState::open(p, 1);
+            for env in &user_reports {
+                all.absorb(env, |_| true).unwrap();
+            }
+            let reference = finalize(&all);
 
             // Arbitrary shard assignment (not necessarily contiguous,
             // some shards possibly empty).
-            let mut shards: Vec<(SketchAccumulator, BTreeSet<u32>)> =
-                (0..shard_count).map(|_| (SketchAccumulator::new(p), BTreeSet::new())).collect();
-            for (u, r) in &user_reports {
+            let mut states: Vec<RoundState> =
+                (0..shard_count).map(|_| RoundState::open(p, 1)).collect();
+            for env in &user_reports {
                 let s = rng.gen_range(0..shard_count);
-                shards[s].0.add(r);
-                shards[s].1.insert(*u);
+                states[s].absorb(env, |_| true).unwrap();
             }
-            let mut views: Vec<ShardView> = shards
-                .into_iter()
-                .map(|(acc, users)| ShardView::from_parts(1, acc, users))
-                .collect();
 
-            // Random pairwise grouping: repeatedly merge one view into
+            // Random pairwise grouping: repeatedly merge one state into
             // another, both chosen arbitrarily — this exercises both
             // orderings and groupings of the fold.
-            while views.len() > 1 {
-                let a = rng.gen_range(0..views.len());
-                let absorbed = views.swap_remove(a);
-                let b = rng.gen_range(0..views.len());
-                views[b].merge(&absorbed).unwrap();
+            while states.len() > 1 {
+                let a = rng.gen_range(0..states.len());
+                let absorbed = states.swap_remove(a);
+                let b = rng.gen_range(0..states.len());
+                states[b].merge(&absorbed).unwrap();
             }
-            let merged = {
-                let mut m = ViewMerger::new(p, 1);
-                m.absorb(&views.pop().expect("one view left")).unwrap();
-                prop_assert_eq!(m.reports(), num_users as usize);
-                m.finalize(&mapper, policy)
-            };
+            let merged = finalize(&states.pop().expect("one state left"));
 
             prop_assert_eq!(&merged, &reference);
             prop_assert_eq!(merged.sorted_estimates(), reference.sorted_estimates());
@@ -1903,28 +1706,74 @@ mod tests {
     }
 
     #[test]
-    fn view_merger_rejects_cross_round_and_overlapping_shards() {
+    fn round_state_merge_rejects_cross_round_and_overlapping_shards() {
         let p = params();
-        let mut m = ViewMerger::new(p, 1);
-        m.absorb(&ShardView::empty(p, 1)).unwrap();
+        let mut m = RoundState::open(p, 1);
+        m.merge(&RoundState::open(p, 1)).unwrap();
         assert_eq!(
-            m.absorb(&ShardView::empty(p, 2)),
+            m.merge(&RoundState::open(p, 2)),
             Err(RoundError::WrongRound {
                 expected: 1,
                 got: 2
             })
         );
-        let mut acc = SketchAccumulator::new(p);
-        acc.add(&raw_report(p, &[1]));
-        let view = ShardView::from_parts(1, acc, BTreeSet::from([4u32]));
-        m.absorb(&view).unwrap();
+        let mut state = RoundState::open(p, 1);
+        state.absorb(&report_env(p, 4, 1, &[1]), |_| true).unwrap();
+        m.merge(&state).unwrap();
         assert_eq!(
-            m.absorb(&view),
+            m.merge(&state),
             Err(RoundError::DuplicateReport(4)),
             "a user cannot report through two shards"
         );
-        let other_dims = ShardView::empty(CmsParams::new(2, 16, 3), 1);
-        assert_eq!(m.absorb(&other_dims), Err(RoundError::DimensionMismatch));
+        assert_eq!(m.reports(), 1, "a refused merge folds nothing in");
+        let other_dims = RoundState::open(CmsParams::new(2, 16, 3), 1);
+        assert_eq!(m.merge(&other_dims), Err(RoundError::DimensionMismatch));
+    }
+
+    #[test]
+    fn rejected_adjustment_is_invisible_with_or_without_a_restart() {
+        // Users 0..4 report, user 5 stays silent. User 0 then sends a
+        // three-cell adjustment (refused, so never journaled) followed
+        // by its genuine one. A shard that crash-restarts between the
+        // two is rebuilt from the journal and never saw the bad one; a
+        // shard that stayed up did — both must answer and finalize
+        // alike, or a crash is visible in the outcome.
+        let p = params();
+        let adjustment = |user: u32, cells: Vec<u32>| {
+            let msg = Message::Adjustment {
+                user,
+                round: 1,
+                cells,
+            };
+            Envelope::new(NodeId::Client(user), 1, msg)
+        };
+        let genuine = |user: u32| {
+            let cells = (0..p.num_cells() as u32).map(|c| c * 31 + user).collect();
+            adjustment(user, cells)
+        };
+        for shards in [1u32, 2, 4] {
+            let run = |restart: bool| {
+                let mut c = cluster(ShardMap::uniform(shards), 6);
+                AggregationBackend::open_round(&mut c, 1);
+                for user in 0..5u32 {
+                    let env = report_env(p, user, 1, &[user as u64, 40]);
+                    assert_eq!(AggregationBackend::on_envelope(&mut c, env), Ok(None));
+                }
+                assert_eq!(AggregationBackend::missing_clients(&mut c), Ok(vec![5]));
+                let mut replies = vec![c.on_envelope(adjustment(0, vec![7; 3]))];
+                if restart {
+                    let owner = c.map().owner_of(0);
+                    c.crash_shard(owner);
+                    c.restart_shard(owner);
+                }
+                replies.extend((0..5u32).map(|user| c.on_envelope(genuine(user))));
+                (replies, AggregationBackend::finalize(&mut c).unwrap())
+            };
+            let (replies, view) = run(false);
+            assert_eq!(replies[0], Err(RoundError::DimensionMismatch));
+            assert!(replies[1..].iter().all(|r| *r == Ok(None)), "{replies:?}");
+            assert_eq!(run(true), (replies, view), "shards={shards}");
+        }
     }
 
     fn ledger(epoch: u64, members: &[u32]) -> Membership {

@@ -2,36 +2,29 @@
 //! sequence of [`JournalRecord`]s that is the source of truth for
 //! failover replay, duplicate suppression and cold crash-restart.
 //!
-//! ## Why one log
-//!
-//! PR 5 kept **two** ad-hoc journals — the routing bus's per-shard
-//! in-flight envelope lists and the cluster backend's absorbed-envelope
-//! lists — and their exactly-once story was discipline: the bus cleared
-//! its journal on every drain, the backend journaled *before* absorbing,
-//! and nothing cross-checked the two. Replaying after a failure could
-//! therefore double-deliver (the bus re-sends what the backend already
-//! absorbed) or under-deliver (a rejected envelope sat in the absorbed
-//! journal). This module replaces the backend half with mechanism:
-//!
 //! * every **successful** absorption appends an
-//!   [`JournalEvent::Absorbed`] record (rejections are never journaled),
+//!   [`JournalEvent::Absorbed`] record (rejections are never journaled,
+//!   and a rejected envelope leaves no trace in a [`RoundState`], so
+//!   replaying the log rebuilds exactly the state that wrote it),
 //! * an index over the absorbed records answers "was this exact
 //!   envelope already absorbed, and by whom?" in `O(log n)` — the
-//!   dedupe check that closes the double-replay window,
+//!   dedupe check that makes a re-delivery crossing paths with a replay
+//!   a silent acknowledgment instead of a second absorption,
 //! * a **snapshot watermark** bounds the log: once every live shard's
 //!   round state is checkpointed, records at or below the watermark are
-//!   truncated and restart recovery becomes *restore checkpoint + replay
-//!   suffix* instead of replay-from-genesis.
+//!   truncated and restart recovery is *clone the checkpoint + replay
+//!   the suffix* instead of replay-from-genesis.
 //!
 //! ## Snapshot + replay semantics
 //!
-//! [`RoundLog::snapshot`] stores one [`RoundCheckpoint`] per live shard
-//! and drops every retained record (they are all at or below the new
-//! watermark by construction). The **dedupe index survives truncation**
-//! — exactly-once does not erode as the log is bounded. A cold restart
-//! of shard `s` restores `checkpoint_for(s)` (if any) and replays
-//! [`RoundLog::replay_for_shard`]`(s)` — the absorbed suffix above the
-//! watermark — into the fresh instance.
+//! A checkpoint is a clone of the shard's [`RoundState`] — there is no
+//! separate checkpoint type. [`RoundLog::snapshot`] stores one per live
+//! shard and drops every retained record (they are all at or below the
+//! new watermark by construction). The **dedupe index survives
+//! truncation** — exactly-once does not erode as the log is bounded. A
+//! cold restart of shard `s` clones `checkpoint_for(s)` (or opens a
+//! fresh state) and absorbs the shard's `Absorbed` suffix above the
+//! watermark, by reference, in sequence order.
 //!
 //! One documented asymmetry: *reassignment* failover (redistributing a
 //! dead shard's key range over the survivors) replays the dead shard's
@@ -40,7 +33,7 @@
 //! reassigned key ranges. The cluster driver therefore only snapshots
 //! between rounds or for restart-in-place recovery, never mid-failover.
 
-use crate::backend::RoundCheckpoint;
+use crate::backend::RoundState;
 use ew_proto::crc32::crc32;
 use ew_proto::{Envelope, JournalEvent, JournalRecord, Message};
 use std::collections::BTreeMap;
@@ -83,8 +76,8 @@ pub struct RoundLog {
     /// Highest sequence number covered by the latest snapshot; records
     /// at or below it have been truncated.
     watermark: u64,
-    /// Per-shard round checkpoints taken at the watermark.
-    checkpoints: BTreeMap<u32, RoundCheckpoint>,
+    /// Per-shard round states cloned at the watermark.
+    checkpoints: BTreeMap<u32, RoundState>,
     /// Dedupe index: data-plane identity → absorbed entry. Survives
     /// truncation — exactly-once outlives the records themselves.
     absorbed: BTreeMap<(u8, u32, u64), AbsorbedEntry>,
@@ -172,25 +165,26 @@ impl RoundLog {
         self.checkpoints.remove(&dead);
     }
 
-    /// The absorbed envelopes of `shard` above the watermark, in
-    /// sequence order — the replay suffix a restarted instance applies
-    /// after restoring its checkpoint.
+    /// The envelopes `shard` absorbed above the watermark, in sequence
+    /// order — the suffix a restarted shard re-absorbs on top of its
+    /// checkpoint.
+    pub(crate) fn absorbed_by(&self, shard: u32) -> impl Iterator<Item = &Envelope> {
+        self.records.iter().filter_map(move |rec| match &rec.event {
+            JournalEvent::Absorbed { shard: s, envelope } if *s == shard => Some(envelope),
+            _ => None,
+        })
+    }
+
+    /// An owned copy of `shard`'s absorbed suffix, for the reassignment
+    /// failover that re-routes (and re-journals) it under new owners.
     pub fn replay_for_shard(&self, shard: u32) -> Vec<Envelope> {
-        self.records
-            .iter()
-            .filter_map(|rec| match &rec.event {
-                JournalEvent::Absorbed { shard: s, envelope } if *s == shard => {
-                    Some(envelope.clone())
-                }
-                _ => None,
-            })
-            .collect()
+        self.absorbed_by(shard).cloned().collect()
     }
 
     /// Installs per-shard checkpoints covering everything appended so
     /// far, advances the watermark to the last assigned sequence number
     /// and truncates the retained records. The dedupe index is kept.
-    pub fn snapshot(&mut self, checkpoints: Vec<(u32, RoundCheckpoint)>) {
+    pub fn snapshot(&mut self, checkpoints: Vec<(u32, RoundState)>) {
         self.checkpoints = checkpoints.into_iter().collect();
         self.watermark = self.last_seq();
         self.truncated += self.records.len() as u64;
@@ -198,8 +192,8 @@ impl RoundLog {
     }
 
     /// The latest checkpoint for `shard`, if one was snapshotted.
-    pub fn checkpoint_for(&self, shard: u32) -> Option<RoundCheckpoint> {
-        self.checkpoints.get(&shard).cloned()
+    pub fn checkpoint_for(&self, shard: u32) -> Option<&RoundState> {
+        self.checkpoints.get(&shard)
     }
 
     /// Control-plane compaction: drops every `CoordinatorState` record

@@ -14,7 +14,10 @@
 //!   requests without learning ad URLs.
 //! * [`backend`] — the aggregation server: key bulletin board, report
 //!   accumulation, missing-client recovery, sketch unblinding, `#Users`
-//!   enumeration over the ad-ID space and `Users_th` computation.
+//!   enumeration over the ad-ID space and `Users_th` computation. Its
+//!   [`backend::RoundState`] is the one shape of an open round — what a
+//!   single server holds, what a cluster shard is, what a journal
+//!   checkpoint clones — and the only place a report is validated.
 //! * [`crawler`] — the clean-profile probe used purely for evaluation
 //!   (§5): visits sites with no history, so any ad it sees is
 //!   non-targeted with high probability.
@@ -23,9 +26,9 @@
 //! * [`cluster`] — the multi-backend aggregation cluster: a shard map
 //!   partitioning report ownership by client id, a [`cluster::RoutingBus`]
 //!   fanning envelopes out over per-shard uplinks, a
-//!   [`cluster::ClusterBackend`] merging per-shard partials through
-//!   [`cluster::ViewMerger`], and a mid-round failover path that
-//!   reassigns and replays a dead shard's key range.
+//!   [`cluster::ClusterBackend`] — one bulletin board, one round state
+//!   per shard, merged before the one finalize sweep — and a mid-round
+//!   failover path that reassigns and replays a dead shard's key range.
 //! * [`journal`] — the single event-sourced round log behind the
 //!   cluster: sequence-numbered [`ew_proto::journal::JournalRecord`]s
 //!   with snapshot/replay semantics, a content-addressed dedupe index,
@@ -77,9 +80,9 @@ pub mod system;
 pub mod telemetry;
 pub mod trace;
 
-pub use backend::{BackendServer, RoundCheckpoint};
+pub use backend::{BackendServer, RoundState};
 pub use client::Client;
-pub use cluster::{ClusterBackend, RoutingBus, ShardFailure, ShardView, ViewMerger};
+pub use cluster::{ClusterBackend, RoutingBus, ShardFailure};
 pub use coordinator::{
     epoch_phase_index, Clock, Coordinator, EpochConfig, EpochEvent, LogicalClock, MonotonicClock,
     VirtualClock,

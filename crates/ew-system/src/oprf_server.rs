@@ -70,13 +70,6 @@ impl OprfService {
             });
     }
 
-    /// Blind-evaluates one element (direct-call path).
-    pub fn evaluate(&self, blinded: &UBig) -> Result<UBig, OprfError> {
-        let out = self.key.evaluate_blinded(blinded)?;
-        self.record_served(1);
-        Ok(out)
-    }
-
     /// Blind-evaluates a whole batch (direct-call path); every element
     /// counts towards the request total. All-or-nothing: an out-of-range
     /// element fails the batch before any work is done.
@@ -103,14 +96,14 @@ impl OprfService {
         std::mem::take(&mut *self.batch_nanos.lock().expect("hist lock never poisoned"))
     }
 
-    /// Handles a wire message. The service serves two request kinds —
-    /// the per-ad [`Message::OprfRequest`] and the
-    /// [`Message::OprfBatchRequest`] clients map their ads with — and
-    /// every request gets an answer: the response for well-formed
-    /// requests, a [`Message::Error`] for malformed or unsupported
-    /// ones, so peers can distinguish "the network dropped it" from
-    /// "the service refused it". The single exception is an incoming
-    /// `Error`, which is never answered (no error ping-pong).
+    /// Handles a wire message. The service serves one request kind —
+    /// the [`Message::OprfBatchRequest`] clients map their ads with (a
+    /// single ad is a batch of one) — and every request gets an answer:
+    /// the response for a well-formed request, a [`Message::Error`] for
+    /// a malformed or unsupported one, so peers can distinguish "the
+    /// network dropped it" from "the service refused it". The single
+    /// exception is an incoming `Error`, which is never answered (no
+    /// error ping-pong).
     pub fn handle(&self, msg: &Message) -> Option<Message> {
         let reject = |code: u32, detail: String| {
             Some(Message::Error {
@@ -120,22 +113,6 @@ impl OprfService {
             })
         };
         match msg {
-            Message::OprfRequest {
-                request_id,
-                blinded,
-            } => {
-                let element = UBig::from_bytes_be(blinded);
-                match self.evaluate(&element) {
-                    Ok(signed) => Some(Message::OprfResponse {
-                        request_id: *request_id,
-                        element: signed.to_bytes_be_padded(self.public().element_len()),
-                    }),
-                    Err(e) => reject(
-                        error_code::OUT_OF_RANGE,
-                        format!("request {request_id}: {e}"),
-                    ),
-                }
-            }
             Message::OprfBatchRequest {
                 request_id,
                 blinded,
@@ -197,34 +174,6 @@ mod tests {
     use ew_crypto::oprf::OprfClient;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn wire_roundtrip_matches_direct() {
-        let mut rng = StdRng::seed_from_u64(50);
-        let service = OprfService::generate(&mut rng, 128);
-        let client = OprfClient::new(service.public().clone());
-
-        let url = b"https://adnet0.example/creative/0000002a";
-        let pending = client.blind(&mut rng, url).unwrap();
-        let req = Message::OprfRequest {
-            request_id: 9,
-            blinded: pending.blinded.to_bytes_be(),
-        };
-        let resp = service.handle(&req).expect("valid request served");
-        let Message::OprfResponse {
-            request_id,
-            element,
-        } = resp
-        else {
-            panic!("wrong response type");
-        };
-        assert_eq!(request_id, 9);
-        let out = client
-            .finalize(&pending, &UBig::from_bytes_be(&element))
-            .unwrap();
-        assert_eq!(out, service.evaluate_direct(url));
-        assert_eq!(service.requests_served(), 1);
-    }
 
     #[test]
     fn wire_batch_roundtrip_matches_direct() {
@@ -305,7 +254,9 @@ mod tests {
         let blinded = vec![pending.blinded.clone(); 3];
         service.evaluate_batch(&blinded).unwrap();
         assert_eq!(service.requests_served(), u64::MAX);
-        service.evaluate(&pending.blinded).unwrap();
+        service
+            .evaluate_batch(std::slice::from_ref(&pending.blinded))
+            .unwrap();
         assert_eq!(service.requests_served(), u64::MAX);
     }
 
@@ -325,9 +276,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(51);
         let service = OprfService::generate(&mut rng, 128);
         let too_big = service.public().n.add_ref(&UBig::one()).to_bytes_be();
-        let req = Message::OprfRequest {
+        let req = Message::OprfBatchRequest {
             request_id: 1,
-            blinded: too_big,
+            blinded: vec![too_big],
         };
         let reply = service.handle(&req).expect("explicit reject");
         assert!(matches!(

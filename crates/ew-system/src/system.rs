@@ -47,8 +47,8 @@
 //! **backend shard**: the round driver hands each full mailbox drain to
 //! [`crate::node::AggregationBackend::absorb_batch`], and a
 //! [`ClusterBackend`] runs one worker per shard that has work, each
-//! walking its group serially through `BackendServer`'s `on_envelope`
-//! (the one copy of report validation). Nothing nests below that:
+//! walking its group serially through `RoundState::absorb` (the one
+//! copy of report validation). Nothing nests below that:
 //! absorb is ~1.5 % of a round, the client side is the cost.
 
 use crate::backend::BackendServer;
@@ -432,7 +432,7 @@ impl EyewnderSystem {
     }
 
     /// A fresh [`ClusterBackend`] for `map`, with every enrolled
-    /// client's key replicated onto every shard's bulletin board.
+    /// client's key published on its bulletin board.
     pub fn new_cluster(&self, map: &ShardMap) -> ClusterBackend {
         let mut cluster = ClusterBackend::new(
             map.clone(),
@@ -441,9 +441,7 @@ impl EyewnderSystem {
             self.backend.mapper(),
             self.config.policy,
         );
-        let directory = self.backend.directory();
-        for user in directory.user_ids() {
-            let key = directory.get(user).expect("listed user has a key");
+        for (user, key) in self.backend.directory().iter() {
             cluster.enroll(user, key.clone());
         }
         cluster
@@ -458,8 +456,8 @@ impl EyewnderSystem {
     /// 1. each epoch's joins cross the bus as [`Message::Join`]
     ///    envelopes and the coordinator is ticked to admission
     ///    (`min_clients`) and through warmup;
-    /// 2. the frozen roster becomes the epoch's world: the cluster's
-    ///    shard directories are rebuilt down to it
+    /// 2. the frozen roster becomes the epoch's world: the cluster
+    ///    reads its bulletin board through it
     ///    ([`ClusterBackend::begin_epoch`]) and every member
     ///    incrementally re-syncs its blinding state to the roster
     ///    directory ([`Client::sync_blinding`] — surviving pairs keep
@@ -601,9 +599,9 @@ impl EyewnderSystem {
             debug_assert_eq!(coordinator.phase(), EpochPhase::Reports);
             let membership = coordinator.membership().clone();
 
-            // The frozen roster becomes the epoch's world: shard
-            // directories shrink to it and every member re-syncs its
-            // blinding state incrementally.
+            // The frozen roster becomes the epoch's world: the cluster's
+            // bulletin board is read through it and every member
+            // re-syncs its blinding state incrementally.
             backend.begin_epoch(epoch, &membership);
             let mut directory = KeyDirectory::new(self.group.element_len());
             for &user in membership.members() {

@@ -191,6 +191,44 @@ fn system_exposes_exactly_four_round_drivers() {
 }
 
 #[test]
+fn one_round_state() {
+    // `backend::RoundState` is the one shape of an open aggregation
+    // round: a shard's checkpoint is a clone of it, a shard's partial
+    // view is the state itself, `absorb` is the only validator and
+    // `finalize` the only enumeration sweep. None of the types and
+    // entry points that used to restate it may come back.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let listing = surface(&root);
+    for retired in [
+        "RoundCheckpoint",
+        "ShardView",
+        "ViewMerger",
+        "receive_report",
+        "receive_adjustment",
+        "take_shard_view",
+    ] {
+        assert!(
+            !listing.contains(retired),
+            "{retired} restates RoundState in the public API"
+        );
+    }
+    let mut sources = Vec::new();
+    files_ending(&root.join("crates/ew-system/src"), ".rs", &mut sources);
+    let sweeps: usize = sources
+        .iter()
+        .map(|file| {
+            let text = fs::read_to_string(file).expect("readable source");
+            let code = text.split("\n#[cfg(test)]\n").next().unwrap_or("");
+            code.matches(".all_ids()").count()
+        })
+        .sum();
+    assert_eq!(
+        sweeps, 1,
+        "the ad-ID space is enumerated in one place, RoundState::finalize"
+    );
+}
+
+#[test]
 fn one_measuring_stick() {
     // `benchmark/` (its own package, outside the workspace) is the only
     // benchmark harness in the repository. A second one starts
