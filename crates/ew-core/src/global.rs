@@ -5,7 +5,6 @@
 
 use crate::threshold::ThresholdPolicy;
 use crate::AdKey;
-use std::collections::HashMap;
 
 /// Global per-ad user-count estimates for one window.
 ///
@@ -14,30 +13,60 @@ use std::collections::HashMap;
 /// they are exact. Either way the type is the same — the detector does
 /// not care where the numbers came from (that is the point of the
 /// "black box" design).
+///
+/// Two views are equal when they hold the same estimates, threshold and
+/// policy; the order the estimates were supplied in never shows.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GlobalView {
-    users_per_ad: HashMap<AdKey, f64>,
+    /// The positive estimates, strictly ascending by ad.
+    estimates: Vec<(AdKey, f64)>,
+    /// Bucket `b` — the ads with `(ad − first ad) >> bucket_shift == b` —
+    /// is `estimates[bucket_starts[b]..bucket_starts[b + 1]]`. About one
+    /// bucket per ad, so a real-time audit's `#Users(α)` lookup searches
+    /// a handful of entries when ads are spread over the ID space (PRF
+    /// outputs are) and never more than a binary search when they are
+    /// not.
+    bucket_starts: Vec<u32>,
+    bucket_shift: u32,
     threshold: f64,
     policy: ThresholdPolicy,
 }
 
 impl GlobalView {
     /// Builds the view from per-ad user-count estimates and computes
-    /// `Users_th` under `policy`.
+    /// `Users_th` under `policy`. An ad supplied more than once keeps
+    /// its last estimate; input already ascending by ad (the server's
+    /// sweep) is taken as it comes, anything else is sorted first.
     ///
     /// Only strictly positive estimates participate in the threshold:
     /// the server enumerates the whole (over-estimated) ad-ID space
     /// `[1, |A|]`, and IDs that decode to zero are vacant slots, not ads.
+    /// The threshold's sums run in ad order, so it does not depend on
+    /// the order of `estimates` either.
     pub fn from_estimates<I>(estimates: I, policy: ThresholdPolicy) -> Self
     where
         I: IntoIterator<Item = (AdKey, f64)>,
     {
-        let users_per_ad: HashMap<AdKey, f64> =
+        let mut estimates: Vec<(AdKey, f64)> =
             estimates.into_iter().filter(|(_, c)| *c > 0.0).collect();
-        let dist: Vec<f64> = users_per_ad.values().copied().collect();
-        let threshold = policy.compute(&dist);
+        if !estimates.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            // Stable, so an ad's estimates stay in supply order and the
+            // last one can overwrite the entry that is kept.
+            estimates.sort_by_key(|&(ad, _)| ad);
+            estimates.dedup_by(|later, kept| {
+                let same_ad = later.0 == kept.0;
+                if same_ad {
+                    *kept = *later;
+                }
+                same_ad
+            });
+        }
+        let threshold = policy.compute_over(estimates.iter().map(|&(_, c)| c));
+        let (bucket_shift, bucket_starts) = bucket_index(&estimates);
         GlobalView {
-            users_per_ad,
+            estimates,
+            bucket_starts,
+            bucket_shift,
             threshold,
             policy,
         }
@@ -45,7 +74,19 @@ impl GlobalView {
 
     /// `#Users(α)` estimate (0 when the ad was never reported).
     pub fn users(&self, ad: AdKey) -> f64 {
-        self.users_per_ad.get(&ad).copied().unwrap_or(0.0)
+        self.estimate_of(ad).unwrap_or(0.0)
+    }
+
+    /// The stored estimate for `ad`, searched for in its bucket only.
+    fn estimate_of(&self, ad: AdKey) -> Option<f64> {
+        let offset = ad.checked_sub(self.estimates.first()?.0)?;
+        let bucket = (offset >> self.bucket_shift) as usize;
+        let &[start, end, ..] = self.bucket_starts.get(bucket..)? else {
+            return None;
+        };
+        let bucket = &self.estimates[start as usize..end as usize];
+        let at = bucket.binary_search_by_key(&ad, |&(key, _)| key).ok()?;
+        Some(bucket[at].1)
     }
 
     /// The global `Users_th` threshold.
@@ -60,30 +101,43 @@ impl GlobalView {
 
     /// Number of (positively counted) ads in the view.
     pub fn num_ads(&self) -> usize {
-        self.users_per_ad.len()
+        self.estimates.len()
     }
 
-    /// The raw distribution (for Figure 2 style plots).
-    ///
-    /// Ordering is unspecified (backing-map iteration order); use
-    /// [`Self::sorted_estimates`] when a canonical order matters.
+    /// The raw distribution (for Figure 2 style plots), in ad order.
     pub fn distribution(&self) -> Vec<f64> {
-        self.users_per_ad.values().copied().collect()
+        self.estimates.iter().map(|&(_, c)| c).collect()
     }
 
-    /// Every positive `(ad, estimate)` pair sorted by ad key — the
-    /// canonical, reproducible representation of the view. Two views
-    /// built from the same aggregate compare equal entry-for-entry,
-    /// which is what the parallel-round determinism tests pin.
-    pub fn sorted_estimates(&self) -> Vec<(AdKey, f64)> {
-        let mut v: Vec<(AdKey, f64)> = self
-            .users_per_ad
-            .iter()
-            .map(|(&ad, &est)| (ad, est))
-            .collect();
-        v.sort_by_key(|&(ad, _)| ad);
-        v
+    /// Every positive `(ad, estimate)` pair, ascending by ad key — the
+    /// view's own storage, which is what the parallel-round determinism
+    /// tests compare entry for entry.
+    pub fn sorted_estimates(&self) -> &[(AdKey, f64)] {
+        &self.estimates
     }
+}
+
+/// The bucket index over ascending `estimates` (the `bucket_shift` and
+/// `bucket_starts` of [`GlobalView`]): the shift, and each bucket's
+/// start with the total appended.
+fn bucket_index(estimates: &[(AdKey, f64)]) -> (u32, Vec<u32>) {
+    let (Some(&(first, _)), Some(&(last, _))) = (estimates.first(), estimates.last()) else {
+        return (0, Vec::new());
+    };
+    assert!(estimates.len() <= u32::MAX as usize, "view too large");
+    // The smallest shift that leaves at most `len` (rounded up to a
+    // power of two) buckets between the first ad and the last.
+    let span_bits = u64::BITS - (last - first).leading_zeros();
+    let shift = span_bits.saturating_sub(estimates.len().next_power_of_two().trailing_zeros());
+    let bucket_of = |ad: AdKey| ((ad - first) >> shift) as usize;
+    let mut starts = vec![0u32; bucket_of(last) + 2];
+    for &(ad, _) in estimates {
+        starts[bucket_of(ad) + 1] += 1;
+    }
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
+    }
+    (shift, starts)
 }
 
 /// Per-group global views — the paper's §7.2.3 improvement suggestion:
@@ -168,6 +222,87 @@ mod tests {
         est.push((10_002, 7.0));
         let view = GlobalView::from_estimates(est, ThresholdPolicy::Mean);
         assert!((view.users_threshold() - 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn duplicate_ads_keep_their_last_positive_estimate() {
+        let view = GlobalView::from_estimates(
+            vec![(7, 1.0), (3, 2.0), (7, 4.0), (3, 0.0), (5, 6.0)],
+            ThresholdPolicy::Mean,
+        );
+        assert_eq!(view.sorted_estimates(), &[(3, 2.0), (5, 6.0), (7, 4.0)]);
+        assert_eq!(view.distribution(), vec![2.0, 6.0, 4.0]);
+        assert_eq!(view.users(7), 4.0);
+        assert_eq!(view.users(4), 0.0);
+        assert_eq!(view.users_threshold(), 4.0);
+    }
+
+    #[test]
+    fn lookups_find_exactly_the_ads_supplied() {
+        // Spread, clustered, two-cluster and extreme key sets: every
+        // supplied ad is found, its neighbours are not.
+        let spread: Vec<AdKey> = (0..5_000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20)
+            .collect();
+        let clustered: Vec<AdKey> = (0..300u64).map(|i| 1_000_000 + 2 * i).collect();
+        let mut two_clusters = clustered.clone();
+        two_clusters.extend((0..300u64).map(|i| u64::MAX - 3 * i));
+        for ads in [
+            spread,
+            clustered,
+            two_clusters,
+            vec![0, u64::MAX],
+            vec![u64::MAX],
+            vec![7],
+        ] {
+            let view = GlobalView::from_estimates(
+                ads.iter().map(|&ad| (ad, (ad % 1_000 + 1) as f64)),
+                ThresholdPolicy::Mean,
+            );
+            let supplied: std::collections::BTreeSet<AdKey> = ads.iter().copied().collect();
+            assert_eq!(view.num_ads(), supplied.len());
+            for &ad in &supplied {
+                assert_eq!(view.users(ad), (ad % 1_000 + 1) as f64, "ad {ad}");
+                for near in [ad.wrapping_sub(1), ad.wrapping_add(1)] {
+                    if !supplied.contains(&near) {
+                        assert_eq!(view.users(near), 0.0, "ad {near}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_is_order_independent() {
+        // Non-integer estimates: their sums round differently in
+        // different orders, which a threshold fed in supply (or hasher)
+        // order would show in the last bit.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let ascending: Vec<(AdKey, f64)> = (0..997u64)
+            .map(|ad| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (ad * 3 + 1, 0.1 + (x >> 40) as f64 / 7.0)
+            })
+            .collect();
+        let descending: Vec<(AdKey, f64)> = ascending.iter().rev().copied().collect();
+        let mut shuffled = ascending.clone();
+        for i in (1..shuffled.len()).rev() {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            shuffled.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        for policy in ThresholdPolicy::all() {
+            let reference = GlobalView::from_estimates(ascending.clone(), policy);
+            for supplied in [&descending, &shuffled] {
+                let view = GlobalView::from_estimates(supplied.iter().copied(), policy);
+                assert_eq!(view, reference, "{}", policy.label());
+                assert_eq!(
+                    view.users_threshold().to_bits(),
+                    reference.users_threshold().to_bits(),
+                    "{}",
+                    policy.label()
+                );
+            }
+        }
     }
 
     #[test]

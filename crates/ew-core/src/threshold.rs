@@ -28,14 +28,20 @@ impl ThresholdPolicy {
     /// Computes the threshold value over a distribution of counts.
     /// Returns 0 for empty input (no data ⇒ nothing exceeds it).
     pub fn compute(&self, data: &[f64]) -> f64 {
-        if data.is_empty() {
+        self.compute_over(data.iter().copied())
+    }
+
+    /// [`Self::compute`] over counts read in place from wherever they
+    /// are stored; sums run in iteration order.
+    pub(crate) fn compute_over(&self, data: impl ExactSizeIterator<Item = f64> + Clone) -> f64 {
+        if data.len() == 0 {
             return 0.0;
         }
         match self {
             ThresholdPolicy::Mean => mean(data),
-            ThresholdPolicy::MeanPlusMedian => mean(data) + median(data),
+            ThresholdPolicy::MeanPlusMedian => mean(data.clone()) + median(data),
             ThresholdPolicy::Median => median(data),
-            ThresholdPolicy::MeanPlusStd => mean(data) + stddev(data),
+            ThresholdPolicy::MeanPlusStd => mean(data.clone()) + stddev(data),
         }
     }
 
@@ -60,12 +66,13 @@ impl ThresholdPolicy {
     }
 }
 
-fn mean(data: &[f64]) -> f64 {
-    data.iter().sum::<f64>() / data.len() as f64
+fn mean(data: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = data.len();
+    data.sum::<f64>() / n as f64
 }
 
-fn median(data: &[f64]) -> f64 {
-    let mut sorted = data.to_vec();
+fn median(data: impl Iterator<Item = f64>) -> f64 {
+    let mut sorted: Vec<f64> = data.collect();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
     let n = sorted.len();
     if n % 2 == 1 {
@@ -75,9 +82,10 @@ fn median(data: &[f64]) -> f64 {
     }
 }
 
-fn stddev(data: &[f64]) -> f64 {
-    let m = mean(data);
-    (data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / data.len() as f64).sqrt()
+fn stddev(data: impl ExactSizeIterator<Item = f64> + Clone) -> f64 {
+    let n = data.len();
+    let m = mean(data.clone());
+    (data.map(|x| (x - m) * (x - m)).sum::<f64>() / n as f64).sqrt()
 }
 
 #[cfg(test)]

@@ -91,10 +91,11 @@ pub fn get_u32_vec(buf: &mut impl Buf) -> Result<Vec<u32>, CodecError> {
         return Err(CodecError::FieldTooLarge(len));
     }
     need(buf, len * 4)?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(buf.get_u32_le());
-    }
+    let out = buf.chunk()[..len * 4]
+        .chunks_exact(4)
+        .map(|cell| u32::from_le_bytes(cell.try_into().expect("4 bytes")))
+        .collect();
+    buf.advance(len * 4);
     Ok(out)
 }
 
@@ -165,8 +166,15 @@ pub fn put_bytes(buf: &mut impl BufMut, data: &[u8]) {
 pub fn put_u32_vec(buf: &mut impl BufMut, data: &[u32]) {
     debug_assert!(data.len() * 4 <= MAX_FIELD_LEN);
     buf.put_u32_le(data.len() as u32);
-    for &v in data {
-        buf.put_u32_le(v);
+    // A block of cells at a time through the stack, so the buffer grows
+    // by slices instead of by one bounds-checked word per cell.
+    let mut bytes = [0u8; 4 * 256];
+    for block in data.chunks(256) {
+        let bytes = &mut bytes[..4 * block.len()];
+        for (dst, &v) in bytes.chunks_exact_mut(4).zip(block) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        buf.put_slice(bytes);
     }
 }
 

@@ -31,6 +31,9 @@ use bytes::BufMut;
 /// following bytes.
 pub const ENVELOPE_VERSION: u8 = 0xE1;
 
+/// Envelope header size: version, sender tag, sender id, round.
+const HEADER_LEN: usize = 1 + 1 + 4 + 8;
+
 /// The node roles of the paper's Figure 1 (plus the cluster's telemetry
 /// sidecar), as wire-addressable identities. `Client` carries the user
 /// id; the servers are singletons.
@@ -108,8 +111,19 @@ impl Envelope {
     /// `sender id` is the user id for clients and 0 for the singleton
     /// servers (always present, so the header is fixed-size).
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.msg.encode();
-        let mut buf = Vec::with_capacity(14 + payload.len());
+        let mut buf = Vec::with_capacity(self.encoded_len_hint());
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Room for the encoding (see [`Message::encoded_len_hint`]).
+    pub(crate) fn encoded_len_hint(&self) -> usize {
+        HEADER_LEN + self.msg.encoded_len_hint()
+    }
+
+    /// Appends header + payload to `buf`, the message straight after
+    /// the header with no intermediate copy.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.put_u8(self.version);
         match self.sender {
             NodeId::Client(id) => {
@@ -134,8 +148,7 @@ impl Envelope {
             }
         }
         buf.put_u64_le(self.round);
-        buf.extend_from_slice(&payload);
-        buf
+        self.msg.encode_into(buf);
     }
 
     /// Decodes header + payload. Unknown versions and sender tags are

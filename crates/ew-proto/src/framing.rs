@@ -37,13 +37,24 @@ impl std::error::Error for FrameError {}
 
 /// Encodes one payload into a self-delimiting frame.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_FRAME_PAYLOAD, "payload too large");
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out
+    frame_with(payload.len(), |frame| frame.extend_from_slice(payload))
+}
+
+/// Builds a frame in one buffer: `write_payload` appends the payload
+/// straight after the header (room for `payload_hint` bytes is reserved
+/// up front), then the length is filled in and the trailer checksums the
+/// payload where it lies.
+pub(crate) fn frame_with(payload_hint: usize, write_payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload_hint + TRAILER_LEN);
+    frame.extend_from_slice(&MAGIC.to_le_bytes());
+    frame.extend_from_slice(&[0; 4]);
+    write_payload(&mut frame);
+    let len = frame.len() - HEADER_LEN;
+    assert!(len <= MAX_FRAME_PAYLOAD, "payload too large");
+    frame[2..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+    let checksum = crc32(&frame[HEADER_LEN..]);
+    frame.extend_from_slice(&checksum.to_le_bytes());
+    frame
 }
 
 /// Incremental frame decoder over a byte stream.
@@ -79,6 +90,16 @@ impl FrameDecoder {
     /// * `Err(e)` — a corrupted frame was consumed; calling again
     ///   continues after resynchronization.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+        self.next_frame_with(<[u8]>::to_vec)
+    }
+
+    /// [`Self::next_frame`], handing the payload to `read` where it lies
+    /// in the decoder's buffer — checksummed first — instead of copying
+    /// it out.
+    pub(crate) fn next_frame_with<T>(
+        &mut self,
+        read: impl FnOnce(&[u8]) -> T,
+    ) -> Result<Option<T>, FrameError> {
         // Hunt for the magic.
         match find_magic(&self.buf) {
             None => {
@@ -106,17 +127,15 @@ impl FrameDecoder {
         if self.buf.len() < total {
             return Ok(None);
         }
-        let payload = self.buf[HEADER_LEN..HEADER_LEN + len].to_vec();
-        let declared = u32::from_le_bytes(
-            self.buf[HEADER_LEN + len..total]
-                .try_into()
-                .expect("4 bytes"),
-        );
+        let (payload, trailer) = self.buf[HEADER_LEN..total].split_at(len);
+        let declared = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
+        let frame = if crc32(payload) == declared {
+            Ok(Some(read(payload)))
+        } else {
+            Err(FrameError::BadChecksum)
+        };
         self.buf.drain(..total);
-        if crc32(&payload) != declared {
-            return Err(FrameError::BadChecksum);
-        }
-        Ok(Some(payload))
+        frame
     }
 }
 

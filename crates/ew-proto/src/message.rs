@@ -359,12 +359,34 @@ impl Message {
 
     /// Encodes to a payload (no framing).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
+        let mut buf = Vec::with_capacity(self.encoded_len_hint());
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Room for the encoding: the variable-length bulk (sketch cells,
+    /// OPRF elements) exactly, the fixed fields generously.
+    pub(crate) fn encoded_len_hint(&self) -> usize {
+        64 + match self {
+            Message::Report { cells, .. } | Message::Adjustment { cells, .. } => 4 * cells.len(),
+            Message::OprfBatchRequest {
+                blinded: elements, ..
+            }
+            | Message::OprfBatchResponse { elements, .. } => {
+                elements.iter().map(|e| 4 + e.len()).sum()
+            }
+            _ => 0,
+        }
+    }
+
+    /// Appends the payload encoding to `buf` (the envelope and the frame
+    /// are built around it in the same buffer).
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Message::PublishKey { user, public_key } => {
                 buf.put_u8(tag::PUBLISH_KEY);
                 buf.put_u32_le(*user);
-                put_bytes(&mut buf, public_key);
+                put_bytes(buf, public_key);
             }
             Message::OprfBatchRequest {
                 request_id,
@@ -372,7 +394,7 @@ impl Message {
             } => {
                 buf.put_u8(tag::OPRF_BATCH_REQUEST);
                 buf.put_u64_le(*request_id);
-                put_bytes_list(&mut buf, blinded);
+                put_bytes_list(buf, blinded);
             }
             Message::OprfBatchResponse {
                 request_id,
@@ -380,7 +402,7 @@ impl Message {
             } => {
                 buf.put_u8(tag::OPRF_BATCH_RESPONSE);
                 buf.put_u64_le(*request_id);
-                put_bytes_list(&mut buf, elements);
+                put_bytes_list(buf, elements);
             }
             Message::Report {
                 user,
@@ -396,18 +418,18 @@ impl Message {
                 buf.put_u32_le(*depth);
                 buf.put_u32_le(*width);
                 buf.put_u64_le(*seed);
-                put_u32_vec(&mut buf, cells);
+                put_u32_vec(buf, cells);
             }
             Message::MissingClients { round, users } => {
                 buf.put_u8(tag::MISSING_CLIENTS);
                 buf.put_u64_le(*round);
-                put_u32_vec(&mut buf, users);
+                put_u32_vec(buf, users);
             }
             Message::Adjustment { user, round, cells } => {
                 buf.put_u8(tag::ADJUSTMENT);
                 buf.put_u32_le(*user);
                 buf.put_u64_le(*round);
-                put_u32_vec(&mut buf, cells);
+                put_u32_vec(buf, cells);
             }
             Message::ThresholdBroadcast {
                 round,
@@ -440,7 +462,7 @@ impl Message {
                 buf.put_u8(tag::SHARD_MAP_UPDATE);
                 buf.put_u32_le(*version);
                 buf.put_u32_le(*shard_ids);
-                put_u32_vec(&mut buf, owners);
+                put_u32_vec(buf, owners);
             }
             Message::MetricsQuery { round } => {
                 buf.put_u8(tag::METRICS_QUERY);
@@ -469,12 +491,12 @@ impl Message {
                 buf.put_u64_le(*journal_depth);
                 buf.put_u64_le(*truncated);
                 buf.put_u64_le(*queue_depth);
-                put_u64_vec(&mut buf, phase_nanos);
+                put_u64_vec(buf, phase_nanos);
                 buf.put_u64_le(*late_reports_parked);
                 buf.put_u64_le(*deadline_drops);
                 buf.put_u64_le(*coordinator_restarts);
-                put_u64_vec(&mut buf, epoch_phase_nanos);
-                put_hist_list(&mut buf, hists);
+                put_u64_vec(buf, epoch_phase_nanos);
+                put_hist_list(buf, hists);
             }
             Message::Join { user, epoch } => {
                 buf.put_u8(tag::JOIN);
@@ -504,12 +526,12 @@ impl Message {
                 buf.put_u64_le(*round);
                 buf.put_u32_le(*version);
                 buf.put_u32_le(*min_clients);
-                put_u32_vec(&mut buf, members);
+                put_u32_vec(buf, members);
             }
             Message::Error { code, detail, hint } => {
                 buf.put_u8(tag::ERROR);
                 buf.put_u32_le(*code);
-                put_string(&mut buf, detail);
+                put_string(buf, detail);
                 match hint {
                     None => buf.put_u8(0),
                     Some(AdmissionHint { epoch, retry_after }) => {
@@ -520,7 +542,6 @@ impl Message {
                 }
             }
         }
-        buf
     }
 
     /// Decodes from a payload. Trailing bytes are rejected as

@@ -8,9 +8,10 @@
 //! would impose. Endpoints are cheap and the channel is unbounded, so a
 //! simulated cohort of hundreds of clients runs in one process.
 
+use crate::codec::CodecError;
 use crate::envelope::Envelope;
 use crate::fault::{FaultConfig, FaultyLink};
-use crate::framing::{encode_frame, FrameDecoder, FrameError};
+use crate::framing::{encode_frame, frame_with, FrameDecoder, FrameError};
 use crate::message::Message;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 
@@ -71,7 +72,11 @@ impl Endpoint {
     /// Frames and sends one raw payload (fire and forget, like a
     /// datagram over TCP framing).
     pub fn send_payload(&mut self, payload: &[u8]) -> Result<(), TransportError> {
-        let frame = encode_frame(payload);
+        self.transmit(encode_frame(payload))
+    }
+
+    /// Puts one finished frame on the link.
+    fn transmit(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
         match &mut self.fault {
             Some(link) => {
                 for f in link.transmit(frame) {
@@ -96,12 +101,18 @@ impl Endpoint {
     /// peer's). Call sites must not ignore the result: a silently
     /// dropped send makes fault diagnosis guesswork.
     pub fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
-        self.send_payload(&msg.encode())
+        self.transmit(frame_with(msg.encoded_len_hint(), |frame| {
+            msg.encode_into(frame)
+        }))
     }
 
-    /// Sends one [`Envelope`] (the node-service interaction unit).
+    /// Sends one [`Envelope`] (the node-service interaction unit):
+    /// header, envelope bytes and checksum trailer are written into the
+    /// one frame buffer that goes on the link.
     pub fn send_envelope(&mut self, env: &Envelope) -> Result<(), TransportError> {
-        self.send_payload(&env.encode())
+        self.transmit(frame_with(env.encoded_len_hint(), |frame| {
+            env.encode_into(frame)
+        }))
     }
 
     /// Flushes a frame the fault link held back for reordering (end of
@@ -119,14 +130,19 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Non-blocking receive of the next complete frame payload.
+    /// Non-blocking receive of the next complete frame, its payload
+    /// decoded where it lies in the frame decoder's buffer.
     ///
     /// `Ok(None)` means no complete frame is available right now.
-    fn try_recv_payload(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
+    fn try_recv_with<T>(
+        &mut self,
+        decode: impl Fn(&[u8]) -> Result<T, CodecError>,
+    ) -> Result<Option<T>, TransportError> {
+        let read = |payload: &[u8]| decode(payload).map_err(|_| TransportError::BadMessage);
         loop {
             // First, drain whatever the decoder can already produce.
-            match self.decoder.next_frame() {
-                Ok(Some(payload)) => return Ok(Some(payload)),
+            match self.decoder.next_frame_with(read) {
+                Ok(Some(decoded)) => return decoded.map(Some),
                 Ok(None) => {}
                 Err(FrameError::BadChecksum) | Err(FrameError::Oversize(_)) => {
                     return Err(TransportError::CorruptFrame);
@@ -138,8 +154,8 @@ impl Endpoint {
                 Err(TryRecvError::Empty) => return Ok(None),
                 Err(TryRecvError::Disconnected) => {
                     // Drain any remaining buffered frames first.
-                    return match self.decoder.next_frame() {
-                        Ok(Some(payload)) => Ok(Some(payload)),
+                    return match self.decoder.next_frame_with(read) {
+                        Ok(Some(decoded)) => decoded.map(Some),
                         _ => Err(TransportError::Disconnected),
                     };
                 }
@@ -151,22 +167,18 @@ impl Endpoint {
     ///
     /// `Ok(None)` means no complete message is available right now.
     pub fn try_recv(&mut self) -> Result<Option<Message>, TransportError> {
-        match self.try_recv_payload()? {
-            Some(payload) => Message::decode(&payload)
-                .map(Some)
-                .map_err(|_| TransportError::BadMessage),
-            None => Ok(None),
-        }
+        self.try_recv_with(Message::decode)
     }
 
     /// Non-blocking receive of the next complete [`Envelope`].
     pub fn try_recv_envelope(&mut self) -> Result<Option<Envelope>, TransportError> {
-        match self.try_recv_payload()? {
-            Some(payload) => Envelope::decode(&payload)
-                .map(Some)
-                .map_err(|_| TransportError::BadMessage),
-            None => Ok(None),
-        }
+        self.try_recv_with(Envelope::decode)
+    }
+
+    /// The next raw frame off the link, undecoded.
+    #[cfg(test)]
+    pub(crate) fn recv_raw(&mut self) -> Option<Vec<u8>> {
+        self.rx.try_recv().ok()
     }
 
     /// Receives every currently deliverable message, skipping corrupt

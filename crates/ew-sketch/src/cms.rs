@@ -2,6 +2,16 @@
 
 use crate::hashing::{fold_item, RowHash};
 use crate::params::CmsParams;
+use std::ops::Range;
+
+/// Items each row of [`CountMinSketch::query_range`] steps at once.
+/// Two lanes' state and the sweep's constants fit the registers of a
+/// baseline x86-64; four spill.
+const SWEEP_LANES: usize = 2;
+/// Items per row-major pass of [`CountMinSketch::query_range`]: the
+/// running minima of one block (16 KB) stay in L1 while every row
+/// visits them, and the lanes are set up once per row per block.
+const SWEEP_BLOCK: usize = 4096;
 
 /// A count-min sketch over 64-bit items with 4-byte (u32) cells.
 ///
@@ -62,6 +72,19 @@ impl CountMinSketch {
         }
     }
 
+    /// A sketch over hand-picked row hashes instead of derived ones.
+    #[cfg(test)]
+    pub(crate) fn with_rows(width: usize, rows: Vec<RowHash>, cells: Vec<u32>) -> Self {
+        let params = CmsParams::new(rows.len(), width, 0);
+        assert_eq!(cells.len(), params.num_cells(), "cell count mismatch");
+        CountMinSketch {
+            params,
+            rows,
+            cells,
+            insertions: 0,
+        }
+    }
+
     /// Total insertions so far.
     pub fn insertions(&self) -> u64 {
         self.insertions
@@ -100,6 +123,40 @@ impl CountMinSketch {
             .map(|(r, row)| self.cells[r * width + row.column(item, width)])
             .min()
             .expect("depth >= 1")
+    }
+
+    /// [`Self::query`] for every item of `ids`: the estimates are handed
+    /// to `emit` a block of consecutive items at a time, in order, each
+    /// block with its first item — the server's sweep over the
+    /// enumerable ad-ID space (§4.1).
+    ///
+    /// Consecutive items make each row hash an arithmetic progression
+    /// modulo 2^61 − 1, so after one real hash per lane the sweep only
+    /// adds and conditionally subtracts: no multiply, no division, for
+    /// any width. A block of items is walked row-major, each row
+    /// `min`-ing its cell into the block's running estimates.
+    pub fn query_range(&self, ids: Range<u64>, mut emit: impl FnMut(u64, &[u32])) {
+        let width = self.params.width;
+        let mut block = [0u32; SWEEP_BLOCK];
+        let mut first = ids.start;
+        while first < ids.end {
+            let n = (ids.end - first).min(SWEEP_BLOCK as u64) as usize;
+            // Whole lane groups only; the surplus lanes of the last
+            // group are computed and dropped.
+            let estimates = &mut block[..n.next_multiple_of(SWEEP_LANES)];
+            estimates.fill(u32::MAX);
+            for (row, cells) in self.rows.iter().zip(self.cells.chunks_exact(width)) {
+                let mut lanes = row.lanes::<SWEEP_LANES>(first, width);
+                for group in estimates.chunks_exact_mut(SWEEP_LANES) {
+                    for (estimate, &col) in group.iter_mut().zip(lanes.columns()) {
+                        *estimate = (*estimate).min(cells[col as usize]);
+                    }
+                    lanes.step();
+                }
+            }
+            emit(first, &estimates[..n]);
+            first += n as u64;
+        }
     }
 
     /// Byte-identifier variant of [`Self::query`].

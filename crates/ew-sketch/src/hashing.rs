@@ -9,6 +9,8 @@ use ew_crypto::sha256::Sha256;
 
 /// The Mersenne prime 2^61 − 1.
 const P61: u128 = (1u128 << 61) - 1;
+/// [`P61`] in the word the reduced hash lives in.
+const P: u64 = P61 as u64;
 
 /// One row's `(a, b)` coefficients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,30 +27,117 @@ impl RowHash {
             &seed.to_be_bytes(),
             &(row as u64).to_be_bytes(),
         ]);
-        let a =
-            u64::from_be_bytes(digest[0..8].try_into().expect("8 bytes")) % ((P61 as u64) - 1) + 1;
-        let b = u64::from_be_bytes(digest[8..16].try_into().expect("8 bytes")) % (P61 as u64);
+        let a = u64::from_be_bytes(digest[0..8].try_into().expect("8 bytes")) % (P - 1) + 1;
+        let b = u64::from_be_bytes(digest[8..16].try_into().expect("8 bytes")) % P;
         RowHash { a, b }
+    }
+
+    /// `(a·item + b) mod p`, by shift-and-add folding (`2^61 ≡ 1 (mod p)`
+    /// ⇒ fold the high bits onto the low) instead of a 128-bit division.
+    #[inline]
+    fn reduce(&self, item: u64) -> u64 {
+        let v = self.a as u128 * item as u128 + self.b as u128; // < 2^125
+        let folded = (v & P61) + (v >> 61); // ≡ v, < 2^64 + 2^61
+        let r = ((folded & P61) + (folded >> 61)) as u64; // ≡ v, ≤ p + 16
+        if r >= P {
+            r - P
+        } else {
+            r
+        }
     }
 
     /// Maps a 64-bit item to a column in `[0, width)`.
     ///
     /// This runs once per row for every CMS update — the per-impression
-    /// hot loop — so the reduction modulo the Mersenne prime uses
-    /// shift-and-add folding (`2^61 ≡ 1 (mod p)` ⇒ fold the high bits
-    /// onto the low) instead of a 128-bit division; only the final
-    /// `% width` remains a real division.
+    /// hot loop — so the reduction modulo the Mersenne prime is folded
+    /// and only the final `% width` remains a real (64-bit) division.
+    #[inline]
     pub fn column(&self, item: u64, width: usize) -> usize {
         debug_assert!(width >= 1);
-        let v = self.a as u128 * item as u128 + self.b as u128; // < 2^125
-                                                                // First fold: v = hi·2^61 + lo ≡ hi + lo (mod p).
-        let folded = (v & P61) + (v >> 61); // < 2^64 + 2^61
-                                            // Second fold leaves at most p + 16.
-        let mut r = (folded & P61) + (folded >> 61);
-        if r >= P61 {
-            r -= P61;
+        (self.reduce(item) % width as u64) as usize
+    }
+
+    /// The columns of `L` consecutive items starting at `first`, ready
+    /// to be stepped `L` items at a time without multiplying or dividing
+    /// again (the server's sweep over the enumerable ad-ID space).
+    ///
+    /// # Panics
+    /// Panics if `width` exceeds 2^31 (the wire carries a width as a
+    /// `u32`; half that range keeps a column plus a step inside one).
+    pub(crate) fn lanes<const L: usize>(&self, first: u64, width: usize) -> ColumnLanes<L> {
+        assert!((1..=1 << 31).contains(&width), "sketch width out of range");
+        let width = width as u32;
+        let modulo = |x: u64| (x % width as u64) as u32;
+        // Lane k holds item `first + k` and moves by L items per step:
+        // its hash moves by `a·L mod p`.
+        let hash_step = RowHash { a: self.a, b: 0 }.reduce(L as u64);
+        let col_step = modulo(hash_step);
+        let hash: [u64; L] = std::array::from_fn(|k| self.reduce(first.wrapping_add(k as u64)));
+        ColumnLanes {
+            hash,
+            col: hash.map(modulo),
+            hash_step,
+            wraps_from: P - hash_step,
+            col_step,
+            // A hash that wraps past p lands `p mod width` columns short.
+            col_step_wrapped: modulo((col_step + width) as u64 - P % width as u64),
+            width,
         }
-        (r % width as u128) as usize
+    }
+}
+
+#[cfg(test)]
+impl RowHash {
+    /// A row with hand-picked coefficients (adversarial corners).
+    pub(crate) fn from_coefficients(a: u64, b: u64) -> Self {
+        assert!((1..P).contains(&a) && b < P, "coefficients out of range");
+        RowHash { a, b }
+    }
+}
+
+/// `L` arithmetic progressions `h(i + L) = h(i) + a·L (mod p)` with
+/// their columns `h mod width` carried alongside: one add and one
+/// conditional subtract each per step, for any width.
+#[derive(Debug, Clone)]
+pub(crate) struct ColumnLanes<const L: usize> {
+    hash: [u64; L],
+    col: [u32; L],
+    hash_step: u64,
+    /// `p − hash_step`: a hash at or above it wraps on its next step.
+    wraps_from: u64,
+    col_step: u32,
+    col_step_wrapped: u32,
+    width: u32,
+}
+
+impl<const L: usize> ColumnLanes<L> {
+    /// The current column of each lane, every one `< width`.
+    #[inline(always)]
+    pub(crate) fn columns(&self) -> &[u32; L] {
+        &self.col
+    }
+
+    /// Moves every lane `L` items on.
+    #[inline(always)]
+    pub(crate) fn step(&mut self) {
+        for k in 0..L {
+            let wraps = self.hash[k] >= self.wraps_from;
+            self.hash[k] += self.hash_step;
+            if wraps {
+                self.hash[k] -= P;
+            }
+            let step = if wraps {
+                self.col_step_wrapped
+            } else {
+                self.col_step
+            };
+            let col = self.col[k] + step; // < 2·width ≤ 2^32
+            self.col[k] = if col >= self.width {
+                col - self.width
+            } else {
+                col
+            };
+        }
     }
 }
 

@@ -4,14 +4,102 @@
 use crate::blinded::{BlindedSketch, SketchAccumulator};
 use crate::cms::CountMinSketch;
 use crate::exact::ExactCounter;
+use crate::hashing::RowHash;
 use crate::params::CmsParams;
 use proptest::prelude::*;
+use std::ops::Range;
 
 fn small_params() -> impl Strategy<Value = CmsParams> {
     (1usize..6, 4usize..64, any::<u64>()).prop_map(|(d, w, seed)| CmsParams::new(d, w, seed))
 }
 
+/// Widths the range sweep is checked at: degenerate, tiny, odd, the
+/// benchmark worlds' powers of two, the paper's §7.1 width and one more
+/// `from_error_bounds` width.
+fn sweep_widths() -> [usize; 7] {
+    let sized = CmsParams::from_error_bounds(0.01, 0.01, 1_000, 0).width;
+    [1, 2, 37, 1_024, 2_048, 2_719, sized]
+}
+
+/// Distinct pseudo-random cells, so a wrong column shows.
+fn noise_cells(n: usize, mut x: u64) -> Vec<u32> {
+    (0..n)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 32) as u32
+        })
+        .collect()
+}
+
+/// What `query_range` must emit: every id, in order, with `query(id)`.
+fn point_queries(cms: &CountMinSketch, ids: Range<u64>) -> Vec<(u64, u32)> {
+    ids.map(|id| (id, cms.query(id))).collect()
+}
+
+fn swept(cms: &CountMinSketch, ids: Range<u64>) -> Vec<(u64, u32)> {
+    let mut out = Vec::new();
+    cms.query_range(ids, |first, block| {
+        out.extend(
+            block
+                .iter()
+                .zip(first..)
+                .map(|(&estimate, id)| (id, estimate)),
+        )
+    });
+    out
+}
+
+#[test]
+fn query_range_equals_point_queries_at_the_row_hash_corners() {
+    const P: u64 = (1 << 61) - 1;
+    // Never wraps; wraps on the first step; steps backwards by one;
+    // wraps on all but every (p/3)-th step.
+    let rows = vec![
+        RowHash::from_coefficients(1, 0),
+        RowHash::from_coefficients(1, P - 1),
+        RowHash::from_coefficients(P - 1, P - 1),
+        RowHash::from_coefficients(P - 3, 5),
+    ];
+    for width in sweep_widths() {
+        let cells = noise_cells(rows.len() * width, width as u64);
+        let cms = CountMinSketch::with_rows(width, rows.clone(), cells);
+        for ids in [
+            0..9_000,
+            1..9,
+            4_095..4_097,
+            5..5,
+            // Items crossing the prime, and the end of the item space.
+            P - 700..P + 700,
+            u64::MAX - 1_500..u64::MAX,
+        ] {
+            assert_eq!(
+                swept(&cms, ids.clone()),
+                point_queries(&cms, ids.clone()),
+                "width={width} ids={ids:?}"
+            );
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn query_range_equals_point_queries(
+        seed in any::<u64>(),
+        depth in 1usize..9,
+        width in 0usize..7,
+        start in prop_oneof![Just(0u64), 0u64..5_000, any::<u64>()],
+        len in prop_oneof![Just(0u64), 1u64..40, 1u64..9_000],
+    ) {
+        let params = CmsParams::new(depth, sweep_widths()[width], seed);
+        let cells = noise_cells(params.num_cells(), seed ^ 0x5EED);
+        let cms = CountMinSketch::from_cells(params, cells, 0);
+        let start = start.min(u64::MAX - len);
+        let ids = start..start + len;
+        prop_assert_eq!(swept(&cms, ids.clone()), point_queries(&cms, ids));
+    }
+
     #[test]
     fn cms_never_underestimates(
         params in small_params(),

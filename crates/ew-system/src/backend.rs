@@ -13,7 +13,7 @@
 use crate::ids::AdIdMapper;
 use crate::node::AggregationBackend;
 use ew_bigint::UBig;
-use ew_core::{GlobalView, ThresholdPolicy};
+use ew_core::{AdKey, GlobalView, ThresholdPolicy};
 use ew_crypto::directory::KeyDirectory;
 use ew_proto::{error_code, Envelope, Message, NodeId};
 use ew_sketch::{CmsParams, SketchAccumulator};
@@ -161,7 +161,19 @@ impl RoundState {
     pub fn finalize(self, mapper: &AdIdMapper, policy: ThresholdPolicy) -> GlobalView {
         let reports = self.accumulator.reports();
         let aggregate = self.accumulator.finalize(reports as u64);
-        let estimates = mapper.all_ids().map(|ad| (ad, aggregate.query(ad) as f64));
+        // Whether an id is vacant is as good as random, so every id is
+        // written and a vacant one is overwritten by the next: keeping
+        // or skipping is an index bump, not a mispredicted branch.
+        let mut estimates: Vec<(AdKey, f64)> = Vec::new();
+        let mut kept = 0;
+        aggregate.query_range(mapper.all_ids(), |first, block| {
+            estimates.resize(kept + block.len(), (0, 0.0));
+            for (&users, ad) in block.iter().zip(first..) {
+                estimates[kept] = (ad, users as f64);
+                kept += usize::from(users > 0);
+            }
+        });
+        estimates.truncate(kept);
         GlobalView::from_estimates(estimates, policy)
     }
 }
@@ -420,6 +432,78 @@ pub(crate) mod tests {
                 cells: sketch.cells().to_vec(),
             },
         )
+    }
+
+    /// A hostile-ish drain for round 1 of a six-user cohort: valid
+    /// reports, an in-batch duplicate, an unknown user, a wrong-round
+    /// report, a spoofed sender, a query and an error envelope
+    /// interleaved mid-stream.
+    pub(crate) fn hostile_stream(p: CmsParams) -> Vec<Envelope> {
+        let mut spoofed = report_env(p, 3, 1, &[9]);
+        spoofed.sender = NodeId::Client(4);
+        vec![
+            report_env(p, 0, 1, &[1, 5]),
+            report_env(p, 1, 1, &[2]),
+            Envelope::new(
+                NodeId::Client(0),
+                1,
+                Message::UsersQuery { round: 1, ad: 5 },
+            ),
+            report_env(p, 1, 1, &[2]), // duplicate
+            report_env(p, 9, 1, &[3]), // unknown user
+            report_env(p, 2, 2, &[4]), // wrong round
+            spoofed,                   // spoofed sender
+            Envelope::new(
+                NodeId::Client(5),
+                1,
+                Message::Error {
+                    code: 1,
+                    detail: "spoof".to_string(),
+                    hint: None,
+                },
+            ),
+            report_env(p, 2, 1, &[4]),
+            report_env(p, 3, 1, &[6]),
+            report_env(p, 4, 1, &[7]),
+        ]
+    }
+
+    /// The sweep as it was first written — one point query per
+    /// enumerable id — kept as the oracle for [`RoundState::finalize`].
+    fn finalize_by_point_queries(
+        state: RoundState,
+        mapper: &AdIdMapper,
+        policy: ThresholdPolicy,
+    ) -> GlobalView {
+        let reports = state.accumulator.reports();
+        let aggregate = state.accumulator.finalize(reports as u64);
+        let estimates = mapper.all_ids().map(|ad| (ad, aggregate.query(ad) as f64));
+        GlobalView::from_estimates(estimates, policy)
+    }
+
+    #[test]
+    fn finalize_sweep_equals_point_queries_on_the_hostile_stream() {
+        let p = CmsParams::new(2, 32, 3);
+        let mut state = RoundState::open(p, 1);
+        let accepted = hostile_stream(p)
+            .iter()
+            .filter(|env| state.absorb(env, |user| user < 6).is_ok())
+            .count();
+        assert_eq!(accepted, 5);
+        // Less than one block of the sweep, and several with a ragged end.
+        for capacity in [64, 9_000] {
+            let mapper = AdIdMapper::new(capacity);
+            for policy in ThresholdPolicy::all() {
+                let view = state.clone().finalize(&mapper, policy);
+                assert_eq!(
+                    view,
+                    finalize_by_point_queries(state.clone(), &mapper, policy),
+                    "capacity={capacity} policy={}",
+                    policy.label()
+                );
+                assert!(view.num_ads() >= 6, "the six reported ads are in the view");
+            }
+        }
     }
 
     fn adjustment_env(user: u32, round: u64, cells: Vec<u32>) -> Envelope {

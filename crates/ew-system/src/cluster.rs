@@ -1117,7 +1117,10 @@ impl AggregationBackend for ClusterBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{tests::report_env, BackendServer};
+    use crate::backend::{
+        tests::{hostile_stream, report_env},
+        BackendServer,
+    };
     use ew_proto::error_code;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -1215,37 +1218,7 @@ mod tests {
 
     #[test]
     fn hostile_stream_absorb_matches_serial_single_backend_walk() {
-        let p = params();
-        // A hostile-ish drain: valid reports, an in-batch duplicate, an
-        // unknown user, a wrong-round report, a spoofed sender, a query
-        // and an error envelope interleaved mid-stream.
-        let mut spoofed = report_env(p, 3, 1, &[9]);
-        spoofed.sender = NodeId::Client(4);
-        let stream = vec![
-            report_env(p, 0, 1, &[1, 5]),
-            report_env(p, 1, 1, &[2]),
-            Envelope::new(
-                NodeId::Client(0),
-                1,
-                Message::UsersQuery { round: 1, ad: 5 },
-            ),
-            report_env(p, 1, 1, &[2]), // duplicate
-            report_env(p, 9, 1, &[3]), // unknown user
-            report_env(p, 2, 2, &[4]), // wrong round
-            spoofed,                   // spoofed sender
-            Envelope::new(
-                NodeId::Client(5),
-                1,
-                Message::Error {
-                    code: 1,
-                    detail: "spoof".to_string(),
-                    hint: None,
-                },
-            ),
-            report_env(p, 2, 1, &[4]),
-            report_env(p, 3, 1, &[6]),
-            report_env(p, 4, 1, &[7]),
-        ];
+        let stream = hostile_stream(params());
 
         let mut serial = single(6);
         serial.open_round(1);

@@ -5,6 +5,7 @@
 
 use ew_core::AdKey;
 use ew_crypto::oprf::OPRF_OUTPUT_LEN;
+use std::ops::Range;
 
 /// Maps OPRF outputs into the enumerable ad-ID space `[0, capacity)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,9 +42,9 @@ impl AdIdMapper {
         (wide % self.capacity as u128) as AdKey
     }
 
-    /// Iterates the whole enumerable ID space (server-side `#Users`
-    /// queries).
-    pub fn all_ids(&self) -> impl Iterator<Item = AdKey> {
+    /// The whole enumerable ID space, in order (server-side `#Users`
+    /// queries) — a range, so the sweep can step through it.
+    pub fn all_ids(&self) -> Range<AdKey> {
         0..self.capacity
     }
 }

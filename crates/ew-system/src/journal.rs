@@ -83,6 +83,9 @@ pub struct RoundLog {
     absorbed: BTreeMap<(u8, u32, u64), AbsorbedEntry>,
     /// Total records dropped by snapshots (telemetry).
     truncated: u64,
+    /// Where an absorbed envelope is encoded to be fingerprinted; kept
+    /// so that takes no allocation per report.
+    scratch: Vec<u8>,
 }
 
 impl RoundLog {
@@ -95,6 +98,7 @@ impl RoundLog {
             checkpoints: BTreeMap::new(),
             absorbed: BTreeMap::new(),
             truncated: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -111,11 +115,13 @@ impl RoundLog {
         self.next_seq += 1;
         if let JournalEvent::Absorbed { shard, envelope } = &event {
             if let Some(key) = dedupe_key(envelope) {
+                self.scratch.clear();
+                envelope.encode_into(&mut self.scratch);
                 self.absorbed.insert(
                     key,
                     AbsorbedEntry {
                         seq,
-                        crc: crc32(&envelope.encode()),
+                        crc: crc32(&self.scratch),
                         shard: *shard,
                     },
                 );

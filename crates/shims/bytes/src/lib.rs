@@ -22,6 +22,14 @@ pub trait Buf {
     fn get_u64_le(&mut self) -> u64;
     /// Copies `dst.len()` bytes out, advancing.
     fn copy_to_slice(&mut self, dst: &mut [u8]);
+    /// The unread bytes, without advancing (every buffer here is one
+    /// contiguous slice, so this is all of them).
+    fn chunk(&self) -> &[u8];
+    /// Skips `cnt` bytes.
+    ///
+    /// # Panics
+    /// Panics if fewer than `cnt` bytes remain.
+    fn advance(&mut self, cnt: usize);
     /// True while bytes remain.
     fn has_remaining(&self) -> bool {
         self.remaining() > 0
@@ -61,6 +69,14 @@ impl Buf for &[u8] {
         let (head, rest) = self.split_at(dst.len());
         dst.copy_from_slice(head);
         *self = rest;
+    }
+
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+
+    fn advance(&mut self, cnt: usize) {
+        *self = &self[cnt..];
     }
 }
 
@@ -123,6 +139,15 @@ mod tests {
         r.copy_to_slice(&mut tail);
         assert_eq!(&tail, b"tail");
         assert!(!r.has_remaining());
+    }
+
+    #[test]
+    fn chunk_peeks_and_advance_skips() {
+        let mut r: &[u8] = &[1, 2, 3, 4, 5];
+        assert_eq!(r.chunk(), &[1, 2, 3, 4, 5]);
+        r.advance(3);
+        assert_eq!(r.chunk(), &[4, 5]);
+        assert_eq!(r.get_u8(), 4);
     }
 
     #[test]
