@@ -113,6 +113,14 @@ fn main() {
     let per_client_total = setup_time + blind_time;
     let extrapolated_1k = per_client_total * 10; // 1000 peers / 100
     println!("Blinding-factor computation (MODP-2048, {cells}-cell sketch):");
+    // Which engines produced the two timings below: the many-bases
+    // modpow behind the shared-secret setup and the blinding hash
+    // behind the vector derivation are both picked per CPU.
+    println!(
+        "  engines: modpow lanes {}, blinding hash {}",
+        ew_bigint::lane_tier(),
+        ew_crypto::hmac::expansion_tier()
+    );
     println!("  DH keygen for {peers} users:            {keygen_time:?}");
     println!("  shared-secret setup, {peers} peers:     {setup_time:?}");
     println!("  per-round vector derivation:         {blind_time:?}");

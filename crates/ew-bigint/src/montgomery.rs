@@ -52,6 +52,21 @@
 //! * The arena holds no secret-dependent state a caller could observe;
 //!   it is plain uninitialized-between-calls workspace.
 //!
+//! ## Many bases under one exponent
+//!
+//! [`MontgomeryCtx::modpow_many`] is the batch entry point for the
+//! shape enrolment and the OPRF server have — one exponent, one
+//! modulus, many bases. It recodes the exponent once and, on a CPU
+//! with AVX-512, runs 24 bases at a time through the lane-interleaved
+//! engine in [`crate::lanes`] (radix-2²⁸ limbs stored `[limb][lane]`,
+//! `R > 4n` so no step needs a conditional subtraction, lazy carries
+//! bounded by `nl ≤ 127` limbs); that module's docs carry the layout,
+//! the two arguments, the gates and why AVX2 has no tier. Everything
+//! else — a CPU without AVX-512, a modulus over 3 554 bits, a chunk of
+//! fewer than 14 bases — is a loop over [`MontgomeryCtx::modpow_into`],
+//! and either way the results are the canonical residues `modpow`
+//! returns. The lane rows live in the same [`MontScratch`] arena.
+//!
 //! ## Montgomery-domain pipelines
 //!
 //! [`MontElem`] is a value held in Montgomery form (`v·R mod n`).
@@ -65,7 +80,8 @@
 //! the RSA-CRT Garner step each cost one pass this way.
 //!
 //! A [`MontgomeryCtx`] precomputes everything that depends only on the
-//! modulus (`n'`, `R mod n`, `R² mod n` — one division each at setup),
+//! modulus (`n'`, `R mod n`, `R² mod n`, and `R² mod n` once more for
+//! the lane engine's radix — one division each at setup),
 //! so a cached context amortizes to nothing across the millions of
 //! exponentiations a deployed oprf-server performs. For the
 //! fixed-generator case (DH `g^x`), [`FixedBaseTable`] trades ~2 MB of
@@ -76,6 +92,7 @@
 //! [`crate::UBig::divrem`] (as long as operands are already reduced);
 //! the differential proptests pin that property via [`crate::ops_trace`].
 
+use crate::lanes::{self, LaneKernel, LaneModulus, LaneRow, LANES};
 use crate::ops_trace;
 use crate::ubig::UBig;
 use std::cell::RefCell;
@@ -85,9 +102,9 @@ use std::sync::Arc;
 /// multiply with the odd power `base^digit` (`digit == 0` encodes
 /// trailing squarings with no multiply).
 #[derive(Clone, Copy, Debug)]
-struct WindowOp {
-    squares: u32,
-    digit: u8,
+pub(crate) struct WindowOp {
+    pub(crate) squares: u32,
+    pub(crate) digit: u8,
 }
 
 /// Reusable workspace for Montgomery operations.
@@ -111,6 +128,10 @@ pub struct MontScratch {
     flex: Vec<u64>,
     /// Recoded exponent windows.
     ops: Vec<WindowOp>,
+    /// Lane-engine rows ([`MontgomeryCtx::modpow_many`]): window,
+    /// accumulators and the `[digit][limb][lane]` odd-power table,
+    /// sized by the first batch that takes the lane path.
+    lanes: Vec<LaneRow>,
 }
 
 impl MontScratch {
@@ -222,13 +243,17 @@ pub struct MontgomeryCtx {
     r1: Vec<u64>,
     /// `R² mod n` — multiplier for converting into Montgomery form.
     r2: Vec<u64>,
+    /// The same constants in 28-bit limbs for the lane engine behind
+    /// [`Self::modpow_many`]; `None` when `n` is too wide for it.
+    lane: Option<LaneModulus>,
 }
 
 impl MontgomeryCtx {
     /// Builds a context for the odd modulus `n > 1`.
     ///
-    /// Performs the only divisions this module ever needs (two
-    /// remainders, for `R mod n` and `R² mod n`).
+    /// Performs the only divisions this module ever needs (three
+    /// remainders: `R mod n` and `R² mod n`, and `R² mod n` again for
+    /// the lane engine's `R = 2^(28·nl)`).
     ///
     /// # Panics
     /// Panics if `n` is even or `n <= 1`.
@@ -248,6 +273,7 @@ impl MontgomeryCtx {
             n0inv,
             r1,
             r2,
+            lane: LaneModulus::new(n),
         }
     }
 
@@ -308,6 +334,114 @@ impl MontgomeryCtx {
         // Leave Montgomery form with a bare reduction sweep.
         self.mont_redc(&acc[..k], t, tmp);
         set_limbs(out, &tmp[..k]);
+    }
+
+    /// `base^exp mod n` for every base of a batch under **one**
+    /// exponent — the shape of Diffie–Hellman enrolment (`y_j^{x_i}`
+    /// for the whole directory) and of the OPRF server's CRT halves.
+    /// Element `i` of the result is exactly `self.modpow(&bases[i],
+    /// exp)`: the canonical residue, with the same treatment of a zero
+    /// exponent, a zero base and a base `≥ n` (reduced first — the only
+    /// possible division).
+    ///
+    /// On a CPU with AVX-512 the batch runs 24 bases at a time through
+    /// the lane-interleaved engine (see the `lanes.rs` module docs):
+    /// the exponent is recoded once, and every Montgomery step is one
+    /// pass over all lanes. Two constants send work to the
+    /// scalar loop instead — a modulus too wide for the lane
+    /// accumulators, and a chunk with too few bases to fill enough
+    /// lanes; without AVX-512 the whole batch is the scalar loop
+    /// ([`crate::lane_tier`] says which). Scratch is the
+    /// per-thread arena: a warm call allocates only its results.
+    pub fn modpow_many(&self, bases: &[UBig], exp: &UBig) -> Vec<UBig> {
+        let kernel = lanes::accelerated().then_some(lanes::pow_rows as LaneKernel);
+        self.modpow_many_with(bases, exp, kernel, lanes::MIN_LANE_BATCH)
+    }
+
+    /// [`Self::modpow_many`] with its two run-time choices spelled out:
+    /// the lane kernel (`None`: scalar loop) and the fewest bases worth
+    /// a lane pass. The tests come in here to run either instantiation
+    /// at any width and batch length.
+    pub(crate) fn modpow_many_with(
+        &self,
+        bases: &[UBig],
+        exp: &UBig,
+        kernel: Option<LaneKernel>,
+        min_batch: usize,
+    ) -> Vec<UBig> {
+        with_scratch(|s| {
+            let lane = match (&self.lane, kernel) {
+                (Some(md), Some(kernel)) if !exp.is_zero() && bases.len() >= min_batch => {
+                    s.ensure(self.k);
+                    lanes::ensure_rows(&mut s.lanes, md);
+                    recode_exponent(exp, &mut s.ops);
+                    Some((md, kernel))
+                }
+                _ => None,
+            };
+            let mut out = Vec::with_capacity(bases.len());
+            for chunk in bases.chunks(LANES) {
+                match lane {
+                    Some((md, kernel)) if chunk.len() >= min_batch => {
+                        self.pow_lanes(md, kernel, chunk, s, &mut out)
+                    }
+                    _ => {
+                        for base in chunk {
+                            let mut power = UBig::zero();
+                            self.modpow_into(base, exp, s, &mut power);
+                            out.push(power);
+                        }
+                    }
+                }
+            }
+            out
+        })
+    }
+
+    /// One lane pass: `chunk` (at most [`LANES`] bases) raised to the
+    /// schedule already recoded in `s.ops`, results appended to `out`.
+    fn pow_lanes(
+        &self,
+        md: &LaneModulus,
+        kernel: LaneKernel,
+        chunk: &[UBig],
+        s: &mut MontScratch,
+        out: &mut Vec<UBig>,
+    ) {
+        let k = self.k;
+        let MontScratch {
+            t,
+            tmp,
+            ops,
+            lanes: rows,
+            ..
+        } = s;
+        let idle = UBig::zero();
+        for lane in 0..LANES {
+            match chunk.get(lane) {
+                Some(base) if base >= &self.n => {
+                    lanes::load_lane(md, rows, lane, &base.rem_ref(&self.n))
+                }
+                Some(base) => lanes::load_lane(md, rows, lane, base),
+                None => lanes::load_lane(md, rows, lane, &idle),
+            }
+        }
+        kernel(md, ops, rows);
+        // The scalar schedule, once per live lane: into form, base²,
+        // 15 table entries, the windows, out of form.
+        let steps: u64 = ops[1..]
+            .iter()
+            .map(|op| op.squares as u64 + (op.digit != 0) as u64)
+            .sum();
+        ops_trace::record_mont_muls((steps + 18) * chunk.len() as u64);
+        for lane in 0..chunk.len() {
+            // A lane leaves the engine at most n; one subtraction makes
+            // it canonical.
+            lanes::store_lane(md, rows, lane, &mut t[..k]);
+            t[k] = 0;
+            conditional_sub(&t[..k + 1], &self.n_limbs, tmp);
+            out.push(to_ubig(&tmp[..k]));
+        }
     }
 
     /// Sliding-window core: `acc = base_buf^exp`, all in Montgomery
@@ -1638,5 +1772,237 @@ mod tests {
     #[should_panic(expected = "exceed 1")]
     fn modulus_one_rejected() {
         MontgomeryCtx::new(&UBig::one());
+    }
+}
+
+#[cfg(test)]
+mod lane_tests {
+    //! `modpow_many` against per-base `modpow`: edge semantics, every
+    //! instantiation of the lane engine, the accumulator bound at every
+    //! width, the gates, and the `ops_trace` contracts.
+
+    use super::*;
+    use crate::random::{random_below, random_bits, random_odd_bits};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The scalar loop and both instantiations of the lane engine, each
+    /// forced on for batches of any length.
+    fn engines() -> [(&'static str, Option<LaneKernel>); 3] {
+        [
+            ("scalar loop", None),
+            ("portable lanes", Some(lanes::pow_rows_portable)),
+            ("dispatched lanes", Some(lanes::pow_rows)),
+        ]
+    }
+
+    /// `modpow_many` under every engine, and through the public entry
+    /// with its gates, against per-base `modpow`.
+    fn assert_batch_matches(ctx: &MontgomeryCtx, bases: &[UBig], exp: &UBig, what: &str) {
+        let want: Vec<UBig> = bases.iter().map(|b| ctx.modpow(b, exp)).collect();
+        for (name, kernel) in engines() {
+            assert_eq!(
+                ctx.modpow_many_with(bases, exp, kernel, 1),
+                want,
+                "{what}: {name}, batch of {}",
+                bases.len()
+            );
+        }
+        assert_eq!(ctx.modpow_many(bases, exp), want, "{what}: public entry");
+    }
+
+    /// Exponent widths the debug profile can afford: its lane body is
+    /// unvectorised, overflow-checked code.
+    fn exp_bits(bits: usize) -> usize {
+        if cfg!(debug_assertions) {
+            bits.min(96)
+        } else {
+            bits
+        }
+    }
+
+    #[test]
+    fn edge_semantics_are_the_scalar_engines() {
+        let mut rng = StdRng::seed_from_u64(0x1A9E);
+        let moduli = [
+            UBig::from_u64(1_000_003), // one lane limb
+            random_odd_bits(&mut rng, 61),
+            random_odd_bits(&mut rng, 64), // one 64-bit limb, three lane limbs
+            random_odd_bits(&mut rng, 65),
+            random_odd_bits(&mut rng, 521),
+        ];
+        for m in &moduli {
+            let ctx = MontgomeryCtx::new(m);
+            let special = [
+                UBig::zero(),
+                UBig::one(),
+                m.sub_ref(&UBig::one()),
+                m.clone(),                     // ≥ n: reduces to 0
+                m.add_ref(&UBig::from_u64(5)), // ≥ n: reduces to 5
+                m.mul_ref(&UBig::from_u64(3)).add_ref(&UBig::from_u64(17)), // several times n
+            ];
+            let exps = [
+                UBig::zero(),
+                UBig::one(),
+                UBig::two(),
+                random_bits(&mut rng, 40),
+                m.sub_ref(&UBig::one()).shr_bits(1),
+            ];
+            // Idle lanes on either side of a full pass must not leak.
+            for len in [0usize, 1, LANES - 1, LANES, LANES + 1, 2 * LANES + 1] {
+                let bases: Vec<UBig> = (0..len)
+                    .map(|i| match special.get(i % 9) {
+                        Some(v) => v.clone(),
+                        None => random_below(&mut rng, m),
+                    })
+                    .collect();
+                for exp in &exps {
+                    let what = format!("{} bits, exp {} bits", m.bit_len(), exp.bit_len());
+                    assert_batch_matches(&ctx, &bases, exp, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_host_tier_matches_modpow() {
+        // One full pass plus a ragged one through each instantiation at
+        // the two widths the protocol uses (RSA-2048's CRT halves,
+        // MODP-2048). `engines()` runs the portable body and whatever
+        // `pow_rows` dispatches to on this CPU.
+        println!("lane tier: {}", lanes::lane_tier());
+        let mut rng = StdRng::seed_from_u64(0x71E2);
+        for bits in [1024usize, 2048] {
+            let m = random_odd_bits(&mut rng, bits);
+            let ctx = MontgomeryCtx::new(&m);
+            let bases: Vec<UBig> = (0..LANES + 3).map(|_| random_below(&mut rng, &m)).collect();
+            let mut exp = random_bits(&mut rng, exp_bits(bits));
+            exp.set_bit(exp_bits(bits) - 1);
+            assert_batch_matches(&ctx, &bases, &exp, &format!("{bits} bits"));
+        }
+    }
+
+    #[test]
+    fn lazy_accumulators_hold_at_every_width() {
+        // Debug builds panic on overflow, so this passing there is the
+        // check of the column bound end to end: saturated bases (n − 1,
+        // 2^(bits−1) − 1 and friends) under a saturated modulus, at
+        // every protocol width and at the widest the gate admits.
+        let mut rng = StdRng::seed_from_u64(0xACC5);
+        for bits in [64usize, 1024, 1536, 2048, 3072, 3554] {
+            let all_ones = (&UBig::one() << bits).sub_ref(&UBig::one());
+            for m in [all_ones.clone(), random_odd_bits(&mut rng, bits)] {
+                let ctx = MontgomeryCtx::new(&m);
+                let mut bases = vec![
+                    m.sub_ref(&UBig::one()),
+                    m.sub_ref(&UBig::two()),
+                    all_ones.shr_bits(1),
+                    all_ones.shr_bits(2),
+                ];
+                bases.resize_with(LANES, || random_below(&mut rng, &m));
+                let mut exp = random_bits(&mut rng, exp_bits(bits).min(48));
+                exp.set_bit(0);
+                let want: Vec<UBig> = bases.iter().map(|b| ctx.modpow(b, &exp)).collect();
+                for (name, kernel) in &engines()[1..] {
+                    assert_eq!(
+                        ctx.modpow_many_with(&bases, &exp, *kernel, 1),
+                        want,
+                        "{bits} bits: {name}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Lane rows the calling thread's arena holds after `f` ran on a
+    /// fresh thread — zero means no batch took the lane path.
+    fn lane_rows_after(f: impl FnOnce() + Send + 'static) -> usize {
+        std::thread::spawn(move || {
+            f();
+            SCRATCH.with(|s| s.borrow().lanes.len())
+        })
+        .join()
+        .expect("worker panicked")
+    }
+
+    #[test]
+    fn wide_moduli_and_short_batches_take_the_scalar_loop() {
+        let mut rng = StdRng::seed_from_u64(0x6A7E);
+        // 4 096 bits is 147 lane limbs: over the accumulator bound.
+        let wide = random_odd_bits(&mut rng, 4096);
+        let ctx_wide = MontgomeryCtx::new(&wide);
+        assert!(ctx_wide.lane.is_none());
+        let bases: Vec<UBig> = (0..LANES).map(|_| random_below(&mut rng, &wide)).collect();
+        let exp = random_bits(&mut rng, 24);
+        let want: Vec<UBig> = bases.iter().map(|b| ctx_wide.modpow(b, &exp)).collect();
+        for (name, kernel) in engines() {
+            assert_eq!(
+                ctx_wide.modpow_many_with(&bases, &exp, kernel, 1),
+                want,
+                "{name}"
+            );
+        }
+        assert_eq!(
+            lane_rows_after(move || {
+                ctx_wide.modpow_many(&bases, &exp);
+            }),
+            0,
+            "a 4096-bit batch must not touch the lane arena"
+        );
+
+        // A modulus the lanes do take, one base short of a pass.
+        let m = random_odd_bits(&mut rng, 256);
+        let bases: Vec<UBig> = (0..LANES + lanes::MIN_LANE_BATCH)
+            .map(|_| random_below(&mut rng, &m))
+            .collect();
+        let exp = random_bits(&mut rng, 64);
+        for (len, expect_lanes) in [
+            (lanes::MIN_LANE_BATCH - 1, false),
+            (lanes::MIN_LANE_BATCH, true),
+            (LANES + lanes::MIN_LANE_BATCH - 1, true),
+        ] {
+            let (ctx, bases, exp) = (MontgomeryCtx::new(&m), bases[..len].to_vec(), exp.clone());
+            let md_rows = ctx.lane.as_ref().expect("256 bits fits").scratch_rows();
+            let rows = lane_rows_after(move || {
+                let want: Vec<UBig> = bases.iter().map(|b| ctx.modpow(b, &exp)).collect();
+                assert_eq!(ctx.modpow_many(&bases, &exp), want);
+            });
+            let expected = if expect_lanes && lanes::accelerated() {
+                md_rows
+            } else {
+                0
+            };
+            assert_eq!(rows, expected, "batch of {len}");
+        }
+    }
+
+    #[test]
+    fn batch_divides_nothing_and_counts_the_scalar_schedule() {
+        let mut rng = StdRng::seed_from_u64(0x0B5C);
+        let m = random_odd_bits(&mut rng, 521);
+        let ctx = MontgomeryCtx::new(&m);
+        let exp = random_bits(&mut rng, 300);
+        let bases: Vec<UBig> = (0..LANES + 5).map(|_| random_below(&mut rng, &m)).collect();
+
+        let before = ops_trace::mont_mul_calls();
+        let _ = ctx.modpow(&bases[0], &exp);
+        let per_base = ops_trace::mont_mul_calls() - before;
+        assert!(per_base > 300, "the schedule squares once per exponent bit");
+
+        for (name, kernel) in engines() {
+            let (div, inv, mul) = (
+                ops_trace::divrem_calls(),
+                ops_trace::modinv_calls(),
+                ops_trace::mont_mul_calls(),
+            );
+            let _ = ctx.modpow_many_with(&bases, &exp, kernel, 1);
+            assert_eq!(ops_trace::divrem_calls(), div, "{name}: no division");
+            assert_eq!(ops_trace::modinv_calls(), inv, "{name}: no inversion");
+            assert_eq!(
+                ops_trace::mont_mul_calls() - mul,
+                per_base * bases.len() as u64,
+                "{name}: B × the scalar schedule's Montgomery steps"
+            );
+        }
     }
 }

@@ -34,14 +34,15 @@ pub fn modinv_calls() -> u64 {
     live::modinv_calls()
 }
 
-/// Total CIOS Montgomery multiplications on this thread (always 0 when
+/// Total Montgomery multiplications on this thread — scalar CIOS passes,
+/// and lane-engine passes once per live lane (always 0 when
 /// counting is compiled out — see the module docs).
 #[inline(always)]
 pub fn mont_mul_calls() -> u64 {
     live::mont_mul_calls()
 }
 
-pub(crate) use live::{record_divrem, record_modinv, record_mont_mul};
+pub(crate) use live::{record_divrem, record_modinv, record_mont_mul, record_mont_muls};
 
 #[cfg(any(test, feature = "ops-trace"))]
 mod live {
@@ -74,7 +75,13 @@ mod live {
     }
 
     pub(crate) fn record_mont_mul() {
-        MONT_MUL.with(|c| c.set(c.get() + 1));
+        record_mont_muls(1);
+    }
+
+    /// `count` Montgomery steps at once: one pass of the lane engine
+    /// is one step in each live lane.
+    pub(crate) fn record_mont_muls(count: u64) {
+        MONT_MUL.with(|c| c.set(c.get() + count));
     }
 }
 
@@ -103,6 +110,9 @@ mod live {
 
     #[inline(always)]
     pub(crate) fn record_mont_mul() {}
+
+    #[inline(always)]
+    pub(crate) fn record_mont_muls(_count: u64) {}
 }
 
 #[cfg(test)]

@@ -3,10 +3,14 @@
 //! arithmetic identities, and the differential properties pinning the
 //! Montgomery fast path to the generic reference ladder.
 
+use crate::lanes::{self, LANES};
 use crate::montgomery::MontgomeryCtx;
+use crate::random::{random_below, random_bits, random_odd_bits};
 use crate::ubig::UBig;
 use crate::{ext_gcd, ops_trace};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy producing UBig values of up to ~256 bits from raw bytes.
 fn ubig() -> impl Strategy<Value = UBig> {
@@ -246,6 +250,49 @@ proptest! {
             prop_assert!(a.checked_sub(&b).is_some());
         } else {
             prop_assert!(a.checked_sub(&b).is_none());
+        }
+    }
+}
+
+proptest! {
+    // Each case walks every width; the wide ones cost a lane pass per
+    // 24 bases, so a handful of cases is the budget.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn modpow_many_equals_modpow_equals_generic_ladder(seed in any::<u64>()) {
+        // Many bases under one exponent: the public entry (with its
+        // gates), the lane engine forced on for every chunk, per-base
+        // `modpow` and the division-based ladder must agree bit for
+        // bit — across one-limb, limb-boundary and protocol widths,
+        // batch lengths on both sides of one and two full passes, and
+        // exponents that are all squarings, all multiplies, or the
+        // subgroup order.
+        let mut rng = StdRng::seed_from_u64(seed);
+        for bits in [61usize, 64, 65, 521, 1024, 1536, 2048] {
+            let m = random_odd_bits(&mut rng, bits);
+            let ctx = MontgomeryCtx::new(&m);
+            let len = rng.gen_range(0..2 * LANES + 2);
+            let bases: Vec<UBig> = (0..len).map(|_| random_below(&mut rng, &m)).collect();
+            // The debug profile's lane body is unvectorised and
+            // overflow-checked: keep its exponents short.
+            let exp_bits = if cfg!(debug_assertions) { bits.min(64) } else { bits };
+            let k = rng.gen_range(0..exp_bits);
+            let exp = match rng.gen_range(0..4u32) {
+                0 => &UBig::one() << k,
+                1 => (&UBig::one() << k).sub_ref(&UBig::one()),
+                2 => m.sub_ref(&UBig::one()).shr_bits(1 + bits - exp_bits),
+                _ => random_bits(&mut rng, exp_bits),
+            };
+            let want: Vec<UBig> = bases.iter().map(|b| ctx.modpow(b, &exp)).collect();
+            prop_assert_eq!(&ctx.modpow_many(&bases, &exp), &want);
+            prop_assert_eq!(
+                &ctx.modpow_many_with(&bases, &exp, Some(lanes::pow_rows), 1),
+                &want
+            );
+            for (base, power) in bases.iter().zip(&want).take(2) {
+                prop_assert_eq!(power, &base.modpow_generic(&exp, &m));
+            }
         }
     }
 }

@@ -141,3 +141,29 @@ fn scratch_arena_grows_monotonically_across_widths() {
     assert_eq!(allocs, 0, "smaller width reuses the warmed arena");
     assert_eq!(out, base_small.modpow_generic(&exp_small, &small));
 }
+
+#[test]
+fn warm_modpow_many_allocates_only_its_results() {
+    // One full lane pass plus a ragged tail that takes the scalar loop
+    // (on a CPU without AVX-512 all of it does): either way a warm call
+    // allocates the result vector and one limb buffer per result —
+    // table, window and accumulators live in the per-thread arena.
+    let mut rng = StdRng::seed_from_u64(0xA110F);
+    let m = random_odd_bits(&mut rng, 1024);
+    let ctx = MontgomeryCtx::new(&m);
+    let bases: Vec<UBig> = (0..30).map(|_| random_below(&mut rng, &m)).collect();
+    let exp = UBig::from_u64(0xF00D_FACE_CAFE_BEEF);
+    println!("lane tier: {}", ew_bigint::lane_tier());
+
+    let _ = ctx.modpow_many(&bases, &exp);
+    for len in [30usize, 24, 14, 3, 0] {
+        let (allocs, got) = count_allocs(|| ctx.modpow_many(&bases[..len], &exp));
+        assert!(
+            allocs <= len as u64 + 1,
+            "warm batch of {len} may allocate only its results, measured {allocs}"
+        );
+        for (base, power) in bases.iter().zip(&got) {
+            assert_eq!(power, &base.modpow_generic(&exp, &m));
+        }
+    }
+}

@@ -57,16 +57,20 @@ impl UserCounters {
 
     /// The per-user `#Domains(u, ·)` distribution (one sample per ad).
     pub fn domain_distribution(&self) -> Vec<f64> {
-        self.domains_per_ad
-            .values()
-            .map(|s| s.len() as f64)
-            .collect()
+        self.domain_counts().collect()
+    }
+
+    /// `#Domains(u, a)` for every ad `a` seen, in the map's order.
+    fn domain_counts(&self) -> impl ExactSizeIterator<Item = f64> + Clone + '_ {
+        self.domains_per_ad.values().map(|s| s.len() as f64)
     }
 
     /// `Domains_th(u)` under `policy` — recomputable in real time inside
-    /// the user's browser as new ads arrive.
+    /// the user's browser as new ads arrive. Every audit calls this, so
+    /// the counts are read in place: same order and sums as over
+    /// [`Self::domain_distribution`], without building it.
     pub fn domains_threshold(&self, policy: ThresholdPolicy) -> f64 {
-        policy.compute(&self.domain_distribution())
+        policy.compute_over(self.domain_counts())
     }
 
     /// Clears state (new weekly window).

@@ -43,6 +43,7 @@ use crate::dh::DhKeyPair;
 use crate::directory::{KeyDirectory, UserId};
 use crate::group::ModpGroup;
 use crate::hmac::{hmac_expand_multi, hmac_expand_multi_at, HmacKey};
+use ew_bigint::UBig;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -233,36 +234,33 @@ impl Clone for BlindingGenerator {
 impl BlindingGenerator {
     /// Precomputes shared secrets with every *other* user in `directory`.
     ///
-    /// The expensive part (one modular exponentiation per peer) happens
-    /// once per cohort; per-round derivation afterwards is pure hashing.
-    /// This mirrors the paper's note that key agreement is "carried out
-    /// once per week ... in the background".
+    /// The expensive part (one modular exponentiation per peer, all
+    /// under this user's secret exponent and therefore run as one
+    /// batch) happens once per cohort; per-round derivation afterwards
+    /// is pure hashing. This mirrors the paper's note that key
+    /// agreement is "carried out once per week ... in the background".
+    /// Enrolment is [`Self::sync_directory`] from an empty peer set.
     pub fn new(
         group: &ModpGroup,
         user: UserId,
         keypair: &DhKeyPair,
         directory: &KeyDirectory,
     ) -> Self {
-        let mut shared = BTreeMap::new();
-        for (peer, public) in directory.iter() {
-            if peer == user {
-                continue;
-            }
-            let secret = keypair.shared_secret(group, public);
-            shared.insert(peer, HmacKey::new(&secret));
-        }
-        BlindingGenerator {
+        let mut generator = BlindingGenerator {
             user,
-            shared,
+            shared: BTreeMap::new(),
             state: Mutex::new(GenState {
                 scratch: Vec::new(),
                 cache: None,
             }),
-        }
+        };
+        generator.sync_directory(group, keypair, directory);
+        generator
     }
 
     /// Re-agrees with a changed directory **incrementally**: computes
-    /// shared secrets only for peers that joined, and drops departed
+    /// shared secrets only for peers that joined (one batch, in id
+    /// order — [`DhKeyPair::shared_secrets`]), and drops departed
     /// peers — including their cached streams, evicted eagerly so a
     /// churning population cannot grow the cache with dead entries.
     ///
@@ -280,7 +278,6 @@ impl BlindingGenerator {
         keypair: &DhKeyPair,
         directory: &KeyDirectory,
     ) -> (usize, usize) {
-        let mut added = 0usize;
         let mut removed = 0usize;
         let departed: Vec<UserId> = self
             .shared
@@ -296,15 +293,17 @@ impl BlindingGenerator {
             }
             removed += 1;
         }
-        for (peer, public) in directory.iter() {
-            if peer == self.user || self.shared.contains_key(&peer) {
-                continue;
-            }
-            let secret = keypair.shared_secret(group, public);
-            self.shared.insert(peer, HmacKey::new(&secret));
-            added += 1;
+        // Joiners in id order, agreed with as one batch.
+        let (joined, publics): (Vec<UserId>, Vec<UBig>) = directory
+            .iter()
+            .filter(|&(peer, _)| peer != self.user && !self.shared.contains_key(&peer))
+            .map(|(peer, public)| (peer, public.clone()))
+            .unzip();
+        let secrets = keypair.shared_secrets(group, &publics);
+        for (&peer, secret) in joined.iter().zip(&secrets) {
+            self.shared.insert(peer, HmacKey::new(secret));
         }
-        (added, removed)
+        (joined.len(), removed)
     }
 
     /// The id of the user this generator belongs to.
@@ -491,6 +490,120 @@ mod tests {
             .enumerate()
             .map(|(i, kp)| BlindingGenerator::new(group, i as u32, kp, dir))
             .collect()
+    }
+
+    /// The generator the one-peer-at-a-time enrolment built: a
+    /// [`DhKeyPair::shared_secret`] per directory entry other than the
+    /// user's own.
+    fn per_peer_oracle(
+        group: &ModpGroup,
+        user: UserId,
+        keypair: &DhKeyPair,
+        directory: &KeyDirectory,
+    ) -> BlindingGenerator {
+        let shared = directory
+            .iter()
+            .filter(|&(peer, _)| peer != user)
+            .map(|(peer, public)| (peer, HmacKey::new(&keypair.shared_secret(group, public))))
+            .collect();
+        BlindingGenerator {
+            user,
+            shared,
+            state: Mutex::new(GenState {
+                scratch: Vec::new(),
+                cache: None,
+            }),
+        }
+    }
+
+    #[test]
+    fn batched_enrolment_equals_per_peer_agreement() {
+        // `new` and `sync_directory` agree with all joiners in one
+        // many-bases exponentiation; the blinding vectors must be
+        // bit-equal to agreeing peer by peer, through every shape of
+        // directory change, on a toy group and on MODP-2048.
+        const USER: UserId = 3;
+        let mut rng = StdRng::seed_from_u64(112);
+        let toy = ModpGroup::generate(&mut rng, 64);
+        for (group, secret_bits) in [
+            (&toy, 63),
+            // The debug profile's lane body is slow: a short secret
+            // there, the subgroup's full width under optimisation.
+            (
+                &ModpGroup::modp_2048(),
+                if cfg!(debug_assertions) { 80 } else { 2046 },
+            ),
+        ] {
+            let population: Vec<DhKeyPair> = (0..40)
+                .map(|_| {
+                    let mut secret = ew_bigint::random_bits(&mut rng, secret_bits);
+                    secret.set_bit(secret_bits - 1);
+                    DhKeyPair::from_secret(group, secret)
+                })
+                .collect();
+            let me = &population[USER as usize];
+            let dir_of = |members: &[u32]| {
+                let mut dir = KeyDirectory::new(group.element_len());
+                for &id in members {
+                    dir.publish(id, population[id as usize].public().clone());
+                }
+                dir
+            };
+            let params = BlindingParams {
+                round: 9,
+                num_cells: 21,
+            };
+            let check = |generator: &BlindingGenerator, dir: &KeyDirectory, what: &str| {
+                let oracle = per_peer_oracle(group, USER, me, dir);
+                assert_eq!(
+                    generator.peers().collect::<Vec<_>>(),
+                    oracle.peers().collect::<Vec<_>>(),
+                    "{what}: peer set"
+                );
+                assert_eq!(
+                    generator.blinding_vector(params),
+                    oracle.blinding_vector(params),
+                    "{what}: blinding vector"
+                );
+            };
+
+            // Fresh enrolments: nobody, only the user itself, one peer,
+            // and a directory (containing the user) that fills a pass.
+            let everyone: Vec<u32> = (0..20).collect();
+            for members in [&[][..], &[USER], &[USER, 7], &[7], &everyone] {
+                let dir = dir_of(members);
+                let fresh = BlindingGenerator::new(group, USER, me, &dir);
+                check(&fresh, &dir, &format!("new over {members:?}"));
+            }
+
+            // One generator through joins and leaves: a few joiners
+            // (scalar loop), a lane pass worth of joiners, everybody
+            // leaving, everybody back.
+            let steps: [Vec<u32>; 5] = [
+                (0..16).collect(),
+                (0..20).filter(|id| ![2, 5].contains(id)).collect(),
+                (10..40).collect(),
+                vec![USER],
+                (0..40).collect(),
+            ];
+            let mut synced = BlindingGenerator::new(group, USER, me, &dir_of(&steps[0]));
+            synced.enable_cache(2);
+            for (i, members) in steps.iter().enumerate().skip(1) {
+                let dir = dir_of(members);
+                let before: Vec<UserId> = synced.peers().collect();
+                let (added, removed) = synced.sync_directory(group, me, &dir);
+                let peers = members.iter().filter(|&&id| id != USER);
+                assert_eq!(
+                    added,
+                    peers.clone().filter(|id| !before.contains(id)).count()
+                );
+                assert_eq!(
+                    removed,
+                    before.iter().filter(|id| !members.contains(id)).count()
+                );
+                check(&synced, &dir, &format!("sync step {i}"));
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,18 @@ impl DhKeyPair {
         let s = group.pow(peer_public, &self.secret);
         group.serialize_element(&s)
     }
+
+    /// [`Self::shared_secret`] with every key of `peer_publics`, in
+    /// order, as one batch: all of them are raised to the same secret
+    /// exponent, which is the shape [`ModpGroup::pow_many`] is fast on.
+    /// Each element is byte-identical to the single-peer call.
+    pub fn shared_secrets(&self, group: &ModpGroup, peer_publics: &[UBig]) -> Vec<Vec<u8>> {
+        group
+            .pow_many(peer_publics, &self.secret)
+            .iter()
+            .map(|s| group.serialize_element(s))
+            .collect()
+    }
 }
 
 #[cfg(test)]

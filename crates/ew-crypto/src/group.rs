@@ -147,6 +147,14 @@ impl ModpGroup {
         self.ctx.modpow(base, exp)
     }
 
+    /// `base^exp mod p` for a whole batch under one exponent — element
+    /// `i` is [`Self::pow`]`(&bases[i], exp)`, computed for many bases
+    /// side by side where the CPU allows
+    /// ([`MontgomeryCtx::modpow_many`]).
+    pub fn pow_many(&self, bases: &[UBig], exp: &UBig) -> Vec<UBig> {
+        self.ctx.modpow_many(bases, exp)
+    }
+
     /// `a·b mod p` through the shared Montgomery context (operands must
     /// be reduced).
     pub fn mul(&self, a: &UBig, b: &UBig) -> UBig {

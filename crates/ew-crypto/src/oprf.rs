@@ -20,7 +20,8 @@
 //!
 //! Server-side evaluation is read-only over the key, so one key serves
 //! any number of client workers by reference; a batch itself is
-//! evaluated serially ([`OprfServerKey::evaluate_blinded_batch`]), with
+//! evaluated on one thread ([`OprfServerKey::evaluate_blinded_batch`]
+//! — its two CRT halves each as one many-bases exponentiation), with
 //! the all-or-nothing range check running up front. Client-side batch
 //! blinding keeps the one-inversion-per-batch contract under parallel
 //! ingest because each client's batch is blinded wholly on one worker
@@ -117,13 +118,15 @@ impl OprfServerKey {
 
     /// Batch variant of [`Self::evaluate_blinded`]: validates every
     /// element up front (all-or-nothing, so a hostile element cannot
-    /// burn server time on the rest of the batch), then signs each on
-    /// the key's cached CRT/Montgomery fast path.
+    /// burn server time on the rest of the batch), then signs the batch
+    /// on the key's cached CRT/Montgomery fast path, each CRT half as
+    /// one many-bases exponentiation
+    /// ([`RsaKeyPair::private_op_many`]).
     pub fn evaluate_blinded_batch(&self, blinded: &[UBig]) -> Result<Vec<UBig>, OprfError> {
         if blinded.iter().any(|b| b >= &self.key.public().n) {
             return Err(OprfError::ElementOutOfRange);
         }
-        Ok(blinded.iter().map(|b| self.key.private_op(b)).collect())
+        Ok(self.key.private_op_many(blinded))
     }
 
     /// Non-oblivious evaluation `F(k, x)` — ground truth for tests and
@@ -457,15 +460,49 @@ mod tests {
     }
 
     #[test]
+    fn batch_evaluation_equals_single_requests() {
+        // The batch runs each CRT half as one many-bases exponentiation
+        // (a lane pass for 24 elements, the scalar loop for a short
+        // tail); every response must be the single-request one, on both
+        // sides of a full pass and at the paper's key size.
+        let mut rng = StdRng::seed_from_u64(45);
+        for bits in [512usize, 2048] {
+            let server = OprfServerKey::generate(&mut rng, bits);
+            let n = &server.public().n;
+            let blinded: Vec<UBig> = (0..33)
+                .map(|_| ew_bigint::random_below(&mut rng, n))
+                .collect();
+            let single: Vec<UBig> = blinded
+                .iter()
+                .map(|b| server.evaluate_blinded(b).unwrap())
+                .collect();
+            for len in [0usize, 1, 31, 32, 33] {
+                assert_eq!(
+                    server.evaluate_blinded_batch(&blinded[..len]).unwrap(),
+                    single[..len],
+                    "RSA-{bits}, batch of {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn batch_evaluate_rejects_any_out_of_range() {
         let (server, client, mut rng) = setup(41);
         let pending = client.blind(&mut rng, b"ok").unwrap();
         let too_big = server.public().n.add_ref(&UBig::one());
         let before = ew_bigint::ops_trace::mont_mul_calls();
         assert_eq!(
-            server.evaluate_blinded_batch(&[pending.blinded.clone(), too_big]),
+            server.evaluate_blinded_batch(&[pending.blinded.clone(), too_big.clone()]),
             Err(OprfError::ElementOutOfRange),
             "one bad element poisons the whole batch"
+        );
+        // Also when the valid prefix alone would fill a lane pass.
+        let mut long = vec![pending.blinded.clone(); 32];
+        long.push(too_big);
+        assert_eq!(
+            server.evaluate_blinded_batch(&long),
+            Err(OprfError::ElementOutOfRange)
         );
         assert_eq!(
             ew_bigint::ops_trace::mont_mul_calls(),

@@ -17,7 +17,10 @@
 //! (`evaluate_blinded` on millions of requests) never re-derive
 //! constants; exponentiation scratch comes from `ew-bigint`'s
 //! persistent per-thread arena, so steady-state evaluation allocates
-//! only its results. The Garner coefficient `q⁻¹ mod p` is cached **in
+//! only its results. A batch of requests ([`RsaKeyPair::private_op_many`])
+//! shares its exponents, so each CRT half runs as one
+//! [`MontgomeryCtx::modpow_many`] — many bases side by side in vector
+//! lanes where the CPU has them. The Garner coefficient `q⁻¹ mod p` is cached **in
 //! Montgomery form**, which turns the recombination multiply into a
 //! single CIOS pass (`CIOS(diff, q̂⁻¹) = diff·q⁻¹ mod p`).
 
@@ -65,6 +68,18 @@ struct CrtKey {
     ctx_p: MontgomeryCtx,
     /// Montgomery context for `q`.
     ctx_q: MontgomeryCtx,
+}
+
+impl CrtKey {
+    /// Garner's recombination of `m_p = x^{d_p} mod p` and
+    /// `m_q = x^{d_q} mod q`: `m_q + q·(q⁻¹·(m_p − m_q) mod p)`, the
+    /// multiply by the cached Montgomery-form `q⁻¹` being one CIOS
+    /// pass.
+    fn garner(&self, m_p: UBig, m_q: UBig) -> UBig {
+        let diff = m_p.submod(&m_q, &self.p);
+        let h = self.ctx_p.mont_mul_mixed(&diff, &self.q_inv_mont);
+        m_q.add_ref(&h.mul_ref(&self.q))
+    }
 }
 
 /// Full RSA key pair held by the oprf-server.
@@ -150,12 +165,22 @@ impl RsaKeyPair {
     /// pass instead of a full `mulmod` round-trip.
     pub fn private_op(&self, x: &UBig) -> UBig {
         let crt = &self.crt;
-        let m_p = crt.ctx_p.modpow(x, &crt.d_p);
-        let m_q = crt.ctx_q.modpow(x, &crt.d_q);
-        // h = q_inv · (m_p − m_q) mod p, one CIOS pass.
-        let diff = m_p.submod(&m_q, &crt.p);
-        let h = crt.ctx_p.mont_mul_mixed(&diff, &crt.q_inv_mont);
-        m_q.add_ref(&h.mul_ref(&crt.q))
+        crt.garner(crt.ctx_p.modpow(x, &crt.d_p), crt.ctx_q.modpow(x, &crt.d_q))
+    }
+
+    /// [`Self::private_op`] on a whole batch. Every element is raised
+    /// to the same `d_p` modulo `p` and the same `d_q` modulo `q`, so
+    /// each CRT half is one [`MontgomeryCtx::modpow_many`] batch; the
+    /// Garner step stays per element. Element `i` equals
+    /// `private_op(&xs[i])`.
+    pub fn private_op_many(&self, xs: &[UBig]) -> Vec<UBig> {
+        let crt = &self.crt;
+        let m_ps = crt.ctx_p.modpow_many(xs, &crt.d_p);
+        let m_qs = crt.ctx_q.modpow_many(xs, &crt.d_q);
+        m_ps.into_iter()
+            .zip(m_qs)
+            .map(|(m_p, m_q)| crt.garner(m_p, m_q))
+            .collect()
     }
 
     /// Reference (non-CRT) private operation: one full-width

@@ -65,7 +65,6 @@ use crate::trace;
 use ew_bigint::UBig;
 use ew_core::{GlobalView, ThresholdPolicy};
 use ew_crypto::directory::KeyDirectory;
-use ew_proto::crc32::crc32;
 use ew_proto::transport::TransportError;
 use ew_proto::{Envelope, FaultConfig, JournalEvent, Membership, Message, NodeId, ShardMap};
 use ew_simnet::{RestartPhase, ShardRestart};
@@ -725,14 +724,15 @@ impl ClusterBackend {
     /// any time, outside a batch). Same-identity envelopes with
     /// different bytes are conflicting duplicates, not replays, and are
     /// delivered so the shard can reject them explicitly.
-    fn is_replay(&self, env: &Envelope) -> bool {
+    fn is_replay(&mut self, env: &Envelope) -> bool {
         let Some(key) = dedupe_key(env) else {
             return false;
         };
         let Some(entry) = self.log.absorbed_entry(key) else {
             return false;
         };
-        entry.seq <= self.batch_horizon.unwrap_or(u64::MAX) && entry.crc == crc32(&env.encode())
+        entry.seq <= self.batch_horizon.unwrap_or(u64::MAX)
+            && entry.crc == self.log.fingerprint(env)
     }
 
     /// Delivers one envelope to a **specific** shard, as a stale router

@@ -83,8 +83,8 @@ pub struct RoundLog {
     absorbed: BTreeMap<(u8, u32, u64), AbsorbedEntry>,
     /// Total records dropped by snapshots (telemetry).
     truncated: u64,
-    /// Where an absorbed envelope is encoded to be fingerprinted; kept
-    /// so that takes no allocation per report.
+    /// Where an envelope is encoded to be fingerprinted; kept so that
+    /// takes no allocation per report.
     scratch: Vec<u8>,
 }
 
@@ -115,20 +115,23 @@ impl RoundLog {
         self.next_seq += 1;
         if let JournalEvent::Absorbed { shard, envelope } = &event {
             if let Some(key) = dedupe_key(envelope) {
-                self.scratch.clear();
-                envelope.encode_into(&mut self.scratch);
-                self.absorbed.insert(
-                    key,
-                    AbsorbedEntry {
-                        seq,
-                        crc: crc32(&self.scratch),
-                        shard: *shard,
-                    },
-                );
+                let (crc, shard) = (self.fingerprint(envelope), *shard);
+                self.absorbed.insert(key, AbsorbedEntry { seq, crc, shard });
             }
         }
         self.records.push(JournalRecord { seq, event });
         seq
+    }
+
+    /// The content fingerprint of `envelope`: CRC-32 of its wire
+    /// encoding. The one definition of "byte-identical" — the index
+    /// stores it at absorption and a re-delivery is a replay only if it
+    /// fingerprints the same. Encodes into the log's scratch buffer, so
+    /// it allocates nothing once that has grown to a report's size.
+    pub(crate) fn fingerprint(&mut self, envelope: &Envelope) -> u32 {
+        self.scratch.clear();
+        envelope.encode_into(&mut self.scratch);
+        crc32(&self.scratch)
     }
 
     /// The highest sequence number assigned so far (0 if none).
@@ -272,12 +275,13 @@ mod tests {
         assert_eq!(entry.seq, seq);
         assert_eq!(entry.shard, 1);
         assert_eq!(entry.crc, crc32(&env.encode()));
+        assert_eq!(entry.crc, log.fingerprint(&env));
         // A different-content envelope under the same identity does NOT
         // match byte-wise: the caller must treat it as a conflicting
         // duplicate, not a replay.
         let conflicting = report_env(3, 7, 10);
         assert_eq!(dedupe_key(&conflicting), dedupe_key(&env));
-        assert_ne!(entry.crc, crc32(&conflicting.encode()));
+        assert_ne!(entry.crc, log.fingerprint(&conflicting));
     }
 
     #[test]

@@ -51,11 +51,13 @@ fn main() {
         storm: None,
     };
     println!("fault scenario: {}", fault.summary());
-    // Report build time is almost all blinding hash; which kernel
-    // instantiation this CPU runs explains a 2-4x gap between hosts.
+    // Report build time is almost all blinding hash, enrolment almost
+    // all many-bases modpow; which kernel instantiations this CPU runs
+    // explains a 2-4x gap between hosts.
     println!(
-        "blinding hash tier: {}\n",
-        eyewnder::crypto::hmac::expansion_tier()
+        "blinding hash tier: {}\nmodpow lane tier: {}\n",
+        eyewnder::crypto::hmac::expansion_tier(),
+        eyewnder::bigint::lane_tier()
     );
 
     // 1. Flight recorder on: a bounded ring of structured events.
