@@ -11,7 +11,7 @@
 use crate::codec::CodecError;
 use crate::envelope::Envelope;
 use crate::fault::{FaultConfig, FaultyLink};
-use crate::framing::{encode_frame, frame_with, FrameDecoder, FrameError};
+use crate::framing::{frame_with, FrameDecoder, FrameError};
 use crate::message::Message;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 
@@ -69,12 +69,6 @@ pub fn channel_pair(fault_left_to_right: Option<FaultConfig>) -> (Endpoint, Endp
 }
 
 impl Endpoint {
-    /// Frames and sends one raw payload (fire and forget, like a
-    /// datagram over TCP framing).
-    pub fn send_payload(&mut self, payload: &[u8]) -> Result<(), TransportError> {
-        self.transmit(encode_frame(payload))
-    }
-
     /// Puts one finished frame on the link.
     fn transmit(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
         match &mut self.fault {

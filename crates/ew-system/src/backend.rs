@@ -1,20 +1,21 @@
-//! The back-end server (§5): bulletin board, report aggregation with the
+//! The back-end server's round (§5): report aggregation with the
 //! two-round missing-client recovery, unblinding-by-summation, `#Users`
-//! enumeration and `Users_th` computation.
+//! enumeration and `Users_th` computation. The bulletin board lives on
+//! the [`crate::cluster::ClusterBackend`].
 //!
-//! [`RoundState`] is the one shape of an open aggregation round. A
-//! [`BackendServer`] holds one; every shard of a
-//! [`crate::cluster::ClusterBackend`] *is* one; a journal checkpoint is
-//! a clone of one; a cluster finalizes by [`RoundState::merge`]-ing its
-//! shards' states and running the one [`RoundState::finalize`] sweep.
-//! Reports and adjustments are validated in one place,
-//! [`RoundState::absorb`], and every check there precedes any mutation.
+//! [`RoundState`] is the one shape of an open aggregation round. Every
+//! shard of a [`crate::cluster::ClusterBackend`] — the one
+//! [`crate::node::AggregationBackend`]; a single node is a cluster of
+//! one — *is* one; a journal checkpoint is a clone of one; a cluster
+//! finalizes by [`RoundState::merge`]-ing its shards' states and running
+//! the one [`RoundState::finalize`] sweep. Reports and adjustments are
+//! validated in one place, [`RoundState::absorb`], and every check there
+//! precedes any mutation. Every envelope a backend answers — a shard's,
+//! or a `#Users` audit's against the latest finalized view — goes
+//! through one function, `serve`.
 
 use crate::ids::AdIdMapper;
-use crate::node::AggregationBackend;
-use ew_bigint::UBig;
 use ew_core::{AdKey, GlobalView, ThresholdPolicy};
-use ew_crypto::directory::KeyDirectory;
 use ew_proto::{error_code, Envelope, Message, NodeId};
 use ew_sketch::{CmsParams, SketchAccumulator};
 use std::collections::BTreeSet;
@@ -218,19 +219,6 @@ pub(crate) fn serve(
     Ok(Some(Envelope::new(NodeId::Backend, env.round, reply)))
 }
 
-/// The one-node aggregation server: bulletin board, at most one open
-/// [`RoundState`], and the finalized views audits are answered from.
-#[derive(Debug)]
-pub struct BackendServer {
-    directory: KeyDirectory,
-    params: CmsParams,
-    mapper: AdIdMapper,
-    policy: ThresholdPolicy,
-    current: Option<RoundState>,
-    /// Finalized global views, newest last.
-    finalized: Vec<(u64, GlobalView)>,
-}
-
 /// Errors in round handling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RoundError {
@@ -295,120 +283,24 @@ impl RoundError {
     }
 }
 
-impl BackendServer {
-    /// New server for a cohort with the given sketch parameters and
-    /// ad-ID space.
-    pub fn new(
-        element_len: usize,
-        params: CmsParams,
-        mapper: AdIdMapper,
-        policy: ThresholdPolicy,
-    ) -> Self {
-        BackendServer {
-            directory: KeyDirectory::new(element_len),
-            params,
-            mapper,
-            policy,
-            current: None,
-            finalized: Vec::new(),
-        }
-    }
-
-    /// Enrolls a user by publishing their DH public key.
-    pub fn enroll(&mut self, user: u32, public_key: UBig) {
-        self.directory.publish(user, public_key);
-    }
-
-    /// The bulletin board (clients read it to compute blindings).
-    pub fn directory(&self) -> &KeyDirectory {
-        &self.directory
-    }
-
-    /// The cohort's sketch parameters.
-    pub fn params(&self) -> CmsParams {
-        self.params
-    }
-
-    /// The ad-ID mapper (shared with clients).
-    pub fn mapper(&self) -> AdIdMapper {
-        self.mapper
-    }
-
-    /// Opens aggregation round `round`.
-    pub fn open_round(&mut self, round: u64) {
-        self.current = Some(RoundState::open(self.params, round));
-    }
-
-    /// After the report deadline: the list of enrolled users whose
-    /// reports never arrived. Broadcast to the cohort, whose members
-    /// answer with adjustments (§6 "Fault-tolerance").
-    pub fn missing_clients(&mut self) -> Result<Vec<u32>, RoundError> {
-        let state = self.current.as_ref().ok_or(RoundError::NoOpenRound)?;
-        let silent = |user: &u32| !state.has_reported(*user);
-        Ok(self.directory.user_ids().filter(silent).collect())
-    }
-
-    /// Closes the round ([`RoundState::finalize`]) and keeps its view.
-    pub fn finalize_round(&mut self) -> Result<&GlobalView, RoundError> {
-        let state = self.current.take().ok_or(RoundError::NoOpenRound)?;
-        let round = state.round();
-        self.install_view(round, state.finalize(&self.mapper, self.policy));
-        Ok(&self.finalized.last().expect("just pushed").1)
-    }
-
-    /// Publishes an externally finalized view for `round` (the cluster
-    /// driver lands its merged view here so `#Users` queries and audits
-    /// served by this node see cluster rounds exactly like local ones).
-    pub fn install_view(&mut self, round: u64, view: GlobalView) {
-        self.finalized.push((round, view));
-    }
-
-    /// The most recent finalized view, if any.
-    pub fn latest_view(&self) -> Option<&GlobalView> {
-        self.finalized.last().map(|(_, v)| v)
-    }
-
-    /// A finalized view by round.
-    pub fn view_for_round(&self, round: u64) -> Option<&GlobalView> {
-        self.finalized
-            .iter()
-            .find(|(r, _)| *r == round)
-            .map(|(_, v)| v)
-    }
-}
-
-/// The backend as a message-driven role service: reports, adjustments
-/// and `#Users` queries arrive as [`Envelope`]s and are answered by the
-/// same `serve` function a cluster shard uses.
-impl AggregationBackend for BackendServer {
-    fn open_round(&mut self, round: u64) {
-        BackendServer::open_round(self, round);
-    }
-
-    fn on_envelope(&mut self, env: Envelope) -> Result<Option<Envelope>, RoundError> {
-        let view = self.finalized.last().map(|(_, v)| v);
-        serve(&mut self.current, view, &env, |user| {
-            self.directory.get(user).is_some()
-        })
-    }
-
-    fn missing_clients(&mut self) -> Result<Vec<u32>, RoundError> {
-        BackendServer::missing_clients(self)
-    }
-
-    fn finalize(&mut self) -> Result<GlobalView, RoundError> {
-        self.finalize_round().cloned()
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::cluster::ClusterBackend;
+    use crate::node::AggregationBackend;
+    use ew_bigint::UBig;
+    use ew_proto::ShardMap;
 
-    fn server() -> BackendServer {
-        BackendServer::new(
+    fn params() -> CmsParams {
+        CmsParams::new(2, 32, 3)
+    }
+
+    /// The single-node backend `run_round` drives: a cluster of one.
+    fn server() -> ClusterBackend {
+        ClusterBackend::new(
+            ShardMap::uniform(1),
             8,
-            CmsParams::new(2, 32, 3),
+            params(),
             AdIdMapper::new(64),
             ThresholdPolicy::Mean,
         )
@@ -511,8 +403,8 @@ pub(crate) mod tests {
         Envelope::new(NodeId::Client(user), round, msg)
     }
 
-    fn send(srv: &mut BackendServer, env: Envelope) -> Result<Option<Envelope>, RoundError> {
-        AggregationBackend::on_envelope(srv, env)
+    fn send(srv: &mut ClusterBackend, env: Envelope) -> Result<Option<Envelope>, RoundError> {
+        srv.on_envelope(env)
     }
 
     #[test]
@@ -522,12 +414,12 @@ pub(crate) mod tests {
             srv.enroll(u, UBig::from_u64(u as u64 + 1));
         }
         srv.open_round(1);
-        let p = srv.params();
+        let p = params();
         assert_eq!(send(&mut srv, report_env(p, 0, 1, &[5, 9])), Ok(None));
         assert_eq!(send(&mut srv, report_env(p, 1, 1, &[5])), Ok(None));
         assert_eq!(send(&mut srv, report_env(p, 2, 1, &[5, 60])), Ok(None));
         assert_eq!(srv.missing_clients().unwrap(), Vec::<u32>::new());
-        let view = srv.finalize_round().unwrap();
+        let view = srv.finalize().unwrap();
         assert_eq!(view.users(5), 3.0);
         assert_eq!(view.users(9), 1.0);
         assert_eq!(view.users(60), 1.0);
@@ -539,7 +431,7 @@ pub(crate) mod tests {
     fn error_paths() {
         let mut srv = server();
         srv.enroll(0, UBig::from_u64(1));
-        let p = srv.params();
+        let p = params();
 
         // No round open yet.
         assert_eq!(
@@ -561,12 +453,17 @@ pub(crate) mod tests {
             send(&mut srv, report_env(p, 9, 1, &[])),
             Err(RoundError::UnknownUser(9))
         );
-        // Duplicate.
+        // Duplicates. A conflicting one (same user and round, other
+        // cells) is refused; a byte-identical one sent outside a batch is
+        // a replay of a journaled absorption: acknowledged and counted,
+        // never absorbed twice.
         assert_eq!(send(&mut srv, report_env(p, 0, 1, &[1])), Ok(None));
         assert_eq!(
-            send(&mut srv, report_env(p, 0, 1, &[1])),
+            send(&mut srv, report_env(p, 0, 1, &[2])),
             Err(RoundError::DuplicateReport(0))
         );
+        assert_eq!(send(&mut srv, report_env(p, 0, 1, &[1])), Ok(None));
+        assert_eq!(srv.take_metrics().deduped, 1);
         // Dimension mismatch.
         srv.enroll(1, UBig::from_u64(2));
         assert_eq!(
@@ -589,7 +486,7 @@ pub(crate) mod tests {
             srv.enroll(u, UBig::from_u64(u as u64 + 1));
         }
         srv.open_round(2);
-        let p = srv.params();
+        let p = params();
         assert_eq!(send(&mut srv, report_env(p, 0, 2, &[1])), Ok(None));
         assert_eq!(send(&mut srv, report_env(p, 2, 2, &[1])), Ok(None));
         assert_eq!(srv.missing_clients().unwrap(), vec![1, 3]);
@@ -607,7 +504,7 @@ pub(crate) mod tests {
                 srv.enroll(u, UBig::from_u64(u as u64 + 1));
             }
             srv.open_round(1);
-            let p = srv.params();
+            let p = params();
             assert_eq!(send(&mut srv, report_env(p, 0, 1, &[5, 9])), Ok(None));
             assert_eq!(send(&mut srv, report_env(p, 1, 1, &[5])), Ok(None));
             assert_eq!(srv.missing_clients().unwrap(), vec![2]);
@@ -621,7 +518,7 @@ pub(crate) mod tests {
                 let cells = (0..p.num_cells() as u32).map(|c| c * 31 + user).collect();
                 assert_eq!(send(&mut srv, adjustment_env(user, 1, cells)), Ok(None));
             }
-            srv.finalize_round().unwrap().clone()
+            srv.finalize().unwrap()
         };
         assert_eq!(run(true), run(false));
     }
@@ -631,7 +528,7 @@ pub(crate) mod tests {
         let mut srv = server();
         srv.enroll(0, UBig::from_u64(1));
         srv.open_round(1);
-        let p = srv.params();
+        let p = params();
         // Zero depth/width decodes fine at the message layer but would
         // trip `CmsParams::new`'s degenerate-dimension assert — the
         // node API must reject it cleanly instead.
@@ -662,21 +559,5 @@ pub(crate) mod tests {
         // The genuine envelope still lands.
         assert_eq!(send(&mut srv, report_env(p, 0, 1, &[1])), Ok(None));
         assert_eq!(srv.missing_clients().unwrap(), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn views_kept_per_round() {
-        let mut srv = server();
-        srv.enroll(0, UBig::from_u64(1));
-        for round in 1..=2 {
-            srv.open_round(round);
-            let p = srv.params();
-            assert_eq!(send(&mut srv, report_env(p, 0, round, &[round])), Ok(None));
-            srv.finalize_round().unwrap();
-        }
-        assert!(srv.view_for_round(1).is_some());
-        assert!(srv.view_for_round(2).is_some());
-        assert!(srv.view_for_round(3).is_none());
-        assert_eq!(srv.latest_view().unwrap().users(2), 1.0);
     }
 }

@@ -10,17 +10,16 @@
 //!   (any inner bus — [`InProcBus`] moves, [`WireBus`] frames+CRC+faults
 //!   per shard): every backend-bound envelope is routed to its owning
 //!   shard's link; every other destination rides a shared side bus.
-//! * [`ClusterBackend`] implements [`AggregationBackend`] over one
-//!   bulletin board and N shards, each of which **is** a
-//!   [`RoundState`] — the same type a single `BackendServer` holds.
-//!   Reports fan out to their owning shard (`absorb_batch` runs the
-//!   shards on scoped worker threads, every envelope through the one
-//!   validator, [`RoundState::absorb`]) and the round finalizes by
-//!   [`RoundState::merge`]-ing the shards and running the one
-//!   [`RoundState::finalize`] sweep. Cell-wise wrapping addition is
-//!   associative and commutative, so the merged view is
-//!   **bit-identical** to the single-backend round for every shard
-//!   count.
+//! * [`ClusterBackend`] is the one [`AggregationBackend`] (a single
+//!   node is a cluster of one): one bulletin board and N shards, each
+//!   of which **is** a [`RoundState`]. Every envelope goes to its
+//!   owning shard's state through the one validator,
+//!   [`RoundState::absorb`] — `absorb_batch` walks a drain serially, in
+//!   stream order — and the round finalizes by [`RoundState::merge`]-ing
+//!   the shards and running the one [`RoundState::finalize`] sweep.
+//!   Cell-wise wrapping addition is associative and commutative, so the
+//!   merged view is **bit-identical** to one bare `RoundState` absorbing
+//!   the whole stream, for every shard count.
 //! * **Failover and crash-restart over one log**: when a shard's uplink
 //!   reports a [`TransportError`] (or a scripted [`ShardFailure`] severs
 //!   it) mid-round, the bus reassigns the dead shard's key range
@@ -397,7 +396,7 @@ impl<B: ServiceBus> ServiceBus for RoutingBus<B> {
 ///   byte-identical re-delivery of a record absorbed before the current
 ///   batch is acknowledged silently instead of erroring, while an
 ///   in-batch duplicate still gets the same `DuplicateReport` answer a
-///   single backend gives, keeping cluster-vs-single bit parity.
+///   bare [`RoundState`] gives, keeping the cluster bit-identical to it.
 #[derive(Debug)]
 pub struct ClusterBackend {
     map: ShardMap,
@@ -415,8 +414,8 @@ pub struct ClusterBackend {
     policy: ThresholdPolicy,
     /// Dedupe horizon while a batch is absorbing: only records at or
     /// below this sequence number count as prior absorptions, so a wire
-    /// duplicate *within* one batch is still answered exactly like the
-    /// single-backend path answers it.
+    /// duplicate *within* one batch is still answered exactly like a
+    /// bare [`RoundState`] answers it.
     batch_horizon: Option<u64>,
     /// What `take_metrics` drains: `replayed` (re-absorbed from the
     /// log, failover + restart), `deduped`, `late_reports_parked`, and
@@ -880,89 +879,6 @@ impl ClusterBackend {
         }
         Ok(None)
     }
-
-    /// Routes a run of envelopes (everything between two map updates)
-    /// to their owning shards and absorbs each shard's group on its own
-    /// worker thread, scattering results back into stream positions.
-    fn absorb_run(
-        &mut self,
-        run: &mut Vec<(usize, Envelope)>,
-        out: &mut [Option<Result<Option<Envelope>, RoundError>>],
-    ) {
-        if run.len() <= 1 {
-            if let Some((i, env)) = run.pop() {
-                out[i] = Some(AggregationBackend::on_envelope(self, env));
-            }
-            return;
-        }
-        // Dedupe runs serially, in stream order, against the pre-batch
-        // horizon — exactly what the serial walk would do — before any
-        // work is handed to a shard worker.
-        let mut groups: Vec<(Vec<usize>, Vec<Envelope>)> =
-            (0..self.shards.len()).map(|_| Default::default()).collect();
-        for (i, env) in run.drain(..) {
-            if self.is_replay(&env) {
-                self.metrics.deduped += 1;
-                out[i] = Some(Ok(None));
-                continue;
-            }
-            let shard = self.map.owner_of(route_user(&env)) as usize;
-            if self.shards[shard].is_none() {
-                // A crashed, not yet restarted shard has no worker to
-                // hand this to: the serial walk's answer.
-                out[i] = Some(AggregationBackend::on_envelope(self, env));
-                continue;
-            }
-            let (indices, envelopes) = &mut groups[shard];
-            indices.push(i);
-            envelopes.push(env);
-        }
-        let mut work = Vec::new();
-        for (shard, (slot, (indices, envelopes))) in self.shards.iter_mut().zip(groups).enumerate()
-        {
-            if let (Some(slot), false) = (slot, indices.is_empty()) {
-                work.push((shard as u32, indices, envelopes, slot));
-            }
-        }
-        // One worker per shard with a group; each walks its group
-        // serially, borrowing the envelopes, and times its own absorb —
-        // the nanos ride back with the results and land in the
-        // driver-side histogram (workers never touch telemetry state).
-        let enrolled = roster(&self.directory, &self.epoch_context);
-        let fanout = work.len();
-        let results = crossbeam::thread::map_shards_mut(&mut work, fanout, |chunk| {
-            chunk
-                .iter_mut()
-                .map(|(_, _, envelopes, slot)| {
-                    let started = Instant::now();
-                    let results: Vec<_> = envelopes
-                        .iter()
-                        .map(|env| serve(slot, None, env, enrolled))
-                        .collect();
-                    (started.elapsed().as_nanos() as u64, results)
-                })
-                .collect::<Vec<_>>()
-        });
-        // Journal the accepted envelopes — by move — in stream order,
-        // so the log's record sequence is identical for every thread
-        // count.
-        let mut absorbed: Vec<(usize, u32, Envelope)> = Vec::new();
-        for ((shard, indices, envelopes, _), (nanos, results)) in
-            work.into_iter().zip(results.into_iter().flatten())
-        {
-            self.metrics.absorb_hist.record(nanos);
-            for ((i, env), result) in indices.into_iter().zip(envelopes).zip(results) {
-                if matches!(result, Ok(None)) && is_data_plane(&env) {
-                    absorbed.push((i, shard, env));
-                }
-                out[i] = Some(result);
-            }
-        }
-        absorbed.sort_unstable_by_key(|&(i, _, _)| i);
-        for (_, shard, envelope) in absorbed {
-            self.log.append(JournalEvent::Absorbed { shard, envelope });
-        }
-    }
 }
 
 impl AggregationBackend for ClusterBackend {
@@ -1025,58 +941,30 @@ impl AggregationBackend for ClusterBackend {
         }
     }
 
-    /// The cluster fan-out: the stream is cut at every
-    /// [`Message::ShardMapUpdate`] (routing may change there), each
-    /// segment is grouped by owning shard preserving stream order, and
-    /// the shard groups are absorbed concurrently, one worker per shard
-    /// with work, each walking its group serially through
-    /// [`RoundState::absorb`] — the single copy of report validation —
-    /// so the scattered results equal the serial walk for every
-    /// `threads` value and shard count.
+    /// The serial walk: every envelope through [`Self::on_envelope`] in
+    /// stream order, timed as one absorb sample. `threads` is ignored:
+    /// the client shard is the system's one unit of fan-out.
     fn absorb_batch(
         &mut self,
         envelopes: Vec<Envelope>,
-        threads: usize,
+        _threads: usize,
     ) -> Vec<Result<Option<Envelope>, RoundError>> {
         // Pin the dedupe horizon for the whole batch: only records
         // journaled *before* this batch count as prior absorptions, so
         // an in-batch duplicate (a lossy wire duplicating a frame) is
-        // answered `DuplicateReport` exactly like the single-backend
-        // walk — bit-identical replies for every thread count — while a
-        // cross-batch replay is acknowledged silently.
+        // answered `DuplicateReport` exactly like a bare `RoundState`
+        // walk, while a cross-batch replay is acknowledged silently.
         self.batch_horizon = Some(self.log.last_seq());
-        let out = if threads <= 1 || envelopes.len() < 2 {
-            // The serial walk is one implicit shard group: time it as
-            // one absorb sample, mirroring the per-shard timing of the
-            // parallel fan-out below.
-            let started = Instant::now();
-            let out: Vec<_> = envelopes
-                .into_iter()
-                .map(|env| AggregationBackend::on_envelope(self, env))
-                .collect();
-            if !out.is_empty() {
-                self.metrics
-                    .absorb_hist
-                    .record(started.elapsed().as_nanos() as u64);
-            }
-            out
-        } else {
-            let mut out: Vec<Option<Result<Option<Envelope>, RoundError>>> =
-                (0..envelopes.len()).map(|_| None).collect();
-            let mut run: Vec<(usize, Envelope)> = Vec::new();
-            for (i, env) in envelopes.into_iter().enumerate() {
-                if matches!(env.msg, Message::ShardMapUpdate { .. }) {
-                    self.absorb_run(&mut run, &mut out);
-                    out[i] = Some(AggregationBackend::on_envelope(self, env));
-                } else {
-                    run.push((i, env));
-                }
-            }
-            self.absorb_run(&mut run, &mut out);
-            out.into_iter()
-                .map(|r| r.expect("every stream position filled"))
-                .collect()
-        };
+        let started = Instant::now();
+        let out: Vec<_> = envelopes
+            .into_iter()
+            .map(|env| AggregationBackend::on_envelope(self, env))
+            .collect();
+        if !out.is_empty() {
+            self.metrics
+                .absorb_hist
+                .record(started.elapsed().as_nanos() as u64);
+        }
         self.batch_horizon = None;
         out
     }
@@ -1117,10 +1005,7 @@ impl AggregationBackend for ClusterBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{
-        tests::{hostile_stream, report_env},
-        BackendServer,
-    };
+    use crate::backend::tests::{hostile_stream, report_env};
     use ew_proto::error_code;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -1139,12 +1024,23 @@ mod tests {
         c
     }
 
-    fn single(users: u32) -> BackendServer {
-        let mut s = BackendServer::new(8, params(), AdIdMapper::new(64), ThresholdPolicy::Mean);
-        for u in 0..users {
-            s.enroll(u, UBig::from_u64(u as u64 + 1));
-        }
-        s
+    type Answer = Result<Option<Envelope>, RoundError>;
+
+    /// The reference every cluster round is pinned against: one bare
+    /// [`RoundState`] for round 1 walked serially through [`serve`] —
+    /// no routing, journal or dedupe — over a board of users
+    /// `0..users`. Returns each envelope's answer, the users who never
+    /// reported, and the finalized view.
+    fn serial_walk(users: u32, stream: &[Envelope]) -> (Vec<Answer>, Vec<u32>, GlobalView) {
+        let mut state = Some(RoundState::open(params(), 1));
+        let answers = stream
+            .iter()
+            .map(|env| serve(&mut state, None, env, |user| user < users))
+            .collect();
+        let state = state.expect("serve never closes the round");
+        let silent = (0..users).filter(|&u| !state.has_reported(u)).collect();
+        let view = state.finalize(&AdIdMapper::new(64), ThresholdPolicy::Mean);
+        (answers, silent, view)
     }
 
     /// Ten users' report envelopes with a couple of shared ads.
@@ -1156,7 +1052,7 @@ mod tests {
 
     #[test]
     fn cluster_absorb_and_finalize_match_single_backend() {
-        // The bare-`BackendServer` reference for the whole round, not
+        // The bare-`RoundState` reference for the whole round, not
         // only the absorb: user 7 stays silent, so the missing set and
         // the survivors' `Adjustment` envelopes (each routed to — and
         // subtracted on — its sender's owning shard) are covered too.
@@ -1181,16 +1077,10 @@ mod tests {
                 )
             })
             .collect();
-        let mut baseline = single(10);
-        baseline.open_round(1);
-        for env in stream.iter().chain(&adjustments).cloned() {
-            AggregationBackend::on_envelope(&mut baseline, env).unwrap();
-        }
-        assert_eq!(
-            AggregationBackend::missing_clients(&mut baseline).unwrap(),
-            vec![silent]
-        );
-        let base_view = baseline.finalize_round().unwrap().clone();
+        let baseline: Vec<Envelope> = stream.iter().chain(&adjustments).cloned().collect();
+        let (answers, missing, base_view) = serial_walk(10, &baseline);
+        assert!(answers.iter().all(|r| matches!(r, Ok(None))));
+        assert_eq!(missing, vec![silent]);
 
         for shards in [1u32, 2, 3, 4] {
             for threads in [1usize, 4] {
@@ -1219,15 +1109,7 @@ mod tests {
     #[test]
     fn hostile_stream_absorb_matches_serial_single_backend_walk() {
         let stream = hostile_stream(params());
-
-        let mut serial = single(6);
-        serial.open_round(1);
-        let serial_results: Vec<_> = stream
-            .iter()
-            .cloned()
-            .map(|env| AggregationBackend::on_envelope(&mut serial, env))
-            .collect();
-        let serial_view = serial.finalize_round().unwrap().clone();
+        let (serial_results, _, serial_view) = serial_walk(6, &stream);
 
         for shards in [1u32, 2, 4] {
             for threads in [1usize, 2, 4, 7] {
@@ -1344,8 +1226,8 @@ mod tests {
     fn in_batch_duplicates_keep_duplicate_report_semantics() {
         // Two byte-identical reports inside *one* batch are a client
         // bug, not a replay: the second must still answer
-        // `DuplicateReport`, exactly as a single backend would — on both
-        // the serial and the parallel absorb path.
+        // `DuplicateReport`, exactly as a bare `RoundState` would — for
+        // every `threads` value.
         let p = params();
         let env = report_env(p, 1, 1, &[7]);
         for threads in [1usize, 4] {
@@ -1370,7 +1252,7 @@ mod tests {
     fn crashed_shard_answers_wrong_shard_on_every_thread_count() {
         // Between `crash_shard` and `restart_shard` the shard's key
         // range has no state to absorb into: a typed rejection, the
-        // same one from the serial walk and from the fan-out.
+        // same one for every `threads` value.
         let p = params();
         let stream = reports(p, 1);
         let answers = |threads: usize| {
@@ -1390,12 +1272,7 @@ mod tests {
     fn cold_restart_replays_checkpoint_and_suffix() {
         let p = params();
         let stream = reports(p, 1);
-        let mut baseline = single(10);
-        baseline.open_round(1);
-        for env in stream.clone() {
-            AggregationBackend::on_envelope(&mut baseline, env).unwrap();
-        }
-        let base_view = baseline.finalize_round().unwrap().clone();
+        let (_, _, base_view) = serial_walk(10, &stream);
 
         let mut c = cluster(ShardMap::uniform(2), 10);
         AggregationBackend::open_round(&mut c, 1);
@@ -1506,12 +1383,7 @@ mod tests {
     fn scripted_failover_replays_in_flight_and_absorbed_state() {
         let p = params();
         let stream = reports(p, 1);
-        let mut baseline = single(10);
-        baseline.open_round(1);
-        for env in stream.clone() {
-            AggregationBackend::on_envelope(&mut baseline, env).unwrap();
-        }
-        let base_view = baseline.finalize_round().unwrap().clone();
+        let (_, _, base_view) = serial_walk(10, &stream);
 
         for after_sends in [0usize, 3, 7] {
             let map = ShardMap::uniform(3);

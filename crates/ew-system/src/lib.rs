@@ -12,23 +12,24 @@
 //!   and audits ads in real time.
 //! * [`oprf_server`] — the keyed PRF service (§6): blind-evaluates
 //!   requests without learning ad URLs.
-//! * [`backend`] — the aggregation server: key bulletin board, report
+//! * [`backend`] — the aggregation server's round: report
 //!   accumulation, missing-client recovery, sketch unblinding, `#Users`
 //!   enumeration over the ad-ID space and `Users_th` computation. Its
 //!   [`backend::RoundState`] is the one shape of an open round — what a
-//!   single server holds, what a cluster shard is, what a journal
-//!   checkpoint clones — and the only place a report is validated.
+//!   cluster shard is, what a journal checkpoint clones — and the only
+//!   place a report is validated.
 //! * [`crawler`] — the clean-profile probe used purely for evaluation
 //!   (§5): visits sites with no history, so any ad it sees is
 //!   non-targeted with high probability.
 //! * [`store`] — the Figure 1 metadata database (active users, round
-//!   aggregates, crawler datasets), in memory.
-//! * [`cluster`] — the multi-backend aggregation cluster: a shard map
-//!   partitioning report ownership by client id, a [`cluster::RoutingBus`]
-//!   fanning envelopes out over per-shard uplinks, a
-//!   [`cluster::ClusterBackend`] — one bulletin board, one round state
-//!   per shard, merged before the one finalize sweep — and a mid-round
-//!   failover path that reassigns and replays a dead shard's key range.
+//!   aggregates), in memory.
+//! * [`cluster`] — the aggregation cluster: a shard map partitioning
+//!   report ownership by client id, a [`cluster::RoutingBus`] fanning
+//!   envelopes out over per-shard uplinks, a [`cluster::ClusterBackend`]
+//!   — the one [`node::AggregationBackend`] (a single node is a cluster
+//!   of one): one bulletin board, one round state per shard, merged
+//!   before the one finalize sweep — and a mid-round failover path that
+//!   reassigns and replays a dead shard's key range.
 //! * [`journal`] — the single event-sourced round log behind the
 //!   cluster: sequence-numbered [`ew_proto::journal::JournalRecord`]s
 //!   with snapshot/replay semantics, a content-addressed dedupe index,
@@ -80,7 +81,7 @@ pub mod system;
 pub mod telemetry;
 pub mod trace;
 
-pub use backend::{BackendServer, RoundState};
+pub use backend::RoundState;
 pub use client::Client;
 pub use cluster::{ClusterBackend, RoutingBus, ShardFailure};
 pub use coordinator::{

@@ -132,28 +132,19 @@ pub trait AggregationBackend {
     fn on_envelope(&mut self, env: Envelope) -> Result<Option<Envelope>, RoundError>;
 
     /// Absorbs one full mailbox drain, in stream order, returning one
-    /// result per envelope (index-aligned with the input, with exactly
-    /// the values a serial [`Self::on_envelope`] walk would produce).
+    /// result per envelope (index-aligned with the input). The batch is
+    /// one delivery: a duplicate *within* it is a rejection, not a
+    /// replay of an earlier absorption.
     ///
-    /// The default implementation *is* that serial walk, and a single
-    /// `BackendServer` uses it: a shard is serial. The backend shard is
-    /// the one unit of server-side fan-out — `threads <= 1` is the
-    /// serial walk everywhere, `threads > 1` lets a `ClusterBackend`
-    /// absorb its shards' groups concurrently, one worker per shard
-    /// that has work. `threads` is purely a performance hint: results
-    /// and final backend state must be **bit-identical** for every
-    /// value.
+    /// `threads` is the round's client-shard count, a performance hint
+    /// only — results and final backend state must be
+    /// **bit-identical** for every value. The shipped backend,
+    /// `ClusterBackend`, ignores it and walks the batch serially.
     fn absorb_batch(
         &mut self,
         envelopes: Vec<Envelope>,
         threads: usize,
-    ) -> Vec<Result<Option<Envelope>, RoundError>> {
-        let _ = threads;
-        envelopes
-            .into_iter()
-            .map(|env| self.on_envelope(env))
-            .collect()
-    }
+    ) -> Vec<Result<Option<Envelope>, RoundError>>;
 
     /// The enrolled users whose reports have not arrived this round.
     fn missing_clients(&mut self) -> Result<Vec<u32>, RoundError>;
@@ -397,10 +388,9 @@ impl RoundOpen {
                 .expect("backend mailbox open");
         }
         let (envelopes, corrupt_frames) = bus.drain(NodeId::Backend);
-        // The whole drain goes to the backend as one batch: with
-        // `threads` > 1 a cluster absorbs its shards' groups
-        // concurrently instead of one envelope at a time, with
-        // bit-identical results (see `AggregationBackend::absorb_batch`).
+        // The whole drain goes to the backend as one batch, so a wire
+        // duplicate inside it is answered as a duplicate, not deduped as
+        // a replay (see `AggregationBackend::absorb_batch`).
         let routing: Vec<(bool, NodeId)> = envelopes
             .iter()
             .map(|env| {
@@ -813,15 +803,21 @@ mod tests {
         }
     }
 
+    /// The single-node backend `run_round` drives: a cluster of one.
+    fn cluster_of_one(params: CmsParams) -> crate::cluster::ClusterBackend {
+        crate::cluster::ClusterBackend::new(
+            ew_proto::ShardMap::uniform(1),
+            8,
+            params,
+            crate::ids::AdIdMapper::new(64),
+            ew_core::ThresholdPolicy::Mean,
+        )
+    }
+
     #[test]
     fn absorbed_error_envelopes_do_not_count_as_reports() {
-        use crate::backend::BackendServer;
-        use crate::ids::AdIdMapper;
-        use ew_core::ThresholdPolicy;
-        use ew_sketch::CmsParams;
-
         let params = CmsParams::new(2, 32, 3);
-        let mut backend = BackendServer::new(8, params, AdIdMapper::new(64), ThresholdPolicy::Mean);
+        let mut backend = cluster_of_one(params);
         let mut bus = InProcBus::new();
         // A hostile peer parks Error envelopes in the backend mailbox;
         // the backend absorbs them (Ok(None), never error-for-error)
@@ -852,14 +848,10 @@ mod tests {
 
     #[test]
     fn rejected_report_gets_an_explicit_error_reply_not_silence() {
-        use crate::backend::BackendServer;
-        use crate::ids::AdIdMapper;
-        use ew_core::ThresholdPolicy;
         use ew_proto::error_code;
-        use ew_sketch::CmsParams;
 
         let params = CmsParams::new(2, 32, 3);
-        let mut backend = BackendServer::new(8, params, AdIdMapper::new(64), ThresholdPolicy::Mean);
+        let mut backend = cluster_of_one(params);
         backend.enroll(1, ew_bigint::UBig::from_u64(2));
         let mut bus = InProcBus::new();
         let report = |cells: Vec<u32>| {
@@ -907,14 +899,10 @@ mod tests {
 
     #[test]
     fn queued_query_gets_its_reply_routed_during_the_round() {
-        use crate::backend::BackendServer;
-        use crate::ids::AdIdMapper;
-        use ew_core::ThresholdPolicy;
         use ew_proto::error_code;
-        use ew_sketch::CmsParams;
 
         let params = CmsParams::new(2, 32, 3);
-        let mut backend = BackendServer::new(8, params, AdIdMapper::new(64), ThresholdPolicy::Mean);
+        let mut backend = cluster_of_one(params);
         let mut bus = InProcBus::new();
         // A query already sitting in the backend mailbox when the round
         // starts is consumed by the Reports drain — its reply must be

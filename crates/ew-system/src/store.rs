@@ -1,5 +1,5 @@
 //! The metadata database of Figure 1 (the paper uses MySQL): active
-//! users, per-round aggregates, and the anonymized evaluation artifacts.
+//! users and the anonymized per-round aggregates.
 //! An in-memory engine — storage technology is irrelevant to the
 //! reproduced algorithmics, the *schema* is what matters.
 
@@ -39,10 +39,6 @@ pub struct RoundRecord {
 pub struct Store {
     users: BTreeMap<u32, UserRecord>,
     rounds: BTreeMap<u64, RoundRecord>,
-    /// Crawler observations per round (ad ids) — evaluation-only data,
-    /// as in §5 ("we also store aggregated data that we need for
-    /// evaluation purposes").
-    crawler_ads: BTreeMap<u64, Vec<u64>>,
 }
 
 impl Store {
@@ -99,16 +95,6 @@ impl Store {
             .map(|r| (r.round, r.users_threshold))
             .collect()
     }
-
-    /// Stores the crawler's per-round dataset.
-    pub fn record_crawl(&mut self, round: u64, ads: Vec<u64>) {
-        self.crawler_ads.entry(round).or_default().extend(ads);
-    }
-
-    /// The crawler dataset for a round.
-    pub fn crawl_dataset(&self, round: u64) -> &[u64] {
-        self.crawler_ads.get(&round).map_or(&[], |v| v.as_slice())
-    }
 }
 
 #[cfg(test)]
@@ -148,14 +134,5 @@ mod tests {
             vec![(1, 1.5), (2, 2.5), (3, 3.5)]
         );
         assert!(store.round(9).is_none());
-    }
-
-    #[test]
-    fn crawl_datasets_accumulate() {
-        let mut store = Store::new();
-        store.record_crawl(1, vec![10, 11]);
-        store.record_crawl(1, vec![12]);
-        assert_eq!(store.crawl_dataset(1), &[10, 11, 12]);
-        assert!(store.crawl_dataset(2).is_empty());
     }
 }

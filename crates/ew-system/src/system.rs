@@ -43,22 +43,19 @@
 //! thread counts {1, 2, 4, 7}, in-proc and over the wire;
 //! `tests/bus_parity.rs` pins the bus axis.
 //!
-//! Server-side absorb has its own, single unit of fan-out — the
-//! **backend shard**: the round driver hands each full mailbox drain to
-//! [`crate::node::AggregationBackend::absorb_batch`], and a
-//! [`ClusterBackend`] runs one worker per shard that has work, each
-//! walking its group serially through `RoundState::absorb` (the one
-//! copy of report validation). Nothing nests below that:
-//! absorb is ~1.5 % of a round, the client side is the cost.
+//! The **client shard** is the system's one unit of fan-out. Server-side
+//! absorb does not fan out: the round driver hands each full mailbox
+//! drain to [`crate::node::AggregationBackend::absorb_batch`], and a
+//! [`ClusterBackend`] walks it serially through `RoundState::absorb`
+//! (the one copy of report validation) whatever `threads` says —
+//! absorb is ~1 % of a round, the client side is the cost.
 
-use crate::backend::BackendServer;
+use crate::backend::serve;
 use crate::client::Client;
 use crate::cluster::{ClusterBackend, RoutingBus};
 use crate::coordinator::{Clock, Coordinator, EpochConfig, EpochEvent};
 use crate::ids::AdIdMapper;
-use crate::node::{
-    drive_round, pump, AggregationBackend, ClientNode, DrivenRound, InProcBus, ServiceBus,
-};
+use crate::node::{drive_round, pump, ClientNode, DrivenRound, InProcBus, ServiceBus};
 use crate::oprf_server::OprfService;
 use crate::store::{RoundRecord, Store};
 use crate::telemetry::{ReplayMetrics, TelemetryService};
@@ -180,7 +177,12 @@ pub struct EyewnderSystem {
     pub config: SystemConfig,
     group: ModpGroup,
     oprf: OprfService,
-    backend: BackendServer,
+    /// The bulletin board every client enrols on; each round's cluster
+    /// is built from it.
+    directory: KeyDirectory,
+    /// The latest finalized view: audits and `#Users` queries answer
+    /// from it.
+    view: Option<GlobalView>,
     clients: Vec<Client>,
     /// The Figure 1 metadata database.
     store: Store,
@@ -201,8 +203,7 @@ impl EyewnderSystem {
         let group = ModpGroup::generate(&mut rng, config.group_bits);
         let oprf = OprfService::generate(&mut rng, config.rsa_bits);
         let mapper = AdIdMapper::new(config.ad_capacity);
-        let mut backend =
-            BackendServer::new(group.element_len(), config.cms, mapper, config.policy);
+        let mut directory = KeyDirectory::new(group.element_len());
 
         let mut clients: Vec<Client> = (0..num_clients as u32)
             .map(|id| {
@@ -217,10 +218,9 @@ impl EyewnderSystem {
             .collect();
         let mut store = Store::new();
         for c in &clients {
-            backend.enroll(c.id(), c.public_key().clone());
+            directory.publish(c.id(), c.public_key().clone());
             store.register_user(c.id(), 0);
         }
-        let directory = backend.directory().clone();
         for c in &mut clients {
             c.set_blinding_cache(config.blinding_cache_rounds);
             c.setup_blinding(&group, &directory);
@@ -230,7 +230,8 @@ impl EyewnderSystem {
             config,
             group,
             oprf,
-            backend,
+            directory,
+            view: None,
             clients,
             store,
             sim_ad_to_key: HashMap::new(),
@@ -394,8 +395,8 @@ impl EyewnderSystem {
     /// Shared tail of every finalized round, single or campaign epoch:
     /// drains the bus, cluster and OPRF telemetry into the telemetry
     /// service, records the round over `roster` in the metadata store
-    /// and installs the view on the resident backend, so audits and
-    /// `#Users` queries answer from it.
+    /// and keeps the view as the latest (replacing the previous one), so
+    /// audits and `#Users` queries answer from it.
     fn finish_round<B: ServiceBus>(
         &mut self,
         backend: &mut ClusterBackend,
@@ -422,7 +423,7 @@ impl EyewnderSystem {
             users_threshold: driven.view.users_threshold(),
             positive_ads: driven.view.num_ads(),
         });
-        self.backend.install_view(driven.round, driven.view.clone());
+        self.view = Some(driven.view.clone());
     }
 
     /// The key-space partition for this system's configured cluster
@@ -438,10 +439,10 @@ impl EyewnderSystem {
             map.clone(),
             self.group.element_len(),
             self.config.cms,
-            self.backend.mapper(),
+            AdIdMapper::new(self.config.ad_capacity),
             self.config.policy,
         );
-        for (user, key) in self.backend.directory().iter() {
+        for (user, key) in self.directory.iter() {
             cluster.enroll(user, key.clone());
         }
         cluster
@@ -844,7 +845,8 @@ impl EyewnderSystem {
     /// The real-time audit (Figure 1, arrow 5 + the per-ad query) over
     /// an arbitrary [`ServiceBus`]: the client sends a `UsersQuery`
     /// envelope for the ad's ID, the backend answers a `UsersReply`
-    /// envelope from its latest finalized view,
+    /// envelope from the latest finalized view (the same `serve` a
+    /// cluster shard answers through, with no round open),
     /// and the client combines the estimate with its local counters and
     /// the broadcast `Users_th`. Returns `None` if no round has been
     /// finalized yet, the user id is unknown, or the bus lost the
@@ -857,7 +859,8 @@ impl EyewnderSystem {
     ) -> Option<Verdict> {
         let client = self.clients.get(user as usize)?;
         let ad = self.sim_ad_to_key.get(&sim_ad).copied()?;
-        let users_th = self.backend.latest_view()?.users_threshold();
+        let view = self.view.as_ref()?;
+        let users_th = view.users_threshold();
 
         // Client -> backend query, backend -> client reply, enveloped.
         let me = NodeId::Client(client.id());
@@ -867,7 +870,11 @@ impl EyewnderSystem {
         )
         .ok()?;
         pump(bus, NodeId::Backend, |req| {
-            self.backend.on_envelope(req).ok().flatten()
+            serve(&mut None, Some(view), &req, |user| {
+                self.directory.get(user).is_some()
+            })
+            .ok()
+            .flatten()
         });
         let (replies, _) = bus.drain(me);
         let estimate = replies.into_iter().find_map(|env| match env.msg {
@@ -1035,6 +1042,7 @@ pub fn deliver_late_report(
 mod tests {
     use super::*;
     use crate::coordinator::LogicalClock;
+    use ew_proto::transport::TransportError;
     use ew_proto::FaultConfig;
     use ew_simnet::{RestartPhase, ScenarioConfig, ShardRestart};
 
@@ -1107,6 +1115,55 @@ mod tests {
             "FPR {:.3} too high for the controlled world",
             confusion.fpr()
         );
+    }
+
+    #[test]
+    fn only_the_latest_view_is_kept_and_audits_answer_from_it() {
+        /// An in-proc bus that keeps every `#Users` estimate it carries.
+        #[derive(Default)]
+        struct Recording {
+            inner: InProcBus,
+            estimates: Vec<u32>,
+        }
+        impl ServiceBus for Recording {
+            fn send(&mut self, dest: NodeId, env: Envelope) -> Result<(), TransportError> {
+                if let Message::UsersReply { estimate, .. } = env.msg {
+                    self.estimates.push(estimate);
+                }
+                self.inner.send(dest, env)
+            }
+            fn drain(&mut self, dest: NodeId) -> (Vec<Envelope>, usize) {
+                self.inner.drain(dest)
+            }
+        }
+
+        let (mut sys, scenario, log) = small_system();
+        sys.ingest(&scenario, &log);
+        let first = sys.run_round(1, &[]);
+        sys.run_round(2, &[5]);
+        let silent: Vec<u32> = (0..12).collect();
+        let third = sys.run_round(3, &silent);
+        assert_eq!(sys.view.as_ref(), Some(&third.view), "one view: round 3's");
+
+        // An ad whose #Users moved between rounds 1 and 3, audited by a
+        // user who saw it.
+        let record = log
+            .records()
+            .iter()
+            .find(|r| {
+                let key = sys.ad_key_of(r.ad).expect("ad ingested");
+                first.view.users(key) != third.view.users(key)
+            })
+            .expect("silencing half the cohort moves some ad's count");
+        let key = sys.ad_key_of(record.ad).expect("ad ingested");
+        let mut bus = Recording::default();
+        let verdict = sys
+            .audit_on(&mut bus, record.user, record.ad)
+            .expect("a finalized view answers");
+        assert_eq!(bus.estimates, vec![third.view.users(key) as u32]);
+        let counters = sys.clients[record.user as usize].counters();
+        let expected = Detector::new(sys.config.detector).classify(counters, key, &third.view);
+        assert_eq!(verdict, expected);
     }
 
     #[test]

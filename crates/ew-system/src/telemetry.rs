@@ -58,7 +58,7 @@ pub mod hist_kind {
     pub const PHASE_RECOVERY: u8 = 2;
     /// Round phase `Finalize` latency.
     pub const PHASE_FINALIZE: u8 = 3;
-    /// Per-shard absorb-batch service time.
+    /// Absorb-batch service time: one sample per absorbed batch.
     pub const ABSORB: u8 = 4;
     /// OPRF batch service time (per blind-evaluated batch).
     pub const OPRF_BATCH: u8 = 5;
@@ -276,7 +276,7 @@ pub struct ReplayMetrics {
     /// Round-phase latency distributions (nanoseconds per round),
     /// indexed by [`phase_index`].
     pub phase_hist: [Hist64; 4],
-    /// Per-shard absorb-batch service-time distribution.
+    /// Absorb-batch service-time distribution (one sample per batch).
     pub absorb_hist: Hist64,
     /// OPRF batch service-time distribution.
     pub oprf_hist: Hist64,

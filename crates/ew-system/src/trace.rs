@@ -20,8 +20,8 @@
 //!
 //! ## Why thread-local
 //!
-//! The driver thread owns the round loop; shard workers never trace
-//! (their work is timed into histograms via [`crate::telemetry`]
+//! The driver thread owns the round loop; client-shard workers never
+//! trace (timings go into histograms via [`crate::telemetry`]
 //! instead). A thread-local recorder therefore needs no locks, and the
 //! serial-test lane's thread-local ops-trace counters set the
 //! precedent. Enable with [`enable`], harvest with [`snapshot`] or

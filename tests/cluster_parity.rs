@@ -3,7 +3,7 @@
 //! — in-proc or over per-shard wire uplinks, with or without a
 //! mid-round shard failover — produces a `RoundOutcome` **bit-identical**
 //! to the single-backend round (`run_round`'s default cluster of one,
-//! itself pinned ≡ a bare `BackendServer` by `cluster.rs`'s unit
+//! itself pinned ≡ the bare `RoundState` walk by `cluster.rs`'s unit
 //! tests), for every cluster size and thread count. Blinded cell
 //! accumulation is associative and commutative and key-space ownership
 //! partitions the per-user validation state, so sharding (and

@@ -212,19 +212,54 @@ fn one_round_state() {
             "{retired} restates RoundState in the public API"
         );
     }
-    let mut sources = Vec::new();
-    files_ending(&root.join("crates/ew-system/src"), ".rs", &mut sources);
-    let sweeps: usize = sources
-        .iter()
-        .map(|file| {
-            let text = fs::read_to_string(file).expect("readable source");
-            let code = text.split("\n#[cfg(test)]\n").next().unwrap_or("");
-            code.matches(".all_ids()").count()
-        })
-        .sum();
+    let sweeps = count_in_system_code(&root, ".all_ids()");
     assert_eq!(
         sweeps, 1,
         "the ad-ID space is enumerated in one place, RoundState::finalize"
+    );
+}
+
+/// A source file up to its `#[cfg(test)]` module.
+fn non_test_code(file: &Path) -> String {
+    let text = fs::read_to_string(file).expect("readable source");
+    text.split("\n#[cfg(test)]\n")
+        .next()
+        .unwrap_or("")
+        .to_string()
+}
+
+/// Occurrences of `needle` in the non-test code of `ew-system`.
+fn count_in_system_code(root: &Path, needle: &str) -> usize {
+    let mut sources = Vec::new();
+    files_ending(&root.join("crates/ew-system/src"), ".rs", &mut sources);
+    sources
+        .iter()
+        .map(|file| non_test_code(file).matches(needle).count())
+        .sum()
+}
+
+#[test]
+fn one_aggregation_backend() {
+    // `ClusterBackend` is the one `AggregationBackend` — a single node is
+    // a cluster of one — and it absorbs a batch serially: the client
+    // shard is the system's one unit of fan-out. Neither the one-node
+    // twin nor the cluster's concurrent absorb may come back.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    // In two halves so a repository-wide grep for the retired type
+    // stays empty.
+    let retired = ["Backend", "Server"].concat();
+    assert!(
+        !surface(&root).contains(&retired),
+        "{retired} is back in the public API"
+    );
+    assert_eq!(
+        count_in_system_code(&root, "impl AggregationBackend for"),
+        1,
+        "a second aggregation backend"
+    );
+    assert!(
+        !non_test_code(&root.join("crates/ew-system/src/cluster.rs")).contains("map_shards"),
+        "the cluster fans its absorb out over threads again"
     );
 }
 
