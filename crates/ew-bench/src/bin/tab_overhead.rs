@@ -113,11 +113,15 @@ fn main() {
     println!("Blinding-factor computation (MODP-2048, {cells}-cell sketch, {users} users):");
     // Which engines produced the two timings below: the many-bases
     // modpow behind the shared-secret setup and the keystream behind the
-    // vector derivation are both picked per CPU.
+    // vector derivation are both picked per CPU. Both exponentiations
+    // walk the secrets' bits, so their widest is printed too.
+    let secret_bits = pairs.iter().map(|kp| kp.secret().bit_len()).max();
     println!(
-        "  engines: modpow lanes {}, blinding keystream {}",
+        "  engines: modpow lanes {}, blinding keystream {}; DH secrets up to {} bits (q: {} bits)",
         ew_bigint::lane_tier(),
-        ew_crypto::keystream::keystream_tier()
+        ew_crypto::keystream::keystream_tier(),
+        secret_bits.unwrap_or(0),
+        group.order().bit_len()
     );
     for (label, time) in [
         (format!("DH keygen for {users} users"), keygen_time),

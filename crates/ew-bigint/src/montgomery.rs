@@ -883,10 +883,11 @@ fn recode_exponent(exp: &UBig, ops: &mut Vec<WindowOp>) {
 /// Montgomery form, so `base^exp` needs **no squarings** — just one
 /// Montgomery multiply per non-zero nibble of the exponent.
 ///
-/// Sized by `max_exp_bits`; for a 2048-bit group this is 512 windows ×
-/// 15 entries × 256 bytes ≈ 2 MB, built once per (group, generator)
-/// and reused for every key generation in the cohort. Exponents longer
-/// than the table fall back to [`MontgomeryCtx::modpow`].
+/// Sized by `max_exp_bits`; for 256-bit private exponents in a 2048-bit
+/// group this is 64 windows × 15 entries × 256 bytes ≈ 240 KB (960
+/// multiplies to build), built once per (group, generator) and reused
+/// for every key generation in the cohort. Exponents longer than the
+/// table fall back to [`MontgomeryCtx::modpow`].
 #[derive(Clone, Debug)]
 pub struct FixedBaseTable {
     ctx: Arc<MontgomeryCtx>,

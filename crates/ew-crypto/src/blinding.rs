@@ -303,20 +303,25 @@ mod tests {
         const USER: UserId = 3;
         let mut rng = StdRng::seed_from_u64(112);
         let toy = ModpGroup::generate(&mut rng, 64);
+        let modp = ModpGroup::modp_2048();
+        // `None` draws secrets as keygen does (`random_exponent`: all of
+        // a toy q, 256 bits at MODP-2048); `Some(bits)` forces a secret
+        // of exactly that width.
         for (group, secret_bits) in [
-            (&toy, 63),
-            // The debug profile's lane body is slow: a short secret
-            // there, the subgroup's full width under optimisation.
-            (
-                &ModpGroup::modp_2048(),
-                if cfg!(debug_assertions) { 80 } else { 2046 },
-            ),
+            (&toy, None),
+            (&modp, None),
+            // Past the generator table (the `pow_g` fallback) and through
+            // the long-exponent lane schedule. The debug profile's lane
+            // body is slow: just past the table there, the subgroup's
+            // full width under optimisation.
+            (&modp, Some(if cfg!(debug_assertions) { 260 } else { 2046 })),
         ] {
             let population: Vec<DhKeyPair> = (0..40)
-                .map(|_| {
-                    let mut secret = ew_bigint::random_bits(&mut rng, secret_bits);
-                    secret.set_bit(secret_bits - 1);
-                    DhKeyPair::from_secret(group, secret)
+                .map(|_| match secret_bits {
+                    None => DhKeyPair::generate(group, &mut rng),
+                    Some(bits) => {
+                        DhKeyPair::from_secret(group, ew_bigint::random_bits(&mut rng, bits))
+                    }
                 })
                 .collect();
             let me = &population[USER as usize];

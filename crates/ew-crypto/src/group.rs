@@ -5,10 +5,35 @@
 //! Diffie-Hellman is hard". We provide the standard RFC 3526 MODP groups
 //! (1536/2048-bit) for deployment-scale parameters, plus generated
 //! safe-prime groups of arbitrary size so the test suite stays fast.
+//!
+//! ## Exponent width
+//!
+//! Private exponents are [`EXPONENT_BITS`] = 256 bits wide, not the
+//! width of the subgroup order `q` (2 047 bits at MODP-2048). A
+//! safe-prime group at security strength *s* needs a 2·*s*-bit
+//! exponent, and MODP-2048 has *s* ≈ 112: RFC 7919 §5.2, NIST SP
+//! 800-56A Rev. 3 §5.6.1.1.4 and the strength table of RFC 3526 §8 all
+//! size the exponent that way, and van Oorschot & Wiener (EUROCRYPT '96)
+//! show why 2·*s* is the floor (a λ-method on the exponent costs
+//! 2^(bits/2)). `q` is prime, so a short exponent leaks nothing through
+//! a small subgroup. Every exponentiation by a secret — keygen's
+//! [`ModpGroup::pow_g`] and enrolment's `y_j^{x_i}` — walks an eighth of
+//! the bits it would at full width. Groups whose `q` is no wider than
+//! [`EXPONENT_BITS`] (the generated test groups) keep drawing from all of
+//! `[1, q)`.
 
 use ew_bigint::{gen_safe_prime, random_range, FixedBaseTable, MontgomeryCtx, UBig};
 use rand::RngCore;
 use std::sync::Arc;
+
+/// Width in bits of a private exponent drawn by
+/// [`ModpGroup::random_exponent`]: twice the 128-bit strength target,
+/// which covers MODP-2048's ≈ 112 bits. A 2·*s*-bit exponent is what
+/// RFC 7919 §5.2, NIST SP 800-56A Rev. 3 §5.6.1.1.4 and RFC 3526 §8
+/// prescribe for a safe-prime group of strength *s*; van Oorschot &
+/// Wiener (EUROCRYPT '96) give the 2·*s* floor. The generator table is
+/// sized to it.
+pub const EXPONENT_BITS: usize = 256;
 
 /// A multiplicative group `Z_p^*` restricted to the prime-order subgroup
 /// of quadratic residues, for a safe prime `p = 2q + 1`.
@@ -32,7 +57,8 @@ pub struct ModpGroup {
     g: Arc<UBig>,
     /// Montgomery context for `p`, shared by all exponentiations.
     ctx: Arc<MontgomeryCtx>,
-    /// Fixed-base window table for `g`, covering exponents up to `q`.
+    /// Fixed-base window table for `g`, covering the exponents
+    /// [`Self::random_exponent`] draws.
     g_table: Arc<FixedBaseTable>,
 }
 
@@ -93,9 +119,12 @@ impl ModpGroup {
         let g = candidate.mulmod(&candidate, &p);
         assert!(!g.is_one() && !g.is_zero(), "degenerate generator");
         let ctx = Arc::new(MontgomeryCtx::new(&p));
-        // Exponents live in [1, q); the table covers q's full width
-        // and shares the group's context rather than copying it.
-        let g_table = FixedBaseTable::new(Arc::clone(&ctx), &g, q.bit_len());
+        // The table covers what `random_exponent` draws — at most
+        // EXPONENT_BITS bits, fewer when q is narrower — and shares the
+        // group's context rather than copying it. A wider exponent
+        // falls back to `modpow`.
+        let exp_bits = q.bit_len().min(EXPONENT_BITS);
+        let g_table = FixedBaseTable::new(Arc::clone(&ctx), &g, exp_bits);
         ModpGroup {
             p: Arc::new(p),
             q: Arc::new(q),
@@ -161,9 +190,15 @@ impl ModpGroup {
         self.ctx.mulmod(a, b)
     }
 
-    /// Uniformly random exponent in `[1, q)`.
+    /// Uniformly random private exponent: in `[1, 2^EXPONENT_BITS)` when
+    /// `q` is wider than [`EXPONENT_BITS`], in `[1, q)` otherwise (the
+    /// small generated groups, whose draws stay what they always were).
     pub fn random_exponent<R: RngCore + ?Sized>(&self, rng: &mut R) -> UBig {
-        random_range(rng, &UBig::one(), &self.q)
+        if self.q.bit_len() > EXPONENT_BITS {
+            random_range(rng, &UBig::one(), &UBig::one().shl_bits(EXPONENT_BITS))
+        } else {
+            random_range(rng, &UBig::one(), &self.q)
+        }
     }
 
     /// Serializes a group element, left-padded to [`Self::element_len`].
@@ -225,6 +260,42 @@ mod tests {
             assert!(!e.is_zero());
             assert!(&e < grp.order());
         }
+    }
+
+    #[test]
+    fn modp_2048_exponents_are_exponent_bits_wide() {
+        let grp = ModpGroup::modp_2048();
+        let mut rng = StdRng::seed_from_u64(7);
+        let draws: Vec<UBig> = (0..1000).map(|_| grp.random_exponent(&mut rng)).collect();
+        for e in &draws {
+            assert!(!e.is_zero());
+            assert!(e.bit_len() <= EXPONENT_BITS, "{} bits", e.bit_len());
+        }
+        // Uniform below 2^256: the top bit is a fair coin.
+        let top = draws.iter().filter(|e| e.bit(EXPONENT_BITS - 1)).count();
+        assert!((400..=600).contains(&top), "bit 255 set in {top} of 1000");
+        // The table covers every drawn exponent; a wider one (q itself)
+        // takes the modpow fallback, checked in `modp_2048_parameters`.
+        for e in &draws[..3] {
+            assert_eq!(grp.pow_g(e), grp.pow(grp.generator(), e));
+        }
+    }
+
+    #[test]
+    fn narrow_group_draws_exactly_as_over_the_whole_order() {
+        // A q no wider than EXPONENT_BITS keeps the full-range draw, word
+        // for word, so every world built on a generated group is
+        // unchanged by the width cap.
+        let grp = ModpGroup::generate(&mut StdRng::seed_from_u64(8), 64);
+        let mut capped = StdRng::seed_from_u64(9);
+        let mut full = StdRng::seed_from_u64(9);
+        for _ in 0..100 {
+            assert_eq!(
+                grp.random_exponent(&mut capped),
+                random_range(&mut full, &UBig::one(), grp.order())
+            );
+        }
+        assert_eq!(capped.next_u64(), full.next_u64(), "same words consumed");
     }
 
     #[test]

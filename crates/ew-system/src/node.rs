@@ -127,8 +127,8 @@ pub trait AggregationBackend {
     /// Handles one envelope. `Ok(None)` means absorbed (report or
     /// adjustment accepted); `Ok(Some(_))` is a reply to route back to
     /// the sender (query answers, error replies); `Err(_)` is a
-    /// rejection the driver may tolerate (duplicates on a faulty link)
-    /// or escalate (on the clean recovery link).
+    /// rejection, which the round driver answers with a
+    /// `Message::Error` to the sender in every phase.
     fn on_envelope(&mut self, env: Envelope) -> Result<Option<Envelope>, RoundError>;
 
     /// Absorbs one full mailbox drain, in stream order, returning one
@@ -332,6 +332,7 @@ pub struct RoundRecovery {
     reports: usize,
     corrupt_frames: usize,
     missing: Vec<u32>,
+    rejected_adjustments: Vec<(NodeId, RoundError)>,
 }
 
 impl RoundOpen {
@@ -422,16 +423,8 @@ impl RoundOpen {
                 }
                 Ok(None) => {}
                 Err(e) => {
-                    let reply = Envelope::new(
-                        NodeId::Backend,
-                        round,
-                        ew_proto::Message::Error {
-                            code: e.error_code(),
-                            detail: e.to_string(),
-                            hint: None,
-                        },
-                    );
-                    bus.send(requester, reply).expect("requester mailbox open");
+                    bus.send(requester, rejection(round, &e))
+                        .expect("requester mailbox open");
                 }
             }
         }
@@ -458,13 +451,10 @@ impl RoundReports {
     /// clients; every surviving client is notified over the (now clean)
     /// bus and answers with its adjustment. Adjustment *derivation* is
     /// sharded over `threads` workers; envelopes cross the bus in
-    /// client order.
-    ///
-    /// # Panics
-    /// Panics if an adjustment is rejected — on the clean recovery link
-    /// every surviving, enrolled client's adjustment must be accepted,
-    /// so a rejection is a driver or backend bug, never a network
-    /// condition.
+    /// client order. A rejected adjustment (a malformed one, say) does
+    /// not abort the round: as in the reports phase, its sender is
+    /// answered with a `Message::Error`, and the rejection is kept for
+    /// [`RoundRecovery::rejected_adjustments`].
     pub fn recover<C, A, B>(
         self,
         clients: &[C],
@@ -482,6 +472,7 @@ impl RoundReports {
         bus.on_phase(RoundPhase::Recovery);
         let round = self.round;
         let missing = backend.missing_clients().expect("round open");
+        let mut rejected_adjustments = Vec::new();
         if !missing.is_empty() {
             let notice = Envelope::new(
                 NodeId::Backend,
@@ -519,10 +510,15 @@ impl RoundReports {
             let (envelopes, _) = bus.drain(NodeId::Backend);
             for env in envelopes {
                 let requester = env.sender;
-                if let Some(reply) = backend
-                    .on_envelope(env)
-                    .expect("adjustment accepted on the clean recovery link")
-                {
+                let reply = match backend.on_envelope(env) {
+                    Ok(reply) => reply,
+                    Err(e) => {
+                        let reply = rejection(round, &e);
+                        rejected_adjustments.push((requester, e));
+                        Some(reply)
+                    }
+                };
+                if let Some(reply) = reply {
                     bus.send(requester, reply).expect("requester mailbox open");
                 }
             }
@@ -532,8 +528,24 @@ impl RoundReports {
             reports: self.reports,
             corrupt_frames: self.corrupt_frames,
             missing,
+            rejected_adjustments,
         }
     }
+}
+
+/// The backend's answer to an envelope it rejected: a
+/// `Message::Error` carrying the rejection's code, so the sender can
+/// tell a service rejection from frame loss.
+fn rejection(round: u64, e: &RoundError) -> Envelope {
+    Envelope::new(
+        NodeId::Backend,
+        round,
+        ew_proto::Message::Error {
+            code: e.error_code(),
+            detail: e.to_string(),
+            hint: None,
+        },
+    )
 }
 
 impl RoundRecovery {
@@ -545,6 +557,13 @@ impl RoundRecovery {
     /// The clients declared missing this round.
     pub fn missing(&self) -> &[u32] {
         &self.missing
+    }
+
+    /// The recovery-phase envelopes the backend rejected, by sender, in
+    /// arrival order. Each sender was answered with a
+    /// `Message::Error` and the round went on without that adjustment.
+    pub fn rejected_adjustments(&self) -> &[(NodeId, RoundError)] {
+        &self.rejected_adjustments
     }
 
     /// Phase `Recovery` → `Finalize`: unblinds and closes the round,

@@ -1,6 +1,7 @@
 //! Shape assertions for the paper's headline results, at test-friendly
 //! scale: Figure 3's FN-vs-cap trend, the §7.2.2 false-positive bound,
-//! and the two behavioural observations underlying the algorithm.
+//! the two behavioural observations underlying the algorithm, and
+//! §7.1's deterministic overhead figures (CMS sizes, directory volumes).
 
 use eyewnder::core::{DetectorConfig, ThresholdPolicy};
 use eyewnder::simnet::{AdClass, Scenario, ScenarioConfig};
@@ -150,4 +151,36 @@ fn indirect_targeting_is_detected() {
         indirect_hits > 0,
         "count-based detection must catch indirect targeting"
     );
+}
+
+#[test]
+fn section_7_1_cms_sizes() {
+    // §7.1: ε = δ = 0.001 at 10k / 50k / 100k counted ads gives
+    // 185 / 196 / 207 KB reports of 4-byte cells.
+    use eyewnder::sketch::CmsParams;
+    for (items, depth, kb) in [(10_000, 17, 185), (50_000, 18, 196), (100_000, 19, 207)] {
+        let p = CmsParams::from_error_bounds(0.001, 0.001, items, 0);
+        assert_eq!((p.depth, p.width), (depth, 2_719), "T = {items}");
+        assert_eq!(
+            (p.size_bytes() as f64 / 1000.0).round() as usize,
+            kb,
+            "T = {items}"
+        );
+    }
+}
+
+#[test]
+fn section_7_1_directory_volumes() {
+    // §7.1 with 32-byte public keys: 0.36 MB per client at 10k users and
+    // 1.80 MB at 50k (the paper rounds to 0.38 / 1.9 MB).
+    use eyewnder::bigint::UBig;
+    use eyewnder::crypto::directory::KeyDirectory;
+    for (users, centi_mb) in [(10_000u32, 36), (50_000, 180)] {
+        let mut dir = KeyDirectory::new(32);
+        for u in 0..users {
+            dir.publish(u, UBig::from_u64(u64::from(u) + 1));
+        }
+        let mb = dir.download_size_per_client() as f64 / 1e6;
+        assert_eq!((mb * 100.0).round() as u32, centi_mb, "{users} users");
+    }
 }

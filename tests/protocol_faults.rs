@@ -1,10 +1,15 @@
 //! Fault-injection integration tests: the full system running weekly
 //! rounds over lossy, corrupting, duplicating, reordering links.
 
-use eyewnder::proto::{channel_pair, FaultConfig, Message};
+use eyewnder::bigint::UBig;
+use eyewnder::core::ThresholdPolicy;
+use eyewnder::proto::{channel_pair, error_code, Envelope, FaultConfig, Message, NodeId, ShardMap};
 use eyewnder::simnet::{Scenario, ScenarioConfig};
-use eyewnder::system::cluster::RoutingBus;
-use eyewnder::system::node::WireBus;
+use eyewnder::sketch::CmsParams;
+use eyewnder::system::backend::RoundError;
+use eyewnder::system::cluster::{ClusterBackend, RoutingBus};
+use eyewnder::system::ids::AdIdMapper;
+use eyewnder::system::node::{ClientNode, InProcBus, RoundOpen, ServiceBus, WireBus};
 use eyewnder::system::{EyewnderSystem, RoundOutcome, SystemConfig};
 
 fn world(seed: u64) -> (Scenario, eyewnder::simnet::ImpressionLog, EyewnderSystem) {
@@ -99,6 +104,94 @@ fn duplicated_reports_are_rejected_not_double_counted() {
             "ad {sim_ad} double counted"
         );
     }
+}
+
+/// A client that reports an all-zero sketch and answers a
+/// `MissingClients` notice with an adjustment of `adjustment_cells`
+/// cells, whatever the cohort's shape.
+struct FixedClient {
+    id: u32,
+    adjustment_cells: usize,
+}
+
+impl ClientNode for FixedClient {
+    fn client_id(&self) -> u32 {
+        self.id
+    }
+
+    fn report_envelope(&self, params: CmsParams, round: u64) -> Envelope {
+        let msg = Message::Report {
+            user: self.id,
+            round,
+            depth: params.depth as u32,
+            width: params.width as u32,
+            seed: params.hash_seed,
+            cells: vec![0; params.num_cells()],
+        };
+        Envelope::new(NodeId::Client(self.id), round, msg)
+    }
+
+    fn on_envelope(&self, _params: CmsParams, env: &Envelope) -> Option<Envelope> {
+        let Message::MissingClients { round, .. } = env.msg else {
+            return None;
+        };
+        let msg = Message::Adjustment {
+            user: self.id,
+            round,
+            cells: vec![0; self.adjustment_cells],
+        };
+        Some(Envelope::new(NodeId::Client(self.id), round, msg))
+    }
+}
+
+#[test]
+fn malformed_adjustment_is_answered_not_fatal() {
+    let params = CmsParams::new(2, 32, 3);
+    let mut backend = ClusterBackend::new(
+        ShardMap::uniform(1),
+        8,
+        params,
+        AdIdMapper::new(64),
+        ThresholdPolicy::Mean,
+    );
+    for user in 1..=3 {
+        backend.enroll(user, UBig::from_u64(u64::from(user) + 1));
+    }
+    // Client 3 stays silent, so clients 1 and 2 owe adjustments; client
+    // 2's has one cell too few.
+    let clients = [
+        FixedClient {
+            id: 1,
+            adjustment_cells: params.num_cells(),
+        },
+        FixedClient {
+            id: 2,
+            adjustment_cells: params.num_cells() - 1,
+        },
+    ];
+    let mut bus = InProcBus::new();
+    let recovery = RoundOpen::open(&mut backend, &mut bus, 5)
+        .collect_reports(&clients, &[], params, 1, &mut backend, &mut bus)
+        .recover(&clients, params, 1, &mut backend, &mut bus);
+    assert_eq!(recovery.missing(), &[3]);
+    assert_eq!(
+        recovery.rejected_adjustments(),
+        &[(NodeId::Client(2), RoundError::DimensionMismatch)]
+    );
+    let round = recovery.finalize(&mut backend, &mut bus);
+    assert_eq!(round.reports, 2);
+
+    let (to_2, _) = bus.drain(NodeId::Client(2));
+    assert!(
+        matches!(
+            &to_2[..],
+            [Envelope { sender: NodeId::Backend, msg: Message::Error { code, .. }, .. }]
+                if *code == error_code::REJECTED_REPORT
+        ),
+        "client 2 is told its adjustment was rejected: {to_2:?}"
+    );
+    let (to_1, _) = bus.drain(NodeId::Client(1));
+    assert!(to_1.is_empty(), "client 1's adjustment was accepted");
 }
 
 #[test]
