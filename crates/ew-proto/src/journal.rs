@@ -1,13 +1,13 @@
 //! The event-sourced round journal: the wire-stable record types that
-//! make cluster failover and crash-restart replayable.
+//! make cluster crash-restart replayable.
 //!
 //! PR 5 grew two ad-hoc replay logs (the routing bus's in-flight
 //! journal and the cluster backend's absorbed-envelope journal) whose
 //! exactly-once guarantee rested on driver discipline. This module is
 //! the shared mechanism that replaces both: every state transition of a
 //! clustered round is a sequence-numbered [`JournalRecord`] appended to
-//! one log, and failover, cold restart and audit replay all read the
-//! same records.
+//! one log, and cold restart, duplicate suppression and audit replay
+//! all read the same records.
 //!
 //! ## Record kinds
 //!
@@ -15,11 +15,8 @@
 //!   adjustment) was **successfully** absorbed by a shard. Rejected
 //!   envelopes are never journaled, so replaying the log can never
 //!   re-deliver a duplicate.
-//! * [`JournalEvent::MapInstalled`] — a shard map became current (the
-//!   initial map at round open, or a reassignment after a failure).
-//! * [`JournalEvent::ShardAdopted`] — a dead shard's key ranges were
-//!   adopted by the survivors under the given map version; the absorbed
-//!   records of the dead shard are re-owned by replay, not re-sent.
+//! * [`JournalEvent::MapInstalled`] — the round's shard map, the first
+//!   record at round open (a map never changes mid-round).
 //! * [`JournalEvent::RoundFinalized`] — the round's merged view was
 //!   finalized; everything at or below this sequence number is dead
 //!   weight and safe to truncate.
@@ -42,7 +39,8 @@ use bytes::BufMut;
 mod record_tag {
     pub const ABSORBED: u8 = 0x01;
     pub const MAP_INSTALLED: u8 = 0x02;
-    pub const SHARD_ADOPTED: u8 = 0x03;
+    // 0x03 (the shard adoption marker of mid-round reassignment) is
+    // retired, never reassigned: `BadTag`.
     pub const ROUND_FINALIZED: u8 = 0x04;
     pub const EPOCH_OPENED: u8 = 0x05;
     pub const MEMBERSHIP_INSTALLED: u8 = 0x06;
@@ -66,7 +64,7 @@ pub enum JournalEvent {
         /// The absorbed envelope, verbatim.
         envelope: Envelope,
     },
-    /// A shard map became the cluster's current routing truth.
+    /// The shard map the round routes by, journaled at round open.
     MapInstalled {
         /// The installed map version.
         version: u32,
@@ -74,13 +72,6 @@ pub enum JournalEvent {
         shard_ids: u32,
         /// The slot-ownership ring of the installed map.
         owners: Vec<u32>,
-    },
-    /// A dead shard's absorbed state was adopted by the survivors.
-    ShardAdopted {
-        /// The shard that died.
-        dead: u32,
-        /// The map version under which the adoption happened.
-        version: u32,
     },
     /// The round was finalized; records at or below this sequence
     /// number can be truncated.
@@ -184,7 +175,6 @@ impl JournalEvent {
         match self {
             JournalEvent::Absorbed { .. } => "Absorbed",
             JournalEvent::MapInstalled { .. } => "MapInstalled",
-            JournalEvent::ShardAdopted { .. } => "ShardAdopted",
             JournalEvent::RoundFinalized { .. } => "RoundFinalized",
             JournalEvent::EpochOpened { .. } => "EpochOpened",
             JournalEvent::MembershipInstalled { .. } => "MembershipInstalled",
@@ -227,11 +217,6 @@ impl JournalRecord {
                 buf.put_u32_le(*version);
                 buf.put_u32_le(*shard_ids);
                 crate::codec::put_u32_vec(&mut buf, owners);
-            }
-            JournalEvent::ShardAdopted { dead, version } => {
-                buf.put_u8(record_tag::SHARD_ADOPTED);
-                buf.put_u32_le(*dead);
-                buf.put_u32_le(*version);
             }
             JournalEvent::RoundFinalized { round } => {
                 buf.put_u8(record_tag::ROUND_FINALIZED);
@@ -329,10 +314,6 @@ impl JournalRecord {
                 version: get_u32(buf)?,
                 shard_ids: get_u32(buf)?,
                 owners: get_u32_vec(buf)?,
-            },
-            record_tag::SHARD_ADOPTED => JournalEvent::ShardAdopted {
-                dead: get_u32(buf)?,
-                version: get_u32(buf)?,
             },
             record_tag::ROUND_FINALIZED => JournalEvent::RoundFinalized {
                 round: get_u64(buf)?,
@@ -447,13 +428,6 @@ mod tests {
                 },
             },
             JournalRecord {
-                seq: 4,
-                event: JournalEvent::ShardAdopted {
-                    dead: 2,
-                    version: 1,
-                },
-            },
-            JournalRecord {
                 seq: u64::MAX,
                 event: JournalEvent::RoundFinalized { round: u64::MAX },
             },
@@ -565,6 +539,18 @@ mod tests {
         bytes::BufMut::put_u64_le(&mut buf, 9);
         buf.push(0xAB);
         assert_eq!(JournalRecord::decode(&buf), Err(CodecError::BadTag(0xAB)));
+    }
+
+    #[test]
+    fn retired_record_tags_decode_to_bad_tag() {
+        // The shard adoption marker's exact old layout (seq, tag, dead
+        // shard, map version), well-formed everywhere but the tag.
+        let mut buf = Vec::new();
+        bytes::BufMut::put_u64_le(&mut buf, 4);
+        buf.push(0x03);
+        bytes::BufMut::put_u32_le(&mut buf, 2);
+        bytes::BufMut::put_u32_le(&mut buf, 1);
+        assert_eq!(JournalRecord::decode(&buf), Err(CodecError::BadTag(0x03)));
     }
 
     #[test]

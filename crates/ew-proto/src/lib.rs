@@ -28,8 +28,11 @@
 //!   frame decodes to [`FrameError::BadChecksum`] instead of garbage.
 //!
 //! Payloads are [`Message`]s encoded with explicit little-endian codecs
-//! ([`codec`]). Wire tags and [`error_code`]s are append-only; a retired
-//! frame kind's tag is never reassigned and decodes to `BadTag`.
+//! ([`codec`]). Wire tags, journal record tags and [`error_code`]s are
+//! append-only; a retired one is never reassigned. Retired message tags
+//! `0x02`, `0x03`, `0x0C`, `0x0D` and `0x0F` (the mid-round shard-map
+//! update) and journal record tag `0x03` (the shard adoption marker)
+//! decode to `BadTag`; error codes 3, 6 and 8 are reserved.
 
 pub mod cluster;
 pub mod codec;
@@ -45,7 +48,7 @@ pub mod transport;
 #[cfg(test)]
 mod proptests;
 
-pub use cluster::{ShardMap, ShardMapError, MAX_CLUSTER_SHARDS, SLOTS_PER_SHARD};
+pub use cluster::{ShardMap, MAX_CLUSTER_SHARDS, SLOTS_PER_SHARD};
 pub use envelope::{Envelope, NodeId, ENVELOPE_VERSION};
 pub use fault::{FaultConfig, FaultyLink};
 pub use framing::{FrameDecoder, FrameError, MAGIC};

@@ -2,11 +2,9 @@
 //! an epoch, and the epoch phase machine their participation moves
 //! through.
 //!
-//! The ledger plays the same role for the membership plane that
-//! [`crate::cluster::ShardMap`] plays for the routing plane: a
-//! versioned, wire-encodable piece of shared truth that every node
-//! re-agrees on through the protocol ([`crate::Message::EpochState`])
-//! rather than shared memory. The same acceptance discipline applies —
+//! The ledger is a versioned, wire-encodable piece of shared truth that
+//! every node re-agrees on through the protocol
+//! ([`crate::Message::EpochState`]) rather than shared memory. Receivers
 //! adopt strictly newer versions, ignore byte-identical re-broadcasts
 //! of the current one, and answer older or conflicting ledgers with
 //! [`crate::error_code::STALE_MEMBERSHIP`].
@@ -14,8 +12,7 @@
 use std::collections::BTreeSet;
 
 /// Upper bound on the member count a wire-received ledger will carry,
-/// so a hostile `EpochState` cannot force a huge allocation (the same
-/// defensive posture as [`crate::cluster::MAX_CLUSTER_SHARDS`]).
+/// so a hostile `EpochState` cannot force a huge allocation.
 pub const MAX_MEMBERS: u32 = 4_000_000;
 
 /// Rejection reasons for malformed or impossible membership ledgers.

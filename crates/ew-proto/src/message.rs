@@ -24,17 +24,12 @@ pub mod error_code {
     /// A report or adjustment reached a cluster shard that does not own
     /// its sender's key range under the current shard map.
     pub const WRONG_SHARD: u32 = 5;
-    /// A `ShardMapUpdate` carried an older version than the receiver
-    /// already holds (a replayed or out-of-date broadcast).
-    pub const STALE_SHARD_MAP: u32 = 6;
+    // 6 (stale shard map) is retired, never reassigned.
     /// A report envelope was rejected by round validation (duplicate,
     /// unknown user, wrong round, mismatched dimensions or header) —
     /// the explicit reply that replaces silently dropping it.
     pub const REJECTED_REPORT: u32 = 7;
-    /// A `ShardMapUpdate` was structurally invalid (empty owner ring,
-    /// out-of-range shard ids, or an id space that does not match the
-    /// receiving cluster).
-    pub const MALFORMED_SHARD_MAP: u32 = 8;
+    // 8 (malformed shard map) is retired, never reassigned.
     /// A membership-plane request named a user the coordinator's ledger
     /// does not carry (e.g. a `Leave` for a client that never joined).
     pub const NOT_ENROLLED: u32 = 9;
@@ -44,8 +39,7 @@ pub mod error_code {
     pub const EPOCH_CLOSED: u32 = 10;
     /// An `EpochState` broadcast carried an older membership version
     /// than the receiver already holds, or an equal version with a
-    /// conflicting roster (the membership analogue of
-    /// [`STALE_SHARD_MAP`]).
+    /// conflicting roster.
     pub const STALE_MEMBERSHIP: u32 = 11;
 }
 
@@ -172,23 +166,8 @@ pub enum Message {
         /// CMS estimate of `#Users(ad)`.
         estimate: u32,
     },
-    /// Cluster control plane → backends: the current shard-ownership
-    /// map, broadcast whenever a failover reassigns a key range so the
-    /// transport and compute layers re-agree on report routing (see
-    /// [`crate::cluster::ShardMap`]). Versions only ever grow; receivers
-    /// adopt newer maps, ignore re-broadcasts and answer older ones with
-    /// [`error_code::STALE_SHARD_MAP`].
-    ShardMapUpdate {
-        /// The map version (bumped by every reassignment).
-        version: u32,
-        /// One past the highest addressable shard id.
-        shard_ids: u32,
-        /// Slot-ownership ring: `owners[user % owners.len()]` is the
-        /// shard owning `user`'s reports.
-        owners: Vec<u32>,
-    },
     /// Any node → telemetry service: ask for the current replay-path
-    /// counter snapshot (so the journal/failover machinery is observable
+    /// counter snapshot (so the journal/replay machinery is observable
     /// rather than trusted).
     MetricsQuery {
         /// Aggregation round the caller is interested in (0 for "the
@@ -201,8 +180,8 @@ pub enum Message {
         round: u64,
         /// Data-plane envelopes routed through the bus.
         routed: u64,
-        /// Envelopes re-delivered from the round log (failover or
-        /// restart replay).
+        /// Envelopes re-delivered: in-flight re-sends after an uplink
+        /// sever, or restart replay from the round log.
         replayed: u64,
         /// Replay deliveries skipped because the log already held a
         /// matching `Absorbed` record (the exactly-once dedupe).
@@ -323,7 +302,8 @@ mod tag {
     // 0x0C / 0x0D (the OPRF shard request / response no node ever
     // sent) are retired, never reassigned: they decode to `BadTag`.
     pub const ERROR: u8 = 0x0E;
-    pub const SHARD_MAP_UPDATE: u8 = 0x0F;
+    // 0x0F (the mid-round shard-map update; a map no longer changes
+    // while a round is open) is retired, never reassigned: `BadTag`.
     pub const METRICS_QUERY: u8 = 0x10;
     pub const METRICS_REPLY: u8 = 0x11;
     pub const JOIN: u8 = 0x12;
@@ -346,7 +326,6 @@ impl Message {
             Message::ThresholdBroadcast { .. } => "ThresholdBroadcast",
             Message::UsersQuery { .. } => "UsersQuery",
             Message::UsersReply { .. } => "UsersReply",
-            Message::ShardMapUpdate { .. } => "ShardMapUpdate",
             Message::MetricsQuery { .. } => "MetricsQuery",
             Message::MetricsReply { .. } => "MetricsReply",
             Message::Join { .. } => "Join",
@@ -453,16 +432,6 @@ impl Message {
                 buf.put_u64_le(*round);
                 buf.put_u64_le(*ad);
                 buf.put_u32_le(*estimate);
-            }
-            Message::ShardMapUpdate {
-                version,
-                shard_ids,
-                owners,
-            } => {
-                buf.put_u8(tag::SHARD_MAP_UPDATE);
-                buf.put_u32_le(*version);
-                buf.put_u32_le(*shard_ids);
-                put_u32_vec(buf, owners);
             }
             Message::MetricsQuery { round } => {
                 buf.put_u8(tag::METRICS_QUERY);
@@ -591,11 +560,6 @@ impl Message {
                 round: get_u64(buf)?,
                 ad: get_u64(buf)?,
                 estimate: get_u32(buf)?,
-            },
-            tag::SHARD_MAP_UPDATE => Message::ShardMapUpdate {
-                version: get_u32(buf)?,
-                shard_ids: get_u32(buf)?,
-                owners: get_u32_vec(buf)?,
             },
             tag::METRICS_QUERY => Message::MetricsQuery {
                 round: get_u64(buf)?,
@@ -762,11 +726,6 @@ mod tests {
                 ad: 555,
                 estimate: 9,
             },
-            Message::ShardMapUpdate {
-                version: 3,
-                shard_ids: 4,
-                owners: vec![0, 1, 3, 0, 1, 3, 0, 1],
-            },
             Message::MetricsQuery { round: 12 },
             Message::MetricsReply {
                 round: 12,
@@ -866,21 +825,32 @@ mod tests {
     }
 
     #[test]
-    fn retired_oprf_shard_tags_decode_to_bad_tag() {
+    fn retired_tags_decode_to_bad_tag() {
         // The retired frames' exact old layout, well-formed everywhere
         // but the tag — bare and enveloped (so an `Endpoint` counts such
         // a frame as corrupt and never delivers it).
-        for retired in [0x02u8, 0x03, 0x0C, 0x0D] {
+        for retired in [0x02u8, 0x03, 0x0C, 0x0D, 0x0F] {
             let mut payload = vec![retired];
-            payload.put_u64_le(44);
-            if retired < 0x0C {
-                // The per-ad request / response: one element.
-                put_bytes(&mut payload, &[0x55; 16]);
-            } else {
-                // The shard request / response: index, count, elements.
-                payload.put_u32_le(1);
-                payload.put_u32_le(3);
-                put_bytes_list(&mut payload, &[vec![0x55; 16], vec![0x66; 16]]);
+            match retired {
+                0x02 | 0x03 => {
+                    // The per-ad request / response: id, one element.
+                    payload.put_u64_le(44);
+                    put_bytes(&mut payload, &[0x55; 16]);
+                }
+                0x0C | 0x0D => {
+                    // The OPRF shard request / response: id, index,
+                    // count, elements.
+                    payload.put_u64_le(44);
+                    payload.put_u32_le(1);
+                    payload.put_u32_le(3);
+                    put_bytes_list(&mut payload, &[vec![0x55; 16], vec![0x66; 16]]);
+                }
+                _ => {
+                    // The shard-map update: version, shard_ids, owners.
+                    payload.put_u32_le(1);
+                    payload.put_u32_le(4);
+                    put_u32_vec(&mut payload, &[0, 1, 3, 0, 1, 3, 0, 1]);
+                }
             }
             assert_eq!(Message::decode(&payload), Err(CodecError::BadTag(retired)));
 
@@ -1010,39 +980,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_map_update_and_cluster_errors_roundtrip() {
-        // The failover path depends on both transports decoding the
-        // exact map that was reassigned — pin the full round-trip,
-        // including a map that has been through a reassignment, and the
-        // cluster error codes peers answer mis-routed traffic with.
-        let mut map = crate::cluster::ShardMap::uniform(4);
-        map.reassign(2).unwrap();
-        let update = Message::ShardMapUpdate {
-            version: map.version(),
-            shard_ids: map.shard_ids(),
-            owners: map.owners().to_vec(),
-        };
-        let decoded = Message::decode(&update.encode()).unwrap();
-        assert_eq!(decoded, update);
-        let Message::ShardMapUpdate {
-            version,
-            shard_ids,
-            owners,
-        } = decoded
-        else {
-            unreachable!("just matched");
-        };
-        assert_eq!(
-            crate::cluster::ShardMap::from_wire(version, shard_ids, owners).unwrap(),
-            map
-        );
-
-        for code in [
-            error_code::WRONG_SHARD,
-            error_code::STALE_SHARD_MAP,
-            error_code::REJECTED_REPORT,
-            error_code::MALFORMED_SHARD_MAP,
-        ] {
+    fn cluster_errors_roundtrip() {
+        // The cluster error codes peers answer mis-routed and rejected
+        // traffic with.
+        for code in [error_code::WRONG_SHARD, error_code::REJECTED_REPORT] {
             let err = Message::Error {
                 code,
                 detail: format!("cluster rejection {code}"),

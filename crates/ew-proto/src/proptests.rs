@@ -59,16 +59,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
             }
         }),
         (any::<u64>(), any::<u64>()).prop_map(|(round, ad)| Message::UsersQuery { round, ad }),
-        (
-            any::<u32>(),
-            any::<u32>(),
-            proptest::collection::vec(any::<u32>(), 0..64)
-        )
-            .prop_map(|(version, shard_ids, owners)| Message::ShardMapUpdate {
-                version,
-                shard_ids,
-                owners
-            }),
         (any::<u64>(), any::<u64>(), any::<u32>()).prop_map(|(round, ad, estimate)| {
             Message::UsersReply {
                 round,

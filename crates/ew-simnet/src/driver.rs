@@ -90,9 +90,10 @@ impl WeeklyDriver {
     /// The multi-backend configurations a cluster parity suite or bench
     /// should drive this workload through: one [`ClusterScenario`] per
     /// requested backend count, plus — for every count with more than
-    /// one shard — a variant that kills one shard mid-round (after the
-    /// cohort's first third of report envelopes is in flight), so the
-    /// failover path is exercised at every cluster size.
+    /// one shard — a variant that severs one shard's uplink mid-round
+    /// (after the cohort's first third of report envelopes is in
+    /// flight), so the re-link and in-flight re-send path is exercised
+    /// at every multi-shard size. The severed shard keeps its range.
     pub fn cluster_matrix(&self, backends: &[usize]) -> Vec<ClusterScenario> {
         let mut out = Vec::new();
         for &n in backends {
@@ -118,10 +119,10 @@ impl WeeklyDriver {
 
     /// The crash-restart drill matrix: for every requested backend
     /// count, every shard index is cold-crashed and restarted at every
-    /// [`RestartPhase`] boundary. Unlike [`ShardKill`] — which removes a
-    /// shard for good and hands its range to survivors — a
-    /// [`ShardRestart`] brings the *same* shard back from durable state,
-    /// so even a single-shard cluster is drilled.
+    /// [`RestartPhase`] boundary. Unlike [`ShardKill`] — which severs
+    /// only a shard's uplink, so its state never moves — a
+    /// [`ShardRestart`] destroys the shard's state and brings it back
+    /// from durable state, so even a single-shard cluster is drilled.
     pub fn restart_matrix(&self, backends: &[usize]) -> Vec<ClusterScenario> {
         let mut out = Vec::new();
         for &n in backends {
@@ -156,8 +157,8 @@ impl WeeklyDriver {
 }
 
 /// One multi-backend configuration of the weekly workload: how many
-/// aggregation shards to run, an optional scripted mid-round shard
-/// death ([`ShardKill`]) for failover drills, and an optional scripted
+/// aggregation shards to run, an optional scripted mid-round uplink
+/// sever ([`ShardKill`]) for sever drills, and an optional scripted
 /// crash-restart ([`ShardRestart`]) for recovery drills. Produced by
 /// [`WeeklyDriver::cluster_matrix`] and [`WeeklyDriver::restart_matrix`];
 /// the consuming system maps it onto its cluster driver (shard map
@@ -166,19 +167,21 @@ impl WeeklyDriver {
 pub struct ClusterScenario {
     /// Backend shard count.
     pub backends: usize,
-    /// Scripted mid-round shard death, if any.
+    /// Scripted mid-round uplink sever, if any.
     pub failover: Option<ShardKill>,
     /// Scripted mid-round crash-restart, if any.
     pub restart: Option<ShardRestart>,
 }
 
-/// A scripted shard death: `shard`'s uplink is severed after
-/// `after_sends` backend-bound envelopes have been routed.
+/// A scripted uplink sever: `shard`'s uplink is severed after
+/// `after_sends` backend-bound envelopes have been routed. The shard
+/// gets a fresh link and its in-flight envelopes again; it keeps its
+/// key range and its state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardKill {
-    /// The shard to kill.
+    /// The shard whose uplink is severed.
     pub shard: u32,
-    /// Backend-bound envelopes routed before the death.
+    /// Backend-bound envelopes routed before the sever.
     pub after_sends: usize,
 }
 
@@ -241,10 +244,10 @@ mod tests {
     }
 
     #[test]
-    fn cluster_matrix_covers_every_count_and_adds_failover_drills() {
+    fn cluster_matrix_covers_every_count_and_adds_sever_drills() {
         let d = WeeklyDriver::new(4, DriverScale::Fraction(25), 12);
         let matrix = d.cluster_matrix(&[1, 2, 4]);
-        assert_eq!(matrix.len(), 5, "1 plain + (2, 4) × {{plain, failover}}");
+        assert_eq!(matrix.len(), 5, "1 plain + (2, 4) × {{plain, sever}}");
         assert_eq!(
             matrix[0],
             ClusterScenario {
@@ -252,12 +255,12 @@ mod tests {
                 failover: None,
                 restart: None,
             },
-            "a single shard has nothing to fail over to"
+            "a single shard is drilled by restarts, not severs"
         );
         for s in &matrix {
             if let Some(kill) = s.failover {
                 assert!((kill.shard as usize) < s.backends);
-                assert!(kill.after_sends < d.cohort(), "the kill lands mid-round");
+                assert!(kill.after_sends < d.cohort(), "the sever lands mid-round");
             }
         }
     }
@@ -268,7 +271,7 @@ mod tests {
         let matrix = d.restart_matrix(&[1, 2, 4]);
         assert_eq!(matrix.len(), (1 + 2 + 4) * 3, "shards × phases");
         for s in &matrix {
-            assert_eq!(s.failover, None, "restarts never reassign the map");
+            assert_eq!(s.failover, None, "a restart drill severs no uplink");
             let restart = s.restart.expect("every drill restarts a shard");
             assert!((restart.shard as usize) < s.backends);
         }

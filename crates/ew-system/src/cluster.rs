@@ -1,11 +1,10 @@
 //! The multi-backend aggregation cluster: shard-routed report absorption
-//! over N backend shards, associative state merging, and mid-round
-//! failover with journal replay.
+//! over N backend shards, associative state merging, uplink re-linking
+//! and crash-restart from the round log.
 //!
 //! * [`ew_proto::ShardMap`] deterministically partitions report
-//!   ownership by client id; the map is versioned and travels as a
-//!   [`Message::ShardMapUpdate`] so the transport and compute layers
-//!   re-agree through the protocol after a failover.
+//!   ownership by client id; the bus and the backend are built over the
+//!   same map, and it never changes while a round is open.
 //! * [`RoutingBus`] implements [`ServiceBus`] over **per-shard uplinks**
 //!   (any inner bus — [`InProcBus`] moves, [`WireBus`] frames+CRC+faults
 //!   per shard): every backend-bound envelope is routed to its owning
@@ -20,27 +19,22 @@
 //!   Cell-wise wrapping addition is associative and commutative, so the
 //!   merged view is **bit-identical** to one bare `RoundState` absorbing
 //!   the whole stream, for every shard count.
-//! * **Failover and crash-restart over one log**: when a shard's uplink
-//!   reports a [`TransportError`] (or a scripted [`ShardFailure`] severs
-//!   it) mid-round, the bus reassigns the dead shard's key range
-//!   ([`ShardMap::reassign`]), broadcasts the bumped map on every
-//!   surviving uplink and replays its **in-flight** journal — envelopes
-//!   sent but not yet acknowledged by a phase transition — to the new
-//!   owners. The [`ClusterBackend`], on adopting the update, replays the
-//!   dead shard's **absorbed** records from its event-sourced
-//!   [`RoundLog`] (`crate::journal`). The two replay sources are
-//!   disjoint by construction — the bus truncates its in-flight journal
-//!   at every phase transition, the round machine's acknowledgment that
-//!   everything delivered earlier was absorbed and is therefore in the
-//!   log — and the log's dedupe index suppresses any byte-identical
-//!   re-delivery that slips through anyway, so every report lands
-//!   exactly once and the round finalizes bit-identically. The same log
-//!   gives [`ClusterBackend::restart_shard`] cold crash-restart: a
-//!   killed shard is the last snapshot's clone of its state (or a fresh
-//!   one) plus its absorbed suffix, without touching the survivors.
-//!   Replay counters, journal depth and phase timings are exported as
-//!   [`ReplayMetrics`] so the whole path is observable rather than
-//!   trusted.
+//! * **An uplink sever loses no state.** When a shard's uplink reports
+//!   a [`TransportError`] (or a scripted [`ShardFailure`] severs it)
+//!   mid-round, the bus builds that shard a fresh link and re-sends its
+//!   **in-flight** journal — envelopes sent but not yet acknowledged by
+//!   a phase transition — on it. The shard's state never moved, so
+//!   nothing else happens; the event-sourced [`RoundLog`]
+//!   (`crate::journal`) dedupe index acknowledges any re-sent envelope
+//!   the shard had already absorbed, so every report lands exactly once
+//!   and the round finalizes bit-identically.
+//! * **A crashed shard is rebuilt from the log.**
+//!   [`ClusterBackend::restart_shard`] is the one way a shard's state
+//!   is rebuilt: the last snapshot's clone of its state (or a fresh one)
+//!   plus its absorbed suffix, without touching the survivors.
+//!
+//! Replay counters, journal depth and phase timings are exported as
+//! [`ReplayMetrics`] so both paths are observable rather than trusted.
 //!
 //! The round machine and the party traits are untouched: a cluster
 //! round is `drive_round(clients, &mut ClusterBackend, &mut RoutingBus,
@@ -87,28 +81,16 @@ fn is_data_plane(env: &Envelope) -> bool {
     dedupe_key(env).is_some()
 }
 
-fn map_update_envelope(map: &ShardMap) -> Envelope {
-    Envelope::new(
-        NodeId::Backend,
-        0,
-        Message::ShardMapUpdate {
-            version: map.version(),
-            shard_ids: map.shard_ids(),
-            owners: map.owners().to_vec(),
-        },
-    )
-}
-
-/// A scripted mid-round shard death for the failover tests and fault
-/// drills: after `after_sends` backend-bound envelopes have been routed,
-/// the next one finds `shard`'s uplink severed and the bus fails it
-/// over. (Un-scripted failover — a genuine [`TransportError`] from an
-/// uplink — takes exactly the same path.)
+/// A scripted mid-round uplink sever for the sever tests and fault
+/// drills: once `after_sends` backend-bound envelopes have been routed,
+/// the next one finds `shard`'s uplink severed, and the bus re-links it
+/// before routing on. It fires once. (An un-scripted sever — a genuine
+/// [`TransportError`] from an uplink — takes exactly the same path.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardFailure {
-    /// The shard whose uplink dies.
+    /// The shard whose uplink is severed.
     pub shard: u32,
-    /// Backend-bound envelopes routed before it dies.
+    /// Backend-bound envelopes routed before the sever.
     pub after_sends: usize,
 }
 
@@ -118,27 +100,26 @@ pub struct ShardFailure {
 /// bus. Draining the backend concatenates the shard mailboxes in shard
 /// order.
 ///
-/// The bus holds the cluster's **authoritative** [`ShardMap`]. On an
-/// uplink failure it reassigns the dead shard's key range, broadcasts
-/// the bumped map as a [`Message::ShardMapUpdate`] on every surviving
-/// uplink (so the [`ClusterBackend`] adopts it in-stream, before any
-/// rerouted envelope), and replays the dead shard's **in-flight
-/// journal** to the new owners.
+/// The bus keeps the link factory it was built with. When an uplink is
+/// severed it builds the shard a fresh link, walks it through the
+/// round's phase boundaries up to the current one (so a fresh wire link
+/// in `Recovery` is clean, as the one it replaces was) and re-sends the
+/// shard's **in-flight journal** on it.
 ///
 /// The in-flight journal tracks only data-plane envelopes (reports and
-/// adjustments — the idempotent control plane is rebuilt by the map
-/// broadcast itself) and is truncated at every **phase transition**,
-/// not at drain: the round machine only advances a phase after the
-/// backend has absorbed everything delivered in the previous one, so
-/// the transition is the absorb acknowledgment. Everything acknowledged
-/// lives on as `Absorbed` records in the backend's `RoundLog`;
-/// everything still in flight is the bus's to replay — the two replay
-/// sources can never overlap.
-#[derive(Debug)]
+/// adjustments) and is truncated at every **phase transition**, not at
+/// drain: the round machine only advances a phase after the backend has
+/// absorbed everything delivered in the previous one, so the transition
+/// is the absorb acknowledgment. Within a phase a re-sent envelope may
+/// already have been drained and absorbed; the backend's dedupe index
+/// acknowledges it silently.
 pub struct RoutingBus<B: ServiceBus> {
     map: ShardMap,
-    links: Vec<Option<B>>,
+    links: Vec<B>,
     side: B,
+    /// Builds every link: one per shard and the side bus at
+    /// construction, then one per sever.
+    make_link: Box<dyn FnMut() -> B>,
     journal: Vec<Vec<Envelope>>,
     failure: Option<ShardFailure>,
     backend_sends: usize,
@@ -149,6 +130,21 @@ pub struct RoutingBus<B: ServiceBus> {
     metrics: ReplayMetrics,
     /// The phase the bus is currently in, and since when.
     clock: Option<(RoundPhase, Instant)>,
+}
+
+impl<B: ServiceBus + std::fmt::Debug> std::fmt::Debug for RoutingBus<B> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RoutingBus")
+            .field("map", &self.map)
+            .field("links", &self.links)
+            .field("side", &self.side)
+            .field("journal", &self.journal)
+            .field("failure", &self.failure)
+            .field("backend_sends", &self.backend_sends)
+            .field("metrics", &self.metrics)
+            .field("clock", &self.clock)
+            .finish_non_exhaustive()
+    }
 }
 
 impl RoutingBus<InProcBus> {
@@ -168,32 +164,27 @@ impl RoutingBus<WireBus> {
         fault: Option<FaultConfig>,
         failure: Option<ShardFailure>,
     ) -> Self {
-        Self::with_links(map, failure, || WireBus::new(fault))
+        Self::with_links(map, failure, move || WireBus::new(fault))
     }
 }
 
 impl<B: ServiceBus> RoutingBus<B> {
-    /// A cluster bus with one `make_link()` bus per live shard in `map`
-    /// plus one for the side traffic.
+    /// A cluster bus with one `make_link()` bus per shard in `map` plus
+    /// one for the side traffic; `make_link` also builds the fresh link
+    /// for every sever.
     pub fn with_links(
         map: ShardMap,
         failure: Option<ShardFailure>,
-        mut make_link: impl FnMut() -> B,
+        mut make_link: impl FnMut() -> B + 'static,
     ) -> Self {
-        let links = (0..map.shard_ids())
-            .map(|s| {
-                if map.is_live(s) {
-                    Some(make_link())
-                } else {
-                    None
-                }
-            })
-            .collect();
+        let links = (0..map.shard_ids()).map(|_| make_link()).collect();
+        let side = make_link();
         let journal = (0..map.shard_ids()).map(|_| Vec::new()).collect();
         RoutingBus {
             map,
             links,
-            side: make_link(),
+            side,
+            make_link: Box::new(make_link),
             journal,
             failure,
             backend_sends: 0,
@@ -202,7 +193,7 @@ impl<B: ServiceBus> RoutingBus<B> {
         }
     }
 
-    /// The bus's current (authoritative) shard map.
+    /// The shard map the bus routes by.
     pub fn map(&self) -> &ShardMap {
         &self.map
     }
@@ -225,92 +216,54 @@ impl<B: ServiceBus> RoutingBus<B> {
         self.clock = next.map(|p| (p, now));
     }
 
-    /// Uplinks still alive.
-    pub fn live_links(&self) -> usize {
-        self.links.iter().flatten().count()
-    }
-
-    /// Severs `dead`'s uplink and fails its key range over: reassign,
-    /// broadcast the bumped map, replay the in-flight journal.
-    ///
-    /// # Panics
-    /// Panics if `dead` is the last live shard (a whole-cluster outage
-    /// has no failover) or a surviving uplink rejects the replay.
-    fn fail_shard(&mut self, dead: u32) {
-        self.links[dead as usize] = None;
-        self.map
-            .reassign(dead)
-            .expect("failover target is live and not the last shard");
-        let update = map_update_envelope(&self.map);
-        for link in self.links.iter_mut().flatten() {
-            link.send(NodeId::Backend, update.clone())
-                .expect("surviving uplink accepts the map update");
+    /// Replaces `shard`'s uplink with a fresh one, brought through the
+    /// round's phase boundaries up to the current phase, and re-sends
+    /// the shard's in-flight journal on it. An error is the fresh link's.
+    fn relink(&mut self, shard: usize) -> Result<(), TransportError> {
+        let resent = &self.journal[shard];
+        let _span = trace::span("shard_relink", shard as u64, resent.len() as u64);
+        let started = Instant::now();
+        let mut link = (self.make_link)();
+        if let Some((current, _)) = self.clock {
+            for phase in std::iter::successors(Some(RoundPhase::Open), |p| p.next()) {
+                link.on_phase(phase);
+                if phase == current {
+                    break;
+                }
+            }
         }
-        let orphans = std::mem::take(&mut self.journal[dead as usize]);
-        let _span = trace::span("shard_failover", dead as u64, orphans.len() as u64);
-        let replay_started = Instant::now();
-        self.metrics.replayed += orphans.len() as u64;
-        for env in orphans {
-            let owner = self.map.owner_of(route_user(&env)) as usize;
-            self.links[owner]
-                .as_mut()
-                .expect("map routes only to live shards")
-                .send(NodeId::Backend, env.clone())
-                .expect("surviving uplink accepts the replay");
-            self.journal[owner].push(env);
+        self.metrics.replayed += resent.len() as u64;
+        for env in resent {
+            link.send(NodeId::Backend, env.clone())?;
         }
+        self.links[shard] = link;
         self.metrics
             .replay_hist
-            .record(replay_started.elapsed().as_nanos() as u64);
+            .record(started.elapsed().as_nanos() as u64);
+        Ok(())
     }
 
     fn send_backend(&mut self, env: Envelope) -> Result<(), TransportError> {
         self.backend_sends += 1;
-        if let Some(f) = self.failure {
-            if self.backend_sends > f.after_sends
-                && self
-                    .links
-                    .get(f.shard as usize)
-                    .is_some_and(Option::is_some)
-            {
-                self.fail_shard(f.shard);
-            }
-        }
-        // Only data-plane envelopes enter the in-flight journal: they
-        // are the only unacknowledged aggregation state a dead uplink
-        // can lose. Control traffic is rebuilt by the failover's own
-        // map broadcast, and journaling it would double-deliver it.
-        let track = is_data_plane(&env);
-        if track {
-            self.metrics.routed += 1;
+        let (sends, shards) = (self.backend_sends, self.links.len());
+        let due = |f: &mut ShardFailure| sends > f.after_sends && (f.shard as usize) < shards;
+        if let Some(f) = self.failure.take_if(due) {
+            self.relink(f.shard as usize)?;
         }
         let owner = self.map.owner_of(route_user(&env)) as usize;
-        let sent = self.links[owner]
-            .as_mut()
-            .expect("map routes only to live shards")
-            .send(NodeId::Backend, env.clone());
-        match sent {
-            Ok(()) => {
-                if track {
-                    self.journal[owner].push(env);
-                }
-                Ok(())
-            }
-            Err(_) => {
-                // The uplink died under us: fail it over and re-send on
-                // the range's new owner.
-                self.fail_shard(owner as u32);
-                let owner = self.map.owner_of(route_user(&env)) as usize;
-                self.links[owner]
-                    .as_mut()
-                    .expect("map routes only to live shards")
-                    .send(NodeId::Backend, env.clone())?;
-                if track {
-                    self.journal[owner].push(env);
-                }
-                Ok(())
-            }
+        let sent = self.links[owner].send(NodeId::Backend, env.clone());
+        if sent.is_err() {
+            // The uplink died under us: re-link it and send again.
+            self.relink(owner)?;
+            self.links[owner].send(NodeId::Backend, env.clone())?;
         }
+        // Only data-plane envelopes enter the in-flight journal: they
+        // are the only aggregation state a severed uplink can lose.
+        if is_data_plane(&env) {
+            self.metrics.routed += 1;
+            self.journal[owner].push(env);
+        }
+        Ok(())
     }
 }
 
@@ -328,15 +281,15 @@ impl<B: ServiceBus> ServiceBus for RoutingBus<B> {
         }
         let mut out = Vec::new();
         let mut corrupt = 0usize;
-        for link in self.links.iter_mut().flatten() {
+        for link in &mut self.links {
             let (envs, c) = link.drain(NodeId::Backend);
             out.extend(envs);
             corrupt += c;
         }
         // Drained ≠ absorbed: the in-flight journal is kept until the
         // next phase transition acknowledges the absorb, so an uplink
-        // dying between drain and absorb still has its envelopes
-        // replayed.
+        // severed between drain and absorb still has its envelopes
+        // re-sent.
         self.metrics.queue_depth = self.metrics.queue_depth.max(out.len() as u64);
         (out, corrupt)
     }
@@ -346,14 +299,13 @@ impl<B: ServiceBus> ServiceBus for RoutingBus<B> {
         // The round machine advances a phase only after the backend has
         // absorbed everything delivered in the previous one, so the
         // transition is the absorb acknowledgment: everything tracked
-        // here is now an `Absorbed` record in the backend's round log,
-        // and keeping it would make a later failover double-deliver it.
+        // here is now an `Absorbed` record in the backend's round log.
         self.metrics.truncated += self.in_flight() as u64;
         for journal in &mut self.journal {
             journal.clear();
         }
         self.side.on_phase(phase);
-        for link in self.links.iter_mut().flatten() {
+        for link in &mut self.links {
             link.on_phase(phase);
         }
     }
@@ -370,25 +322,16 @@ impl<B: ServiceBus> ServiceBus for RoutingBus<B> {
 
 /// [`AggregationBackend`] over one bulletin board and N shards, each a
 /// [`RoundState`] owning the key ranges the [`ShardMap`] assigns it.
-/// The board is the cluster's, not a shard's, so neither a failover nor
-/// a cold restart ever has an enrolment to re-learn: any shard
-/// validates any replayed report against the same directory.
+/// The board is the cluster's, not a shard's, so a cold restart never
+/// has an enrolment to re-learn. The map is fixed for the cluster's
+/// life: a shard keeps its key ranges through an uplink sever and
+/// through a crash.
 ///
-/// The backend follows the map the bus broadcasts: a
-/// [`Message::ShardMapUpdate`] with a **strictly newer** version is
-/// adopted in-stream, the shards it removed are dropped, and their
-/// `Absorbed` records are replayed from the [`RoundLog`] into the
-/// ranges' new owners — reconstructing exactly the state each dead
-/// shard contributed, because [`RoundState::absorb`] is deterministic,
-/// a rejected envelope leaves no trace in a state, and only *accepted*
-/// envelopes are ever journaled.
+/// The [`RoundLog`] is the single source of truth for both replay
+/// flows. [`RoundState::absorb`] is deterministic, a rejected envelope
+/// leaves no trace in a state, and only *accepted* envelopes are ever
+/// journaled, so replaying a shard's records rebuilds exactly its state:
 ///
-/// The log is the single source of truth for every replay flow:
-///
-/// * **failover reassignment** ([`Self::on_envelope`] adopting a map) —
-///   replay the dead shard's records through routing into the new
-///   owners, after dropping its dedupe-index entries so the replay
-///   re-absorbs instead of self-deduping;
 /// * **cold crash-restart** ([`Self::restart_shard`]) — the last
 ///   [`Self::snapshot`]'s clone of the shard's state, else a fresh
 ///   state for the open round, then the absorbed suffix;
@@ -400,8 +343,9 @@ impl<B: ServiceBus> ServiceBus for RoutingBus<B> {
 #[derive(Debug)]
 pub struct ClusterBackend {
     map: ShardMap,
-    /// One slot per shard id: `None` is a dead shard, `Some(None)` a
-    /// live shard with no round open, `Some(Some(_))` a shard mid-round.
+    /// One slot per shard id: `None` is a crashed shard awaiting
+    /// [`Self::restart_shard`], `Some(None)` a live shard with no round
+    /// open, `Some(Some(_))` a shard mid-round.
     shards: Vec<Option<Option<RoundState>>>,
     /// The bulletin board — one for the whole cluster. Under a
     /// coordinator it is read through the epoch's roster ([`roster`]).
@@ -418,7 +362,7 @@ pub struct ClusterBackend {
     /// bare [`RoundState`] answers it.
     batch_horizon: Option<u64>,
     /// What `take_metrics` drains: `replayed` (re-absorbed from the
-    /// log, failover + restart), `deduped`, `late_reports_parked`, and
+    /// log by a restart), `deduped`, `late_reports_parked`, and
     /// the absorb and replay timings (wall-clock; excluded from
     /// determinism checks like every timing).
     metrics: ReplayMetrics,
@@ -458,7 +402,7 @@ fn roster<'a>(
 }
 
 impl ClusterBackend {
-    /// A cluster of one live shard per live shard id in `map`, no round
+    /// A cluster of one live shard per shard id in `map`, no round
     /// open, sharing the cohort parameters and one bulletin board that
     /// [`Self::enroll`] fills.
     pub fn new(
@@ -468,12 +412,9 @@ impl ClusterBackend {
         mapper: AdIdMapper,
         policy: ThresholdPolicy,
     ) -> Self {
-        let shards = (0..map.shard_ids())
-            .map(|s| map.is_live(s).then_some(None))
-            .collect();
         ClusterBackend {
+            shards: vec![Some(None); map.shard_ids() as usize],
             map,
-            shards,
             directory: KeyDirectory::new(element_len),
             log: RoundLog::new(),
             round: None,
@@ -494,7 +435,7 @@ impl ClusterBackend {
         self.directory.publish(user, public_key);
     }
 
-    /// The map this backend currently routes by.
+    /// The map this backend routes by.
     pub fn map(&self) -> &ShardMap {
         &self.map
     }
@@ -536,11 +477,6 @@ impl ClusterBackend {
         self.round = None;
     }
 
-    /// Shards still alive.
-    pub fn live_backends(&self) -> usize {
-        self.shards.iter().flatten().count()
-    }
-
     /// The event-sourced round log (read-only — the cluster is the one
     /// appender).
     pub fn log(&self) -> &RoundLog {
@@ -562,10 +498,9 @@ impl ClusterBackend {
         self.log.snapshot(checkpoints);
     }
 
-    /// Kills shard `shard` in place: its process state is gone, but —
-    /// unlike a reassignment failover — the map is untouched, so the
-    /// shard still owns its key ranges and is expected back. The round
-    /// can only proceed after [`Self::restart_shard`] rebuilds it.
+    /// Kills shard `shard` in place: its process state is gone, but it
+    /// still owns its key ranges and is expected back. The round can
+    /// only proceed after [`Self::restart_shard`] rebuilds it.
     pub fn crash_shard(&mut self, shard: u32) {
         trace::instant("shard_crash", shard as u64, 0);
         self.shards[shard as usize] = None;
@@ -619,7 +554,7 @@ impl ClusterBackend {
     /// `missing_clients` (the report wave is absorbed), `Recovery` at
     /// the top of `finalize` (the adjustment wave is absorbed) — so any
     /// round or campaign driver drills restarts without knowing it. The
-    /// script fires once; the map is untouched throughout.
+    /// script fires once.
     pub fn script_restart(&mut self, restart: ShardRestart) {
         self.restart_script = Some(restart);
     }
@@ -742,8 +677,7 @@ impl ClusterBackend {
     /// rather than silent mis-aggregation.
     ///
     /// A byte-identical re-delivery of an already-journaled absorption
-    /// (a failover or restart replay crossing paths with the original)
-    /// is acknowledged with `Ok(None)` and counted as deduped, never
+    /// (an in-flight re-send after an uplink sever) is acknowledged with `Ok(None)` and counted as deduped, never
     /// answered `DuplicateReport`, which the recovery driver treats as
     /// fatal. Absorption and journaling are one step: the shard's state
     /// borrows the envelope, and only once it accepts does the
@@ -777,107 +711,6 @@ impl ClusterBackend {
             });
         }
         Ok(reply)
-    }
-
-    /// Adopts (or rejects) a broadcast shard map under **strict version
-    /// acceptance**: only a strictly newer version is adopted — dead
-    /// shards dropped and their `Absorbed` records replayed from the
-    /// round log into the ranges' new owners. The current version is
-    /// accepted silently only when it is byte-for-byte the map already
-    /// held (the expected per-uplink re-broadcast); an *equal-version,
-    /// different-ring* map is a split-brain symptom and is rejected
-    /// with [`ew_proto::error_code::STALE_SHARD_MAP`], exactly like an
-    /// older version — never adopted as if it were newer.
-    fn handle_map_update(
-        &mut self,
-        round: u64,
-        version: u32,
-        shard_ids: u32,
-        owners: Vec<u32>,
-    ) -> Result<Option<Envelope>, RoundError> {
-        let reject = |code: u32, detail: String| {
-            Ok(Some(Envelope::new(
-                NodeId::Backend,
-                round,
-                Message::Error {
-                    code,
-                    detail,
-                    hint: None,
-                },
-            )))
-        };
-        if version < self.map.version() {
-            return reject(
-                ew_proto::error_code::STALE_SHARD_MAP,
-                format!(
-                    "map version {version} is older than current {}",
-                    self.map.version()
-                ),
-            );
-        }
-        if version == self.map.version() {
-            if shard_ids == self.map.shard_ids() && owners.as_slice() == self.map.owners() {
-                return Ok(None); // re-broadcast of the map we already hold
-            }
-            return reject(
-                ew_proto::error_code::STALE_SHARD_MAP,
-                format!("conflicting ring at current version {version} is not an update"),
-            );
-        }
-        let new_map = match ShardMap::from_wire(version, shard_ids, owners) {
-            Ok(map) if map.shard_ids() == self.map.shard_ids() => map,
-            Ok(map) => {
-                return reject(
-                    ew_proto::error_code::MALFORMED_SHARD_MAP,
-                    format!(
-                        "map addresses {} shard ids, cluster has {}",
-                        map.shard_ids(),
-                        self.map.shard_ids()
-                    ),
-                )
-            }
-            Err(e) => return reject(ew_proto::error_code::MALFORMED_SHARD_MAP, e.to_string()),
-        };
-        self.map = new_map;
-        self.log.append(JournalEvent::MapInstalled {
-            version: self.map.version(),
-            shard_ids: self.map.shard_ids(),
-            owners: self.map.owners().to_vec(),
-        });
-        // Drop every shard the new map no longer routes to and replay
-        // its absorbed records into the ranges' new owners. The dedupe
-        // index forgets the dead shard first, so the replay re-absorbs
-        // (re-indexing each record under its new owner) instead of
-        // matching its own entries and skipping — and because the log
-        // holds only successful absorptions, every replayed record is
-        // re-accepted; a rejection here would be a corrupted log.
-        for dead in 0..self.shards.len() {
-            if self.shards[dead].is_none() || self.map.is_live(dead as u32) {
-                continue;
-            }
-            self.shards[dead] = None;
-            let dead = dead as u32;
-            self.log.forget_shard(dead);
-            let orphans = self.log.replay_for_shard(dead);
-            self.log.append(JournalEvent::ShardAdopted {
-                dead,
-                version: self.map.version(),
-            });
-            let _span = trace::span("shard_adoption", dead as u64, orphans.len() as u64);
-            let started = Instant::now();
-            let replayed = orphans.len() as u64;
-            self.metrics.replayed += replayed;
-            for env in orphans {
-                let owner = self.map.owner_of(route_user(&env));
-                self.deliver_to_shard(owner, env)
-                    .expect("journaled absorption is re-accepted by the adopting shard");
-            }
-            self.metrics
-                .replay_hist
-                .record(started.elapsed().as_nanos() as u64);
-            trace::instant("journal_replay", dead as u64, replayed);
-        }
-        Ok(None)
     }
 }
 
@@ -923,14 +756,6 @@ impl AggregationBackend for ClusterBackend {
 
     fn on_envelope(&mut self, env: Envelope) -> Result<Option<Envelope>, RoundError> {
         match &env.msg {
-            Message::ShardMapUpdate {
-                version,
-                shard_ids,
-                owners,
-            } => {
-                let (version, shard_ids, owners) = (*version, *shard_ids, owners.clone());
-                self.handle_map_update(env.round, version, shard_ids, owners)
-            }
             // Never answer an error with an error — not even with the
             // `WrongShard` routing it to a crashed shard would earn.
             Message::Error { .. } => Ok(None),
@@ -1196,30 +1021,6 @@ mod tests {
         assert_eq!(c.log().depth(), depth, "no second Absorbed record");
         let metrics = c.take_metrics();
         assert_eq!(metrics.deduped, 1, "the replay was counted, not absorbed");
-
-        // The dedupe holds across a failover replay too: kill the
-        // owner, let the survivor adopt and replay, then re-deliver the
-        // original envelope to the adopting shard.
-        let mut map = c.map().clone();
-        map.reassign(owner).unwrap();
-        let update = Envelope::new(
-            NodeId::Backend,
-            1,
-            Message::ShardMapUpdate {
-                version: map.version(),
-                shard_ids: map.shard_ids(),
-                owners: map.owners().to_vec(),
-            },
-        );
-        assert_eq!(AggregationBackend::on_envelope(&mut c, update), Ok(None));
-        let survivor = c.map().owner_of(1);
-        assert_ne!(survivor, owner);
-        assert_eq!(
-            c.deliver_to_shard(survivor, env),
-            Ok(None),
-            "replay crossing paths with the reassignment stays silent"
-        );
-        assert_eq!(c.take_metrics().deduped, 1);
     }
 
     #[test]
@@ -1308,177 +1109,165 @@ mod tests {
     }
 
     #[test]
-    fn stale_and_malformed_map_updates_answered_explicitly() {
-        let mut c = cluster(ShardMap::uniform(2), 4);
-        AggregationBackend::open_round(&mut c, 1);
-        let mk = |version: u32, shard_ids: u32, owners: Vec<u32>| {
-            Envelope::new(
-                NodeId::Backend,
-                1,
-                Message::ShardMapUpdate {
-                    version,
-                    shard_ids,
-                    owners,
-                },
-            )
-        };
-        // A re-broadcast of the current version is silently absorbed —
-        // but only if the ring is byte-identical.
-        let current = mk(0, 2, ShardMap::uniform(2).owners().to_vec());
-        assert_eq!(AggregationBackend::on_envelope(&mut c, current), Ok(None));
-
-        // An equal-version update with a *different* ring is a split
-        // brain, not a re-broadcast: explicit STALE_SHARD_MAP, and the
-        // conflicting ring is never adopted.
-        let mut conflicting_ring = ShardMap::uniform(2).owners().to_vec();
-        conflicting_ring.reverse();
-        let conflict = mk(0, 2, conflicting_ring);
-        let reply = AggregationBackend::on_envelope(&mut c, conflict)
-            .unwrap()
-            .expect("conflicting ring at the current version gets an explicit reply");
-        assert!(matches!(
-            reply.msg,
-            Message::Error {
-                code: error_code::STALE_SHARD_MAP,
-                ..
-            }
-        ));
-        assert_eq!(c.map().owners(), ShardMap::uniform(2).owners());
-
-        // Adopt a newer map, then replay the older one: explicit
-        // STALE_SHARD_MAP, not silence and not an adopted downgrade.
-        let mut newer = ShardMap::uniform(2);
-        newer.reassign(1).unwrap();
-        let adopt = mk(newer.version(), newer.shard_ids(), newer.owners().to_vec());
-        assert_eq!(AggregationBackend::on_envelope(&mut c, adopt), Ok(None));
-        assert_eq!(c.live_backends(), 1);
-        let stale = mk(0, 2, ShardMap::uniform(2).owners().to_vec());
-        let reply = AggregationBackend::on_envelope(&mut c, stale)
-            .unwrap()
-            .expect("stale map gets an explicit reply");
-        assert!(matches!(
-            reply.msg,
-            Message::Error {
-                code: error_code::STALE_SHARD_MAP,
-                ..
-            }
-        ));
-
-        // A malformed map (empty ring) is rejected, never adopted.
-        let malformed = mk(9, 2, Vec::new());
-        let reply = AggregationBackend::on_envelope(&mut c, malformed)
-            .unwrap()
-            .expect("malformed map gets an explicit reply");
-        assert!(matches!(
-            reply.msg,
-            Message::Error {
-                code: error_code::MALFORMED_SHARD_MAP,
-                ..
-            }
-        ));
-        assert_eq!(c.map().version(), newer.version());
-    }
-
-    #[test]
     fn scripted_failover_replays_in_flight_and_absorbed_state() {
+        // A scripted sever anywhere in the report stream: the shard's
+        // in-flight reports are re-sent on a fresh link, its state never
+        // moves, and the round is the bare `RoundState` walk's.
         let p = params();
         let stream = reports(p, 1);
         let (_, _, base_view) = serial_walk(10, &stream);
 
-        for after_sends in [0usize, 3, 7] {
-            let map = ShardMap::uniform(3);
-            let mut bus = RoutingBus::in_proc(
-                map,
-                Some(ShardFailure {
-                    shard: 1,
-                    after_sends,
-                }),
-            );
+        // Shard 1 of 3 owns users 1, 4 and 7.
+        for (after_sends, resent) in [(0usize, 0u64), (3, 1), (7, 2)] {
+            let failure = ShardFailure {
+                shard: 1,
+                after_sends,
+            };
+            let mut bus = RoutingBus::in_proc(ShardMap::uniform(3), Some(failure));
             bus.on_phase(RoundPhase::Open);
             bus.on_phase(RoundPhase::Reports);
             for env in stream.clone() {
                 bus.send(NodeId::Backend, env).unwrap();
             }
-            assert_eq!(bus.live_links(), 2, "uplink severed");
-            assert_eq!(bus.map().version(), 1);
+            assert_eq!(bus.take_metrics().unwrap().replayed, resent);
             let (envs, corrupt) = bus.drain(NodeId::Backend);
             assert_eq!(corrupt, 0);
+            assert_eq!(envs.len(), stream.len(), "every report arrives once");
             for threads in [1usize, 4] {
+                let label = format!("after_sends={after_sends} threads={threads}");
                 let mut b = cluster(ShardMap::uniform(3), 10);
                 AggregationBackend::open_round(&mut b, 1);
                 let results = b.absorb_batch(envs.clone(), threads);
-                let accepted = results.iter().filter(|r| matches!(r, Ok(None))).count();
-                assert!(accepted >= stream.len(), "all reports survive the kill");
-                assert_eq!(b.live_backends(), 2, "backend followed the map update");
+                assert!(results.iter().all(|r| *r == Ok(None)), "{label}");
                 assert_eq!(
                     AggregationBackend::missing_clients(&mut b).unwrap(),
                     Vec::<u32>::new(),
-                    "after_sends={after_sends} threads={threads}"
+                    "{label}"
+                );
+                assert!(
+                    b.shards.iter().all(|s| matches!(s, Some(Some(_)))),
+                    "{label}: every shard is still present at finalize"
                 );
                 let view = AggregationBackend::finalize(&mut b).unwrap();
-                assert_eq!(
-                    view, base_view,
-                    "after_sends={after_sends} threads={threads}"
-                );
+                assert_eq!(view, base_view, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn sever_after_an_absorbed_drain_dedupes_the_re_sent_envelopes() {
+        // The one path where the dedupe index is what makes a sever
+        // correct: a drained batch is absorbed, then the same shard's
+        // uplink is severed within the same phase, so its in-flight
+        // journal — already absorbed — is re-sent. Each re-sent envelope
+        // crosses paths with its own absorption: it is acknowledged
+        // silently and counted, never absorbed twice.
+        let p = params();
+        let stream = reports(p, 1);
+        let (_, _, base_view) = serial_walk(10, &stream);
+        let (first, rest) = stream.split_at(5);
+
+        // Shard 0 of 2 owns users 0, 2, 4, 6 and 8; the sixth send
+        // severs it after users 0, 2 and 4 were drained and absorbed.
+        let failure = ShardFailure {
+            shard: 0,
+            after_sends: first.len(),
+        };
+        let mut bus = RoutingBus::in_proc(ShardMap::uniform(2), Some(failure));
+        let mut c = cluster(ShardMap::uniform(2), 10);
+        AggregationBackend::open_round(&mut c, 1);
+        bus.on_phase(RoundPhase::Open);
+        bus.on_phase(RoundPhase::Reports);
+        for env in first.iter().cloned() {
+            bus.send(NodeId::Backend, env).unwrap();
+        }
+        let (envs, _) = bus.drain(NodeId::Backend);
+        assert!(c.absorb_batch(envs, 1).iter().all(|r| *r == Ok(None)));
+
+        for env in rest.iter().cloned() {
+            bus.send(NodeId::Backend, env).unwrap();
+        }
+        assert_eq!(bus.take_metrics().unwrap().replayed, 3);
+        let (envs, _) = bus.drain(NodeId::Backend);
+        assert_eq!(envs.len(), 3 + rest.len());
+        let answers = c.absorb_batch(envs, 1);
+        assert!(answers.iter().all(|r| *r == Ok(None)), "{answers:?}");
+        assert_eq!(c.take_metrics().deduped, 3);
+        let absorbed = c
+            .log()
+            .records()
+            .iter()
+            .filter(|r| matches!(r.event, JournalEvent::Absorbed { .. }))
+            .count();
+        assert_eq!(absorbed, stream.len(), "one Absorbed record per envelope");
+
+        assert_eq!(
+            AggregationBackend::missing_clients(&mut c).unwrap(),
+            Vec::<u32>::new()
+        );
+        assert_eq!(AggregationBackend::finalize(&mut c).unwrap(), base_view);
+    }
+
+    /// An uplink that is either dead (every send is `Disconnected`) or
+    /// a working in-process link.
+    enum Link {
+        Dead,
+        Live(InProcBus),
+    }
+
+    impl ServiceBus for Link {
+        fn send(&mut self, dest: NodeId, env: Envelope) -> Result<(), TransportError> {
+            match self {
+                Link::Dead => Err(TransportError::Disconnected),
+                Link::Live(bus) => bus.send(dest, env),
+            }
+        }
+        fn drain(&mut self, dest: NodeId) -> (Vec<Envelope>, usize) {
+            match self {
+                Link::Dead => (Vec::new(), 0),
+                Link::Live(bus) => bus.drain(dest),
             }
         }
     }
 
     #[test]
     fn uplink_transport_error_triggers_the_same_failover() {
-        // A genuine TransportError (peer endpoint gone) on a wire
-        // uplink takes the same fail-over path as the scripted kill.
-        struct DeadBus;
-        impl ServiceBus for DeadBus {
-            fn send(&mut self, _: NodeId, _: Envelope) -> Result<(), TransportError> {
-                Err(TransportError::Disconnected)
-            }
-            fn drain(&mut self, _: NodeId) -> (Vec<Envelope>, usize) {
-                (Vec::new(), 0)
-            }
-        }
-        // Shard 0's link errors on first use; the bus must reassign and
-        // deliver everything over the survivor.
-        enum Either {
-            Dead(DeadBus),
-            Live(InProcBus),
-        }
-        impl ServiceBus for Either {
-            fn send(&mut self, dest: NodeId, env: Envelope) -> Result<(), TransportError> {
-                match self {
-                    Either::Dead(b) => b.send(dest, env),
-                    Either::Live(b) => b.send(dest, env),
-                }
-            }
-            fn drain(&mut self, dest: NodeId) -> (Vec<Envelope>, usize) {
-                match self {
-                    Either::Dead(b) => b.drain(dest),
-                    Either::Live(b) => b.drain(dest),
-                }
-            }
-        }
+        // A genuine TransportError on an uplink takes the scripted
+        // sever's path: a fresh link, and the send goes out again on it.
         let p = params();
         let mut made = 0usize;
-        let mut bus = RoutingBus::with_links(ShardMap::uniform(2), None, || {
+        let mut bus = RoutingBus::with_links(ShardMap::uniform(2), None, move || {
             made += 1;
+            // The first link built is shard 0's uplink.
             if made == 1 {
-                Either::Dead(DeadBus)
+                Link::Dead
             } else {
-                Either::Live(InProcBus::new())
+                Link::Live(InProcBus::new())
             }
         });
-        // User 0 is owned by shard 0 (the dead link).
         assert_eq!(bus.map().owner_of(0), 0);
-        bus.send(NodeId::Backend, report_env(p, 0, 1, &[5]))
-            .unwrap();
-        assert_eq!(bus.live_links(), 1);
-        assert_eq!(bus.map().version(), 1);
+        let report = report_env(p, 0, 1, &[5]);
+        bus.send(NodeId::Backend, report.clone()).unwrap();
         let (envs, _) = bus.drain(NodeId::Backend);
-        // The survivor's mailbox holds the map update plus the re-sent
-        // report, in that order.
-        assert_eq!(envs.len(), 2);
-        assert!(matches!(envs[0].msg, Message::ShardMapUpdate { .. }));
-        assert!(matches!(envs[1].msg, Message::Report { .. }));
+        // The report arrives once, and nothing comes before it.
+        assert_eq!(envs, vec![report]);
+    }
+
+    #[test]
+    fn every_link_dead_is_a_transport_error_not_a_panic() {
+        let p = params();
+        let sever = ShardFailure {
+            shard: 0,
+            after_sends: 0,
+        };
+        for failure in [None, Some(sever)] {
+            let mut bus = RoutingBus::with_links(ShardMap::uniform(2), failure, || Link::Dead);
+            assert_eq!(
+                bus.send(NodeId::Backend, report_env(p, 0, 1, &[5])),
+                Err(TransportError::Disconnected),
+                "failure={failure:?}"
+            );
+        }
     }
 
     proptest! {

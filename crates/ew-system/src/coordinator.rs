@@ -32,9 +32,8 @@
 //!   drops within the window — the property
 //!   `tests/parallel_determinism.rs` pins by shuffling interleavings.
 //! * The installed roster travels as a versioned [`Membership`] ledger
-//!   with the same acceptance discipline as
-//!   [`ew_proto::ShardMap`]: adopt strictly newer, ignore identical
-//!   re-broadcasts, answer anything stale or conflicting with
+//!   under strict version acceptance: adopt strictly newer, ignore
+//!   identical re-broadcasts, answer anything stale or conflicting with
 //!   [`ew_proto::error_code::STALE_MEMBERSHIP`].
 //!
 //! ## The phase machine
@@ -727,8 +726,8 @@ impl Coordinator {
         }
     }
 
-    /// Adopts (or rejects) a broadcast `EpochState` under the same
-    /// strict version acceptance as `ShardMap`: strictly newer ledgers
+    /// Adopts (or rejects) a broadcast `EpochState` under strict
+    /// version acceptance: strictly newer ledgers
     /// are adopted wholesale (the replica catches up — transient churn
     /// sets are cleared, the newer ledger is the truth), an identical
     /// re-broadcast of the current version is ignored, and anything

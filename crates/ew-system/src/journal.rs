@@ -1,14 +1,14 @@
 //! The cluster's single event-sourced round log: one append-only
 //! sequence of [`JournalRecord`]s that is the source of truth for
-//! failover replay, duplicate suppression and cold crash-restart.
+//! duplicate suppression and cold crash-restart.
 //!
 //! * every **successful** absorption appends an
 //!   [`JournalEvent::Absorbed`] record (rejections are never journaled,
 //!   and a rejected envelope leaves no trace in a [`RoundState`], so
 //!   replaying the log rebuilds exactly the state that wrote it),
 //! * an index over the absorbed records answers "was this exact
-//!   envelope already absorbed, and by whom?" in `O(log n)` — the
-//!   dedupe check that makes a re-delivery crossing paths with a replay
+//!   envelope already absorbed?" in `O(log n)` — the dedupe check that
+//!   makes a re-delivery (an in-flight re-send after an uplink sever)
 //!   a silent acknowledgment instead of a second absorption,
 //! * a **snapshot watermark** bounds the log: once every live shard's
 //!   round state is checkpointed, records at or below the watermark are
@@ -25,13 +25,6 @@
 //! cold restart of shard `s` clones `checkpoint_for(s)` (or opens a
 //! fresh state) and absorbs the shard's `Absorbed` suffix above the
 //! watermark, by reference, in sequence order.
-//!
-//! One documented asymmetry: *reassignment* failover (redistributing a
-//! dead shard's key range over the survivors) replays the dead shard's
-//! absorbed envelopes through routing, which needs the full record
-//! suffix for that shard — a checkpoint cannot be split along the
-//! reassigned key ranges. The cluster driver therefore only snapshots
-//! between rounds or for restart-in-place recovery, never mid-failover.
 
 use crate::backend::RoundState;
 use ew_proto::crc32::crc32;
@@ -60,8 +53,6 @@ pub struct AbsorbedEntry {
     /// same key with different bytes is a *conflicting* duplicate and
     /// is rejected by the shard, not deduped.
     pub crc: u32,
-    /// The shard that absorbed it.
-    pub shard: u32,
 }
 
 /// The append-only, sequence-numbered round log with snapshot-bounded
@@ -113,10 +104,10 @@ impl RoundLog {
     pub fn append(&mut self, event: JournalEvent) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if let JournalEvent::Absorbed { shard, envelope } = &event {
+        if let JournalEvent::Absorbed { envelope, .. } = &event {
             if let Some(key) = dedupe_key(envelope) {
-                let (crc, shard) = (self.fingerprint(envelope), *shard);
-                self.absorbed.insert(key, AbsorbedEntry { seq, crc, shard });
+                let crc = self.fingerprint(envelope);
+                self.absorbed.insert(key, AbsorbedEntry { seq, crc });
             }
         }
         self.records.push(JournalRecord { seq, event });
@@ -164,16 +155,6 @@ impl RoundLog {
         self.absorbed.get(&key).copied()
     }
 
-    /// Drops every dedupe-index entry owned by `dead` and re-owns its
-    /// retained `Absorbed` records to nobody: the reassignment replay
-    /// will re-absorb them into the surviving owners, re-indexing each
-    /// under its new shard. Without this, a replayed envelope would
-    /// match its own index entry and be skipped — losing the state.
-    pub fn forget_shard(&mut self, dead: u32) {
-        self.absorbed.retain(|_, entry| entry.shard != dead);
-        self.checkpoints.remove(&dead);
-    }
-
     /// The envelopes `shard` absorbed above the watermark, in sequence
     /// order — the suffix a restarted shard re-absorbs on top of its
     /// checkpoint.
@@ -184,8 +165,7 @@ impl RoundLog {
         })
     }
 
-    /// An owned copy of `shard`'s absorbed suffix, for the reassignment
-    /// failover that re-routes (and re-journals) it under new owners.
+    /// An owned copy of `shard`'s absorbed suffix, in sequence order.
     pub fn replay_for_shard(&self, shard: u32) -> Vec<Envelope> {
         self.absorbed_by(shard).cloned().collect()
     }
@@ -273,7 +253,6 @@ mod tests {
             .absorbed_entry(dedupe_key(&env).unwrap())
             .expect("indexed");
         assert_eq!(entry.seq, seq);
-        assert_eq!(entry.shard, 1);
         assert_eq!(entry.crc, crc32(&env.encode()));
         assert_eq!(entry.crc, log.fingerprint(&env));
         // A different-content envelope under the same identity does NOT
@@ -325,20 +304,6 @@ mod tests {
         assert_eq!(suffix.len(), 2);
         assert_eq!(dedupe_key(&suffix[0]).unwrap().1, 1);
         assert_eq!(dedupe_key(&suffix[1]).unwrap().1, 3);
-    }
-
-    #[test]
-    fn forget_shard_unindexes_only_the_dead_shards_entries() {
-        let mut log = RoundLog::new();
-        let dead_env = report_env(1, 7, 1);
-        let live_env = report_env(2, 7, 2);
-        absorb(&mut log, 0, dead_env.clone());
-        absorb(&mut log, 1, live_env.clone());
-        log.forget_shard(0);
-        assert!(log.absorbed_entry(dedupe_key(&dead_env).unwrap()).is_none());
-        assert!(log.absorbed_entry(dedupe_key(&live_env).unwrap()).is_some());
-        // The records themselves remain — replay still sees them.
-        assert_eq!(log.replay_for_shard(0).len(), 1);
     }
 
     #[test]

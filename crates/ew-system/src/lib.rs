@@ -28,13 +28,14 @@
 //!   envelopes out over per-shard uplinks, a [`cluster::ClusterBackend`]
 //!   — the one [`node::AggregationBackend`] (a single node is a cluster
 //!   of one): one bulletin board, one round state per shard, merged
-//!   before the one finalize sweep — and a mid-round failover path that
-//!   reassigns and replays a dead shard's key range.
+//!   before the one finalize sweep. A severed uplink is re-linked and
+//!   its in-flight reports re-sent; a crashed shard restarts from the
+//!   round log. No failure moves a key range mid-round.
 //! * [`journal`] — the single event-sourced round log behind the
 //!   cluster: sequence-numbered [`ew_proto::journal::JournalRecord`]s
 //!   with snapshot/replay semantics, a content-addressed dedupe index,
 //!   and watermark truncation that keeps the log's depth bounded. The
-//!   one source of truth for failover reassignment *and* cold
+//!   one source of truth for duplicate suppression and cold
 //!   crash-restart.
 //! * [`coordinator`] — the tick-driven epoch coordinator: a
 //!   [`ew_proto::NodeId::Coordinator`] role service owning the

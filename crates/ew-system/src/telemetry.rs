@@ -62,7 +62,7 @@ pub mod hist_kind {
     pub const ABSORB: u8 = 4;
     /// OPRF batch service time (per blind-evaluated batch).
     pub const OPRF_BATCH: u8 = 5;
-    /// Journal replay duration (failover or cold restart).
+    /// Journal replay duration (uplink re-link or cold restart).
     pub const REPLAY: u8 = 6;
 
     /// Every kind, in wire order — the export iteration axis.
@@ -246,8 +246,8 @@ impl Hist64 {
 pub struct ReplayMetrics {
     /// Data-plane envelopes routed to a shard uplink.
     pub routed: u64,
-    /// Envelopes re-delivered from a journal (failover reassignment or
-    /// cold-restart replay).
+    /// Envelopes re-delivered from a journal (in-flight re-sends after
+    /// an uplink sever, or cold-restart replay).
     pub replayed: u64,
     /// Replay deliveries suppressed because the round log already held
     /// a byte-identical `Absorbed` record.
@@ -280,7 +280,8 @@ pub struct ReplayMetrics {
     pub absorb_hist: Hist64,
     /// OPRF batch service-time distribution.
     pub oprf_hist: Hist64,
-    /// Journal replay duration distribution (failover + cold restart).
+    /// Journal replay duration distribution (uplink re-link + cold
+    /// restart).
     pub replay_hist: Hist64,
 }
 

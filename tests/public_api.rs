@@ -264,6 +264,44 @@ fn one_aggregation_backend() {
 }
 
 #[test]
+fn one_way_to_lose_a_shard() {
+    // A severed uplink is re-linked and its in-flight reports re-sent; a
+    // crashed shard restarts from the round log. Nothing moves a key
+    // range mid-round, so neither the reassignment, its map broadcast,
+    // its adoption record and error codes, nor the log surgery it
+    // needed may come back — and the bus handles a dead link without
+    // panicking.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let listing = surface(&root);
+    for retired in [
+        "reassign",
+        "ShardMapUpdate",
+        "ShardAdopted",
+        "forget_shard",
+        "live_backends",
+        "STALE_SHARD_MAP",
+        "MALFORMED_SHARD_MAP",
+    ] {
+        assert!(
+            !listing.contains(retired),
+            "{retired} is back in the public API"
+        );
+    }
+    let code = non_test_code(&root.join("crates/ew-system/src/cluster.rs"));
+    let bus_impl = code
+        .split("impl<B: ServiceBus> RoutingBus<B> {")
+        .nth(1)
+        .expect("RoutingBus has an inherent impl")
+        .split("\n}\n")
+        .next()
+        .expect("impl body");
+    assert!(
+        !bus_impl.contains("expect("),
+        "RoutingBus panics on a link failure again"
+    );
+}
+
+#[test]
 fn one_measuring_stick() {
     // `benchmark/` (its own package, outside the workspace) is the only
     // benchmark harness in the repository. A second one starts
