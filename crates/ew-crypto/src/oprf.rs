@@ -16,16 +16,15 @@
 //! from the one-more-RSA assumption. The ad ID used by the sketch layer
 //! is `G(y)` truncated/reduced into `[0, |A|)` by the caller.
 //!
-//! ## Parallelism & determinism
+//! ## Sharing & determinism
 //!
 //! Server-side evaluation is read-only over the key, so one key serves
-//! any number of client workers by reference; a batch itself is
-//! evaluated on one thread ([`OprfServerKey::evaluate_blinded_batch`]
-//! — its two CRT halves each as one many-bases exponentiation), with
-//! the all-or-nothing range check running up front. Client-side batch
-//! blinding keeps the one-inversion-per-batch contract under parallel
-//! ingest because each client's batch is blinded wholly on one worker
-//! (pinned by the `ops_trace` tests).
+//! any number of callers by reference; a batch itself is evaluated on
+//! one thread ([`OprfServerKey::evaluate_blinded_batch`] — its two CRT
+//! halves each as one many-bases exponentiation), with the
+//! all-or-nothing range check running up front. Client-side batch
+//! blinding costs one modular inversion per batch, whatever its length
+//! (pinned by the `ops_trace` test `batch_blinding_uses_one_inversion`).
 
 use crate::rsa::{RsaKeyPair, RsaPublicKey};
 use crate::sha256::Sha256;
@@ -423,40 +422,6 @@ mod tests {
     fn batch_empty_is_empty() {
         let (_, client, mut rng) = setup(40);
         assert!(client.blind_batch(&mut rng, &[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn parallel_blinding_one_inversion_per_client_batch() {
-        // The PR 1 one-inversion contract under parallelism: when each
-        // client's batch is blinded wholly on one worker thread (the
-        // sharded-ingest discipline), that thread performs exactly one
-        // modular inversion for the batch — measured per worker via the
-        // thread-local ops_trace counters and merged at the join.
-        let (_, client, _) = setup(44);
-        let batches: Vec<Vec<Vec<u8>>> = (0..4u64)
-            .map(|c| {
-                (0..3 + c as usize)
-                    .map(|i| format!("https://ads.example/c{c}/{i}").into_bytes())
-                    .collect()
-            })
-            .collect();
-        let inversion_deltas = crossbeam::thread::map_shards(&batches, 4, |shard| {
-            let mut deltas = Vec::new();
-            for (i, batch) in shard.iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(900 + i as u64);
-                let refs: Vec<&[u8]> = batch.iter().map(|u| u.as_slice()).collect();
-                let before = ew_bigint::ops_trace::modinv_calls();
-                client.blind_batch(&mut rng, &refs).unwrap();
-                deltas.push(ew_bigint::ops_trace::modinv_calls() - before);
-            }
-            deltas
-        });
-        let merged: Vec<u64> = inversion_deltas.into_iter().flatten().collect();
-        assert_eq!(merged.len(), batches.len());
-        assert!(
-            merged.iter().all(|&d| d == 1),
-            "each client batch cost exactly one inversion, got {merged:?}"
-        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! population browses*; this module models *who the population is*: a
 //! multi-epoch schedule of joins, clean leaves and mid-epoch dropouts,
 //! generated as a pure function of its seed so determinism suites can
-//! replay the identical churn history through different thread counts,
-//! buses and cluster sizes.
+//! replay the identical churn history through different buses and
+//! cluster sizes.
 //!
 //! A campaign tracks the roster the same way the coordinator folds it —
 //! an epoch's roster is the previous epoch's survivors plus its joins;

@@ -1,13 +1,13 @@
-//! Multi-client scenario driver for the parallel weekly-round pipeline.
+//! Multi-client scenario driver for the weekly-round pipeline.
 //!
-//! The parallel system layer is exercised by workloads whose cohort is
-//! big enough that sharding across worker threads matters. This driver
-//! packages the recurring shape — a Table 1-scale world, an enrolled
-//! sub-cohort, a sequence of weekly impression logs — behind one
-//! deterministic, seed-addressed object: the same `(seed, scale, week)`
-//! triple always yields the same log, so determinism tests can replay
-//! identical workloads through different thread counts, and benchmarks
-//! can dial the scale without re-deriving scenario parameters.
+//! The system layer is exercised by workloads whose cohort spans many
+//! clients and, clustered, many backend shards. This driver packages
+//! the recurring shape — a Table 1-scale world, an enrolled sub-cohort,
+//! a sequence of weekly impression logs — behind one deterministic,
+//! seed-addressed object: the same `(seed, scale, week)` triple always
+//! yields the same log, so parity tests can replay identical workloads
+//! through different buses and cluster sizes, and benchmarks can dial
+//! the scale without re-deriving scenario parameters.
 
 use crate::config::ScenarioConfig;
 use crate::engine::Scenario;

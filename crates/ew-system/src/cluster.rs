@@ -767,8 +767,8 @@ impl AggregationBackend for ClusterBackend {
     }
 
     /// The serial walk: every envelope through [`Self::on_envelope`] in
-    /// stream order, timed as one absorb sample. `threads` is ignored:
-    /// the client shard is the system's one unit of fan-out.
+    /// stream order, timed as one absorb sample. `_threads` is accepted
+    /// and ignored: a round runs on the calling thread.
     fn absorb_batch(
         &mut self,
         envelopes: Vec<Envelope>,
@@ -908,26 +908,24 @@ mod tests {
         assert_eq!(missing, vec![silent]);
 
         for shards in [1u32, 2, 3, 4] {
-            for threads in [1usize, 4] {
-                let mut c = cluster(ShardMap::uniform(shards), 10);
-                AggregationBackend::open_round(&mut c, 1);
-                let results = c.absorb_batch(stream.clone(), threads);
-                assert!(results.iter().all(|r| matches!(r, Ok(None))));
-                assert_eq!(
-                    AggregationBackend::missing_clients(&mut c).unwrap(),
-                    vec![silent]
-                );
-                for env in adjustments.iter().cloned() {
-                    assert_eq!(AggregationBackend::on_envelope(&mut c, env), Ok(None));
-                }
-                let view = AggregationBackend::finalize(&mut c).unwrap();
-                assert_eq!(view, base_view, "shards={shards} threads={threads}");
-                assert_eq!(view.sorted_estimates(), base_view.sorted_estimates());
-                assert_eq!(
-                    view.users_threshold().to_bits(),
-                    base_view.users_threshold().to_bits()
-                );
+            let mut c = cluster(ShardMap::uniform(shards), 10);
+            AggregationBackend::open_round(&mut c, 1);
+            let results = c.absorb_batch(stream.clone(), 1);
+            assert!(results.iter().all(|r| matches!(r, Ok(None))));
+            assert_eq!(
+                AggregationBackend::missing_clients(&mut c).unwrap(),
+                vec![silent]
+            );
+            for env in adjustments.iter().cloned() {
+                assert_eq!(AggregationBackend::on_envelope(&mut c, env), Ok(None));
             }
+            let view = AggregationBackend::finalize(&mut c).unwrap();
+            assert_eq!(view, base_view, "shards={shards}");
+            assert_eq!(view.sorted_estimates(), base_view.sorted_estimates());
+            assert_eq!(
+                view.users_threshold().to_bits(),
+                base_view.users_threshold().to_bits()
+            );
         }
     }
 
@@ -937,19 +935,17 @@ mod tests {
         let (serial_results, _, serial_view) = serial_walk(6, &stream);
 
         for shards in [1u32, 2, 4] {
-            for threads in [1usize, 2, 4, 7] {
-                let mut c = cluster(ShardMap::uniform(shards), 6);
-                AggregationBackend::open_round(&mut c, 1);
-                let results = c.absorb_batch(stream.clone(), threads);
-                assert_eq!(results, serial_results, "shards={shards} threads={threads}");
-                let view = AggregationBackend::finalize(&mut c).unwrap();
-                assert_eq!(view, serial_view, "shards={shards} threads={threads}");
-                assert_eq!(
-                    view.sorted_estimates(),
-                    serial_view.sorted_estimates(),
-                    "shards={shards} threads={threads}"
-                );
-            }
+            let mut c = cluster(ShardMap::uniform(shards), 6);
+            AggregationBackend::open_round(&mut c, 1);
+            let results = c.absorb_batch(stream.clone(), 1);
+            assert_eq!(results, serial_results, "shards={shards}");
+            let view = AggregationBackend::finalize(&mut c).unwrap();
+            assert_eq!(view, serial_view, "shards={shards}");
+            assert_eq!(
+                view.sorted_estimates(),
+                serial_view.sorted_estimates(),
+                "shards={shards}"
+            );
         }
     }
 
@@ -1027,46 +1023,33 @@ mod tests {
     fn in_batch_duplicates_keep_duplicate_report_semantics() {
         // Two byte-identical reports inside *one* batch are a client
         // bug, not a replay: the second must still answer
-        // `DuplicateReport`, exactly as a bare `RoundState` would — for
-        // every `threads` value.
+        // `DuplicateReport`, exactly as a bare `RoundState` would.
         let p = params();
         let env = report_env(p, 1, 1, &[7]);
-        for threads in [1usize, 4] {
-            let mut c = cluster(ShardMap::uniform(2), 4);
-            AggregationBackend::open_round(&mut c, 1);
-            let results = c.absorb_batch(vec![env.clone(), env.clone()], threads);
-            assert_eq!(results[0], Ok(None), "threads={threads}");
-            assert_eq!(
-                results[1],
-                Err(RoundError::DuplicateReport(1)),
-                "threads={threads}"
-            );
-            // A later batch re-delivering the same envelope *is* a
-            // replay and dedupes silently.
-            let replays = c.absorb_batch(vec![env.clone()], threads);
-            assert_eq!(replays, vec![Ok(None)], "threads={threads}");
-            assert_eq!(c.take_metrics().deduped, 1, "threads={threads}");
-        }
+        let mut c = cluster(ShardMap::uniform(2), 4);
+        AggregationBackend::open_round(&mut c, 1);
+        let results = c.absorb_batch(vec![env.clone(), env.clone()], 1);
+        assert_eq!(results[0], Ok(None));
+        assert_eq!(results[1], Err(RoundError::DuplicateReport(1)));
+        // A later batch re-delivering the same envelope *is* a replay
+        // and dedupes silently.
+        let replays = c.absorb_batch(vec![env], 1);
+        assert_eq!(replays, vec![Ok(None)]);
+        assert_eq!(c.take_metrics().deduped, 1);
     }
 
     #[test]
-    fn crashed_shard_answers_wrong_shard_on_every_thread_count() {
+    fn crashed_shard_answers_wrong_shard() {
         // Between `crash_shard` and `restart_shard` the shard's key
-        // range has no state to absorb into: a typed rejection, the
-        // same one for every `threads` value.
+        // range has no state to absorb into: a typed rejection.
         let p = params();
-        let stream = reports(p, 1);
-        let answers = |threads: usize| {
-            let mut c = cluster(ShardMap::uniform(2), 10);
-            AggregationBackend::open_round(&mut c, 1);
-            c.crash_shard(0);
-            c.absorb_batch(stream.clone(), threads)
-        };
-        let serial = answers(1);
+        let mut c = cluster(ShardMap::uniform(2), 10);
+        AggregationBackend::open_round(&mut c, 1);
+        c.crash_shard(0);
+        let answers = c.absorb_batch(reports(p, 1), 1);
         let dead = Err(RoundError::WrongShard { owner: 0, got: 0 });
-        assert_eq!(serial.iter().filter(|r| **r == dead).count(), 5);
-        assert_eq!(serial.iter().filter(|r| **r == Ok(None)).count(), 5);
-        assert_eq!(answers(4), serial);
+        assert_eq!(answers.iter().filter(|r| **r == dead).count(), 5);
+        assert_eq!(answers.iter().filter(|r| **r == Ok(None)).count(), 5);
     }
 
     #[test]
@@ -1133,24 +1116,22 @@ mod tests {
             let (envs, corrupt) = bus.drain(NodeId::Backend);
             assert_eq!(corrupt, 0);
             assert_eq!(envs.len(), stream.len(), "every report arrives once");
-            for threads in [1usize, 4] {
-                let label = format!("after_sends={after_sends} threads={threads}");
-                let mut b = cluster(ShardMap::uniform(3), 10);
-                AggregationBackend::open_round(&mut b, 1);
-                let results = b.absorb_batch(envs.clone(), threads);
-                assert!(results.iter().all(|r| *r == Ok(None)), "{label}");
-                assert_eq!(
-                    AggregationBackend::missing_clients(&mut b).unwrap(),
-                    Vec::<u32>::new(),
-                    "{label}"
-                );
-                assert!(
-                    b.shards.iter().all(|s| matches!(s, Some(Some(_)))),
-                    "{label}: every shard is still present at finalize"
-                );
-                let view = AggregationBackend::finalize(&mut b).unwrap();
-                assert_eq!(view, base_view, "{label}");
-            }
+            let label = format!("after_sends={after_sends}");
+            let mut b = cluster(ShardMap::uniform(3), 10);
+            AggregationBackend::open_round(&mut b, 1);
+            let results = b.absorb_batch(envs, 1);
+            assert!(results.iter().all(|r| *r == Ok(None)), "{label}");
+            assert_eq!(
+                AggregationBackend::missing_clients(&mut b).unwrap(),
+                Vec::<u32>::new(),
+                "{label}"
+            );
+            assert!(
+                b.shards.iter().all(|s| matches!(s, Some(Some(_)))),
+                "{label}: every shard is still present at finalize"
+            );
+            let view = AggregationBackend::finalize(&mut b).unwrap();
+            assert_eq!(view, base_view, "{label}");
         }
     }
 

@@ -30,7 +30,7 @@
 //!   and are folded only at the tick boundary, so the state after each
 //!   tick is independent of the *delivery order* of joins, leaves and
 //!   drops within the window — the property
-//!   `tests/parallel_determinism.rs` pins by shuffling interleavings.
+//!   `tests/churn_soak.rs` pins by shuffling interleavings.
 //! * The installed roster travels as a versioned [`Membership`] ledger
 //!   under strict version acceptance: adopt strictly newer, ignore
 //!   identical re-broadcasts, answer anything stale or conflicting with

@@ -28,12 +28,13 @@
 //!
 //! ## Determinism
 //!
-//! `threads` shards only the *compute* (report building, adjustment
-//! derivation) via `crossbeam::thread::map_shards`; envelopes always
-//! cross the bus in client order on the driving thread. Together with
-//! the associative cell-wise accumulation at the backend this keeps
-//! every [`DrivenRound`] bit-identical across thread counts and across
-//! bus implementations (for a lossless link).
+//! A round runs on the calling thread: each client's report is built
+//! and sent in client order, each adjustment is derived and sent as its
+//! notice is delivered. Together with the associative cell-wise
+//! accumulation at the backend this keeps every [`DrivenRound`]
+//! bit-identical across bus implementations (for a lossless link) and
+//! cluster sizes. The `threads` parameters the drivers still take are
+//! accepted and ignored.
 
 use crate::backend::RoundError;
 use crate::trace;
@@ -136,14 +137,12 @@ pub trait AggregationBackend {
     /// one delivery: a duplicate *within* it is a rejection, not a
     /// replay of an earlier absorption.
     ///
-    /// `threads` is the round's client-shard count, a performance hint
-    /// only — results and final backend state must be
-    /// **bit-identical** for every value. The shipped backend,
-    /// `ClusterBackend`, ignores it and walks the batch serially.
+    /// `_threads` is accepted and ignored: a round runs on the calling
+    /// thread, and `ClusterBackend` walks the batch serially.
     fn absorb_batch(
         &mut self,
         envelopes: Vec<Envelope>,
-        threads: usize,
+        _threads: usize,
     ) -> Vec<Result<Option<Envelope>, RoundError>>;
 
     /// The enrolled users whose reports have not arrived this round.
@@ -158,9 +157,11 @@ pub trait AggregationBackend {
 /// everything queued for `dest` in arrival order plus the count of
 /// frames lost to corruption on the way.
 pub trait ServiceBus {
-    /// Queues one envelope for `dest`. An error means the destination
-    /// mailbox is gone (a driver bug, not a protocol condition — both
-    /// provided buses own their endpoints).
+    /// Queues one envelope for `dest`. An error means the envelope could
+    /// not be queued: the destination mailbox is gone, or (on a
+    /// `RoutingBus`) a severed uplink's fresh link failed too. The round
+    /// driver treats a failed report send like a frame lost on the wire:
+    /// the sender goes missing and recovery covers it.
     fn send(&mut self, dest: NodeId, env: Envelope) -> Result<(), TransportError>;
 
     /// Delivers every envelope currently queued for `dest`, in order,
@@ -353,40 +354,34 @@ impl RoundOpen {
         self.round
     }
 
-    /// Phase `Open` → `Reports`: every non-silent client's report
-    /// crosses the bus to the backend. Report *building* (the blinding
-    /// hot loop) is sharded over `threads` workers; envelopes are sent
-    /// in client order, so the backend sees the same stream for every
-    /// thread count. Backend rejections (duplicates or mismatched
-    /// headers from a faulty link) are skipped, not fatal — the sender
-    /// simply goes missing.
+    /// Phase `Open` → `Reports`: every non-silent client's report is
+    /// built and sent to the backend in turn, in client order.
+    /// `_threads` is accepted and ignored: a round runs on the calling
+    /// thread. A report the bus cannot send is lost like a dropped
+    /// frame, and backend rejections (duplicates or mismatched headers
+    /// from a faulty link) are answered, not fatal — either way the
+    /// sender simply goes missing.
     pub fn collect_reports<C, A, B>(
         self,
         clients: &[C],
         silent: &[u32],
         params: CmsParams,
-        threads: usize,
+        _threads: usize,
         backend: &mut A,
         bus: &mut B,
     ) -> RoundReports
     where
-        C: ClientNode + Sync,
+        C: ClientNode,
         A: AggregationBackend,
         B: ServiceBus,
     {
         let _span = trace::span("round_reports", self.round, clients.len() as u64);
         bus.on_phase(RoundPhase::Reports);
         let round = self.round;
-        let shards = crossbeam::thread::map_shards(clients, threads.max(1), |shard| {
-            shard
-                .iter()
-                .filter(|c| !silent.contains(&c.client_id()))
-                .map(|c| c.report_envelope(params, round))
-                .collect::<Vec<_>>()
-        });
-        for env in shards.into_iter().flatten() {
-            bus.send(NodeId::Backend, env)
-                .expect("backend mailbox open");
+        for c in clients.iter().filter(|c| !silent.contains(&c.client_id())) {
+            // An unsendable report is a dropped frame: the sender goes
+            // missing and recovery covers it.
+            let _ = bus.send(NodeId::Backend, c.report_envelope(params, round));
         }
         let (envelopes, corrupt_frames) = bus.drain(NodeId::Backend);
         // The whole drain goes to the backend as one batch, so a wire
@@ -401,7 +396,7 @@ impl RoundOpen {
                 )
             })
             .collect();
-        let results = backend.absorb_batch(envelopes, threads.max(1));
+        let results = backend.absorb_batch(envelopes, 1);
         debug_assert_eq!(routing.len(), results.len(), "one result per envelope");
         let mut reports = 0usize;
         for ((is_report, requester), result) in routing.into_iter().zip(results) {
@@ -449,22 +444,22 @@ impl RoundReports {
 
     /// Phase `Reports` → `Recovery`: the backend names the missing
     /// clients; every surviving client is notified over the (now clean)
-    /// bus and answers with its adjustment. Adjustment *derivation* is
-    /// sharded over `threads` workers; envelopes cross the bus in
-    /// client order. A rejected adjustment (a malformed one, say) does
-    /// not abort the round: as in the reports phase, its sender is
-    /// answered with a `Message::Error`, and the rejection is kept for
-    /// [`RoundRecovery::rejected_adjustments`].
+    /// bus and answers with its adjustment, sent as soon as it is
+    /// derived, in client order. `_threads` is accepted and ignored: a
+    /// round runs on the calling thread. A rejected adjustment (a
+    /// malformed one, say) does not abort the round: as in the reports
+    /// phase, its sender is answered with a `Message::Error`, and the
+    /// rejection is kept for [`RoundRecovery::rejected_adjustments`].
     pub fn recover<C, A, B>(
         self,
         clients: &[C],
         params: CmsParams,
-        threads: usize,
+        _threads: usize,
         backend: &mut A,
         bus: &mut B,
     ) -> RoundRecovery
     where
-        C: ClientNode + Sync,
+        C: ClientNode,
         A: AggregationBackend,
         B: ServiceBus,
     {
@@ -489,23 +484,15 @@ impl RoundReports {
                 bus.send(NodeId::Client(c.client_id()), notice.clone())
                     .expect("client mailbox open");
             }
-            let mut deliveries: Vec<(&C, Envelope)> = Vec::new();
             for c in clients {
                 if missing.contains(&c.client_id()) {
                     continue;
                 }
                 let (envs, _) = bus.drain(NodeId::Client(c.client_id()));
-                deliveries.extend(envs.into_iter().map(|env| (c, env)));
-            }
-            let replies = crossbeam::thread::map_shards(&deliveries, threads.max(1), |shard| {
-                shard
-                    .iter()
-                    .filter_map(|(c, env)| c.on_envelope(params, env))
-                    .collect::<Vec<_>>()
-            });
-            for env in replies.into_iter().flatten() {
-                bus.send(NodeId::Backend, env)
-                    .expect("backend mailbox open");
+                for reply in envs.iter().filter_map(|env| c.on_envelope(params, env)) {
+                    bus.send(NodeId::Backend, reply)
+                        .expect("backend mailbox open");
+                }
             }
             let (envelopes, _) = bus.drain(NodeId::Backend);
             for env in envelopes {
@@ -592,6 +579,8 @@ impl RoundRecovery {
 
 /// Runs one complete round through the typestate machine — the engine
 /// behind `EyewnderSystem::run_round_on` and every campaign epoch.
+/// `_threads` is accepted and ignored: a round runs on the calling
+/// thread.
 pub fn drive_round<C, A, B>(
     clients: &[C],
     backend: &mut A,
@@ -599,16 +588,16 @@ pub fn drive_round<C, A, B>(
     params: CmsParams,
     round: u64,
     silent: &[u32],
-    threads: usize,
+    _threads: usize,
 ) -> DrivenRound
 where
-    C: ClientNode + Sync,
+    C: ClientNode,
     A: AggregationBackend,
     B: ServiceBus,
 {
     RoundOpen::open(backend, bus, round)
-        .collect_reports(clients, silent, params, threads, backend, bus)
-        .recover(clients, params, threads, backend, bus)
+        .collect_reports(clients, silent, params, 1, backend, bus)
+        .recover(clients, params, 1, backend, bus)
         .finalize(backend, bus)
 }
 

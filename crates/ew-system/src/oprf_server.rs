@@ -5,12 +5,13 @@
 //! ## Concurrency
 //!
 //! Evaluation is read-only over the key, so every entry point takes
-//! `&self` and the service can be shared across worker threads without
-//! locking. Request accounting is an atomic saturating counter: exact
-//! under the parallel ingest path (each client worker adds its
-//! batch's count once) and incapable of wrapping back to small values
-//! near `u64::MAX` — a saturated counter reads as "at least this many",
-//! never as a freshly reset one.
+//! `&self` — [`OprfFrontend::on_envelope`] included — and the service is
+//! `Sync`: it can be shared across threads without locking, although
+//! the system's own ingest calls it from one. Request accounting is an
+//! atomic saturating counter: exact under concurrent callers (each adds
+//! its batch's count once) and incapable of wrapping back to small
+//! values near `u64::MAX` — a saturated counter reads as "at least this
+//! many", never as a freshly reset one.
 
 use crate::node::OprfFrontend;
 use crate::telemetry::Hist64;
@@ -213,7 +214,7 @@ mod tests {
     #[test]
     fn parallel_batch_counts_every_element_exactly_once() {
         // The shared-service contract of the module docs: concurrent
-        // workers (the parallel ingest path) each add their batch once.
+        // callers each add their batch once.
         let mut rng = StdRng::seed_from_u64(56);
         let service = OprfService::generate(&mut rng, 128);
         let client = OprfClient::new(service.public().clone());

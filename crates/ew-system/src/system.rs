@@ -18,37 +18,24 @@
 //! one. `tests/bus_parity.rs` pins the in-proc and wire paths
 //! bit-identical, `tests/cluster_parity.rs` the shard counts.
 //!
-//! ## Parallel rounds and determinism
+//! ## Determinism
 //!
-//! The weekly round is embarrassingly parallel: each client's OPRF
-//! batch, report blinding and adjustment derivation is independent of
-//! every other client's. With [`SystemConfig::threads`] > 1 the
-//! cohort is split into contiguous shards of clients, each processed on
-//! its own scoped worker thread.
+//! A week's ingest and every round run on the calling thread, client by
+//! client in id order — in the paper each client is its own browser, so
+//! the simulator's cohort loop is not part of the protocol. Outcomes are
+//! **bit-identical** across buses and cluster sizes by construction:
 //!
-//! The parallel path is **bit-identical** to the sequential one for
-//! every thread count, by construction rather than by luck:
+//! * OPRF evaluation is a pure function of `(key, element)`, so every
+//!   bus resolves the same ad keys;
+//! * envelopes cross the bus in client order, and the backend's
+//!   cell-wise accumulation in `Z_{2^32}` is order-insensitive anyway
+//!   (wrapping addition is associative and commutative), so neither the
+//!   transport nor the key-space split leaves a fingerprint.
 //!
-//! * every client's work (RNG draws, blinding, caching) happens wholly
-//!   on one worker, in the same per-client order as the sequential loop;
-//! * OPRF evaluation is a pure function of `(key, element)`;
-//! * workers only *build* envelopes (reports, adjustments); shard
-//!   outputs are reassembled in shard (= client) order and cross the
-//!   bus on the driving thread, so the backend sees one well-ordered
-//!   envelope stream regardless of thread count — and its cell-wise
-//!   accumulation in `Z_{2^32}` is order-insensitive anyway (wrapping
-//!   addition is associative and commutative).
-//!
-//! `tests/parallel_determinism.rs` pins the guarantee end to end for
-//! thread counts {1, 2, 4, 7}, in-proc and over the wire;
-//! `tests/bus_parity.rs` pins the bus axis.
-//!
-//! The **client shard** is the system's one unit of fan-out. Server-side
-//! absorb does not fan out: the round driver hands each full mailbox
-//! drain to [`crate::node::AggregationBackend::absorb_batch`], and a
-//! [`ClusterBackend`] walks it serially through `RoundState::absorb`
-//! (the one copy of report validation) whatever `threads` says —
-//! absorb is ~1 % of a round, the client side is the cost.
+//! `tests/bus_parity.rs` pins the bus axis and `tests/cluster_parity.rs`
+//! the shard-count axis. A [`ClusterBackend`] walks each mailbox drain
+//! serially through `RoundState::absorb`, the one copy of report
+//! validation.
 
 use crate::backend::serve;
 use crate::client::Client;
@@ -89,11 +76,6 @@ pub struct SystemConfig {
     pub policy: ThresholdPolicy,
     /// Detector settings for audits.
     pub detector: DetectorConfig,
-    /// Worker threads for sharded ingest / round execution. `1` (the
-    /// default) runs everything on the calling thread; higher values
-    /// split the cohort into that many contiguous shards. Results are
-    /// bit-identical for every value (see the module docs).
-    pub threads: usize,
     /// Backend shards of the clusters [`EyewnderSystem::cluster_map`]
     /// and the one-call drivers build (`1`, the default, is a cluster
     /// of one; rounds are bit-identical for every value — see
@@ -116,7 +98,6 @@ impl Default for SystemConfig {
             ad_capacity: 1 << 18,
             policy: ThresholdPolicy::Mean,
             detector: DetectorConfig::default(),
-            threads: 1,
             cluster_backends: 1,
             blinding_cache_rounds: 2,
         }
@@ -124,12 +105,6 @@ impl Default for SystemConfig {
 }
 
 impl SystemConfig {
-    /// Returns the config with `threads` parallel workers.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Returns the config with an `n`-shard aggregation cluster.
     pub fn with_cluster_backends(mut self, n: usize) -> Self {
         self.cluster_backends = n.max(1);
@@ -268,31 +243,23 @@ impl EyewnderSystem {
     /// Only impressions of users with ids below the cohort size are
     /// ingested (the scenario may simulate more users than enrolled —
     /// the paper's panel was 100 out of a larger population).
-    ///
-    /// With [`SystemConfig::threads`] > 1 the cohort is split into
-    /// contiguous client shards, each ingested on its own worker
-    /// thread; each client's whole batch (blinding, one shared
-    /// inversion, evaluation, caching, counter updates) stays on one
-    /// worker, so per-client state — and therefore every downstream
-    /// aggregate — is bit-identical to the sequential path.
     pub fn ingest(&mut self, scenario: &Scenario, log: &ImpressionLog) {
-        self.ingest_on(scenario, log, InProcBus::new);
+        self.ingest_on(scenario, log, &mut InProcBus::new());
     }
 
-    /// [`Self::ingest`] over an arbitrary [`ServiceBus`]: each worker
-    /// thread gets its own bus from `make_bus` (client ↔ oprf-server
-    /// traffic is per-client, so a bus per worker keeps the envelope
-    /// streams independent), and every OPRF batch crosses it as one
+    /// [`Self::ingest`] over an arbitrary [`ServiceBus`]: clients are
+    /// walked in id order, and every OPRF batch crosses `bus` as one
     /// `OprfBatchRequest` envelope.
     ///
-    /// The resolved mapping is identical for every bus and thread
-    /// count: the PRF output depends only on the server key and the
-    /// URL, never on transport or blinding randomness.
-    pub fn ingest_on<B, F>(&mut self, scenario: &Scenario, log: &ImpressionLog, make_bus: F)
-    where
-        B: ServiceBus,
-        F: Fn() -> B + Sync,
-    {
+    /// The resolved mapping is identical for every bus: the PRF output
+    /// depends only on the server key and the URL, never on transport or
+    /// blinding randomness.
+    pub fn ingest_on<B: ServiceBus>(
+        &mut self,
+        scenario: &Scenario,
+        log: &ImpressionLog,
+        bus: &mut B,
+    ) {
         // Group this week's impressions by enrolled client, keeping the
         // log's order within each group.
         let mut per_client: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
@@ -304,37 +271,20 @@ impl EyewnderSystem {
                     .push((r.ad, r.site as u64));
             }
         }
-        let threads = self.config.threads.max(1);
-        let oprf = &self.oprf;
-        let make_bus = &make_bus;
-        // Clients are indexed by id, so contiguous `chunks_mut` shards
-        // partition the cohort; the simulator-ad → ad-ID pairs each
-        // worker learns are merged after the join (the PRF is
-        // deterministic, so every worker learns the same key for a
-        // given ad and merge order is irrelevant).
-        let learned_per_shard =
-            crossbeam::thread::map_shards_mut(&mut self.clients, threads, |shard| {
-                let mut bus = make_bus();
-                let mut learned: Vec<(u64, AdKey)> = Vec::new();
-                for client in shard {
-                    let Some(impressions) = per_client.get(&client.id()) else {
-                        continue;
-                    };
-                    let urls: Vec<String> = impressions
-                        .iter()
-                        .map(|&(ad, _)| scenario.campaigns[ad as usize].ad.url())
-                        .collect();
-                    let url_refs: Vec<&str> = urls.iter().map(String::as_str).collect();
-                    let keys = client.map_ads_on(&url_refs, oprf, &mut bus);
-                    for (&(ad, site), key) in impressions.iter().zip(keys) {
-                        learned.push((ad, key));
-                        client.observe(key, site);
-                    }
-                }
-                learned
-            });
-        for (ad, key) in learned_per_shard.into_iter().flatten() {
-            self.sim_ad_to_key.insert(ad, key);
+        for client in &mut self.clients {
+            let Some(impressions) = per_client.get(&client.id()) else {
+                continue;
+            };
+            let urls: Vec<String> = impressions
+                .iter()
+                .map(|&(ad, _)| scenario.campaigns[ad as usize].ad.url())
+                .collect();
+            let url_refs: Vec<&str> = urls.iter().map(String::as_str).collect();
+            let keys = client.map_ads_on(&url_refs, &self.oprf, bus);
+            for (&(ad, site), key) in impressions.iter().zip(keys) {
+                self.sim_ad_to_key.insert(ad, key);
+                client.observe(key, site);
+            }
         }
     }
 
@@ -361,13 +311,6 @@ impl EyewnderSystem {
     /// [`ClusterBackend::script_restart`] for the crash-restart drill.
     /// The outcome is bit-identical across all of them on lossless
     /// links.
-    ///
-    /// With [`SystemConfig::threads`] > 1, report building (the
-    /// per-client blinding-vector derivation — the round's hot loop) and
-    /// adjustment derivation run on sharded worker threads; envelopes
-    /// cross the bus in client order regardless, and the backend's
-    /// cell-wise accumulation is associative, so the finalized view is
-    /// bit-identical for every thread count.
     pub fn run_round_on<B: ServiceBus>(
         &mut self,
         backend: &mut ClusterBackend,
@@ -376,8 +319,7 @@ impl EyewnderSystem {
         silent: &[u32],
     ) -> RoundOutcome {
         let params = self.config.cms;
-        let threads = self.config.threads.max(1);
-        let driven = drive_round(&self.clients, backend, bus, params, round, silent, threads);
+        let driven = drive_round(&self.clients, backend, bus, params, round, silent, 1);
         let roster: Vec<u32> = self.clients.iter().map(Client::id).collect();
         self.finish_round(backend, bus, &roster, &driven);
         driven
@@ -494,8 +436,8 @@ impl EyewnderSystem {
     /// [`crate::coordinator::VirtualClock`] schedule produces the same
     /// `EpochOutcome`s as the `LogicalClock` baseline
     /// (`tests/coordinator_soak.rs` pins it), and a fixed schedule
-    /// finalizes bit-identically for every thread count, bus and cluster
-    /// size (`tests/cluster_parity.rs`).
+    /// finalizes bit-identically for every bus and cluster size
+    /// (`tests/cluster_parity.rs`).
     pub fn run_epochs_deadline_on<B: ServiceBus, C: Clock>(
         &mut self,
         backend: &mut ClusterBackend,
@@ -506,7 +448,6 @@ impl EyewnderSystem {
         fault: &CoordinatorFault,
     ) -> Vec<EpochOutcome> {
         let params = self.config.cms;
-        let threads = self.config.threads.max(1);
         let mut outcomes = Vec::with_capacity(schedule.len());
 
         for spec in schedule {
@@ -662,7 +603,7 @@ impl EyewnderSystem {
                     .iter()
                     .map(|&u| &self.clients[u as usize])
                     .collect();
-                drive_round(&members, backend, bus, params, round, &silent, threads)
+                drive_round(&members, backend, bus, params, round, &silent, 1)
             };
             crash_drill(
                 &mut crashed,

@@ -20,9 +20,10 @@
 //!
 //! ## Why thread-local
 //!
-//! The driver thread owns the round loop; client-shard workers never
-//! trace (timings go into histograms via [`crate::telemetry`]
-//! instead). A thread-local recorder therefore needs no locks, and the
+//! A round runs on its driver's thread, so every event of it lands in
+//! that thread's recorder (timings go into histograms via
+//! [`crate::telemetry`] instead). A thread-local recorder therefore
+//! needs no locks, and the
 //! serial-test lane's thread-local ops-trace counters set the
 //! precedent. Enable with [`enable`], harvest with [`snapshot`] or
 //! [`drain`], and turn off with [`disable`].

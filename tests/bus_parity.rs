@@ -1,8 +1,8 @@
 //! The acceptance property of the node-API redesign: `run_round` and
 //! `run_round_on` over wire uplinks are thin drivers over the *same*
 //! `ServiceBus` round state machine, so on a lossless link the in-proc
-//! and wire paths produce **bit-identical** `RoundOutcome`s — for every
-//! thread count, in debug and release (CI runs both).
+//! and wire paths produce **bit-identical** `RoundOutcome`s, in debug
+//! and release (CI runs both).
 //!
 //! Fault coverage on the new bus: reordering must not change the
 //! outcome at all (every report still arrives; backend accumulation is
@@ -21,18 +21,17 @@ const fn seed() -> u64 {
 }
 
 fn driver() -> WeeklyDriver {
-    // 14 users, 28 sites, full Table 1 visit rate: multi-client shards
-    // for every thread count, small enough for debug CI.
+    // 14 users, 28 sites, full Table 1 visit rate: small enough for
+    // debug CI.
     WeeklyDriver::new(seed(), DriverScale::Fraction(35), 14)
 }
 
-fn system(threads: usize, cohort: usize) -> EyewnderSystem {
+fn system(cohort: usize) -> EyewnderSystem {
     EyewnderSystem::new(
         SystemConfig {
             seed: seed(),
             ..SystemConfig::default()
-        }
-        .with_threads(threads),
+        },
         cohort,
     )
 }
@@ -83,45 +82,42 @@ fn ingested_pair(
     scenario: &Scenario,
     log: &ImpressionLog,
     cohort: usize,
-    threads: usize,
 ) -> (EyewnderSystem, EyewnderSystem) {
-    let mut inproc = system(threads, cohort);
+    let mut inproc = system(cohort);
     inproc.ingest(scenario, log);
     // The wire twin also *ingests* over the wire bus: every OPRF batch
     // crosses a framed transport, so envelope encoding is exercised end
     // to end, not just for reports.
-    let mut wire = system(threads, cohort);
-    wire.ingest_on(scenario, log, WireBus::perfect);
+    let mut wire = system(cohort);
+    wire.ingest_on(scenario, log, &mut WireBus::perfect());
     (inproc, wire)
 }
 
 #[test]
-fn lossless_wire_round_bit_identical_to_inproc_for_thread_counts_1_2_4_7() {
-    // Outcomes must stay bit-identical to the single-threaded round
-    // for every client-worker count, in-proc and over the wire alike.
+fn lossless_wire_round_bit_identical_to_inproc() {
+    // Two weeks, in-proc and over the wire: every round, every ad key
+    // and the OPRF accounting must match bit for bit.
     let driver = driver();
     let (scenario, weeks, cohort) = driver.workload(2);
 
-    for threads in [1usize, 2, 4, 7] {
-        let (mut inproc, mut wire) = ingested_pair(scenario, &weeks[0], cohort, threads);
-        for (week, log) in weeks.iter().enumerate() {
-            if week > 0 {
-                inproc.ingest(scenario, log);
-                wire.ingest_on(scenario, log, WireBus::perfect);
-            }
-            let round = week as u64 + 1;
-            let direct = inproc.run_round(round, &[]);
-            let framed = wire_round(&mut wire, round, Some(FaultConfig::perfect()), &[]);
-            assert_eq!(framed.reports, cohort, "threads={threads}");
-            assert_bit_identical(&direct, &framed, &format!("threads={threads} week={week}"));
-            assert_same_ad_keys(&inproc, &wire, log, &format!("threads={threads}"));
+    let (mut inproc, mut wire) = ingested_pair(scenario, &weeks[0], cohort);
+    for (week, log) in weeks.iter().enumerate() {
+        if week > 0 {
+            inproc.ingest(scenario, log);
+            wire.ingest_on(scenario, log, &mut WireBus::perfect());
         }
-        assert_eq!(
-            inproc.oprf_requests(),
-            wire.oprf_requests(),
-            "threads={threads}: enveloped ingest must cost the same OPRF work"
-        );
+        let round = week as u64 + 1;
+        let direct = inproc.run_round(round, &[]);
+        let framed = wire_round(&mut wire, round, Some(FaultConfig::perfect()), &[]);
+        assert_eq!(framed.reports, cohort, "week={week}");
+        assert_bit_identical(&direct, &framed, &format!("week={week}"));
+        assert_same_ad_keys(&inproc, &wire, log, &format!("week={week}"));
     }
+    assert_eq!(
+        inproc.oprf_requests(),
+        wire.oprf_requests(),
+        "enveloped ingest must cost the same OPRF work"
+    );
 }
 
 #[test]
@@ -131,24 +127,22 @@ fn reordering_link_changes_nothing() {
     // *identical* to the in-proc round, not merely "clean".
     let driver = driver();
     let (scenario, weeks, cohort) = driver.workload(1);
-    for threads in [1usize, 4] {
-        let (mut inproc, mut wire) = ingested_pair(scenario, &weeks[0], cohort, threads);
-        let direct = inproc.run_round(1, &[]);
-        let reordered = FaultConfig {
-            reorder_prob: 0.8,
-            seed: 21,
-            ..FaultConfig::perfect()
-        };
-        let framed = wire_round(&mut wire, 1, Some(reordered), &[]);
-        assert_bit_identical(&direct, &framed, &format!("threads={threads}"));
-    }
+    let (mut inproc, mut wire) = ingested_pair(scenario, &weeks[0], cohort);
+    let direct = inproc.run_round(1, &[]);
+    let reordered = FaultConfig {
+        reorder_prob: 0.8,
+        seed: 21,
+        ..FaultConfig::perfect()
+    };
+    let framed = wire_round(&mut wire, 1, Some(reordered), &[]);
+    assert_bit_identical(&direct, &framed, "reordering link");
 }
 
 #[test]
 fn duplicating_link_never_double_counts() {
     let driver = driver();
     let (scenario, weeks, cohort) = driver.workload(1);
-    let (mut inproc, mut wire) = ingested_pair(scenario, &weeks[0], cohort, 1);
+    let (mut inproc, mut wire) = ingested_pair(scenario, &weeks[0], cohort);
     let direct = inproc.run_round(1, &[]);
     let duplicating = FaultConfig {
         duplicate_prob: 1.0,
@@ -174,28 +168,25 @@ fn corrupting_dropping_link_recovers_residue_free_and_deterministically() {
         seed: 23,
     };
 
-    let mut first: Option<RoundOutcome> = None;
-    for threads in [1usize, 4] {
-        let mut wire = system(threads, cohort);
-        wire.ingest_on(scenario, &weeks[0], WireBus::perfect);
-        let outcome = wire_round(&mut wire, 1, Some(fault), &[]);
+    let faulted_round = || {
+        let mut wire = system(cohort);
+        wire.ingest_on(scenario, &weeks[0], &mut WireBus::perfect());
+        wire_round(&mut wire, 1, Some(fault), &[])
+    };
+    let outcome = faulted_round();
+    assert!(
+        outcome.reports < cohort || outcome.corrupt_frames > 0 || outcome.missing.is_empty(),
+        "the harsh link must actually bite (or lose nothing)"
+    );
+    for est in outcome.view.distribution() {
         assert!(
-            outcome.reports < cohort || outcome.corrupt_frames > 0 || outcome.missing.is_empty(),
-            "the harsh link must actually bite (or lose nothing)"
+            est <= cohort as f64 + 5.0,
+            "estimate {est} is blinding residue"
         );
-        for est in outcome.view.distribution() {
-            assert!(
-                est <= cohort as f64 + 5.0,
-                "estimate {est} is blinding residue"
-            );
-        }
-        // Same fault seed, same round stream: the faulty path itself is
-        // deterministic across thread counts.
-        match &first {
-            None => first = Some(outcome),
-            Some(baseline) => assert_bit_identical(baseline, &outcome, "threads=4 vs threads=1"),
-        }
     }
+    // Same fault seed, same round stream: the faulty path itself is
+    // deterministic, run to run.
+    assert_bit_identical(&outcome, &faulted_round(), "second run");
 }
 
 #[test]
@@ -205,7 +196,7 @@ fn silent_clients_and_wire_losses_take_the_same_recovery_path() {
     // ways and compare the finalized views.
     let driver = driver();
     let (scenario, weeks, cohort) = driver.workload(1);
-    let (mut inproc, mut wire) = ingested_pair(scenario, &weeks[0], cohort, 1);
+    let (mut inproc, mut wire) = ingested_pair(scenario, &weeks[0], cohort);
     let silent = [2u32, 9];
     let direct = inproc.run_round(1, &silent);
     assert_eq!(direct.missing, silent);

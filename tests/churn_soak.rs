@@ -9,14 +9,26 @@
 //! * every finalized view is residue-free (all blinding terms cancel)
 //!   no matter how the membership churned around it;
 //! * an identical campaign replays bit-identically, run to run.
+//!
+//! A property test adds the fourth: the order in which joins, leaves
+//! and drops register inside a tick window is unobservable, both in the
+//! coordinator's epoch history and in the finalized views.
 
+use eyewnder::proto::EpochPhase;
 use eyewnder::simnet::{
-    churn_matrix, ChurnCampaign, ChurnConfig, CoordinatorFault, DriverScale, WeeklyDriver,
+    churn_matrix, ChurnCampaign, ChurnConfig, CoordinatorFault, DriverScale, EpochChurn,
+    WeeklyDriver,
 };
 use eyewnder::sketch::CmsParams;
+use eyewnder::system::cluster::RoutingBus;
 use eyewnder::system::{
-    ChurnMetrics, EpochConfig, EpochOutcome, EyewnderSystem, LogicalClock, SystemConfig,
+    ChurnMetrics, Coordinator, EpochConfig, EpochEvent, EpochOutcome, EyewnderSystem, LogicalClock,
+    SystemConfig,
 };
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 const SEED: u64 = 0x50AC_0008;
 
@@ -41,8 +53,7 @@ fn run_campaign(config: ChurnConfig) -> (Vec<EpochOutcome>, ChurnMetrics, ChurnC
             // is independent of the cell count).
             cms: CmsParams::new(4, 512, 0xC1A5),
             ..SystemConfig::default()
-        }
-        .with_threads(2),
+        },
         cohort,
     );
     sys.ingest(scenario, &weeks[0]);
@@ -205,4 +216,210 @@ fn scripted_collapse_campaign_recovers_with_survivors() {
     // either finalizes or is still gathering members, but the
     // coordinator never wedges (outcomes cover the whole schedule).
     assert_eq!(outcomes.len(), config.epochs as usize);
+}
+
+/// The registration-order property's world: 14 users, 28 sites, full
+/// Table 1 visit rate.
+const REGISTRATION_SEED: u64 = 0x00D0_0D1E;
+
+/// The fixed churn schedule the registration-order property drives:
+/// formation, a churn epoch with clean leaves and a silent drop, a
+/// below-`min_clients` collapse, and a refill over the survivors.
+fn churn_schedule() -> Vec<EpochChurn> {
+    let spec = |joins: Vec<u32>, leaves: Vec<u32>, drops: Vec<u32>| EpochChurn {
+        joins,
+        leaves,
+        drops,
+    };
+    vec![
+        spec((0..8).collect(), vec![], vec![]),
+        spec(vec![8, 9], vec![1], vec![2]),
+        // Five of eight drop while one leaves cleanly: 3 < min_clients,
+        // and the pending leave survives the collapse into epoch 4's
+        // admission fold.
+        spec(vec![], vec![5], vec![0, 3, 4, 6, 7]),
+        spec(vec![10, 11], vec![], vec![]),
+    ]
+}
+
+fn shuffle(mut v: Vec<u32>, rng: &mut StdRng) -> Vec<u32> {
+    for i in (1..v.len()).rev() {
+        let j = rng.gen_range(0..i + 1);
+        v.swap(i, j);
+    }
+    v
+}
+
+/// Reorders every epoch's join/leave/drop registration lists — the
+/// within-window delivery orders the coordinator must be blind to.
+fn shuffled_schedule(schedule: &[EpochChurn], rng: &mut StdRng) -> Vec<EpochChurn> {
+    schedule
+        .iter()
+        .map(|spec| EpochChurn {
+            joins: shuffle(spec.joins.clone(), rng),
+            leaves: shuffle(spec.leaves.clone(), rng),
+            drops: shuffle(spec.drops.clone(), rng),
+        })
+        .collect()
+}
+
+/// One epoch of canonical coordinator history:
+/// (epoch, round, collapsed, frozen members, silent set).
+type EpochTrace = (u64, u64, bool, Vec<u32>, Vec<u32>);
+
+/// Drives a bare coordinator through the schedule (no crypto, no bus),
+/// interleaving each report window's leave and drop registrations in
+/// the schedule's order, and records the canonical per-epoch history.
+fn coordinator_trace(schedule: &[EpochChurn]) -> Vec<EpochTrace> {
+    let mut coordinator = Coordinator::new(EpochConfig::default().with_min_clients(4));
+    let mut now = 0u64;
+    let mut trace = Vec::new();
+    for spec in schedule {
+        for &user in &spec.joins {
+            coordinator.register_join(user);
+        }
+        now += 1;
+        let started = coordinator
+            .tick(now)
+            .iter()
+            .any(|e| matches!(e, EpochEvent::EpochStarted { .. }));
+        if !started {
+            trace.push((
+                coordinator.epoch(),
+                coordinator.round(),
+                true,
+                Vec::new(),
+                Vec::new(),
+            ));
+            continue;
+        }
+        while coordinator.phase() == EpochPhase::Warmup {
+            now += 1;
+            coordinator.tick(now);
+        }
+        let (epoch, round) = (coordinator.epoch(), coordinator.round());
+        let members = coordinator.membership().members().to_vec();
+        // Leaves and drops land mid-window, interleaved as given.
+        let mut leaves = spec.leaves.iter();
+        let mut drops = spec.drops.iter();
+        loop {
+            match (leaves.next(), drops.next()) {
+                (None, None) => break,
+                (l, d) => {
+                    if let Some(&user) = l {
+                        coordinator.register_leave(user);
+                    }
+                    if let Some(&user) = d {
+                        coordinator.mark_dropped(user);
+                    }
+                }
+            }
+        }
+        now += 1;
+        let collapsed = coordinator
+            .tick(now)
+            .iter()
+            .any(|e| matches!(e, EpochEvent::Collapsed { .. }));
+        let silent = coordinator.dropped();
+        while coordinator.phase() != EpochPhase::WaitingForMembers {
+            now += 1;
+            coordinator.tick(now);
+        }
+        trace.push((epoch, round, collapsed, members, silent));
+    }
+    trace
+}
+
+/// Runs the full campaign (crypto and all) over a fresh 2-shard
+/// cluster with the given transport.
+fn epoch_campaign(wire: bool, schedule: &[EpochChurn]) -> Vec<EpochOutcome> {
+    let driver = WeeklyDriver::new(REGISTRATION_SEED, DriverScale::Fraction(35), 14);
+    let weeks = driver.weeks(1);
+    let config = SystemConfig {
+        seed: REGISTRATION_SEED,
+        ..SystemConfig::default()
+    };
+    let mut sys = EyewnderSystem::new(config, driver.cohort());
+    sys.ingest(driver.scenario(), &weeks[0]);
+    sys.config.cluster_backends = 2;
+    let map = sys.cluster_map();
+    let mut backend = sys.new_cluster(&map);
+    let mut coordinator = Coordinator::new(EpochConfig::default().with_min_clients(4));
+    let mut clock = LogicalClock::new();
+    let fault = CoordinatorFault::none();
+    if wire {
+        let mut bus = RoutingBus::over_wire(map, None, None);
+        sys.run_epochs_deadline_on(
+            &mut backend,
+            &mut bus,
+            &mut coordinator,
+            &mut clock,
+            schedule,
+            &fault,
+        )
+    } else {
+        let mut bus = RoutingBus::in_proc(map, None);
+        sys.run_epochs_deadline_on(
+            &mut backend,
+            &mut bus,
+            &mut coordinator,
+            &mut clock,
+            schedule,
+            &fault,
+        )
+    }
+}
+
+fn campaign_baseline() -> &'static [EpochOutcome] {
+    static BASELINE: OnceLock<Vec<EpochOutcome>> = OnceLock::new();
+    BASELINE.get_or_init(|| epoch_campaign(false, &churn_schedule()))
+}
+
+proptest! {
+    #[test]
+    fn epoch_registration_order_is_unobservable(seed in any::<u64>(), full in 0u32..16) {
+        // Within a tick window the coordinator accumulates joins,
+        // leaves and drops in sets and folds them only at the tick
+        // boundary, so *any* registration order must produce the same
+        // epoch history. Every case checks the membership plane
+        // (cheap); a slice of cases replays the shuffled schedule
+        // through the full cryptographic campaign — in-proc or wire —
+        // and pins the finalized views bit for bit against the
+        // unshuffled in-proc baseline.
+        let schedule = churn_schedule();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let reordered = shuffled_schedule(&schedule, &mut rng);
+        prop_assert_eq!(coordinator_trace(&schedule), coordinator_trace(&reordered));
+
+        if full == 0 {
+            let wire = seed & 2 != 0;
+            let outcomes = epoch_campaign(wire, &reordered);
+            let baseline = campaign_baseline();
+            prop_assert_eq!(outcomes.len(), baseline.len());
+            for (x, y) in baseline.iter().zip(&outcomes) {
+                prop_assert_eq!(x.epoch, y.epoch);
+                prop_assert_eq!(x.round, y.round);
+                prop_assert_eq!(&x.members, &y.members);
+                prop_assert_eq!(x.collapsed, y.collapsed);
+                let mut dropped = y.dropped.clone();
+                dropped.sort_unstable();
+                let mut base_dropped = x.dropped.clone();
+                base_dropped.sort_unstable();
+                prop_assert_eq!(base_dropped, dropped);
+                match (&x.outcome, &y.outcome) {
+                    (None, None) => {}
+                    (Some(p), Some(q)) => {
+                        prop_assert_eq!(p.reports, q.reports);
+                        prop_assert_eq!(&p.missing, &q.missing);
+                        prop_assert_eq!(&p.view, &q.view);
+                        prop_assert_eq!(
+                            p.view.users_threshold().to_bits(),
+                            q.view.users_threshold().to_bits()
+                        );
+                    }
+                    _ => panic!("wire={wire}: finalization diverged"),
+                }
+            }
+        }
+    }
 }

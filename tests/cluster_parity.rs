@@ -4,7 +4,7 @@
 //! mid-round uplink sever — produces a `RoundOutcome` **bit-identical**
 //! to the single-backend round (`run_round`'s default cluster of one,
 //! itself pinned ≡ the bare `RoundState` walk by `cluster.rs`'s unit
-//! tests), for every cluster size and thread count. Blinded cell
+//! tests), for every cluster size. Blinded cell
 //! accumulation is associative and commutative and key-space ownership
 //! partitions the per-user validation state, so sharding (and a
 //! re-linked uplink) must be unobservable in the output.
@@ -36,15 +36,11 @@ fn driver() -> WeeklyDriver {
     WeeklyDriver::new(seed(), DriverScale::Fraction(40), 12)
 }
 
-fn system(threads: usize, cohort: usize) -> EyewnderSystem {
-    system_cached(
-        threads,
-        cohort,
-        SystemConfig::default().blinding_cache_rounds,
-    )
+fn system(cohort: usize) -> EyewnderSystem {
+    system_cached(cohort, SystemConfig::default().blinding_cache_rounds)
 }
 
-fn system_cached(threads: usize, cohort: usize, cache_rounds: usize) -> EyewnderSystem {
+fn system_cached(cohort: usize, cache_rounds: usize) -> EyewnderSystem {
     EyewnderSystem::new(
         SystemConfig {
             seed: seed(),
@@ -54,8 +50,7 @@ fn system_cached(threads: usize, cohort: usize, cache_rounds: usize) -> Eyewnder
             cms: eyewnder::sketch::CmsParams::new(4, 512, 0xC1A5),
             blinding_cache_rounds: cache_rounds,
             ..SystemConfig::default()
-        }
-        .with_threads(threads),
+        },
         cohort,
     )
 }
@@ -116,33 +111,31 @@ fn replayed(sys: &EyewnderSystem) -> u64 {
 fn clustered_round_bit_identical_to_single_backend_for_backends_1_2_4() {
     // The full matrix: backends {1, 2, 4} (plus a mid-round sever drill
     // per multi-shard size, severing a shard's uplink while the report
-    // stream is in flight) × threads {1, 4} × {in-proc, wire}. Every
-    // cell must reproduce the single-backend round to the last bit.
+    // stream is in flight) × {in-proc, wire}. Every cell must reproduce
+    // the single-backend round to the last bit.
     let driver = driver();
     let (scenario, weeks, cohort) = driver.workload(1);
     let matrix = driver.cluster_matrix(&[1, 2, 4]);
 
-    for threads in [1usize, 4] {
-        let mut sys = system(threads, cohort);
-        sys.ingest(scenario, &weeks[0]);
-        let baseline = sys.run_round(1, &[]);
-        assert_eq!(baseline.reports, cohort);
+    let mut sys = system(cohort);
+    sys.ingest(scenario, &weeks[0]);
+    let baseline = sys.run_round(1, &[]);
+    assert_eq!(baseline.reports, cohort);
 
-        for cluster in &matrix {
-            for wire in [false, true] {
-                let label = format!(
-                    "threads={threads} backends={} failover={:?} wire={wire}",
-                    cluster.backends, cluster.failover
+    for cluster in &matrix {
+        for wire in [false, true] {
+            let label = format!(
+                "backends={} failover={:?} wire={wire}",
+                cluster.backends, cluster.failover
+            );
+            let before = replayed(&sys);
+            let outcome = clustered_round(&mut sys, *cluster, wire, 1, &[]);
+            assert_bit_identical(&baseline, &outcome, &label);
+            if cluster.failover.is_some() {
+                assert!(
+                    replayed(&sys) > before,
+                    "{label}: the sever must have fired"
                 );
-                let before = replayed(&sys);
-                let outcome = clustered_round(&mut sys, *cluster, wire, 1, &[]);
-                assert_bit_identical(&baseline, &outcome, &label);
-                if cluster.failover.is_some() {
-                    assert!(
-                        replayed(&sys) > before,
-                        "{label}: the sever must have fired"
-                    );
-                }
             }
         }
     }
@@ -157,24 +150,22 @@ fn clustered_recovery_round_bit_identical_to_single_backend() {
     let (scenario, weeks, cohort) = driver.workload(1);
     let silent = [2u32, 9];
 
-    for threads in [1usize, 4] {
-        let mut sys = system(threads, cohort);
-        sys.ingest(scenario, &weeks[0]);
-        let baseline = sys.run_round(1, &silent);
-        assert_eq!(baseline.missing, silent);
-        assert_eq!(baseline.reports, cohort - silent.len());
+    let mut sys = system(cohort);
+    sys.ingest(scenario, &weeks[0]);
+    let baseline = sys.run_round(1, &silent);
+    assert_eq!(baseline.missing, silent);
+    assert_eq!(baseline.reports, cohort - silent.len());
 
-        for backends in [1usize, 2, 4] {
-            for wire in [false, true] {
-                let cluster = ClusterScenario {
-                    backends,
-                    failover: None,
-                    restart: None,
-                };
-                let label = format!("threads={threads} backends={backends} wire={wire}");
-                let outcome = clustered_round(&mut sys, cluster, wire, 1, &silent);
-                assert_bit_identical(&baseline, &outcome, &label);
-            }
+    for backends in [1usize, 2, 4] {
+        for wire in [false, true] {
+            let cluster = ClusterScenario {
+                backends,
+                failover: None,
+                restart: None,
+            };
+            let label = format!("backends={backends} wire={wire}");
+            let outcome = clustered_round(&mut sys, cluster, wire, 1, &silent);
+            assert_bit_identical(&baseline, &outcome, &label);
         }
     }
 }
@@ -183,7 +174,7 @@ fn clustered_recovery_round_bit_identical_to_single_backend() {
 fn cached_blinding_clustered_rounds_bit_identical_to_cold_start() {
     // Two weekly rounds with silent clients (each week's recovery
     // adjustments re-derive the missing peers' keystreams) driven through
-    // backends {1, 2} × threads {1, 4} × the accepted-and-ignored
+    // backends {1, 2} × the accepted-and-ignored
     // blinding-cache knob {0, 2} must all reproduce the knob-off
     // single-backend local rounds bit for bit, week 2 included.
     let driver = driver();
@@ -192,7 +183,7 @@ fn cached_blinding_clustered_rounds_bit_identical_to_cold_start() {
 
     let mut baseline = Vec::new();
     {
-        let mut sys = system_cached(1, cohort, 0);
+        let mut sys = system_cached(cohort, 0);
         for (week, log) in weeks.iter().enumerate() {
             sys.ingest(scenario, log);
             baseline.push(sys.run_round(week as u64 + 1, &silent));
@@ -200,24 +191,19 @@ fn cached_blinding_clustered_rounds_bit_identical_to_cold_start() {
     }
     assert_eq!(baseline[0].missing, silent, "recovery path must engage");
 
-    for threads in [1usize, 4] {
-        for backends in [1usize, 2] {
-            for cache_rounds in [0usize, 2] {
-                let mut sys = system_cached(threads, cohort, cache_rounds);
-                for (week, log) in weeks.iter().enumerate() {
-                    sys.ingest(scenario, log);
-                    let cluster = ClusterScenario {
-                        backends,
-                        failover: None,
-                        restart: None,
-                    };
-                    let label = format!(
-                        "threads={threads} backends={backends} cache={cache_rounds} week={week}"
-                    );
-                    let outcome =
-                        clustered_round(&mut sys, cluster, false, week as u64 + 1, &silent);
-                    assert_bit_identical(&baseline[week], &outcome, &label);
-                }
+    for backends in [1usize, 2] {
+        for cache_rounds in [0usize, 2] {
+            let mut sys = system_cached(cohort, cache_rounds);
+            for (week, log) in weeks.iter().enumerate() {
+                sys.ingest(scenario, log);
+                let cluster = ClusterScenario {
+                    backends,
+                    failover: None,
+                    restart: None,
+                };
+                let label = format!("backends={backends} cache={cache_rounds} week={week}");
+                let outcome = clustered_round(&mut sys, cluster, false, week as u64 + 1, &silent);
+                assert_bit_identical(&baseline[week], &outcome, &label);
             }
         }
     }
@@ -235,32 +221,30 @@ fn mid_round_failover_during_recovery_still_finalizes_bit_identically() {
     let silent = [2u32, 9];
     let reports = cohort - silent.len();
 
-    for threads in [1usize, 4] {
-        let mut sys = system(threads, cohort);
-        sys.ingest(scenario, &weeks[0]);
-        let baseline = sys.run_round(1, &silent);
+    let mut sys = system(cohort);
+    sys.ingest(scenario, &weeks[0]);
+    let baseline = sys.run_round(1, &silent);
 
-        for backends in [2usize, 4] {
-            for wire in [false, true] {
-                let cluster = ClusterScenario {
-                    backends,
-                    failover: Some(ShardKill {
-                        shard: (backends - 1) as u32,
-                        // All reports are in flight, plus a few
-                        // adjustments: the sever lands mid-recovery.
-                        after_sends: reports + 3,
-                    }),
-                    restart: None,
-                };
-                let label = format!("threads={threads} backends={backends} wire={wire}");
-                let before = replayed(&sys);
-                let outcome = clustered_round(&mut sys, cluster, wire, 1, &silent);
-                assert!(
-                    replayed(&sys) > before,
-                    "{label}: the sever must have fired"
-                );
-                assert_bit_identical(&baseline, &outcome, &label);
-            }
+    for backends in [2usize, 4] {
+        for wire in [false, true] {
+            let cluster = ClusterScenario {
+                backends,
+                failover: Some(ShardKill {
+                    shard: (backends - 1) as u32,
+                    // All reports are in flight, plus a few
+                    // adjustments: the sever lands mid-recovery.
+                    after_sends: reports + 3,
+                }),
+                restart: None,
+            };
+            let label = format!("backends={backends} wire={wire}");
+            let before = replayed(&sys);
+            let outcome = clustered_round(&mut sys, cluster, wire, 1, &silent);
+            assert!(
+                replayed(&sys) > before,
+                "{label}: the sever must have fired"
+            );
+            assert_bit_identical(&baseline, &outcome, &label);
         }
     }
 }
@@ -281,7 +265,7 @@ const HARSH: FaultConfig = FaultConfig {
 fn lossy_wire_round(backends: usize, failure: Option<ShardFailure>) -> (RoundOutcome, usize, u64) {
     let driver = driver();
     let (scenario, weeks, cohort) = driver.workload(1);
-    let mut sys = system(1, cohort);
+    let mut sys = system(cohort);
     sys.config.cluster_backends = backends;
     sys.ingest(scenario, &weeks[0]);
     let map = sys.cluster_map();
@@ -380,38 +364,36 @@ fn crash_restart_parity_for_every_shard_phase_and_transport() {
     // round log alone (enrollment replica + checkpoint + `Absorbed`
     // replay), at every phase boundary — after reports, after recovery,
     // and mid-replay (a second crash right after the first replay, the
-    // idempotence drill) — across threads {1, 4}, in-proc and over the
-    // wire. Every cell must reproduce the single-backend round to the
-    // last bit: a reboot is not allowed to leave a fingerprint.
+    // idempotence drill) — in-proc and over the wire. Every cell must
+    // reproduce the single-backend round to the last bit: a reboot is
+    // not allowed to leave a fingerprint.
     let driver = driver();
     let (scenario, weeks, cohort) = driver.workload(1);
     let silent = [2u32, 9];
 
-    for threads in [1usize, 4] {
-        let mut sys = system(threads, cohort);
-        sys.ingest(scenario, &weeks[0]);
-        let baseline = sys.run_round(1, &silent);
-        assert_eq!(baseline.missing, silent, "recovery must engage");
+    let mut sys = system(cohort);
+    sys.ingest(scenario, &weeks[0]);
+    let baseline = sys.run_round(1, &silent);
+    assert_eq!(baseline.missing, silent, "recovery must engage");
 
-        for cluster in driver.restart_matrix(&[2, 4]) {
-            let restart = cluster.restart.expect("restart matrix always restarts");
-            for wire in [false, true] {
-                let label = format!(
-                    "threads={threads} backends={} shard={} phase={:?} wire={wire}",
-                    cluster.backends, restart.shard, restart.phase
-                );
-                let outcome = restart_round(&mut sys, cluster.backends, restart, wire, 1, &silent);
-                assert_bit_identical(&baseline, &outcome, &label);
-            }
+    for cluster in driver.restart_matrix(&[2, 4]) {
+        let restart = cluster.restart.expect("restart matrix always restarts");
+        for wire in [false, true] {
+            let label = format!(
+                "backends={} shard={} phase={:?} wire={wire}",
+                cluster.backends, restart.shard, restart.phase
+            );
+            let outcome = restart_round(&mut sys, cluster.backends, restart, wire, 1, &silent);
+            assert_bit_identical(&baseline, &outcome, &label);
         }
-
-        // The drills demonstrably exercised the replay path, and the
-        // unified log ends every round truncated to depth zero.
-        let totals = sys.telemetry().totals();
-        assert!(totals.replayed > 0, "restarts must replay from the log");
-        assert_eq!(totals.journal_depth, 0, "finalize truncates the log");
-        assert!(totals.truncated > 0, "truncation is observable");
     }
+
+    // The drills demonstrably exercised the replay path, and the
+    // unified log ends every round truncated to depth zero.
+    let totals = sys.telemetry().totals();
+    assert!(totals.replayed > 0, "restarts must replay from the log");
+    assert_eq!(totals.journal_depth, 0, "finalize truncates the log");
+    assert!(totals.truncated > 0, "truncation is observable");
 }
 
 #[test]
@@ -422,7 +404,7 @@ fn restart_phases_cover_reports_recovery_and_midreplay() {
     // the same shard — it restarts the same shard twice.
     let driver = driver();
     let (scenario, weeks, cohort) = driver.workload(1);
-    let mut sys = system(1, cohort);
+    let mut sys = system(cohort);
     sys.ingest(scenario, &weeks[0]);
     let baseline = sys.run_round(1, &[]);
 
@@ -539,54 +521,52 @@ fn epoch_churn_campaign_bit_identical_across_the_cluster_matrix() {
     // The tentpole acceptance matrix: a four-epoch churn campaign
     // (joins, a clean leave, silent drops, one below-min_clients
     // collapse, a refill) driven by the tick-based coordinator must
-    // finalize **bit-identically** across backends {1, 2, 4} × threads
-    // {1, 4} × {in-proc, wire}. Membership is logical-time folded, so
-    // neither the transport nor the cluster size nor the worker count
-    // may leave a fingerprint on any epoch's view.
+    // finalize **bit-identically** across backends {1, 2, 4} ×
+    // {in-proc, wire}. Membership is logical-time folded, so neither
+    // the transport nor the cluster size may leave a fingerprint on any
+    // epoch's view.
     let driver = driver();
     let (scenario, weeks, cohort) = driver.workload(1);
     let schedule = churn_schedule();
 
     let mut baseline: Option<Vec<EpochOutcome>> = None;
-    for threads in [1usize, 4] {
-        for backends in [1usize, 2, 4] {
-            for wire in [false, true] {
-                let label = format!("threads={threads} backends={backends} wire={wire}");
-                let mut sys = system(threads, cohort);
-                sys.ingest(scenario, &weeks[0]);
-                let outcomes = epoch_campaign(&mut sys, backends, wire, &schedule);
-                match &baseline {
-                    None => {
-                        // Structural checks once, on the baseline cell:
-                        // the schedule plays out as scripted.
-                        assert_eq!(outcomes.len(), 4, "{label}");
-                        assert_eq!(outcomes[0].members, (0..8).collect::<Vec<u32>>());
-                        assert_eq!(
-                            outcomes[0]
-                                .outcome
-                                .as_ref()
-                                .expect("epoch 1 completes")
-                                .reports,
-                            8
-                        );
-                        let second = outcomes[1].outcome.as_ref().expect("epoch 2 completes");
-                        assert_eq!(second.reports, 9, "clean leaver still reports");
-                        assert_eq!(second.missing, vec![2], "the drop goes silent");
-                        assert!(outcomes[2].collapsed, "epoch 3 falls under min_clients");
-                        assert!(outcomes[2].outcome.is_none(), "no view from a collapse");
-                        assert_eq!(outcomes[3].members, vec![7, 8, 9, 10, 11]);
-                        assert_eq!(
-                            outcomes[3]
-                                .outcome
-                                .as_ref()
-                                .expect("epoch 4 completes")
-                                .reports,
-                            5
-                        );
-                        baseline = Some(outcomes);
-                    }
-                    Some(base) => assert_epochs_identical(base, &outcomes, &label),
+    for backends in [1usize, 2, 4] {
+        for wire in [false, true] {
+            let label = format!("backends={backends} wire={wire}");
+            let mut sys = system(cohort);
+            sys.ingest(scenario, &weeks[0]);
+            let outcomes = epoch_campaign(&mut sys, backends, wire, &schedule);
+            match &baseline {
+                None => {
+                    // Structural checks once, on the baseline cell:
+                    // the schedule plays out as scripted.
+                    assert_eq!(outcomes.len(), 4, "{label}");
+                    assert_eq!(outcomes[0].members, (0..8).collect::<Vec<u32>>());
+                    assert_eq!(
+                        outcomes[0]
+                            .outcome
+                            .as_ref()
+                            .expect("epoch 1 completes")
+                            .reports,
+                        8
+                    );
+                    let second = outcomes[1].outcome.as_ref().expect("epoch 2 completes");
+                    assert_eq!(second.reports, 9, "clean leaver still reports");
+                    assert_eq!(second.missing, vec![2], "the drop goes silent");
+                    assert!(outcomes[2].collapsed, "epoch 3 falls under min_clients");
+                    assert!(outcomes[2].outcome.is_none(), "no view from a collapse");
+                    assert_eq!(outcomes[3].members, vec![7, 8, 9, 10, 11]);
+                    assert_eq!(
+                        outcomes[3]
+                            .outcome
+                            .as_ref()
+                            .expect("epoch 4 completes")
+                            .reports,
+                        5
+                    );
+                    baseline = Some(outcomes);
                 }
+                Some(base) => assert_epochs_identical(base, &outcomes, &label),
             }
         }
     }
@@ -625,14 +605,14 @@ fn epoch_boundary_crash_restart_is_invisible_to_the_campaign() {
     let (scenario, weeks, cohort) = driver.workload(1);
     let schedule = churn_schedule();
 
-    let mut base_sys = system(1, cohort);
+    let mut base_sys = system(cohort);
     base_sys.ingest(scenario, &weeks[0]);
     let baseline = epoch_campaign(&mut base_sys, 2, false, &schedule);
 
     for backends in [2usize, 4] {
         for wire in [false, true] {
             let label = format!("backends={backends} wire={wire}");
-            let mut sys = system(1, cohort);
+            let mut sys = system(cohort);
             sys.ingest(scenario, &weeks[0]);
             sys.config.cluster_backends = backends;
             let map = sys.cluster_map();
@@ -672,11 +652,11 @@ fn clustered_views_serve_audits_like_local_rounds() {
     // they would after a local round.
     let driver = driver();
     let (scenario, weeks, cohort) = driver.workload(1);
-    let mut local = system(1, cohort);
+    let mut local = system(cohort);
     local.ingest(scenario, &weeks[0]);
     local.run_round(1, &[]);
 
-    let mut clustered = system(1, cohort);
+    let mut clustered = system(cohort);
     clustered.config.cluster_backends = 4;
     clustered.ingest(scenario, &weeks[0]);
     clustered.run_round(1, &[]);

@@ -3,9 +3,9 @@
 //!
 //! * **Jitter insensitivity** — any `VirtualClock` step schedule must
 //!   produce `EpochOutcome`s bit-identical to the `LogicalClock`
-//!   baseline, across threads {1, 4} × backends {1, 2, 4} ×
-//!   {in-proc, wire} (a proptest; the CI `coordinator-soak` job runs it
-//!   at `PROPTEST_CASES=256` in release).
+//!   baseline, across backends {1, 2, 4} × {in-proc, wire} (a
+//!   proptest; the CI `coordinator-soak` job runs it at
+//!   `PROPTEST_CASES=256` in release).
 //! * **Crash parity** — a coordinator killed and rebuilt from its
 //!   control-journal checkpoint at *every* lifecycle point (warmup,
 //!   reports, recovery, finalize, mid-grace) must leave campaign
@@ -46,14 +46,13 @@ fn driver() -> WeeklyDriver {
     WeeklyDriver::new(seed(), DriverScale::Fraction(40), 12)
 }
 
-fn system(threads: usize, cohort: usize) -> EyewnderSystem {
+fn system(cohort: usize) -> EyewnderSystem {
     EyewnderSystem::new(
         SystemConfig {
             seed: seed(),
             cms: eyewnder::sketch::CmsParams::new(4, 512, 0xC1A5),
             ..SystemConfig::default()
-        }
-        .with_threads(threads),
+        },
         cohort,
     )
 }
@@ -78,7 +77,6 @@ fn churn_schedule() -> Vec<EpochChurn> {
 /// Runs the campaign through the deadline runner with the given clock,
 /// fault, transport and cluster size.
 fn deadline_campaign<C: Clock>(
-    threads: usize,
     backends: usize,
     wire: bool,
     clock: &mut C,
@@ -87,7 +85,7 @@ fn deadline_campaign<C: Clock>(
 ) -> (Vec<EpochOutcome>, EyewnderSystem) {
     let driver = driver();
     let (scenario, weeks, cohort) = driver.workload(1);
-    let mut sys = system(threads, cohort);
+    let mut sys = system(cohort);
     sys.ingest(scenario, &weeks[0]);
     sys.config.cluster_backends = backends;
     let map = sys.cluster_map();
@@ -117,7 +115,7 @@ fn deadline_campaign<C: Clock>(
     (outcomes, sys)
 }
 
-/// The no-fault, logical-clock, single-thread, single-shard, in-proc
+/// The no-fault, logical-clock, single-shard, in-proc
 /// baseline every cell is held against.
 fn baseline() -> &'static [EpochOutcome] {
     &baseline_with_churn().0
@@ -130,7 +128,6 @@ fn baseline_with_churn() -> &'static (Vec<EpochOutcome>, ChurnMetrics) {
     BASELINE.get_or_init(|| {
         let mut clock = LogicalClock::new();
         let (outcomes, sys) = deadline_campaign(
-            1,
             1,
             false,
             &mut clock,
@@ -186,35 +183,26 @@ fn crash_parity_matrix(phase: CrashPoint) {
     };
     assert_eq!(base_churn.coordinator_restarts, 0);
     assert!(base_churn.epochs_completed > 0 && base_churn.joins > 0);
-    for threads in [1usize, 4] {
-        for backends in [1usize, 2, 4] {
-            for wire in [false, true] {
-                let label =
-                    format!("crash={phase:?} threads={threads} backends={backends} wire={wire}");
-                let mut clock = LogicalClock::new();
-                let (outcomes, sys) = deadline_campaign(
-                    threads,
-                    backends,
-                    wire,
-                    &mut clock,
-                    &fault,
-                    &churn_schedule(),
-                );
-                assert_epochs_identical(base, &outcomes, &label);
-                assert!(
-                    sys.telemetry().totals().coordinator_restarts > 0,
-                    "{label}: the drill must actually restart the coordinator"
-                );
-                // The crash may cost the campaign nothing but the
-                // restart count: every churn counter folded before the
-                // crash point survives it.
-                let churn = sys.telemetry().churn();
-                assert_eq!(
-                    counters(&churn),
-                    counters(base_churn),
-                    "{label}: joins/leaves/drops/deadline_drops/collapses/epochs_completed"
-                );
-            }
+    for backends in [1usize, 2, 4] {
+        for wire in [false, true] {
+            let label = format!("crash={phase:?} backends={backends} wire={wire}");
+            let mut clock = LogicalClock::new();
+            let (outcomes, sys) =
+                deadline_campaign(backends, wire, &mut clock, &fault, &churn_schedule());
+            assert_epochs_identical(base, &outcomes, &label);
+            assert!(
+                sys.telemetry().totals().coordinator_restarts > 0,
+                "{label}: the drill must actually restart the coordinator"
+            );
+            // The crash may cost the campaign nothing but the restart
+            // count: every churn counter folded before the crash point
+            // survives it.
+            let churn = sys.telemetry().churn();
+            assert_eq!(
+                counters(&churn),
+                counters(base_churn),
+                "{label}: joins/leaves/drops/deadline_drops/collapses/epochs_completed"
+            );
         }
     }
 }
@@ -261,7 +249,7 @@ fn late_reports_inside_the_grace_window_are_parked_never_dropped() {
     };
     let schedule = churn_schedule();
     let mut clock = LogicalClock::new();
-    let (outcomes, sys) = deadline_campaign(1, 2, false, &mut clock, &fault, &schedule);
+    let (outcomes, sys) = deadline_campaign(2, false, &mut clock, &fault, &schedule);
 
     // Epoch 1 forms over members 0..8; the storm victimises a fixed,
     // deterministic slice of them.
@@ -313,7 +301,7 @@ fn late_reports_beyond_the_grace_window_are_refused() {
     };
     let schedule = churn_schedule();
     let mut clock = LogicalClock::new();
-    let (outcomes, sys) = deadline_campaign(1, 2, false, &mut clock, &fault, &schedule);
+    let (outcomes, sys) = deadline_campaign(2, false, &mut clock, &fault, &schedule);
 
     let victims = storm.victims(1, outcomes[0].members.as_slice());
     assert!(!victims.is_empty(), "the storm must bite");
@@ -359,17 +347,10 @@ fn randomized_crash_and_deadline_schedule_is_deterministic() {
         let label = format!("case={case} crash={phase:?} storm={with_storm} backends={backends}");
 
         let mut first_clock = VirtualClock::new(steps.clone());
-        let (first, _) = deadline_campaign(
-            2,
-            backends,
-            false,
-            &mut first_clock,
-            &fault,
-            &churn_schedule(),
-        );
+        let (first, _) =
+            deadline_campaign(backends, false, &mut first_clock, &fault, &churn_schedule());
         let mut second_clock = VirtualClock::new(steps);
         let (second, _) = deadline_campaign(
-            2,
             backends,
             false,
             &mut second_clock,
@@ -400,7 +381,7 @@ fn crash_drill_leaves_the_flight_recorder_causality_chain() {
     };
     trace::enable(8192);
     let mut clock = LogicalClock::new();
-    let (outcomes, _) = deadline_campaign(1, 2, false, &mut clock, &fault, &churn_schedule());
+    let (outcomes, _) = deadline_campaign(2, false, &mut clock, &fault, &churn_schedule());
     let events = trace::drain();
     trace::disable();
     assert_epochs_identical(baseline(), &outcomes, "crash drill with tracing on");
@@ -471,11 +452,11 @@ fn campaign_outcomes_are_bit_identical_with_tracing_on() {
         }),
     };
     let mut clock = LogicalClock::new();
-    let (quiet, _) = deadline_campaign(2, 2, false, &mut clock, &fault, &churn_schedule());
+    let (quiet, _) = deadline_campaign(2, false, &mut clock, &fault, &churn_schedule());
 
     trace::enable(1024); // deliberately small: overwrite pressure included
     let mut clock = LogicalClock::new();
-    let (traced, _) = deadline_campaign(2, 2, false, &mut clock, &fault, &churn_schedule());
+    let (traced, _) = deadline_campaign(2, false, &mut clock, &fault, &churn_schedule());
     trace::disable();
 
     assert_epochs_identical(&quiet, &traced, "tracing on vs off");
@@ -498,19 +479,17 @@ proptest! {
         // The tentpole property: deadline transitions fire at the first
         // tick at or past the deadline and grace is compared logically,
         // so clock jitter is unobservable in campaign outcomes. Each
-        // case derives a jitter schedule and one (threads, backends,
-        // transport) cell from its seed; across the case budget the
-        // full {1, 4} × {1, 2, 4} × {in-proc, wire} matrix is swept.
+        // case derives a jitter schedule and one (backends, transport)
+        // cell from its seed; across the case budget the full
+        // {1, 2, 4} × {in-proc, wire} matrix is swept.
         let mut rng = StdRng::seed_from_u64(seed);
         let steps: Vec<u64> = (0..48).map(|_| rng.gen_range(1..7)).collect();
-        let threads = if seed & 1 == 0 { 1 } else { 4 };
         let backends = [1usize, 2, 4][(seed >> 1) as usize % 3];
         let wire = seed & 8 != 0;
-        let label = format!("threads={threads} backends={backends} wire={wire}");
+        let label = format!("backends={backends} wire={wire}");
 
         let mut clock = VirtualClock::new(steps);
         let (outcomes, _) = deadline_campaign(
-            threads,
             backends,
             wire,
             &mut clock,

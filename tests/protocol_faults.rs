@@ -3,7 +3,9 @@
 
 use eyewnder::bigint::UBig;
 use eyewnder::core::ThresholdPolicy;
-use eyewnder::proto::{channel_pair, error_code, Envelope, FaultConfig, Message, NodeId, ShardMap};
+use eyewnder::proto::{
+    channel_pair, error_code, Envelope, FaultConfig, Message, NodeId, ShardMap, TransportError,
+};
 use eyewnder::simnet::{Scenario, ScenarioConfig};
 use eyewnder::sketch::CmsParams;
 use eyewnder::system::backend::RoundError;
@@ -192,6 +194,68 @@ fn malformed_adjustment_is_answered_not_fatal() {
     );
     let (to_1, _) = bus.drain(NodeId::Client(1));
     assert!(to_1.is_empty(), "client 1's adjustment was accepted");
+}
+
+/// An uplink that is either dead (every send is `Disconnected`) or a
+/// working in-process link.
+enum Link {
+    Dead,
+    Live(InProcBus),
+}
+
+impl ServiceBus for Link {
+    fn send(&mut self, dest: NodeId, env: Envelope) -> Result<(), TransportError> {
+        match self {
+            Link::Dead => Err(TransportError::Disconnected),
+            Link::Live(bus) => bus.send(dest, env),
+        }
+    }
+
+    fn drain(&mut self, dest: NodeId) -> (Vec<Envelope>, usize) {
+        match self {
+            Link::Dead => (Vec::new(), 0),
+            Link::Live(bus) => bus.drain(dest),
+        }
+    }
+}
+
+#[test]
+fn unsendable_report_makes_its_sender_missing() {
+    // Links are built in order: shard 0's uplink, shard 1's, the side
+    // bus, then one per re-link. Shard 1's uplink and its first
+    // replacement are dead, so the first report routed to shard 1 cannot
+    // be sent at all; the second replacement carries everything after
+    // it. The lost report is a dropped frame, not a panic: its sender
+    // goes missing and recovery cancels its blinding.
+    let (_s, _log, mut sys) = world(7);
+    let map = ShardMap::uniform(2);
+    let mut made = 0usize;
+    let mut bus = RoutingBus::with_links(map.clone(), None, move || {
+        made += 1;
+        if made == 2 || made == 4 {
+            Link::Dead
+        } else {
+            Link::Live(InProcBus::new())
+        }
+    });
+    let mut backend = sys.new_cluster(&map);
+    let outcome = sys.run_round_on(&mut backend, &mut bus, 1, &[]);
+
+    let lost = (0..14u32)
+        .find(|&user| map.owner_of(user) == 1)
+        .expect("shard 1 owns a client");
+    let (_s, _log, mut silent_sys) = world(7);
+    let silent = silent_sys.run_round(1, &[lost]);
+    assert_eq!(outcome.missing, vec![lost]);
+    assert_eq!(outcome.round, silent.round);
+    assert_eq!(outcome.reports, silent.reports);
+    assert_eq!(outcome.missing, silent.missing);
+    assert_eq!(outcome.corrupt_frames, silent.corrupt_frames);
+    assert_eq!(outcome.view, silent.view);
+    assert_eq!(
+        outcome.view.users_threshold().to_bits(),
+        silent.view.users_threshold().to_bits()
+    );
 }
 
 #[test]

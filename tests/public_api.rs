@@ -241,9 +241,7 @@ fn count_in_system_code(root: &Path, needle: &str) -> usize {
 #[test]
 fn one_aggregation_backend() {
     // `ClusterBackend` is the one `AggregationBackend` — a single node is
-    // a cluster of one — and it absorbs a batch serially: the client
-    // shard is the system's one unit of fan-out. Neither the one-node
-    // twin nor the cluster's concurrent absorb may come back.
+    // a cluster of one. The one-node twin may not come back.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     // In two halves so a repository-wide grep for the retired type
     // stays empty.
@@ -257,9 +255,25 @@ fn one_aggregation_backend() {
         1,
         "a second aggregation backend"
     );
+}
+
+#[test]
+fn one_thread_per_round() {
+    // A week's ingest and every round run on the calling thread, client
+    // by client, as each client is its own browser in the paper. Neither
+    // a client-shard fan-out, a cluster absorb over threads, nor the
+    // config knob that selected them may come back.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    for fan_out in ["map_shards", "thread::scope", "spawn("] {
+        assert_eq!(
+            count_in_system_code(&root, fan_out),
+            0,
+            "ew-system fans work out over threads again ({fan_out})"
+        );
+    }
     assert!(
-        !non_test_code(&root.join("crates/ew-system/src/cluster.rs")).contains("map_shards"),
-        "the cluster fans its absorb out over threads again"
+        !surface(&root).contains("with_threads"),
+        "with_threads is back in the public API"
     );
 }
 
