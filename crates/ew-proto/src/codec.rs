@@ -99,21 +99,6 @@ pub fn get_u32_vec(buf: &mut impl Buf) -> Result<Vec<u32>, CodecError> {
     Ok(out)
 }
 
-/// Reads a length-prefixed `u64` vector (the telemetry service's
-/// per-phase timing columns).
-pub fn get_u64_vec(buf: &mut impl Buf) -> Result<Vec<u64>, CodecError> {
-    let len = get_u32(buf)? as usize;
-    if len.saturating_mul(8) > MAX_FIELD_LEN {
-        return Err(CodecError::FieldTooLarge(len));
-    }
-    need(buf, len * 8)?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(buf.get_u64_le());
-    }
-    Ok(out)
-}
-
 /// Reads a length-prefixed `u32`-element id list (same wire shape as
 /// [`get_u32_vec`], separate name for clarity at call sites).
 pub fn get_user_list(buf: &mut impl Buf) -> Result<Vec<u32>, CodecError> {
@@ -178,15 +163,6 @@ pub fn put_u32_vec(buf: &mut impl BufMut, data: &[u32]) {
     }
 }
 
-/// Writes a length-prefixed `u64` slice.
-pub fn put_u64_vec(buf: &mut impl BufMut, data: &[u64]) {
-    debug_assert!(data.len() * 8 <= MAX_FIELD_LEN);
-    buf.put_u32_le(data.len() as u32);
-    for &v in data {
-        buf.put_u64_le(v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,22 +186,9 @@ mod tests {
         let mut buf = Vec::new();
         put_bytes(&mut buf, b"hello");
         put_u32_vec(&mut buf, &[1, 2, 3]);
-        put_u64_vec(&mut buf, &[u64::MAX, 0, 7]);
         let mut r = &buf[..];
         assert_eq!(get_bytes(&mut r).unwrap(), b"hello");
         assert_eq!(get_u32_vec(&mut r).unwrap(), vec![1, 2, 3]);
-        assert_eq!(get_u64_vec(&mut r).unwrap(), vec![u64::MAX, 0, 7]);
-    }
-
-    #[test]
-    fn hostile_u64_vec_length_rejected() {
-        let mut buf = Vec::new();
-        buf.put_u32_le(u32::MAX);
-        let mut r = &buf[..];
-        assert!(matches!(
-            get_u64_vec(&mut r),
-            Err(CodecError::FieldTooLarge(_))
-        ));
     }
 
     #[test]

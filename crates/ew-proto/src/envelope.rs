@@ -34,9 +34,9 @@ pub const ENVELOPE_VERSION: u8 = 0xE1;
 /// Envelope header size: version, sender tag, sender id, round.
 const HEADER_LEN: usize = 1 + 1 + 4 + 8;
 
-/// The node roles of the paper's Figure 1 (plus the cluster's telemetry
-/// sidecar), as wire-addressable identities. `Client` carries the user
-/// id; the servers are singletons.
+/// The node roles of the paper's Figure 1 (plus the simulator's epoch
+/// coordinator), as wire-addressable identities. `Client` carries the
+/// user id; the servers are singletons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeId {
     /// A browser-extension client (user id).
@@ -45,9 +45,6 @@ pub enum NodeId {
     Backend,
     /// The OPRF front-end.
     Oprf,
-    /// The telemetry role service (answers `MetricsQuery` with the
-    /// replay-path counter snapshot).
-    Telemetry,
     /// The epoch coordinator role service (owns the tick-driven epoch
     /// state machine and the versioned membership ledger).
     Coordinator,
@@ -57,7 +54,8 @@ mod sender_tag {
     pub const CLIENT: u8 = 0x01;
     pub const BACKEND: u8 = 0x02;
     pub const OPRF: u8 = 0x03;
-    pub const TELEMETRY: u8 = 0x04;
+    // 0x04 (the telemetry sidecar; telemetry is read in process) is
+    // retired, never reassigned: it decodes to `BadTag`.
     pub const COORDINATOR: u8 = 0x05;
 }
 
@@ -67,7 +65,6 @@ impl std::fmt::Display for NodeId {
             NodeId::Client(id) => write!(f, "client:{id}"),
             NodeId::Backend => write!(f, "backend"),
             NodeId::Oprf => write!(f, "oprf-server"),
-            NodeId::Telemetry => write!(f, "telemetry"),
             NodeId::Coordinator => write!(f, "coordinator"),
         }
     }
@@ -138,10 +135,6 @@ impl Envelope {
                 buf.put_u8(sender_tag::OPRF);
                 buf.put_u32_le(0);
             }
-            NodeId::Telemetry => {
-                buf.put_u8(sender_tag::TELEMETRY);
-                buf.put_u32_le(0);
-            }
             NodeId::Coordinator => {
                 buf.put_u8(sender_tag::COORDINATOR);
                 buf.put_u32_le(0);
@@ -166,7 +159,6 @@ impl Envelope {
             sender_tag::CLIENT => NodeId::Client(id),
             sender_tag::BACKEND => NodeId::Backend,
             sender_tag::OPRF => NodeId::Oprf,
-            sender_tag::TELEMETRY => NodeId::Telemetry,
             sender_tag::COORDINATOR => NodeId::Coordinator,
             other => return Err(CodecError::BadTag(other)),
         };
@@ -210,8 +202,16 @@ mod tests {
                     hint: None,
                 },
             ),
-            Envelope::new(NodeId::Telemetry, 5, Message::MetricsQuery { round: 5 }),
-            Envelope::new(NodeId::Coordinator, 6, Message::Tick { now: 41 }),
+            Envelope::new(NodeId::Client(19), 6, Message::Join { user: 19, epoch: 2 }),
+            Envelope::new(
+                NodeId::Coordinator,
+                6,
+                Message::Error {
+                    code: crate::message::error_code::NOT_ENROLLED,
+                    detail: "user 19 is not enrolled".to_string(),
+                    hint: None,
+                },
+            ),
             Envelope::new(
                 NodeId::Client(u32::MAX),
                 u64::MAX,
@@ -253,6 +253,14 @@ mod tests {
         let mut encoded = samples()[0].encode();
         encoded[1] = 0x7F;
         assert_eq!(Envelope::decode(&encoded), Err(CodecError::BadTag(0x7F)));
+    }
+
+    #[test]
+    fn retired_sender_tag_decodes_to_bad_tag() {
+        // 0x04 was the telemetry sidecar's tag: retired, never reassigned.
+        let mut encoded = samples()[0].encode();
+        encoded[1] = 0x04;
+        assert_eq!(Envelope::decode(&encoded), Err(CodecError::BadTag(0x04)));
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub enum JournalEvent {
         members: Vec<u32>,
     },
     /// A membership ledger became current (a successor installed at
-    /// admission, or a wire-adopted newer `EpochState`).
+    /// admission or at the roster freeze).
     MembershipInstalled {
         /// The installed ledger version.
         version: u32,
@@ -134,8 +134,7 @@ pub enum JournalEvent {
         phase: u8,
         /// The installed membership ledger's version.
         version: u32,
-        /// The epoch the installed ledger was stamped for (can trail
-        /// `epoch` after a wire-adopted `EpochState`).
+        /// The epoch the installed ledger was stamped for.
         ledger_epoch: u64,
         /// The installed ledger's admission threshold.
         min_clients: u32,

@@ -30,9 +30,12 @@
 //! Payloads are [`Message`]s encoded with explicit little-endian codecs
 //! ([`codec`]). Wire tags, journal record tags and [`error_code`]s are
 //! append-only; a retired one is never reassigned. Retired message tags
-//! `0x02`, `0x03`, `0x0C`, `0x0D` and `0x0F` (the mid-round shard-map
-//! update) and journal record tag `0x03` (the shard adoption marker)
-//! decode to `BadTag`; error codes 3, 6 and 8 are reserved.
+//! `0x02`, `0x03`, `0x0C`, `0x0D`, `0x0F` (the mid-round shard-map
+//! update), `0x10`/`0x11` (the telemetry query / reply) and `0x14`/`0x15`
+//! (the coordinator's tick and epoch-state broadcast), sender tag `0x04`
+//! (the telemetry sidecar) and journal record tag `0x03` (the shard
+//! adoption marker) decode to `BadTag`; error codes 3, 6, 8 and 11 are
+//! reserved.
 
 pub mod cluster;
 pub mod codec;
@@ -54,5 +57,5 @@ pub use fault::{FaultConfig, FaultyLink};
 pub use framing::{FrameDecoder, FrameError, MAGIC};
 pub use journal::{JournalEvent, JournalRecord};
 pub use membership::{EpochPhase, Membership, MembershipError, MAX_MEMBERS};
-pub use message::{error_code, AdmissionHint, HistogramSnapshot, Message};
+pub use message::{error_code, AdmissionHint, Message};
 pub use transport::{channel_pair, Endpoint, TransportError};

@@ -2,17 +2,16 @@
 //! an epoch, and the epoch phase machine their participation moves
 //! through.
 //!
-//! The ledger is a versioned, wire-encodable piece of shared truth that
-//! every node re-agrees on through the protocol
-//! ([`crate::Message::EpochState`]) rather than shared memory. Receivers
-//! adopt strictly newer versions, ignore byte-identical re-broadcasts
-//! of the current one, and answer older or conflicting ledgers with
-//! [`crate::error_code::STALE_MEMBERSHIP`].
+//! The ledger is versioned: every installed roster is one version above
+//! the last, so a journaled ledger is totally ordered. It travels only
+//! in the coordinator's journal record
+//! ([`crate::JournalEvent::CoordinatorState`]), which a restarted
+//! coordinator decodes and validates through [`Membership::from_wire`].
 
 use std::collections::BTreeSet;
 
-/// Upper bound on the member count a wire-received ledger will carry,
-/// so a hostile `EpochState` cannot force a huge allocation.
+/// Upper bound on the member count a decoded ledger will carry, so a
+/// hostile journal record cannot force a huge allocation.
 pub const MAX_MEMBERS: u32 = 4_000_000;
 
 /// Rejection reasons for malformed or impossible membership ledgers.
@@ -25,7 +24,7 @@ pub enum MembershipError {
     Unsorted,
     /// The member count exceeded [`MAX_MEMBERS`].
     TooManyMembers(usize),
-    /// An `EpochState` carried an unknown phase byte.
+    /// A journaled coordinator state carried an unknown phase byte.
     BadPhase(u8),
 }
 
@@ -90,7 +89,8 @@ mod phase_tag {
 }
 
 impl EpochPhase {
-    /// The phase's wire byte (carried in [`crate::Message::EpochState`]).
+    /// The phase's wire byte (carried in the journaled coordinator
+    /// state).
     pub fn as_wire(self) -> u8 {
         match self {
             EpochPhase::WaitingForMembers => phase_tag::WAITING_FOR_MEMBERS,
@@ -135,8 +135,8 @@ impl std::fmt::Display for EpochPhase {
 /// the ledger version that stamps every change.
 ///
 /// Members are held strictly ascending and deduplicated — the canonical
-/// form both for wire encoding (so byte-identical re-broadcasts are
-/// recognizable) and for deterministic iteration in the round driver.
+/// form both for the journaled encoding (so equal ledgers encode to
+/// equal bytes) and for deterministic iteration in the round driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Membership {
     version: u32,
@@ -175,7 +175,7 @@ impl Membership {
         }
     }
 
-    /// Validates a ledger received in an `EpochState` message. Rejects
+    /// Validates a ledger decoded from a journal record. Rejects
     /// zero thresholds, oversized rosters and non-canonical (unsorted
     /// or duplicated) member lists before anything trusts them.
     pub fn from_wire(

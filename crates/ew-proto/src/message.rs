@@ -3,9 +3,8 @@
 //! fault-tolerance exchange of §6).
 
 use crate::codec::{
-    get_bytes, get_bytes_list, get_f64, get_string, get_u32, get_u32_vec, get_u64, get_u64_vec,
-    get_u8, get_user_list, put_bytes, put_bytes_list, put_string, put_u32_vec, put_u64_vec,
-    CodecError,
+    get_bytes, get_bytes_list, get_f64, get_string, get_u32, get_u32_vec, get_u64, get_u8,
+    get_user_list, put_bytes, put_bytes_list, put_string, put_u32_vec, CodecError,
 };
 use bytes::BufMut;
 
@@ -37,10 +36,7 @@ pub mod error_code {
     /// has already finalized or collapsed — the epoch is closed and its
     /// roster immutable.
     pub const EPOCH_CLOSED: u32 = 10;
-    /// An `EpochState` broadcast carried an older membership version
-    /// than the receiver already holds, or an equal version with a
-    /// conflicting roster.
-    pub const STALE_MEMBERSHIP: u32 = 11;
+    // 11 (stale membership broadcast) is retired, never reassigned.
 }
 
 /// Structured retry guidance carried by an
@@ -58,24 +54,6 @@ pub struct AdmissionHint {
     /// coordinator's estimate of when the next fold point (phase
     /// deadline or admission tick) comes around.
     pub retry_after: u64,
-}
-
-/// The sparse wire form of a log2 latency histogram — the PR 10
-/// append-only extension of [`Message::MetricsReply`]. Only non-empty
-/// buckets travel; `kind` names the histogram family (the consuming
-/// system's `hist_kind` registry) and is forwarded opaquely, so new
-/// families are a sender-side addition only.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Which histogram family this is (append-only registry).
-    pub kind: u8,
-    /// Total samples recorded.
-    pub count: u64,
-    /// Sum of all recorded samples.
-    pub sum: u64,
-    /// `(bucket_index, occupancy)` for every non-empty log2 bucket,
-    /// ascending by index.
-    pub buckets: Vec<(u8, u64)>,
 }
 
 /// All protocol messages. Group elements travel as big-endian byte
@@ -166,68 +144,15 @@ pub enum Message {
         /// CMS estimate of `#Users(ad)`.
         estimate: u32,
     },
-    /// Any node → telemetry service: ask for the current replay-path
-    /// counter snapshot (so the journal/replay machinery is observable
-    /// rather than trusted).
-    MetricsQuery {
-        /// Aggregation round the caller is interested in (0 for "the
-        /// service's lifetime totals" — the reply echoes it verbatim).
-        round: u64,
-    },
-    /// Telemetry service → peer: the counter snapshot.
-    MetricsReply {
-        /// Echoed round from the query.
-        round: u64,
-        /// Data-plane envelopes routed through the bus.
-        routed: u64,
-        /// Envelopes re-delivered: in-flight re-sends after an uplink
-        /// sever, or restart replay from the round log.
-        replayed: u64,
-        /// Replay deliveries skipped because the log already held a
-        /// matching `Absorbed` record (the exactly-once dedupe).
-        deduped: u64,
-        /// Current journal depth (records above the snapshot watermark).
-        journal_depth: u64,
-        /// Journal records dropped by watermark truncation so far.
-        truncated: u64,
-        /// Deepest backend mailbox observed at a drain.
-        queue_depth: u64,
-        /// Cumulative busy nanoseconds per round phase, indexed in phase
-        /// order (open, reports, recovery, finalize). Timings are
-        /// wall-clock and intentionally excluded from determinism
-        /// comparisons.
-        phase_nanos: Vec<u64>,
-        /// Post-finalize reports parked during a grace window instead of
-        /// being dropped (appended in PR 9; fields are append-only like
-        /// tags).
-        late_reports_parked: u64,
-        /// Stragglers folded into the silent set because they blew the
-        /// report deadline.
-        deadline_drops: u64,
-        /// Coordinator cold restarts rebuilt from the journaled epoch
-        /// state.
-        coordinator_restarts: u64,
-        /// Cumulative wall-clock nanoseconds per **epoch** phase,
-        /// indexed in coordinator phase order (waiting, warmup,
-        /// reports, recovery, finalize, grace) — appended in PR 10 so
-        /// epochs are timed, not just ticked.
-        epoch_phase_nanos: Vec<u64>,
-        /// Latency histograms (sparse log2 buckets), one per observed
-        /// family in `kind` order. Appended in PR 10; receivers skip
-        /// unknown kinds, and **trailing bytes after this field are
-        /// tolerated** so future append-only extensions of this one
-        /// variant decode on today's readers.
-        hists: Vec<HistogramSnapshot>,
-    },
     /// Client → coordinator: ask to participate in the aggregation.
     /// Joins received mid-epoch land in the **next** epoch's pending
-    /// set; the coordinator confirms (or not) through the next
-    /// [`Message::EpochState`] broadcast.
+    /// set; the sender learns it was admitted when that epoch's frozen
+    /// roster reaches it.
     Join {
         /// The joining user id.
         user: u32,
         /// The epoch the sender believes is current (0 when it has
-        /// never seen an `EpochState`; a closed epoch is answered with
+        /// never been admitted; a closed epoch is answered with
         /// [`error_code::EPOCH_CLOSED`]).
         epoch: u64,
     },
@@ -240,33 +165,6 @@ pub enum Message {
         user: u32,
         /// The epoch the sender believes is current.
         epoch: u64,
-    },
-    /// Driver → coordinator: one logical clock edge. All deadline-based
-    /// phase advancement happens inside `tick(now)` — no wall clock —
-    /// so epoch timing is deterministic and replayable.
-    Tick {
-        /// The logical time of this edge (caller-supplied, monotone).
-        now: u64,
-    },
-    /// Coordinator → peers: the epoch state machine's current phase and
-    /// the versioned membership ledger backing it. Versions only ever
-    /// grow; receivers adopt newer ledgers, ignore byte-identical
-    /// re-broadcasts and answer older or conflicting ones with
-    /// [`error_code::STALE_MEMBERSHIP`].
-    EpochState {
-        /// The epoch this state describes.
-        epoch: u64,
-        /// The current phase as a wire byte (see
-        /// `ew_proto::membership::EpochPhase`).
-        phase: u8,
-        /// The aggregation round this epoch drives.
-        round: u64,
-        /// The membership ledger version.
-        version: u32,
-        /// The epoch's admission threshold.
-        min_clients: u32,
-        /// The ledger's member ids, ascending and deduplicated.
-        members: Vec<u32>,
     },
     /// Any node → peer: an explicit rejection, so peers can distinguish
     /// "the network dropped my request" from "the service refused it".
@@ -304,12 +202,13 @@ mod tag {
     pub const ERROR: u8 = 0x0E;
     // 0x0F (the mid-round shard-map update; a map no longer changes
     // while a round is open) is retired, never reassigned: `BadTag`.
-    pub const METRICS_QUERY: u8 = 0x10;
-    pub const METRICS_REPLY: u8 = 0x11;
+    // 0x10 / 0x11 (the telemetry query / reply; telemetry is read in
+    // process) are retired, never reassigned: `BadTag`.
     pub const JOIN: u8 = 0x12;
     pub const LEAVE: u8 = 0x13;
-    pub const TICK: u8 = 0x14;
-    pub const EPOCH_STATE: u8 = 0x15;
+    // 0x14 / 0x15 (the coordinator's tick and epoch-state broadcast;
+    // the driver ticks it by direct call) are retired, never
+    // reassigned: `BadTag`.
 }
 
 impl Message {
@@ -326,12 +225,8 @@ impl Message {
             Message::ThresholdBroadcast { .. } => "ThresholdBroadcast",
             Message::UsersQuery { .. } => "UsersQuery",
             Message::UsersReply { .. } => "UsersReply",
-            Message::MetricsQuery { .. } => "MetricsQuery",
-            Message::MetricsReply { .. } => "MetricsReply",
             Message::Join { .. } => "Join",
             Message::Leave { .. } => "Leave",
-            Message::Tick { .. } => "Tick",
-            Message::EpochState { .. } => "EpochState",
             Message::Error { .. } => "Error",
         }
     }
@@ -433,40 +328,6 @@ impl Message {
                 buf.put_u64_le(*ad);
                 buf.put_u32_le(*estimate);
             }
-            Message::MetricsQuery { round } => {
-                buf.put_u8(tag::METRICS_QUERY);
-                buf.put_u64_le(*round);
-            }
-            Message::MetricsReply {
-                round,
-                routed,
-                replayed,
-                deduped,
-                journal_depth,
-                truncated,
-                queue_depth,
-                phase_nanos,
-                late_reports_parked,
-                deadline_drops,
-                coordinator_restarts,
-                epoch_phase_nanos,
-                hists,
-            } => {
-                buf.put_u8(tag::METRICS_REPLY);
-                buf.put_u64_le(*round);
-                buf.put_u64_le(*routed);
-                buf.put_u64_le(*replayed);
-                buf.put_u64_le(*deduped);
-                buf.put_u64_le(*journal_depth);
-                buf.put_u64_le(*truncated);
-                buf.put_u64_le(*queue_depth);
-                put_u64_vec(buf, phase_nanos);
-                buf.put_u64_le(*late_reports_parked);
-                buf.put_u64_le(*deadline_drops);
-                buf.put_u64_le(*coordinator_restarts);
-                put_u64_vec(buf, epoch_phase_nanos);
-                put_hist_list(buf, hists);
-            }
             Message::Join { user, epoch } => {
                 buf.put_u8(tag::JOIN);
                 buf.put_u32_le(*user);
@@ -476,26 +337,6 @@ impl Message {
                 buf.put_u8(tag::LEAVE);
                 buf.put_u32_le(*user);
                 buf.put_u64_le(*epoch);
-            }
-            Message::Tick { now } => {
-                buf.put_u8(tag::TICK);
-                buf.put_u64_le(*now);
-            }
-            Message::EpochState {
-                epoch,
-                phase,
-                round,
-                version,
-                min_clients,
-                members,
-            } => {
-                buf.put_u8(tag::EPOCH_STATE);
-                buf.put_u64_le(*epoch);
-                buf.put_u8(*phase);
-                buf.put_u64_le(*round);
-                buf.put_u32_le(*version);
-                buf.put_u32_le(*min_clients);
-                put_u32_vec(buf, members);
             }
             Message::Error { code, detail, hint } => {
                 buf.put_u8(tag::ERROR);
@@ -561,36 +402,6 @@ impl Message {
                 ad: get_u64(buf)?,
                 estimate: get_u32(buf)?,
             },
-            tag::METRICS_QUERY => Message::MetricsQuery {
-                round: get_u64(buf)?,
-            },
-            tag::METRICS_REPLY => {
-                let msg = Message::MetricsReply {
-                    round: get_u64(buf)?,
-                    routed: get_u64(buf)?,
-                    replayed: get_u64(buf)?,
-                    deduped: get_u64(buf)?,
-                    journal_depth: get_u64(buf)?,
-                    truncated: get_u64(buf)?,
-                    queue_depth: get_u64(buf)?,
-                    phase_nanos: get_u64_vec(buf)?,
-                    late_reports_parked: get_u64(buf)?,
-                    deadline_drops: get_u64(buf)?,
-                    coordinator_restarts: get_u64(buf)?,
-                    epoch_phase_nanos: get_u64_vec(buf)?,
-                    hists: get_hist_list(buf)?,
-                };
-                // Forward-compat: a newer sender may have appended more
-                // telemetry fields after the histogram list. Every
-                // known field above is fixed-width or length-prefixed,
-                // so a *truncated* frame still fails inside one of the
-                // reads; only genuinely extra trailing bytes land here,
-                // and they are deliberately tolerated (this variant
-                // only — everywhere else trailing bytes stay
-                // corruption).
-                *buf = &[];
-                msg
-            }
             tag::JOIN => Message::Join {
                 user: get_u32(buf)?,
                 epoch: get_u64(buf)?,
@@ -598,15 +409,6 @@ impl Message {
             tag::LEAVE => Message::Leave {
                 user: get_u32(buf)?,
                 epoch: get_u64(buf)?,
-            },
-            tag::TICK => Message::Tick { now: get_u64(buf)? },
-            tag::EPOCH_STATE => Message::EpochState {
-                epoch: get_u64(buf)?,
-                phase: get_u8(buf)?,
-                round: get_u64(buf)?,
-                version: get_u32(buf)?,
-                min_clients: get_u32(buf)?,
-                members: get_user_list(buf)?,
             },
             tag::ERROR => {
                 let code = get_u32(buf)?;
@@ -628,57 +430,6 @@ impl Message {
         }
         Ok(msg)
     }
-}
-
-/// Writes a length-prefixed [`HistogramSnapshot`] list: per histogram
-/// a fixed header (kind, count, sum) then its length-prefixed sparse
-/// bucket pairs — every level is length-prefixed, so any truncation
-/// cuts inside a known read and fails loudly.
-fn put_hist_list(buf: &mut Vec<u8>, hists: &[HistogramSnapshot]) {
-    buf.put_u32_le(hists.len() as u32);
-    for h in hists {
-        buf.put_u8(h.kind);
-        buf.put_u64_le(h.count);
-        buf.put_u64_le(h.sum);
-        buf.put_u32_le(h.buckets.len() as u32);
-        for &(index, n) in &h.buckets {
-            buf.put_u8(index);
-            buf.put_u64_le(n);
-        }
-    }
-}
-
-/// Reads the list [`put_hist_list`] writes.
-fn get_hist_list(buf: &mut &[u8]) -> Result<Vec<HistogramSnapshot>, CodecError> {
-    let count = get_u32(buf)? as usize;
-    // Every histogram carries at least 21 fixed bytes, so a hostile
-    // count cannot force a huge allocation before the reads EOF.
-    if count.saturating_mul(21) > buf.len() {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let kind = get_u8(buf)?;
-        let sample_count = get_u64(buf)?;
-        let sum = get_u64(buf)?;
-        let n = get_u32(buf)? as usize;
-        if n.saturating_mul(9) > buf.len() {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let mut buckets = Vec::with_capacity(n);
-        for _ in 0..n {
-            let index = get_u8(buf)?;
-            let occupancy = get_u64(buf)?;
-            buckets.push((index, occupancy));
-        }
-        out.push(HistogramSnapshot {
-            kind,
-            count: sample_count,
-            sum,
-            buckets,
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -726,69 +477,8 @@ mod tests {
                 ad: 555,
                 estimate: 9,
             },
-            Message::MetricsQuery { round: 12 },
-            Message::MetricsReply {
-                round: 12,
-                routed: 400,
-                replayed: 12,
-                deduped: 3,
-                journal_depth: 17,
-                truncated: 380,
-                queue_depth: 64,
-                phase_nanos: vec![10, 2_000_000, 300, u64::MAX],
-                late_reports_parked: 2,
-                deadline_drops: 5,
-                coordinator_restarts: 1,
-                epoch_phase_nanos: vec![1, 2, 3, 4, 5, 6],
-                hists: vec![
-                    HistogramSnapshot {
-                        kind: 0,
-                        count: 3,
-                        sum: 3100,
-                        buckets: vec![(9, 2), (10, 1)],
-                    },
-                    HistogramSnapshot {
-                        kind: 6,
-                        count: 0,
-                        sum: 0,
-                        buckets: vec![],
-                    },
-                ],
-            },
-            Message::MetricsReply {
-                round: 0,
-                routed: 0,
-                replayed: 0,
-                deduped: 0,
-                journal_depth: 0,
-                truncated: 0,
-                queue_depth: 0,
-                phase_nanos: vec![],
-                late_reports_parked: 0,
-                deadline_drops: 0,
-                coordinator_restarts: 0,
-                epoch_phase_nanos: vec![],
-                hists: vec![],
-            },
             Message::Join { user: 19, epoch: 2 },
             Message::Leave { user: 19, epoch: 3 },
-            Message::Tick { now: 77 },
-            Message::EpochState {
-                epoch: 3,
-                phase: 2,
-                round: 12,
-                version: 5,
-                min_clients: 8,
-                members: vec![1, 3, 5, 9, 19],
-            },
-            Message::EpochState {
-                epoch: 0,
-                phase: 0,
-                round: 0,
-                version: 0,
-                min_clients: 1,
-                members: vec![],
-            },
             Message::Error {
                 code: error_code::OUT_OF_RANGE,
                 detail: "blinded element ≥ modulus".to_string(),
@@ -829,7 +519,7 @@ mod tests {
         // The retired frames' exact old layout, well-formed everywhere
         // but the tag — bare and enveloped (so an `Endpoint` counts such
         // a frame as corrupt and never delivers it).
-        for retired in [0x02u8, 0x03, 0x0C, 0x0D, 0x0F] {
+        for retired in [0x02u8, 0x03, 0x0C, 0x0D, 0x0F, 0x10, 0x11, 0x14, 0x15] {
             let mut payload = vec![retired];
             match retired {
                 0x02 | 0x03 => {
@@ -845,16 +535,50 @@ mod tests {
                     payload.put_u32_le(3);
                     put_bytes_list(&mut payload, &[vec![0x55; 16], vec![0x66; 16]]);
                 }
-                _ => {
+                0x0F => {
                     // The shard-map update: version, shard_ids, owners.
                     payload.put_u32_le(1);
                     payload.put_u32_le(4);
                     put_u32_vec(&mut payload, &[0, 1, 3, 0, 1, 3, 0, 1]);
                 }
+                0x10 | 0x14 => {
+                    // The telemetry query (round) / the tick (now).
+                    payload.put_u64_le(12);
+                }
+                0x11 => {
+                    // The telemetry reply: round and six counters, the
+                    // round-phase column, three counters, the
+                    // epoch-phase column, an empty histogram list.
+                    for v in [12u64, 400, 12, 3, 17, 380, 64] {
+                        payload.put_u64_le(v);
+                    }
+                    payload.put_u32_le(4);
+                    for v in [10u64, 2_000_000, 300, 7] {
+                        payload.put_u64_le(v);
+                    }
+                    for v in [2u64, 5, 1] {
+                        payload.put_u64_le(v);
+                    }
+                    payload.put_u32_le(6);
+                    for v in 1..=6u64 {
+                        payload.put_u64_le(v);
+                    }
+                    payload.put_u32_le(0);
+                }
+                _ => {
+                    // The epoch-state broadcast: epoch, phase, round,
+                    // version, min_clients, members.
+                    payload.put_u64_le(3);
+                    payload.put_u8(2);
+                    payload.put_u64_le(12);
+                    payload.put_u32_le(5);
+                    payload.put_u32_le(8);
+                    put_u32_vec(&mut payload, &[1, 3, 5, 9, 19]);
+                }
             }
             assert_eq!(Message::decode(&payload), Err(CodecError::BadTag(retired)));
 
-            let probe = Message::Tick { now: 0 };
+            let probe = Message::Leave { user: 7, epoch: 0 };
             let header = crate::Envelope::new(crate::NodeId::Client(7), 12, probe.clone());
             let mut enveloped = header.encode();
             enveloped.truncate(enveloped.len() - probe.encode().len());
@@ -877,55 +601,19 @@ mod tests {
     }
 
     #[test]
-    fn metrics_reply_tolerates_unknown_trailing_fields() {
-        // Forward-compat contract: a newer telemetry service may append
-        // fields after the histogram list; today's reader must decode
-        // the fields it knows and ignore the rest — on this variant
-        // only, everywhere else trailing bytes stay corruption.
+    fn trailing_bytes_are_corruption_on_every_kind() {
+        // No kind tolerates a tail: every byte after the last known
+        // field fails the decode.
         for msg in samples() {
-            let is_reply = matches!(msg, Message::MetricsReply { .. });
             let mut extended = msg.encode();
             extended.extend_from_slice(&[0xDE, 0xAD, 0xBE, 0xEF, 0x01]);
-            if is_reply {
-                assert_eq!(
-                    Message::decode(&extended).unwrap(),
-                    msg,
-                    "known fields decode, unknown tail ignored"
-                );
-            } else {
-                assert!(
-                    Message::decode(&extended).is_err(),
-                    "{}: trailing bytes stay corruption",
-                    msg.kind()
-                );
-            }
+            assert_eq!(
+                Message::decode(&extended),
+                Err(CodecError::UnexpectedEof),
+                "{}: trailing bytes are corruption",
+                msg.kind()
+            );
         }
-    }
-
-    #[test]
-    fn histogram_list_rejects_hostile_counts_without_allocating() {
-        // A frame claiming 2^32-ish histograms (or buckets) but holding
-        // only a few bytes must fail on the length guard, not attempt
-        // the allocation.
-        let sane = Message::MetricsReply {
-            round: 0,
-            routed: 0,
-            replayed: 0,
-            deduped: 0,
-            journal_depth: 0,
-            truncated: 0,
-            queue_depth: 0,
-            phase_nanos: vec![],
-            late_reports_parked: 0,
-            deadline_drops: 0,
-            coordinator_restarts: 0,
-            epoch_phase_nanos: vec![],
-            hists: vec![],
-        }
-        .encode();
-        let mut hostile = sane[..sane.len() - 4].to_vec();
-        hostile.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(Message::decode(&hostile), Err(CodecError::UnexpectedEof));
     }
 
     #[test]
@@ -995,14 +683,10 @@ mod tests {
 
     #[test]
     fn membership_plane_errors_roundtrip() {
-        // The three membership rejections peers answer churn traffic
-        // with, as full `Message::Error` replies (the PR 5 append-only
-        // convention: codes 9–11 extend the registry, never reuse).
-        for code in [
-            error_code::NOT_ENROLLED,
-            error_code::EPOCH_CLOSED,
-            error_code::STALE_MEMBERSHIP,
-        ] {
+        // The two membership rejections peers answer churn traffic
+        // with, as full `Message::Error` replies (codes are append-only:
+        // 9 and 10 extend the registry, retired 11 is never reused).
+        for code in [error_code::NOT_ENROLLED, error_code::EPOCH_CLOSED] {
             let err = Message::Error {
                 code,
                 detail: format!("membership rejection {code}"),
@@ -1012,7 +696,6 @@ mod tests {
         }
         assert_eq!(error_code::NOT_ENROLLED, 9);
         assert_eq!(error_code::EPOCH_CLOSED, 10);
-        assert_eq!(error_code::STALE_MEMBERSHIP, 11);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::envelope::{Envelope, NodeId};
 use crate::framing::{encode_frame, FrameDecoder};
-use crate::message::{AdmissionHint, HistogramSnapshot, Message};
+use crate::message::{AdmissionHint, Message};
 use crate::transport::channel_pair;
 use proptest::prelude::*;
 
@@ -66,51 +66,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 estimate,
             }
         }),
-        any::<u64>().prop_map(|round| Message::MetricsQuery { round }),
-        (
-            proptest::collection::vec(any::<u64>(), 10..11),
-            proptest::collection::vec(any::<u64>(), 0..5),
-            proptest::collection::vec(any::<u64>(), 0..7),
-            proptest::collection::vec(arb_histogram(), 0..4),
-        )
-            .prop_map(|(counters, phase_nanos, epoch_phase_nanos, hists)| {
-                Message::MetricsReply {
-                    round: counters[0],
-                    routed: counters[1],
-                    replayed: counters[2],
-                    deduped: counters[3],
-                    journal_depth: counters[4],
-                    truncated: counters[5],
-                    queue_depth: counters[6],
-                    phase_nanos,
-                    late_reports_parked: counters[7],
-                    deadline_drops: counters[8],
-                    coordinator_restarts: counters[9],
-                    epoch_phase_nanos,
-                    hists,
-                }
-            }),
         (any::<u32>(), any::<u64>()).prop_map(|(user, epoch)| Message::Join { user, epoch }),
         (any::<u32>(), any::<u64>()).prop_map(|(user, epoch)| Message::Leave { user, epoch }),
-        any::<u64>().prop_map(|now| Message::Tick { now }),
-        (
-            any::<u64>(),
-            any::<u8>(),
-            any::<u64>(),
-            any::<u32>(),
-            any::<u32>(),
-            proptest::collection::vec(any::<u32>(), 0..32)
-        )
-            .prop_map(|(epoch, phase, round, version, min_clients, members)| {
-                Message::EpochState {
-                    epoch,
-                    phase,
-                    round,
-                    version,
-                    min_clients,
-                    members,
-                }
-            }),
         (
             any::<u32>(),
             proptest::collection::vec(0x20u8..0x7F, 0..40),
@@ -128,27 +85,11 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
-fn arb_histogram() -> impl Strategy<Value = HistogramSnapshot> {
-    (
-        any::<u8>(),
-        any::<u64>(),
-        any::<u64>(),
-        proptest::collection::vec((any::<u8>(), any::<u64>()), 0..6),
-    )
-        .prop_map(|(kind, count, sum, buckets)| HistogramSnapshot {
-            kind,
-            count,
-            sum,
-            buckets,
-        })
-}
-
 fn arb_sender() -> impl Strategy<Value = NodeId> {
     prop_oneof![
         any::<u32>().prop_map(NodeId::Client),
         Just(NodeId::Backend),
         Just(NodeId::Oprf),
-        Just(NodeId::Telemetry),
         Just(NodeId::Coordinator),
     ]
 }
@@ -168,6 +109,18 @@ proptest! {
             }
             _ => prop_assert_eq!(&decoded, &msg),
         }
+    }
+
+    #[test]
+    fn trailing_bytes_never_decode(
+        msg in arb_message(),
+        tail in proptest::collection::vec(any::<u8>(), 1..16),
+    ) {
+        // Every kind is corruption-strict: no tail, of any length or
+        // content, decodes.
+        let mut encoded = msg.encode();
+        encoded.extend_from_slice(&tail);
+        prop_assert!(Message::decode(&encoded).is_err());
     }
 
     #[test]

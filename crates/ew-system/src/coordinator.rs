@@ -11,18 +11,17 @@
 //! adds the missing role service:
 //!
 //! * The [`Coordinator`] answers envelopes as [`NodeId::Coordinator`]
-//!   on the same bus fabric as every other role. Clients ask to
-//!   participate with [`Message::Join`], depart cleanly with
-//!   [`Message::Leave`], and anyone can drive time forward with
-//!   [`Message::Tick`] — the coordinator broadcasts its
-//!   [`Message::EpochState`] in reply, Psyche-style.
+//!   on the same bus fabric as every other role, and speaks only
+//!   membership: clients ask to participate with [`Message::Join`] and
+//!   depart cleanly with [`Message::Leave`]. The campaign driver moves
+//!   time forward by calling [`Coordinator::tick`] directly, and hands
+//!   the frozen roster to the cluster and the clients itself.
 //! * Time is a **monotone tick count**: every deadline is expressed in
 //!   the caller-supplied `now` of [`Coordinator::tick`], so a campaign
 //!   is deterministic and replayable — the same join/leave/tick history
 //!   always produces the same epochs. Where ticks come *from* is the
-//!   [`Clock`] seam: [`LogicalClock`] (campaign-driven, the default),
-//!   [`VirtualClock`] (test-scripted jittered schedules) or
-//!   [`MonotonicClock`] (real wall-clock deployments). Phase
+//!   [`Clock`] seam: [`LogicalClock`] (campaign-driven, the default) or
+//!   [`VirtualClock`] (test-scripted jittered schedules). Phase
 //!   transitions fire at the first tick **at or past** a deadline, so
 //!   jittered schedules reach the same transitions as step-by-one
 //!   schedules — the property `tests/coordinator_soak.rs` pins.
@@ -31,10 +30,9 @@
 //!   tick is independent of the *delivery order* of joins, leaves and
 //!   drops within the window — the property
 //!   `tests/churn_soak.rs` pins by shuffling interleavings.
-//! * The installed roster travels as a versioned [`Membership`] ledger
-//!   under strict version acceptance: adopt strictly newer, ignore
-//!   identical re-broadcasts, answer anything stale or conflicting with
-//!   [`ew_proto::error_code::STALE_MEMBERSHIP`].
+//! * The installed roster is a versioned [`Membership`] ledger: every
+//!   admission and every roster freeze installs a successor one version
+//!   up, and the ledger is journaled with every checkpoint.
 //!
 //! ## The phase machine
 //!
@@ -164,36 +162,6 @@ impl Clock for VirtualClock {
     }
 }
 
-/// The deployment clock: real monotonic time quantized to a fixed tick
-/// duration. Never used in the deterministic test matrix — wall-clock
-/// timing is exactly what the [`VirtualClock`] proptests abstract away.
-#[derive(Debug, Clone)]
-pub struct MonotonicClock {
-    start: std::time::Instant,
-    tick: std::time::Duration,
-}
-
-impl MonotonicClock {
-    /// A monotonic clock where one logical tick spans `tick` of real
-    /// time.
-    ///
-    /// # Panics
-    /// Panics if `tick` is zero.
-    pub fn new(tick: std::time::Duration) -> Self {
-        assert!(!tick.is_zero(), "a tick spans a positive duration");
-        MonotonicClock {
-            start: std::time::Instant::now(),
-            tick,
-        }
-    }
-}
-
-impl Clock for MonotonicClock {
-    fn now(&mut self) -> u64 {
-        (self.start.elapsed().as_nanos() / self.tick.as_nanos()) as u64
-    }
-}
-
 /// Deadline configuration for one epoch, in logical ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochConfig {
@@ -304,7 +272,7 @@ pub enum EpochEvent {
 #[derive(Debug)]
 pub struct Coordinator {
     config: EpochConfig,
-    /// The installed (versioned, broadcastable) ledger.
+    /// The installed (versioned, journaled) ledger.
     membership: Membership,
     /// The live roster: forming in `WaitingForMembers`/`Warmup`, frozen
     /// from `Reports` on.
@@ -628,8 +596,8 @@ impl Coordinator {
                 }
                 if now >= self.deadline {
                     // Freeze the roster against the installed ledger so
-                    // the broadcastable truth matches what the round
-                    // will run over.
+                    // the journaled truth matches what the round will
+                    // run over.
                     self.membership = self.membership.successor(self.epoch, &self.roster);
                     self.phase = EpochPhase::Reports;
                     self.deadline = now + self.config.report_ticks;
@@ -712,87 +680,6 @@ impl Coordinator {
         }
     }
 
-    /// The coordinator's broadcastable state: the installed ledger plus
-    /// the live phase and round (what a [`Message::Tick`] is answered
-    /// with).
-    pub fn state_message(&self) -> Message {
-        Message::EpochState {
-            epoch: self.epoch,
-            phase: self.phase.as_wire(),
-            round: self.round,
-            version: self.membership.version(),
-            min_clients: self.membership.min_clients(),
-            members: self.membership.members().to_vec(),
-        }
-    }
-
-    /// Adopts (or rejects) a broadcast `EpochState` under strict
-    /// version acceptance: strictly newer ledgers
-    /// are adopted wholesale (the replica catches up — transient churn
-    /// sets are cleared, the newer ledger is the truth), an identical
-    /// re-broadcast of the current version is ignored, and anything
-    /// older, conflicting or malformed is answered with
-    /// [`error_code::STALE_MEMBERSHIP`] and never adopted.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_epoch_state(
-        &mut self,
-        reply_round: u64,
-        epoch: u64,
-        phase: u8,
-        round: u64,
-        version: u32,
-        min_clients: u32,
-        members: &[u32],
-    ) -> Option<Envelope> {
-        let reject = |detail: String| {
-            Some(Envelope::new(
-                NodeId::Coordinator,
-                reply_round,
-                Message::Error {
-                    code: error_code::STALE_MEMBERSHIP,
-                    detail,
-                    hint: None,
-                },
-            ))
-        };
-        if version < self.membership.version() {
-            return reject(format!(
-                "ledger version {version} is older than current {}",
-                self.membership.version()
-            ));
-        }
-        if version == self.membership.version() {
-            let identical = epoch == self.epoch
-                && round == self.round
-                && phase == self.phase.as_wire()
-                && min_clients == self.membership.min_clients()
-                && members == self.membership.members();
-            if identical {
-                return None; // re-broadcast of the state we already hold
-            }
-            return reject(format!(
-                "conflicting ledger at current version {version} is not an update"
-            ));
-        }
-        let parsed_phase = match EpochPhase::from_wire(phase) {
-            Ok(p) => p,
-            Err(e) => return reject(format!("malformed epoch state: {e}")),
-        };
-        let ledger = match Membership::from_wire(version, epoch, min_clients, members.to_vec()) {
-            Ok(m) => m,
-            Err(e) => return reject(format!("malformed membership ledger: {e}")),
-        };
-        self.roster = ledger.members().iter().copied().collect();
-        self.membership = ledger;
-        self.epoch = epoch;
-        self.round = round;
-        self.phase = parsed_phase;
-        self.pending_joins.clear();
-        self.pending_leaves.clear();
-        self.dropped.clear();
-        None
-    }
-
     /// Handles one envelope addressed to the coordinator role.
     ///
     /// * [`Message::Join`] / [`Message::Leave`] register churn;
@@ -800,10 +687,6 @@ impl Coordinator {
     ///   [`error_code::EPOCH_CLOSED`], and a leave from a user the
     ///   coordinator never admitted with
     ///   [`error_code::NOT_ENROLLED`].
-    /// * [`Message::Tick`] advances logical time and is always answered
-    ///   with the current [`Message::EpochState`] broadcast.
-    /// * [`Message::EpochState`] goes through strict version
-    ///   acceptance (see [`Membership`]).
     /// * Errors are never answered with errors; anything else gets
     ///   [`error_code::UNSUPPORTED_MESSAGE`].
     pub fn on_envelope(&mut self, env: &Envelope) -> Option<Envelope> {
@@ -838,26 +721,6 @@ impl Coordinator {
                 self.register_leave(*user);
                 None
             }
-            Message::Tick { now } => {
-                self.tick(*now);
-                reply(self.state_message())
-            }
-            Message::EpochState {
-                epoch,
-                phase,
-                round,
-                version,
-                min_clients,
-                members,
-            } => self.handle_epoch_state(
-                env.round,
-                *epoch,
-                *phase,
-                *round,
-                *version,
-                *min_clients,
-                members,
-            ),
             Message::Error { .. } => None,
             other => reply(Message::Error {
                 code: error_code::UNSUPPORTED_MESSAGE,
@@ -1315,10 +1178,6 @@ mod tests {
         assert_eq!(virt.now(), 4, "zero steps clamp to one");
         assert_eq!(virt.now(), 9);
         assert_eq!(virt.now(), 10, "exhausted schedule continues by one");
-        let mut wall = MonotonicClock::new(std::time::Duration::from_nanos(1));
-        let a = wall.now();
-        let b = wall.now();
-        assert!(b >= a, "monotonic clock never rewinds");
     }
 
     #[test]
@@ -1355,123 +1214,31 @@ mod tests {
     }
 
     #[test]
-    fn epoch_state_version_acceptance_mirrors_the_shard_map() {
-        let mut c = coordinator(2);
-        for u in [1, 2] {
-            c.register_join(u);
-        }
-        c.tick(1);
-        let held = c.state_message();
-        let env = |msg| Envelope::new(NodeId::Coordinator, 0, msg);
-
-        // Identical re-broadcast: silently ignored.
-        assert_eq!(c.on_envelope(&env(held.clone())), None);
-
-        // Equal version, different roster: split brain, rejected.
-        let conflicting = Message::EpochState {
-            epoch: 1,
-            phase: EpochPhase::Warmup.as_wire(),
-            round: 1,
-            version: c.membership().version(),
-            min_clients: 2,
-            members: vec![7, 8],
-        };
-        let reply = c.on_envelope(&env(conflicting)).expect("explicit reply");
-        assert!(matches!(
-            reply.msg,
-            Message::Error {
-                code: error_code::STALE_MEMBERSHIP,
-                ..
-            }
-        ));
-        assert_eq!(c.membership().members(), &[1, 2], "never adopted");
-
-        // Strictly newer: adopted wholesale.
-        let newer = Message::EpochState {
-            epoch: 4,
-            phase: EpochPhase::Reports.as_wire(),
-            round: 9,
-            version: c.membership().version() + 3,
-            min_clients: 2,
-            members: vec![3, 5, 8],
-        };
-        assert_eq!(c.on_envelope(&env(newer)), None);
-        assert_eq!(c.epoch(), 4);
-        assert_eq!(c.round(), 9);
-        assert_eq!(c.phase(), EpochPhase::Reports);
-        assert_eq!(c.membership().members(), &[3, 5, 8]);
-
-        // Now the previously held state is stale: explicit rejection.
-        let reply = c.on_envelope(&env(held)).expect("explicit reply");
-        assert!(matches!(
-            reply.msg,
-            Message::Error {
-                code: error_code::STALE_MEMBERSHIP,
-                ..
-            }
-        ));
-
-        // Malformed newer ledgers (bad phase, unsorted roster) are
-        // rejected, never adopted.
-        for malformed in [
-            Message::EpochState {
-                epoch: 9,
-                phase: 0x77,
-                round: 12,
-                version: c.membership().version() + 1,
-                min_clients: 2,
-                members: vec![1],
-            },
-            Message::EpochState {
-                epoch: 9,
-                phase: EpochPhase::Warmup.as_wire(),
-                round: 12,
-                version: c.membership().version() + 1,
-                min_clients: 2,
-                members: vec![5, 3],
-            },
-        ] {
-            let reply = c.on_envelope(&env(malformed)).expect("explicit reply");
-            assert!(matches!(
-                reply.msg,
-                Message::Error {
-                    code: error_code::STALE_MEMBERSHIP,
-                    ..
-                }
-            ));
-            assert_eq!(c.epoch(), 4, "malformed state never adopted");
-        }
-    }
-
-    #[test]
-    fn pump_routes_state_broadcasts_over_the_bus() {
+    fn pump_routes_membership_traffic_over_the_bus() {
         let mut c = coordinator(2);
         let mut bus = InProcBus::new();
         for u in [1u32, 2] {
             bus.send(NodeId::Coordinator, join(u, 0)).unwrap();
         }
-        bus.send(
-            NodeId::Coordinator,
-            Envelope::new(NodeId::Backend, 0, Message::Tick { now: 1 }),
-        )
-        .unwrap();
+        bus.send(NodeId::Coordinator, leave(42, 0)).unwrap();
         let replies = pump(&mut bus, NodeId::Coordinator, |req| c.on_envelope(&req));
-        assert_eq!(replies, 1, "joins are silent, the tick is answered");
-        let (mail, _) = bus.drain(NodeId::Backend);
-        assert_eq!(mail.len(), 1);
-        match &mail[0].msg {
-            Message::EpochState {
-                epoch,
-                phase,
-                members,
-                ..
-            } => {
-                assert_eq!(*epoch, 1);
-                assert_eq!(*phase, EpochPhase::Warmup.as_wire());
-                assert_eq!(members, &[1, 2]);
-            }
-            other => panic!("unexpected reply {other:?}"),
+        assert_eq!(
+            replies, 1,
+            "joins are silent, the unknown leave is answered"
+        );
+        for u in [1u32, 2] {
+            assert!(bus.drain(NodeId::Client(u)).0.is_empty());
         }
+        let (mail, _) = bus.drain(NodeId::Client(42));
+        assert_eq!(mail.len(), 1);
+        assert!(matches!(
+            mail[0].msg,
+            Message::Error {
+                code: error_code::NOT_ENROLLED,
+                ..
+            }
+        ));
         assert_eq!(mail[0].sender, NodeId::Coordinator);
+        assert_eq!(c.pending_joins().len(), 2, "the joins were registered");
     }
 }

@@ -45,11 +45,11 @@
 //!   churn: joins park for the next epoch, dropouts fold into the
 //!   silent-client recovery path, and a below-threshold collapse
 //!   regresses to waiting without corrupting the round log.
-//! * [`telemetry`] — the telemetry role service on the same bus fabric:
-//!   per-round and lifetime [`telemetry::ReplayMetrics`] (envelopes
-//!   routed / replayed / deduped, journal depth, queue high-water,
-//!   per-phase timings), answering `MetricsQuery` envelopes as
-//!   [`ew_proto::NodeId::Telemetry`].
+//! * [`telemetry`] — per-round and lifetime
+//!   [`telemetry::ReplayMetrics`] (envelopes routed / replayed /
+//!   deduped, journal depth, queue high-water, per-phase timings) and
+//!   the coordinator's [`telemetry::ChurnMetrics`], read in process and
+//!   exported as JSON lines or Prometheus text.
 //! * [`node`] — the role-service API: [`node::ClientNode`],
 //!   [`node::OprfFrontend`] and [`node::AggregationBackend`] interact
 //!   only through versioned `Envelope`s over a [`node::ServiceBus`]
@@ -86,8 +86,7 @@ pub use backend::RoundState;
 pub use client::Client;
 pub use cluster::{ClusterBackend, RoutingBus, ShardFailure};
 pub use coordinator::{
-    epoch_phase_index, Clock, Coordinator, EpochConfig, EpochEvent, LogicalClock, MonotonicClock,
-    VirtualClock,
+    epoch_phase_index, Clock, Coordinator, EpochConfig, EpochEvent, LogicalClock, VirtualClock,
 };
 pub use crawler::Crawler;
 pub use eval::{EvalOracles, EvalTree};

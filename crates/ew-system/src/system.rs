@@ -45,7 +45,7 @@ use crate::ids::AdIdMapper;
 use crate::node::{drive_round, pump, ClientNode, DrivenRound, InProcBus, ServiceBus};
 use crate::oprf_server::OprfService;
 use crate::store::{RoundRecord, Store};
-use crate::telemetry::{ReplayMetrics, TelemetryService};
+use crate::telemetry::TelemetryService;
 use crate::trace;
 use ew_core::{AdKey, Detector, DetectorConfig, GlobalView, ThresholdPolicy, Verdict};
 use ew_crypto::directory::KeyDirectory;
@@ -156,9 +156,8 @@ pub struct EyewnderSystem {
     /// Simulator ad-id → protocol ad-ID, learned during ingestion
     /// (evaluation-side bookkeeping only).
     sim_ad_to_key: HashMap<u64, AdKey>,
-    /// The telemetry role service: accumulates the replay-path metrics
-    /// every round drains from its bus and backend, and answers
-    /// `MetricsQuery` envelopes.
+    /// The telemetry service: accumulates the replay-path metrics every
+    /// round drains from its bus and backend.
     telemetry: TelemetryService,
 }
 
@@ -569,6 +568,11 @@ impl EyewnderSystem {
             for &user in &victims {
                 coordinator.drop_straggler(user);
             }
+            // The dropouts (silent and deadline-dropped alike) as the
+            // coordinator recorded them: members only, each once. Read
+            // before the tick, which folds them out of a collapsing
+            // epoch.
+            let silent = coordinator.dropped();
             let events = coordinator.tick(clock.now());
             backend.checkpoint_coordinator(coordinator.checkpoint());
             if let Some(EpochEvent::Collapsed { remaining, .. }) = events
@@ -578,15 +582,12 @@ impl EyewnderSystem {
                 backend.collapse_epoch(remaining);
                 self.telemetry
                     .observe_churn(&coordinator.take_churn_metrics());
-                let mut planned = spec.drops.clone();
-                planned.extend(victims.iter().copied());
-                planned.sort_unstable();
                 outcomes.push(EpochOutcome {
                     epoch,
                     round,
                     members: membership.members().to_vec(),
                     joined: joining,
-                    dropped: planned,
+                    dropped: silent,
                     collapsed: true,
                     outcome: None,
                 });
@@ -594,9 +595,7 @@ impl EyewnderSystem {
             }
 
             // The aggregation round runs over exactly the roster, with
-            // the dropouts (silent and deadline-dropped alike) as its
-            // silent set.
-            let silent = coordinator.dropped();
+            // the dropouts as its silent set.
             let driven = {
                 let members: Vec<&Client> = membership
                     .members()
@@ -714,64 +713,10 @@ impl EyewnderSystem {
         )
     }
 
-    /// The telemetry role service (per-round and lifetime replay-path
-    /// metrics, fed by every round).
+    /// The telemetry service (per-round and lifetime replay-path
+    /// metrics, fed by every round, plus the churn view).
     pub fn telemetry(&self) -> &TelemetryService {
         &self.telemetry
-    }
-
-    /// Queries the telemetry service **over the bus**: a `MetricsQuery`
-    /// envelope crosses to [`NodeId::Telemetry`], the service answers
-    /// with a `MetricsReply`, and the reply is decoded back into a
-    /// [`ReplayMetrics`] snapshot. `round` 0 asks for lifetime totals.
-    /// Returns `None` if the round was never observed or the bus lost
-    /// the exchange.
-    pub fn query_metrics_on<B: ServiceBus>(
-        &self,
-        bus: &mut B,
-        round: u64,
-    ) -> Option<ReplayMetrics> {
-        let me = NodeId::Backend;
-        bus.send(
-            NodeId::Telemetry,
-            Envelope::new(me, round, Message::MetricsQuery { round }),
-        )
-        .ok()?;
-        pump(bus, NodeId::Telemetry, |req| {
-            Some(self.telemetry.on_envelope(&req))
-        });
-        let (replies, _) = bus.drain(me);
-        replies.into_iter().find_map(|env| match env.msg {
-            Message::MetricsReply {
-                routed,
-                replayed,
-                deduped,
-                journal_depth,
-                truncated,
-                queue_depth,
-                phase_nanos,
-                late_reports_parked,
-                deadline_drops,
-                coordinator_restarts,
-                epoch_phase_nanos,
-                hists,
-                ..
-            } => Some(ReplayMetrics::from_reply_parts(
-                routed,
-                replayed,
-                deduped,
-                journal_depth,
-                truncated,
-                queue_depth,
-                &phase_nanos,
-                late_reports_parked,
-                deadline_drops,
-                coordinator_restarts,
-                &epoch_phase_nanos,
-                &hists,
-            )),
-            _ => None,
-        })
     }
 
     /// The real-time audit (Figure 1, arrow 5 + the per-ad query) over
@@ -1164,7 +1109,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_service_answers_round_queries_over_the_bus() {
+    fn telemetry_records_round_and_lifetime_metrics() {
         let (mut sys, scenario, log) = small_system();
         sys.ingest(&scenario, &log);
         sys.config.cluster_backends = 2;
@@ -1172,19 +1117,16 @@ mod tests {
         assert_eq!(outcome.reports, 24);
 
         let metrics = sys
-            .query_metrics_on(&mut InProcBus::new(), 1)
+            .telemetry()
+            .round_metrics(1)
             .expect("round 1 was observed");
         assert_eq!(metrics.routed, 24, "one routed envelope per report");
         assert_eq!(metrics.journal_depth, 0, "finalize truncates the log");
         assert!(metrics.truncated > 0, "the absorbed records were truncated");
 
-        // Lifetime totals (round 0) cover the same single round.
-        let totals = sys
-            .query_metrics_on(&mut InProcBus::new(), 0)
-            .expect("totals always answer");
-        assert_eq!(totals.routed, metrics.routed);
-        // A never-observed round stays unanswered.
-        assert_eq!(sys.query_metrics_on(&mut InProcBus::new(), 99), None);
+        // Lifetime totals cover the same single round.
+        assert_eq!(sys.telemetry().totals().routed, metrics.routed);
+        assert_eq!(sys.telemetry().round_metrics(99), None);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! The telemetry role service: makes the replay path **observable
-//! rather than trusted**.
+//! Telemetry: makes the replay path **observable rather than
+//! trusted**.
 //!
 //! The unified round log (`crate::journal`) closes the double-replay
 //! window by mechanism, but a guarantee nobody can watch is a guarantee
-//! that erodes. This module gives the cluster a fourth role service on
-//! the same bus fabric as the clients, the backend and the oprf-server:
-//! any node can send a [`Message::MetricsQuery`] envelope and get the
-//! current [`ReplayMetrics`] snapshot back as a
-//! [`Message::MetricsReply`] from [`ew_proto::NodeId::Telemetry`].
+//! that erodes. Every round drains the bus, the backend and the
+//! oprf-server into a [`ReplayMetrics`] observation, and the
+//! coordinator into a [`ChurnMetrics`] one; the [`TelemetryService`]
+//! folds them into per-round rows and lifetime totals. It lives in
+//! process: a driver reads it through `EyewnderSystem::telemetry()`.
 //!
 //! The counters are deliberately split by kind:
 //!
@@ -18,10 +18,10 @@
 //!   answer "is the log bounded right now?",
 //! * **high-water marks** (`queue_depth`) keep the maximum — they
 //!   answer "how deep did the mailboxes ever get?",
-//! * **timings** (`phase_nanos`, `epoch_phase_nanos`) are wall-clock
-//!   and accumulate; they are intentionally excluded from every
-//!   determinism comparison (two bit-identical rounds will never have
-//!   bit-identical clocks),
+//! * **timings** (`phase_nanos`, and the churn plane's epoch-phase
+//!   `phase_nanos`) are wall-clock and accumulate; they are
+//!   intentionally excluded from every determinism comparison (two
+//!   bit-identical rounds will never have bit-identical clocks),
 //! * **histograms** ([`Hist64`]) are merge-able log2 latency
 //!   distributions — sums answer "how much?", the histograms answer
 //!   "how is it distributed?" with p50/p90/p99 estimators. Like the
@@ -32,7 +32,6 @@
 //! exposition — see [`TelemetrySnapshot`].
 
 use crate::node::RoundPhase;
-use ew_proto::{error_code, Envelope, HistogramSnapshot, Message, NodeId};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -46,9 +45,10 @@ pub fn phase_index(phase: RoundPhase) -> usize {
     }
 }
 
-/// Wire identifiers for the histogram families a [`ReplayMetrics`]
-/// snapshot carries (the `kind` byte of a
-/// [`HistogramSnapshot`]). Append-only, like every wire enum.
+/// Export keys for the histogram families a [`ReplayMetrics`] snapshot
+/// carries: [`ReplayMetrics::hist`] looks a family up by kind, and
+/// [`label`](hist_kind::label) names it in both exports. They are not
+/// wire identifiers.
 pub mod hist_kind {
     /// Round phase `Open` latency (nanoseconds per round).
     pub const PHASE_OPEN: u8 = 0;
@@ -65,7 +65,7 @@ pub mod hist_kind {
     /// Journal replay duration (uplink re-link or cold restart).
     pub const REPLAY: u8 = 6;
 
-    /// Every kind, in wire order — the export iteration axis.
+    /// Every kind, in export order.
     pub const ALL: [u8; 7] = [
         PHASE_OPEN,
         PHASE_REPORTS,
@@ -209,36 +209,6 @@ impl Hist64 {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
-
-    /// The sparse wire form: only non-empty buckets travel.
-    pub fn to_snapshot(&self, kind: u8) -> HistogramSnapshot {
-        HistogramSnapshot {
-            kind,
-            count: self.count,
-            sum: self.sum,
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &n)| n != 0)
-                .map(|(i, &n)| (i as u8, n))
-                .collect(),
-        }
-    }
-
-    /// Rebuilds from the sparse wire form. Out-of-range bucket indices
-    /// (a future sender with finer buckets) clamp into the last bucket
-    /// rather than failing — forward-compatible by construction.
-    pub fn from_snapshot(snap: &HistogramSnapshot) -> Self {
-        let mut hist = Hist64::new();
-        for &(index, n) in &snap.buckets {
-            let slot = (index as usize).min(63);
-            hist.buckets[slot] = hist.buckets[slot].saturating_add(n);
-        }
-        hist.count = snap.count;
-        hist.sum = snap.sum;
-        hist
-    }
 }
 
 /// One observation (or accumulated view) of the replay path.
@@ -260,19 +230,9 @@ pub struct ReplayMetrics {
     pub queue_depth: u64,
     /// Late reports parked during a grace window instead of dropped.
     pub late_reports_parked: u64,
-    /// Stragglers dropped by the deadline scheduler (a subset of the
-    /// churn plane's `drops`).
-    pub deadline_drops: u64,
-    /// Coordinator crash-restarts survived.
-    pub coordinator_restarts: u64,
     /// Cumulative busy nanoseconds per round phase, indexed by
     /// [`phase_index`]. Wall-clock: never part of determinism checks.
     pub phase_nanos: [u64; 4],
-    /// Cumulative wall-clock nanoseconds per **epoch** phase, indexed
-    /// by [`crate::coordinator::epoch_phase_index`] — the six-phase
-    /// counterpart of `phase_nanos`, so Warmup and Grace are timed,
-    /// not just ticked.
-    pub epoch_phase_nanos: [u64; 6],
     /// Round-phase latency distributions (nanoseconds per round),
     /// indexed by [`phase_index`].
     pub phase_hist: [Hist64; 4],
@@ -297,16 +257,7 @@ impl ReplayMetrics {
         self.truncated += other.truncated;
         self.queue_depth = self.queue_depth.max(other.queue_depth);
         self.late_reports_parked += other.late_reports_parked;
-        self.deadline_drops += other.deadline_drops;
-        self.coordinator_restarts += other.coordinator_restarts;
         for (mine, theirs) in self.phase_nanos.iter_mut().zip(other.phase_nanos) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self
-            .epoch_phase_nanos
-            .iter_mut()
-            .zip(other.epoch_phase_nanos)
-        {
             *mine += theirs;
         }
         for (mine, theirs) in self.phase_hist.iter_mut().zip(&other.phase_hist) {
@@ -330,103 +281,11 @@ impl ReplayMetrics {
             _ => None,
         }
     }
-
-    /// Mutable access to the family `kind` names — the decode side of
-    /// [`ReplayMetrics::hist`]. Unknown kinds (a future sender) return
-    /// `None` and are skipped, never an error.
-    pub fn hist_mut(&mut self, kind: u8) -> Option<&mut Hist64> {
-        match kind {
-            hist_kind::PHASE_OPEN => Some(&mut self.phase_hist[0]),
-            hist_kind::PHASE_REPORTS => Some(&mut self.phase_hist[1]),
-            hist_kind::PHASE_RECOVERY => Some(&mut self.phase_hist[2]),
-            hist_kind::PHASE_FINALIZE => Some(&mut self.phase_hist[3]),
-            hist_kind::ABSORB => Some(&mut self.absorb_hist),
-            hist_kind::OPRF_BATCH => Some(&mut self.oprf_hist),
-            hist_kind::REPLAY => Some(&mut self.replay_hist),
-            _ => None,
-        }
-    }
-
-    /// Renders the snapshot as a wire reply echoing `round`. Every
-    /// histogram family travels (sparse), in [`hist_kind::ALL`] order.
-    pub fn to_reply(&self, round: u64) -> Message {
-        Message::MetricsReply {
-            round,
-            routed: self.routed,
-            replayed: self.replayed,
-            deduped: self.deduped,
-            journal_depth: self.journal_depth,
-            truncated: self.truncated,
-            queue_depth: self.queue_depth,
-            phase_nanos: self.phase_nanos.to_vec(),
-            late_reports_parked: self.late_reports_parked,
-            deadline_drops: self.deadline_drops,
-            coordinator_restarts: self.coordinator_restarts,
-            epoch_phase_nanos: self.epoch_phase_nanos.to_vec(),
-            hists: hist_kind::ALL
-                .iter()
-                .map(|&kind| {
-                    self.hist(kind)
-                        .expect("ALL names only known kinds")
-                        .to_snapshot(kind)
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuilds a snapshot from the decoded fields of a
-    /// [`Message::MetricsReply`]. Short vectors (an older sender) leave
-    /// the missing slots zero; unknown histogram kinds are skipped —
-    /// both directions of the append-only compatibility contract.
-    /// The arity mirrors the wire message field-for-field on purpose:
-    /// a grouping struct here would just restate `MetricsReply`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_reply_parts(
-        routed: u64,
-        replayed: u64,
-        deduped: u64,
-        journal_depth: u64,
-        truncated: u64,
-        queue_depth: u64,
-        phase_nanos: &[u64],
-        late_reports_parked: u64,
-        deadline_drops: u64,
-        coordinator_restarts: u64,
-        epoch_phase_nanos: &[u64],
-        hists: &[HistogramSnapshot],
-    ) -> Self {
-        let mut metrics = ReplayMetrics {
-            routed,
-            replayed,
-            deduped,
-            journal_depth,
-            truncated,
-            queue_depth,
-            late_reports_parked,
-            deadline_drops,
-            coordinator_restarts,
-            ..ReplayMetrics::default()
-        };
-        for (slot, v) in metrics.phase_nanos.iter_mut().zip(phase_nanos) {
-            *slot = *v;
-        }
-        for (slot, v) in metrics.epoch_phase_nanos.iter_mut().zip(epoch_phase_nanos) {
-            *slot = *v;
-        }
-        for snap in hists {
-            if let Some(slot) = metrics.hist_mut(snap.kind) {
-                slot.merge(&Hist64::from_snapshot(snap));
-            }
-        }
-        metrics
-    }
 }
 
 /// One observation (or accumulated view) of the membership plane — the
-/// coordinator's counterpart to [`ReplayMetrics`]. Kept as its own
-/// struct (not folded into `ReplayMetrics`) so the frozen
-/// `MetricsReply` wire format is untouched; churn is read through the
-/// driver's [`TelemetryService::churn`] accessor instead.
+/// coordinator's counterpart to [`ReplayMetrics`], read through the
+/// driver's [`TelemetryService::churn`] accessor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChurnMetrics {
     /// Live roster size at observation time (gauge).
@@ -527,8 +386,8 @@ impl TelemetrySnapshot {
             ("truncated", self.totals.truncated),
             ("queue_depth", self.totals.queue_depth),
             ("late_reports_parked", self.totals.late_reports_parked),
-            ("deadline_drops", self.totals.deadline_drops),
-            ("coordinator_restarts", self.totals.coordinator_restarts),
+            ("deadline_drops", self.churn.deadline_drops),
+            ("coordinator_restarts", self.churn.coordinator_restarts),
             ("members", self.churn.members),
             ("pending_joins", self.churn.pending_joins),
             ("joins", self.churn.joins),
@@ -543,7 +402,7 @@ impl TelemetrySnapshot {
                 "{{\"scope\": \"{scope}\", \"metric\": \"{name}\", \"value\": {value}}}"
             );
         }
-        for (i, nanos) in self.totals.epoch_phase_nanos.iter().enumerate() {
+        for (i, nanos) in self.churn.phase_nanos.iter().enumerate() {
             let _ = writeln!(
                 out,
                 "{{\"scope\": \"{scope}\", \"metric\": \"epoch_phase_nanos\", \"phase\": {i}, \"value\": {nanos}}}"
@@ -595,11 +454,11 @@ impl TelemetrySnapshot {
             "late_reports_parked_total",
             self.totals.late_reports_parked,
         );
-        counter(&mut out, "deadline_drops_total", self.totals.deadline_drops);
+        counter(&mut out, "deadline_drops_total", self.churn.deadline_drops);
         counter(
             &mut out,
             "coordinator_restarts_total",
-            self.totals.coordinator_restarts,
+            self.churn.coordinator_restarts,
         );
         gauge(&mut out, "members", self.churn.members);
         gauge(&mut out, "pending_joins", self.churn.pending_joins);
@@ -613,7 +472,7 @@ impl TelemetrySnapshot {
         );
         counter(&mut out, "collapses_total", self.churn.collapses);
         let _ = writeln!(out, "# TYPE ew_epoch_phase_nanos counter");
-        for (i, nanos) in self.totals.epoch_phase_nanos.iter().enumerate() {
+        for (i, nanos) in self.churn.phase_nanos.iter().enumerate() {
             let _ = writeln!(out, "ew_epoch_phase_nanos{{phase=\"{i}\"}} {nanos}");
         }
         for kind in hist_kind::ALL {
@@ -659,10 +518,10 @@ impl TelemetrySnapshot {
 }
 
 /// The telemetry service: accumulates [`ReplayMetrics`] observations
-/// per round (and as lifetime totals), tracks the membership plane's
-/// [`ChurnMetrics`], and answers `MetricsQuery` envelopes. Retains at
-/// most [`MAX_ROUND_ROWS`] per-round rows — older rounds evict, their
-/// contribution surviving in the lifetime totals.
+/// per round (and as lifetime totals) and tracks the membership plane's
+/// [`ChurnMetrics`]. Retains at most [`MAX_ROUND_ROWS`] per-round rows —
+/// older rounds evict, their contribution surviving in the lifetime
+/// totals.
 #[derive(Debug, Default)]
 pub struct TelemetryService {
     totals: ReplayMetrics,
@@ -704,23 +563,9 @@ impl TelemetryService {
 
     /// Folds one membership-plane observation (typically the
     /// coordinator's drained `take_churn_metrics`) into the lifetime
-    /// churn view. The deadline and restart counters are additionally
-    /// bridged into the lifetime [`ReplayMetrics`] totals so the
-    /// existing `MetricsQuery { round: 0 }` wire path reports them, and
-    /// the epoch-phase wall clock is bridged into
-    /// [`ReplayMetrics::epoch_phase_nanos`] for the same reason.
+    /// churn view.
     pub fn observe_churn(&mut self, metrics: &ChurnMetrics) {
         self.churn.merge(metrics);
-        self.totals.deadline_drops += metrics.deadline_drops;
-        self.totals.coordinator_restarts += metrics.coordinator_restarts;
-        for (slot, v) in self
-            .totals
-            .epoch_phase_nanos
-            .iter_mut()
-            .zip(metrics.phase_nanos)
-        {
-            *slot += v;
-        }
     }
 
     /// Folds an OPRF batch service-time histogram (the oprf-server's
@@ -744,31 +589,6 @@ impl TelemetryService {
             rounds: self.rounds.iter().map(|(&r, &m)| (r, m)).collect(),
         }
     }
-
-    /// Handles one envelope addressed to the telemetry role: a
-    /// `MetricsQuery` is answered with the matching snapshot (round 0 =
-    /// lifetime totals), a query for a never-observed round with
-    /// `NOT_READY`, and anything else with `UNSUPPORTED_MESSAGE` — the
-    /// same explicit-rejection discipline as the backend service.
-    pub fn on_envelope(&self, env: &Envelope) -> Envelope {
-        let reply = |msg| Envelope::new(NodeId::Telemetry, env.round, msg);
-        match &env.msg {
-            Message::MetricsQuery { round: 0 } => reply(self.totals.to_reply(0)),
-            Message::MetricsQuery { round } => match self.rounds.get(round) {
-                Some(m) => reply(m.to_reply(*round)),
-                None => reply(Message::Error {
-                    code: error_code::NOT_READY,
-                    detail: format!("no metrics observed for round {round}"),
-                    hint: None,
-                }),
-            },
-            other => reply(Message::Error {
-                code: error_code::UNSUPPORTED_MESSAGE,
-                detail: format!("telemetry service cannot handle {}", other.kind()),
-                hint: None,
-            }),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -784,8 +604,6 @@ mod tests {
             truncated: 3,
             queue_depth: routed,
             late_reports_parked: 1,
-            deadline_drops: 0,
-            coordinator_restarts: 0,
             phase_nanos: [10, 20, 30, 40],
             ..ReplayMetrics::default()
         }
@@ -802,20 +620,14 @@ mod tests {
             truncated: 1,
             queue_depth: 1,
             late_reports_parked: 2,
-            deadline_drops: 1,
-            coordinator_restarts: 1,
             phase_nanos: [1, 1, 1, 1],
-            epoch_phase_nanos: [1, 2, 3, 4, 5, 6],
             ..ReplayMetrics::default()
         });
         assert_eq!(acc.routed, 10); // counter: adds
         assert_eq!(acc.journal_depth, 2); // gauge: latest wins
         assert_eq!(acc.queue_depth, 4); // high-water: max
         assert_eq!(acc.late_reports_parked, 3); // counter: adds
-        assert_eq!(acc.deadline_drops, 1);
-        assert_eq!(acc.coordinator_restarts, 1);
         assert_eq!(acc.phase_nanos, [11, 21, 31, 41]); // timing: adds
-        assert_eq!(acc.epoch_phase_nanos, [1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
@@ -855,27 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn hist_snapshot_roundtrips_sparse() {
-        let mut h = Hist64::new();
-        for v in [1u64, 1, 17, 1 << 40] {
-            h.record(v);
-        }
-        let snap = h.to_snapshot(hist_kind::ABSORB);
-        assert_eq!(snap.kind, hist_kind::ABSORB);
-        assert_eq!(snap.buckets.len(), 3, "only non-empty buckets travel");
-        let back = Hist64::from_snapshot(&snap);
-        assert_eq!(back, h);
-        // A future sender's out-of-range bucket clamps, never fails.
-        let weird = HistogramSnapshot {
-            kind: hist_kind::ABSORB,
-            count: 1,
-            sum: 9,
-            buckets: vec![(200, 1)],
-        };
-        assert_eq!(Hist64::from_snapshot(&weird).count(), 1);
-    }
-
-    #[test]
     fn saturating_accounting_never_wraps() {
         let mut h = Hist64::new();
         h.record(u64::MAX);
@@ -885,28 +676,17 @@ mod tests {
     }
 
     #[test]
-    fn query_answers_round_totals_and_lifetime() {
+    fn observe_keeps_round_rows_and_lifetime_totals() {
         let mut svc = TelemetryService::new();
         svc.observe(7, &sample(4));
         svc.observe(7, &sample(6));
         svc.observe(8, &sample(1));
 
-        let q = |round| Envelope::new(NodeId::Backend, round, Message::MetricsQuery { round });
-        match svc.on_envelope(&q(7)).msg {
-            Message::MetricsReply {
-                routed,
-                queue_depth,
-                ..
-            } => {
-                assert_eq!(routed, 10);
-                assert_eq!(queue_depth, 6);
-            }
-            other => panic!("unexpected reply {other:?}"),
-        }
-        match svc.on_envelope(&q(0)).msg {
-            Message::MetricsReply { routed, .. } => assert_eq!(routed, 11),
-            other => panic!("unexpected reply {other:?}"),
-        }
+        let row = svc.round_metrics(7).expect("round 7 observed");
+        assert_eq!(row.routed, 10);
+        assert_eq!(row.queue_depth, 6);
+        assert_eq!(svc.totals().routed, 11);
+        assert!(svc.round_metrics(9).is_none(), "never-observed round");
     }
 
     #[test]
@@ -920,23 +700,6 @@ mod tests {
         assert!(svc.round_metrics(MAX_ROUND_ROWS as u64 + 10).is_some());
         // Evicted rounds still count in the lifetime totals.
         assert_eq!(svc.totals().routed, MAX_ROUND_ROWS as u64 + 10);
-    }
-
-    #[test]
-    fn unknown_round_and_wrong_kind_rejected_explicitly() {
-        let svc = TelemetryService::new();
-        let env = Envelope::new(NodeId::Backend, 9, Message::MetricsQuery { round: 9 });
-        match svc.on_envelope(&env).msg {
-            Message::Error { code, .. } => assert_eq!(code, error_code::NOT_READY),
-            other => panic!("unexpected reply {other:?}"),
-        }
-        let bogus = Envelope::new(NodeId::Backend, 0, Message::UsersQuery { round: 0, ad: 1 });
-        match svc.on_envelope(&bogus).msg {
-            Message::Error { code, .. } => assert_eq!(code, error_code::UNSUPPORTED_MESSAGE),
-            other => panic!("unexpected reply {other:?}"),
-        }
-        // The reply is stamped with the telemetry role identity.
-        assert_eq!(svc.on_envelope(&env).sender, NodeId::Telemetry);
     }
 
     #[test]
@@ -980,31 +743,22 @@ mod tests {
         assert_eq!(churn.coordinator_restarts, 1);
         assert_eq!(churn.phase_ticks, [4, 3, 4, 3, 2, 1]);
         assert_eq!(churn.phase_nanos, [11, 12, 13, 14, 15, 16], "timing: adds");
-        // The new counters are bridged into the MetricsQuery wire path,
-        // and so is the epoch-phase wall clock.
-        let totals = svc.totals();
-        assert_eq!(totals.deadline_drops, 1);
-        assert_eq!(totals.coordinator_restarts, 1);
-        assert_eq!(totals.epoch_phase_nanos, [11, 12, 13, 14, 15, 16]);
-        match svc
-            .on_envelope(&Envelope::new(
-                NodeId::Backend,
-                0,
-                Message::MetricsQuery { round: 0 },
-            ))
-            .msg
-        {
-            Message::MetricsReply {
-                deadline_drops,
-                coordinator_restarts,
-                epoch_phase_nanos,
-                ..
-            } => {
-                assert_eq!(deadline_drops, 1);
-                assert_eq!(coordinator_restarts, 1);
-                assert_eq!(epoch_phase_nanos, vec![11, 12, 13, 14, 15, 16]);
-            }
-            other => panic!("unexpected reply {other:?}"),
+        // Both exports read the deadline and restart counters and the
+        // epoch-phase wall clock from the churn view.
+        let snap = svc.snapshot();
+        let json = snap.to_json_lines("churn");
+        assert!(json.contains("\"metric\": \"deadline_drops\", \"value\": 1}"));
+        assert!(json.contains("\"metric\": \"coordinator_restarts\", \"value\": 1}"));
+        let prom = snap.to_prometheus_text();
+        assert!(prom.contains("ew_deadline_drops_total 1\n"));
+        assert!(prom.contains("ew_coordinator_restarts_total 1\n"));
+        for (phase, nanos) in (11..=16).enumerate() {
+            assert!(json.contains(&format!(
+                "\"metric\": \"epoch_phase_nanos\", \"phase\": {phase}, \"value\": {nanos}}}"
+            )));
+            assert!(prom.contains(&format!(
+                "ew_epoch_phase_nanos{{phase=\"{phase}\"}} {nanos}\n"
+            )));
         }
     }
 

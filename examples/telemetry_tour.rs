@@ -1,7 +1,7 @@
 //! Observability tour: run a clustered deadline campaign with the
-//! flight recorder on, walk the trace it left behind, query latency
-//! quantiles over the bus, and export a telemetry snapshot in both
-//! JSON-lines and Prometheus text.
+//! flight recorder on, walk the trace it left behind, read latency
+//! quantiles from the telemetry totals, and export a telemetry snapshot
+//! in both JSON-lines and Prometheus text.
 //!
 //! ```text
 //! cargo run --release --example telemetry_tour
@@ -143,11 +143,8 @@ fn main() {
         );
     }
 
-    // 3. Latency quantiles, queried over the bus like any other role
-    // service traffic (round 0 = lifetime totals).
-    let totals = sys
-        .query_metrics_on(&mut bus, 0)
-        .expect("telemetry service answers");
+    // 3. Latency quantiles, read in process from the lifetime totals.
+    let totals = sys.telemetry().totals();
     println!("\n--- latency quantiles (nanoseconds, log2-bucket upper bounds) ---");
     for kind in hist_kind::ALL {
         let hist = totals.hist(kind).expect("known kind");

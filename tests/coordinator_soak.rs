@@ -83,6 +83,18 @@ fn deadline_campaign<C: Clock>(
     fault: &CoordinatorFault,
     schedule: &[EpochChurn],
 ) -> (Vec<EpochOutcome>, EyewnderSystem) {
+    campaign_with_min_clients(4, backends, wire, clock, fault, schedule)
+}
+
+/// [`deadline_campaign`] under the given admission threshold.
+fn campaign_with_min_clients<C: Clock>(
+    min_clients: u32,
+    backends: usize,
+    wire: bool,
+    clock: &mut C,
+    fault: &CoordinatorFault,
+    schedule: &[EpochChurn],
+) -> (Vec<EpochOutcome>, EyewnderSystem) {
     let driver = driver();
     let (scenario, weeks, cohort) = driver.workload(1);
     let mut sys = system(cohort);
@@ -90,7 +102,7 @@ fn deadline_campaign<C: Clock>(
     sys.config.cluster_backends = backends;
     let map = sys.cluster_map();
     let mut backend = sys.new_cluster(&map);
-    let mut coordinator = Coordinator::new(EpochConfig::default().with_min_clients(4));
+    let mut coordinator = Coordinator::new(EpochConfig::default().with_min_clients(min_clients));
     let outcomes = if wire {
         let mut bus = RoutingBus::over_wire(map, None, None);
         sys.run_epochs_deadline_on(
@@ -191,7 +203,7 @@ fn crash_parity_matrix(phase: CrashPoint) {
                 deadline_campaign(backends, wire, &mut clock, &fault, &churn_schedule());
             assert_epochs_identical(base, &outcomes, &label);
             assert!(
-                sys.telemetry().totals().coordinator_restarts > 0,
+                sys.telemetry().churn().coordinator_restarts > 0,
                 "{label}: the drill must actually restart the coordinator"
             );
             // The crash may cost the campaign nothing but the restart
@@ -282,10 +294,48 @@ fn late_reports_inside_the_grace_window_are_parked_never_dropped() {
         totals.late_reports_parked as usize >= victims.len(),
         "every in-grace late report parks: {totals:?}"
     );
+    let churn = sys.telemetry().churn();
     assert!(
-        totals.deadline_drops > 0,
-        "deadline drops surface in telemetry: {totals:?}"
+        churn.deadline_drops > 0,
+        "deadline drops surface in telemetry: {churn:?}"
     );
+}
+
+#[test]
+fn a_collapsed_epoch_reports_its_real_silent_set() {
+    // Every member is needed, so any drop collapses epoch 1. Its
+    // scripted drops name every storm victim again plus a cohort id
+    // that never joined: the outcome must list each victim once and
+    // leave the non-member out, exactly as the coordinator recorded.
+    let storm = StragglerStorm {
+        percent: 50,
+        lateness: 1,
+        seed: 41,
+    };
+    let fault = CoordinatorFault {
+        crash: None,
+        storm: Some(storm),
+    };
+    let roster: Vec<u32> = (0..8).collect();
+    let victims = storm.victims(1, &roster);
+    assert!(!victims.is_empty(), "the storm must bite");
+    let outsider = 11;
+    assert!(!roster.contains(&outsider));
+    let mut drops = victims.clone();
+    drops.push(outsider);
+    let schedule = vec![EpochChurn {
+        joins: roster.clone(),
+        leaves: vec![],
+        drops,
+    }];
+    let mut clock = LogicalClock::new();
+    let (outcomes, _) =
+        campaign_with_min_clients(roster.len() as u32, 2, false, &mut clock, &fault, &schedule);
+    let first = &outcomes[0];
+    assert_eq!(first.members, roster);
+    assert!(first.collapsed, "a drop below min_clients collapses");
+    assert!(first.outcome.is_none());
+    assert_eq!(first.dropped, victims);
 }
 
 #[test]

@@ -316,6 +316,36 @@ fn one_way_to_lose_a_shard() {
 }
 
 #[test]
+fn only_the_protocol_the_system_speaks() {
+    // Every message kind, sender and error code belongs to a
+    // conversation some driver holds. Telemetry is read in process, the
+    // driver ticks the coordinator by direct call, and no second
+    // coordinator exists to broadcast a ledger to: neither the retired
+    // tags, their sender, their error code, the histogram wire form,
+    // the wall-clock tick source nor the entry points that spoke them
+    // may come back.
+    let listing = surface(&PathBuf::from(env!("CARGO_MANIFEST_DIR")));
+    for retired in [
+        "METRICS_QUERY",
+        "METRICS_REPLY",
+        "TICK: u8",
+        "EPOCH_STATE",
+        "TELEMETRY: u8",
+        "STALE_MEMBERSHIP",
+        "HistogramSnapshot",
+        "MonotonicClock",
+        "query_metrics_on",
+        "from_reply_parts",
+        "state_message",
+    ] {
+        assert!(
+            !listing.contains(retired),
+            "{retired} is back in the public API"
+        );
+    }
+}
+
+#[test]
 fn one_measuring_stick() {
     // `benchmark/` (its own package, outside the workspace) is the only
     // benchmark harness in the repository. A second one starts

@@ -1,6 +1,6 @@
-//! Property coverage for the PR 10 observability plane: histogram
-//! algebra, metric-merge semantics, round-row eviction bounds and the
-//! append-only `MetricsReply` wire contract.
+//! Property coverage for the observability plane: histogram algebra,
+//! metric-merge semantics and round-row eviction bounds. Telemetry is
+//! read in process, so none of it has a wire form.
 //!
 //! * **Merge algebra** — `Hist64::merge` is associative *and*
 //!   commutative (it is a per-bucket sum); `ReplayMetrics::merge` and
@@ -12,16 +12,11 @@
 //!   one bucket (2×) above the largest sample.
 //! * **Eviction** — the per-round table never exceeds
 //!   [`MAX_ROUND_ROWS`] and always evicts the *oldest* round.
-//! * **Wire round-trips** — a `MetricsReply` built from any
-//!   `ReplayMetrics` survives encode → decode → `from_reply_parts`
-//!   bit-identically, with unknown trailing bytes and unknown histogram
-//!   kinds tolerated (the forward-compat half of the contract).
 
 use proptest::prelude::*;
 
-use eyewnder::proto::{HistogramSnapshot, Message};
 use eyewnder::system::MAX_ROUND_ROWS;
-use eyewnder::system::{hist_kind, ChurnMetrics, Hist64, ReplayMetrics, TelemetryService};
+use eyewnder::system::{ChurnMetrics, Hist64, ReplayMetrics, TelemetryService};
 
 /// A bounded counter value: large enough to exercise wide buckets,
 /// small enough that chains of `+=` merges cannot overflow in debug.
@@ -40,11 +35,11 @@ fn hist() -> impl Strategy<Value = Hist64> {
 }
 
 fn replay_metrics() -> impl Strategy<Value = ReplayMetrics> {
-    // 9 scalar counters + 4 phase nanos + 6 epoch phase nanos, as one
-    // flat draw (the proptest shim caps tuples at arity 6), plus the 7
-    // histogram families.
+    // 7 scalar counters + 4 phase nanos, as one flat draw (the
+    // proptest shim caps tuples at arity 6), plus the 7 histogram
+    // families.
     (
-        proptest::collection::vec(counter(), 19..20),
+        proptest::collection::vec(counter(), 11..12),
         proptest::collection::vec(hist(), 7..8),
     )
         .prop_map(|(v, h)| {
@@ -56,16 +51,13 @@ fn replay_metrics() -> impl Strategy<Value = ReplayMetrics> {
                 truncated: v[4],
                 queue_depth: v[5],
                 late_reports_parked: v[6],
-                deadline_drops: v[7],
-                coordinator_restarts: v[8],
                 phase_hist: [h[0], h[1], h[2], h[3]],
                 absorb_hist: h[4],
                 oprf_hist: h[5],
                 replay_hist: h[6],
                 ..ReplayMetrics::default()
             };
-            metrics.phase_nanos.copy_from_slice(&v[9..13]);
-            metrics.epoch_phase_nanos.copy_from_slice(&v[13..19]);
+            metrics.phase_nanos.copy_from_slice(&v[7..11]);
             metrics
         })
 }
@@ -141,12 +133,6 @@ proptest! {
     }
 
     #[test]
-    fn hist_snapshot_roundtrips(h in hist()) {
-        let snap = h.to_snapshot(hist_kind::ABSORB);
-        prop_assert_eq!(Hist64::from_snapshot(&snap), h);
-    }
-
-    #[test]
     fn replay_merge_is_associative(a in replay_metrics(), b in replay_metrics(), c in replay_metrics()) {
         let left = merged_replay(&merged_replay(&a, &b), &c);
         let right = merged_replay(&a, &merged_replay(&b, &c));
@@ -184,82 +170,6 @@ proptest! {
         ab.pending_joins = 0;
         ba.pending_joins = 0;
         prop_assert_eq!(ab, ba, "everything but the gauges commutes");
-    }
-
-    #[test]
-    fn metrics_reply_roundtrips_through_the_wire(m in replay_metrics(), round in any::<u64>()) {
-        let encoded = m.to_reply(round).encode();
-        let decoded = Message::decode(&encoded).expect("own encoding decodes");
-        let Message::MetricsReply {
-            round: got_round,
-            routed,
-            replayed,
-            deduped,
-            journal_depth,
-            truncated,
-            queue_depth,
-            phase_nanos,
-            late_reports_parked,
-            deadline_drops,
-            coordinator_restarts,
-            epoch_phase_nanos,
-            hists,
-        } = decoded
-        else {
-            panic!("wrong message kind");
-        };
-        prop_assert_eq!(got_round, round);
-        let rebuilt = ReplayMetrics::from_reply_parts(
-            routed,
-            replayed,
-            deduped,
-            journal_depth,
-            truncated,
-            queue_depth,
-            &phase_nanos,
-            late_reports_parked,
-            deadline_drops,
-            coordinator_restarts,
-            &epoch_phase_nanos,
-            &hists,
-        );
-        prop_assert_eq!(rebuilt, m);
-    }
-
-    #[test]
-    fn metrics_reply_tolerates_trailing_garbage(m in replay_metrics(), garbage in proptest::collection::vec(any::<u8>(), 1..16)) {
-        // The forward-compat half of the contract: bytes a future
-        // sender appends after the hist list must not break an old
-        // decoder, and must not change what it reads.
-        let mut encoded = m.to_reply(7).encode();
-        let clean = Message::decode(&encoded).expect("own encoding decodes");
-        encoded.extend_from_slice(&garbage);
-        let padded = Message::decode(&encoded).expect("trailing bytes tolerated");
-        prop_assert_eq!(clean, padded);
-    }
-}
-
-#[test]
-fn unknown_hist_kinds_are_skipped_not_fatal() {
-    let mut h = Hist64::new();
-    h.record(1000);
-    let known = h.to_snapshot(hist_kind::REPLAY);
-    let unknown = HistogramSnapshot {
-        kind: 0x7F, // a family this build has never heard of
-        count: 3,
-        sum: 30,
-        buckets: vec![(3, 3)],
-    };
-    let rebuilt =
-        ReplayMetrics::from_reply_parts(0, 0, 0, 0, 0, 0, &[], 0, 0, 0, &[], &[known, unknown]);
-    assert_eq!(rebuilt.replay_hist, h, "the known family lands");
-    for kind in hist_kind::ALL {
-        if kind != hist_kind::REPLAY {
-            assert!(
-                rebuilt.hist(kind).expect("known kind").is_empty(),
-                "kind {kind} stays empty"
-            );
-        }
     }
 }
 
