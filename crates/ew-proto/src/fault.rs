@@ -97,11 +97,10 @@ impl FaultyLink {
             return out;
         }
 
-        let duplicate = self.rng.gen::<f64>() < self.config.duplicate_prob;
-        out.push(frame.clone());
-        if duplicate {
-            out.push(frame);
+        if self.rng.gen::<f64>() < self.config.duplicate_prob {
+            out.push(frame.clone());
         }
+        out.push(frame);
         if let Some(held) = self.held.take() {
             out.push(held);
         }

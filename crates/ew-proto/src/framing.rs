@@ -147,6 +147,7 @@ fn find_magic(buf: &[u8]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Envelope, Message, NodeId};
 
     #[test]
     fn single_frame_roundtrip() {
@@ -218,6 +219,76 @@ mod tests {
         dec.extend(&stream);
         assert!(matches!(dec.next_frame(), Err(FrameError::Oversize(_))));
         assert_eq!(dec.next_frame().unwrap(), Some(b"after".to_vec()));
+    }
+
+    /// A framed `Report` envelope of `depth × width` cells.
+    fn report_frame(depth: u32, width: u32) -> Vec<u8> {
+        let cells = (0..depth * width)
+            .map(|i| i.wrapping_mul(0x9E37_79B9))
+            .collect();
+        let msg = Message::Report {
+            user: 7,
+            round: 3,
+            depth,
+            width,
+            seed: 0x5EED,
+            cells,
+        };
+        encode_frame(&Envelope::new(NodeId::Client(7), 3, msg).encode())
+    }
+
+    /// Everything the decoder makes of `stream` until it asks for more
+    /// bytes.
+    fn decode_all(stream: &[u8]) -> Vec<Result<Vec<u8>, FrameError>> {
+        let mut dec = FrameDecoder::new();
+        dec.extend(stream);
+        std::iter::from_fn(|| dec.next_frame().transpose()).collect()
+    }
+
+    /// Flips bit `bit` of `frame` and checks the decoder hands out no
+    /// payload: a flip past the header is exactly one `BadChecksum`; a
+    /// flip in the magic or length field misframes the stream, which
+    /// must still never yield a payload.
+    fn assert_flip_rejected(frame: &[u8], bit: usize) {
+        let mut damaged = frame.to_vec();
+        damaged[bit / 8] ^= 1 << (bit % 8);
+        let out = decode_all(&damaged);
+        assert!(
+            out.iter().all(Result::is_err),
+            "bit {bit}: a damaged frame was handed out"
+        );
+        if bit / 8 >= HEADER_LEN {
+            assert_eq!(out, [Err(FrameError::BadChecksum)], "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn damaged_report_frames_never_decode() {
+        // Every single-bit flip of a ≈ 1 KiB report frame.
+        let small = report_frame(2, 120);
+        assert_eq!(decode_all(&small).len(), 1);
+        for bit in 0..small.len() * 8 {
+            assert_flip_rejected(&small, bit);
+        }
+        // One flip per byte position of a 5 × 1 024-cell report frame (a
+        // sample of positions in the unoptimised debug profile).
+        let report = report_frame(5, 1_024);
+        assert_eq!(report.len(), 20_537);
+        let stride = if cfg!(debug_assertions) { 13 } else { 1 };
+        for byte in (0..report.len()).step_by(stride) {
+            assert_flip_rejected(&report, byte * 8 + byte % 8);
+        }
+    }
+
+    #[test]
+    fn truncated_report_frames_wait_for_more_bytes() {
+        for frame in [report_frame(2, 120), report_frame(5, 1_024)] {
+            for cut in 0..frame.len() {
+                let mut dec = FrameDecoder::new();
+                dec.extend(&frame[..cut]);
+                assert_eq!(dec.next_frame(), Ok(None), "cut at {cut}");
+            }
+        }
     }
 
     #[test]

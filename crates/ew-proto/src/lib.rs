@@ -1,4 +1,4 @@
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 //! # ew-proto — the eyeWnder wire protocol
 //!
@@ -26,6 +26,12 @@
 //! * `len` is the payload length,
 //! * `crc32` (IEEE 802.3 polynomial) covers the payload; a corrupted
 //!   frame decodes to [`FrameError::BadChecksum`] instead of garbage.
+//!
+//! The checksum is folded by carry-less multiplication where the CPU has
+//! it and by a table walk elsewhere ([`crc32`]); both give the same value.
+//! The crate is `#![deny(unsafe_code)]` with one exception: the call from
+//! [`crc32::crc32`]'s dispatch into its `#[target_feature]` kernel,
+//! directly under the `is_x86_feature_detected!` that justifies it.
 //!
 //! Payloads are [`Message`]s encoded with explicit little-endian codecs
 //! ([`codec`]). Wire tags, journal record tags and [`error_code`]s are

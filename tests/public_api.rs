@@ -383,6 +383,26 @@ fn one_measuring_stick() {
     );
 }
 
+/// The line under each `#[allow(unsafe_code)]` in the non-test code of
+/// the crate sources under `dir`.
+fn unsafe_allowances(dir: &Path) -> Vec<String> {
+    let mut sources = Vec::new();
+    files_ending(dir, ".rs", &mut sources);
+    sources
+        .iter()
+        .flat_map(|file| {
+            let code = non_test_code(file);
+            let lines: Vec<&str> = code.lines().collect();
+            lines
+                .iter()
+                .enumerate()
+                .filter(|(_, line)| line.trim() == "#[allow(unsafe_code)]")
+                .map(|(i, _)| lines[i + 1].trim().to_string())
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
 #[test]
 fn one_blinding_derivation() {
     // A blinding term is one MAC per pair per round expanded by the
@@ -403,27 +423,24 @@ fn one_blinding_derivation() {
             "{retired} is back in the public API"
         );
     }
-    let mut sources = Vec::new();
-    files_ending(&root.join("crates/ew-crypto/src"), ".rs", &mut sources);
-    let sites: Vec<String> = sources
-        .iter()
-        .flat_map(|file| {
-            let code = non_test_code(file);
-            let lines: Vec<&str> = code.lines().collect();
-            lines
-                .iter()
-                .enumerate()
-                .filter(|(_, line)| line.trim() == "#[allow(unsafe_code)]")
-                .map(|(i, _)| lines[i + 1].trim().to_string())
-                .collect::<Vec<_>>()
-        })
-        .collect();
     assert_eq!(
-        sites,
+        unsafe_allowances(&root.join("crates/ew-crypto/src")),
         [
             "pub(crate) fn add_keystream(key: &[u32; 8], negate: bool, out: &mut [u32]) {",
             "pub fn digest_lanes<const L: usize>(inputs: &[&[u8]; L]) -> [[u8; DIGEST_LEN]; L] {",
         ],
         "ew-crypto allows unsafe code only at its two tier dispatches"
+    );
+}
+
+#[test]
+fn one_checksum_dispatch() {
+    // `ew-proto` allows `unsafe` at one call: the CRC dispatch into its
+    // carry-less kernel, directly under the CPU feature detection.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    assert_eq!(
+        unsafe_allowances(&root.join("crates/ew-proto/src")),
+        ["let crc = unsafe { clmul::crc32(data) };"],
+        "ew-proto allows unsafe code only at the CRC dispatch"
     );
 }
