@@ -50,6 +50,9 @@ pub enum NodeId {
     Coordinator,
 }
 
+/// Sender tags (stable; append-only). A singleton server's id field is
+/// always 0, and any other id is rejected as `BadTag` of its sender
+/// tag, so every accepted envelope re-encodes to its own bytes.
 mod sender_tag {
     pub const CLIENT: u8 = 0x01;
     pub const BACKEND: u8 = 0x02;
@@ -155,12 +158,12 @@ impl Envelope {
         }
         let tag = get_u8(&mut buf)?;
         let id = get_u32(&mut buf)?;
-        let sender = match tag {
-            sender_tag::CLIENT => NodeId::Client(id),
-            sender_tag::BACKEND => NodeId::Backend,
-            sender_tag::OPRF => NodeId::Oprf,
-            sender_tag::COORDINATOR => NodeId::Coordinator,
-            other => return Err(CodecError::BadTag(other)),
+        let sender = match (tag, id) {
+            (sender_tag::CLIENT, id) => NodeId::Client(id),
+            (sender_tag::BACKEND, 0) => NodeId::Backend,
+            (sender_tag::OPRF, 0) => NodeId::Oprf,
+            (sender_tag::COORDINATOR, 0) => NodeId::Coordinator,
+            (other, _) => return Err(CodecError::BadTag(other)),
         };
         let round = get_u64(&mut buf)?;
         let msg = Message::decode(buf)?;
@@ -261,6 +264,18 @@ mod tests {
         let mut encoded = samples()[0].encode();
         encoded[1] = 0x04;
         assert_eq!(Envelope::decode(&encoded), Err(CodecError::BadTag(0x04)));
+    }
+
+    #[test]
+    fn singleton_sender_with_an_id_is_rejected() {
+        // A server's id field is always 0: an envelope that decoded with
+        // any other id would re-encode to different bytes.
+        for (sample, tag) in [(1, 0x02), (2, 0x03), (4, 0x05)] {
+            let mut encoded = samples()[sample].encode();
+            assert_eq!(encoded[1], tag);
+            encoded[2] = 7;
+            assert_eq!(Envelope::decode(&encoded), Err(CodecError::BadTag(tag)));
+        }
     }
 
     #[test]

@@ -1,25 +1,18 @@
-//! The event-sourced round journal: the wire-stable record types that
-//! make cluster crash-restart replayable.
+//! The round journal's wire-stable record types: what a restarted shard
+//! or coordinator reads back.
 //!
-//! PR 5 grew two ad-hoc replay logs (the routing bus's in-flight
-//! journal and the cluster backend's absorbed-envelope journal) whose
-//! exactly-once guarantee rested on driver discipline. This module is
-//! the shared mechanism that replaces both: every state transition of a
-//! clustered round is a sequence-numbered [`JournalRecord`] appended to
-//! one log, and cold restart, duplicate suppression and audit replay
-//! all read the same records.
-//!
-//! ## Record kinds
+//! A journal is a sequence of [`JournalRecord`]s, numbered by the log
+//! that appends them. Every kind here has a reader:
 //!
 //! * [`JournalEvent::Absorbed`] — a data-plane envelope (report or
-//!   adjustment) was **successfully** absorbed by a shard. Rejected
-//!   envelopes are never journaled, so replaying the log can never
-//!   re-deliver a duplicate.
-//! * [`JournalEvent::MapInstalled`] — the round's shard map, the first
-//!   record at round open (a map never changes mid-round).
-//! * [`JournalEvent::RoundFinalized`] — the round's merged view was
-//!   finalized; everything at or below this sequence number is dead
-//!   weight and safe to truncate.
+//!   adjustment) was **successfully** absorbed by a shard. A restarted
+//!   shard re-absorbs its `Absorbed` suffix, and the log's dedupe index
+//!   is built from the same records. Rejected envelopes are never
+//!   journaled, so replaying the log can never re-deliver a duplicate.
+//! * [`JournalEvent::CoordinatorState`] — a [`CoordinatorCheckpoint`];
+//!   a restarted coordinator resumes from the latest one.
+//! * [`JournalEvent::ReportParked`] — a late report parked inside the
+//!   grace window; the next epoch folds it in.
 //!
 //! ## Wire format
 //!
@@ -28,28 +21,64 @@
 //! integers LE, variable fields length-prefixed, truncation and
 //! trailing bytes rejected. The record tag space is append-only and
 //! private to the journal (it never shares a byte stream with message
-//! tags; [`JournalEvent::Absorbed`] embeds a full [`Envelope`] as a
-//! length-prefixed byte field).
+//! tags; an embedded [`Envelope`] is a length-prefixed byte field).
 
-use crate::codec::{get_bytes, get_u32, get_u32_vec, get_u64, get_u8, put_bytes, CodecError};
+use crate::codec::{
+    get_bytes, get_u32, get_u32_vec, get_u64, get_u8, put_bytes, put_u32_vec, CodecError,
+};
 use crate::envelope::Envelope;
 use bytes::BufMut;
 
 /// Journal record tags (stable; append-only).
 mod record_tag {
     pub const ABSORBED: u8 = 0x01;
-    pub const MAP_INSTALLED: u8 = 0x02;
-    // 0x03 (the shard adoption marker of mid-round reassignment) is
-    // retired, never reassigned: `BadTag`.
-    pub const ROUND_FINALIZED: u8 = 0x04;
-    pub const EPOCH_OPENED: u8 = 0x05;
-    pub const MEMBERSHIP_INSTALLED: u8 = 0x06;
-    pub const EPOCH_COLLAPSED: u8 = 0x07;
+    // 0x02 (the round's shard map), 0x03 (the shard adoption marker of
+    // mid-round reassignment), 0x04 (round finalized), 0x05 (epoch
+    // opened), 0x06 (membership installed) and 0x07 (epoch collapsed)
+    // were written and never read back. They are retired, never
+    // reassigned: `BadTag`.
     pub const COORDINATOR_STATE: u8 = 0x08;
     pub const REPORT_PARKED: u8 = 0x09;
 }
 
-/// One event-sourced state transition of a clustered aggregation round.
+/// A checkpoint of the coordinator's mutable state, journaled after
+/// every tick-boundary mutation. Restoring a coordinator needs only the
+/// latest one, so a restarted coordinator resumes at the exact phase it
+/// died in. Deployment configuration (tick budgets, `min_clients`
+/// policy) and telemetry counters are deliberately **not** part of it:
+/// config is supplied at restart, and counters restart from zero like
+/// every other node's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CoordinatorCheckpoint {
+    /// The coordinator's current epoch.
+    pub epoch: u64,
+    /// The aggregation round the epoch drives.
+    pub round: u64,
+    /// The current phase, as its [`crate::EpochPhase`] wire byte.
+    pub phase: u8,
+    /// The installed membership ledger's version.
+    pub version: u32,
+    /// The epoch the installed ledger was stamped for.
+    pub ledger_epoch: u64,
+    /// The installed ledger's admission threshold.
+    pub min_clients: u32,
+    /// The installed ledger's member ids, ascending.
+    pub members: Vec<u32>,
+    /// The live roster (admitted, not yet left/dropped), ascending.
+    pub roster: Vec<u32>,
+    /// Joins parked for the next admission, ascending.
+    pub pending_joins: Vec<u32>,
+    /// Leaves parked for the next tick boundary, ascending.
+    pub pending_leaves: Vec<u32>,
+    /// Members dropped mid-epoch (the §6 silent set), ascending.
+    pub dropped: Vec<u32>,
+    /// The tick at which the current phase times out.
+    pub deadline: u64,
+    /// The last tick instant the coordinator observed.
+    pub last_tick: u64,
+}
+
+/// One journaled state transition.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalEvent {
     /// A data-plane envelope was successfully absorbed by `shard`.
@@ -64,95 +93,10 @@ pub enum JournalEvent {
         /// The absorbed envelope, verbatim.
         envelope: Envelope,
     },
-    /// The shard map the round routes by, journaled at round open.
-    MapInstalled {
-        /// The installed map version.
-        version: u32,
-        /// One past the highest addressable shard id.
-        shard_ids: u32,
-        /// The slot-ownership ring of the installed map.
-        owners: Vec<u32>,
-    },
-    /// The round was finalized; records at or below this sequence
-    /// number can be truncated.
-    RoundFinalized {
-        /// The finalized aggregation round.
-        round: u64,
-    },
-    /// An epoch entered its `Reports` phase: the coordinator froze the
-    /// roster and opened the aggregation round over it. A restart that
-    /// replays past this record rebuilds the epoch's enrollment before
-    /// re-absorbing reports, so crash-restart works across an epoch
-    /// boundary.
-    EpochOpened {
-        /// The opened epoch.
-        epoch: u64,
-        /// The aggregation round the epoch drives.
-        round: u64,
-        /// The membership ledger version the roster was frozen under.
-        version: u32,
-        /// The frozen roster, ascending.
-        members: Vec<u32>,
-    },
-    /// A membership ledger became current (a successor installed at
-    /// admission or at the roster freeze).
-    MembershipInstalled {
-        /// The installed ledger version.
-        version: u32,
-        /// The epoch the ledger was installed for.
-        epoch: u64,
-        /// The admission threshold.
-        min_clients: u32,
-        /// The ledger's member ids, ascending.
-        members: Vec<u32>,
-    },
-    /// An epoch fell below `min_clients` mid-flight and regressed to
-    /// `WaitingForMembers`; the round it drove was abandoned **without**
-    /// finalizing, and everything the epoch journaled above the last
-    /// snapshot is dead weight.
-    EpochCollapsed {
-        /// The collapsed epoch.
-        epoch: u64,
-        /// The members still present when the epoch collapsed.
-        remaining: Vec<u32>,
-    },
-    /// A checkpoint of the coordinator's mutable state, appended after
-    /// every tick-boundary mutation. The **latest** such record is the
-    /// whole restore story: unlike shard replay (which folds a suffix of
-    /// `Absorbed` records), restoring a coordinator only needs the most
-    /// recent checkpoint, so a restarted coordinator resumes at the
-    /// exact phase it died in. Deployment configuration (tick budgets,
-    /// `min_clients` policy) and telemetry counters are deliberately
-    /// **not** part of the checkpoint — config is supplied at restart,
-    /// counters restart from zero like every other node's.
-    CoordinatorState {
-        /// The coordinator's current epoch.
-        epoch: u64,
-        /// The aggregation round the epoch drives.
-        round: u64,
-        /// The current phase, as its [`crate::EpochPhase`] wire byte.
-        phase: u8,
-        /// The installed membership ledger's version.
-        version: u32,
-        /// The epoch the installed ledger was stamped for.
-        ledger_epoch: u64,
-        /// The installed ledger's admission threshold.
-        min_clients: u32,
-        /// The installed ledger's member ids, ascending.
-        members: Vec<u32>,
-        /// The live roster (admitted, not yet left/dropped), ascending.
-        roster: Vec<u32>,
-        /// Joins parked for the next admission, ascending.
-        pending_joins: Vec<u32>,
-        /// Leaves parked for the next tick boundary, ascending.
-        pending_leaves: Vec<u32>,
-        /// Members dropped mid-epoch (the §6 silent set), ascending.
-        dropped: Vec<u32>,
-        /// The tick at which the current phase times out.
-        deadline: u64,
-        /// The last tick instant the coordinator observed.
-        last_tick: u64,
-    },
+    /// A checkpoint of the coordinator's mutable state. Unlike shard
+    /// replay, which folds a suffix of `Absorbed` records, restoring a
+    /// coordinator reads only the most recent checkpoint.
+    CoordinatorState(CoordinatorCheckpoint),
     /// A report arrived after its epoch finalized but inside the grace
     /// window, and was parked for the next epoch instead of being lost.
     /// Journaling the verbatim envelope means parked reports survive a
@@ -166,22 +110,6 @@ pub enum JournalEvent {
         /// The late report envelope, verbatim.
         envelope: Envelope,
     },
-}
-
-impl JournalEvent {
-    /// A short, stable name for the event kind (diagnostics only).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            JournalEvent::Absorbed { .. } => "Absorbed",
-            JournalEvent::MapInstalled { .. } => "MapInstalled",
-            JournalEvent::RoundFinalized { .. } => "RoundFinalized",
-            JournalEvent::EpochOpened { .. } => "EpochOpened",
-            JournalEvent::MembershipInstalled { .. } => "MembershipInstalled",
-            JournalEvent::EpochCollapsed { .. } => "EpochCollapsed",
-            JournalEvent::CoordinatorState { .. } => "CoordinatorState",
-            JournalEvent::ReportParked { .. } => "ReportParked",
-        }
-    }
 }
 
 /// One sequence-numbered journal entry: the unit of append, replay and
@@ -207,78 +135,21 @@ impl JournalRecord {
                 buf.put_u32_le(*shard);
                 put_bytes(&mut buf, &envelope.encode());
             }
-            JournalEvent::MapInstalled {
-                version,
-                shard_ids,
-                owners,
-            } => {
-                buf.put_u8(record_tag::MAP_INSTALLED);
-                buf.put_u32_le(*version);
-                buf.put_u32_le(*shard_ids);
-                crate::codec::put_u32_vec(&mut buf, owners);
-            }
-            JournalEvent::RoundFinalized { round } => {
-                buf.put_u8(record_tag::ROUND_FINALIZED);
-                buf.put_u64_le(*round);
-            }
-            JournalEvent::EpochOpened {
-                epoch,
-                round,
-                version,
-                members,
-            } => {
-                buf.put_u8(record_tag::EPOCH_OPENED);
-                buf.put_u64_le(*epoch);
-                buf.put_u64_le(*round);
-                buf.put_u32_le(*version);
-                crate::codec::put_u32_vec(&mut buf, members);
-            }
-            JournalEvent::MembershipInstalled {
-                version,
-                epoch,
-                min_clients,
-                members,
-            } => {
-                buf.put_u8(record_tag::MEMBERSHIP_INSTALLED);
-                buf.put_u32_le(*version);
-                buf.put_u64_le(*epoch);
-                buf.put_u32_le(*min_clients);
-                crate::codec::put_u32_vec(&mut buf, members);
-            }
-            JournalEvent::EpochCollapsed { epoch, remaining } => {
-                buf.put_u8(record_tag::EPOCH_COLLAPSED);
-                buf.put_u64_le(*epoch);
-                crate::codec::put_u32_vec(&mut buf, remaining);
-            }
-            JournalEvent::CoordinatorState {
-                epoch,
-                round,
-                phase,
-                version,
-                ledger_epoch,
-                min_clients,
-                members,
-                roster,
-                pending_joins,
-                pending_leaves,
-                dropped,
-                deadline,
-                last_tick,
-            } => {
+            JournalEvent::CoordinatorState(state) => {
                 buf.put_u8(record_tag::COORDINATOR_STATE);
-                buf.put_u64_le(*epoch);
-                buf.put_u64_le(*round);
-                buf.put_u8(*phase);
-                buf.put_u32_le(*version);
-                buf.put_u64_le(*ledger_epoch);
-                buf.put_u32_le(*min_clients);
-                crate::codec::put_u32_vec(&mut buf, members);
-                crate::codec::put_u32_vec(&mut buf, roster);
-                crate::codec::put_u32_vec(&mut buf, pending_joins);
-                crate::codec::put_u32_vec(&mut buf, pending_leaves);
-                crate::codec::put_u32_vec(&mut buf, dropped);
-                buf.put_u64_le(*deadline);
-                buf.put_u64_le(*last_tick);
+                buf.put_u64_le(state.epoch);
+                buf.put_u64_le(state.round);
+                buf.put_u8(state.phase);
+                buf.put_u32_le(state.version);
+                buf.put_u64_le(state.ledger_epoch);
+                buf.put_u32_le(state.min_clients);
+                put_u32_vec(&mut buf, &state.members);
+                put_u32_vec(&mut buf, &state.roster);
+                put_u32_vec(&mut buf, &state.pending_joins);
+                put_u32_vec(&mut buf, &state.pending_leaves);
+                put_u32_vec(&mut buf, &state.dropped);
+                buf.put_u64_le(state.deadline);
+                buf.put_u64_le(state.last_tick);
             }
             JournalEvent::ReportParked {
                 epoch,
@@ -309,30 +180,6 @@ impl JournalRecord {
                     envelope: Envelope::decode(&raw)?,
                 }
             }
-            record_tag::MAP_INSTALLED => JournalEvent::MapInstalled {
-                version: get_u32(buf)?,
-                shard_ids: get_u32(buf)?,
-                owners: get_u32_vec(buf)?,
-            },
-            record_tag::ROUND_FINALIZED => JournalEvent::RoundFinalized {
-                round: get_u64(buf)?,
-            },
-            record_tag::EPOCH_OPENED => JournalEvent::EpochOpened {
-                epoch: get_u64(buf)?,
-                round: get_u64(buf)?,
-                version: get_u32(buf)?,
-                members: get_u32_vec(buf)?,
-            },
-            record_tag::MEMBERSHIP_INSTALLED => JournalEvent::MembershipInstalled {
-                version: get_u32(buf)?,
-                epoch: get_u64(buf)?,
-                min_clients: get_u32(buf)?,
-                members: get_u32_vec(buf)?,
-            },
-            record_tag::EPOCH_COLLAPSED => JournalEvent::EpochCollapsed {
-                epoch: get_u64(buf)?,
-                remaining: get_u32_vec(buf)?,
-            },
             record_tag::COORDINATOR_STATE => {
                 let epoch = get_u64(buf)?;
                 let round = get_u64(buf)?;
@@ -342,7 +189,7 @@ impl JournalRecord {
                 if crate::membership::EpochPhase::from_wire(phase).is_err() {
                     return Err(CodecError::BadTag(phase));
                 }
-                JournalEvent::CoordinatorState {
+                JournalEvent::CoordinatorState(CoordinatorCheckpoint {
                     epoch,
                     round,
                     phase,
@@ -356,7 +203,7 @@ impl JournalRecord {
                     dropped: get_u32_vec(buf)?,
                     deadline: get_u64(buf)?,
                     last_tick: get_u64(buf)?,
-                }
+                })
             }
             record_tag::REPORT_PARKED => {
                 let epoch = get_u64(buf)?;
@@ -419,45 +266,8 @@ mod tests {
                 },
             },
             JournalRecord {
-                seq: 3,
-                event: JournalEvent::MapInstalled {
-                    version: 1,
-                    shard_ids: 4,
-                    owners: vec![0, 1, 3, 0, 1, 3, 0, 1],
-                },
-            },
-            JournalRecord {
-                seq: u64::MAX,
-                event: JournalEvent::RoundFinalized { round: u64::MAX },
-            },
-            JournalRecord {
-                seq: 5,
-                event: JournalEvent::EpochOpened {
-                    epoch: 2,
-                    round: 14,
-                    version: 6,
-                    members: vec![1, 4, 7, 9],
-                },
-            },
-            JournalRecord {
-                seq: 6,
-                event: JournalEvent::MembershipInstalled {
-                    version: 6,
-                    epoch: 2,
-                    min_clients: 3,
-                    members: vec![1, 4, 7, 9],
-                },
-            },
-            JournalRecord {
-                seq: 7,
-                event: JournalEvent::EpochCollapsed {
-                    epoch: 2,
-                    remaining: vec![1, 9],
-                },
-            },
-            JournalRecord {
                 seq: 8,
-                event: JournalEvent::CoordinatorState {
+                event: JournalEvent::CoordinatorState(CoordinatorCheckpoint {
                     epoch: 3,
                     round: 15,
                     phase: 0x02,
@@ -471,7 +281,7 @@ mod tests {
                     dropped: vec![7],
                     deadline: 42,
                     last_tick: 40,
-                },
+                }),
             },
             JournalRecord {
                 seq: 9,
@@ -495,11 +305,35 @@ mod tests {
         ]
     }
 
+    fn from_hex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+            .collect()
+    }
+
+    #[test]
+    fn surviving_record_encodings_are_unchanged() {
+        // (length, CRC-32) of each sample's encoding as the eight-kind
+        // codec wrote it: retiring the other kinds moved no byte.
+        let golden = [
+            (96, 0x2281_ccc6),
+            (80, 0xd4de_ac0d),
+            (114, 0x0b17_a943),
+            (108, 0x0a61_1172),
+        ];
+        for (rec, (len, crc)) in samples().iter().zip(golden) {
+            let encoded = rec.encode();
+            assert_eq!(encoded.len(), len, "seq {}", rec.seq);
+            assert_eq!(crate::crc32::crc32(&encoded), crc, "seq {}", rec.seq);
+        }
+    }
+
     #[test]
     fn coordinator_state_rejects_unknown_phase_byte() {
         let rec = JournalRecord {
             seq: 1,
-            event: JournalEvent::CoordinatorState {
+            event: JournalEvent::CoordinatorState(CoordinatorCheckpoint {
                 epoch: 1,
                 round: 1,
                 phase: 0x00,
@@ -513,7 +347,7 @@ mod tests {
                 dropped: vec![],
                 deadline: 0,
                 last_tick: 0,
-            },
+            }),
         };
         let mut encoded = rec.encode();
         // seq u64 | tag u8 | epoch u64 | round u64 | phase u8
@@ -542,14 +376,25 @@ mod tests {
 
     #[test]
     fn retired_record_tags_decode_to_bad_tag() {
-        // The shard adoption marker's exact old layout (seq, tag, dead
-        // shard, map version), well-formed everywhere but the tag.
-        let mut buf = Vec::new();
-        bytes::BufMut::put_u64_le(&mut buf, 4);
-        buf.push(0x03);
-        bytes::BufMut::put_u32_le(&mut buf, 2);
-        bytes::BufMut::put_u32_le(&mut buf, 1);
-        assert_eq!(JournalRecord::decode(&buf), Err(CodecError::BadTag(0x03)));
+        // Each retired kind in its exact old layout, well-formed
+        // everywhere but the tag: the shard map (version, shard ids,
+        // slot ring), the adoption marker (dead shard, map version),
+        // round finalized (round), epoch opened (epoch, round, version,
+        // members), membership installed (version, epoch, min_clients,
+        // members) and epoch collapsed (epoch, remaining).
+        let retired = [
+            (0x02, "0300000000000000020100000004000000080000000000000001000000030000000000000001000000030000000000000001000000"),
+            (0x03, "0400000000000000030200000001000000"),
+            (0x04, "ffffffffffffffff04ffffffffffffffff"),
+            (0x05, "05000000000000000502000000000000000e00000000000000060000000400000001000000040000000700000009000000"),
+            (0x06, "060000000000000006060000000200000000000000030000000400000001000000040000000700000009000000"),
+            (0x07, "0700000000000000070200000000000000020000000100000009000000"),
+        ];
+        for (tag, hex) in retired {
+            let buf = from_hex(hex);
+            assert_eq!(buf[8], tag);
+            assert_eq!(JournalRecord::decode(&buf), Err(CodecError::BadTag(tag)));
+        }
     }
 
     #[test]

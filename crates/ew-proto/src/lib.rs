@@ -39,9 +39,9 @@
 //! `0x02`, `0x03`, `0x0C`, `0x0D`, `0x0F` (the mid-round shard-map
 //! update), `0x10`/`0x11` (the telemetry query / reply) and `0x14`/`0x15`
 //! (the coordinator's tick and epoch-state broadcast), sender tag `0x04`
-//! (the telemetry sidecar) and journal record tag `0x03` (the shard
-//! adoption marker) decode to `BadTag`; error codes 3, 6, 8 and 11 are
-//! reserved.
+//! (the telemetry sidecar) and journal record tags `0x02`–`0x07` (the
+//! records nothing read back) decode to `BadTag`; error codes 3, 6, 8
+//! and 11 are reserved.
 
 pub mod cluster;
 pub mod codec;
@@ -57,11 +57,11 @@ pub mod transport;
 #[cfg(test)]
 mod proptests;
 
-pub use cluster::{ShardMap, MAX_CLUSTER_SHARDS, SLOTS_PER_SHARD};
+pub use cluster::{ShardMap, MAX_CLUSTER_SHARDS};
 pub use envelope::{Envelope, NodeId, ENVELOPE_VERSION};
 pub use fault::{FaultConfig, FaultyLink};
 pub use framing::{FrameDecoder, FrameError, MAGIC};
-pub use journal::{JournalEvent, JournalRecord};
+pub use journal::{CoordinatorCheckpoint, JournalEvent, JournalRecord};
 pub use membership::{EpochPhase, Membership, MembershipError, MAX_MEMBERS};
 pub use message::{error_code, AdmissionHint, Message};
 pub use transport::{channel_pair, Endpoint, TransportError};

@@ -3,10 +3,11 @@
 //! through.
 //!
 //! The ledger is versioned: every installed roster is one version above
-//! the last, so a journaled ledger is totally ordered. It travels only
-//! in the coordinator's journal record
-//! ([`crate::JournalEvent::CoordinatorState`]), which a restarted
-//! coordinator decodes and validates through [`Membership::from_wire`].
+//! the last, so a journaled ledger is totally ordered. It is journaled
+//! only inside the coordinator's [`crate::CoordinatorCheckpoint`], which
+//! a restarted coordinator validates through [`Membership::from_wire`].
+//! The cluster reads the frozen roster straight from the coordinator;
+//! the round log never carries it.
 
 use std::collections::BTreeSet;
 

@@ -31,7 +31,9 @@
 //! * **A crashed shard is rebuilt from the log.**
 //!   [`ClusterBackend::restart_shard`] is the one way a shard's state
 //!   is rebuilt: the last snapshot's clone of its state (or a fresh one)
-//!   plus its absorbed suffix, without touching the survivors.
+//!   plus its absorbed suffix, without touching the survivors. The round
+//!   log holds `Absorbed` records and nothing else, because that is all
+//!   a restart reads.
 //!
 //! Replay counters, journal depth and phase timings are exported as
 //! [`ReplayMetrics`] so both paths are observable rather than trusted.
@@ -59,7 +61,10 @@ use ew_bigint::UBig;
 use ew_core::{GlobalView, ThresholdPolicy};
 use ew_crypto::directory::KeyDirectory;
 use ew_proto::transport::TransportError;
-use ew_proto::{Envelope, FaultConfig, JournalEvent, Membership, Message, NodeId, ShardMap};
+use ew_proto::{
+    CoordinatorCheckpoint, Envelope, FaultConfig, JournalEvent, Membership, Message, NodeId,
+    ShardMap,
+};
 use ew_simnet::{RestartPhase, ShardRestart};
 use ew_sketch::CmsParams;
 use std::time::Instant;
@@ -366,13 +371,11 @@ pub struct ClusterBackend {
     /// the absorb and replay timings (wall-clock; excluded from
     /// determinism checks like every timing).
     metrics: ReplayMetrics,
-    /// The coordinator's epoch context, when this cluster is driven by
-    /// one: the epoch number and its frozen membership ledger. Restricts
-    /// the bulletin board to the epoch roster (so `missing_clients` is
-    /// roster-minus-reported, not cohort-minus-reported) and stamps
-    /// `EpochOpened`/`MembershipInstalled` records into every round log
-    /// so a cold restart replays across the epoch boundary.
-    epoch_context: Option<(u64, Membership)>,
+    /// The frozen membership ledger of the coordinator's current epoch,
+    /// when this cluster is driven by one. Restricts the bulletin board
+    /// to the epoch roster, so `missing_clients` is roster minus
+    /// reported, not cohort minus reported.
+    epoch_context: Option<Membership>,
     /// The control-plane log: coordinator checkpoints and parked late
     /// reports. Unlike `log` it is **never** reset per round — it plays
     /// for the coordinator the role the round log plays for the shards,
@@ -391,13 +394,13 @@ pub struct ClusterBackend {
 /// frozen roster lists them.
 fn roster<'a>(
     directory: &'a KeyDirectory,
-    epoch_context: &'a Option<(u64, Membership)>,
+    epoch_context: &'a Option<Membership>,
 ) -> impl Fn(u32) -> bool + Copy + 'a {
     move |user| {
         directory.get(user).is_some()
             && epoch_context
                 .as_ref()
-                .is_none_or(|(_, membership)| membership.contains(user))
+                .is_none_or(|membership| membership.contains(user))
     }
 }
 
@@ -447,33 +450,20 @@ impl ClusterBackend {
     /// existing silent-client recovery path, and a departed member is
     /// simply absent rather than forever "missing" — and a member with
     /// no published key is not enrolled (it enrolls on first join, like
-    /// any cohort build). The next [`AggregationBackend::open_round`]
-    /// stamps the matching `EpochOpened` and `MembershipInstalled`
-    /// records into the fresh round log.
-    pub fn begin_epoch(&mut self, epoch: u64, membership: &Membership) {
-        self.epoch_context = Some((epoch, membership.clone()));
+    /// any cohort build).
+    pub fn begin_epoch(&mut self, membership: &Membership) {
+        self.epoch_context = Some(membership.clone());
         for slot in self.shards.iter_mut().flatten() {
             *slot = None;
         }
     }
 
     /// Abandons the open round after a below-`min_clients` collapse:
-    /// the collapse is journaled (so a replay of this log knows the
-    /// round was abandoned, not lost) and the round is closed **without
-    /// finalizing** — a below-threshold view is cryptographic noise.
-    /// The log itself stays healthy: the next epoch's `open_round`
-    /// starts its history exactly as if the collapsed round had
-    /// finalized.
-    pub fn collapse_epoch(&mut self, remaining: &[u32]) {
-        let epoch = self
-            .epoch_context
-            .as_ref()
-            .map(|(epoch, _)| *epoch)
-            .unwrap_or(0);
-        self.log.append(JournalEvent::EpochCollapsed {
-            epoch,
-            remaining: remaining.to_vec(),
-        });
+    /// the round is closed **without finalizing**, so a later
+    /// `finalize` answers `NoOpenRound` instead of publishing a
+    /// below-threshold view, which is cryptographic noise. The next
+    /// epoch's `open_round` starts a fresh round log.
+    pub fn collapse_epoch(&mut self) {
         self.round = None;
     }
 
@@ -583,32 +573,26 @@ impl ClusterBackend {
         &self.control
     }
 
-    /// Journals a coordinator checkpoint (a
-    /// [`JournalEvent::CoordinatorState`] record) into the control-plane
-    /// log, compacting away the checkpoints it supersedes — restore only
+    /// Journals a coordinator checkpoint into the control-plane log,
+    /// compacting away the checkpoints it supersedes — restore only
     /// ever reads the latest one, so older checkpoints are dead weight
     /// the moment a newer one lands.
-    ///
-    /// # Panics
-    /// Panics if `state` is not a `CoordinatorState` record.
-    pub fn checkpoint_coordinator(&mut self, state: JournalEvent) {
-        assert!(
-            matches!(state, JournalEvent::CoordinatorState { .. }),
-            "only CoordinatorState records checkpoint the coordinator"
-        );
-        self.control.append(state);
+    pub fn checkpoint_coordinator(&mut self, state: CoordinatorCheckpoint) {
+        self.control.append(JournalEvent::CoordinatorState(state));
         self.control.compact_coordinator_states();
     }
 
     /// The latest journaled coordinator checkpoint, if any — what
     /// `restart_coordinator` restores from.
-    pub fn latest_coordinator_checkpoint(&self) -> Option<&JournalEvent> {
+    pub fn latest_coordinator_checkpoint(&self) -> Option<&CoordinatorCheckpoint> {
         self.control
             .records()
             .iter()
             .rev()
-            .find(|rec| matches!(rec.event, JournalEvent::CoordinatorState { .. }))
-            .map(|rec| &rec.event)
+            .find_map(|rec| match &rec.event {
+                JournalEvent::CoordinatorState(state) => Some(state),
+                _ => None,
+            })
     }
 
     /// Parks a late report that arrived inside the grace window: the
@@ -721,34 +705,8 @@ impl AggregationBackend for ClusterBackend {
             *slot = Some(RoundState::open(self.params, round));
         }
         // A round is the log's epoch: records, dedupe index, snapshot
-        // watermark and counters restart, and the opening map is the
-        // first record — replaying the log from empty always begins
-        // with the routing truth it was written under.
+        // watermark and counters restart.
         self.log.open();
-        self.log.append(JournalEvent::MapInstalled {
-            version: self.map.version(),
-            shard_ids: self.map.shard_ids(),
-            owners: self.map.owners().to_vec(),
-        });
-        // Under a coordinator, the epoch boundary is part of the round's
-        // history: a cold restart replaying this log sees which epoch
-        // (and which frozen roster) the round ran under. Restart replay
-        // itself only re-feeds `Absorbed` records, so these are
-        // bookkeeping, not re-deliveries.
-        if let Some((epoch, membership)) = &self.epoch_context {
-            self.log.append(JournalEvent::EpochOpened {
-                epoch: *epoch,
-                round,
-                version: membership.version(),
-                members: membership.members().to_vec(),
-            });
-            self.log.append(JournalEvent::MembershipInstalled {
-                version: membership.version(),
-                epoch: membership.epoch(),
-                min_clients: membership.min_clients(),
-                members: membership.members().to_vec(),
-            });
-        }
         self.batch_horizon = None;
         self.metrics.replayed = 0;
         self.metrics.deduped = 0;
@@ -817,11 +775,9 @@ impl AggregationBackend for ClusterBackend {
         for slot in self.shards.iter_mut().flatten() {
             merged.merge(&slot.take().ok_or(RoundError::NoOpenRound)?)?;
         }
-        // Seal the round's history and truncate: everything at or below
-        // the `RoundFinalized` record is dead weight once the merged
-        // view exists (the per-shard state it reconstructs was just
-        // consumed), so the log ends every round at depth 0.
-        self.log.append(JournalEvent::RoundFinalized { round });
+        // Every record is dead weight once the merged view exists (the
+        // per-shard state it reconstructs was just consumed), so the log
+        // ends every round at depth 0.
         self.log.snapshot(Vec::new());
         Ok(merged.finalize(&self.mapper, self.policy))
     }
@@ -1400,7 +1356,7 @@ mod tests {
     fn begin_epoch_restricts_the_missing_set_to_the_roster() {
         let p = params();
         let mut c = cluster(ShardMap::uniform(3), 10);
-        c.begin_epoch(1, &ledger(1, &[0, 2, 4, 6]));
+        c.begin_epoch(&ledger(1, &[0, 2, 4, 6]));
         AggregationBackend::open_round(&mut c, 1);
         for u in [0u32, 2, 4] {
             AggregationBackend::on_envelope(&mut c, report_env(p, u, 1, &[u as u64])).unwrap();
@@ -1410,20 +1366,51 @@ mod tests {
             vec![6],
             "missing means roster minus reported, not cohort minus reported"
         );
-        // The epoch boundary is part of the round's journaled history.
-        let kinds: Vec<&str> = c.log().records().iter().map(|r| r.event.kind()).collect();
-        assert!(kinds.contains(&"EpochOpened"));
-        assert!(kinds.contains(&"MembershipInstalled"));
+    }
+
+    #[test]
+    fn the_round_log_holds_only_absorbed_records() {
+        // A plain round, then a roster-restricted epoch round: whatever
+        // drives the cluster, the round log is exactly what a restart
+        // replays — one `Absorbed` record per accepted envelope.
+        let p = params();
+        let mut c = cluster(ShardMap::uniform(3), 6);
+        let only_absorbed = |c: &ClusterBackend, want: usize| {
+            let records = c.log().records();
+            assert_eq!(records.len(), want);
+            assert!(records
+                .iter()
+                .all(|r| matches!(r.event, JournalEvent::Absorbed { .. })));
+        };
+        AggregationBackend::open_round(&mut c, 1);
+        only_absorbed(&c, 0);
+        for u in 0..6u32 {
+            AggregationBackend::on_envelope(&mut c, report_env(p, u, 1, &[u as u64])).unwrap();
+        }
+        only_absorbed(&c, 6);
+        AggregationBackend::finalize(&mut c).unwrap();
+        only_absorbed(&c, 0);
+
+        c.begin_epoch(&ledger(2, &[1, 3, 5]));
+        AggregationBackend::open_round(&mut c, 2);
+        only_absorbed(&c, 0);
+        for u in [1u32, 3] {
+            AggregationBackend::on_envelope(&mut c, report_env(p, u, 2, &[u as u64])).unwrap();
+        }
+        assert_eq!(AggregationBackend::missing_clients(&mut c), Ok(vec![5]));
+        only_absorbed(&c, 2);
+        c.collapse_epoch();
+        only_absorbed(&c, 2);
     }
 
     #[test]
     fn collapse_abandons_the_round_without_corrupting_the_log() {
         let p = params();
         let mut c = cluster(ShardMap::uniform(2), 6);
-        c.begin_epoch(1, &ledger(1, &[0, 1, 2]));
+        c.begin_epoch(&ledger(1, &[0, 1, 2]));
         AggregationBackend::open_round(&mut c, 1);
         AggregationBackend::on_envelope(&mut c, report_env(p, 0, 1, &[9])).unwrap();
-        c.collapse_epoch(&[0]);
+        c.collapse_epoch();
         assert_eq!(
             AggregationBackend::finalize(&mut c),
             Err(RoundError::NoOpenRound),
@@ -1431,10 +1418,10 @@ mod tests {
         );
         // The next epoch runs over the same backend to the same view a
         // fresh cluster produces — the abandoned round left no residue.
-        c.begin_epoch(2, &ledger(2, &[3, 4, 5]));
+        c.begin_epoch(&ledger(2, &[3, 4, 5]));
         AggregationBackend::open_round(&mut c, 2);
         let mut fresh = cluster(ShardMap::uniform(2), 6);
-        fresh.begin_epoch(2, &ledger(2, &[3, 4, 5]));
+        fresh.begin_epoch(&ledger(2, &[3, 4, 5]));
         AggregationBackend::open_round(&mut fresh, 2);
         for u in [3u32, 4, 5] {
             let env = report_env(p, u, 2, &[u as u64]);
@@ -1454,7 +1441,7 @@ mod tests {
 
         // Epoch 1 runs to completion on both.
         for backend in [&mut c, &mut twin] {
-            backend.begin_epoch(1, &ledger(1, &[0, 1, 2, 3]));
+            backend.begin_epoch(&ledger(1, &[0, 1, 2, 3]));
             AggregationBackend::open_round(backend, 1);
             for u in [0u32, 1, 2, 3] {
                 AggregationBackend::on_envelope(backend, report_env(p, u, 1, &[u as u64])).unwrap();
@@ -1465,7 +1452,7 @@ mod tests {
         // Epoch 2 churns the roster; one backend loses a shard mid-round.
         let roster2 = ledger(2, &[1, 2, 3, 5, 7]);
         for backend in [&mut c, &mut twin] {
-            backend.begin_epoch(2, &roster2);
+            backend.begin_epoch(&roster2);
             AggregationBackend::open_round(backend, 2);
             for u in [1u32, 5] {
                 AggregationBackend::on_envelope(backend, report_env(p, u, 2, &[u as u64])).unwrap();

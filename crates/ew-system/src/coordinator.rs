@@ -73,24 +73,26 @@
 //! Joins received in any phase other than `WaitingForMembers` are
 //! parked for the **next** epoch — a roster never grows mid-flight.
 //!
-//! ## Crash-survivability (PR 9)
+//! ## Crash-survivability
 //!
 //! The coordinator is as restartable as the shards it governs: after
 //! every tick-boundary mutation [`Coordinator::checkpoint`] emits a
-//! [`JournalEvent::CoordinatorState`] record, and
-//! [`Coordinator::restore`] rebuilds a coordinator from the **latest**
-//! such record — resuming at the exact phase, deadline and churn sets
-//! it died with. Completed epochs additionally leave a post-finalize
-//! [`EpochPhase::Grace`] window during which a late report is *parked*
-//! for the next epoch (journaled as [`JournalEvent::ReportParked`])
-//! instead of being silently lost, and every
+//! [`CoordinatorCheckpoint`], which the driver journals into the
+//! cluster's control log, and [`Coordinator::restore`] rebuilds a
+//! coordinator from the **latest** one — resuming at the exact phase,
+//! deadline and churn sets it died with. Completed epochs additionally
+//! leave a post-finalize [`EpochPhase::Grace`] window during which a
+//! late report is *parked* for the next epoch (journaled as
+//! [`ew_proto::JournalEvent::ReportParked`]) instead of being silently
+//! lost, and every
 //! [`error_code::EPOCH_CLOSED`] reply carries an [`AdmissionHint`] —
 //! which epoch to rejoin and how long to back off.
 
 use crate::telemetry::ChurnMetrics;
 use crate::trace;
 use ew_proto::{
-    error_code, AdmissionHint, Envelope, EpochPhase, JournalEvent, Membership, Message, NodeId,
+    error_code, AdmissionHint, CoordinatorCheckpoint, Envelope, EpochPhase, Membership, Message,
+    NodeId,
 };
 use std::collections::BTreeSet;
 
@@ -465,12 +467,12 @@ impl Coordinator {
         }
     }
 
-    /// A checkpoint of the coordinator's mutable state as a journal
-    /// event. Deployment config and telemetry counters are deliberately
-    /// excluded — config is supplied at restart, counters restart at
-    /// zero (the same discipline as a restarted shard's).
-    pub fn checkpoint(&self) -> JournalEvent {
-        JournalEvent::CoordinatorState {
+    /// A checkpoint of the coordinator's mutable state. Deployment
+    /// config and telemetry counters are deliberately excluded — config
+    /// is supplied at restart, counters restart at zero (the same
+    /// discipline as a restarted shard's).
+    pub fn checkpoint(&self) -> CoordinatorCheckpoint {
+        CoordinatorCheckpoint {
             epoch: self.epoch,
             round: self.round,
             phase: self.phase.as_wire(),
@@ -487,50 +489,32 @@ impl Coordinator {
         }
     }
 
-    /// Rebuilds a coordinator from a [`JournalEvent::CoordinatorState`]
-    /// checkpoint: the restart half of the crash drill. The restored
-    /// coordinator resumes at the exact phase, deadline and churn sets
-    /// of the checkpoint; its counters start from zero except
-    /// `coordinator_restarts`, which records the restart itself.
-    ///
-    /// # Panics
-    /// Panics if the event is not a `CoordinatorState` record or the
-    /// checkpoint is internally inconsistent — a corrupted journal is
-    /// unrecoverable, exactly like a shard replay failure.
-    pub fn restore(config: EpochConfig, event: &JournalEvent) -> Self {
-        let JournalEvent::CoordinatorState {
-            epoch,
-            round,
-            phase,
-            version,
-            ledger_epoch,
-            min_clients,
-            members,
-            roster,
-            pending_joins,
-            pending_leaves,
-            dropped,
-            deadline,
-            last_tick,
-        } = event
-        else {
-            panic!("restore from {} record, not CoordinatorState", event.kind());
-        };
+    /// Rebuilds a coordinator from a checkpoint: the restart half of
+    /// the crash drill. The restored coordinator resumes at the exact
+    /// phase, deadline and churn sets of the checkpoint; its counters
+    /// start from zero except `coordinator_restarts`, which records the
+    /// restart itself. A checkpoint is what [`Coordinator::checkpoint`]
+    /// wrote, so its phase byte and ledger are canonical.
+    pub fn restore(config: EpochConfig, state: &CoordinatorCheckpoint) -> Self {
         let mut restored = Coordinator::new(config);
-        restored.membership =
-            Membership::from_wire(*version, *ledger_epoch, *min_clients, members.clone())
-                .expect("checkpointed ledger is canonical");
-        restored.roster = roster.iter().copied().collect();
-        restored.pending_joins = pending_joins.iter().copied().collect();
-        restored.pending_leaves = pending_leaves.iter().copied().collect();
-        restored.dropped = dropped.iter().copied().collect();
-        restored.phase = EpochPhase::from_wire(*phase).expect("checkpointed phase is known");
-        restored.epoch = *epoch;
-        restored.round = *round;
-        restored.deadline = *deadline;
-        restored.last_tick = *last_tick;
+        restored.membership = Membership::from_wire(
+            state.version,
+            state.ledger_epoch,
+            state.min_clients,
+            state.members.clone(),
+        )
+        .expect("checkpointed ledger is canonical");
+        restored.roster = state.roster.iter().copied().collect();
+        restored.pending_joins = state.pending_joins.iter().copied().collect();
+        restored.pending_leaves = state.pending_leaves.iter().copied().collect();
+        restored.dropped = state.dropped.iter().copied().collect();
+        restored.phase = EpochPhase::from_wire(state.phase).expect("checkpointed phase is known");
+        restored.epoch = state.epoch;
+        restored.round = state.round;
+        restored.deadline = state.deadline;
+        restored.last_tick = state.last_tick;
         restored.restarts = 1;
-        trace::instant("coordinator_restore", *epoch, *round);
+        trace::instant("coordinator_restore", state.epoch, state.round);
         restored
     }
 
@@ -1155,17 +1139,6 @@ mod tests {
         }
         let metrics = restored.take_churn_metrics();
         assert_eq!(metrics.coordinator_restarts, 1, "the restart is counted");
-    }
-
-    #[test]
-    fn restore_rejects_foreign_records() {
-        let result = std::panic::catch_unwind(|| {
-            Coordinator::restore(
-                EpochConfig::default(),
-                &ew_proto::JournalEvent::RoundFinalized { round: 3 },
-            )
-        });
-        assert!(result.is_err(), "only CoordinatorState records restore");
     }
 
     #[test]

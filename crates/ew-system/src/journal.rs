@@ -1,19 +1,24 @@
-//! The cluster's single event-sourced round log: one append-only
-//! sequence of [`JournalRecord`]s that is the source of truth for
-//! duplicate suppression and cold crash-restart.
+//! The cluster's event-sourced round log: one append-only sequence of
+//! [`JournalRecord`]s that is the source of truth for duplicate
+//! suppression and cold crash-restart.
 //!
 //! * every **successful** absorption appends an
 //!   [`JournalEvent::Absorbed`] record (rejections are never journaled,
 //!   and a rejected envelope leaves no trace in a [`RoundState`], so
-//!   replaying the log rebuilds exactly the state that wrote it),
+//!   replaying the log rebuilds exactly the state that wrote it) — a
+//!   cluster's round log holds nothing else;
 //! * an index over the absorbed records answers "was this exact
 //!   envelope already absorbed?" in `O(log n)` — the dedupe check that
 //!   makes a re-delivery (an in-flight re-send after an uplink sever)
-//!   a silent acknowledgment instead of a second absorption,
+//!   a silent acknowledgment instead of a second absorption;
 //! * a **snapshot watermark** bounds the log: once every live shard's
 //!   round state is checkpointed, records at or below the watermark are
 //!   truncated and restart recovery is *clone the checkpoint + replay
 //!   the suffix* instead of replay-from-genesis.
+//!
+//! The same type is the cluster's control-plane log, which holds the
+//! coordinator's checkpoints and parked late reports
+//! ([`RoundLog::compact_coordinator_states`]).
 //!
 //! ## Snapshot + replay semantics
 //!
@@ -210,7 +215,7 @@ impl RoundLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ew_proto::NodeId;
+    use ew_proto::{CoordinatorCheckpoint, NodeId};
 
     fn report_env(user: u32, round: u64, seed: u64) -> Envelope {
         Envelope::new(
@@ -239,7 +244,7 @@ mod tests {
         let mut log = RoundLog::new();
         assert_eq!(log.last_seq(), 0);
         assert_eq!(absorb(&mut log, 0, report_env(1, 7, 1)), 1);
-        assert_eq!(log.append(JournalEvent::RoundFinalized { round: 7 }), 2);
+        assert_eq!(absorb(&mut log, 1, report_env(2, 7, 1)), 2);
         assert_eq!(log.last_seq(), 2);
         assert_eq!(log.depth(), 2);
     }
@@ -299,7 +304,11 @@ mod tests {
         absorb(&mut log, 0, report_env(1, 7, 1));
         absorb(&mut log, 1, report_env(2, 7, 2));
         absorb(&mut log, 0, report_env(3, 7, 3));
-        log.append(JournalEvent::RoundFinalized { round: 7 });
+        log.append(JournalEvent::ReportParked {
+            epoch: 1,
+            round: 7,
+            envelope: report_env(4, 7, 4),
+        });
         let suffix = log.replay_for_shard(0);
         assert_eq!(suffix.len(), 2);
         assert_eq!(dedupe_key(&suffix[0]).unwrap().1, 1);
@@ -308,20 +317,22 @@ mod tests {
 
     #[test]
     fn compaction_keeps_only_the_latest_coordinator_state() {
-        let state = |epoch| JournalEvent::CoordinatorState {
-            epoch,
-            round: epoch,
-            phase: 0x00,
-            version: epoch as u32,
-            ledger_epoch: epoch,
-            min_clients: 2,
-            members: vec![1, 2],
-            roster: vec![1, 2],
-            pending_joins: vec![],
-            pending_leaves: vec![],
-            dropped: vec![],
-            deadline: 0,
-            last_tick: epoch,
+        let state = |epoch| {
+            JournalEvent::CoordinatorState(CoordinatorCheckpoint {
+                epoch,
+                round: epoch,
+                phase: 0x00,
+                version: epoch as u32,
+                ledger_epoch: epoch,
+                min_clients: 2,
+                members: vec![1, 2],
+                roster: vec![1, 2],
+                pending_joins: vec![],
+                pending_leaves: vec![],
+                dropped: vec![],
+                deadline: 0,
+                last_tick: epoch,
+            })
         };
         let mut log = RoundLog::new();
         log.compact_coordinator_states(); // no checkpoints: a no-op
@@ -339,11 +350,18 @@ mod tests {
         assert_eq!(log.depth(), 2);
         assert_eq!(log.truncated_total(), 2);
         assert_eq!(log.last_seq(), 4, "sequence numbering is untouched");
-        let kinds: Vec<&str> = log.records().iter().map(|r| r.event.kind()).collect();
-        assert_eq!(kinds, ["ReportParked", "CoordinatorState"]);
         assert!(matches!(
-            log.records().last().unwrap().event,
-            JournalEvent::CoordinatorState { epoch: 3, .. }
+            log.records(),
+            [
+                JournalRecord {
+                    event: JournalEvent::ReportParked { .. },
+                    ..
+                },
+                JournalRecord {
+                    event: JournalEvent::CoordinatorState(CoordinatorCheckpoint { epoch: 3, .. }),
+                    ..
+                },
+            ]
         ));
     }
 

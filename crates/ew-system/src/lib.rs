@@ -31,12 +31,12 @@
 //!   before the one finalize sweep. A severed uplink is re-linked and
 //!   its in-flight reports re-sent; a crashed shard restarts from the
 //!   round log. No failure moves a key range mid-round.
-//! * [`journal`] — the single event-sourced round log behind the
-//!   cluster: sequence-numbered [`ew_proto::journal::JournalRecord`]s
-//!   with snapshot/replay semantics, a content-addressed dedupe index,
-//!   and watermark truncation that keeps the log's depth bounded. The
-//!   one source of truth for duplicate suppression and cold
-//!   crash-restart.
+//! * [`journal`] — the event-sourced round log behind the cluster:
+//!   sequence-numbered `Absorbed` [`ew_proto::journal::JournalRecord`]s
+//!   and nothing else, with snapshot/replay semantics, a
+//!   content-addressed dedupe index, and watermark truncation that keeps
+//!   the log's depth bounded. The one source of truth for duplicate
+//!   suppression and cold crash-restart.
 //! * [`coordinator`] — the tick-driven epoch coordinator: a
 //!   [`ew_proto::NodeId::Coordinator`] role service owning the
 //!   WaitingForMembers → Warmup → Reports → Recovery → Finalize epoch
@@ -44,7 +44,7 @@
 //!   with `min_clients` admission, logical-time deadlines and mid-epoch
 //!   churn: joins park for the next epoch, dropouts fold into the
 //!   silent-client recovery path, and a below-threshold collapse
-//!   regresses to waiting without corrupting the round log.
+//!   regresses to waiting without finalizing its round.
 //! * [`telemetry`] — per-round and lifetime
 //!   [`telemetry::ReplayMetrics`] (envelopes routed / replayed /
 //!   deduped, journal depth, queue high-water, per-phase timings) and

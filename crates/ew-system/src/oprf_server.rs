@@ -5,13 +5,13 @@
 //! ## Concurrency
 //!
 //! Evaluation is read-only over the key, so every entry point takes
-//! `&self` — [`OprfFrontend::on_envelope`] included — and the service is
-//! `Sync`: it can be shared across threads without locking, although
-//! the system's own ingest calls it from one. Request accounting is an
-//! atomic saturating counter: exact under concurrent callers (each adds
-//! its batch's count once) and incapable of wrapping back to small
-//! values near `u64::MAX` — a saturated counter reads as "at least this
-//! many", never as a freshly reset one.
+//! `&self` — [`OprfFrontend::on_envelope`] included. The service runs
+//! on the one thread that drives the week, like every other role, so
+//! its request accounting sits in [`Cell`]s: no lock, no atomics, and
+//! the service is `Send` but not `Sync`. The request counter saturates
+//! instead of wrapping back to small values near `u64::MAX` — a
+//! saturated counter reads as "at least this many", never as a freshly
+//! reset one.
 
 use crate::node::OprfFrontend;
 use crate::telemetry::Hist64;
@@ -20,28 +20,15 @@ use ew_crypto::oprf::{OprfError, OprfServerKey};
 use ew_crypto::rsa::RsaPublicKey;
 use ew_proto::{error_code, Envelope, Message, NodeId};
 use rand::RngCore;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 /// The OPRF service, wrapping the key with request accounting.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct OprfService {
     key: OprfServerKey,
-    requests_served: AtomicU64,
-    /// Batch service-time histogram (nanoseconds per batch call), one
-    /// lock acquisition per batch — negligible next to the modular
-    /// exponentiations the batch itself performs.
-    batch_nanos: Mutex<Hist64>,
-}
-
-impl Clone for OprfService {
-    fn clone(&self) -> Self {
-        OprfService {
-            key: self.key.clone(),
-            requests_served: AtomicU64::new(self.requests_served.load(Ordering::Relaxed)),
-            batch_nanos: Mutex::new(*self.batch_nanos.lock().expect("hist lock never poisoned")),
-        }
-    }
+    requests_served: Cell<u64>,
+    /// Batch service-time histogram (nanoseconds per batch call).
+    batch_nanos: Cell<Hist64>,
 }
 
 impl OprfService {
@@ -49,8 +36,8 @@ impl OprfService {
     pub fn generate<R: RngCore + ?Sized>(rng: &mut R, bits: usize) -> Self {
         OprfService {
             key: OprfServerKey::generate(rng, bits),
-            requests_served: AtomicU64::new(0),
-            batch_nanos: Mutex::new(Hist64::new()),
+            requests_served: Cell::new(0),
+            batch_nanos: Cell::new(Hist64::new()),
         }
     }
 
@@ -62,13 +49,8 @@ impl OprfService {
     /// Adds `n` served requests to the counter, saturating at
     /// `u64::MAX` instead of wrapping.
     fn record_served(&self, n: u64) {
-        // fetch_update never fails with an always-Some closure; the CAS
-        // loop keeps concurrent worker updates exact.
-        let _ = self
-            .requests_served
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_add(n))
-            });
+        self.requests_served
+            .set(self.requests_served.get().saturating_add(n));
     }
 
     /// Blind-evaluates a whole batch (direct-call path); every element
@@ -84,17 +66,16 @@ impl OprfService {
 
     /// Records one batch's wall-clock service time.
     fn record_batch_nanos(&self, nanos: u64) {
-        self.batch_nanos
-            .lock()
-            .expect("hist lock never poisoned")
-            .record(nanos);
+        let mut hist = self.batch_nanos.get();
+        hist.record(nanos);
+        self.batch_nanos.set(hist);
     }
 
     /// Drains the batch service-time histogram (nanoseconds per
     /// successful batch evaluation), resetting it — the same drain
     /// discipline as the bus and backend `take_metrics`.
     pub fn take_batch_hist(&self) -> Hist64 {
-        std::mem::take(&mut *self.batch_nanos.lock().expect("hist lock never poisoned"))
+        self.batch_nanos.take()
     }
 
     /// Handles a wire message. The service serves one request kind —
@@ -144,7 +125,7 @@ impl OprfService {
     /// Total blind evaluations performed (the "once per unique ad"
     /// overhead the paper measures in §7.1). Saturates at `u64::MAX`.
     pub fn requests_served(&self) -> u64 {
-        self.requests_served.load(Ordering::Relaxed)
+        self.requests_served.get()
     }
 
     /// Ground-truth evaluation for tests/crawler (non-oblivious).
@@ -155,7 +136,7 @@ impl OprfService {
     /// Test hook: presets the served counter (overflow regression tests).
     #[cfg(test)]
     fn preset_requests_served(&self, n: u64) {
-        self.requests_served.store(n, Ordering::Relaxed);
+        self.requests_served.set(n);
     }
 }
 
@@ -212,9 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_counts_every_element_exactly_once() {
-        // The shared-service contract of the module docs: concurrent
-        // callers each add their batch once.
+    fn every_batch_counts_its_elements_once() {
         let mut rng = StdRng::seed_from_u64(56);
         let service = OprfService::generate(&mut rng, 128);
         let client = OprfClient::new(service.public().clone());
@@ -224,17 +203,11 @@ mod tests {
         let url_refs: Vec<&[u8]> = urls.iter().map(|u| u.as_slice()).collect();
         let pendings = client.blind_batch(&mut rng, &url_refs).unwrap();
         let blinded: Vec<UBig> = pendings.iter().map(|p| p.blinded.clone()).collect();
-        let seq = service.evaluate_batch(&blinded).unwrap();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| assert_eq!(service.evaluate_batch(&blinded).unwrap(), seq));
-            }
-        });
-        assert_eq!(
-            service.requests_served(),
-            45,
-            "9 sequential + 4 × 9 parallel"
-        );
+        let first = service.evaluate_batch(&blinded).unwrap();
+        for _ in 0..4 {
+            assert_eq!(service.evaluate_batch(&blinded).unwrap(), first);
+        }
+        assert_eq!(service.requests_served(), 45, "5 batches × 9 elements");
         // Every batch records exactly one service-time sample, and the
         // drain resets the histogram.
         let hist = service.take_batch_hist();

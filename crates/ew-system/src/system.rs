@@ -534,7 +534,7 @@ impl EyewnderSystem {
             // The frozen roster becomes the epoch's world: the cluster's
             // bulletin board is read through it and every member
             // re-syncs its blinding state incrementally.
-            backend.begin_epoch(epoch, &membership);
+            backend.begin_epoch(&membership);
             let mut directory = KeyDirectory::new(self.group.element_len());
             for &user in membership.members() {
                 directory.publish(user, self.clients[user as usize].public_key().clone());
@@ -575,11 +575,11 @@ impl EyewnderSystem {
             let silent = coordinator.dropped();
             let events = coordinator.tick(clock.now());
             backend.checkpoint_coordinator(coordinator.checkpoint());
-            if let Some(EpochEvent::Collapsed { remaining, .. }) = events
+            if events
                 .iter()
-                .find(|e| matches!(e, EpochEvent::Collapsed { .. }))
+                .any(|e| matches!(e, EpochEvent::Collapsed { .. }))
             {
-                backend.collapse_epoch(remaining);
+                backend.collapse_epoch();
                 self.telemetry
                     .observe_churn(&coordinator.take_churn_metrics());
                 outcomes.push(EpochOutcome {
@@ -821,8 +821,8 @@ impl EyewnderSystem {
 }
 
 /// Rebuilds the epoch coordinator from the cluster's control journal:
-/// the latest [`ew_proto::JournalEvent::CoordinatorState`] checkpoint
-/// if one was taken, else a fresh genesis coordinator. This is the
+/// the latest [`ew_proto::CoordinatorCheckpoint`] if one was taken,
+/// else a fresh genesis coordinator. This is the
 /// coordinator half of the crash-restart drill —
 /// [`ClusterBackend::restart_shard`]'s twin: the in-memory coordinator
 /// is gone, the control journal is the only survivor, and the campaign

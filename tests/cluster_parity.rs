@@ -574,8 +574,7 @@ fn epoch_churn_campaign_bit_identical_across_the_cluster_matrix() {
 
 /// Runs the campaign with cold shard crash-restarts across two epoch
 /// boundaries: after the first completed epoch and after the collapsed
-/// one (whose abandoned round left an `EpochCollapsed` record and no
-/// open round in the log).
+/// one (whose abandoned round left no open round behind).
 fn interrupted_campaign<B: ServiceBus>(
     sys: &mut EyewnderSystem,
     backend: &mut ClusterBackend,

@@ -59,7 +59,7 @@ fn cluster(shards: u32, users: u32) -> ClusterBackend {
 fn ten_thousand_report_soak_keeps_journal_depth_bounded() {
     // 10k reports through a 4-shard cluster, snapshotting every 512
     // absorptions: the journal's depth must never exceed one snapshot
-    // window (+ the round's MapInstalled record), every snapshot must
+    // window, every snapshot must
     // truncate to zero, and the round must still finalize cleanly with
     // every record accounted for in the truncation total.
     const USERS: u32 = 10_000;
@@ -79,7 +79,7 @@ fn ten_thousand_report_soak_keeps_journal_depth_bounded() {
         }
     }
     assert!(
-        max_depth <= SNAPSHOT_EVERY + 1,
+        max_depth <= SNAPSHOT_EVERY,
         "journal depth {max_depth} escaped the snapshot window"
     );
 

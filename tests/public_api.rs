@@ -383,6 +383,45 @@ fn one_measuring_stick() {
     );
 }
 
+#[test]
+fn the_log_keeps_what_restart_reads() {
+    // The round log holds the `Absorbed` records a restarted shard
+    // replays; the control log holds coordinator checkpoints and parked
+    // reports. The record kinds nobody read back, their tags, and the
+    // slot ring that existed only to fill the shard-map record may not
+    // come back.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let listing = surface(&root);
+    let mut sources = Vec::new();
+    files_ending(&root.join("crates/ew-proto/src"), ".rs", &mut sources);
+    files_ending(&root.join("crates/ew-system/src"), ".rs", &mut sources);
+    let code: String = sources.iter().map(|file| non_test_code(file)).collect();
+    for retired in [
+        "MapInstalled",
+        "RoundFinalized",
+        "EpochOpened",
+        "MembershipInstalled",
+        "EpochCollapsed",
+        "MAP_INSTALLED",
+        "ROUND_FINALIZED",
+        "EPOCH_OPENED",
+        "MEMBERSHIP_INSTALLED",
+        "EPOCH_COLLAPSED",
+        "SLOTS_PER_SHARD",
+        "num_slots",
+        "owners(",
+    ] {
+        assert!(
+            !listing.contains(retired),
+            "{retired} is back in the public API"
+        );
+        assert!(
+            !code.contains(retired),
+            "{retired} is back in ew-proto or ew-system"
+        );
+    }
+}
+
 /// The line under each `#[allow(unsafe_code)]` in the non-test code of
 /// the crate sources under `dir`.
 fn unsafe_allowances(dir: &Path) -> Vec<String> {
