@@ -110,12 +110,15 @@ pub fn get_user_list(buf: &mut impl Buf) -> Result<Vec<u32>, CodecError> {
 pub fn get_bytes_list(buf: &mut impl Buf) -> Result<Vec<Vec<u8>>, CodecError> {
     let count = get_u32(buf)? as usize;
     // Every element carries at least its own 4-byte length prefix, so a
-    // hostile count cannot force a huge allocation.
+    // count the bytes cannot hold is rejected before anything is read.
     if count.saturating_mul(4) > MAX_FIELD_LEN {
         return Err(CodecError::FieldTooLarge(count));
     }
     need(buf, count * 4)?;
-    let mut out = Vec::with_capacity(count);
+    // No room is reserved for elements not yet read: a count that fits
+    // the bytes can still overstate them, and each element costs 24
+    // bytes of vector header for its 4 bytes of prefix.
+    let mut out = Vec::new();
     for _ in 0..count {
         out.push(get_bytes(buf)?);
     }

@@ -10,51 +10,16 @@
 //! * one decode allocates at most [`ALLOC_BYTES_PER_INPUT_BYTE`] bytes
 //!   per input byte, plus [`ALLOC_SLACK`].
 //!
-//! Same counting-global-allocator scheme as the `alloc_free` suites of
-//! `ew-bigint` and `ew-crypto`, counting bytes rather than calls; it
-//! lives in this dedicated test binary so no other suite runs under it.
+//! The counting allocator and [`Tally`] live in `corpus/mod.rs`, shared
+//! with the envelope corpus. A decode copies an embedded envelope out
+//! of the record once and decodes its cells into a vector once: 111
+//! bytes for the 96-byte report record, this corpus's largest ratio.
 
+mod corpus;
+
+use corpus::Tally;
 use ew_proto::codec::{CodecError, MAX_FIELD_LEN};
 use ew_proto::{CoordinatorCheckpoint, Envelope, JournalEvent, JournalRecord, Message, NodeId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Counts the bytes this thread asks the allocator for; a `realloc`
-/// counts its whole new size.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.with(|c| c.set(c.get() + layout.size()));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.with(|c| c.set(c.get() + new_size));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
-
-/// A decode copies an embedded envelope out of the record once and
-/// decodes its cells into a vector once: 111 bytes for the 96-byte
-/// report record, the corpus's largest ratio. Twice the input bounds it
-/// with room to spare.
-const ALLOC_BYTES_PER_INPUT_BYTE: usize = 2;
-
-/// Fixed allowance per decode for the small, length-independent
-/// vectors (empty id lists, the error paths).
-const ALLOC_SLACK: usize = 64;
 
 /// The record tag byte follows the `u64` sequence number.
 const TAG_AT: usize = 8;
@@ -142,42 +107,6 @@ fn samples() -> Vec<Sample> {
     ]
 }
 
-/// What the corpus saw: mutants accepted and rejected.
-#[derive(Default)]
-struct Tally {
-    accepted: usize,
-    rejected: usize,
-}
-
-impl Tally {
-    /// Decodes one mutant under every assertion of the module docs and
-    /// returns the decoder's verdict.
-    fn decode(&mut self, input: &[u8], what: &str) -> Result<JournalRecord, CodecError> {
-        let before = ALLOCATED.with(Cell::get);
-        let outcome = std::panic::catch_unwind(|| JournalRecord::decode(input));
-        let allocated = ALLOCATED.with(Cell::get) - before;
-        let verdict = outcome.unwrap_or_else(|_| panic!("{what}: decode panicked"));
-        let bound = ALLOC_BYTES_PER_INPUT_BYTE * input.len() + ALLOC_SLACK;
-        assert!(
-            allocated <= bound,
-            "{what}: a {}-byte input allocated {allocated} bytes (bound {bound})",
-            input.len()
-        );
-        match &verdict {
-            Ok(record) => {
-                assert_eq!(
-                    record.encode(),
-                    input,
-                    "{what}: accepted bytes that re-encode differently"
-                );
-                self.accepted += 1;
-            }
-            Err(_) => self.rejected += 1,
-        }
-        verdict
-    }
-}
-
 #[test]
 fn samples_decode_and_their_prefixes_are_where_the_corpus_says() {
     for sample in samples() {
@@ -199,7 +128,7 @@ fn every_single_bit_flip_is_rejected_or_canonical() {
             let mut mutant = bytes.clone();
             mutant[bit / 8] ^= 1 << (bit % 8);
             let what = format!("seq {} bit {bit}", sample.record.seq);
-            if let Ok(record) = tally.decode(&mutant, &what) {
+            if let Ok(record) = tally.decode::<JournalRecord>(&mutant, &what) {
                 assert_ne!(record, sample.record, "{what}: a flip went unnoticed");
             }
         }
@@ -216,7 +145,10 @@ fn every_truncation_is_rejected() {
         let bytes = sample.record.encode();
         for cut in 0..bytes.len() {
             let what = format!("seq {} cut at {cut}", sample.record.seq);
-            assert!(tally.decode(&bytes[..cut], &what).is_err(), "{what}");
+            assert!(
+                tally.decode::<JournalRecord>(&bytes[..cut], &what).is_err(),
+                "{what}"
+            );
         }
     }
     assert_eq!(tally.accepted, 0);
@@ -233,7 +165,7 @@ fn inflated_length_prefixes_are_rejected() {
                 let mut mutant = bytes.clone();
                 mutant[at..at + 4].copy_from_slice(&len.to_le_bytes());
                 let what = format!("seq {} prefix at {at} set to {len}", sample.record.seq);
-                let verdict = tally.decode(&mutant, &what);
+                let verdict = tally.decode::<JournalRecord>(&mutant, &what);
                 assert!(
                     matches!(
                         verdict,
@@ -256,7 +188,7 @@ fn every_record_tag_but_the_sample_s_own_is_rejected() {
             let mut mutant = bytes.clone();
             mutant[TAG_AT] = tag;
             let what = format!("seq {} tag {tag:#04x}", sample.record.seq);
-            let verdict = tally.decode(&mutant, &what);
+            let verdict = tally.decode::<JournalRecord>(&mutant, &what);
             if tag == bytes[TAG_AT] {
                 assert_eq!(verdict.as_ref(), Ok(&sample.record), "{what}");
             } else if ![0x01, 0x08, 0x09].contains(&tag) {

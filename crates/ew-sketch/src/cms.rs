@@ -4,13 +4,14 @@ use crate::hashing::{fold_item, RowHash};
 use crate::params::CmsParams;
 use std::ops::Range;
 
-/// Items each row of [`CountMinSketch::query_range`] steps at once.
-/// Two lanes' state and the sweep's constants fit the registers of a
-/// baseline x86-64; four spill.
+/// Items each row of [`CountMinSketch::query_range`] steps at once on
+/// the portable tier. Two lanes' state and the sweep's constants fit
+/// the registers of a baseline x86-64; four spill.
 const SWEEP_LANES: usize = 2;
 /// Items per row-major pass of [`CountMinSketch::query_range`]: the
 /// running minima of one block (16 KB) stay in L1 while every row
-/// visits them, and the lanes are set up once per row per block.
+/// visits them, and the lanes are set up once per row per block. A
+/// multiple of every tier's lanes.
 const SWEEP_BLOCK: usize = 4096;
 
 /// A count-min sketch over 64-bit items with 4-byte (u32) cells.
@@ -134,8 +135,31 @@ impl CountMinSketch {
     /// modulo 2^61 − 1, so after one real hash per lane the sweep only
     /// adds and conditionally subtracts: no multiply, no division, for
     /// any width. A block of items is walked row-major, each row
-    /// `min`-ing its cell into the block's running estimates.
+    /// `min`-ing its cell into the block's running estimates. On x86-64
+    /// with AVX-512 a row steps sixteen lanes at once; the CPU is asked
+    /// once per call, and every tier emits the same estimates.
     pub fn query_range(&self, ids: Range<u64>, mut emit: impl FnMut(u64, &[u32])) {
+        #[cfg(target_arch = "x86_64")]
+        if wide::detected() {
+            // SAFETY: avx512f and avx512vl were detected on this CPU on the line above.
+            #[allow(unsafe_code)]
+            let row_sweep = |row: &RowHash, cells: &[u32], first, estimates: &mut [u32]| unsafe {
+                wide::sweep_row(row, cells, first, estimates)
+            };
+            return self.sweep(wide::LANES, ids, &mut emit, row_sweep);
+        }
+        self.sweep(SWEEP_LANES, ids, &mut emit, sweep_row)
+    }
+
+    /// The block loop of [`Self::query_range`] over one tier's row sweep,
+    /// which steps `lanes` items at a time.
+    fn sweep(
+        &self,
+        lanes: usize,
+        ids: Range<u64>,
+        mut emit: impl FnMut(u64, &[u32]),
+        mut row_sweep: impl FnMut(&RowHash, &[u32], u64, &mut [u32]),
+    ) {
         let width = self.params.width;
         let mut block = [0u32; SWEEP_BLOCK];
         let mut first = ids.start;
@@ -143,16 +167,10 @@ impl CountMinSketch {
             let n = (ids.end - first).min(SWEEP_BLOCK as u64) as usize;
             // Whole lane groups only; the surplus lanes of the last
             // group are computed and dropped.
-            let estimates = &mut block[..n.next_multiple_of(SWEEP_LANES)];
+            let estimates = &mut block[..n.next_multiple_of(lanes)];
             estimates.fill(u32::MAX);
             for (row, cells) in self.rows.iter().zip(self.cells.chunks_exact(width)) {
-                let mut lanes = row.lanes::<SWEEP_LANES>(first, width);
-                for group in estimates.chunks_exact_mut(SWEEP_LANES) {
-                    for (estimate, &col) in group.iter_mut().zip(lanes.columns()) {
-                        *estimate = (*estimate).min(cells[col as usize]);
-                    }
-                    lanes.step();
-                }
+                row_sweep(row, cells, first, estimates);
             }
             emit(first, &estimates[..n]);
             first += n as u64;
@@ -188,6 +206,91 @@ impl CountMinSketch {
         self.cells.fill(0);
         self.insertions = 0;
     }
+}
+
+/// The portable row sweep: `min`s the cell in `cells` (one row) of each
+/// of the items `first..` into `estimates`, two lanes at a time.
+fn sweep_row(row: &RowHash, cells: &[u32], first: u64, estimates: &mut [u32]) {
+    let mut lanes = row.lanes::<SWEEP_LANES>(first, cells.len());
+    for group in estimates.chunks_exact_mut(SWEEP_LANES) {
+        for (estimate, &col) in group.iter_mut().zip(lanes.columns()) {
+            *estimate = (*estimate).min(cells[col as usize]);
+        }
+        lanes.step();
+    }
+}
+
+/// The AVX-512 row sweep: sixteen lanes, their hashes in two registers
+/// and their columns in one, and the cells gathered sixteen at a time.
+#[cfg(target_arch = "x86_64")]
+mod wide {
+    use crate::hashing::RowHash;
+
+    /// Items [`sweep_row`] steps at once.
+    pub(super) const LANES: usize = 16;
+
+    /// Whether this CPU runs [`sweep_row`].
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")
+    }
+
+    /// [`super::sweep_row`] sixteen lanes at a time.
+    ///
+    /// # Safety
+    /// Call it only once [`detected`] holds: on a CPU without the
+    /// features its instructions are undefined behaviour.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    pub(super) fn sweep_row(row: &RowHash, cells: &[u32], first: u64, estimates: &mut [u32]) {
+        let mut lanes = row.lanes::<LANES>(first, cells.len());
+        // Every column is below the width already; the clamp says so to
+        // the compiler, which drops the bounds check and gathers.
+        let last = cells.len() - 1;
+        for group in estimates.chunks_exact_mut(LANES) {
+            for (estimate, &col) in group.iter_mut().zip(lanes.columns()) {
+                *estimate = (*estimate).min(cells[(col as usize).min(last)]);
+            }
+            lanes.step();
+        }
+    }
+}
+
+/// One tier's whole sweep: [`CountMinSketch::query_range`] with the
+/// tier fixed instead of dispatched.
+#[cfg(test)]
+pub(crate) type SweepFn = fn(&CountMinSketch, Range<u64>, &mut dyn FnMut(u64, &[u32]));
+
+/// The tier [`CountMinSketch::query_range`] dispatches to on this CPU.
+#[cfg(test)]
+pub(crate) fn dispatched_tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if wide::detected() {
+        return "avx512/16";
+    }
+    "portable/2"
+}
+
+/// Every tier this host can run, narrowest first, each called directly
+/// rather than through the dispatch.
+#[cfg(test)]
+#[allow(unsafe_code)]
+pub(crate) fn host_tiers() -> Vec<(&'static str, SweepFn)> {
+    fn portable(cms: &CountMinSketch, ids: Range<u64>, emit: &mut dyn FnMut(u64, &[u32])) {
+        cms.sweep(SWEEP_LANES, ids, emit, sweep_row)
+    }
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+    let mut tiers: Vec<(&'static str, SweepFn)> = vec![("portable/2", portable)];
+    #[cfg(target_arch = "x86_64")]
+    if wide::detected() {
+        fn avx512(cms: &CountMinSketch, ids: Range<u64>, emit: &mut dyn FnMut(u64, &[u32])) {
+            cms.sweep(wide::LANES, ids, emit, |row, cells, first, estimates| {
+                // SAFETY: only pushed (so only callable) once avx512f and
+                // avx512vl were detected above.
+                unsafe { wide::sweep_row(row, cells, first, estimates) }
+            })
+        }
+        tiers.push(("avx512/16", avx512));
+    }
+    tiers
 }
 
 #[cfg(test)]

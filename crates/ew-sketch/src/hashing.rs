@@ -64,6 +64,7 @@ impl RowHash {
     /// # Panics
     /// Panics if `width` exceeds 2^31 (the wire carries a width as a
     /// `u32`; half that range keeps a column plus a step inside one).
+    #[inline(always)]
     pub(crate) fn lanes<const L: usize>(&self, first: u64, width: usize) -> ColumnLanes<L> {
         assert!((1..=1 << 31).contains(&width), "sketch width out of range");
         let width = width as u32;

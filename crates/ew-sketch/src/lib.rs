@@ -1,4 +1,4 @@
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 //! # ew-sketch — synopsis data structures for distributed counting
 //!
@@ -27,6 +27,14 @@
 //! * [`ConservativeCms`] — conservative-update CMS (Estan–Varghese),
 //!   a second non-linear ablation point.
 //! * [`ExactCounter`] — hash-map ground truth for accuracy experiments.
+//!
+//! The crate denies `unsafe` code with one exception:
+//! [`CountMinSketch::query_range`] calls its AVX-512 row sweep, a
+//! `#[target_feature]` fn, directly under the CPU feature detection that
+//! makes the call sound (pinned by the workspace's
+//! `tests/public_api.rs::one_sweep_dispatch`). The kernel is plain safe
+//! Rust compiled for the wider instruction set: no intrinsics, no raw
+//! pointers.
 
 pub mod blinded;
 pub mod cms;

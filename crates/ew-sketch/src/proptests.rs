@@ -2,7 +2,7 @@
 //! merge linearity, and blinded-aggregation round trips.
 
 use crate::blinded::{BlindedSketch, SketchAccumulator};
-use crate::cms::CountMinSketch;
+use crate::cms::{dispatched_tier, host_tiers, CountMinSketch, SweepFn};
 use crate::exact::ExactCounter;
 use crate::hashing::RowHash;
 use crate::params::CmsParams;
@@ -38,9 +38,10 @@ fn point_queries(cms: &CountMinSketch, ids: Range<u64>) -> Vec<(u64, u32)> {
     ids.map(|id| (id, cms.query(id))).collect()
 }
 
-fn swept(cms: &CountMinSketch, ids: Range<u64>) -> Vec<(u64, u32)> {
+/// What one sweep emits, flattened to `(id, estimate)` pairs.
+fn swept(sweep: SweepFn, cms: &CountMinSketch, ids: Range<u64>) -> Vec<(u64, u32)> {
     let mut out = Vec::new();
-    cms.query_range(ids, |first, block| {
+    sweep(cms, ids, &mut |first, block| {
         out.extend(
             block
                 .iter()
@@ -49,6 +50,28 @@ fn swept(cms: &CountMinSketch, ids: Range<u64>) -> Vec<(u64, u32)> {
         )
     });
     out
+}
+
+/// The dispatched sweep, then every tier this host runs called directly.
+fn sweeps() -> Vec<(&'static str, SweepFn)> {
+    let dispatched: SweepFn = |cms, ids, emit| cms.query_range(ids, emit);
+    let mut sweeps = vec![("dispatched", dispatched)];
+    sweeps.extend(host_tiers());
+    sweeps
+}
+
+#[test]
+fn query_range_dispatches_to_the_widest_host_tier() {
+    let names: Vec<&str> = host_tiers().iter().map(|t| t.0).collect();
+    println!(
+        "sweep tiers exercised: {names:?}; dispatch picks {}",
+        dispatched_tier()
+    );
+    assert_eq!(
+        dispatched_tier(),
+        *names.last().unwrap(),
+        "dispatch runs the widest tier"
+    );
 }
 
 #[test]
@@ -74,11 +97,14 @@ fn query_range_equals_point_queries_at_the_row_hash_corners() {
             P - 700..P + 700,
             u64::MAX - 1_500..u64::MAX,
         ] {
-            assert_eq!(
-                swept(&cms, ids.clone()),
-                point_queries(&cms, ids.clone()),
-                "width={width} ids={ids:?}"
-            );
+            let want = point_queries(&cms, ids.clone());
+            for (tier, sweep) in sweeps() {
+                assert_eq!(
+                    swept(sweep, &cms, ids.clone()),
+                    want,
+                    "tier={tier} width={width} ids={ids:?}"
+                );
+            }
         }
     }
 }
@@ -97,7 +123,10 @@ proptest! {
         let cms = CountMinSketch::from_cells(params, cells, 0);
         let start = start.min(u64::MAX - len);
         let ids = start..start + len;
-        prop_assert_eq!(swept(&cms, ids.clone()), point_queries(&cms, ids));
+        let want = point_queries(&cms, ids.clone());
+        for (tier, sweep) in sweeps() {
+            prop_assert_eq!(swept(sweep, &cms, ids.clone()), want.clone(), "tier={}", tier);
+        }
     }
 
     #[test]

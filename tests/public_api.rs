@@ -483,3 +483,16 @@ fn one_checksum_dispatch() {
         "ew-proto allows unsafe code only at the CRC dispatch"
     );
 }
+
+#[test]
+fn one_sweep_dispatch() {
+    // `ew-sketch` allows `unsafe` at one statement: the finalize sweep's
+    // call into its AVX-512 row kernel, directly under the CPU feature
+    // detection.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    assert_eq!(
+        unsafe_allowances(&root.join("crates/ew-sketch/src")),
+        ["let row_sweep = |row: &RowHash, cells: &[u32], first, estimates: &mut [u32]| unsafe {"],
+        "ew-sketch allows unsafe code only at the sweep dispatch"
+    );
+}
