@@ -59,9 +59,10 @@
 //! * **Many bases, one exponent** — [`MontgomeryCtx::modpow_many`]
 //!   raises a whole batch to one exponent (DH enrolment against a
 //!   directory, the OPRF server's CRT halves): the exponent is recoded
-//!   once and, on AVX-512, 24 bases share every Montgomery step in
-//!   vector lanes (radix-2²⁸ limbs, no per-step subtraction, one carry
-//!   sweep per multiply) at ≈ 0.4 × the scalar loop's time per base.
+//!   once and, on AVX-512 IFMA, 24 bases share every Montgomery step
+//!   in vector lanes (radix-2⁵² limbs through `vpmadd52luq` /
+//!   `vpmadd52huq`, no per-step subtraction, one carry sweep per
+//!   multiply) at 0.06–0.14 × the scalar loop's time per base.
 //!   [`lane_tier`] reports the engine; results are bit-identical to
 //!   per-base [`MontgomeryCtx::modpow`].
 //! * **Fixed-base tables** — [`FixedBaseTable`] precomputes
@@ -91,9 +92,11 @@
 //! nothing for them.
 //!
 //! The crate is `#![deny(unsafe_code)]` with one exception: the call
-//! from the lane engine's dispatcher into its
-//! `#[target_feature]` instantiation, directly under the
-//! `is_x86_feature_detected!` that justifies it.
+//! from the lane engine's dispatcher, `lanes::pow_rows`, into its
+//! `#[target_feature]` IFMA kernel, directly under the
+//! `is_x86_feature_detected!` that justifies it. The kernel itself is
+//! safe Rust: its intrinsics are safe calls inside `#[target_feature]`
+//! fns, and it reads and writes rows without raw pointers.
 //!
 //! This crate is **not** constant-time and must not be used to protect
 //! real-world secrets; it exists to make the reproduced protocol fully

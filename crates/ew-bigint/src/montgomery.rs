@@ -57,15 +57,17 @@
 //! [`MontgomeryCtx::modpow_many`] is the batch entry point for the
 //! shape enrolment and the OPRF server have — one exponent, one
 //! modulus, many bases. It recodes the exponent once and, on a CPU
-//! with AVX-512, runs 24 bases at a time through the lane-interleaved
-//! engine in [`crate::lanes`] (radix-2²⁸ limbs stored `[limb][lane]`,
+//! with AVX-512 IFMA, runs 24 bases at a time through the
+//! lane-interleaved engine in [`crate::lanes`] (radix-2⁵² limbs stored
+//! `[limb][lane]`, one `vpmadd52luq`/`vpmadd52huq` row step per limb,
 //! `R > 4n` so no step needs a conditional subtraction, lazy carries
-//! bounded by `nl ≤ 127` limbs); that module's docs carry the layout,
-//! the two arguments, the gates and why AVX2 has no tier. Everything
-//! else — a CPU without AVX-512, a modulus over 3 554 bits, a chunk of
-//! fewer than 14 bases — is a loop over [`MontgomeryCtx::modpow_into`],
-//! and either way the results are the canonical residues `modpow`
-//! returns. The lane rows live in the same [`MontScratch`] arena.
+//! bounded by `nl ≤ 1 023` limbs); that module's docs carry the layout,
+//! the two arguments, the gates and why no other ISA has a tier.
+//! Everything else — a CPU without IFMA, a modulus over 53 194 bits, a
+//! chunk of fewer than 5 bases — is a loop over
+//! [`MontgomeryCtx::modpow_into`], and either way the results are the
+//! canonical residues `modpow` returns. The lane rows live in the same
+//! [`MontScratch`] arena.
 //!
 //! ## Montgomery-domain pipelines
 //!
@@ -243,7 +245,7 @@ pub struct MontgomeryCtx {
     r1: Vec<u64>,
     /// `R² mod n` — multiplier for converting into Montgomery form.
     r2: Vec<u64>,
-    /// The same constants in 28-bit limbs for the lane engine behind
+    /// The same constants in 52-bit limbs for the lane engine behind
     /// [`Self::modpow_many`]; `None` when `n` is too wide for it.
     lane: Option<LaneModulus>,
 }
@@ -253,7 +255,7 @@ impl MontgomeryCtx {
     ///
     /// Performs the only divisions this module ever needs (three
     /// remainders: `R mod n` and `R² mod n`, and `R² mod n` again for
-    /// the lane engine's `R = 2^(28·nl)`).
+    /// the lane engine's `R = 2^(52·nl)`).
     ///
     /// # Panics
     /// Panics if `n` is even or `n <= 1`.
@@ -344,18 +346,17 @@ impl MontgomeryCtx {
     /// exponent, a zero base and a base `≥ n` (reduced first — the only
     /// possible division).
     ///
-    /// On a CPU with AVX-512 the batch runs 24 bases at a time through
-    /// the lane-interleaved engine (see the `lanes.rs` module docs):
-    /// the exponent is recoded once, and every Montgomery step is one
-    /// pass over all lanes. Two constants send work to the
+    /// On a CPU with AVX-512 IFMA the batch runs 24 bases at a time
+    /// through the lane-interleaved engine (see the `lanes.rs` module
+    /// docs): the exponent is recoded once, and every Montgomery step is
+    /// one pass over all lanes. Two constants send work to the
     /// scalar loop instead — a modulus too wide for the lane
     /// accumulators, and a chunk with too few bases to fill enough
-    /// lanes; without AVX-512 the whole batch is the scalar loop
+    /// lanes; without IFMA the whole batch is the scalar loop
     /// ([`crate::lane_tier`] says which). Scratch is the
     /// per-thread arena: a warm call allocates only its results.
     pub fn modpow_many(&self, bases: &[UBig], exp: &UBig) -> Vec<UBig> {
-        let kernel = lanes::accelerated().then_some(lanes::pow_rows as LaneKernel);
-        self.modpow_many_with(bases, exp, kernel, lanes::MIN_LANE_BATCH)
+        self.modpow_many_with(bases, exp, lanes::kernel(), lanes::MIN_LANE_BATCH)
     }
 
     /// [`Self::modpow_many`] with its two run-time choices spelled out:
@@ -1787,14 +1788,11 @@ mod lane_tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// The scalar loop and both instantiations of the lane engine, each
-    /// forced on for batches of any length.
-    fn engines() -> [(&'static str, Option<LaneKernel>); 3] {
-        [
-            ("scalar loop", None),
-            ("portable lanes", Some(lanes::pow_rows_portable)),
-            ("dispatched lanes", Some(lanes::pow_rows)),
-        ]
+    /// The scalar loop and the lane kernel, forced on for batches of any
+    /// length. On a CPU without AVX-512 IFMA the second engine is the
+    /// scalar loop again.
+    fn engines() -> [(&'static str, Option<LaneKernel>); 2] {
+        [("scalar loop", None), ("lanes", lanes::kernel())]
     }
 
     /// `modpow_many` under every engine, and through the public entry
@@ -1812,8 +1810,8 @@ mod lane_tests {
         assert_eq!(ctx.modpow_many(bases, exp), want, "{what}: public entry");
     }
 
-    /// Exponent widths the debug profile can afford: its lane body is
-    /// unvectorised, overflow-checked code.
+    /// Exponent widths the debug profile can afford: its intrinsics are
+    /// calls, not instructions.
     fn exp_bits(bits: usize) -> usize {
         if cfg!(debug_assertions) {
             bits.min(96)
@@ -1828,7 +1826,7 @@ mod lane_tests {
         let moduli = [
             UBig::from_u64(1_000_003), // one lane limb
             random_odd_bits(&mut rng, 61),
-            random_odd_bits(&mut rng, 64), // one 64-bit limb, three lane limbs
+            random_odd_bits(&mut rng, 64), // one 64-bit limb, two lane limbs
             random_odd_bits(&mut rng, 65),
             random_odd_bits(&mut rng, 521),
         ];
@@ -1867,11 +1865,11 @@ mod lane_tests {
 
     #[test]
     fn every_host_tier_matches_modpow() {
-        // One full pass plus a ragged one through each instantiation at
-        // the two widths the protocol uses (RSA-2048's CRT halves,
-        // MODP-2048). `engines()` runs the portable body and whatever
-        // `pow_rows` dispatches to on this CPU.
-        println!("lane tier: {}", lanes::lane_tier());
+        // One full pass plus a ragged one through the lane kernel at the
+        // two widths the protocol uses (RSA-2048's CRT halves, MODP-2048).
+        // Without AVX-512 IFMA there is no kernel to run: the line below
+        // says which case this host was.
+        println!("lane tier exercised: {}", lanes::lane_tier());
         let mut rng = StdRng::seed_from_u64(0x71E2);
         for bits in [1024usize, 2048] {
             let m = random_odd_bits(&mut rng, bits);
@@ -1885,12 +1883,12 @@ mod lane_tests {
 
     #[test]
     fn lazy_accumulators_hold_at_every_width() {
-        // Debug builds panic on overflow, so this passing there is the
-        // check of the column bound end to end: saturated bases (n − 1,
-        // 2^(bits−1) − 1 and friends) under a saturated modulus, at
-        // every protocol width and at the widest the gate admits.
+        // The column bound end to end: saturated bases (n − 1,
+        // 2^(bits−1) − 1 and friends) under a saturated modulus, at every
+        // protocol width. An overflowed column wraps and shows up as a
+        // wrong power.
         let mut rng = StdRng::seed_from_u64(0xACC5);
-        for bits in [64usize, 1024, 1536, 2048, 3072, 3554] {
+        for bits in [64usize, 1024, 1536, 2048, 3072, 4096] {
             let all_ones = (&UBig::one() << bits).sub_ref(&UBig::one());
             for m in [all_ones.clone(), random_odd_bits(&mut rng, bits)] {
                 let ctx = MontgomeryCtx::new(&m);
@@ -1929,12 +1927,26 @@ mod lane_tests {
     #[test]
     fn wide_moduli_and_short_batches_take_the_scalar_loop() {
         let mut rng = StdRng::seed_from_u64(0x6A7E);
-        // 4 096 bits is 147 lane limbs: over the accumulator bound.
-        let wide = random_odd_bits(&mut rng, 4096);
+        // 4 096 bits is 79 lane limbs: a lane batch.
+        let m = random_odd_bits(&mut rng, 4096);
+        let ctx = MontgomeryCtx::new(&m);
+        let bases: Vec<UBig> = (0..LANES).map(|_| random_below(&mut rng, &m)).collect();
+        let md_rows = ctx.lane.as_ref().expect("4096 bits fits").scratch_rows();
+        let rows = lane_rows_after(move || {
+            let exp = UBig::from_u64(3);
+            let want: Vec<UBig> = bases.iter().map(|b| ctx.modpow(b, &exp)).collect();
+            assert_eq!(ctx.modpow_many(&bases, &exp), want);
+        });
+        assert_eq!(rows, if lanes::accelerated() { md_rows } else { 0 });
+
+        // 53 195 bits is 1 024 lane limbs: over the accumulator bound.
+        let wide = (&UBig::one() << 53_194).add_ref(&UBig::one());
         let ctx_wide = MontgomeryCtx::new(&wide);
         assert!(ctx_wide.lane.is_none());
-        let bases: Vec<UBig> = (0..LANES).map(|_| random_below(&mut rng, &wide)).collect();
-        let exp = random_bits(&mut rng, 24);
+        let bases: Vec<UBig> = (0..lanes::MIN_LANE_BATCH)
+            .map(|_| random_below(&mut rng, &wide))
+            .collect();
+        let exp = UBig::from_u64(3);
         let want: Vec<UBig> = bases.iter().map(|b| ctx_wide.modpow(b, &exp)).collect();
         for (name, kernel) in engines() {
             assert_eq!(
@@ -1948,7 +1960,7 @@ mod lane_tests {
                 ctx_wide.modpow_many(&bases, &exp);
             }),
             0,
-            "a 4096-bit batch must not touch the lane arena"
+            "a batch past the limb bound must not touch the lane arena"
         );
 
         // A modulus the lanes do take, one base short of a pass.

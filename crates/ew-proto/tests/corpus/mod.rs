@@ -4,6 +4,13 @@
 //! Same counting-global-allocator scheme as the `alloc_free` suites of
 //! `ew-bigint` and `ew-crypto`, counting bytes rather than calls. Each
 //! corpus is a test binary of its own, so no other suite runs under it.
+//! The frame corpus drives a streaming decoder rather than one
+//! `decode(&[u8])`, so it reads the allocator through
+//! [`allocated_by`] and leaves [`Tally`] to the record and envelope
+//! corpora.
+
+// Each corpus binary uses its own part of this module.
+#![allow(dead_code)]
 
 use ew_proto::codec::CodecError;
 use ew_proto::{Envelope, JournalRecord};
@@ -36,6 +43,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the bytes it asked this
+/// thread's allocator for.
+pub fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED.with(Cell::get) - before)
+}
 
 /// Bytes one decode may allocate per input byte. Each corpus names its
 /// largest ratio; twice the input bounds every one with room to spare.
@@ -90,9 +105,7 @@ impl Tally {
     /// * the decode allocated at most [`ALLOC_BYTES_PER_INPUT_BYTE`]
     ///   bytes per input byte, plus [`ALLOC_SLACK`].
     pub fn decode<T: Canonical>(&mut self, input: &[u8], what: &str) -> Result<T, CodecError> {
-        let before = ALLOCATED.with(Cell::get);
-        let outcome = std::panic::catch_unwind(|| T::decode(input));
-        let allocated = ALLOCATED.with(Cell::get) - before;
+        let (outcome, allocated) = allocated_by(|| std::panic::catch_unwind(|| T::decode(input)));
         let verdict = outcome.unwrap_or_else(|_| panic!("{what}: decode panicked"));
         let bound = ALLOC_BYTES_PER_INPUT_BYTE * input.len() + ALLOC_SLACK;
         assert!(

@@ -10,6 +10,12 @@
 //! * one decode allocates at most [`ALLOC_BYTES_PER_INPUT_BYTE`] bytes
 //!   per input byte, plus [`ALLOC_SLACK`].
 //!
+//! The checkpointed membership ledger is plain fields to the record
+//! codec; `Membership::from_wire` validates it. Targeted mutations of the
+//! sample ledger — unsorted members, duplicated members, a zero
+//! `min_clients` and `MAX_MEMBERS + 1` members — must each decode as a
+//! record and come back from `from_wire` as a typed `MembershipError`.
+//!
 //! The counting allocator and [`Tally`] live in `corpus/mod.rs`, shared
 //! with the envelope corpus. A decode copies an embedded envelope out
 //! of the record once and decodes its cells into a vector once: 111
@@ -19,7 +25,10 @@ mod corpus;
 
 use corpus::Tally;
 use ew_proto::codec::{CodecError, MAX_FIELD_LEN};
-use ew_proto::{CoordinatorCheckpoint, Envelope, JournalEvent, JournalRecord, Message, NodeId};
+use ew_proto::{
+    CoordinatorCheckpoint, Envelope, JournalEvent, JournalRecord, Membership, MembershipError,
+    Message, NodeId, MAX_MEMBERS,
+};
 
 /// The record tag byte follows the `u64` sequence number.
 const TAG_AT: usize = 8;
@@ -200,4 +209,71 @@ fn every_record_tag_but_the_sample_s_own_is_rejected() {
         }
     }
     assert_eq!(tally.accepted, 4);
+}
+
+#[test]
+fn malformed_ledgers_decode_and_are_refused_by_membership() {
+    // The record codec carries the checkpointed ledger as plain fields;
+    // `Membership::from_wire` is the decoder that validates it. Each
+    // targeted mutation of the sample's ledger still frames as a record
+    // and must come back from `from_wire` as a typed reject.
+    let sample = samples()
+        .into_iter()
+        .find_map(|sample| match sample.record.event {
+            JournalEvent::CoordinatorState(state) => Some(state),
+            _ => None,
+        })
+        .expect("the corpus has a coordinator checkpoint");
+    let too_many = (0..=MAX_MEMBERS).collect::<Vec<u32>>();
+    let cases: [(&str, u32, Vec<u32>, MembershipError); 4] = [
+        (
+            "unsorted",
+            sample.min_clients,
+            vec![4, 1, 7, 9],
+            MembershipError::Unsorted,
+        ),
+        (
+            "duplicated",
+            sample.min_clients,
+            vec![1, 4, 4, 9],
+            MembershipError::Unsorted,
+        ),
+        (
+            "zero min_clients",
+            0,
+            sample.members.clone(),
+            MembershipError::ZeroMinClients,
+        ),
+        (
+            "MAX_MEMBERS + 1 members",
+            sample.min_clients,
+            too_many,
+            MembershipError::TooManyMembers(MAX_MEMBERS as usize + 1),
+        ),
+    ];
+    for (what, min_clients, members, refusal) in cases {
+        let record = JournalRecord {
+            seq: 8,
+            event: JournalEvent::CoordinatorState(CoordinatorCheckpoint {
+                min_clients,
+                members,
+                ..sample.clone()
+            }),
+        };
+        let bytes = record.encode();
+        let Ok(JournalRecord {
+            event: JournalEvent::CoordinatorState(state),
+            ..
+        }) = JournalRecord::decode(&bytes)
+        else {
+            panic!("{what}: the record itself is well-formed");
+        };
+        let verdict = Membership::from_wire(
+            state.version,
+            state.ledger_epoch,
+            state.min_clients,
+            state.members,
+        );
+        assert_eq!(verdict, Err(refusal), "{what}");
+    }
 }

@@ -22,9 +22,10 @@
 //!   `phase_nanos`) are wall-clock and accumulate; they are
 //!   intentionally excluded from every determinism comparison (two
 //!   bit-identical rounds will never have bit-identical clocks),
-//! * **histograms** ([`Hist64`]) are merge-able log2 latency
-//!   distributions — sums answer "how much?", the histograms answer
-//!   "how is it distributed?" with p50/p90/p99 estimators. Like the
+//! * **histograms** ([`Hist64`]) are merge-able log-linear latency
+//!   distributions, eight buckets per power of two — sums answer "how
+//!   much?", the histograms answer "how is it distributed?" with
+//!   p50/p90/p99 estimators. Like the
 //!   timings, they ride outside every determinism comparison.
 //!
 //! Snapshots leave the process two ways: JSON lines appended to the
@@ -91,18 +92,33 @@ pub mod hist_kind {
     }
 }
 
-/// A fixed-bucket log2 histogram over `u64` samples: bucket *i* holds
-/// values whose floor(log2) is *i* (bucket 0 additionally holds 0).
+/// Sub-buckets per power of two, as a bit count: each octave
+/// `[2^e, 2^(e+1))` is split into `2^SUB_BITS` equal buckets.
+const SUB_BITS: u32 = 3;
+
+/// Buckets per octave.
+const SUB_BUCKETS: usize = 1 << SUB_BITS;
+
+/// Buckets in all: one per value below `SUB_BUCKETS`, then
+/// `SUB_BUCKETS` for each octave from `2^SUB_BITS` to `2^63`.
+const HIST_BUCKETS: usize = SUB_BUCKETS * (64 - SUB_BITS as usize + 1);
+
+/// A fixed-bucket log-linear histogram over `u64` samples: the values
+/// below 8 have a bucket each, and every power-of-two octave above is
+/// split into eight equal sub-buckets (496 buckets cover all of `u64`).
 /// Merging is element-wise addition — associative and commutative, the
 /// same contract as `SketchAccumulator::merge` — so per-shard and
 /// per-round histograms fold into campaign totals in any order.
 ///
 /// Quantile estimates resolve to the **upper bound** of the bucket the
 /// rank lands in: a conservative (never under-reported) latency bound
-/// with at most 2× relative error, which is what a log2 sketch buys.
+/// at most 12.5 % above the true quantile — a bucket is an eighth of
+/// its octave wide. Bucket counts are `u32` (2 KB of buckets in all:
+/// the telemetry keeps up to [`MAX_ROUND_ROWS`] rows of seven
+/// histograms each) and saturate like the totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hist64 {
-    buckets: [u64; 64],
+    buckets: [u32; HIST_BUCKETS],
     count: u64,
     sum: u64,
 }
@@ -110,7 +126,7 @@ pub struct Hist64 {
 impl Default for Hist64 {
     fn default() -> Self {
         Hist64 {
-            buckets: [0; 64],
+            buckets: [0; HIST_BUCKETS],
             count: 0,
             sum: 0,
         }
@@ -123,28 +139,34 @@ impl Hist64 {
         Hist64::default()
     }
 
-    /// The bucket `value` lands in: floor(log2(value)), with 0 sharing
-    /// bucket 0 with 1.
+    /// The bucket `value` lands in: `value` itself below 8; above, the
+    /// octave `e = floor(log2(value))` and the next three bits below
+    /// its leading one pick bucket `8·(e − 2) + sub`.
     pub fn bucket_of(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
+        if value < SUB_BUCKETS as u64 {
+            return value as usize;
         }
+        let octave = 63 - value.leading_zeros();
+        let sub = (value >> (octave - SUB_BITS)) as usize - SUB_BUCKETS;
+        SUB_BUCKETS * (octave - SUB_BITS + 1) as usize + sub
     }
 
     /// The largest value bucket `index` can hold.
     pub fn bucket_upper_bound(index: usize) -> u64 {
-        if index >= 63 {
-            u64::MAX
-        } else {
-            (1u64 << (index + 1)) - 1
+        if index < SUB_BUCKETS {
+            return index as u64;
         }
+        if index >= HIST_BUCKETS {
+            return u64::MAX;
+        }
+        let shift = (index / SUB_BUCKETS - 1) as u32;
+        let lower = ((SUB_BUCKETS + index % SUB_BUCKETS) as u64) << shift;
+        lower + ((1u64 << shift) - 1)
     }
 
-    /// Records one sample. Count and sum saturate instead of wrapping —
-    /// a pinned histogram reads as "at least this much", never as a
-    /// freshly reset one.
+    /// Records one sample. Bucket counts, count and sum saturate
+    /// instead of wrapping — a pinned histogram reads as "at least this
+    /// much", never as a freshly reset one.
     pub fn record(&mut self, value: u64) {
         let slot = Self::bucket_of(value);
         self.buckets[slot] = self.buckets[slot].saturating_add(1);
@@ -187,7 +209,7 @@ impl Hist64 {
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
-            seen = seen.saturating_add(n);
+            seen = seen.saturating_add(u64::from(n));
             if seen >= rank {
                 return Self::bucket_upper_bound(i);
             }
@@ -640,14 +662,20 @@ mod tests {
         assert_eq!(h.count(), 8);
         assert_eq!(h.sum(), 3106);
         assert_eq!(Hist64::bucket_of(0), 0);
-        assert_eq!(Hist64::bucket_of(1), 0);
-        assert_eq!(Hist64::bucket_of(2), 1);
-        assert_eq!(Hist64::bucket_of(1000), 9);
-        assert_eq!(Hist64::bucket_of(u64::MAX), 63);
-        assert_eq!(Hist64::bucket_upper_bound(0), 1);
-        assert_eq!(Hist64::bucket_upper_bound(9), 1023);
-        assert_eq!(Hist64::bucket_upper_bound(63), u64::MAX);
-        // Rank 4 of 8 lands in bucket_of(3) = 1 → upper bound 3.
+        assert_eq!(Hist64::bucket_of(1), 1);
+        assert_eq!(Hist64::bucket_of(7), 7);
+        assert_eq!(Hist64::bucket_of(8), 8);
+        assert_eq!(Hist64::bucket_of(15), 15);
+        assert_eq!(Hist64::bucket_of(16), 16);
+        // 1000 is in the octave [512, 1024), sub-bucket (1000 >> 6) − 8 = 7.
+        assert_eq!(Hist64::bucket_of(1000), 8 * 7 + 7);
+        assert_eq!(Hist64::bucket_of(u64::MAX), HIST_BUCKETS - 1);
+        assert_eq!(Hist64::bucket_upper_bound(0), 0);
+        assert_eq!(Hist64::bucket_upper_bound(15), 15);
+        assert_eq!(Hist64::bucket_upper_bound(16), 17);
+        assert_eq!(Hist64::bucket_upper_bound(8 * 7 + 7), 1023);
+        assert_eq!(Hist64::bucket_upper_bound(HIST_BUCKETS - 1), u64::MAX);
+        // Rank 4 of 8 is the 3, which has a bucket of its own.
         assert_eq!(h.p50(), 3);
         // Rank 8 of 8 is one of the 1000s → upper bound 1023.
         assert_eq!(h.p99(), 1023);
@@ -664,6 +692,24 @@ mod tests {
         assert_eq!(ab, ba, "merge commutes");
         assert_eq!(ab.count(), 2);
         assert_eq!(ab.sum(), 705);
+    }
+
+    #[test]
+    fn every_bucket_is_the_values_that_land_in_it() {
+        // Bucket edges: the upper bound of one bucket is one below the
+        // lower bound of the next, and both land where they say.
+        for index in 0..HIST_BUCKETS {
+            let upper = Hist64::bucket_upper_bound(index);
+            assert_eq!(Hist64::bucket_of(upper), index, "upper edge of {index}");
+            if index + 1 < HIST_BUCKETS {
+                assert_eq!(
+                    Hist64::bucket_of(upper + 1),
+                    index + 1,
+                    "lower edge of {}",
+                    index + 1
+                );
+            }
+        }
     }
 
     #[test]
@@ -784,7 +830,8 @@ mod tests {
         assert!(prom.contains("ew_routed_total 4"));
         assert!(prom.contains("# TYPE ew_absorb_nanos summary"));
         assert!(prom.contains("ew_absorb_nanos_count 2"));
-        assert!(prom.contains("ew_absorb_nanos{quantile=\"0.99\"} 4095"));
+        // 3000 is in [2816, 3072), an eighth of the octave [2048, 4096).
+        assert!(prom.contains("ew_absorb_nanos{quantile=\"0.99\"} 3071"));
         assert!(prom.contains("ew_epoch_phase_nanos{phase=\"5\"}"));
 
         // One engine line per CPU-dispatched kernel, in both exports.

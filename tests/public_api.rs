@@ -485,6 +485,19 @@ fn one_checksum_dispatch() {
 }
 
 #[test]
+fn one_lane_dispatch() {
+    // `ew-bigint` allows `unsafe` at one fn: `lanes::pow_rows`, whose
+    // body is the call into the IFMA kernel directly under the CPU
+    // feature detection.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    assert_eq!(
+        unsafe_allowances(&root.join("crates/ew-bigint/src")),
+        ["fn pow_rows(md: &LaneModulus, ops: &[WindowOp], rows: &mut [LaneRow]) {"],
+        "ew-bigint allows unsafe code only at the lane kernel dispatch"
+    );
+}
+
+#[test]
 fn one_sweep_dispatch() {
     // `ew-sketch` allows `unsafe` at one statement: the finalize sweep's
     // call into its AVX-512 row kernel, directly under the CPU feature

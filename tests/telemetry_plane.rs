@@ -7,9 +7,9 @@
 //!   `ChurnMetrics::merge` are associative, and commutative modulo
 //!   their gauge fields (`journal_depth`, `members`, `pending_joins`
 //!   are latest-wins by design).
-//! * **Quantile bounds** — a log2-bucketed quantile never understates:
+//! * **Quantile bounds** — a bucketed quantile never understates:
 //!   `quantile(q)` is an upper bound on the true q-quantile and at most
-//!   one bucket (2×) above the largest sample.
+//!   12.5 % above it (eight buckets per power of two).
 //! * **Eviction** — the per-round table never exceeds
 //!   [`MAX_ROUND_ROWS`] and always evicts the *oldest* round.
 
@@ -130,6 +130,26 @@ proptest! {
         prop_assert!(h.p50() <= h.p90());
         prop_assert!(h.p90() <= h.p99());
         prop_assert_eq!(h.count(), samples.len() as u64);
+    }
+
+    #[test]
+    fn hist_quantiles_are_within_an_eighth_of_the_truth(
+        samples in proptest::collection::vec(any::<u64>().prop_map(|v| v >> (v % 64)), 1..64),
+        q in 0.0f64..1.0,
+    ) {
+        let mut h = Hist64::new();
+        for &s in &samples {
+            h.record(s);
+        }
+        let mut sorted = samples.clone();
+        sorted.sort_unstable();
+        for q in [q, 0.5, 0.9, 0.99, 1.0] {
+            let rank = ((q * samples.len() as f64).ceil() as usize).max(1);
+            let truth = sorted[rank - 1] as u128;
+            let estimate = h.quantile(q) as u128;
+            prop_assert!(estimate >= truth, "q={} never understates", q);
+            prop_assert!(8 * estimate <= 9 * truth, "q={}: {} for {}", q, estimate, truth);
+        }
     }
 
     #[test]
