@@ -10,20 +10,35 @@
 //!
 //! ## Lanes
 //!
-//! Blocks are independent, so one safe body, `add_lanes::<L>`, computes
-//! `L` consecutive blocks at once with the state held as words indexed
-//! `[word][lane]` (lane `l` is block `base + l`): every operation is an
-//! elementwise add, xor or rotate over a `[u32; L]`, which the compiler
-//! turns into whatever vector ISA the enclosing function is compiled for.
-//! The body is `#[inline(always)]` and instantiated three times, like
-//! `sha256::compress_lanes`: `avx512f,avx512vl`, `avx2` and a plain one
-//! (SSE2 on baseline x86-64, NEON on aarch64 — the only one compiled off
-//! x86-64). All three are 16 lanes wide: at 8 lanes the compiler leaves
-//! the rounds scalar on every ISA (about 3 × slower under `avx2` and
-//! 1.5–2 × under SSE2; see ARCHITECTURE.md). `add_keystream` picks one per call with
-//! `is_x86_feature_detected!` and [`keystream_tier`] reports the pick;
-//! there is no build flag, feature or environment switch. A short last
-//! group is one more full-width pass whose surplus lanes are discarded.
+//! Blocks are independent, so every tier computes 16 consecutive blocks
+//! at once with the state held as words indexed `[word][lane]` (lane `l`
+//! is block `base + l`), then transposes the 16 × 16 words to cell order
+//! on their way into the output. There are two bodies.
+//!
+//! * `add_lanes::<L>` is safe Rust without intrinsics: every operation
+//!   is an elementwise add, xor or rotate over a `[u32; L]`, which the
+//!   compiler turns into whatever vector ISA the enclosing function is
+//!   compiled for. It is `#[inline(always)]` and instantiated twice, like
+//!   `sha256::compress_lanes`: under `avx2`, and plain (SSE2 on baseline
+//!   x86-64, NEON on aarch64 — the only body compiled off x86-64). Both
+//!   are 16 lanes wide: at 8 lanes the compiler leaves the rounds scalar
+//!   (about 3 × slower under `avx2` and 1.5–2 × under SSE2; see
+//!   ARCHITECTURE.md). A short last group is one more full-width pass
+//!   whose surplus lanes are discarded.
+//! * The `avx512f,avx512vl` tier has a body of its own, written with
+//!   `core::arch` intrinsics as safe calls inside `#[target_feature]`
+//!   fns. The rounds are the same `vpaddd`/`vpxord`/`vprold` the generic
+//!   body compiles to; the reason is the transpose. From the generic
+//!   body LLVM emits 64 `vpgatherqd` per pass, about a third of the
+//!   kernel's time. Here it is 16 `unpack{lo,hi}_epi32`, 16
+//!   `unpack{lo,hi}_epi64` and 32 `shuffle_i32x4` in registers, and
+//!   each block is added into its 16 cells with one load and one store.
+//!   A short last group runs in a 256-word stack copy that is copied
+//!   back, so nothing is allocated.
+//!
+//! `add_keystream` picks a tier per call with `is_x86_feature_detected!`
+//! and [`keystream_tier`] reports the pick; there is no build flag,
+//! feature or environment switch.
 //!
 //! Every tier is bit-identical to the scalar RFC block function, which a
 //! per-tier differential test and the RFC 8439 §2.3.2 vector pin.
@@ -50,7 +65,7 @@ pub(crate) fn add_keystream(key: &[u32; 8], negate: bool, out: &mut [u32]) {
     {
         if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
             // SAFETY: avx512f and avx512vl were detected on this CPU on the line above.
-            return unsafe { add_avx512(key, negate, out) };
+            return unsafe { avx512::add(key, negate, out) };
         }
         if is_x86_feature_detected!("avx2") {
             // SAFETY: avx2 was detected on this CPU on the line above.
@@ -60,7 +75,7 @@ pub(crate) fn add_keystream(key: &[u32; 8], negate: bool, out: &mut [u32]) {
     add_portable(key, negate, out)
 }
 
-/// Which instantiation of the lane kernel `add_keystream` runs on this
+/// Which body of the lane kernel `add_keystream` runs on this
 /// CPU, as `"<isa>/<lanes>"`: `"avx512/16"`, `"avx2/16"` or
 /// `"portable/16"`. A read-only report for benchmark headers and
 /// telemetry — it cannot be set.
@@ -77,10 +92,170 @@ pub fn keystream_tier() -> &'static str {
     "portable/16"
 }
 
+/// The AVX-512 body: the same design as `add_lanes::<16>` — lane `l` of
+/// word `w` is word `w` of block `16g + l` — written with intrinsics so
+/// that the transpose to cell order is 64 register shuffles rather than
+/// the gathers LLVM emits for the generic body. Every fn takes the tier's
+/// target features, so the intrinsics are safe calls and the helpers
+/// inline into `add_group`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl")]
-fn add_avx512(key: &[u32; 8], negate: bool, out: &mut [u32]) {
-    add_lanes::<16>(key, negate, out)
+mod avx512 {
+    use super::{BLOCK_WORDS, SIGMA};
+    use std::arch::x86_64::*;
+
+    /// Cells per pass: sixteen blocks.
+    const GROUP: usize = 16 * BLOCK_WORDS;
+
+    /// `_mm512_shuffle_i32x4` picks: 128-bit lanes 0 and 2 of each
+    /// operand, or lanes 1 and 3.
+    const EVEN: i32 = 0b10_00_10_00;
+    const ODD: i32 = 0b11_01_11_01;
+
+    /// Sixteen cells in one register, lane `i` = `s[i]`.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn load(s: &[u32; 16]) -> __m512i {
+        let s = s.map(|c| c as i32);
+        _mm512_set_epi32(
+            s[15], s[14], s[13], s[12], s[11], s[10], s[9], s[8], s[7], s[6], s[5], s[4], s[3],
+            s[2], s[1], s[0],
+        )
+    }
+
+    /// `v`'s sixteen lanes back into cells, lane `i` to `s[i]`.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn store(s: &mut [u32; 16], v: __m512i) {
+        let (lo, hi) = (
+            _mm512_extracti64x4_epi64::<0>(v),
+            _mm512_extracti64x4_epi64::<1>(v),
+        );
+        let pairs = [
+            _mm256_extract_epi64::<0>(lo) as u64,
+            _mm256_extract_epi64::<1>(lo) as u64,
+            _mm256_extract_epi64::<2>(lo) as u64,
+            _mm256_extract_epi64::<3>(lo) as u64,
+            _mm256_extract_epi64::<0>(hi) as u64,
+            _mm256_extract_epi64::<1>(hi) as u64,
+            _mm256_extract_epi64::<2>(hi) as u64,
+            _mm256_extract_epi64::<3>(hi) as u64,
+        ];
+        for (cells, pair) in s.chunks_exact_mut(2).zip(pairs) {
+            cells[0] = pair as u32;
+            cells[1] = (pair >> 32) as u32;
+        }
+    }
+
+    /// One ChaCha quarter round on four state words, every lane at once.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn quarter_round(x: &mut [__m512i; 16], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32::<16>(_mm512_xor_si512(x[d], x[a]));
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32::<12>(_mm512_xor_si512(x[b], x[c]));
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32::<8>(_mm512_xor_si512(x[d], x[a]));
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32::<7>(_mm512_xor_si512(x[b], x[c]));
+    }
+
+    /// `x[w]` lane `l` (word `w` of block `l`) to `x[l]` lane `w` (block
+    /// `l`'s words in RFC order). The 32-bit and 64-bit unpacks transpose
+    /// each 128-bit lane's 4 × 4 words: afterwards `x[4i + j]` holds, in
+    /// its 128-bit lane `q`, words `4i..4i + 4` of block `4q + j`. Two
+    /// levels of `shuffle_i32x4` then transpose the 4 × 4 grid of 128-bit
+    /// lanes among `x[j]`, `x[4 + j]`, `x[8 + j]` and `x[12 + j]`.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn transpose(x: [__m512i; 16]) -> [__m512i; 16] {
+        let mut a = x;
+        for i in 0..8 {
+            a[2 * i] = _mm512_unpacklo_epi32(x[2 * i], x[2 * i + 1]);
+            a[2 * i + 1] = _mm512_unpackhi_epi32(x[2 * i], x[2 * i + 1]);
+        }
+        let mut b = a;
+        for i in 0..4 {
+            let w = 4 * i;
+            b[w] = _mm512_unpacklo_epi64(a[w], a[w + 2]);
+            b[w + 1] = _mm512_unpackhi_epi64(a[w], a[w + 2]);
+            b[w + 2] = _mm512_unpacklo_epi64(a[w + 1], a[w + 3]);
+            b[w + 3] = _mm512_unpackhi_epi64(a[w + 1], a[w + 3]);
+        }
+        let mut rows = b;
+        for j in 0..4 {
+            let (p, q, r, s) = (b[j], b[4 + j], b[8 + j], b[12 + j]);
+            let (pq_even, pq_odd) = (
+                _mm512_shuffle_i32x4::<EVEN>(p, q),
+                _mm512_shuffle_i32x4::<ODD>(p, q),
+            );
+            let (rs_even, rs_odd) = (
+                _mm512_shuffle_i32x4::<EVEN>(r, s),
+                _mm512_shuffle_i32x4::<ODD>(r, s),
+            );
+            rows[j] = _mm512_shuffle_i32x4::<EVEN>(pq_even, rs_even);
+            rows[4 + j] = _mm512_shuffle_i32x4::<EVEN>(pq_odd, rs_odd);
+            rows[8 + j] = _mm512_shuffle_i32x4::<ODD>(pq_even, rs_even);
+            rows[12 + j] = _mm512_shuffle_i32x4::<ODD>(pq_odd, rs_odd);
+        }
+        rows
+    }
+
+    /// Sixteen blocks from counter `base`, added into 256 cells.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn add_group(init: &[__m512i; 16], base: u32, mask: __m512i, cells: &mut [u32; GROUP]) {
+        let mut init = *init;
+        init[12] = _mm512_add_epi32(
+            _mm512_set1_epi32(base as i32),
+            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        );
+        let mut x = init;
+        for _ in 0..10 {
+            quarter_round(&mut x, 0, 4, 8, 12);
+            quarter_round(&mut x, 1, 5, 9, 13);
+            quarter_round(&mut x, 2, 6, 10, 14);
+            quarter_round(&mut x, 3, 7, 11, 15);
+            quarter_round(&mut x, 0, 5, 10, 15);
+            quarter_round(&mut x, 1, 6, 11, 12);
+            quarter_round(&mut x, 2, 7, 8, 13);
+            quarter_round(&mut x, 3, 4, 9, 14);
+        }
+        // Feed-forward and sign, then block order.
+        for (xw, iw) in x.iter_mut().zip(&init) {
+            *xw = _mm512_sub_epi32(_mm512_xor_si512(_mm512_add_epi32(*xw, *iw), mask), mask);
+        }
+        let rows = transpose(x);
+        for (block, row) in cells.as_chunks_mut::<BLOCK_WORDS>().0.iter_mut().zip(rows) {
+            store(block, _mm512_add_epi32(load(block), row));
+        }
+    }
+
+    /// `add_keystream` on AVX-512: whole groups in place, and a short
+    /// last group through a stack copy, so nothing is allocated.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    pub(super) fn add(key: &[u32; 8], negate: bool, out: &mut [u32]) {
+        let mask = _mm512_set1_epi32(if negate { -1 } else { 0 });
+        // Words 12..16 (counter and nonce) start at zero; `add_group`
+        // sets the counter.
+        let mut init = [_mm512_setzero_si512(); 16];
+        for (w, &c) in SIGMA.iter().chain(key).enumerate() {
+            init[w] = _mm512_set1_epi32(c as i32);
+        }
+        // A group's first counter is at most the last block's, which the
+        // caller bounded; surplus lanes past it may wrap and are never
+        // written back.
+        let (groups, tail) = out.as_chunks_mut::<GROUP>();
+        for (g, group) in groups.iter_mut().enumerate() {
+            add_group(&init, (g * 16) as u32, mask, group);
+        }
+        if !tail.is_empty() {
+            let mut buf = [0u32; GROUP];
+            buf[..tail.len()].copy_from_slice(tail);
+            add_group(&init, (groups.len() * 16) as u32, mask, &mut buf);
+            tail.copy_from_slice(&buf[..tail.len()]);
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -113,12 +288,13 @@ fn quarter_round<const L: usize>(
     }
 }
 
-/// The one body of `add_keystream`, compiled once per tier:
-/// `L` blocks per pass, 20 rounds, feed-forward, then each block's words
-/// folded into its 16 cells. Negation is two's complement under a mask
-/// (`(k ^ m) - m`), so both signs run the same straight-line code. No
-/// heap allocation. `#[inline(always)]`: the body takes the target
-/// features of the tier wrapper it is instantiated in.
+/// The generic body of `add_keystream`, compiled for the `avx2` and
+/// portable tiers: `L` blocks per pass, 20 rounds, feed-forward, then
+/// each block's words folded into its 16 cells. Negation is two's
+/// complement under a mask (`(k ^ m) - m`), so both signs run the same
+/// straight-line code. No heap allocation. `#[inline(always)]`: the
+/// body takes the target features of the tier wrapper it is
+/// instantiated in.
 #[inline(always)]
 fn add_lanes<const L: usize>(key: &[u32; 8], negate: bool, out: &mut [u32]) {
     let mask = if negate { u32::MAX } else { 0 };
@@ -230,7 +406,7 @@ mod tests {
 
     type TierFn = fn(&[u32; 8], bool, &mut [u32]);
 
-    /// Every instantiation this host can run, narrowest first, called
+    /// Every tier this host can run, narrowest first, called
     /// directly rather than through the dispatch.
     #[allow(unsafe_code)]
     fn host_tiers() -> Vec<(&'static str, TierFn)> {
@@ -244,7 +420,7 @@ mod tests {
             }
             if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
                 // SAFETY: only pushed once avx512f and avx512vl were detected above.
-                tiers.push(("avx512/16", |k, n, o| unsafe { add_avx512(k, n, o) }));
+                tiers.push(("avx512/16", |k, n, o| unsafe { avx512::add(k, n, o) }));
             }
         }
         tiers
@@ -254,7 +430,10 @@ mod tests {
     fn every_host_tier_matches_scalar_oracle() {
         // Empty, a single cell, one word short of / exactly / one past a
         // block and a 16-block group, a truncated tail, and the
-        // benchmark's 5 × 2048 cells; both signs, onto non-zero cells.
+        // benchmark's 5 × 2048 cells; then every length to two whole
+        // 16-block groups, so every residue of a short last group goes
+        // through the AVX-512 body's stack copy. Both signs, onto
+        // non-zero cells.
         const CELLS: [usize; 10] = [0, 1, 15, 16, 17, 255, 256, 257, 1000, 10_240];
         let tiers = host_tiers();
         let names: Vec<&str> = tiers.iter().map(|t| t.0).collect();
@@ -276,7 +455,7 @@ mod tests {
             .map(|i| i.wrapping_mul(0x85EB_CA6B))
             .collect();
         for &(name, tier) in &tiers {
-            for len in CELLS {
+            for len in CELLS.into_iter().chain(0..=512) {
                 for negate in [false, true] {
                     let mut got = cells[..len].to_vec();
                     tier(&key, negate, &mut got);

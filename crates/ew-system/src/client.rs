@@ -230,7 +230,14 @@ impl Client {
         BlindedSketch::from_sketch(&sketch, generator, round)
     }
 
-    /// The recovery-round adjustment for a set of missing clients.
+    /// The recovery-round adjustment for a set of missing clients: the
+    /// signed sum of this client's pairwise terms with every enrolled
+    /// peer that `missing` names, each once. Other ids, this client's
+    /// own among them, add nothing.
+    ///
+    /// # Panics
+    /// Panics if [`Self::setup_blinding`] has not run. The wire handler
+    /// checks first and leaves such a notice unanswered.
     pub fn adjustment(&self, params: CmsParams, round: u64, missing: &[u32]) -> Vec<u32> {
         let generator = self
             .blinding
@@ -284,8 +291,11 @@ impl ClientNode for Client {
 
     fn on_envelope(&self, params: CmsParams, env: &Envelope) -> Option<Envelope> {
         match &env.msg {
+            // A client that never enrolled has no blinding to adjust.
             Message::MissingClients { round, users }
-                if env.sender == NodeId::Backend && env.round == *round =>
+                if env.sender == NodeId::Backend
+                    && env.round == *round
+                    && self.blinding_ready() =>
             {
                 let cells = self.adjustment(params, *round, users);
                 Some(Envelope::new(
