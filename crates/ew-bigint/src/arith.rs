@@ -67,15 +67,6 @@ impl UBig {
         Some(r)
     }
 
-    /// Absolute difference `|self - other|`.
-    pub fn abs_diff(&self, other: &UBig) -> UBig {
-        if self >= other {
-            self.sub_ref(other)
-        } else {
-            other.sub_ref(self)
-        }
-    }
-
     /// `self * other`.
     pub fn mul_ref(&self, other: &UBig) -> UBig {
         if self.is_zero() || other.is_zero() {
@@ -155,21 +146,6 @@ impl UBig {
         let mut r = UBig { limbs: out };
         r.normalize();
         r
-    }
-
-    /// `self^exp` by binary exponentiation (no modulus — use sparingly).
-    pub fn pow_u32(&self, exp: u32) -> UBig {
-        let mut base = self.clone();
-        let mut acc = UBig::one();
-        let mut e = exp;
-        while e > 0 {
-            if e & 1 == 1 {
-                acc = acc.mul_ref(&base);
-            }
-            base = base.mul_ref(&base);
-            e >>= 1;
-        }
-        acc
     }
 }
 
@@ -298,13 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn abs_diff_symmetric() {
-        assert_eq!(n(3).abs_diff(&n(10)), n(7));
-        assert_eq!(n(10).abs_diff(&n(3)), n(7));
-        assert_eq!(n(5).abs_diff(&n(5)), UBig::zero());
-    }
-
-    #[test]
     fn schoolbook_known_product() {
         // (2^64 - 1)^2 = 2^128 - 2^65 + 1
         let a = n(u64::MAX);
@@ -356,13 +325,6 @@ mod tests {
     fn shl_multiplies_by_power_of_two() {
         assert_eq!(n(3).shl_bits(5), n(96));
         assert_eq!(n(1).shl_bits(64), UBig { limbs: vec![0, 1] });
-    }
-
-    #[test]
-    fn pow_small_cases() {
-        assert_eq!(n(3).pow_u32(0), UBig::one());
-        assert_eq!(n(3).pow_u32(4), n(81));
-        assert_eq!(n(2).pow_u32(130), &UBig::one() << 130);
     }
 
     #[test]

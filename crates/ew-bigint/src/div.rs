@@ -48,11 +48,6 @@ impl UBig {
         self.divrem(m).1
     }
 
-    /// `self / d` (floor).
-    pub fn div_ref(&self, d: &UBig) -> UBig {
-        self.divrem(d).0
-    }
-
     /// Greatest common divisor (Euclid on top of `divrem`).
     pub fn gcd(&self, other: &UBig) -> UBig {
         let mut a = self.clone();
@@ -63,14 +58,6 @@ impl UBig {
             b = r;
         }
         a
-    }
-
-    /// Least common multiple. Returns zero if either input is zero.
-    pub fn lcm(&self, other: &UBig) -> UBig {
-        if self.is_zero() || other.is_zero() {
-            return UBig::zero();
-        }
-        self.div_ref(&self.gcd(other)).mul_ref(other)
     }
 }
 
@@ -149,7 +136,7 @@ fn knuth_d(u: &UBig, v: &UBig) -> (UBig, UBig) {
 impl Div<&UBig> for &UBig {
     type Output = UBig;
     fn div(self, rhs: &UBig) -> UBig {
-        self.div_ref(rhs)
+        self.divrem(rhs).0
     }
 }
 
@@ -230,12 +217,6 @@ mod tests {
         assert_eq!(n(17).gcd(&n(13)), n(1));
         assert_eq!(n(0).gcd(&n(9)), n(9));
         assert_eq!(n(9).gcd(&n(0)), n(9));
-    }
-
-    #[test]
-    fn lcm_known_values() {
-        assert_eq!(n(4).lcm(&n(6)), n(12));
-        assert_eq!(n(0).lcm(&n(6)), UBig::zero());
     }
 
     #[test]

@@ -13,11 +13,6 @@ use crate::ops_trace;
 use crate::ubig::UBig;
 
 impl UBig {
-    /// `(self + other) mod m`. Operands need not be reduced.
-    pub fn addmod(&self, other: &UBig, m: &UBig) -> UBig {
-        self.add_ref(other).rem_ref(m)
-    }
-
     /// `(self - other) mod m`, where both operands are first reduced mod `m`.
     pub fn submod(&self, other: &UBig, m: &UBig) -> UBig {
         let a = self.rem_ref(m);

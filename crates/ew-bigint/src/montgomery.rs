@@ -213,7 +213,7 @@ fn with_scratch<R>(f: impl FnOnce(&mut MontScratch) -> R) -> R {
 /// (debug builds assert the width matches). Produced by
 /// [`MontgomeryCtx::to_mont`] / [`MontgomeryCtx::modpow_mont`] /
 /// [`MontgomeryCtx::mont_mul_elem`], consumed by
-/// [`MontgomeryCtx::from_mont`] / [`MontgomeryCtx::mont_mul_mixed`].
+/// [`MontgomeryCtx::mont_mul_mixed`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MontElem {
     limbs: Vec<u64>,
@@ -595,7 +595,10 @@ impl MontgomeryCtx {
     }
 
     /// Converts a Montgomery-form element back to a plain value — one
-    /// bare reduction sweep, about half the cost of a full multiply.
+    /// bare reduction sweep. Tests observe the Montgomery domain through
+    /// it; the program leaves the domain by [`Self::mont_mul_mixed`].
+    /// (`pub` only to keep clippy's `from_*` naming rule off it.)
+    #[cfg(test)]
     pub fn from_mont(&self, e: &MontElem) -> UBig {
         debug_assert_eq!(e.limbs.len(), self.k, "element from another context");
         with_scratch(|s| {
@@ -607,7 +610,7 @@ impl MontgomeryCtx {
     }
 
     /// The Montgomery form of 1 (`R mod n`).
-    pub fn one_mont(&self) -> MontElem {
+    fn one_mont(&self) -> MontElem {
         MontElem {
             limbs: self.r1.clone(),
         }

@@ -243,8 +243,10 @@ impl UBig {
         }
     }
 
-    /// Converts to `u128` if the value fits.
-    pub fn to_u128(&self) -> Option<u128> {
+    /// Converts to `u128` if the value fits; tests read
+    /// [`Self::from_u128`] back through it.
+    #[cfg(test)]
+    fn to_u128(&self) -> Option<u128> {
         match self.limbs.len() {
             0 => Some(0),
             1 => Some(self.limbs[0] as u128),

@@ -2,13 +2,13 @@
 //! agreements behind the Kursawe blinding construction.
 //!
 //! The paper assumes "a cyclic group G of order q where Computational
-//! Diffie-Hellman is hard". We provide the standard RFC 3526 MODP groups
-//! (1536/2048-bit) for deployment-scale parameters, plus generated
+//! Diffie-Hellman is hard". We provide the standard RFC 3526 2048-bit
+//! MODP group for deployment-scale parameters, plus generated
 //! safe-prime groups of arbitrary size so the test suite stays fast.
 //!
 //! ## Exponent width
 //!
-//! Private exponents are [`EXPONENT_BITS`] = 256 bits wide, not the
+//! Private exponents are `EXPONENT_BITS` = 256 bits wide, not the
 //! width of the subgroup order `q` (2 047 bits at MODP-2048). A
 //! safe-prime group at security strength *s* needs a 2·*s*-bit
 //! exponent, and MODP-2048 has *s* ≈ 112: RFC 7919 §5.2, NIST SP
@@ -19,7 +19,7 @@
 //! a small subgroup. Every exponentiation by a secret — keygen's
 //! [`ModpGroup::pow_g`] and enrolment's `y_j^{x_i}` — walks an eighth of
 //! the bits it would at full width. Groups whose `q` is no wider than
-//! [`EXPONENT_BITS`] (the generated test groups) keep drawing from all of
+//! `EXPONENT_BITS` (the generated test groups) keep drawing from all of
 //! `[1, q)`.
 
 use ew_bigint::{gen_safe_prime, random_range, FixedBaseTable, MontgomeryCtx, UBig};
@@ -33,7 +33,7 @@ use std::sync::Arc;
 /// prescribe for a safe-prime group of strength *s*; van Oorschot &
 /// Wiener (EUROCRYPT '96) give the 2·*s* floor. The generator table is
 /// sized to it.
-pub const EXPONENT_BITS: usize = 256;
+const EXPONENT_BITS: usize = 256;
 
 /// A multiplicative group `Z_p^*` restricted to the prime-order subgroup
 /// of quadratic residues, for a safe prime `p = 2q + 1`.
@@ -77,18 +77,6 @@ const MODP_2048_HEX: &str = concat!(
     "15728E5A8AACAA68FFFFFFFFFFFFFFFF"
 );
 
-/// RFC 3526 group 5 (1536-bit MODP).
-const MODP_1536_HEX: &str = concat!(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1",
-    "29024E088A67CC74020BBEA63B139B22514A08798E3404DD",
-    "EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245",
-    "E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED",
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D",
-    "C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F",
-    "83655D23DCA3AD961C62F356208552BB9ED529077096966D",
-    "670C354E4ABC9804F1746C08CA237327FFFFFFFFFFFFFFFF"
-);
-
 impl ModpGroup {
     /// The 2048-bit MODP group from RFC 3526 (group id 14), generator 2.
     ///
@@ -101,20 +89,12 @@ impl ModpGroup {
         )
     }
 
-    /// The 1536-bit MODP group from RFC 3526 (group id 5), generator 2.
-    pub fn modp_1536() -> Self {
-        Self::from_safe_prime(
-            UBig::from_hex(MODP_1536_HEX).expect("RFC constant parses"),
-            UBig::two(),
-        )
-    }
-
     /// Builds a group from a known safe prime and a candidate generator.
     ///
     /// The candidate is squared, which guarantees landing in the
     /// order-`q` quadratic-residue subgroup regardless of the input
     /// (as long as the square is not 1).
-    pub fn from_safe_prime(p: UBig, candidate: UBig) -> Self {
+    fn from_safe_prime(p: UBig, candidate: UBig) -> Self {
         let q = p.sub_ref(&UBig::one()).shr_bits(1);
         let g = candidate.mulmod(&candidate, &p);
         assert!(!g.is_one() && !g.is_zero(), "degenerate generator");
@@ -191,7 +171,7 @@ impl ModpGroup {
     }
 
     /// Uniformly random private exponent: in `[1, 2^EXPONENT_BITS)` when
-    /// `q` is wider than [`EXPONENT_BITS`], in `[1, q)` otherwise (the
+    /// `q` is wider than `EXPONENT_BITS`, in `[1, q)` otherwise (the
     /// small generated groups, whose draws stay what they always were).
     pub fn random_exponent<R: RngCore + ?Sized>(&self, rng: &mut R) -> UBig {
         if self.q.bit_len() > EXPONENT_BITS {
@@ -219,13 +199,6 @@ mod tests {
         assert_eq!(grp.modulus().bit_len(), 2048);
         assert_eq!(grp.element_len(), 256);
         // g = 4 (2 squared) has order q: g^q == 1.
-        assert_eq!(grp.pow_g(grp.order()), UBig::one());
-    }
-
-    #[test]
-    fn modp_1536_parameters() {
-        let grp = ModpGroup::modp_1536();
-        assert_eq!(grp.modulus().bit_len(), 1536);
         assert_eq!(grp.pow_g(grp.order()), UBig::one());
     }
 

@@ -250,9 +250,9 @@ impl OprfClient {
 
     /// Step 3: unblind the server's response and produce `F(k, x)`.
     ///
-    /// Verifies the RSA relation `unblinded^e == H(x)` is *not* checked
-    /// here (we don't retain `H(x)`); callers that need verifiability can
-    /// recompute and compare via [`Self::finalize_verified`].
+    /// The RSA relation `unblinded^e == H(x)` is *not* checked (the
+    /// pending request does not retain `H(x)`), so a server that
+    /// answers with the wrong element goes unnoticed.
     pub fn finalize(
         &self,
         pending: &PendingRequest,
@@ -262,25 +262,6 @@ impl OprfClient {
             return Err(OprfError::ElementOutOfRange);
         }
         let y = self.ctx.mont_mul_mixed(response, &pending.r_inv);
-        Ok(output_hash(&y, &self.public))
-    }
-
-    /// Like [`Self::finalize`], but additionally verifies that the server
-    /// answered honestly by checking `y^e == H(input) (mod N)`.
-    pub fn finalize_verified(
-        &self,
-        pending: &PendingRequest,
-        response: &UBig,
-        input: &[u8],
-    ) -> Result<[u8; OPRF_OUTPUT_LEN], OprfError> {
-        if response >= &self.public.n {
-            return Err(OprfError::ElementOutOfRange);
-        }
-        let y = self.ctx.mont_mul_mixed(response, &pending.r_inv);
-        let expected_h = hash_to_zn(input, &self.public);
-        if self.ctx.modpow(&y, &self.public.e) != expected_h {
-            return Err(OprfError::ElementOutOfRange);
-        }
         Ok(output_hash(&y, &self.public))
     }
 }
@@ -307,31 +288,6 @@ mod tests {
             let out = client.finalize(&pending, &response).unwrap();
             assert_eq!(out, server.evaluate_direct(input));
         }
-    }
-
-    #[test]
-    fn verified_finalize_accepts_honest_server() {
-        let (server, client, mut rng) = setup(31);
-        let input = b"https://adnet.example/banner?id=77";
-        let pending = client.blind(&mut rng, input).unwrap();
-        let response = server.evaluate_blinded(&pending.blinded).unwrap();
-        let out = client
-            .finalize_verified(&pending, &response, input)
-            .unwrap();
-        assert_eq!(out, server.evaluate_direct(input));
-    }
-
-    #[test]
-    fn verified_finalize_rejects_tampered_response() {
-        let (server, client, mut rng) = setup(32);
-        let input = b"https://adnet.example/banner?id=78";
-        let pending = client.blind(&mut rng, input).unwrap();
-        let mut response = server.evaluate_blinded(&pending.blinded).unwrap();
-        // Corrupt the response.
-        response = response.addmod(&UBig::one(), &server.public().n);
-        assert!(client
-            .finalize_verified(&pending, &response, input)
-            .is_err());
     }
 
     #[test]

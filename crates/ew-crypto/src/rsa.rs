@@ -37,8 +37,10 @@ pub struct RsaPublicKey {
 }
 
 impl RsaPublicKey {
-    /// Size of the modulus in bits.
-    pub fn modulus_bits(&self) -> usize {
+    /// Size of the modulus in bits; tests check key generation's
+    /// modulus size with it.
+    #[cfg(test)]
+    fn modulus_bits(&self) -> usize {
         self.n.bit_len()
     }
 
@@ -90,13 +92,12 @@ pub struct RsaKeyPair {
     d: UBig,
     /// CRT fast-path material.
     crt: CrtKey,
-    /// Montgomery context for `N`, shared by the public operation and
-    /// any caller-side modular arithmetic on `Z_N`.
+    /// Montgomery context for `N`, for the non-CRT reference path.
     ctx_n: MontgomeryCtx,
 }
 
 /// Standard public exponent 2^16 + 1.
-pub const DEFAULT_E: u64 = 65_537;
+const DEFAULT_E: u64 = 65_537;
 
 impl RsaKeyPair {
     /// Generates a fresh key with a modulus of (approximately) `bits`
@@ -151,12 +152,6 @@ impl RsaKeyPair {
         &self.public
     }
 
-    /// The cached Montgomery context for `N` (shared with protocol
-    /// layers doing arithmetic in `Z_N`).
-    pub fn ctx_n(&self) -> &MontgomeryCtx {
-        &self.ctx_n
-    }
-
     /// Raw RSA private operation `x^d mod N` — the oprf-server's
     /// "sign" — on the CRT fast path: `m_p = x^{d_p} mod p`,
     /// `m_q = x^{d_q} mod q`, recombined via Garner as
@@ -190,8 +185,10 @@ impl RsaKeyPair {
         self.ctx_n.modpow(x, &self.d)
     }
 
-    /// Raw RSA public operation `x^e mod N`.
-    pub fn public_op(&self, x: &UBig) -> UBig {
+    /// Raw RSA public operation `x^e mod N`; tests check the private
+    /// operation against it.
+    #[cfg(test)]
+    fn public_op(&self, x: &UBig) -> UBig {
         self.ctx_n.modpow(x, &self.public.e)
     }
 }

@@ -54,12 +54,12 @@ pub enum NodeId {
 /// always 0, and any other id is rejected as `BadTag` of its sender
 /// tag, so every accepted envelope re-encodes to its own bytes.
 mod sender_tag {
-    pub const CLIENT: u8 = 0x01;
-    pub const BACKEND: u8 = 0x02;
-    pub const OPRF: u8 = 0x03;
+    pub(super) const CLIENT: u8 = 0x01;
+    pub(super) const BACKEND: u8 = 0x02;
+    pub(super) const OPRF: u8 = 0x03;
     // 0x04 (the telemetry sidecar; telemetry is read in process) is
     // retired, never reassigned: it decodes to `BadTag`.
-    pub const COORDINATOR: u8 = 0x05;
+    pub(super) const COORDINATOR: u8 = 0x05;
 }
 
 impl std::fmt::Display for NodeId {

@@ -31,14 +31,14 @@ use bytes::BufMut;
 
 /// Journal record tags (stable; append-only).
 mod record_tag {
-    pub const ABSORBED: u8 = 0x01;
+    pub(super) const ABSORBED: u8 = 0x01;
     // 0x02 (the round's shard map), 0x03 (the shard adoption marker of
     // mid-round reassignment), 0x04 (round finalized), 0x05 (epoch
     // opened), 0x06 (membership installed) and 0x07 (epoch collapsed)
     // were written and never read back. They are retired, never
     // reassigned: `BadTag`.
-    pub const COORDINATOR_STATE: u8 = 0x08;
-    pub const REPORT_PARKED: u8 = 0x09;
+    pub(super) const COORDINATOR_STATE: u8 = 0x08;
+    pub(super) const REPORT_PARKED: u8 = 0x09;
 }
 
 /// A checkpoint of the coordinator's mutable state, journaled after

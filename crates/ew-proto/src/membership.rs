@@ -81,12 +81,12 @@ pub enum EpochPhase {
 
 /// Wire bytes for [`EpochPhase`] (stable; append-only).
 mod phase_tag {
-    pub const WAITING_FOR_MEMBERS: u8 = 0x00;
-    pub const WARMUP: u8 = 0x01;
-    pub const REPORTS: u8 = 0x02;
-    pub const RECOVERY: u8 = 0x03;
-    pub const FINALIZE: u8 = 0x04;
-    pub const GRACE: u8 = 0x05;
+    pub(super) const WAITING_FOR_MEMBERS: u8 = 0x00;
+    pub(super) const WARMUP: u8 = 0x01;
+    pub(super) const REPORTS: u8 = 0x02;
+    pub(super) const RECOVERY: u8 = 0x03;
+    pub(super) const FINALIZE: u8 = 0x04;
+    pub(super) const GRACE: u8 = 0x05;
 }
 
 impl EpochPhase {

@@ -186,26 +186,26 @@ pub enum Message {
 
 /// Wire tags (stable; append-only).
 mod tag {
-    pub const PUBLISH_KEY: u8 = 0x01;
+    pub(super) const PUBLISH_KEY: u8 = 0x01;
     // 0x02 / 0x03 (the per-ad OPRF request / response; a single ad is
     // a batch of one) are retired, never reassigned: `BadTag`.
-    pub const REPORT: u8 = 0x04;
-    pub const MISSING_CLIENTS: u8 = 0x05;
-    pub const ADJUSTMENT: u8 = 0x06;
-    pub const THRESHOLD_BROADCAST: u8 = 0x07;
-    pub const USERS_QUERY: u8 = 0x08;
-    pub const USERS_REPLY: u8 = 0x09;
-    pub const OPRF_BATCH_REQUEST: u8 = 0x0A;
-    pub const OPRF_BATCH_RESPONSE: u8 = 0x0B;
+    pub(super) const REPORT: u8 = 0x04;
+    pub(super) const MISSING_CLIENTS: u8 = 0x05;
+    pub(super) const ADJUSTMENT: u8 = 0x06;
+    pub(super) const THRESHOLD_BROADCAST: u8 = 0x07;
+    pub(super) const USERS_QUERY: u8 = 0x08;
+    pub(super) const USERS_REPLY: u8 = 0x09;
+    pub(super) const OPRF_BATCH_REQUEST: u8 = 0x0A;
+    pub(super) const OPRF_BATCH_RESPONSE: u8 = 0x0B;
     // 0x0C / 0x0D (the OPRF shard request / response no node ever
     // sent) are retired, never reassigned: they decode to `BadTag`.
-    pub const ERROR: u8 = 0x0E;
+    pub(super) const ERROR: u8 = 0x0E;
     // 0x0F (the mid-round shard-map update; a map no longer changes
     // while a round is open) is retired, never reassigned: `BadTag`.
     // 0x10 / 0x11 (the telemetry query / reply; telemetry is read in
     // process) are retired, never reassigned: `BadTag`.
-    pub const JOIN: u8 = 0x12;
-    pub const LEAVE: u8 = 0x13;
+    pub(super) const JOIN: u8 = 0x12;
+    pub(super) const LEAVE: u8 = 0x13;
     // 0x14 / 0x15 (the coordinator's tick and epoch-state broadcast;
     // the driver ticks it by direct call) are retired, never
     // reassigned: `BadTag`.

@@ -71,8 +71,10 @@ impl Ad {
     }
 
     /// The landing-page URL the extension's landing-page detection would
-    /// discover (topic is encoded for the content-based oracle).
-    pub fn landing_url(&self) -> String {
+    /// discover (topic is encoded for the content-based oracle). Tests
+    /// check [`Self::url`] beside it.
+    #[cfg(test)]
+    fn landing_url(&self) -> String {
         format!(
             "https://brand{:04x}.example/landing?topic={}",
             self.id & 0xffff,
@@ -110,32 +112,6 @@ impl Campaign {
     pub fn is_targeted(&self) -> bool {
         self.class() == AdClass::Targeted
     }
-
-    /// Whether this targeted campaign's audience includes a user with the
-    /// given interests / visit history. Non-targeted campaigns return
-    /// `false` (they don't select users — delivery handles them by site).
-    pub fn audience_includes(
-        &self,
-        interests: &[TopicId],
-        visited: &dyn Fn(SiteId) -> bool,
-    ) -> bool {
-        match &self.kind {
-            CampaignKind::DirectOba { audience_topic }
-            | CampaignKind::IndirectOba { audience_topic } => interests.contains(audience_topic),
-            CampaignKind::Retargeting { trigger_site } => visited(*trigger_site),
-            CampaignKind::Static { .. } | CampaignKind::Contextual => false,
-        }
-    }
-
-    /// Whether the ad's content semantically overlaps the audience
-    /// definition — true for direct OBA, false for indirect (by
-    /// construction) and retargeting-by-site.
-    pub fn content_matches_audience(&self) -> bool {
-        match &self.kind {
-            CampaignKind::DirectOba { audience_topic } => *audience_topic == self.ad.content_topic,
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,54 +144,6 @@ mod tests {
         assert!(direct.is_targeted());
         assert_eq!(stat.class(), AdClass::NonTargeted);
         assert!(!stat.is_targeted());
-    }
-
-    #[test]
-    fn audience_logic() {
-        let never = |_s: SiteId| false;
-        let direct = Campaign {
-            id: 0,
-            kind: CampaignKind::DirectOba { audience_topic: 3 },
-            ad: ad(1, 3),
-            frequency_cap: 7,
-        };
-        assert!(direct.audience_includes(&[1, 3], &never));
-        assert!(!direct.audience_includes(&[1, 2], &never));
-
-        let retarget = Campaign {
-            id: 1,
-            kind: CampaignKind::Retargeting { trigger_site: 9 },
-            ad: ad(2, 0),
-            frequency_cap: 7,
-        };
-        assert!(!retarget.audience_includes(&[0], &never));
-        assert!(retarget.audience_includes(&[0], &|s| s == 9));
-
-        let stat = Campaign {
-            id: 2,
-            kind: CampaignKind::Static { sites: vec![0] },
-            ad: ad(3, 0),
-            frequency_cap: 0,
-        };
-        assert!(!stat.audience_includes(&[0], &|_| true));
-    }
-
-    #[test]
-    fn indirect_never_content_matches() {
-        let indirect = Campaign {
-            id: 0,
-            kind: CampaignKind::IndirectOba { audience_topic: 2 },
-            ad: ad(1, 7),
-            frequency_cap: 5,
-        };
-        assert!(!indirect.content_matches_audience());
-        let direct = Campaign {
-            id: 1,
-            kind: CampaignKind::DirectOba { audience_topic: 7 },
-            ad: ad(2, 7),
-            frequency_cap: 5,
-        };
-        assert!(direct.content_matches_audience());
     }
 
     #[test]

@@ -345,7 +345,7 @@ impl ScenarioConfig {
     /// user. Derived so that, at the configured activity level, a
     /// pursuing campaign can plausibly exhaust its frequency cap within
     /// a week (the regime Figure 3 explores).
-    pub fn pursuing_campaigns_per_user(&self) -> usize {
+    fn pursuing_campaigns_per_user(&self) -> usize {
         let targeted_slots =
             self.avg_user_visits * self.slots_per_visit as f64 * self.targeted_slot_share;
         // Aim for ~1.5x the cap worth of slots per pursuing campaign.

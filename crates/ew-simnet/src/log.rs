@@ -82,8 +82,10 @@ impl ImpressionLog {
     }
 
     /// Distinct ad-serving domains a user encountered (the ≥4-domain
-    /// minimum-activity gate of §4.2).
-    pub fn domains_per_user(&self) -> BTreeMap<u32, usize> {
+    /// minimum-activity gate of §4.2). Tests read the log's indexes
+    /// through it.
+    #[cfg(test)]
+    fn domains_per_user(&self) -> BTreeMap<u32, usize> {
         let mut sets: BTreeMap<u32, BTreeSet<SiteId>> = BTreeMap::new();
         for r in &self.records {
             sets.entry(r.user).or_default().insert(r.site);

@@ -59,8 +59,8 @@ pub enum Employment {
     NotWorking,
 }
 
-/// All employment levels, for sampling and iteration.
-pub const EMPLOYMENT_LEVELS: [Employment; 4] = [
+/// All employment levels, for sampling.
+const EMPLOYMENT_LEVELS: [Employment; 4] = [
     Employment::Employed,
     Employment::SelfEmployed,
     Employment::Student,
@@ -80,8 +80,8 @@ pub struct Demographics {
     pub employment: Employment,
 }
 
-/// All age levels, for sampling and iteration.
-pub const AGE_LEVELS: [AgeBracket; 6] = [
+/// All age levels, for sampling.
+const AGE_LEVELS: [AgeBracket; 6] = [
     AgeBracket::A1_20,
     AgeBracket::A20_30,
     AgeBracket::A30_40,
@@ -90,8 +90,8 @@ pub const AGE_LEVELS: [AgeBracket; 6] = [
     AgeBracket::A60_70,
 ];
 
-/// All income levels, for sampling and iteration.
-pub const INCOME_LEVELS: [IncomeBracket; 4] = [
+/// All income levels, for sampling.
+const INCOME_LEVELS: [IncomeBracket; 4] = [
     IncomeBracket::I0_30,
     IncomeBracket::I30_60,
     IncomeBracket::I60_90,
@@ -144,11 +144,6 @@ impl User {
             activity,
             demographics: Demographics::sample(rng),
         }
-    }
-
-    /// Whether an ad topic overlaps this user's interests.
-    pub fn interested_in(&self, topic: TopicId) -> bool {
-        self.interests.contains(&topic)
     }
 }
 
@@ -207,22 +202,5 @@ mod tests {
                 "employment level {level:?} never sampled"
             );
         }
-    }
-
-    #[test]
-    fn interested_in_matches_profile() {
-        let u = User {
-            id: 0,
-            interests: vec![2, 4],
-            activity: 1.0,
-            demographics: Demographics {
-                gender: Gender::Female,
-                age: AgeBracket::A20_30,
-                income: IncomeBracket::I30_60,
-                employment: Employment::Employed,
-            },
-        };
-        assert!(u.interested_in(2));
-        assert!(!u.interested_in(3));
     }
 }

@@ -59,7 +59,7 @@ impl CountMinSketch {
     /// so the standard `query` API works on server-side aggregates.
     ///
     /// `insertions` is the caller's best estimate of the total count
-    /// (used only by [`Self::error_bound`]).
+    /// (what [`Self::insertions`] reports).
     pub fn from_cells(params: CmsParams, cells: Vec<u32>, insertions: u64) -> Self {
         assert_eq!(cells.len(), params.num_cells(), "cell count mismatch");
         let rows = (0..params.depth)
@@ -195,8 +195,10 @@ impl CountMinSketch {
     }
 
     /// The additive error `ε·N` implied by the current fill, where `ε`
-    /// is reconstructed from the width (`ε = e / w`).
-    pub fn error_bound(&self) -> f64 {
+    /// is reconstructed from the width (`ε = e / w`). Tests check the
+    /// sketch's `(ε, δ)` guarantee against it.
+    #[cfg(test)]
+    fn error_bound(&self) -> f64 {
         let epsilon = std::f64::consts::E / self.params.width as f64;
         epsilon * self.insertions as f64
     }

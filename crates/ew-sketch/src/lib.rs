@@ -32,9 +32,9 @@
 //! [`CountMinSketch::query_range`] calls its AVX-512 row sweep, a
 //! `#[target_feature]` fn, directly under the CPU feature detection that
 //! makes the call sound (pinned by the workspace's
-//! `tests/public_api.rs::one_sweep_dispatch`). The kernel is plain safe
-//! Rust compiled for the wider instruction set: no intrinsics, no raw
-//! pointers.
+//! `tests/public_api.rs::unsafe_only_at_the_tier_dispatches`). The
+//! kernel is plain safe Rust compiled for the wider instruction set: no
+//! intrinsics, no raw pointers.
 
 pub mod blinded;
 pub mod cms;

@@ -8,7 +8,7 @@
 //! split (Numerical Recipes §6.2).
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7).
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma domain");
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -31,7 +31,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// Regularized lower incomplete gamma `P(a, x)`.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
+fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "gamma_p domain");
     if x == 0.0 {
         return 0.0;

@@ -7,8 +7,10 @@
 //!
 //! * [`sampler`] — Zipf (website popularity), categorical and Bernoulli
 //!   samplers used by the browsing/ad simulator.
-//! * [`describe`] — means, medians, standard deviations, percentiles and
-//!   probability-density histograms (the Figure 2 series).
+//! * [`mean`], [`median`], [`stddev`], [`percentile`] and
+//!   [`histogram_pdf`] — descriptive statistics and probability-density
+//!   histograms (the Figure 2 series); [`ks_statistic`] and
+//!   [`ks_p_value`] — the two-sample Kolmogorov–Smirnov test.
 //! * [`metrics`] — confusion matrices and the TP/FP/TN/FN rates quoted
 //!   throughout §7.
 //! * [`linalg`] — small dense matrices with a Cholesky solver, enough
@@ -24,8 +26,8 @@
 //!   Figure 5.
 
 pub mod chi2;
-pub mod describe;
-pub mod ks;
+mod describe;
+mod ks;
 pub mod linalg;
 pub mod logit;
 pub mod metrics;

@@ -96,7 +96,7 @@ impl Matrix {
 
     /// Cholesky factorization `A = L Lᵀ` for symmetric positive-definite
     /// `A`. Returns `None` if the matrix is not (numerically) SPD.
-    pub fn cholesky(&self) -> Option<Matrix> {
+    fn cholesky(&self) -> Option<Matrix> {
         assert_eq!(self.rows, self.cols, "Cholesky needs a square matrix");
         let n = self.rows;
         let mut l = Matrix::zeros(n, n);

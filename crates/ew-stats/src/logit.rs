@@ -12,7 +12,8 @@
 use crate::linalg::Matrix;
 use crate::normal::wald_p_value;
 
-/// Why a fit failed.
+/// Why a fit failed. Public because [`LogisticModel::fit`] returns it;
+/// callers only unwrap or print it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogitError {
     /// The normal-equation matrix was singular (collinear design or
@@ -105,7 +106,7 @@ impl Default for LogisticModel {
 }
 
 /// The logistic function.
-pub fn sigmoid(x: f64) -> f64 {
+fn sigmoid(x: f64) -> f64 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
     } else {

@@ -65,8 +65,9 @@ impl ConfusionMatrix {
         ratio(self.tp + self.tn, self.total())
     }
 
-    /// F1 score.
-    pub fn f1(&self) -> f64 {
+    /// F1 score; tests check the degenerate rates beside it.
+    #[cfg(test)]
+    fn f1(&self) -> f64 {
         let p = self.precision();
         let r = self.tpr();
         if p + r == 0.0 {

@@ -193,7 +193,7 @@ impl Client {
     }
 
     /// The cached ad ID for a URL, if it was resolved before.
-    pub fn cached_ad(&self, url: &str) -> Option<AdKey> {
+    fn cached_ad(&self, url: &str) -> Option<AdKey> {
         self.id_cache.get(url).copied()
     }
 
@@ -218,7 +218,7 @@ impl Client {
     ///
     /// # Panics
     /// Panics if [`Self::setup_blinding`] has not run.
-    pub fn build_report(&self, params: CmsParams, round: u64) -> BlindedSketch {
+    fn build_report(&self, params: CmsParams, round: u64) -> BlindedSketch {
         let generator = self
             .blinding
             .as_ref()

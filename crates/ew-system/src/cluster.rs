@@ -73,7 +73,7 @@ use std::time::Instant;
 /// payload's `user` for reports and adjustments (the fields validation
 /// trusts), the sending client otherwise; non-client senders fall to
 /// slot 0's owner (control traffic has no key-space home).
-pub fn route_user(env: &Envelope) -> u32 {
+fn route_user(env: &Envelope) -> u32 {
     match (dedupe_key(env), env.sender) {
         (Some((_, user, _)), _) | (None, NodeId::Client(user)) => user,
         (None, _) => 0,
@@ -205,7 +205,7 @@ impl<B: ServiceBus> RoutingBus<B> {
 
     /// Envelopes currently tracked as in flight (unacknowledged by a
     /// phase transition) across every shard journal.
-    pub fn in_flight(&self) -> usize {
+    fn in_flight(&self) -> usize {
         self.journal.iter().map(Vec::len).sum()
     }
 
@@ -340,7 +340,7 @@ impl<B: ServiceBus> ServiceBus for RoutingBus<B> {
 /// * **cold crash-restart** ([`Self::restart_shard`]) — the last
 ///   [`Self::snapshot`]'s clone of the shard's state, else a fresh
 ///   state for the open round, then the absorbed suffix;
-/// * **duplicate suppression** ([`Self::deliver_to_shard`]) — a
+/// * **duplicate suppression** (`deliver_to_shard`) — a
 ///   byte-identical re-delivery of a record absorbed before the current
 ///   batch is acknowledged silently instead of erroring, while an
 ///   in-batch duplicate still gets the same `DuplicateReport` answer a
@@ -667,7 +667,7 @@ impl ClusterBackend {
     /// borrows the envelope, and only once it accepts does the
     /// `Absorbed` record take it by move — rejected envelopes never
     /// reach the replay log, and no envelope is copied on the way in.
-    pub fn deliver_to_shard(
+    fn deliver_to_shard(
         &mut self,
         shard: u32,
         env: Envelope,

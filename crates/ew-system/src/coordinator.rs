@@ -402,7 +402,7 @@ impl Coordinator {
     }
 
     /// Whether `user` is currently enrolled or pending admission.
-    pub fn is_known(&self, user: u32) -> bool {
+    fn is_known(&self, user: u32) -> bool {
         self.roster.contains(&user) || self.pending_joins.contains(&user)
     }
 
@@ -670,12 +670,18 @@ impl Coordinator {
     ///   references to an already-closed epoch are answered with
     ///   [`error_code::EPOCH_CLOSED`], and a leave from a user the
     ///   coordinator never admitted with
-    ///   [`error_code::NOT_ENROLLED`].
+    ///   [`error_code::NOT_ENROLLED`]. One whose sender is not the user
+    ///   it names is ignored: a client joins or leaves only itself.
     /// * Errors are never answered with errors; anything else gets
     ///   [`error_code::UNSUPPORTED_MESSAGE`].
     pub fn on_envelope(&mut self, env: &Envelope) -> Option<Envelope> {
         let reply = |msg| Some(Envelope::new(NodeId::Coordinator, env.round, msg));
         match &env.msg {
+            Message::Join { user, .. } | Message::Leave { user, .. }
+                if env.sender != NodeId::Client(*user) =>
+            {
+                None
+            }
             Message::Join { user, epoch } => {
                 if *epoch < self.epoch {
                     return reply(Message::Error {

@@ -53,7 +53,7 @@ impl Crawler {
 
     /// Crawls one site once with a clean profile: renders
     /// `slots_per_visit` slots, all filled from the site's pool.
-    pub fn crawl_site(&mut self, scenario: &Scenario, site: SiteId) {
+    fn crawl_site(&mut self, scenario: &Scenario, site: SiteId) {
         self.visits += 1;
         let website = &scenario.sites[site as usize];
         let num_targeted = scenario.config.num_targeted_campaigns();

@@ -125,7 +125,7 @@ fn ratio(num: usize, den: usize) -> f64 {
 
 /// Builds per-user CB profiles: topics appearing on at least
 /// `min_sites` distinct visited sites.
-pub fn cb_profiles(
+fn cb_profiles(
     scenario: &Scenario,
     log: &ImpressionLog,
     min_sites: usize,

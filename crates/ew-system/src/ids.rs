@@ -26,8 +26,9 @@ impl AdIdMapper {
     /// Over-provisioned capacity for an expected number of distinct ads:
     /// 16× over-estimate keeps the birthday-collision rate per pair at
     /// `1/(16·T)` — per the paper, "we have to (over)estimate |A| in
-    /// order to minimize collisions".
-    pub fn for_expected_ads(expected: u64) -> Self {
+    /// order to minimize collisions". Tests size the ID space with it.
+    #[cfg(test)]
+    fn for_expected_ads(expected: u64) -> Self {
         Self::new((expected.max(1)).saturating_mul(16))
     }
 

@@ -316,6 +316,8 @@ pub struct RoundOpen {
 }
 
 /// Typestate: reports are in. The only exit is [`RoundReports::recover`].
+/// Public because [`RoundOpen::collect_reports`] returns it; drivers
+/// chain through it without naming it.
 #[derive(Debug)]
 #[must_use = "collected reports must go through recovery"]
 pub struct RoundReports {
@@ -325,7 +327,8 @@ pub struct RoundReports {
 }
 
 /// Typestate: the missing set is resolved. The only exit is
-/// [`RoundRecovery::finalize`].
+/// [`RoundRecovery::finalize`]. Public because [`RoundReports::recover`]
+/// returns it; drivers chain through it without naming it.
 #[derive(Debug)]
 #[must_use = "a recovered round must be finalized"]
 pub struct RoundRecovery {

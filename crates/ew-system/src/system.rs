@@ -209,11 +209,6 @@ impl EyewnderSystem {
         &self.store
     }
 
-    /// Number of enrolled clients.
-    pub fn num_clients(&self) -> usize {
-        self.clients.len()
-    }
-
     /// The DH group (exposed for overhead accounting in benches).
     pub fn group(&self) -> &ModpGroup {
         &self.group
@@ -1277,7 +1272,7 @@ mod tests {
         let mut per_client_unique: u64 = 0;
         let mut seen: std::collections::HashSet<(u32, u64)> = Default::default();
         for r in log.records() {
-            if (r.user as usize) < sys.num_clients() && seen.insert((r.user, r.ad)) {
+            if (r.user as usize) < sys.clients.len() && seen.insert((r.user, r.ad)) {
                 per_client_unique += 1;
             }
         }

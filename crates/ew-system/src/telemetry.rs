@@ -52,19 +52,19 @@ pub fn phase_index(phase: RoundPhase) -> usize {
 /// wire identifiers.
 pub mod hist_kind {
     /// Round phase `Open` latency (nanoseconds per round).
-    pub const PHASE_OPEN: u8 = 0;
+    pub(super) const PHASE_OPEN: u8 = 0;
     /// Round phase `Reports` latency.
-    pub const PHASE_REPORTS: u8 = 1;
+    pub(super) const PHASE_REPORTS: u8 = 1;
     /// Round phase `Recovery` latency.
-    pub const PHASE_RECOVERY: u8 = 2;
+    pub(super) const PHASE_RECOVERY: u8 = 2;
     /// Round phase `Finalize` latency.
-    pub const PHASE_FINALIZE: u8 = 3;
+    pub(super) const PHASE_FINALIZE: u8 = 3;
     /// Absorb-batch service time: one sample per absorbed batch.
-    pub const ABSORB: u8 = 4;
+    pub(super) const ABSORB: u8 = 4;
     /// OPRF batch service time (per blind-evaluated batch).
-    pub const OPRF_BATCH: u8 = 5;
+    pub(super) const OPRF_BATCH: u8 = 5;
     /// Journal replay duration (uplink re-link or cold restart).
-    pub const REPLAY: u8 = 6;
+    pub(super) const REPLAY: u8 = 6;
 
     /// Every kind, in export order.
     pub const ALL: [u8; 7] = [
@@ -152,7 +152,7 @@ impl Hist64 {
     }
 
     /// The largest value bucket `index` can hold.
-    pub fn bucket_upper_bound(index: usize) -> u64 {
+    fn bucket_upper_bound(index: usize) -> u64 {
         if index < SUB_BUCKETS {
             return index as u64;
         }

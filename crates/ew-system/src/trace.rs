@@ -190,11 +190,6 @@ pub fn disable() -> Option<TraceRecorder> {
     RECORDER.with(|r| r.borrow_mut().take())
 }
 
-/// Whether this thread's recorder is on.
-pub fn is_enabled() -> bool {
-    RECORDER.with(|r| r.borrow().is_some())
-}
-
 /// The retained window, oldest first — empty when disabled. The
 /// recorder keeps recording.
 pub fn snapshot() -> Vec<TraceEvent> {
@@ -262,6 +257,12 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether this thread's recorder is on; tests check the seam's
+    /// enable/disable pair with it.
+    fn is_enabled() -> bool {
+        RECORDER.with(|r| r.borrow().is_some())
+    }
 
     #[test]
     fn spans_nest_and_instants_inherit_the_open_parent() {

@@ -1,11 +1,14 @@
-//! A mutation corpus over the roles' wire handlers, `Client::on_envelope`
-//! and `OprfService::on_envelope`: the envelope corpus's mutations —
-//! every single-bit flip, every truncation, three inflated values per
-//! `u32` length prefix, all 256 message tags and all 256 sender tags —
-//! applied to one sample envelope per role, and every mutant that
-//! decodes handed to the role. The samples are a `MissingClients` from
-//! the backend (what a client answers) and an `OprfBatchRequest` (what
-//! the OPRF service answers). For every mutant:
+//! A mutation corpus over the roles' wire handlers, `Client::on_envelope`,
+//! `OprfService::on_envelope`, `ClusterBackend`'s
+//! `AggregationBackend::on_envelope` and `Coordinator::on_envelope`: the
+//! envelope corpus's mutations — every single-bit flip, every
+//! truncation, three inflated values per `u32` length prefix, all 256
+//! message tags and all 256 sender tags — applied to sample envelopes,
+//! and every mutant that decodes handed to the role. The samples are a
+//! `MissingClients` from the backend (what a client answers), an
+//! `OprfBatchRequest` (what the OPRF service answers), a `Report` and an
+//! `Adjustment` (what the backend absorbs), and a `Join` and a `Leave`
+//! (what the coordinator registers). For every mutant:
 //!
 //! * decoding obeys the envelope corpus's rules (`corpus::Tally`);
 //! * the role does not panic;
@@ -13,13 +16,20 @@
 //!   for exactly the peers the notice names, checked against the peers'
 //!   own halves of each pairwise term, or a batch response each of whose
 //!   elements the public key maps back to its request element — or a
-//!   `Message::Error` with a live code;
+//!   `Message::Error` with a live code (a backend's `RoundError` is
+//!   answered with its `error_code`);
+//! * the backend and the coordinator change their state exactly as the
+//!   mutant says, or, when they refuse or ignore it, not at all;
 //! * the client allocates at most twice the input, plus 4 bytes per
 //!   sketch cell (an adjustment legitimately allocates its cells), plus
 //!   64 bytes. The OPRF service allocates per element whatever the
 //!   element's own length (≈ 220 bytes at RSA-128, so a batch of empty
 //!   elements costs ≈ 53 × its bytes): it may allocate twice the input,
-//!   plus 16 × `element_len` per element, plus 64 bytes.
+//!   plus 16 × `element_len` per element, plus 64 bytes. The backend
+//!   and the coordinator may allocate twice the input plus 2 KiB: an
+//!   accepted report or adjustment is journaled (the first one into
+//!   empty structures), an accepted join or leave is a set entry, a
+//!   refusal is a short error.
 //!
 //! The client's semantic cases — a notice from the wrong sender, from
 //! another round, naming the client itself, naming a peer twice, naming
@@ -34,12 +44,19 @@ mod corpus;
 
 use corpus::{allocated_by, Tally};
 use ew_bigint::UBig;
+use ew_core::ThresholdPolicy;
 use ew_crypto::{KeyDirectory, ModpGroup};
 use ew_proto::codec::MAX_FIELD_LEN;
 use ew_proto::message::error_code;
-use ew_proto::{Envelope, Message, NodeId};
+use ew_proto::{
+    CoordinatorCheckpoint, Envelope, EpochPhase, JournalEvent, JournalRecord, Message, NodeId,
+    ShardMap,
+};
 use ew_sketch::{CmsParams, CountMinSketch};
-use ew_system::{AdIdMapper, Client, ClientNode, OprfFrontend, OprfService};
+use ew_system::{
+    dedupe_key, AdIdMapper, AggregationBackend, Client, ClientNode, ClusterBackend, Coordinator,
+    EpochConfig, OprfFrontend, OprfService,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,6 +71,14 @@ const CLIENT: u32 = 3;
 const PEERS: [u32; 4] = [1, 5, 7, 9];
 /// The round the samples name.
 const ROUND: u64 = 12;
+/// The epoch the coordinator under test is in.
+const EPOCH: u64 = 1;
+/// Shards of the backend under test.
+const SHARDS: u32 = 4;
+/// What the backend and the coordinator may allocate per answer beyond
+/// twice the input. A fresh backend's first absorption grows its round
+/// log, dedupe index and reported set from empty (≈ 1 KB here).
+const SERVER_SLACK: usize = 2048;
 
 /// The error codes this build sends.
 const LIVE_ERROR_CODES: [u32; 7] = [
@@ -186,6 +211,64 @@ fn oprf_sample() -> Sample {
     }
 }
 
+/// The sketch cells of the backend samples: any values absorb.
+fn sample_cells() -> Vec<u32> {
+    (0..64u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect()
+}
+
+fn report_sample() -> Sample {
+    Sample {
+        envelope: Envelope::new(
+            NodeId::Client(CLIENT),
+            ROUND,
+            Message::Report {
+                user: CLIENT,
+                round: ROUND,
+                depth: 2,
+                width: 32,
+                seed: 1,
+                cells: sample_cells(),
+            },
+        ),
+        prefixes: &[(43, 64)],
+    }
+}
+
+fn adjustment_sample() -> Sample {
+    Sample {
+        envelope: adjustment(ROUND, sample_cells()),
+        prefixes: &[(27, 64)],
+    }
+}
+
+fn join_sample() -> Sample {
+    Sample {
+        envelope: Envelope::new(
+            NodeId::Client(CLIENT),
+            0,
+            Message::Join {
+                user: CLIENT,
+                epoch: EPOCH,
+            },
+        ),
+        prefixes: &[],
+    }
+}
+
+fn leave_sample() -> Sample {
+    Sample {
+        envelope: Envelope::new(
+            NodeId::Client(5),
+            ROUND,
+            Message::Leave {
+                user: 5,
+                epoch: EPOCH,
+            },
+        ),
+        prefixes: &[],
+    }
+}
+
 /// Every mutant of a sample, each with a name for assertion messages.
 fn mutants(sample: &Sample) -> Vec<(String, Vec<u8>)> {
     let bytes = sample.envelope.encode();
@@ -253,7 +336,14 @@ fn answer(bound: usize, what: &str, role: impl FnOnce() -> Option<Envelope>) -> 
 
 #[test]
 fn samples_decode_and_their_prefixes_are_where_the_corpus_says() {
-    for sample in [client_sample(), oprf_sample()] {
+    for sample in [
+        client_sample(),
+        oprf_sample(),
+        report_sample(),
+        adjustment_sample(),
+        join_sample(),
+        leave_sample(),
+    ] {
         let bytes = sample.envelope.encode();
         assert_eq!(Envelope::decode(&bytes).as_ref(), Ok(&sample.envelope));
         for &(at, len) in sample.prefixes {
@@ -437,6 +527,247 @@ fn a_client_that_never_enrolled_ignores_a_missing_clients_notice() {
             None
         );
     }
+}
+
+/// A four-shard cluster with the client and its peers enrolled, round
+/// `ROUND` open, and `absorbed` already taken in.
+fn backend(world: &World, absorbed: &[Envelope]) -> ClusterBackend {
+    let mut backend = ClusterBackend::new(
+        ShardMap::uniform(SHARDS),
+        8,
+        world.params,
+        AdIdMapper::new(1 << 16),
+        ThresholdPolicy::Mean,
+    );
+    for c in world.peers.iter().chain([&world.client]) {
+        backend.enroll(c.id(), c.public_key().clone());
+    }
+    backend.open_round(ROUND);
+    for env in absorbed {
+        assert_eq!(backend.on_envelope(env.clone()), Ok(None));
+    }
+    backend
+}
+
+/// Whether a backend that has absorbed the reports of `reported` (and
+/// no adjustment) takes `env` in: its header names the payload's user
+/// and round, its shape is the cohort's, its round is the open one, and
+/// a report comes from an enrolled user not yet reported, an
+/// adjustment from a user that reported.
+fn backend_absorbs(world: &World, reported: &[u32], env: &Envelope) -> bool {
+    let params = world.params;
+    let enrolled = |user: &u32| *user == CLIENT || PEERS.contains(user);
+    let (user, round, cells, fits) = match &env.msg {
+        Message::Report {
+            user,
+            round,
+            depth,
+            width,
+            seed,
+            cells,
+        } => (
+            user,
+            round,
+            cells,
+            (*depth as usize, *width as usize, *seed)
+                == (params.depth, params.width, params.hash_seed)
+                && enrolled(user)
+                && !reported.contains(user),
+        ),
+        Message::Adjustment { user, round, cells } => (user, round, cells, reported.contains(user)),
+        _ => return false,
+    };
+    fits && env.sender == NodeId::Client(*user)
+        && env.round == *round
+        && *round == ROUND
+        && cells.len() == params.num_cells()
+}
+
+/// Hands every decoded mutant of `sample` to a fresh backend that has
+/// absorbed `absorbed` (reports of `reported`), and checks the answer
+/// and the round log against [`backend_absorbs`]. Returns how many
+/// mutants were absorbed and how many refused.
+fn backend_corpus(
+    world: &World,
+    sample: Sample,
+    absorbed: &[Envelope],
+    reported: &[u32],
+) -> (usize, usize) {
+    let mut tally = Tally::default();
+    let (mut taken, mut refused) = (0, 0);
+    for (what, input) in mutants(&sample) {
+        let Ok(env) = tally.decode::<Envelope>(&input, &what) else {
+            continue;
+        };
+        let mut backend = backend(world, absorbed);
+        let mut log = backend.log().records().to_vec();
+        let absorbs = backend_absorbs(world, reported, &env);
+        let want = if absorbs || matches!(env.msg, Message::Error { .. }) {
+            Answer::Silent
+        } else {
+            Answer::Error
+        };
+        if absorbs {
+            let (_, user, _) = dedupe_key(&env).expect("only reports and adjustments absorb");
+            log.push(JournalRecord {
+                seq: backend.log().last_seq() + 1,
+                event: JournalEvent::Absorbed {
+                    shard: user % SHARDS,
+                    envelope: env.clone(),
+                },
+            });
+        }
+        // A refusal is answered with its code, as the round driver does.
+        let bound = 2 * input.len() + SERVER_SLACK;
+        let got = answer(bound, &what, || match backend.on_envelope(env) {
+            Ok(reply) => reply,
+            Err(e) => Some(Envelope::new(
+                NodeId::Backend,
+                ROUND,
+                Message::Error {
+                    code: e.error_code(),
+                    detail: String::new(),
+                    hint: None,
+                },
+            )),
+        });
+        assert_eq!(got, want, "{what}");
+        assert_eq!(backend.log().records(), log, "{what}: the round log");
+        taken += usize::from(absorbs);
+        refused += usize::from(got == Answer::Error);
+    }
+    assert!(tally.rejected > 0);
+    (taken, refused)
+}
+
+#[test]
+fn every_report_mutant_is_absorbed_exactly_when_it_is_a_valid_report() {
+    let world = world();
+    let (taken, refused) = backend_corpus(&world, report_sample(), &[], &[]);
+    // Flips in the cells are absorbed; flips in the header are not.
+    assert!(taken > 1 && refused > 0);
+    // A taken report leaves its sender alone out of the missing set.
+    let mut backend = backend(&world, &[report_sample().envelope]);
+    assert_eq!(backend.missing_clients(), Ok(PEERS.to_vec()));
+}
+
+#[test]
+fn every_adjustment_mutant_is_absorbed_exactly_when_its_sender_reported() {
+    let world = world();
+    let report = report_sample().envelope;
+    let (taken, refused) = backend_corpus(&world, adjustment_sample(), &[report], &[CLIENT]);
+    assert!(taken > 1 && refused > 0);
+}
+
+/// A coordinator in epoch `EPOCH`'s warm-up: the peers are its roster,
+/// nobody is pending.
+fn coordinator() -> Coordinator {
+    let mut coordinator = Coordinator::new(EpochConfig::default().with_min_clients(2));
+    for peer in PEERS {
+        coordinator.register_join(peer);
+    }
+    coordinator.tick(1);
+    assert_eq!(
+        (coordinator.epoch(), coordinator.phase()),
+        (EPOCH, EpochPhase::Warmup)
+    );
+    coordinator
+}
+
+/// The coordinator's answer to `env` and its checkpoint afterwards: a
+/// join or a leave for the current epoch from the user it names is
+/// registered (a leave only from a known user), one for a closed epoch
+/// is refused, one its sender does not name is ignored; an `Error` is
+/// ignored, anything else refused.
+fn expected_coordinator(
+    before: &CoordinatorCheckpoint,
+    env: &Envelope,
+) -> (Answer, CoordinatorCheckpoint) {
+    let mut after = before.clone();
+    let insert = |set: &mut Vec<u32>, user: u32| {
+        set.push(user);
+        set.sort_unstable();
+        set.dedup();
+    };
+    let answer = match &env.msg {
+        Message::Join { user, .. } | Message::Leave { user, .. }
+            if env.sender != NodeId::Client(*user) =>
+        {
+            Answer::Silent
+        }
+        Message::Join { epoch, .. } | Message::Leave { epoch, .. } if *epoch < before.epoch => {
+            Answer::Error
+        }
+        Message::Join { user, .. } => {
+            if !before.roster.contains(user) {
+                insert(&mut after.pending_joins, *user);
+            }
+            Answer::Silent
+        }
+        Message::Leave { user, .. } => {
+            if before.roster.contains(user) || before.pending_joins.contains(user) {
+                insert(&mut after.pending_leaves, *user);
+                Answer::Silent
+            } else {
+                Answer::Error
+            }
+        }
+        Message::Error { .. } => Answer::Silent,
+        _ => Answer::Error,
+    };
+    (answer, after)
+}
+
+#[test]
+fn every_join_and_leave_mutant_is_registered_refused_or_ignored_as_the_epoch_says() {
+    let before = coordinator().checkpoint();
+    let mut tally = Tally::default();
+    let (mut registered, mut refused) = (0, 0);
+    for sample in [join_sample(), leave_sample()] {
+        for (what, input) in mutants(&sample) {
+            let Ok(env) = tally.decode::<Envelope>(&input, &what) else {
+                continue;
+            };
+            let (want, state) = expected_coordinator(&before, &env);
+            let mut coordinator = coordinator();
+            let bound = 2 * input.len() + SERVER_SLACK;
+            let got = answer(bound, &what, || coordinator.on_envelope(&env));
+            assert_eq!(got, want, "{what}");
+            assert_eq!(coordinator.checkpoint(), state, "{what}: the state");
+            registered += usize::from(state != before);
+            refused += usize::from(got == Answer::Error);
+        }
+    }
+    // The samples themselves and flips in their unused high epoch bits
+    // are registered; a flip to epoch 0 and other kinds are refused.
+    assert!(registered > 2 && refused > 0);
+    assert!(tally.rejected > 0);
+}
+
+#[test]
+fn the_coordinator_ignores_a_join_or_leave_its_sender_does_not_name() {
+    let mut coordinator = coordinator();
+    let before = coordinator.checkpoint();
+    for msg in [
+        Message::Join {
+            user: CLIENT,
+            epoch: EPOCH,
+        },
+        Message::Leave {
+            user: 5,
+            epoch: EPOCH,
+        },
+    ] {
+        for sender in [NodeId::Client(7), NodeId::Backend, NodeId::Oprf] {
+            let env = Envelope::new(sender, ROUND, msg.clone());
+            assert_eq!(coordinator.on_envelope(&env), None, "{sender}");
+        }
+    }
+    assert_eq!(
+        coordinator.checkpoint(),
+        before,
+        "no spoofed churn registered"
+    );
 }
 
 /// A finding, recorded and not fixed: the refusal policy is a protocol

@@ -16,6 +16,7 @@
 //! are conservative extras; shim crates are skipped, they mimic
 //! external APIs).
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -164,6 +165,94 @@ fn public_api_surface_matches_snapshot() {
         "public API surface changed:\n{diff}\nIf intentional, regenerate with:\n    \
          EW_UPDATE_API=1 cargo test --test public_api"
     );
+}
+
+/// `pub fn`s that no other source file names and that stay public
+/// anyway, as `(file, name, reason)`. Empty: every listed `pub fn` has
+/// a caller. An entry needs a reason a reviewer can check, and an entry
+/// whose fn gains a caller or goes away fails the test.
+const NO_CALLER_NEEDED: &[(&str, &str, &str)] = &[];
+
+/// The identifiers in `text`: maximal runs of ASCII alphanumerics and `_`.
+fn identifiers(text: &str) -> HashSet<&str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|word| !word.is_empty())
+        .collect()
+}
+
+#[test]
+fn every_pub_fn_has_a_caller() {
+    // A name-level floor, not a proof: a `pub fn` in the snapshot passes
+    // when any other source file under `crates/`, `src/`, `tests/`,
+    // `examples/` or `benchmark/src` (the frozen harness is a caller)
+    // names it — a same-named method of another type, a field or a
+    // comment counts too. One that fails is made private, moved under
+    // `#[cfg(test)]`, or deleted.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    for tree in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        files_ending(&root.join(tree), ".rs", &mut sources);
+    }
+    let texts: Vec<(String, String)> = sources
+        .iter()
+        .map(|file| {
+            let rel = file.strip_prefix(&root).expect("file under root");
+            let text = fs::read_to_string(file).expect("readable source");
+            (rel.to_string_lossy().replace('\\', "/"), text)
+        })
+        .collect();
+    let named: Vec<(&str, HashSet<&str>)> = texts
+        .iter()
+        .map(|(rel, text)| (rel.as_str(), identifiers(text)))
+        .collect();
+    let called = |file: &str, name: &str| {
+        named
+            .iter()
+            .any(|(other, idents)| *other != file && idents.contains(name))
+    };
+    let listing = surface(&root);
+    let mut file = "";
+    let mut offenders = Vec::new();
+    let mut listed = Vec::new();
+    for line in listing.lines() {
+        if let Some(header) = line.strip_prefix("# ") {
+            file = header;
+            continue;
+        }
+        let Some(signature) = line
+            .strip_prefix("pub fn ")
+            .or_else(|| line.strip_prefix("pub unsafe fn "))
+        else {
+            continue;
+        };
+        let name = signature
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .next()
+            .unwrap_or_default();
+        listed.push((file, name));
+        let allowed = NO_CALLER_NEEDED
+            .iter()
+            .any(|&(f, n, _)| (f, n) == (file, name));
+        if !allowed && !called(file, name) {
+            offenders.push(format!("{file}: {name}"));
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "pub fns no other source file names; make each private, move it \
+         under #[cfg(test)], or delete it:\n{}",
+        offenders.join("\n")
+    );
+    for &(file, name, reason) in NO_CALLER_NEEDED {
+        assert!(
+            !reason.is_empty(),
+            "{file}: {name} is allowed without a reason"
+        );
+        assert!(
+            listed.contains(&(file, name)) && !called(file, name),
+            "{file}: {name} is on the allow-list but is gone or has a caller"
+        );
+    }
 }
 
 #[test]
@@ -447,10 +536,9 @@ fn one_blinding_derivation() {
     // A blinding term is one MAC per pair per round expanded by the
     // ChaCha20 keystream straight into the cells. The counter-mode HMAC
     // expansion, its per-round stream buffers and the caller-less
-    // multi-server OPRF may not come back, and `ew-crypto`'s `unsafe`
-    // stays at its two tier dispatches.
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let listing = surface(&root);
+    // multi-server OPRF may not come back; `ew-crypto`'s `unsafe` sites
+    // are pinned in `unsafe_only_at_the_tier_dispatches`.
+    let listing = surface(&PathBuf::from(env!("CARGO_MANIFEST_DIR")));
     for retired in [
         "BlindingStream",
         "hmac_expand_multi",
@@ -462,26 +550,91 @@ fn one_blinding_derivation() {
             "{retired} is back in the public API"
         );
     }
-    assert_eq!(
-        unsafe_allowances(&root.join("crates/ew-crypto/src")),
-        [
+}
+
+/// The four crates that allow `unsafe` (every other crate forbids it),
+/// each with the sites where it allows it: only where a CPU tier is
+/// dispatched, directly under the feature detection.
+const UNSAFE_SITES: [(&str, &[&str], &str); 4] = [
+    // The CRC dispatch into its carry-less kernel.
+    (
+        "ew-proto",
+        &["let crc = unsafe { clmul::crc32(data) };"],
+        "ew-proto allows unsafe code only at the CRC dispatch",
+    ),
+    // `lanes::pow_rows`, whose body is the call into the IFMA kernel.
+    (
+        "ew-bigint",
+        &["fn pow_rows(md: &LaneModulus, ops: &[WindowOp], rows: &mut [LaneRow]) {"],
+        "ew-bigint allows unsafe code only at the lane kernel dispatch",
+    ),
+    // The finalize sweep's call into its AVX-512 row kernel.
+    (
+        "ew-sketch",
+        &["let row_sweep = |row: &RowHash, cells: &[u32], first, estimates: &mut [u32]| unsafe {"],
+        "ew-sketch allows unsafe code only at the sweep dispatch",
+    ),
+    // The keystream and the SHA-256 lanes.
+    (
+        "ew-crypto",
+        &[
             "pub(crate) fn add_keystream(key: &[u32; 8], negate: bool, out: &mut [u32]) {",
             "pub fn digest_lanes<const L: usize>(inputs: &[&[u8]; L]) -> [[u8; DIGEST_LEN]; L] {",
         ],
-        "ew-crypto allows unsafe code only at its two tier dispatches"
-    );
+        "ew-crypto allows unsafe code only at its two tier dispatches",
+    ),
+];
+
+/// Checks `krate`'s `unsafe` sites against its row of [`UNSAFE_SITES`].
+fn assert_unsafe_sites(krate: &str) {
+    let (_, sites, message) = UNSAFE_SITES
+        .iter()
+        .find(|(name, _, _)| *name == krate)
+        .unwrap_or_else(|| panic!("{krate} has no row in UNSAFE_SITES"));
+    let src = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("crates")
+        .join(krate)
+        .join("src");
+    assert_eq!(unsafe_allowances(&src), *sites, "{message}");
+}
+
+#[test]
+fn unsafe_only_at_the_tier_dispatches() {
+    // Every row of the table holds, and every crate without a row
+    // forbids `unsafe` outright.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    for (krate, _, _) in UNSAFE_SITES {
+        assert_unsafe_sites(krate);
+    }
+    let mut crates: Vec<PathBuf> = fs::read_dir(root.join("crates"))
+        .expect("crates dir")
+        .map(|entry| entry.expect("crate entry").path())
+        .filter(|path| path.join("src/lib.rs").is_file())
+        .collect();
+    crates.sort();
+    assert!(!crates.is_empty(), "no crate found under crates/");
+    for dir in crates {
+        let name = dir
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("crate name");
+        if UNSAFE_SITES.iter().any(|(krate, _, _)| *krate == name) {
+            continue;
+        }
+        let lib = fs::read_to_string(dir.join("src/lib.rs")).expect("lib.rs");
+        assert!(
+            lib.lines()
+                .any(|line| line.trim() == "#![forbid(unsafe_code)]"),
+            "{name} has no row in UNSAFE_SITES but does not forbid unsafe code"
+        );
+    }
 }
 
 #[test]
 fn one_checksum_dispatch() {
     // `ew-proto` allows `unsafe` at one call: the CRC dispatch into its
     // carry-less kernel, directly under the CPU feature detection.
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    assert_eq!(
-        unsafe_allowances(&root.join("crates/ew-proto/src")),
-        ["let crc = unsafe { clmul::crc32(data) };"],
-        "ew-proto allows unsafe code only at the CRC dispatch"
-    );
+    assert_unsafe_sites("ew-proto");
 }
 
 #[test]
@@ -489,12 +642,7 @@ fn one_lane_dispatch() {
     // `ew-bigint` allows `unsafe` at one fn: `lanes::pow_rows`, whose
     // body is the call into the IFMA kernel directly under the CPU
     // feature detection.
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    assert_eq!(
-        unsafe_allowances(&root.join("crates/ew-bigint/src")),
-        ["fn pow_rows(md: &LaneModulus, ops: &[WindowOp], rows: &mut [LaneRow]) {"],
-        "ew-bigint allows unsafe code only at the lane kernel dispatch"
-    );
+    assert_unsafe_sites("ew-bigint");
 }
 
 #[test]
@@ -502,10 +650,5 @@ fn one_sweep_dispatch() {
     // `ew-sketch` allows `unsafe` at one statement: the finalize sweep's
     // call into its AVX-512 row kernel, directly under the CPU feature
     // detection.
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    assert_eq!(
-        unsafe_allowances(&root.join("crates/ew-sketch/src")),
-        ["let row_sweep = |row: &RowHash, cells: &[u32], first, estimates: &mut [u32]| unsafe {"],
-        "ew-sketch allows unsafe code only at the sweep dispatch"
-    );
+    assert_unsafe_sites("ew-sketch");
 }
