@@ -1,16 +1,12 @@
 //! Addition, subtraction, multiplication and shifts for [`UBig`].
 //!
-//! Multiplication is schoolbook `O(n^2)` below [`KARATSUBA_THRESHOLD`]
-//! limbs and a single-level Karatsuba split above it. For the operand
-//! sizes this project touches (≤ 4096-bit RSA moduli, i.e. 64 limbs) the
-//! split keeps modular exponentiation comfortably fast without the
-//! complexity of Toom-Cook or FFT multiplication.
+//! Multiplication is schoolbook `O(n^2)` at every size. Exponentiation
+//! runs in Montgomery form (`crate::montgomery`); the plain products on
+//! the protocol's path are RSA's `p·q` and Garner's `q·h` over 1024-bit
+//! halves, 16 limbs each.
 
 use crate::ubig::UBig;
 use std::ops::{Add, Mul, Shl, Shr, Sub};
-
-/// Operand size (in limbs) above which Karatsuba multiplication is used.
-pub(crate) const KARATSUBA_THRESHOLD: usize = 24;
 
 impl UBig {
     /// `self + other`.
@@ -71,9 +67,6 @@ impl UBig {
     pub fn mul_ref(&self, other: &UBig) -> UBig {
         if self.is_zero() || other.is_zero() {
             return UBig::zero();
-        }
-        if self.limb_count().min(other.limb_count()) >= KARATSUBA_THRESHOLD {
-            return karatsuba(self, other);
         }
         schoolbook(self, other)
     }
@@ -175,39 +168,6 @@ fn schoolbook(a: &UBig, b: &UBig) -> UBig {
     r
 }
 
-/// One Karatsuba level: splits at half the shorter operand, recursing via
-/// `mul_ref` so deep operands keep splitting.
-fn karatsuba(a: &UBig, b: &UBig) -> UBig {
-    let split = a.limb_count().min(b.limb_count()) / 2;
-    let (a0, a1) = split_at_limb(a, split);
-    let (b0, b1) = split_at_limb(b, split);
-    let z0 = a0.mul_ref(&b0);
-    let z2 = a1.mul_ref(&b1);
-    let z1 = a0
-        .add_ref(&a1)
-        .mul_ref(&b0.add_ref(&b1))
-        .sub_ref(&z0)
-        .sub_ref(&z2);
-    z2.shl_bits(2 * split * 64)
-        .add_ref(&z1.shl_bits(split * 64))
-        .add_ref(&z0)
-}
-
-fn split_at_limb(v: &UBig, at: usize) -> (UBig, UBig) {
-    if at >= v.limbs.len() {
-        return (v.clone(), UBig::zero());
-    }
-    let mut lo = UBig {
-        limbs: v.limbs[..at].to_vec(),
-    };
-    lo.normalize();
-    let mut hi = UBig {
-        limbs: v.limbs[at..].to_vec(),
-    };
-    hi.normalize();
-    (lo, hi)
-}
-
 macro_rules! forward_binop {
     ($trait:ident, $method:ident, $inner:ident) => {
         impl $trait<&UBig> for &UBig {
@@ -294,23 +254,6 @@ mod tests {
     fn mul_u64_matches_general_mul() {
         let a = UBig::from_hex("ffeeddccbbaa99887766554433221100aabbcc").unwrap();
         assert_eq!(a.mul_u64(12345), a.mul_ref(&n(12345)));
-    }
-
-    #[test]
-    fn karatsuba_matches_schoolbook() {
-        // Construct operands wide enough to trigger the Karatsuba path.
-        let mut limbs_a = Vec::new();
-        let mut limbs_b = Vec::new();
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for _ in 0..KARATSUBA_THRESHOLD + 5 {
-            x = x.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(1);
-            limbs_a.push(x);
-            x = x.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(1);
-            limbs_b.push(x);
-        }
-        let a = UBig { limbs: limbs_a };
-        let b = UBig { limbs: limbs_b };
-        assert_eq!(karatsuba(&a, &b), schoolbook(&a, &b));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!
 //! The design follows the spirit of the networking guides used for this
 //! reproduction: simplicity and robustness over cleverness. Limbs are
-//! little-endian `u64`s; multiplication is schoolbook with a Karatsuba
-//! split above a threshold; division is Knuth's Algorithm D. Everything is
+//! little-endian `u64`s; multiplication is schoolbook at every size;
+//! division is Knuth's Algorithm D. Everything is
 //! deterministic and panics only on documented contract violations
 //! (e.g. division by zero).
 //!

@@ -154,37 +154,10 @@ impl MontScratch {
     }
 }
 
-/// Moduli at least this many limbs wide (4096 bits) square via
-/// Karatsuba; below it the fused schoolbook triangle wins (the
-/// recursion's adds/copies outweigh the saved multiplies).
-const KARATSUBA_SQ_LIMBS: usize = 64;
-
-/// Karatsuba recursion bottoms out on the schoolbook triangle at this
-/// operand width.
-const KARATSUBA_BASE_LIMBS: usize = 32;
-
-/// Scratch limbs `mont_sq` needs for a `k`-limb modulus: the `2k+2`
-/// product/reduction buffer plus, above the Karatsuba threshold, the
-/// recursion's sum/z1 workspace.
+/// Scratch limbs for a `k`-limb modulus: at least the `2k + 1` that
+/// `mont_sq` uses, the `2k`-limb square and the reduction's carry limb.
 fn sq_scratch_len(k: usize) -> usize {
-    let kara = if k >= KARATSUBA_SQ_LIMBS {
-        kara_scratch_len(k)
-    } else {
-        0
-    };
-    2 * k + 2 + kara
-}
-
-/// Workspace for one full Karatsuba square of `n` limbs: per level,
-/// `m+1` limbs for `a0+a1` and `2(m+1)` for its square, where
-/// `m+1 = n - n/2 + 1` is the largest recursive operand.
-fn kara_scratch_len(n: usize) -> usize {
-    if n <= KARATSUBA_BASE_LIMBS {
-        0
-    } else {
-        let m1 = n - n / 2 + 1;
-        3 * m1 + kara_scratch_len(m1)
-    }
+    2 * k + 2
 }
 
 thread_local! {
@@ -792,14 +765,11 @@ impl MontgomeryCtx {
 
     /// Dedicated Montgomery squaring: `out = a²·R^{-1} mod n`.
     ///
-    /// Computes the full 2k-limb square — schoolbook triangle below
-    /// [`KARATSUBA_SQ_LIMBS`] (`≈1.5k²` word multiplies versus the
-    /// `2k²` of [`Self::mont_mul`]), Karatsuba recursion at and above
-    /// it (`O(k^1.58)`) — and then runs one reduction sweep. Both
-    /// paths produce the identical exact product, so the reduced
-    /// result is bit-for-bit the same on either side of the threshold.
-    /// Squarings dominate every exponentiation, so this is the single
-    /// hottest loop in the crypto stack.
+    /// Computes the full 2k-limb square by the schoolbook triangle
+    /// (`≈1.5k²` word multiplies versus the `2k²` of [`Self::mont_mul`])
+    /// and then runs one reduction sweep. Squarings dominate every
+    /// exponentiation, so this is the single hottest loop in the crypto
+    /// stack.
     ///
     /// `scratch` must provide at least [`sq_scratch_len`]`(k)` limbs.
     fn mont_sq(&self, a: &[u64], scratch: &mut [u64], out: &mut [u64]) {
@@ -809,12 +779,8 @@ impl MontgomeryCtx {
         let a = &a[..k];
         // p holds the full product then the reduction tail; one extra
         // limb for the final carry.
-        let (p, kara) = scratch.split_at_mut(2 * k + 1);
-        if k >= KARATSUBA_SQ_LIMBS {
-            sqr_karatsuba(a, &mut p[..2 * k], kara);
-        } else {
-            sqr_schoolbook(a, &mut p[..2 * k]);
-        }
+        let p = &mut scratch[..2 * k + 1];
+        sqr_schoolbook(a, &mut p[..2 * k]);
         p[2 * k] = 0;
 
         // Montgomery reduction sweep (paired rows, see `reduce_sweep`).
@@ -914,8 +880,7 @@ impl FixedBaseTable {
             base.clone()
         };
         let windows = max_exp_bits.div_ceil(4).max(1);
-        // Sized for mont_sq (Karatsuba scratch included above the
-        // threshold), not just the CIOS multiply.
+        // Sized for mont_sq, not just the CIOS multiply.
         let mut scratch = vec![0u64; sq_scratch_len(k)];
         // cur = Montgomery form of base^(16^i).
         let mut cur = vec![0u64; k];
@@ -1087,102 +1052,6 @@ fn sqr_schoolbook(a: &[u64], p: &mut [u64]) {
         carry = (s2 >> 64) as u64;
     }
     debug_assert_eq!(msb + carry, 0, "a² fits exactly 2k limbs");
-}
-
-/// Full `2n`-limb square of `a` by Karatsuba recursion, bottoming out
-/// on [`sqr_schoolbook`] at [`KARATSUBA_BASE_LIMBS`].
-///
-/// With `a = a1·2^(64h) + a0` (`h = n/2`):
-///
-/// ```text
-/// a² = a1²·2^(128h) + (( a0+a1 )² − a0² − a1²)·2^(64h) + a0²
-/// ```
-///
-/// `a0²` and `a1²` land directly in `out`'s low/high halves; the middle
-/// term (`2·a0·a1`, non-negative by construction) is added at limb
-/// offset `h`. Exact integer arithmetic throughout — the result is
-/// bit-identical to the schoolbook square.
-///
-/// `scratch` must provide [`kara_scratch_len`]`(n)` limbs.
-fn sqr_karatsuba(a: &[u64], out: &mut [u64], scratch: &mut [u64]) {
-    let n = a.len();
-    debug_assert_eq!(out.len(), 2 * n);
-    if n <= KARATSUBA_BASE_LIMBS {
-        sqr_schoolbook(a, out);
-        return;
-    }
-    let h = n / 2;
-    let m = n - h;
-    let (a0, a1) = a.split_at(h);
-    let (sum, rest) = scratch.split_at_mut(m + 1);
-    let (z1, rest) = rest.split_at_mut(2 * (m + 1));
-
-    // z0 = a0², z2 = a1², in place (out's halves are disjoint).
-    {
-        let (lo, hi) = out.split_at_mut(2 * h);
-        sqr_karatsuba(a0, lo, rest);
-        sqr_karatsuba(a1, hi, rest);
-    }
-
-    // sum = a0 + a1 over m+1 limbs (a0 zero-extended, top limb carry).
-    let mut carry = 0u64;
-    for i in 0..m {
-        let x = if i < h { a0[i] } else { 0 };
-        let s = x as u128 + a1[i] as u128 + carry as u128;
-        sum[i] = s as u64;
-        carry = (s >> 64) as u64;
-    }
-    sum[m] = carry;
-
-    // z1 = (a0 + a1)², then z1 −= z0 + z2 — leaving 2·a0·a1, which
-    // cannot underflow at either step ((a0+a1)² ≥ a0² + a1²).
-    sqr_karatsuba(sum, z1, rest);
-    let borrow = sub_in_place(z1, &out[..2 * h]) + sub_in_place(z1, &out[2 * h..]);
-    debug_assert_eq!(borrow, 0, "middle Karatsuba term is non-negative");
-
-    // out += z1 · 2^(64h). 2·a0·a1 < 2^(64(n+1)) so the add region
-    // h..h+2(m+1) stays inside out for every n > base (m+2 ≤ n), and
-    // the final value a² fits 2n limbs, so no carry escapes.
-    add_shifted(out, z1, h);
-}
-
-/// `acc −= sub` over `sub.len()` limbs, borrowing through the rest of
-/// `acc`; returns the final borrow (0 when `acc ≥ sub`).
-fn sub_in_place(acc: &mut [u64], sub: &[u64]) -> u64 {
-    let mut borrow = 0u64;
-    for i in 0..sub.len() {
-        let (d, b1) = acc[i].overflowing_sub(sub[i]);
-        let (d, b2) = d.overflowing_sub(borrow);
-        acc[i] = d;
-        borrow = (b1 || b2) as u64;
-    }
-    for limb in &mut acc[sub.len()..] {
-        if borrow == 0 {
-            break;
-        }
-        let (d, b) = limb.overflowing_sub(borrow);
-        *limb = d;
-        borrow = b as u64;
-    }
-    borrow
-}
-
-/// `out += add · 2^(64·shift)`, rippling the carry until absorbed (the
-/// caller guarantees the sum fits `out`).
-fn add_shifted(out: &mut [u64], add: &[u64], shift: usize) {
-    let mut carry = 0u64;
-    for (i, &v) in add.iter().enumerate() {
-        let s = out[shift + i] as u128 + v as u128 + carry as u128;
-        out[shift + i] = s as u64;
-        carry = (s >> 64) as u64;
-    }
-    let mut pos = shift + add.len();
-    while carry > 0 {
-        let s = out[pos] as u128 + carry as u128;
-        out[pos] = s as u64;
-        carry = (s >> 64) as u64;
-        pos += 1;
-    }
 }
 
 /// The Montgomery reduction sweep shared by the squaring path and the
@@ -1699,41 +1568,13 @@ mod tests {
     }
 
     #[test]
-    fn karatsuba_square_matches_schoolbook_exactly() {
-        // The raw kernels, differentially, across the threshold and at
-        // odd/even widths (odd n gives unbalanced splits at every
-        // recursion level), including skewed operands (high/low halves
-        // all-ones or zero) that stress the middle-term carries.
-        use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(0x4A7A);
-        for n_limbs in [33usize, 48, 63, 64, 65, 97, 128] {
-            let mut scratch = vec![0u64; kara_scratch_len(n_limbs)];
-            let mut want = vec![0u64; 2 * n_limbs];
-            let mut got = vec![0u64; 2 * n_limbs];
-            for case in 0..6 {
-                let mut a = vec![0u64; n_limbs];
-                match case {
-                    0 => a.iter_mut().for_each(|l| *l = rng.gen()),
-                    1 => a.iter_mut().for_each(|l| *l = u64::MAX),
-                    2 => a[n_limbs / 2..].iter_mut().for_each(|l| *l = u64::MAX),
-                    3 => a[..n_limbs / 2].iter_mut().for_each(|l| *l = u64::MAX),
-                    4 => a[0] = 1,
-                    _ => {} // zero
-                }
-                sqr_schoolbook(&a, &mut want);
-                sqr_karatsuba(&a, &mut got, &mut scratch);
-                assert_eq!(got, want, "n_limbs={n_limbs} case={case}");
-            }
-        }
-    }
-
-    #[test]
     fn modpow_above_karatsuba_threshold_matches_generic() {
         // End-to-end: sliding-window exponentiation over 4032/4096/4160-
-        // bit moduli (one limb below the threshold, at it, and above it
-        // with an odd limb count) against the division-based ladder.
-        // Short-ish exponents keep the generic oracle affordable in
-        // debug builds.
+        // bit moduli (63, 64 and an odd 65 limbs, twice the protocol's
+        // widest modulus: the squaring triangle's paired rows and
+        // carry ripples at widths the 2048-bit keys never reach)
+        // against the division-based ladder. Short-ish exponents keep
+        // the generic oracle affordable in debug builds.
         let mut rng = StdRng::seed_from_u64(0x4A7B);
         for bits in [4032usize, 4096, 4160] {
             let m = random_odd_bits(&mut rng, bits);
@@ -1756,8 +1597,8 @@ mod tests {
     #[test]
     fn fixed_base_table_works_above_karatsuba_threshold() {
         // FixedBaseTable::new sizes its own scratch and calls mont_sq
-        // directly; above the threshold that scratch must include the
-        // Karatsuba workspace.
+        // directly; that scratch must cover mont_sq at a 64-limb
+        // modulus, twice the protocol's widest.
         let mut rng = StdRng::seed_from_u64(0x4A7C);
         let m = random_odd_bits(&mut rng, 4096);
         let ctx = MontgomeryCtx::new(&m);

@@ -55,8 +55,9 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 #[test]
 fn steady_state_modpow_and_mulmod_allocate_nothing() {
-    // 4096 bits crosses the Karatsuba squaring threshold: its recursion
-    // workspace must come out of the warmed arena, not fresh Vecs.
+    // Up to 4096 bits, twice the protocol's widest modulus: every
+    // width's workspace must come out of the warmed arena, not fresh
+    // Vecs.
     let mut rng = StdRng::seed_from_u64(0xA110C);
     for bits in [256usize, 1024, 2048, 4096] {
         let m = random_odd_bits(&mut rng, bits);

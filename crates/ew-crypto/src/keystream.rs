@@ -18,13 +18,13 @@
 //! * `add_lanes::<L>` is safe Rust without intrinsics: every operation
 //!   is an elementwise add, xor or rotate over a `[u32; L]`, which the
 //!   compiler turns into whatever vector ISA the enclosing function is
-//!   compiled for. It is `#[inline(always)]` and instantiated twice, like
-//!   `sha256::compress_lanes`: under `avx2`, and plain (SSE2 on baseline
-//!   x86-64, NEON on aarch64 — the only body compiled off x86-64). Both
-//!   are 16 lanes wide: at 8 lanes the compiler leaves the rounds scalar
-//!   (about 3 × slower under `avx2` and 1.5–2 × under SSE2; see
-//!   ARCHITECTURE.md). A short last group is one more full-width pass
-//!   whose surplus lanes are discarded.
+//!   compiled for. It is `#[inline(always)]` and instantiated twice:
+//!   under `avx2`, and plain (SSE2 on baseline x86-64, NEON on aarch64 —
+//!   the only body compiled off x86-64). Both are 16 lanes wide: at 8
+//!   lanes the compiler leaves the rounds scalar (about 3 × slower under
+//!   `avx2` and 1.5–2 × under SSE2; see ARCHITECTURE.md). A short last
+//!   group is one more full-width pass whose surplus lanes are
+//!   discarded.
 //! * The `avx512f,avx512vl` tier has a body of its own, written with
 //!   `core::arch` intrinsics as safe calls inside `#[target_feature]`
 //!   fns. The rounds are the same `vpaddd`/`vpxord`/`vprold` the generic
@@ -36,9 +36,11 @@
 //!   A short last group runs in a 256-word stack copy that is copied
 //!   back, so nothing is allocated.
 //!
-//! `add_keystream` picks a tier per call with `is_x86_feature_detected!`
-//! and [`keystream_tier`] reports the pick; there is no build flag,
-//! feature or environment switch.
+//! `add_keystream` picks a tier per call with one feature test,
+//! `Tier::detected` (`is_x86_feature_detected!`), which
+//! [`keystream_tier`] and the tier tests read too, so the reported tier
+//! is the dispatched one; there is no build flag, feature or environment
+//! switch.
 //!
 //! Every tier is bit-identical to the scalar RFC block function, which a
 //! per-tier differential test and the RFC 8439 §2.3.2 vector pin.
@@ -61,18 +63,15 @@ pub(crate) fn add_keystream(key: &[u32; 8], negate: bool, out: &mut [u32]) {
         out.len().div_ceil(BLOCK_WORDS) as u64 <= 1 << 32,
         "keystream too long"
     );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
-            // SAFETY: avx512f and avx512vl were detected on this CPU on the line above.
-            return unsafe { avx512::add(key, negate, out) };
-        }
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 was detected on this CPU on the line above.
-            return unsafe { add_avx2(key, negate, out) };
-        }
+    match Tier::detected() {
+        // SAFETY: `Tier::detected` found avx512f and avx512vl on this CPU.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { avx512::add(key, negate, out) },
+        // SAFETY: `Tier::detected` found avx2 on this CPU.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { add_avx2(key, negate, out) },
+        Tier::Portable => add_portable(key, negate, out),
     }
-    add_portable(key, negate, out)
 }
 
 /// Which body of the lane kernel `add_keystream` runs on this
@@ -80,16 +79,46 @@ pub(crate) fn add_keystream(key: &[u32; 8], negate: bool, out: &mut [u32]) {
 /// `"portable/16"`. A read-only report for benchmark headers and
 /// telemetry — it cannot be set.
 pub fn keystream_tier() -> &'static str {
+    Tier::detected().name()
+}
+
+/// The keystream's bodies, narrowest first. Each x86-64 tier's features
+/// include the narrower one's: rustc's `avx512f` implies `avx2`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Tier {
+    Portable,
     #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
-            return "avx512/16";
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Tier {
+    /// The widest tier this CPU runs: the one feature test behind
+    /// `add_keystream`, [`keystream_tier`] and the tier tests.
+    fn detected() -> Tier {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+                return Tier::Avx512;
+            }
+            if is_x86_feature_detected!("avx2") {
+                return Tier::Avx2;
+            }
         }
-        if is_x86_feature_detected!("avx2") {
-            return "avx2/16";
+        Tier::Portable
+    }
+
+    /// `"<isa>/<lanes>"`, as [`keystream_tier`] reports it.
+    fn name(self) -> &'static str {
+        match self {
+            Tier::Portable => "portable/16",
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => "avx2/16",
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => "avx512/16",
         }
     }
-    "portable/16"
 }
 
 /// The AVX-512 body: the same design as `add_lanes::<16>` — lane `l` of
@@ -411,16 +440,20 @@ mod tests {
     #[allow(unsafe_code)]
     fn host_tiers() -> Vec<(&'static str, TierFn)> {
         #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
-        let mut tiers: Vec<(&'static str, TierFn)> = vec![("portable/16", add_portable)];
+        let mut tiers: Vec<(&'static str, TierFn)> = vec![(Tier::Portable.name(), add_portable)];
         #[cfg(target_arch = "x86_64")]
         {
-            if is_x86_feature_detected!("avx2") {
-                // SAFETY: only pushed (so only callable) once avx2 was detected above.
-                tiers.push(("avx2/16", |k, n, o| unsafe { add_avx2(k, n, o) }));
+            let widest = Tier::detected();
+            if widest >= Tier::Avx2 {
+                // SAFETY: only pushed (so only callable) once avx2 was
+                // detected, directly or as part of avx512f.
+                tiers.push((Tier::Avx2.name(), |k, n, o| unsafe { add_avx2(k, n, o) }));
             }
-            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
-                // SAFETY: only pushed once avx512f and avx512vl were detected above.
-                tiers.push(("avx512/16", |k, n, o| unsafe { avx512::add(k, n, o) }));
+            if widest == Tier::Avx512 {
+                // SAFETY: only pushed once avx512f and avx512vl were detected.
+                tiers.push((Tier::Avx512.name(), |k, n, o| unsafe {
+                    avx512::add(k, n, o)
+                }));
             }
         }
         tiers

@@ -88,11 +88,13 @@ impl CrtKey {
 #[derive(Debug, Clone)]
 pub struct RsaKeyPair {
     public: RsaPublicKey,
-    /// Private exponent `d` (kept for the non-CRT reference path).
+    /// Private exponent `d`, for the tests' non-CRT reference path.
+    #[cfg(test)]
     d: UBig,
     /// CRT fast-path material.
     crt: CrtKey,
-    /// Montgomery context for `N`, for the non-CRT reference path.
+    /// Montgomery context for `N`, for the tests' reference paths.
+    #[cfg(test)]
     ctx_n: MontgomeryCtx,
 }
 
@@ -137,11 +139,14 @@ impl RsaKeyPair {
                 p,
                 q,
             };
+            #[cfg(test)]
             let ctx_n = MontgomeryCtx::new(&n);
             return RsaKeyPair {
                 public: RsaPublicKey { n, e },
+                #[cfg(test)]
                 d,
                 crt,
+                #[cfg(test)]
                 ctx_n,
             };
         }
@@ -179,9 +184,9 @@ impl RsaKeyPair {
     }
 
     /// Reference (non-CRT) private operation: one full-width
-    /// exponentiation by `d`. Kept for differential testing of the CRT
-    /// path.
-    pub fn private_op_no_crt(&self, x: &UBig) -> UBig {
+    /// exponentiation by `d`, the tests' oracle for the CRT path.
+    #[cfg(test)]
+    pub(crate) fn private_op_no_crt(&self, x: &UBig) -> UBig {
         self.ctx_n.modpow(x, &self.d)
     }
 

@@ -4,33 +4,9 @@
 //! stream, as the hash-to-`Z_N` map of the OPRF, and as the outer hash
 //! `G` that turns OPRF group elements into fixed-length ad identifiers.
 //!
-//! ## Multi-lane compression
-//!
-//! Besides the incremental scalar hasher this module has one
-//! block-parallel kernel, `compress_lanes::<L>`, behind [`digest_lanes`]:
-//! it advances `L` independent states by one block each, with state and
-//! message held as words indexed `[word][lane]`. Every working variable
-//! is a `[u32; L]` lane array and every operation is elementwise — safe
-//! rust, no vendor intrinsics; the compiler turns the lane loops into
-//! whatever vector ISA the *enclosing function* is compiled for.
-//!
-//! That ISA is chosen per CPU, not per build. The kernel is
-//! `#[inline(always)]` and is instantiated three times, inside thin
-//! wrappers: `#[target_feature(enable = "avx512f,avx512vl")]`,
-//! `#[target_feature(enable = "avx2")]` and a plain one (SSE2 on
-//! baseline x86-64, NEON on aarch64 — the only one compiled off
-//! x86-64). [`digest_lanes`] picks a wrapper with
-//! `is_x86_feature_detected!` on each call (a cached flag read); there is
-//! no build flag, feature or environment switch. The crate is
-//! `#![deny(unsafe_code)]`; the allowance is on that entry point and on
-//! the keystream's (see [`crate::keystream`]), for the call into the
-//! wrapper whose features were just detected. Intrinsics were measured and
-//! rejected: a SHA-NI path was slower than the safe 16-lane
-//! instantiation (see ARCHITECTURE.md).
-//!
-//! Outputs are **bit-identical** to the scalar path on every tier by
-//! construction (same round function, differently scheduled); the
-//! differential tests and proptests pin it.
+//! [`digest_lanes`] hashes `L` equal-length inputs one after another:
+//! no program path hashes in lanes, and it stays only because the
+//! benchmark's `ew-crypto.sha256.lanes8_mb_per_s` probe names it.
 
 /// Incremental SHA-256 hasher.
 ///
@@ -243,155 +219,17 @@ pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// Block-parallel compression: advances lane `l` of `state` by lane `l`
-/// of `block`, for all `L` lanes at once. Both are indexed
-/// `[word][lane]`; each lane computes exactly [`compress_block`].
+/// One-shot digest of `L` equal-length messages, each exactly
+/// [`Sha256::digest`] of its input.
 ///
-/// `#[inline(always)]` so the body is compiled with the target features
-/// of whichever tier wrapper it lands in (see the module docs).
-#[inline(always)]
-fn compress_lanes<const L: usize>(state: &mut [[u32; L]; 8], block: &[[u32; L]; 16]) {
-    let mut w = [[0u32; L]; 64];
-    w[..16].copy_from_slice(block);
-    for i in 16..64 {
-        let (lo, hi) = w.split_at_mut(i);
-        let wi = &mut hi[0];
-        for l in 0..L {
-            let x = lo[i - 15][l];
-            let y = lo[i - 2][l];
-            let s0 = x.rotate_right(7) ^ x.rotate_right(18) ^ (x >> 3);
-            let s1 = y.rotate_right(17) ^ y.rotate_right(19) ^ (y >> 10);
-            wi[l] = lo[i - 16][l]
-                .wrapping_add(s0)
-                .wrapping_add(lo[i - 7][l])
-                .wrapping_add(s1);
-        }
-    }
-
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-    for i in 0..64 {
-        for l in 0..L {
-            let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
-            let ch = (e[l] & f[l]) ^ (!e[l] & g[l]);
-            let t1 = h[l]
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i][l]);
-            let s0 = a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22);
-            let maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
-            let t2 = s0.wrapping_add(maj);
-            h[l] = g[l];
-            g[l] = f[l];
-            f[l] = e[l];
-            e[l] = d[l].wrapping_add(t1);
-            d[l] = c[l];
-            c[l] = b[l];
-            b[l] = a[l];
-            a[l] = t1.wrapping_add(t2);
-        }
-    }
-
-    for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-        for l in 0..L {
-            word[l] = word[l].wrapping_add(v[l]);
-        }
-    }
-}
-
-/// One-shot multi-lane digest of `L` equal-length messages.
-///
-/// All inputs must share one length (lanes advance in lockstep through
-/// the same block count); panics otherwise. Bit-identical to calling
-/// [`Sha256::digest`] on each input. Runs the widest instantiation of
-/// the lane kernel the CPU supports (see the module docs).
-#[allow(unsafe_code)]
+/// All inputs must share one length; panics otherwise.
 pub fn digest_lanes<const L: usize>(inputs: &[&[u8]; L]) -> [[u8; DIGEST_LEN]; L] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
-            // SAFETY: avx512f and avx512vl were detected on this CPU on the line above.
-            return unsafe { digest_lanes_avx512(inputs) };
-        }
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 was detected on this CPU on the line above.
-            return unsafe { digest_lanes_avx2(inputs) };
-        }
-    }
-    digest_lanes_words(inputs)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl")]
-fn digest_lanes_avx512<const L: usize>(inputs: &[&[u8]; L]) -> [[u8; DIGEST_LEN]; L] {
-    digest_lanes_words(inputs)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn digest_lanes_avx2<const L: usize>(inputs: &[&[u8]; L]) -> [[u8; DIGEST_LEN]; L] {
-    digest_lanes_words(inputs)
-}
-
-/// [`compress_lanes`] over per-lane byte blocks: the transpose to
-/// `[word][lane]` at [`digest_lanes`]' edge.
-#[inline(always)]
-fn compress_byte_blocks<const L: usize>(state: &mut [[u32; L]; 8], blocks: &[[u8; 64]; L]) {
-    let mut w = [[0u32; L]; 16];
-    for (i, wi) in w.iter_mut().enumerate() {
-        for l in 0..L {
-            wi[l] = u32::from_be_bytes(blocks[l][i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-        }
-    }
-    compress_lanes(state, &w);
-}
-
-/// The one body of [`digest_lanes`], compiled once per tier.
-#[inline(always)]
-fn digest_lanes_words<const L: usize>(inputs: &[&[u8]; L]) -> [[u8; DIGEST_LEN]; L] {
     let len = inputs[0].len();
     assert!(
         inputs.iter().all(|m| m.len() == len),
         "digest_lanes requires equal-length inputs"
     );
-    let mut state = H0.map(|h| [h; L]);
-    let mut blocks = [[0u8; 64]; L];
-    let full = len / 64;
-    for blk in 0..full {
-        for l in 0..L {
-            blocks[l].copy_from_slice(&inputs[l][blk * 64..blk * 64 + 64]);
-        }
-        compress_byte_blocks(&mut state, &blocks);
-    }
-
-    // Padding: 0x80, zeros, 8-byte bit length — spills into a second
-    // block when fewer than 9 bytes of the last block remain.
-    let rem = len - full * 64;
-    let bit_len = (len as u64).wrapping_mul(8).to_be_bytes();
-    for l in 0..L {
-        blocks[l] = [0u8; 64];
-        blocks[l][..rem].copy_from_slice(&inputs[l][full * 64..]);
-        blocks[l][rem] = 0x80;
-        if rem < 56 {
-            blocks[l][56..64].copy_from_slice(&bit_len);
-        }
-    }
-    compress_byte_blocks(&mut state, &blocks);
-    if rem >= 56 {
-        let mut tail = [[0u8; 64]; L];
-        for t in tail.iter_mut() {
-            t[56..64].copy_from_slice(&bit_len);
-        }
-        compress_byte_blocks(&mut state, &tail);
-    }
-
-    let mut out = [[0u8; DIGEST_LEN]; L];
-    for l in 0..L {
-        for (i, word) in state.iter().enumerate() {
-            out[l][i * 4..i * 4 + 4].copy_from_slice(&word[l].to_be_bytes());
-        }
-    }
-    out
+    inputs.map(Sha256::digest)
 }
 
 /// Hex rendering of a digest, handy in tests and logs.
@@ -513,33 +351,6 @@ mod tests {
                 assert_eq!(got[l], Sha256::digest(&msgs[l]), "len={len} lane={l}");
             }
         }
-    }
-
-    #[test]
-    fn compress_lanes_matches_scalar_compress() {
-        fn check<const L: usize>() {
-            let blocks: [[u8; 64]; L] = std::array::from_fn(|l| {
-                std::array::from_fn(|i| (i as u8).wrapping_add((l as u8).wrapping_mul(37)))
-            });
-            // Distinct per-lane start states too: lane l has already
-            // absorbed its neighbour's block.
-            let mut scalar = [H0; L];
-            for l in 0..L {
-                compress_block(&mut scalar[l], &blocks[(l + 1) % L]);
-            }
-            let mut state: [[u32; L]; 8] =
-                std::array::from_fn(|i| std::array::from_fn(|l| scalar[l][i]));
-            compress_byte_blocks(&mut state, &blocks);
-            for l in 0..L {
-                compress_block(&mut scalar[l], &blocks[l]);
-                let lane: [u32; 8] = std::array::from_fn(|i| state[i][l]);
-                assert_eq!(lane, scalar[l], "L={L} lane={l}");
-            }
-        }
-        check::<1>();
-        check::<4>();
-        check::<8>();
-        check::<16>();
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::log::{Impression, ImpressionLog};
 use crate::topics::NUM_TOPICS;
 use crate::user::{Gender, User};
 use crate::web::{SiteId, Website};
-use ew_stats::sampler::{poisson, Categorical, Zipf};
+use ew_stats::{poisson, Categorical, Zipf};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
