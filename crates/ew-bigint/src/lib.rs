@@ -52,10 +52,10 @@
 //!   exponentiation allocates nothing but results (pinned by a
 //!   counting-allocator test).
 //! * **Montgomery-domain pipelines** — [`MontElem`] values stay in
-//!   form across chained operations (`to_mont`, `modpow_mont`,
-//!   `mont_mul_elem`), and [`MontgomeryCtx::mont_mul_mixed`] fuses a
-//!   plain×Montgomery product with the domain exit into one CIOS pass
-//!   (the OPRF unblinding and RSA-CRT Garner multiplies).
+//!   form across chained operations (`to_mont`, `modpow_mont`), and
+//!   [`MontgomeryCtx::mont_mul_mixed`] fuses a plain×Montgomery
+//!   product with the domain exit into one CIOS pass (the OPRF
+//!   unblinding and RSA-CRT Garner multiplies).
 //! * **Many bases, one exponent** — [`MontgomeryCtx::modpow_many`]
 //!   raises a whole batch to one exponent (DH enrolment against a
 //!   directory, the OPRF server's CRT halves): the exponent is recoded

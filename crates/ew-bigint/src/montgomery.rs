@@ -74,12 +74,12 @@
 //! [`MontElem`] is a value held in Montgomery form (`v·R mod n`).
 //! Protocol layers that chain several modular operations (the OPRF's
 //! blind → evaluate → unblind) convert **once in and once out** instead
-//! of round-tripping per operation: [`MontgomeryCtx::to_mont`],
-//! [`MontgomeryCtx::modpow_mont`] and [`MontgomeryCtx::mont_mul_elem`]
-//! stay in the domain, and [`MontgomeryCtx::mont_mul_mixed`] exploits
-//! `CIOS(a, b·R) = a·b mod n` to fuse a plain×Montgomery product and
-//! the domain exit into a *single* CIOS pass — the OPRF unblinding and
-//! the RSA-CRT Garner step each cost one pass this way.
+//! of round-tripping per operation: [`MontgomeryCtx::to_mont`] and
+//! [`MontgomeryCtx::modpow_mont`] stay in the domain, and
+//! [`MontgomeryCtx::mont_mul_mixed`] exploits `CIOS(a, b·R) = a·b mod n`
+//! to fuse a plain×Montgomery product and the domain exit into a
+//! *single* CIOS pass — the OPRF unblinding and the RSA-CRT Garner step
+//! each cost one pass this way.
 //!
 //! A [`MontgomeryCtx`] precomputes everything that depends only on the
 //! modulus (`n'`, `R mod n`, `R² mod n`, and `R² mod n` once more for
@@ -184,9 +184,8 @@ fn with_scratch<R>(f: impl FnOnce(&mut MontScratch) -> R) -> R {
 /// Elements are plain limb buffers; they carry no back-reference to
 /// their context, so callers must hand them back to the same modulus
 /// (debug builds assert the width matches). Produced by
-/// [`MontgomeryCtx::to_mont`] / [`MontgomeryCtx::modpow_mont`] /
-/// [`MontgomeryCtx::mont_mul_elem`], consumed by
-/// [`MontgomeryCtx::mont_mul_mixed`].
+/// [`MontgomeryCtx::to_mont`] / [`MontgomeryCtx::modpow_mont`],
+/// consumed by [`MontgomeryCtx::mont_mul_mixed`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MontElem {
     limbs: Vec<u64>,
@@ -591,7 +590,8 @@ impl MontgomeryCtx {
 
     /// Montgomery-domain product: both operands and the result stay in
     /// Montgomery form (one CIOS pass).
-    pub fn mont_mul_elem(&self, a: &MontElem, b: &MontElem) -> MontElem {
+    #[cfg(test)]
+    fn mont_mul_elem(&self, a: &MontElem, b: &MontElem) -> MontElem {
         debug_assert_eq!(a.limbs.len(), self.k, "element from another context");
         debug_assert_eq!(b.limbs.len(), self.k, "element from another context");
         with_scratch(|s| {

@@ -25,14 +25,15 @@ pub enum ThresholdPolicy {
 }
 
 impl ThresholdPolicy {
-    /// Computes the threshold value over a distribution of counts.
-    /// Returns 0 for empty input (no data ⇒ nothing exceeds it).
-    pub fn compute(&self, data: &[f64]) -> f64 {
+    /// [`Self::compute_over`] over a slice.
+    #[cfg(test)]
+    fn compute(&self, data: &[f64]) -> f64 {
         self.compute_over(data.iter().copied())
     }
 
-    /// [`Self::compute`] over counts read in place from wherever they
-    /// are stored; sums run in iteration order.
+    /// Computes the threshold value over a distribution of counts, read
+    /// in place from wherever they are stored; sums run in iteration
+    /// order. Returns 0 for empty input (no data ⇒ nothing exceeds it).
     pub(crate) fn compute_over(&self, data: impl ExactSizeIterator<Item = f64> + Clone) -> f64 {
         if data.len() == 0 {
             return 0.0;

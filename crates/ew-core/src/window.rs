@@ -19,8 +19,6 @@ pub struct WeeklyWindow {
     days: VecDeque<Vec<(AdKey, DomainKey)>>,
     /// Retention length in days.
     retention: usize,
-    /// Absolute day index of the newest bucket.
-    today: u64,
 }
 
 impl Default for WeeklyWindow {
@@ -35,11 +33,7 @@ impl WeeklyWindow {
         assert!(retention >= 1, "need at least one day of retention");
         let mut days = VecDeque::with_capacity(retention);
         days.push_back(Vec::new());
-        WeeklyWindow {
-            days,
-            retention,
-            today: 0,
-        }
+        WeeklyWindow { days, retention }
     }
 
     /// Records an impression on the current day.
@@ -53,16 +47,10 @@ impl WeeklyWindow {
     /// Advances to the next day, evicting anything older than the
     /// retention horizon.
     pub fn advance_day(&mut self) {
-        self.today += 1;
         self.days.push_back(Vec::new());
         while self.days.len() > self.retention {
             self.days.pop_front();
         }
-    }
-
-    /// Absolute index of the current day.
-    pub fn today(&self) -> u64 {
-        self.today
     }
 
     /// Total observations retained.
@@ -119,7 +107,6 @@ mod tests {
         let c = w.counters();
         assert_eq!(c.domain_count(0), 0);
         assert_eq!(c.domain_count(1), 1);
-        assert_eq!(w.today(), 7);
     }
 
     #[test]

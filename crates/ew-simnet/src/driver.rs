@@ -143,17 +143,6 @@ impl WeeklyDriver {
         }
         out
     }
-
-    /// The coordinator-fault drill matrix for this workload: the
-    /// fault-free baseline, a coordinator crash at every
-    /// [`crate::faults::CrashPoint`], straggler storms inside and
-    /// beyond the grace window, and every crash × in-grace-storm
-    /// combination — seeded like the rest of the driver so the same
-    /// `(seed, scale)` pair always scripts the same faults. See
-    /// [`crate::faults::coordinator_fault_matrix`].
-    pub fn coordinator_matrix(&self, seed: u64) -> Vec<crate::faults::CoordinatorFault> {
-        crate::faults::coordinator_fault_matrix(seed)
-    }
 }
 
 /// One multi-backend configuration of the weekly workload: how many
@@ -173,10 +162,11 @@ pub struct ClusterScenario {
     pub restart: Option<ShardRestart>,
 }
 
-/// A scripted uplink sever: `shard`'s uplink is severed after
-/// `after_sends` backend-bound envelopes have been routed. The shard
-/// gets a fresh link and its in-flight envelopes again; it keeps its
-/// key range and its state.
+/// A scripted uplink sever, armed on the routing bus that carries the
+/// shard's uplink: `shard`'s uplink is severed after `after_sends`
+/// backend-bound envelopes have been routed. The shard gets a fresh link
+/// and its in-flight envelopes again; it keeps its key range and its
+/// state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardKill {
     /// The shard whose uplink is severed.

@@ -124,8 +124,7 @@ impl StragglerStorm {
 
 /// One coordinator-fault configuration: an optional scripted crash and
 /// an optional straggler storm, layered over whatever churn schedule
-/// the consuming runner drives. Produced by
-/// [`crate::driver::WeeklyDriver::coordinator_matrix`].
+/// the consuming runner drives. Produced by [`coordinator_fault_matrix`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoordinatorFault {
     /// Scripted per-epoch coordinator crash, if any.

@@ -31,7 +31,8 @@ impl Matrix {
     }
 
     /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;

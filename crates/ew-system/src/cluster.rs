@@ -20,7 +20,7 @@
 //!   merged view is **bit-identical** to one bare `RoundState` absorbing
 //!   the whole stream, for every shard count.
 //! * **An uplink sever loses no state.** When a shard's uplink reports
-//!   a [`TransportError`] (or a scripted [`ShardFailure`] severs it)
+//!   a [`TransportError`] (or a scripted [`ShardKill`] severs it)
 //!   mid-round, the bus builds that shard a fresh link and re-sends its
 //!   **in-flight** journal — envelopes sent but not yet acknowledged by
 //!   a phase transition — on it. The shard's state never moved, so
@@ -65,7 +65,7 @@ use ew_proto::{
     CoordinatorCheckpoint, Envelope, FaultConfig, JournalEvent, Membership, Message, NodeId,
     ShardMap,
 };
-use ew_simnet::{RestartPhase, ShardRestart};
+use ew_simnet::{RestartPhase, ShardKill, ShardRestart};
 use ew_sketch::CmsParams;
 use std::time::Instant;
 
@@ -86,24 +86,16 @@ fn is_data_plane(env: &Envelope) -> bool {
     dedupe_key(env).is_some()
 }
 
-/// A scripted mid-round uplink sever for the sever tests and fault
-/// drills: once `after_sends` backend-bound envelopes have been routed,
-/// the next one finds `shard`'s uplink severed, and the bus re-links it
-/// before routing on. It fires once. (An un-scripted sever — a genuine
-/// [`TransportError`] from an uplink — takes exactly the same path.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardFailure {
-    /// The shard whose uplink is severed.
-    pub shard: u32,
-    /// Backend-bound envelopes routed before the sever.
-    pub after_sends: usize,
-}
-
 /// A [`ServiceBus`] that routes every backend-bound envelope to its
 /// owning shard's uplink — one inner bus per shard, so each shard is its
 /// own failure and fault domain — and everything else over a shared side
 /// bus. Draining the backend concatenates the shard mailboxes in shard
 /// order.
+///
+/// A scripted [`ShardKill`] fires once: after `after_sends`
+/// backend-bound envelopes have been routed, the next one finds
+/// `shard`'s uplink severed. (An un-scripted sever — a genuine
+/// [`TransportError`] from an uplink — takes exactly the same path.)
 ///
 /// The bus keeps the link factory it was built with. When an uplink is
 /// severed it builds the shard a fresh link, walks it through the
@@ -126,7 +118,7 @@ pub struct RoutingBus<B: ServiceBus> {
     /// construction, then one per sever.
     make_link: Box<dyn FnMut() -> B>,
     journal: Vec<Vec<Envelope>>,
-    failure: Option<ShardFailure>,
+    failure: Option<ShardKill>,
     backend_sends: usize,
     /// What `take_metrics` drains: `routed`, `replayed` (in-flight
     /// re-sends), `truncated` (entries acknowledged at a phase
@@ -154,7 +146,7 @@ impl<B: ServiceBus + std::fmt::Debug> std::fmt::Debug for RoutingBus<B> {
 
 impl RoutingBus<InProcBus> {
     /// A cluster bus over zero-copy in-process shard links.
-    pub fn in_proc(map: ShardMap, failure: Option<ShardFailure>) -> Self {
+    pub fn in_proc(map: ShardMap, failure: Option<ShardKill>) -> Self {
         Self::with_links(map, failure, InProcBus::new)
     }
 }
@@ -167,7 +159,7 @@ impl RoutingBus<WireBus> {
     pub fn over_wire(
         map: ShardMap,
         fault: Option<FaultConfig>,
-        failure: Option<ShardFailure>,
+        failure: Option<ShardKill>,
     ) -> Self {
         Self::with_links(map, failure, move || WireBus::new(fault))
     }
@@ -179,7 +171,7 @@ impl<B: ServiceBus> RoutingBus<B> {
     /// for every sever.
     pub fn with_links(
         map: ShardMap,
-        failure: Option<ShardFailure>,
+        failure: Option<ShardKill>,
         mut make_link: impl FnMut() -> B + 'static,
     ) -> Self {
         let links = (0..map.shard_ids()).map(|_| make_link()).collect();
@@ -251,7 +243,7 @@ impl<B: ServiceBus> RoutingBus<B> {
     fn send_backend(&mut self, env: Envelope) -> Result<(), TransportError> {
         self.backend_sends += 1;
         let (sends, shards) = (self.backend_sends, self.links.len());
-        let due = |f: &mut ShardFailure| sends > f.after_sends && (f.shard as usize) < shards;
+        let due = |f: &mut ShardKill| sends > f.after_sends && (f.shard as usize) < shards;
         if let Some(f) = self.failure.take_if(due) {
             self.relink(f.shard as usize)?;
         }
@@ -535,7 +527,7 @@ impl ClusterBackend {
     }
 
     /// Scripts a cold crash-restart drill — the restart twin of the
-    /// bus's [`ShardFailure`]: `restart.shard`'s process state is
+    /// bus's [`ShardKill`]: `restart.shard`'s process state is
     /// destroyed at the [`RestartPhase`] boundary of the next round and
     /// rebuilt from the round log alone before the round proceeds
     /// (twice over for [`RestartPhase::MidReplay`], the
@@ -1058,7 +1050,7 @@ mod tests {
 
         // Shard 1 of 3 owns users 1, 4 and 7.
         for (after_sends, resent) in [(0usize, 0u64), (3, 1), (7, 2)] {
-            let failure = ShardFailure {
+            let failure = ShardKill {
                 shard: 1,
                 after_sends,
             };
@@ -1106,7 +1098,7 @@ mod tests {
 
         // Shard 0 of 2 owns users 0, 2, 4, 6 and 8; the sixth send
         // severs it after users 0, 2 and 4 were drained and absorbed.
-        let failure = ShardFailure {
+        let failure = ShardKill {
             shard: 0,
             after_sends: first.len(),
         };
@@ -1193,7 +1185,7 @@ mod tests {
     #[test]
     fn every_link_dead_is_a_transport_error_not_a_panic() {
         let p = params();
-        let sever = ShardFailure {
+        let sever = ShardKill {
             shard: 0,
             after_sends: 0,
         };

@@ -164,18 +164,20 @@ impl Clock for VirtualClock {
     }
 }
 
-/// Deadline configuration for one epoch, in logical ticks.
+/// Ticks between admission and the roster freeze.
+const WARMUP_TICKS: u64 = 2;
+/// Ticks the report window stays open.
+const REPORT_TICKS: u64 = 3;
+/// Ticks allotted to the recovery exchange.
+const RECOVERY_TICKS: u64 = 2;
+
+/// Admission and grace configuration for one epoch, in logical ticks.
+/// The other deadlines are fixed: warmup 2, reports 3, recovery 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochConfig {
     /// Minimum roster size for an epoch to form (and to keep running:
     /// dropping below this mid-epoch collapses it).
     pub min_clients: u32,
-    /// Ticks between admission and the roster freeze.
-    pub warmup_ticks: u64,
-    /// Ticks the report window stays open.
-    pub report_ticks: u64,
-    /// Ticks allotted to the recovery exchange.
-    pub recovery_ticks: u64,
     /// Ticks the post-finalize grace window stays open for late
     /// reports; 0 disables the window (finalize regresses straight to
     /// `WaitingForMembers`, the pre-PR-9 behaviour).
@@ -186,9 +188,6 @@ impl Default for EpochConfig {
     fn default() -> Self {
         EpochConfig {
             min_clients: 4,
-            warmup_ticks: 2,
-            report_ticks: 3,
-            recovery_ticks: 2,
             grace_ticks: 1,
         }
     }
@@ -563,7 +562,7 @@ impl Coordinator {
                     self.round += 1;
                     self.membership = self.membership.successor(self.epoch, &self.roster);
                     self.phase = EpochPhase::Warmup;
-                    self.deadline = now + self.config.warmup_ticks;
+                    self.deadline = now + WARMUP_TICKS;
                     return vec![EpochEvent::EpochStarted {
                         epoch: self.epoch,
                         round: self.round,
@@ -584,7 +583,7 @@ impl Coordinator {
                     // run over.
                     self.membership = self.membership.successor(self.epoch, &self.roster);
                     self.phase = EpochPhase::Reports;
-                    self.deadline = now + self.config.report_ticks;
+                    self.deadline = now + REPORT_TICKS;
                     return vec![EpochEvent::ReportsOpened {
                         epoch: self.epoch,
                         round: self.round,
@@ -604,7 +603,7 @@ impl Coordinator {
                 }
                 if now >= self.deadline {
                     self.phase = EpochPhase::Recovery;
-                    self.deadline = now + self.config.recovery_ticks;
+                    self.deadline = now + RECOVERY_TICKS;
                     return vec![EpochEvent::RecoveryStarted {
                         epoch: self.epoch,
                         round: self.round,
@@ -806,7 +805,7 @@ mod tests {
         assert_eq!(c.membership().version(), 1);
         assert_eq!(c.membership().members(), &[1, 2, 3]);
         let now = tick_until(&mut c, 2, EpochPhase::Reports);
-        assert!(now <= 2 + EpochConfig::default().warmup_ticks + 1);
+        assert!(now <= 2 + WARMUP_TICKS + 1);
         // The frozen ledger matches the roster the round runs over.
         assert_eq!(c.membership().members(), &[1, 2, 3]);
     }

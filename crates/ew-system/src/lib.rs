@@ -84,7 +84,7 @@ pub mod trace;
 
 pub use backend::RoundState;
 pub use client::Client;
-pub use cluster::{ClusterBackend, RoutingBus, ShardFailure};
+pub use cluster::{ClusterBackend, RoutingBus};
 pub use coordinator::{
     epoch_phase_index, Clock, Coordinator, EpochConfig, EpochEvent, LogicalClock, VirtualClock,
 };

@@ -73,24 +73,17 @@ pub fn run_cms_pipeline(
 /// Builds the global view through a per-user CMS aggregation, exactly as
 /// the deployed protocol would (each user inserts each *distinct* ad
 /// once; the aggregate is queried for every ad in the log).
-pub fn cms_global_view(
-    log: &ImpressionLog,
-    config: DetectorConfig,
-    params: CmsParams,
-) -> GlobalView {
+fn cms_global_view(log: &ImpressionLog, config: DetectorConfig, params: CmsParams) -> GlobalView {
     let mut aggregate = CountMinSketch::new(params);
     let mut per_user_ads: BTreeMap<u32, std::collections::BTreeSet<AdKey>> = BTreeMap::new();
     for r in log.records() {
         per_user_ads.entry(r.user).or_default().insert(r.ad);
     }
-    let mut insertions = 0u64;
     for ads in per_user_ads.values() {
         for &ad in ads {
             aggregate.update(ad);
-            insertions += 1;
         }
     }
-    let _ = insertions;
     GlobalView::from_estimates(
         log.distinct_ads()
             .into_iter()
@@ -100,22 +93,10 @@ pub fn cms_global_view(
 }
 
 /// The `#Users` distribution as the CMS sees it — the "CMS" series of
-/// Figure 2 (one estimate per distinct ad in the log).
+/// Figure 2: one estimate per distinct ad in the log, in ascending ad
+/// order (every estimate is at least 1, so the view drops none).
 pub fn cms_user_distribution(log: &ImpressionLog, params: CmsParams) -> Vec<f64> {
-    let mut aggregate = CountMinSketch::new(params);
-    let mut per_user_ads: BTreeMap<u32, std::collections::BTreeSet<AdKey>> = BTreeMap::new();
-    for r in log.records() {
-        per_user_ads.entry(r.user).or_default().insert(r.ad);
-    }
-    for ads in per_user_ads.values() {
-        for &ad in ads {
-            aggregate.update(ad);
-        }
-    }
-    log.distinct_ads()
-        .into_iter()
-        .map(|ad| aggregate.query(ad) as f64)
-        .collect()
+    cms_global_view(log, DetectorConfig::default(), params).distribution()
 }
 
 /// The §7.2.3 segmentation variant: users are partitioned into groups

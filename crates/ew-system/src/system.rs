@@ -301,7 +301,7 @@ impl EyewnderSystem {
     /// caller's: [`RoutingBus::over_wire`] for framed, fault-injected
     /// per-shard uplinks (lost reports make their senders "missing";
     /// recovery runs over the re-established clean links), a scripted
-    /// `crate::cluster::ShardFailure` on the bus for the uplink-sever drill,
+    /// [`ew_simnet::ShardKill`] on the bus for the uplink-sever drill,
     /// [`ClusterBackend::script_restart`] for the crash-restart drill.
     /// The outcome is bit-identical across all of them on lossless
     /// links.

@@ -14,21 +14,20 @@
 //! and drops register inside a tick window is unobservable, both in the
 //! coordinator's epoch history and in the finalized views.
 
+mod world;
+
 use eyewnder::proto::EpochPhase;
 use eyewnder::simnet::{
     churn_matrix, ChurnCampaign, ChurnConfig, CoordinatorFault, DriverScale, EpochChurn,
-    WeeklyDriver,
 };
-use eyewnder::sketch::CmsParams;
-use eyewnder::system::cluster::RoutingBus;
 use eyewnder::system::{
-    ChurnMetrics, Coordinator, EpochConfig, EpochEvent, EpochOutcome, EyewnderSystem, LogicalClock,
-    SystemConfig,
+    ChurnMetrics, Coordinator, EpochConfig, EpochEvent, EpochOutcome, LogicalClock, SystemConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
+use world::{assert_epochs_identical, Cell, World};
 
 const SEED: u64 = 0x50AC_0008;
 
@@ -37,31 +36,17 @@ const SEED: u64 = 0x50AC_0008;
 fn run_campaign(config: ChurnConfig) -> (Vec<EpochOutcome>, ChurnMetrics, ChurnCampaign) {
     let campaign = ChurnCampaign::generate(config);
     // Scale the Table 1 world down just far enough that its user
-    // population still covers the campaign's churn pool.
-    let fraction = (500 / config.population as usize).max(1);
-    let driver = WeeklyDriver::new(
-        SEED ^ config.seed,
-        DriverScale::Fraction(fraction),
-        config.population as usize,
-    );
-    let (scenario, weeks, cohort) = driver.workload(1);
-    let mut sys = EyewnderSystem::new(
-        SystemConfig {
-            seed: SEED,
-            // The soak's populations are bigger than the parity tests';
-            // the small sketch keeps debug CI honest (dimension parity
-            // is independent of the cell count).
-            cms: CmsParams::new(4, 512, 0xC1A5),
-            ..SystemConfig::default()
-        },
-        cohort,
-    );
-    sys.ingest(scenario, &weeks[0]);
-    sys.config.cluster_backends = 3;
-    let outcomes = sys.run_epochs_deadline(
+    // population still covers the campaign's churn pool. The soak's
+    // populations are bigger than the parity tests', so it runs the
+    // small sketch too.
+    let cohort = config.population as usize;
+    let scale = DriverScale::Fraction((500 / cohort).max(1));
+    let mut world = World::new(SEED ^ config.seed, scale, cohort, world::small_cms(), 1);
+    world.seed = SEED;
+    let (outcomes, sys) = world.campaign(
+        Cell::new(3, false),
         config.min_clients,
-        EpochConfig::default().grace_ticks,
-        &mut LogicalClock::new(),
+        LogicalClock::new(),
         campaign.epochs(),
         &CoordinatorFault::none(),
     );
@@ -132,32 +117,6 @@ fn assert_campaign_sane(
     (completed, collapsed)
 }
 
-fn assert_runs_identical(a: &[EpochOutcome], b: &[EpochOutcome]) {
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.epoch, y.epoch);
-        assert_eq!(x.round, y.round);
-        assert_eq!(x.members, y.members);
-        assert_eq!(x.dropped, y.dropped);
-        assert_eq!(x.collapsed, y.collapsed);
-        match (&x.outcome, &y.outcome) {
-            (None, None) => {}
-            (Some(p), Some(q)) => {
-                assert_eq!(p.reports, q.reports);
-                assert_eq!(p.missing, q.missing);
-                assert_eq!(p.view, q.view);
-                assert_eq!(
-                    p.view.users_threshold().to_bits(),
-                    q.view.users_threshold().to_bits(),
-                    "epoch {}: Users_th must match to the last bit",
-                    x.epoch
-                );
-            }
-            _ => panic!("epoch {}: one run finalized, the other did not", x.epoch),
-        }
-    }
-}
-
 #[test]
 fn steady_churn_campaign_completes_every_epoch() {
     let config = churn_matrix(SEED)[0];
@@ -189,7 +148,7 @@ fn aggressive_flappy_churn_is_deterministic_run_to_run() {
         "flappy rejoins must register: {churn:?}"
     );
     let (second, ..) = run_campaign(config);
-    assert_runs_identical(&first, &second);
+    assert_epochs_identical(&first, &second, "run to run");
 }
 
 #[test]
@@ -223,23 +182,18 @@ fn scripted_collapse_campaign_recovers_with_survivors() {
 const REGISTRATION_SEED: u64 = 0x00D0_0D1E;
 
 /// The fixed churn schedule the registration-order property drives:
-/// formation, a churn epoch with clean leaves and a silent drop, a
-/// below-`min_clients` collapse, and a refill over the survivors.
+/// the cluster suites' formation, churn epoch and refill, around a
+/// collapse where five of eight drop while one leaves cleanly — 3 <
+/// min_clients, and the pending leave survives the collapse into epoch
+/// 4's admission fold.
 fn churn_schedule() -> Vec<EpochChurn> {
-    let spec = |joins: Vec<u32>, leaves: Vec<u32>, drops: Vec<u32>| EpochChurn {
-        joins,
-        leaves,
-        drops,
+    let mut schedule = world::churn_schedule();
+    schedule[2] = EpochChurn {
+        joins: vec![],
+        leaves: vec![5],
+        drops: vec![0, 3, 4, 6, 7],
     };
-    vec![
-        spec((0..8).collect(), vec![], vec![]),
-        spec(vec![8, 9], vec![1], vec![2]),
-        // Five of eight drop while one leaves cleanly: 3 < min_clients,
-        // and the pending leave survives the collapse into epoch 4's
-        // admission fold.
-        spec(vec![], vec![5], vec![0, 3, 4, 6, 7]),
-        spec(vec![10, 11], vec![], vec![]),
-    ]
+    schedule
 }
 
 fn shuffle(mut v: Vec<u32>, rng: &mut StdRng) -> Vec<u32> {
@@ -333,41 +287,12 @@ fn coordinator_trace(schedule: &[EpochChurn]) -> Vec<EpochTrace> {
 /// Runs the full campaign (crypto and all) over a fresh 2-shard
 /// cluster with the given transport.
 fn epoch_campaign(wire: bool, schedule: &[EpochChurn]) -> Vec<EpochOutcome> {
-    let driver = WeeklyDriver::new(REGISTRATION_SEED, DriverScale::Fraction(35), 14);
-    let weeks = driver.weeks(1);
-    let config = SystemConfig {
-        seed: REGISTRATION_SEED,
-        ..SystemConfig::default()
-    };
-    let mut sys = EyewnderSystem::new(config, driver.cohort());
-    sys.ingest(driver.scenario(), &weeks[0]);
-    sys.config.cluster_backends = 2;
-    let map = sys.cluster_map();
-    let mut backend = sys.new_cluster(&map);
-    let mut coordinator = Coordinator::new(EpochConfig::default().with_min_clients(4));
-    let mut clock = LogicalClock::new();
-    let fault = CoordinatorFault::none();
-    if wire {
-        let mut bus = RoutingBus::over_wire(map, None, None);
-        sys.run_epochs_deadline_on(
-            &mut backend,
-            &mut bus,
-            &mut coordinator,
-            &mut clock,
-            schedule,
-            &fault,
-        )
-    } else {
-        let mut bus = RoutingBus::in_proc(map, None);
-        sys.run_epochs_deadline_on(
-            &mut backend,
-            &mut bus,
-            &mut coordinator,
-            &mut clock,
-            schedule,
-            &fault,
-        )
-    }
+    let cms = SystemConfig::default().cms;
+    let world = World::new(REGISTRATION_SEED, DriverScale::Fraction(35), 14, cms, 1);
+    let none = CoordinatorFault::none();
+    world
+        .campaign(Cell::new(2, wire), 4, LogicalClock::new(), schedule, &none)
+        .0
 }
 
 fn campaign_baseline() -> &'static [EpochOutcome] {
@@ -394,32 +319,8 @@ proptest! {
         if full == 0 {
             let wire = seed & 2 != 0;
             let outcomes = epoch_campaign(wire, &reordered);
-            let baseline = campaign_baseline();
-            prop_assert_eq!(outcomes.len(), baseline.len());
-            for (x, y) in baseline.iter().zip(&outcomes) {
-                prop_assert_eq!(x.epoch, y.epoch);
-                prop_assert_eq!(x.round, y.round);
-                prop_assert_eq!(&x.members, &y.members);
-                prop_assert_eq!(x.collapsed, y.collapsed);
-                let mut dropped = y.dropped.clone();
-                dropped.sort_unstable();
-                let mut base_dropped = x.dropped.clone();
-                base_dropped.sort_unstable();
-                prop_assert_eq!(base_dropped, dropped);
-                match (&x.outcome, &y.outcome) {
-                    (None, None) => {}
-                    (Some(p), Some(q)) => {
-                        prop_assert_eq!(p.reports, q.reports);
-                        prop_assert_eq!(&p.missing, &q.missing);
-                        prop_assert_eq!(&p.view, &q.view);
-                        prop_assert_eq!(
-                            p.view.users_threshold().to_bits(),
-                            q.view.users_threshold().to_bits()
-                        );
-                    }
-                    _ => panic!("wire={wire}: finalization diverged"),
-                }
-            }
+            let label = format!("wire={wire}");
+            assert_epochs_identical(campaign_baseline(), &outcomes, &label);
         }
     }
 }

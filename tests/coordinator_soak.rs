@@ -18,162 +18,56 @@
 //! * **Randomized schedule** — a fixed-seed random mix of crash points,
 //!   storms and clock jitter replays bit-identically, run to run.
 
+mod world;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
+use eyewnder::proto::FaultConfig;
+use eyewnder::simnet::RestartPhase::{MidReplay, Recovery, Reports};
 use eyewnder::simnet::{
-    CoordinatorCrash, CoordinatorFault, CrashPoint, DriverScale, EpochChurn, StragglerStorm,
-    WeeklyDriver,
+    CoordinatorCrash, CoordinatorFault, CrashPoint, DriverScale, EpochChurn, ShardKill,
+    ShardRestart, StragglerStorm,
 };
-use eyewnder::system::cluster::RoutingBus;
 use eyewnder::system::{
-    ChurnMetrics, Clock, Coordinator, EpochConfig, EpochOutcome, EyewnderSystem, LogicalClock,
-    SystemConfig, VirtualClock,
+    ChurnMetrics, Clock, EpochOutcome, EyewnderSystem, LogicalClock, VirtualClock,
 };
+use world::{assert_epochs_identical, churn_schedule, clear_view, Cell, World};
 
 const SEED: u64 = 0xC0DE_0009;
 
-const fn seed() -> u64 {
-    0xC00D_0009
-}
-
-fn driver() -> WeeklyDriver {
+fn world() -> World {
     // Same world as tests/cluster_parity.rs: 12 users, 25 sites, full
     // Table 1 visit rate — multi-client shards at every cluster size,
     // small enough for debug CI.
-    WeeklyDriver::new(seed(), DriverScale::Fraction(40), 12)
+    let cms = world::small_cms();
+    World::new(0xC00D_0009, DriverScale::Fraction(40), 12, cms, 1)
 }
 
-fn system(cohort: usize) -> EyewnderSystem {
-    EyewnderSystem::new(
-        SystemConfig {
-            seed: seed(),
-            cms: eyewnder::sketch::CmsParams::new(4, 512, 0xC1A5),
-            ..SystemConfig::default()
-        },
-        cohort,
-    )
-}
-
-/// The cluster-parity churn schedule: formation, a churn epoch with a
-/// clean leave and a silent drop, a below-`min_clients` collapse, and a
-/// refill epoch — every coordinator code path in four epochs.
-fn churn_schedule() -> Vec<EpochChurn> {
-    let spec = |joins: Vec<u32>, leaves: Vec<u32>, drops: Vec<u32>| EpochChurn {
-        joins,
-        leaves,
-        drops,
-    };
-    vec![
-        spec((0..8).collect(), vec![], vec![]),
-        spec(vec![8, 9], vec![1], vec![2]),
-        spec(vec![], vec![], vec![0, 3, 4, 5, 6]),
-        spec(vec![10, 11], vec![], vec![]),
-    ]
-}
-
-/// Runs the campaign through the deadline runner with the given clock,
-/// fault, transport and cluster size.
-fn deadline_campaign<C: Clock>(
+/// The churn schedule's campaign on a fresh system, through the deadline
+/// runner with the given clock, fault, transport and cluster size.
+fn deadline_campaign(
     backends: usize,
     wire: bool,
-    clock: &mut C,
+    clock: impl Clock,
     fault: &CoordinatorFault,
-    schedule: &[EpochChurn],
 ) -> (Vec<EpochOutcome>, EyewnderSystem) {
-    campaign_with_min_clients(4, backends, wire, clock, fault, schedule)
+    let cell = Cell::new(backends, wire);
+    world().campaign(cell, 4, clock, &churn_schedule(), fault)
 }
 
-/// [`deadline_campaign`] under the given admission threshold.
-fn campaign_with_min_clients<C: Clock>(
-    min_clients: u32,
-    backends: usize,
-    wire: bool,
-    clock: &mut C,
-    fault: &CoordinatorFault,
-    schedule: &[EpochChurn],
-) -> (Vec<EpochOutcome>, EyewnderSystem) {
-    let driver = driver();
-    let (scenario, weeks, cohort) = driver.workload(1);
-    let mut sys = system(cohort);
-    sys.ingest(scenario, &weeks[0]);
-    sys.config.cluster_backends = backends;
-    let map = sys.cluster_map();
-    let mut backend = sys.new_cluster(&map);
-    let mut coordinator = Coordinator::new(EpochConfig::default().with_min_clients(min_clients));
-    let outcomes = if wire {
-        let mut bus = RoutingBus::over_wire(map, None, None);
-        sys.run_epochs_deadline_on(
-            &mut backend,
-            &mut bus,
-            &mut coordinator,
-            clock,
-            schedule,
-            fault,
-        )
-    } else {
-        let mut bus = RoutingBus::in_proc(map, None);
-        sys.run_epochs_deadline_on(
-            &mut backend,
-            &mut bus,
-            &mut coordinator,
-            clock,
-            schedule,
-            fault,
-        )
-    };
-    (outcomes, sys)
-}
-
-/// The no-fault, logical-clock, single-shard, in-proc
-/// baseline every cell is held against.
-fn baseline() -> &'static [EpochOutcome] {
-    &baseline_with_churn().0
-}
-
-/// The baseline campaign's outcomes plus the churn telemetry it left
-/// behind — what a crash drill's telemetry is held against.
-fn baseline_with_churn() -> &'static (Vec<EpochOutcome>, ChurnMetrics) {
+/// The no-fault, logical-clock, single-shard, in-proc baseline every
+/// cell is held against, plus the churn telemetry it left behind — what
+/// a crash drill's telemetry is held against.
+fn baseline() -> &'static (Vec<EpochOutcome>, ChurnMetrics) {
     static BASELINE: OnceLock<(Vec<EpochOutcome>, ChurnMetrics)> = OnceLock::new();
     BASELINE.get_or_init(|| {
-        let mut clock = LogicalClock::new();
-        let (outcomes, sys) = deadline_campaign(
-            1,
-            false,
-            &mut clock,
-            &CoordinatorFault::none(),
-            &churn_schedule(),
-        );
+        let (outcomes, sys) =
+            deadline_campaign(1, false, LogicalClock::new(), &CoordinatorFault::none());
         (outcomes, sys.telemetry().churn())
     })
-}
-
-fn assert_epochs_identical(a: &[EpochOutcome], b: &[EpochOutcome], label: &str) {
-    assert_eq!(a.len(), b.len(), "{label}");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.epoch, y.epoch, "{label}");
-        assert_eq!(x.round, y.round, "{label}");
-        assert_eq!(x.members, y.members, "{label}");
-        assert_eq!(x.joined, y.joined, "{label}");
-        assert_eq!(x.dropped, y.dropped, "{label}");
-        assert_eq!(x.collapsed, y.collapsed, "{label}");
-        match (&x.outcome, &y.outcome) {
-            (None, None) => {}
-            (Some(p), Some(q)) => {
-                assert_eq!(p.reports, q.reports, "{label}");
-                assert_eq!(p.missing, q.missing, "{label}");
-                assert_eq!(p.view, q.view, "{label}");
-                assert_eq!(
-                    p.view.users_threshold().to_bits(),
-                    q.view.users_threshold().to_bits(),
-                    "{label}: Users_th must match to the last bit"
-                );
-            }
-            _ => panic!("{label}: epoch {} finalization diverged", x.epoch),
-        }
-    }
 }
 
 /// Drills one crash point through the full parity matrix.
@@ -182,7 +76,7 @@ fn crash_parity_matrix(phase: CrashPoint) {
         crash: Some(CoordinatorCrash { phase }),
         storm: None,
     };
-    let (base, base_churn) = baseline_with_churn();
+    let (base, base_churn) = baseline();
     let counters = |m: &ChurnMetrics| {
         [
             m.joins,
@@ -198,9 +92,7 @@ fn crash_parity_matrix(phase: CrashPoint) {
     for backends in [1usize, 2, 4] {
         for wire in [false, true] {
             let label = format!("crash={phase:?} backends={backends} wire={wire}");
-            let mut clock = LogicalClock::new();
-            let (outcomes, sys) =
-                deadline_campaign(backends, wire, &mut clock, &fault, &churn_schedule());
+            let (outcomes, sys) = deadline_campaign(backends, wire, LogicalClock::new(), &fault);
             assert_epochs_identical(base, &outcomes, &label);
             assert!(
                 sys.telemetry().churn().coordinator_restarts > 0,
@@ -259,9 +151,7 @@ fn late_reports_inside_the_grace_window_are_parked_never_dropped() {
         crash: None,
         storm: Some(storm),
     };
-    let schedule = churn_schedule();
-    let mut clock = LogicalClock::new();
-    let (outcomes, sys) = deadline_campaign(2, false, &mut clock, &fault, &schedule);
+    let (outcomes, sys) = deadline_campaign(2, false, LogicalClock::new(), &fault);
 
     // Epoch 1 forms over members 0..8; the storm victimises a fixed,
     // deterministic slice of them.
@@ -328,9 +218,14 @@ fn a_collapsed_epoch_reports_its_real_silent_set() {
         leaves: vec![],
         drops,
     }];
-    let mut clock = LogicalClock::new();
-    let (outcomes, _) =
-        campaign_with_min_clients(roster.len() as u32, 2, false, &mut clock, &fault, &schedule);
+    let min_clients = roster.len() as u32;
+    let (outcomes, _) = world().campaign(
+        Cell::new(2, false),
+        min_clients,
+        LogicalClock::new(),
+        &schedule,
+        &fault,
+    );
     let first = &outcomes[0];
     assert_eq!(first.members, roster);
     assert!(first.collapsed, "a drop below min_clients collapses");
@@ -349,9 +244,7 @@ fn late_reports_beyond_the_grace_window_are_refused() {
         crash: None,
         storm: Some(storm),
     };
-    let schedule = churn_schedule();
-    let mut clock = LogicalClock::new();
-    let (outcomes, sys) = deadline_campaign(2, false, &mut clock, &fault, &schedule);
+    let (outcomes, sys) = deadline_campaign(2, false, LogicalClock::new(), &fault);
 
     let victims = storm.victims(1, outcomes[0].members.as_slice());
     assert!(!victims.is_empty(), "the storm must bite");
@@ -396,20 +289,12 @@ fn randomized_crash_and_deadline_schedule_is_deterministic() {
         let backends = [1usize, 2][rng.gen_range(0..2usize)];
         let label = format!("case={case} crash={phase:?} storm={with_storm} backends={backends}");
 
-        let mut first_clock = VirtualClock::new(steps.clone());
         let (first, _) =
-            deadline_campaign(backends, false, &mut first_clock, &fault, &churn_schedule());
-        let mut second_clock = VirtualClock::new(steps);
-        let (second, _) = deadline_campaign(
-            backends,
-            false,
-            &mut second_clock,
-            &fault,
-            &churn_schedule(),
-        );
+            deadline_campaign(backends, false, VirtualClock::new(steps.clone()), &fault);
+        let (second, _) = deadline_campaign(backends, false, VirtualClock::new(steps), &fault);
         assert_epochs_identical(&first, &second, &label);
         if !with_storm {
-            assert_epochs_identical(baseline(), &first, &label);
+            assert_epochs_identical(&baseline().0, &first, &label);
         }
     }
 }
@@ -430,11 +315,10 @@ fn crash_drill_leaves_the_flight_recorder_causality_chain() {
         storm: None,
     };
     trace::enable(8192);
-    let mut clock = LogicalClock::new();
-    let (outcomes, _) = deadline_campaign(2, false, &mut clock, &fault, &churn_schedule());
+    let (outcomes, _) = deadline_campaign(2, false, LogicalClock::new(), &fault);
     let events = trace::drain();
     trace::disable();
-    assert_epochs_identical(baseline(), &outcomes, "crash drill with tracing on");
+    assert_epochs_identical(&baseline().0, &outcomes, "crash drill with tracing on");
 
     let crash = events
         .iter()
@@ -501,15 +385,85 @@ fn campaign_outcomes_are_bit_identical_with_tracing_on() {
             seed: 41,
         }),
     };
-    let mut clock = LogicalClock::new();
-    let (quiet, _) = deadline_campaign(2, false, &mut clock, &fault, &churn_schedule());
+    let (quiet, _) = deadline_campaign(2, false, LogicalClock::new(), &fault);
 
     trace::enable(1024); // deliberately small: overwrite pressure included
-    let mut clock = LogicalClock::new();
-    let (traced, _) = deadline_campaign(2, false, &mut clock, &fault, &churn_schedule());
+    let (traced, _) = deadline_campaign(2, false, LogicalClock::new(), &fault);
     trace::disable();
 
     assert_epochs_identical(&quiet, &traced, "tracing on vs off");
+}
+
+#[test]
+fn composed_faults_finalize_the_clear_text_view() {
+    // Swarm testing over the whole system: each fixed seed picks a
+    // subset of the fault kinds the harness scripts — a lossy uplink, an
+    // uplink sever, a shard crash-restart, a coordinator crash and a
+    // straggler storm — plus a cluster size, and runs the churn campaign
+    // through all of them at once. Every finalized epoch must be the
+    // clear-text view of the members that reported: whatever the faults
+    // lost went missing, and recovery cancelled it exactly.
+    let world = world();
+    let mut drawn = [0usize; 5];
+    for seed in (1..=8).map(|i| SEED ^ (i << 32)) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pick = |kind: usize| {
+            let on = rng.gen_bool(0.5);
+            drawn[kind] += usize::from(on);
+            on
+        };
+        let (lossy, sever, restart, crash, storm) = (pick(0), pick(1), pick(2), pick(3), pick(4));
+        let backends = [1usize, 2, 4][rng.gen_range(0..3usize)];
+        let shard = rng.gen_range(0..backends as u32);
+        let link = FaultConfig {
+            drop_prob: 0.2,
+            corrupt_prob: 0.1,
+            duplicate_prob: 0.1,
+            reorder_prob: 0.2,
+            seed,
+        };
+        let cell = Cell {
+            sever: sever.then_some(ShardKill {
+                shard,
+                after_sends: rng.gen_range(0..30),
+            }),
+            restart: restart.then_some(ShardRestart {
+                shard,
+                phase: [Reports, Recovery, MidReplay][rng.gen_range(0..3usize)],
+            }),
+            ..Cell::lossy(backends, lossy.then_some(link))
+        };
+        let fault = CoordinatorFault {
+            crash: crash.then_some(CoordinatorCrash {
+                phase: CrashPoint::ALL[rng.gen_range(0..CrashPoint::ALL.len())],
+            }),
+            storm: storm.then_some(StragglerStorm {
+                percent: 25,
+                lateness: rng.gen_range(1..3),
+                seed,
+            }),
+        };
+        let label = format!("seed={seed:#x} {cell:?} {}", fault.summary());
+
+        let clock = LogicalClock::new();
+        let (outcomes, sys) = world.campaign(cell, 4, clock, &churn_schedule(), &fault);
+        let rounds: Vec<_> = outcomes.iter().filter(|e| e.outcome.is_some()).collect();
+        assert!(!rounds.is_empty(), "{label}: no epoch finalized");
+        for epoch in rounds {
+            let round = epoch.outcome.as_ref().expect("a finalized epoch");
+            let reporters = world::reporters(&epoch.members, &round.missing);
+            let label = format!("{label} epoch={}", epoch.epoch);
+            assert_eq!(round.reports, reporters.len(), "{label}");
+            assert!(
+                round.view == clear_view(&sys, &world.weeks[0], &reporters),
+                "{label}: the view is not the clear-text view of its reporters"
+            );
+        }
+    }
+    assert!(
+        drawn.iter().all(|&n| n > 0),
+        "every fault kind is drawn by some seed: {drawn:?}"
+    );
 }
 
 proptest! {
@@ -538,37 +492,7 @@ proptest! {
         let wire = seed & 8 != 0;
         let label = format!("backends={backends} wire={wire}");
 
-        let mut clock = VirtualClock::new(steps);
-        let (outcomes, _) = deadline_campaign(
-            backends,
-            wire,
-            &mut clock,
-            &CoordinatorFault::none(),
-            &churn_schedule(),
-        );
-        let base = baseline();
-        prop_assert_eq!(outcomes.len(), base.len(), "{}", label);
-        for (x, y) in base.iter().zip(&outcomes) {
-            prop_assert_eq!(x.epoch, y.epoch, "{}", label);
-            prop_assert_eq!(x.round, y.round, "{}", label);
-            prop_assert_eq!(&x.members, &y.members, "{}", label);
-            prop_assert_eq!(&x.joined, &y.joined, "{}", label);
-            prop_assert_eq!(&x.dropped, &y.dropped, "{}", label);
-            prop_assert_eq!(x.collapsed, y.collapsed, "{}", label);
-            match (&x.outcome, &y.outcome) {
-                (None, None) => {}
-                (Some(p), Some(q)) => {
-                    prop_assert_eq!(p.reports, q.reports, "{}", label);
-                    prop_assert_eq!(&p.missing, &q.missing, "{}", label);
-                    prop_assert_eq!(&p.view, &q.view, "{}", label);
-                    prop_assert_eq!(
-                        p.view.users_threshold().to_bits(),
-                        q.view.users_threshold().to_bits(),
-                        "{}", label
-                    );
-                }
-                _ => panic!("{label}: finalization diverged"),
-            }
-        }
+                let (outcomes, _) = deadline_campaign(backends, wire, VirtualClock::new(steps), &CoordinatorFault::none());
+        assert_epochs_identical(&baseline().0, &outcomes, &label);
     }
 }

@@ -1,20 +1,20 @@
 //! Fault-injection integration tests: the full system running weekly
 //! rounds over lossy, corrupting, duplicating, reordering links.
 
-use eyewnder::bigint::UBig;
-use eyewnder::core::ThresholdPolicy;
+mod world;
+
 use eyewnder::proto::{
     channel_pair, error_code, Envelope, FaultConfig, Message, NodeId, ShardMap, TransportError,
 };
-use eyewnder::simnet::{Scenario, ScenarioConfig};
+use eyewnder::simnet::{ImpressionLog, Scenario, ScenarioConfig};
 use eyewnder::sketch::CmsParams;
 use eyewnder::system::backend::RoundError;
-use eyewnder::system::cluster::{ClusterBackend, RoutingBus};
-use eyewnder::system::ids::AdIdMapper;
+use eyewnder::system::cluster::RoutingBus;
 use eyewnder::system::node::{ClientNode, InProcBus, RoundOpen, ServiceBus, WireBus};
-use eyewnder::system::{EyewnderSystem, RoundOutcome, SystemConfig};
+use eyewnder::system::{EyewnderSystem, SystemConfig};
+use world::{assert_rounds_identical, Cell};
 
-fn world(seed: u64) -> (Scenario, eyewnder::simnet::ImpressionLog, EyewnderSystem) {
+fn world(seed: u64) -> (Scenario, ImpressionLog, EyewnderSystem) {
     let cfg = ScenarioConfig {
         seed,
         num_users: 14,
@@ -25,30 +25,16 @@ fn world(seed: u64) -> (Scenario, eyewnder::simnet::ImpressionLog, EyewnderSyste
     };
     let scenario = Scenario::build(cfg);
     let log = scenario.run_week(0);
-    let mut sys = EyewnderSystem::new(
-        SystemConfig {
-            seed,
-            ..SystemConfig::default()
-        },
-        14,
-    );
+    let mut sys = world::system(seed, SystemConfig::default().cms, 14);
     sys.ingest(&scenario, &log);
     (scenario, log, sys)
-}
-
-/// One round over the wire: a fresh one-shard cluster behind a framed
-/// uplink carrying `fault`.
-fn wire_round(sys: &mut EyewnderSystem, round: u64, fault: FaultConfig) -> RoundOutcome {
-    let map = sys.cluster_map();
-    let mut backend = sys.new_cluster(&map);
-    let mut bus = RoutingBus::over_wire(map, Some(fault), None);
-    sys.run_round_on(&mut backend, &mut bus, round, &[])
 }
 
 #[test]
 fn harsh_link_round_still_produces_clean_aggregate() {
     let (_s, _log, mut sys) = world(1);
-    let outcome = wire_round(&mut sys, 1, FaultConfig::harsh(5));
+    let link = Cell::lossy(1, Some(FaultConfig::harsh(5)));
+    let outcome = world::round(&mut sys, link, 1, &[]);
     // Whatever was lost, the recovery round must leave no blinding
     // residue: every estimate bounded by the cohort size plus CMS slack.
     for est in outcome.view.distribution() {
@@ -59,7 +45,8 @@ fn harsh_link_round_still_produces_clean_aggregate() {
 #[test]
 fn perfect_link_loses_nothing() {
     let (_s, _log, mut sys) = world(2);
-    let outcome = wire_round(&mut sys, 1, FaultConfig::perfect());
+    let link = Cell::lossy(1, Some(FaultConfig::perfect()));
+    let outcome = world::round(&mut sys, link, 1, &[]);
     assert_eq!(outcome.reports, 14);
     assert!(outcome.missing.is_empty());
     assert_eq!(outcome.corrupt_frames, 0);
@@ -68,15 +55,10 @@ fn perfect_link_loses_nothing() {
 #[test]
 fn wire_and_direct_rounds_agree_when_lossless() {
     let (scenario, log, mut sys_wire) = world(3);
-    let wire = wire_round(&mut sys_wire, 1, FaultConfig::perfect());
+    let link = Cell::lossy(1, Some(FaultConfig::perfect()));
+    let wire = world::round(&mut sys_wire, link, 1, &[]);
 
-    let mut sys_direct = EyewnderSystem::new(
-        SystemConfig {
-            seed: 3,
-            ..SystemConfig::default()
-        },
-        14,
-    );
+    let mut sys_direct = world::system(3, SystemConfig::default().cms, 14);
     sys_direct.ingest(&scenario, &log);
     let direct = sys_direct.run_round(1, &[]);
 
@@ -96,7 +78,7 @@ fn duplicated_reports_are_rejected_not_double_counted() {
         seed: 9,
         ..FaultConfig::perfect()
     };
-    let outcome = wire_round(&mut sys, 1, dup_only);
+    let outcome = world::round(&mut sys, Cell::lossy(1, Some(dup_only)), 1, &[]);
     assert_eq!(outcome.reports, 14, "duplicates rejected by the backend");
     // Counts not inflated: every estimate is at most cohort + CMS slack.
     for (sim_ad, users) in log.users_per_ad() {
@@ -149,16 +131,7 @@ impl ClientNode for FixedClient {
 #[test]
 fn malformed_adjustment_is_answered_not_fatal() {
     let params = CmsParams::new(2, 32, 3);
-    let mut backend = ClusterBackend::new(
-        ShardMap::uniform(1),
-        8,
-        params,
-        AdIdMapper::new(64),
-        ThresholdPolicy::Mean,
-    );
-    for user in 1..=3 {
-        backend.enroll(user, UBig::from_u64(u64::from(user) + 1));
-    }
+    let mut backend = world::bare_cluster(1, params, 1..=3);
     // Client 3 stays silent, so clients 1 and 2 owe adjustments; client
     // 2's has one cell too few.
     let clients = [
@@ -247,15 +220,7 @@ fn unsendable_report_makes_its_sender_missing() {
     let (_s, _log, mut silent_sys) = world(7);
     let silent = silent_sys.run_round(1, &[lost]);
     assert_eq!(outcome.missing, vec![lost]);
-    assert_eq!(outcome.round, silent.round);
-    assert_eq!(outcome.reports, silent.reports);
-    assert_eq!(outcome.missing, silent.missing);
-    assert_eq!(outcome.corrupt_frames, silent.corrupt_frames);
-    assert_eq!(outcome.view, silent.view);
-    assert_eq!(
-        outcome.view.users_threshold().to_bits(),
-        silent.view.users_threshold().to_bits()
-    );
+    assert_rounds_identical(&outcome, &silent, "a lost report is a silent client");
 }
 
 #[test]

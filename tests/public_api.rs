@@ -173,6 +173,46 @@ fn public_api_surface_matches_snapshot() {
 /// whose fn gains a caller or goes away fails the test.
 const NO_CALLER_NEEDED: &[(&str, &str, &str)] = &[];
 
+/// `text` with every `//` comment (doc comments included) cut out.
+/// String and char literals are kept whole, so `"https://…"` is code.
+fn without_comments(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut chars = text.chars().peekable();
+    let mut in_string = false;
+    while let Some(c) = chars.next() {
+        if in_string {
+            out.push(c);
+            match c {
+                '\\' => out.extend(chars.next()),
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '/' if chars.peek() == Some(&'/') => while chars.next_if(|&n| n != '\n').is_some() {},
+            // A char literal (`'"'`, `'\''`); a lifetime has no closing quote.
+            '\'' => {
+                out.push(c);
+                let mut ahead = chars.clone();
+                let body = match ahead.next() {
+                    Some('\\') => 2,
+                    Some(_) => 1,
+                    None => 0,
+                };
+                if body > 0 && ahead.nth(body - 1) == Some('\'') {
+                    out.extend(chars.by_ref().take(body + 1));
+                }
+            }
+            _ => {
+                in_string = c == '"';
+                out.push(c);
+            }
+        }
+    }
+    out
+}
+
 /// The identifiers in `text`: maximal runs of ASCII alphanumerics and `_`.
 fn identifiers(text: &str) -> HashSet<&str> {
     text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
@@ -183,11 +223,11 @@ fn identifiers(text: &str) -> HashSet<&str> {
 #[test]
 fn every_pub_fn_has_a_caller() {
     // A name-level floor, not a proof: a `pub fn` in the snapshot passes
-    // when any other source file under `crates/`, `src/`, `tests/`,
-    // `examples/` or `benchmark/src` (the frozen harness is a caller)
-    // names it — a same-named method of another type, a field or a
-    // comment counts too. One that fails is made private, moved under
-    // `#[cfg(test)]`, or deleted.
+    // when the code of any other source file under `crates/`, `src/`,
+    // `tests/`, `examples/` or `benchmark/src` (the frozen harness is a
+    // caller) names it — a same-named method of another type or a field
+    // counts too, a `//` comment does not. One that fails is made
+    // private, moved under `#[cfg(test)]`, or deleted.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut sources = Vec::new();
     for tree in ["crates", "src", "tests", "examples", "benchmark/src"] {
@@ -198,7 +238,10 @@ fn every_pub_fn_has_a_caller() {
         .map(|file| {
             let rel = file.strip_prefix(&root).expect("file under root");
             let text = fs::read_to_string(file).expect("readable source");
-            (rel.to_string_lossy().replace('\\', "/"), text)
+            (
+                rel.to_string_lossy().replace('\\', "/"),
+                without_comments(&text),
+            )
         })
         .collect();
     let named: Vec<(&str, HashSet<&str>)> = texts
@@ -252,6 +295,40 @@ fn every_pub_fn_has_a_caller() {
             listed.contains(&(file, name)) && !called(file, name),
             "{file}: {name} is on the allow-list but is gone or has a caller"
         );
+    }
+}
+
+#[test]
+fn one_fault_world() {
+    // The fault suites share `tests/world/`: its builder makes every
+    // system and driver, its runner picks every routing-bus transport,
+    // and its equality checks are the only ones. None of the six may
+    // grow its own copy back.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let suites = [
+        "bus_parity",
+        "cluster_parity",
+        "journal_soak",
+        "churn_soak",
+        "coordinator_soak",
+        "protocol_faults",
+    ];
+    for suite in suites {
+        let path = root.join("tests").join(suite).with_extension("rs");
+        let code = without_comments(&fs::read_to_string(&path).expect("readable suite"));
+        for copy in [
+            "EyewnderSystem::new(",
+            "WeeklyDriver::new(",
+            "RoutingBus::in_proc(",
+            "RoutingBus::over_wire(",
+            "fn assert_bit_identical",
+            "fn assert_epochs_identical",
+        ] {
+            assert!(
+                !code.contains(copy),
+                "tests/{suite}.rs has its own `{copy}`: use tests/world/"
+            );
+        }
     }
 }
 
