@@ -14,7 +14,8 @@ pub mod error_code {
     /// The receiving node does not serve this message type.
     pub const UNSUPPORTED_MESSAGE: u32 = 1;
     /// A request element was outside the valid range (e.g. a blinded
-    /// OPRF element not below the RSA modulus).
+    /// OPRF element not below the RSA modulus), or a request carried
+    /// more elements than the node serves in one batch.
     pub const OUT_OF_RANGE: u32 = 2;
     // 3 (malformed OPRF shard header) is retired, never reassigned.
     /// The node cannot answer yet (e.g. a `#Users` query before any

@@ -126,54 +126,71 @@ impl CountMinSketch {
             .expect("depth >= 1")
     }
 
-    /// [`Self::query`] for every item of `ids`: the estimates are handed
+    /// [`Self::query`] for every item of `ids`, keeping the positive
+    /// estimates only — the server's sweep over the enumerable ad-ID
+    /// space (§4.1), most of which no client reported. They are handed
     /// to `emit` a block of consecutive items at a time, in order, each
-    /// block with its first item — the server's sweep over the
-    /// enumerable ad-ID space (§4.1).
+    /// block with its first item: the live items' offsets from it,
+    /// ascending, and their estimates beside them.
     ///
     /// Consecutive items make each row hash an arithmetic progression
     /// modulo 2^61 − 1, so after one real hash per lane the sweep only
     /// adds and conditionally subtracts: no multiply, no division, for
     /// any width. A block of items is walked row-major, each row
-    /// `min`-ing its cell into the block's running estimates. On x86-64
-    /// with AVX-512 a row steps sixteen lanes at once; the CPU is asked
-    /// once per call, and every tier emits the same estimates.
-    pub fn query_range(&self, ids: Range<u64>, mut emit: impl FnMut(u64, &[u32])) {
+    /// `min`-ing its cell into the block's running estimates, and the
+    /// positive ones are then compacted to the block's front. On x86-64
+    /// with AVX-512 a row steps sixteen lanes at once and the compaction
+    /// tests and compresses sixteen at once; the CPU is asked once per
+    /// call, and every tier emits the same estimates.
+    pub fn query_range(&self, ids: Range<u64>, mut emit: impl FnMut(u64, &[u32], &[u32])) {
         #[cfg(target_arch = "x86_64")]
         if wide::detected() {
             // SAFETY: avx512f and avx512vl were detected on this CPU on the line above.
             #[allow(unsafe_code)]
-            let row_sweep = |row: &RowHash, cells: &[u32], first, estimates: &mut [u32]| unsafe {
-                wide::sweep_row(row, cells, first, estimates)
+            let sweep_block = |cms: &Self, first, n, block: &mut Block| unsafe {
+                wide::sweep_block(cms, first, n, block)
             };
-            return self.sweep(wide::LANES, ids, &mut emit, row_sweep);
+            return self.sweep(ids, &mut emit, sweep_block);
         }
-        self.sweep(SWEEP_LANES, ids, &mut emit, sweep_row)
+        self.sweep(ids, &mut emit, sweep_block)
     }
 
-    /// The block loop of [`Self::query_range`] over one tier's row sweep,
-    /// which steps `lanes` items at a time.
+    /// The block loop of [`Self::query_range`] over one tier's block
+    /// sweep, which leaves a block's live estimates and their offsets at
+    /// the front of [`Block`] and returns how many there are.
     fn sweep(
         &self,
-        lanes: usize,
         ids: Range<u64>,
-        mut emit: impl FnMut(u64, &[u32]),
-        mut row_sweep: impl FnMut(&RowHash, &[u32], u64, &mut [u32]),
+        mut emit: impl FnMut(u64, &[u32], &[u32]),
+        mut sweep_block: impl FnMut(&Self, u64, usize, &mut Block) -> usize,
     ) {
-        let width = self.params.width;
-        let mut block = [0u32; SWEEP_BLOCK];
+        let mut block = Block {
+            estimates: [0; SWEEP_BLOCK],
+            offsets: [0; SWEEP_BLOCK],
+        };
         let mut first = ids.start;
         while first < ids.end {
             let n = (ids.end - first).min(SWEEP_BLOCK as u64) as usize;
-            // Whole lane groups only; the surplus lanes of the last
-            // group are computed and dropped.
-            let estimates = &mut block[..n.next_multiple_of(lanes)];
-            estimates.fill(u32::MAX);
-            for (row, cells) in self.rows.iter().zip(self.cells.chunks_exact(width)) {
-                row_sweep(row, cells, first, estimates);
-            }
-            emit(first, &estimates[..n]);
+            let live = sweep_block(self, first, n, &mut block);
+            emit(first, &block.offsets[..live], &block.estimates[..live]);
             first += n as u64;
+        }
+    }
+
+    /// The running minima of the items `first..` into `estimates`, whose
+    /// length is a whole number of `row_sweep`'s lane groups: every row
+    /// `min`s its cells in.
+    #[inline(always)]
+    fn minima(
+        &self,
+        first: u64,
+        estimates: &mut [u32],
+        mut row_sweep: impl FnMut(&RowHash, &[u32], u64, &mut [u32]),
+    ) {
+        estimates.fill(u32::MAX);
+        let width = self.params.width;
+        for (row, cells) in self.rows.iter().zip(self.cells.chunks_exact(width)) {
+            row_sweep(row, cells, first, estimates);
         }
     }
 
@@ -210,6 +227,35 @@ impl CountMinSketch {
     }
 }
 
+/// One block of [`CountMinSketch::query_range`]: the running minima,
+/// compacted in place to the live estimates, and the offsets of those.
+struct Block {
+    estimates: [u32; SWEEP_BLOCK],
+    offsets: [u32; SWEEP_BLOCK],
+}
+
+/// The portable block sweep: the minima of the `n` items `first..`, two
+/// lanes at a time, then every positive one moved to the front with its
+/// offset. Whether an item is live is as good as random, so every one is
+/// written and the index only bumps past a live one: no branch.
+fn sweep_block(cms: &CountMinSketch, first: u64, n: usize, block: &mut Block) -> usize {
+    // Whole lane groups only; the surplus lanes of the last group are
+    // computed and dropped.
+    cms.minima(
+        first,
+        &mut block.estimates[..n.next_multiple_of(SWEEP_LANES)],
+        sweep_row,
+    );
+    let mut live = 0;
+    for offset in 0..n {
+        let estimate = block.estimates[offset];
+        block.estimates[live] = estimate;
+        block.offsets[live] = offset as u32;
+        live += usize::from(estimate > 0);
+    }
+    live
+}
+
 /// The portable row sweep: `min`s the cell in `cells` (one row) of each
 /// of the items `first..` into `estimates`, two lanes at a time.
 fn sweep_row(row: &RowHash, cells: &[u32], first: u64, estimates: &mut [u32]) {
@@ -222,27 +268,67 @@ fn sweep_row(row: &RowHash, cells: &[u32], first: u64, estimates: &mut [u32]) {
     }
 }
 
-/// The AVX-512 row sweep: sixteen lanes, their hashes in two registers
-/// and their columns in one, and the cells gathered sixteen at a time.
+/// The AVX-512 block sweep: sixteen lanes, their hashes in two registers
+/// and their columns in one, the cells gathered sixteen at a time, and
+/// the live estimates compressed sixteen at a time.
 #[cfg(target_arch = "x86_64")]
 mod wide {
+    use super::{Block, CountMinSketch};
     use crate::hashing::RowHash;
+    use std::arch::x86_64::*;
 
-    /// Items [`sweep_row`] steps at once.
-    pub(super) const LANES: usize = 16;
+    /// Items [`sweep_row`] steps and [`sweep_block`] compacts at once.
+    const LANES: usize = 16;
 
-    /// Whether this CPU runs [`sweep_row`].
+    /// Whether this CPU runs [`sweep_block`].
     pub(super) fn detected() -> bool {
         is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")
     }
 
-    /// [`super::sweep_row`] sixteen lanes at a time.
+    /// [`super::sweep_block`] sixteen lanes at a time. After the last row
+    /// each group of sixteen estimates is tested once; a group with a
+    /// live lane is compressed, estimates and offsets alike, and stored
+    /// whole at the live front, which never passes the group just read.
     ///
     /// # Safety
     /// Call it only once [`detected`] holds: on a CPU without the
     /// features its instructions are undefined behaviour.
     #[target_feature(enable = "avx512f,avx512vl")]
-    pub(super) fn sweep_row(row: &RowHash, cells: &[u32], first: u64, estimates: &mut [u32]) {
+    pub(super) fn sweep_block(
+        cms: &CountMinSketch,
+        first: u64,
+        n: usize,
+        block: &mut Block,
+    ) -> usize {
+        cms.minima(
+            first,
+            &mut block.estimates[..n.next_multiple_of(LANES)],
+            |row, cells, first, estimates| sweep_row(row, cells, first, estimates),
+        );
+        let mut live = 0;
+        let mut offsets = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        for start in (0..n).step_by(LANES) {
+            let estimates = load(&block.estimates[start..start + LANES]);
+            // The surplus lanes of a ragged last group are no items.
+            let items = u16::MAX >> (LANES - (n - start).min(LANES));
+            let positive = _mm512_mask_test_epi32_mask(items, estimates, estimates);
+            if positive != 0 {
+                let front = live..live + LANES;
+                let kept = _mm512_maskz_compress_epi32(positive, estimates);
+                store(&mut block.estimates[front.clone()], kept);
+                let kept = _mm512_maskz_compress_epi32(positive, offsets);
+                store(&mut block.offsets[front], kept);
+                live += positive.count_ones() as usize;
+            }
+            offsets = _mm512_add_epi32(offsets, _mm512_set1_epi32(LANES as i32));
+        }
+        live
+    }
+
+    /// [`super::sweep_row`] sixteen lanes at a time.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn sweep_row(row: &RowHash, cells: &[u32], first: u64, estimates: &mut [u32]) {
         let mut lanes = row.lanes::<LANES>(first, cells.len());
         // Every column is below the width already; the clamp says so to
         // the compiler, which drops the bounds check and gathers.
@@ -254,12 +340,54 @@ mod wide {
             lanes.step();
         }
     }
+
+    /// Sixteen estimates in one register, lane `i` = `s[i]`.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn load(s: &[u32]) -> __m512i {
+        let s: &[u32; LANES] = s.try_into().expect("sixteen lanes");
+        let s = s.map(|c| c as i32);
+        _mm512_set_epi32(
+            s[15], s[14], s[13], s[12], s[11], s[10], s[9], s[8], s[7], s[6], s[5], s[4], s[3],
+            s[2], s[1], s[0],
+        )
+    }
+
+    /// `v`'s sixteen lanes back into memory, lane `i` to `s[i]`.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn store(s: &mut [u32], v: __m512i) {
+        let s: &mut [u32; LANES] = s.try_into().expect("sixteen lanes");
+        let (lo, hi) = (
+            _mm512_extracti64x4_epi64::<0>(v),
+            _mm512_extracti64x4_epi64::<1>(v),
+        );
+        let pairs = [
+            _mm256_extract_epi64::<0>(lo) as u64,
+            _mm256_extract_epi64::<1>(lo) as u64,
+            _mm256_extract_epi64::<2>(lo) as u64,
+            _mm256_extract_epi64::<3>(lo) as u64,
+            _mm256_extract_epi64::<0>(hi) as u64,
+            _mm256_extract_epi64::<1>(hi) as u64,
+            _mm256_extract_epi64::<2>(hi) as u64,
+            _mm256_extract_epi64::<3>(hi) as u64,
+        ];
+        for (cells, pair) in s.chunks_exact_mut(2).zip(pairs) {
+            cells[0] = pair as u32;
+            cells[1] = (pair >> 32) as u32;
+        }
+    }
 }
 
 /// One tier's whole sweep: [`CountMinSketch::query_range`] with the
 /// tier fixed instead of dispatched.
 #[cfg(test)]
-pub(crate) type SweepFn = fn(&CountMinSketch, Range<u64>, &mut dyn FnMut(u64, &[u32]));
+pub(crate) type SweepFn = fn(&CountMinSketch, Range<u64>, &mut Emit);
+
+/// What a sweep hands each block to: its first item, the live offsets
+/// and their estimates.
+#[cfg(test)]
+pub(crate) type Emit<'a> = dyn FnMut(u64, &[u32], &[u32]) + 'a;
 
 /// The tier [`CountMinSketch::query_range`] dispatches to on this CPU.
 #[cfg(test)]
@@ -276,18 +404,18 @@ pub(crate) fn dispatched_tier() -> &'static str {
 #[cfg(test)]
 #[allow(unsafe_code)]
 pub(crate) fn host_tiers() -> Vec<(&'static str, SweepFn)> {
-    fn portable(cms: &CountMinSketch, ids: Range<u64>, emit: &mut dyn FnMut(u64, &[u32])) {
-        cms.sweep(SWEEP_LANES, ids, emit, sweep_row)
+    fn portable(cms: &CountMinSketch, ids: Range<u64>, emit: &mut Emit) {
+        cms.sweep(ids, emit, sweep_block)
     }
     #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
     let mut tiers: Vec<(&'static str, SweepFn)> = vec![("portable/2", portable)];
     #[cfg(target_arch = "x86_64")]
     if wide::detected() {
-        fn avx512(cms: &CountMinSketch, ids: Range<u64>, emit: &mut dyn FnMut(u64, &[u32])) {
-            cms.sweep(wide::LANES, ids, emit, |row, cells, first, estimates| {
+        fn avx512(cms: &CountMinSketch, ids: Range<u64>, emit: &mut Emit) {
+            cms.sweep(ids, emit, |cms, first, n, block| {
                 // SAFETY: only pushed (so only callable) once avx512f and
                 // avx512vl were detected above.
-                unsafe { wide::sweep_row(row, cells, first, estimates) }
+                unsafe { wide::sweep_block(cms, first, n, block) }
             })
         }
         tiers.push(("avx512/16", avx512));

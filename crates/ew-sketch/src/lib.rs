@@ -18,7 +18,10 @@
 //! ads): `d = ⌈ln(T/δ)⌉` rows and `w = ⌈e/ε⌉` columns of 4-byte cells.
 //!
 //! Provided types:
-//! * [`CmsParams`] / [`CountMinSketch`] — the production synopsis.
+//! * [`CmsParams`] / [`CountMinSketch`] — the production synopsis. Its
+//!   [`CountMinSketch::query_range`] is the server's query over the ID
+//!   space: one sweep that hands back only the positive estimates,
+//!   compacted inside the sweep, since most IDs were never reported.
 //! * [`BlindedSketch`] / [`SketchAccumulator`] — wire form of a blinded
 //!   report and the server-side cell-wise aggregator (arithmetic in
 //!   `Z_{2^32}`, matching the blinding layer).
@@ -29,12 +32,14 @@
 //! * [`ExactCounter`] — hash-map ground truth for accuracy experiments.
 //!
 //! The crate denies `unsafe` code with one exception:
-//! [`CountMinSketch::query_range`] calls its AVX-512 row sweep, a
+//! [`CountMinSketch::query_range`] calls its AVX-512 block sweep, a
 //! `#[target_feature]` fn, directly under the CPU feature detection that
 //! makes the call sound (pinned by the workspace's
 //! `tests/public_api.rs::unsafe_only_at_the_tier_dispatches`). The
-//! kernel is plain safe Rust compiled for the wider instruction set: no
-//! intrinsics, no raw pointers.
+//! kernel is safe Rust compiled for the wider instruction set: the row
+//! sweep is plain Rust the compiler turns into gathers, and the
+//! compaction calls the safe `core::arch` test and compress intrinsics,
+//! loading and storing through arrays. No raw pointers.
 
 pub mod blinded;
 pub mod cms;

@@ -21,32 +21,48 @@ fn sweep_widths() -> [usize; 7] {
     [1, 2, 37, 1_024, 2_048, 2_719, sized]
 }
 
-/// Distinct pseudo-random cells, so a wrong column shows.
-fn noise_cells(n: usize, mut x: u64) -> Vec<u32> {
+/// Shares of zero cells the range sweep is checked at, in sixteenths:
+/// none, half, all but one in sixteen (with several rows, mostly whole
+/// sixteen-lane groups without a live item, and isolated live ones),
+/// and all.
+const ZERO_SIXTEENTHS: [u32; 4] = [0, 8, 15, 16];
+
+/// Distinct pseudo-random cells, so a wrong column shows, about
+/// `zero_sixteenths` sixteenths of them zeroed.
+fn noise_cells(n: usize, mut x: u64, zero_sixteenths: u32) -> Vec<u32> {
     (0..n)
         .map(|_| {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            (x >> 32) as u32
+            let cell = (x >> 32) as u32;
+            if cell >> 28 < zero_sixteenths {
+                0
+            } else {
+                cell
+            }
         })
         .collect()
 }
 
-/// What `query_range` must emit: every id, in order, with `query(id)`.
+/// What `query_range` must emit: every id whose `query(id)` is positive,
+/// in order, with it.
 fn point_queries(cms: &CountMinSketch, ids: Range<u64>) -> Vec<(u64, u32)> {
-    ids.map(|id| (id, cms.query(id))).collect()
+    ids.map(|id| (id, cms.query(id)))
+        .filter(|&(_, estimate)| estimate > 0)
+        .collect()
 }
 
 /// What one sweep emits, flattened to `(id, estimate)` pairs.
 fn swept(sweep: SweepFn, cms: &CountMinSketch, ids: Range<u64>) -> Vec<(u64, u32)> {
     let mut out = Vec::new();
-    sweep(cms, ids, &mut |first, block| {
+    sweep(cms, ids, &mut |first, offsets, estimates| {
+        assert_eq!(offsets.len(), estimates.len());
         out.extend(
-            block
+            offsets
                 .iter()
-                .zip(first..)
-                .map(|(&estimate, id)| (id, estimate)),
+                .zip(estimates)
+                .map(|(&offset, &estimate)| (first + offset as u64, estimate)),
         )
     });
     out
@@ -85,8 +101,11 @@ fn query_range_equals_point_queries_at_the_row_hash_corners() {
         RowHash::from_coefficients(P - 1, P - 1),
         RowHash::from_coefficients(P - 3, 5),
     ];
-    for width in sweep_widths() {
-        let cells = noise_cells(rows.len() * width, width as u64);
+    for (width, zeros) in sweep_widths()
+        .into_iter()
+        .flat_map(|width| ZERO_SIXTEENTHS.map(|zeros| (width, zeros)))
+    {
+        let cells = noise_cells(rows.len() * width, width as u64, zeros);
         let cms = CountMinSketch::with_rows(width, rows.clone(), cells);
         for ids in [
             0..9_000,
@@ -102,7 +121,7 @@ fn query_range_equals_point_queries_at_the_row_hash_corners() {
                 assert_eq!(
                     swept(sweep, &cms, ids.clone()),
                     want,
-                    "tier={tier} width={width} ids={ids:?}"
+                    "tier={tier} width={width} zeros={zeros}/16 ids={ids:?}"
                 );
             }
         }
@@ -117,9 +136,10 @@ proptest! {
         width in 0usize..7,
         start in prop_oneof![Just(0u64), 0u64..5_000, any::<u64>()],
         len in prop_oneof![Just(0u64), 1u64..40, 1u64..9_000],
+        zeros in 0usize..4,
     ) {
         let params = CmsParams::new(depth, sweep_widths()[width], seed);
-        let cells = noise_cells(params.num_cells(), seed ^ 0x5EED);
+        let cells = noise_cells(params.num_cells(), seed ^ 0x5EED, ZERO_SIXTEENTHS[zeros]);
         let cms = CountMinSketch::from_cells(params, cells, 0);
         let start = start.min(u64::MAX - len);
         let ids = start..start + len;

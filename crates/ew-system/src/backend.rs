@@ -162,19 +162,16 @@ impl RoundState {
     pub fn finalize(self, mapper: &AdIdMapper, policy: ThresholdPolicy) -> GlobalView {
         let reports = self.accumulator.reports();
         let aggregate = self.accumulator.finalize(reports as u64);
-        // Whether an id is vacant is as good as random, so every id is
-        // written and a vacant one is overwritten by the next: keeping
-        // or skipping is an index bump, not a mispredicted branch.
-        let mut estimates: Vec<(AdKey, f64)> = Vec::new();
-        let mut kept = 0;
-        aggregate.query_range(mapper.all_ids(), |first, block| {
-            estimates.resize(kept + block.len(), (0, 0.0));
-            for (&users, ad) in block.iter().zip(first..) {
-                estimates[kept] = (ad, users as f64);
-                kept += usize::from(users > 0);
-            }
+        // Most of the id space is vacant; the sweep hands over the live
+        // ids only, already compacted, so this pays per reported ad. The
+        // vector starts at one sweep block of ids (64 KB): grown from
+        // empty instead, the dense `aggregate_wire` view measured
+        // 0.2–0.4 ms slower on some runs, through glibc's reallocations.
+        let mut estimates: Vec<(AdKey, f64)> = Vec::with_capacity(4096);
+        aggregate.query_range(mapper.all_ids(), |first, offsets, users| {
+            let live = offsets.iter().zip(users);
+            estimates.extend(live.map(|(&offset, &users)| (first + offset as u64, users as f64)));
         });
-        estimates.truncate(kept);
         GlobalView::from_estimates(estimates, policy)
     }
 }
@@ -376,24 +373,40 @@ pub(crate) mod tests {
     #[test]
     fn finalize_sweep_equals_point_queries_on_the_hostile_stream() {
         let p = CmsParams::new(2, 32, 3);
-        let mut state = RoundState::open(p, 1);
+        let empty = RoundState::open(p, 1);
+        let mut state = empty.clone();
         let accepted = hostile_stream(p)
             .iter()
             .filter(|env| state.absorb(env, |user| user < 6).is_ok())
             .count();
         assert_eq!(accepted, 5);
-        // Less than one block of the sweep, and several with a ragged end.
-        for capacity in [64, 9_000] {
+        let reported = [1, 2, 4, 5, 6, 7];
+        // Either side of the sweep's sixteen-id groups and 4 096-id
+        // blocks, less than one block, and several with a ragged end.
+        for capacity in [1, 15, 16, 17, 64, 4_095, 4_096, 4_097, 9_000] {
             let mapper = AdIdMapper::new(capacity);
             for policy in ThresholdPolicy::all() {
                 let view = state.clone().finalize(&mapper, policy);
+                let what = format!("capacity={capacity} policy={}", policy.label());
                 assert_eq!(
                     view,
                     finalize_by_point_queries(state.clone(), &mapper, policy),
-                    "capacity={capacity} policy={}",
-                    policy.label()
+                    "{what}"
                 );
-                assert!(view.num_ads() >= 6, "the six reported ads are in the view");
+                let in_range = reported.iter().filter(|&&ad| ad < capacity).count();
+                assert!(view.num_ads() >= in_range, "{what}: reported ads in view");
+                // A round nobody reported to has an empty view.
+                let view = empty.clone().finalize(&mapper, policy);
+                assert_eq!(
+                    view,
+                    finalize_by_point_queries(empty.clone(), &mapper, policy),
+                    "{what}, empty round"
+                );
+                assert_eq!(
+                    (view.num_ads(), view.users_threshold()),
+                    (0, 0.0),
+                    "{what}, empty round"
+                );
             }
         }
     }

@@ -161,8 +161,10 @@ impl Client {
 
     /// Resolves a slice of URLs to ad IDs through a
     /// [`ServiceBus`](crate::node::ServiceBus): the
-    /// uncached remainder travels as **one** `OprfBatchRequest` envelope
-    /// (one shared blinding inversion), the front-end answers with one
+    /// uncached remainder is blinded with one shared inversion and
+    /// travels as `OprfBatchRequest` envelopes of at most
+    /// [`MAX_BATCH`](crate::oprf_server::MAX_BATCH) elements (one, for
+    /// any week a driver maps), the front-end answers each with one
     /// `OprfBatchResponse` envelope, and every resolved ID is cached.
     ///
     /// This is the one way to map an ad — the path
@@ -178,14 +180,17 @@ impl Client {
         B: crate::node::ServiceBus,
     {
         if let Some((pendings, wire)) = self.oprf_blind_batch(urls) {
-            let elements = crate::node::oprf_batch_exchange(
-                frontend,
-                bus,
-                NodeId::Client(self.id),
-                self.id as u64,
-                wire,
-            );
-            self.oprf_finish_batch(&pendings, &elements);
+            let mut wire = wire.into_iter();
+            for pendings in pendings.chunks(crate::oprf_server::MAX_BATCH) {
+                let elements = crate::node::oprf_batch_exchange(
+                    frontend,
+                    bus,
+                    NodeId::Client(self.id),
+                    self.id as u64,
+                    wire.by_ref().take(pendings.len()).collect(),
+                );
+                self.oprf_finish_batch(pendings, &elements);
+            }
         }
         urls.iter()
             .map(|url| self.cached_ad(url).expect("resolved just above"))
@@ -384,6 +389,28 @@ mod tests {
     fn batch_mapping_matches_single_and_caches() {
         batch_mapping_over(InProcBus::new);
         batch_mapping_over(WireBus::perfect);
+    }
+
+    #[test]
+    fn a_remainder_over_the_batch_cap_goes_in_batches_at_the_cap() {
+        use crate::oprf_server::MAX_BATCH;
+        let (group, service, mapper, _) = setup();
+        let mut c = Client::new(1, &group, service.public().clone(), mapper, 7);
+        let urls: Vec<String> = (0..MAX_BATCH + 3)
+            .map(|i| format!("https://x.example/{i}"))
+            .collect();
+        let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
+        // The service refuses a longer batch, which would panic here.
+        let got = c.map_ads_on(&urls, &service, &mut InProcBus::new());
+        assert_eq!(
+            service.take_batch_hist().count(),
+            2,
+            "one full batch, one of 3"
+        );
+        assert_eq!(service.requests_served(), urls.len() as u64);
+        for (url, ad) in urls.iter().zip(got) {
+            assert_eq!(ad, direct(&service, mapper, url), "{url}");
+        }
     }
 
     #[test]

@@ -22,6 +22,14 @@ use ew_proto::{error_code, Envelope, Message, NodeId};
 use rand::RngCore;
 use std::cell::Cell;
 
+/// The most elements one [`Message::OprfBatchRequest`] may carry. Each
+/// costs the service a conversion and an evaluation, ≈ 220 bytes at
+/// RSA-128 even when the element is empty, so without a cap only the
+/// frame's field limit bounds what one request makes it allocate. A
+/// client's week of fresh ads is a few hundred at most in every world
+/// the repository drives; a longer remainder goes in several batches.
+pub(crate) const MAX_BATCH: usize = 1024;
+
 /// The OPRF service, wrapping the key with request accounting.
 #[derive(Debug, Clone)]
 pub struct OprfService {
@@ -83,9 +91,10 @@ impl OprfService {
     /// single ad is a batch of one) — and every request gets an answer:
     /// the response for a well-formed request, a [`Message::Error`] for
     /// a malformed or unsupported one, so peers can distinguish "the
-    /// network dropped it" from "the service refused it". The single
-    /// exception is an incoming `Error`, which is never answered (no
-    /// error ping-pong).
+    /// network dropped it" from "the service refused it". A batch longer
+    /// than [`MAX_BATCH`] is refused before any element is converted. The
+    /// single exception is an incoming `Error`, which is never answered
+    /// (no error ping-pong).
     pub fn handle(&self, msg: &Message) -> Option<Message> {
         let reject = |code: u32, detail: String| {
             Some(Message::Error {
@@ -95,6 +104,13 @@ impl OprfService {
             })
         };
         match msg {
+            Message::OprfBatchRequest {
+                request_id,
+                blinded,
+            } if blinded.len() > MAX_BATCH => reject(
+                error_code::OUT_OF_RANGE,
+                format!("batch {request_id}: over {MAX_BATCH} elements"),
+            ),
             Message::OprfBatchRequest {
                 request_id,
                 blinded,

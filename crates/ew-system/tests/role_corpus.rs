@@ -35,9 +35,12 @@
 //! another round, naming the client itself, naming a peer twice, naming
 //! unknown ids, naming nobody, or sent to a client that never enrolled —
 //! and one recorded finding (a notice naming every peer unblinds the
-//! client's report) have tests of their own. The counting allocator and
-//! `Tally` are `ew-proto`'s, shared through `#[path]`; the allocator is
-//! process-global, so this corpus is a test binary of its own.
+//! client's report) have tests of their own, and so has the OPRF
+//! service's batch cap: a batch one element over it is refused within
+//! the bound of an answer that converts nothing, and one at it is
+//! served. The counting allocator and `Tally` are `ew-proto`'s, shared
+//! through `#[path]`; the allocator is process-global, so this corpus
+//! is a test binary of its own.
 
 #[path = "../../ew-proto/tests/corpus/mod.rs"]
 mod corpus;
@@ -79,6 +82,11 @@ const SHARDS: u32 = 4;
 /// twice the input. A fresh backend's first absorption grows its round
 /// log, dedupe index and reported set from empty (≈ 1 KB here).
 const SERVER_SLACK: usize = 2048;
+
+/// The most elements the OPRF service evaluates in one batch
+/// (`oprf_server::MAX_BATCH`, crate-private, mirrored here: the cap test
+/// fails if the two differ).
+const OPRF_BATCH_CAP: usize = 1024;
 
 /// The error codes this build sends.
 const LIVE_ERROR_CODES: [u32; 7] = [
@@ -454,6 +462,40 @@ fn every_oprf_mutant_is_answered_with_its_evaluation_or_a_typed_error() {
     assert!(evaluated > 1 && refused > 0);
     assert_eq!(evaluated + refused, tally.accepted);
     assert!(tally.rejected > 0);
+}
+
+#[test]
+fn an_oprf_batch_over_the_cap_is_refused_before_any_element_is_converted() {
+    let world = world();
+    let element_len = world.oprf.public().element_len();
+    // Sizes the thread's bigint scratch, as in the corpus above.
+    world.oprf.on_envelope(oprf_sample().envelope);
+    let batch = |len| {
+        let msg = Message::OprfBatchRequest {
+            request_id: 44,
+            blinded: vec![Vec::new(); len],
+        };
+        let env = Envelope::new(NodeId::Client(7), 0, msg);
+        (env.encode().len(), env)
+    };
+    // Empty elements cost the service ≈ 53 × their bytes once converted:
+    // refused over the cap, the batch stays inside the corpus's bound
+    // for an answer that converts no element.
+    let (input, over) = batch(OPRF_BATCH_CAP + 1);
+    assert_eq!(
+        answer(2 * input + 64, "cap + 1", || world.oprf.on_envelope(over)),
+        Answer::Error
+    );
+    assert_eq!(world.oprf.requests_served(), 3, "only the warm-up batch");
+    let (input, at_cap) = batch(OPRF_BATCH_CAP);
+    let bound = 2 * input + 16 * element_len * OPRF_BATCH_CAP + 64;
+    let Answer::Reply(reply) = answer(bound, "cap", || world.oprf.on_envelope(at_cap)) else {
+        panic!("a batch at the cap is served");
+    };
+    assert!(matches!(
+        reply.msg,
+        Message::OprfBatchResponse { ref elements, .. } if elements.len() == OPRF_BATCH_CAP
+    ));
 }
 
 #[test]

@@ -748,10 +748,10 @@ const UNSAFE_SITES: [(&str, &[&str], &str); 4] = [
         &["fn pow_rows(md: &LaneModulus, ops: &[WindowOp], rows: &mut [LaneRow]) {"],
         "ew-bigint allows unsafe code only at the lane kernel dispatch",
     ),
-    // The finalize sweep's call into its AVX-512 row kernel.
+    // The finalize sweep's call into its AVX-512 block kernel.
     (
         "ew-sketch",
-        &["let row_sweep = |row: &RowHash, cells: &[u32], first, estimates: &mut [u32]| unsafe {"],
+        &["let sweep_block = |cms: &Self, first, n, block: &mut Block| unsafe {"],
         "ew-sketch allows unsafe code only at the sweep dispatch",
     ),
     // The keystream dispatch into its AVX-512 and AVX2 bodies.
