@@ -4,9 +4,11 @@
 //! under a pairwise key that never changes (the stream key
 //! `HMAC(s_ij, label ‖ be64(round))`, see [`crate::blinding`]), so
 //! [`HmacKey`] caches the SHA-256 states after the ipad and opad blocks:
-//! each MAC then costs the message and digest compressions only. RFC 4231
-//! vectors and a from-scratch differential pin [`HmacKey::mac`] ≡
-//! [`hmac_sha256`].
+//! each MAC then costs the message and digest compressions only. Those go
+//! to the SHA-256 compression directly, padding built in place: a short
+//! message is one inner and one outer block, two compressions on the
+//! CPU's SHA extensions where it has them. RFC 4231 vectors and a
+//! from-scratch differential pin [`HmacKey::mac`] ≡ [`hmac_sha256`].
 
 use crate::sha256::{self, Sha256, DIGEST_LEN};
 
@@ -52,20 +54,19 @@ impl HmacKey {
         }
 
         let mut inner = sha256::INIT;
-        sha256::compress_block(&mut inner, &ipad);
+        sha256::compress_blocks(&mut inner, &[ipad]);
         let mut outer = sha256::INIT;
-        sha256::compress_block(&mut outer, &opad);
+        sha256::compress_blocks(&mut outer, &[opad]);
         HmacKey { inner, outer }
     }
 
-    /// `HMAC-SHA256(key, message)` from the cached midstates.
+    /// `HMAC-SHA256(key, message)` from the cached midstates. A message
+    /// of up to 55 bytes (the stream key's 28-byte `label ‖ be64(round)`)
+    /// pads into one inner block, and the inner digest into one outer
+    /// block, so its MAC is two one-block compressions.
     pub fn mac(&self, message: &[u8]) -> [u8; DIGEST_LEN] {
-        let mut h = sha256::resume(self.inner, BLOCK_LEN as u64);
-        h.update(message);
-        let inner_digest = h.finalize();
-        let mut h = sha256::resume(self.outer, BLOCK_LEN as u64);
-        h.update(&inner_digest);
-        h.finalize()
+        let inner = sha256::resume(self.inner, BLOCK_LEN as u64, message);
+        sha256::resume(self.outer, BLOCK_LEN as u64, &inner)
     }
 }
 

@@ -7,7 +7,9 @@
 //! CoNEXT 2019) relies on:
 //!
 //! * [`sha256`] — SHA-256 (FIPS 180-4) and [`hmac`] — HMAC-SHA256, the
-//!   hash backbone for blinding stream keys and hash-to-group.
+//!   hash backbone for blinding stream keys and hash-to-group. Every
+//!   compression runs on the CPU's SHA extensions where it has them and
+//!   on the scalar loop elsewhere ([`sha256::sha256_tier`] says which).
 //! * [`keystream`] — the ChaCha20 keystream (RFC 8439) that expands each
 //!   blinding stream key, computed in lanes and added straight into the
 //!   cells.

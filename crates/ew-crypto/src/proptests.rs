@@ -180,6 +180,28 @@ proptest! {
     }
 
     #[test]
+    fn hmac_from_midstates_equals_rfc_2104_for_any_key_and_message(
+        key in proptest::collection::vec(any::<u8>(), 0..300),
+        message in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        // Keys on both sides of the 64-byte block (a MODP-2048 secret is
+        // 256 bytes, hashed first) and messages on both sides of the
+        // 55-byte one-block tail, against RFC 2104 spelled out.
+        use crate::hmac::HmacKey;
+        use crate::sha256::Sha256;
+        let mut key_block = [0u8; 64];
+        if key.len() > 64 {
+            key_block[..32].copy_from_slice(&Sha256::digest(&key));
+        } else {
+            key_block[..key.len()].copy_from_slice(&key);
+        }
+        let pad = |byte: u8| key_block.map(|k| k ^ byte);
+        let inner = Sha256::digest_parts(&[&pad(0x36), &message]);
+        let want = Sha256::digest_parts(&[&pad(0x5c), &inner]);
+        prop_assert_eq!(HmacKey::new(&key).mac(&message), want);
+    }
+
+    #[test]
     fn sha256_lanes_equal_scalar_for_any_length(
         len in 0usize..300,
         seed in any::<u64>(),

@@ -15,12 +15,13 @@
 //! * **`sliced/16`** — everywhere else, and for short inputs: a table
 //!   walk sixteen bytes per step (slicing: Kounavis & Berry, Intel 2005).
 //!
-//! [`crc32`] picks a tier per call with `is_x86_feature_detected!`; the
-//! `every_host_tier` test prints the pick (`cargo test --release -p
-//! ew-proto every_host_tier -- --nocapture`). There is no build flag,
-//! feature or environment switch. Every tier computes the same
-//! function, so a checksum never depends on the CPU that took it:
-//! per-tier differential tests pin both against the byte-at-a-time loop.
+//! [`crc32`] picks a tier per call with `is_x86_feature_detected!`, and
+//! [`crc32_tier`] reports the pick; the `every_host_tier` test prints it
+//! (`cargo test --release -p ew-proto every_host_tier -- --nocapture`).
+//! There is no build flag, feature or environment switch. Every tier
+//! computes the same function, so a checksum never depends on the CPU
+//! that took it: per-tier differential tests pin both against the
+//! byte-at-a-time loop.
 
 /// The reflected polynomial 0xEDB88320.
 const POLY: u32 = 0xEDB8_8320;
@@ -198,21 +199,21 @@ mod clmul {
     }
 }
 
+/// Which tier [`crc32`] runs on this CPU for inputs of 64 bytes or more:
+/// `"clmul/64"` or `"sliced/16"`. A read-only report for telemetry — it
+/// cannot be set; the tier tests check the dispatch against it.
+pub fn crc32_tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if clmul::detected() {
+        return "clmul/64";
+    }
+    "sliced/16"
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    /// Which tier [`crc32`] runs on this CPU for inputs of 64 bytes or more:
-    /// `"clmul/64"` or `"sliced/16"`. The tier tests check the dispatch
-    /// against it.
-    fn crc32_tier() -> &'static str {
-        #[cfg(target_arch = "x86_64")]
-        if clmul::detected() {
-            return "clmul/64";
-        }
-        "sliced/16"
-    }
 
     #[test]
     fn known_vectors() {

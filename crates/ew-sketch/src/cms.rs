@@ -389,9 +389,10 @@ pub(crate) type SweepFn = fn(&CountMinSketch, Range<u64>, &mut Emit);
 #[cfg(test)]
 pub(crate) type Emit<'a> = dyn FnMut(u64, &[u32], &[u32]) + 'a;
 
-/// The tier [`CountMinSketch::query_range`] dispatches to on this CPU.
-#[cfg(test)]
-pub(crate) fn dispatched_tier() -> &'static str {
+/// Which tier [`CountMinSketch::query_range`] dispatches to on this
+/// CPU: `"avx512/16"` or `"portable/2"`. A read-only report for
+/// telemetry — it cannot be set.
+pub fn sweep_tier() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if wide::detected() {
         return "avx512/16";

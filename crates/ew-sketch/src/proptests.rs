@@ -2,7 +2,7 @@
 //! merge linearity, and blinded-aggregation round trips.
 
 use crate::blinded::{BlindedSketch, SketchAccumulator};
-use crate::cms::{dispatched_tier, host_tiers, CountMinSketch, SweepFn};
+use crate::cms::{host_tiers, sweep_tier, CountMinSketch, SweepFn};
 use crate::exact::ExactCounter;
 use crate::hashing::RowHash;
 use crate::params::CmsParams;
@@ -81,10 +81,10 @@ fn query_range_dispatches_to_the_widest_host_tier() {
     let names: Vec<&str> = host_tiers().iter().map(|t| t.0).collect();
     println!(
         "sweep tiers exercised: {names:?}; dispatch picks {}",
-        dispatched_tier()
+        sweep_tier()
     );
     assert_eq!(
-        dispatched_tier(),
+        sweep_tier(),
         *names.last().unwrap(),
         "dispatch runs the widest tier"
     );

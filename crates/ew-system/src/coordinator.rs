@@ -667,13 +667,18 @@ impl Coordinator {
     ///
     /// * [`Message::Join`] / [`Message::Leave`] register churn;
     ///   references to an already-closed epoch are answered with
-    ///   [`error_code::EPOCH_CLOSED`], and a leave from a user the
-    ///   coordinator never admitted with
-    ///   [`error_code::NOT_ENROLLED`]. One whose sender is not the user
-    ///   it names is ignored: a client joins or leaves only itself.
+    ///   [`error_code::EPOCH_CLOSED`], and with
+    ///   [`error_code::NOT_ENROLLED`] a join from a user `enrolled`
+    ///   denies (no key on the bulletin board) or a leave from a user
+    ///   the coordinator never admitted. One whose sender is not the
+    ///   user it names is ignored: a client joins or leaves only itself.
     /// * Errors are never answered with errors; anything else gets
     ///   [`error_code::UNSUPPORTED_MESSAGE`].
-    pub fn on_envelope(&mut self, env: &Envelope) -> Option<Envelope> {
+    pub fn on_envelope(
+        &mut self,
+        env: &Envelope,
+        enrolled: impl Fn(u32) -> bool,
+    ) -> Option<Envelope> {
         let reply = |msg| Some(Envelope::new(NodeId::Coordinator, env.round, msg));
         match &env.msg {
             Message::Join { user, .. } | Message::Leave { user, .. }
@@ -687,6 +692,13 @@ impl Coordinator {
                         code: error_code::EPOCH_CLOSED,
                         detail: format!("epoch {epoch} is closed (current is {})", self.epoch),
                         hint: Some(self.admission_hint()),
+                    });
+                }
+                if !enrolled(*user) {
+                    return reply(Message::Error {
+                        code: error_code::NOT_ENROLLED,
+                        detail: format!("user {user} has no key on the bulletin board"),
+                        hint: None,
                     });
                 }
                 self.register_join(*user);
@@ -976,7 +988,9 @@ mod tests {
         assert_eq!(c.epoch(), 1);
 
         // A leave from a user never admitted: NOT_ENROLLED.
-        let reply = c.on_envelope(&leave(42, 1)).expect("explicit reply");
+        let reply = c
+            .on_envelope(&leave(42, 1), |_| true)
+            .expect("explicit reply");
         assert!(matches!(
             reply.msg,
             Message::Error {
@@ -984,9 +998,22 @@ mod tests {
                 ..
             }
         ));
+        // A join from a user with no key on the bulletin board:
+        // NOT_ENROLLED, and never pending.
+        let reply = c
+            .on_envelope(&join(4_000_000, 1), |u| u < 100)
+            .expect("explicit reply");
+        assert!(matches!(
+            reply.msg,
+            Message::Error {
+                code: error_code::NOT_ENROLLED,
+                ..
+            }
+        ));
+        assert!(c.pending_joins().is_empty());
         // Join/Leave referencing a closed epoch: EPOCH_CLOSED.
         for env in [join(5, 0), leave(1, 0)] {
-            let reply = c.on_envelope(&env).expect("explicit reply");
+            let reply = c.on_envelope(&env, |_| true).expect("explicit reply");
             assert!(matches!(
                 reply.msg,
                 Message::Error {
@@ -996,15 +1023,15 @@ mod tests {
             ));
         }
         // Current-epoch churn is accepted silently.
-        assert_eq!(c.on_envelope(&join(5, 1)), None);
-        assert_eq!(c.on_envelope(&leave(1, 1)), None);
+        assert_eq!(c.on_envelope(&join(5, 1), |_| true), None);
+        assert_eq!(c.on_envelope(&leave(1, 1), |_| true), None);
         // Unsupported traffic is rejected explicitly, errors silently.
         let bogus = Envelope::new(
             NodeId::Client(1),
             0,
             Message::UsersQuery { round: 0, ad: 1 },
         );
-        let reply = c.on_envelope(&bogus).expect("explicit reply");
+        let reply = c.on_envelope(&bogus, |_| true).expect("explicit reply");
         assert!(matches!(
             reply.msg,
             Message::Error {
@@ -1021,7 +1048,7 @@ mod tests {
                 hint: None,
             },
         );
-        assert_eq!(c.on_envelope(&err), None, "never error-for-error");
+        assert_eq!(c.on_envelope(&err, |_| true), None, "never error-for-error");
     }
 
     #[test]
@@ -1032,7 +1059,9 @@ mod tests {
         }
         c.tick(1);
         assert_eq!(c.epoch(), 1);
-        let reply = c.on_envelope(&join(5, 0)).expect("explicit reply");
+        let reply = c
+            .on_envelope(&join(5, 0), |_| true)
+            .expect("explicit reply");
         match reply.msg {
             Message::Error {
                 code: error_code::EPOCH_CLOSED,
@@ -1199,7 +1228,9 @@ mod tests {
             bus.send(NodeId::Coordinator, join(u, 0)).unwrap();
         }
         bus.send(NodeId::Coordinator, leave(42, 0)).unwrap();
-        let replies = pump(&mut bus, NodeId::Coordinator, |req| c.on_envelope(&req));
+        let replies = pump(&mut bus, NodeId::Coordinator, |req| {
+            c.on_envelope(&req, |_| true)
+        });
         assert_eq!(
             replies, 1,
             "joins are silent, the unknown leave is answered"

@@ -482,7 +482,7 @@ impl EyewnderSystem {
                     .expect("coordinator mailbox open");
             }
             pump(bus, NodeId::Coordinator, |req| {
-                coordinator.on_envelope(&req)
+                coordinator.on_envelope(&req, |u| self.directory.get(u).is_some())
             });
             backend.checkpoint_coordinator(coordinator.checkpoint());
 
@@ -548,7 +548,7 @@ impl EyewnderSystem {
                     .expect("coordinator mailbox open");
             }
             pump(bus, NodeId::Coordinator, |req| {
-                coordinator.on_envelope(&req)
+                coordinator.on_envelope(&req, |u| self.directory.get(u).is_some())
             });
             for &user in &spec.drops {
                 coordinator.mark_dropped(user);

@@ -362,14 +362,20 @@ impl ChurnMetrics {
 }
 
 /// The kernels picked per CPU at run time, as `(engine, tier)`: the
-/// blinding keystream ([`ew_crypto::keystream::keystream_tier`]) and the
-/// many-bases modpow ([`ew_bigint::lane_tier`]). Read at export time —
-/// they explain a 2–4× cost gap between hosts, and belong to the host,
-/// not to any snapshot or protocol state.
-fn engine_tiers() -> [(&'static str, &'static str); 2] {
+/// blinding keystream ([`ew_crypto::keystream::keystream_tier`]), the
+/// many-bases modpow ([`ew_bigint::lane_tier`]), the SHA-256 compression
+/// ([`ew_crypto::sha256::sha256_tier`]), the frame and log CRC-32
+/// ([`ew_proto::crc32::crc32_tier`]) and the finalize sweep
+/// ([`ew_sketch::cms::sweep_tier`]). Read at export time — they explain
+/// a 2–10× cost gap between hosts, and belong to the host, not to any
+/// snapshot or protocol state.
+fn engine_tiers() -> [(&'static str, &'static str); 5] {
     [
         ("keystream", ew_crypto::keystream::keystream_tier()),
         ("modpow_lanes", ew_bigint::lane_tier()),
+        ("sha256", ew_crypto::sha256::sha256_tier()),
+        ("crc32", ew_proto::crc32::crc32_tier()),
+        ("cms_sweep", ew_sketch::cms::sweep_tier()),
     ]
 }
 
@@ -396,8 +402,8 @@ impl TelemetrySnapshot {
     /// The snapshot as JSON lines: one `{"metric": …, "value": …}` line
     /// per scalar, one `{"hist": …, "count": …, "p50": …}` line per
     /// histogram family and one `{"engine": …, "tier": …}` line per
-    /// CPU-dispatched kernel (the keystream and modpow-lane tiers), each
-    /// carrying the caller's `scope` label.
+    /// CPU-dispatched kernel (see `engine_tiers`), each carrying the
+    /// caller's `scope` label.
     pub fn to_json_lines(&self, scope: &str) -> String {
         let mut out = String::new();
         let scalars: [(&str, u64); 16] = [
@@ -455,8 +461,7 @@ impl TelemetrySnapshot {
     /// The snapshot as a Prometheus-style text exposition: counters and
     /// gauges as plain families, histograms as summaries with
     /// `quantile` labels plus `_sum`/`_count`, and the CPU-dispatched
-    /// kernels (the keystream and modpow-lane tiers) as one
-    /// `ew_engine_info` line each.
+    /// kernels (see `engine_tiers`) as one `ew_engine_info` line each.
     pub fn to_prometheus_text(&self) -> String {
         let mut out = String::new();
         let counter = |out: &mut String, name: &str, value: u64| {
@@ -835,19 +840,19 @@ mod tests {
         assert!(prom.contains("ew_epoch_phase_nanos{phase=\"5\"}"));
 
         // One engine line per CPU-dispatched kernel, in both exports.
-        let keystream = ew_crypto::keystream::keystream_tier();
-        let lanes = ew_bigint::lane_tier();
-        assert!(json.contains(&format!(
-            "\"engine\": \"keystream\", \"tier\": \"{keystream}\""
-        )));
-        assert!(json.contains(&format!(
-            "\"engine\": \"modpow_lanes\", \"tier\": \"{lanes}\""
-        )));
-        assert!(prom.contains(&format!(
-            "ew_engine_info{{engine=\"keystream\",tier=\"{keystream}\"}} 1"
-        )));
-        assert!(prom.contains(&format!(
-            "ew_engine_info{{engine=\"modpow_lanes\",tier=\"{lanes}\"}} 1"
-        )));
+        for (engine, tier) in [
+            ("keystream", ew_crypto::keystream::keystream_tier()),
+            ("modpow_lanes", ew_bigint::lane_tier()),
+            ("sha256", ew_crypto::sha256::sha256_tier()),
+            ("crc32", ew_proto::crc32::crc32_tier()),
+            ("cms_sweep", ew_sketch::cms::sweep_tier()),
+        ] {
+            assert!(json.contains(&format!("\"engine\": \"{engine}\", \"tier\": \"{tier}\"")));
+            assert!(prom.contains(&format!(
+                "ew_engine_info{{engine=\"{engine}\",tier=\"{tier}\"}} 1"
+            )));
+        }
+        assert_eq!(json.matches("\"engine\"").count(), 5);
+        assert_eq!(prom.matches("ew_engine_info{").count(), 5);
     }
 }

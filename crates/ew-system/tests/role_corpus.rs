@@ -716,11 +716,17 @@ fn coordinator() -> Coordinator {
     coordinator
 }
 
+/// The bulletin board the coordinator checks a join against: the client
+/// and its peers have keys on it, nobody else does.
+fn on_board(user: u32) -> bool {
+    user == CLIENT || PEERS.contains(&user)
+}
+
 /// The coordinator's answer to `env` and its checkpoint afterwards: a
 /// join or a leave for the current epoch from the user it names is
-/// registered (a leave only from a known user), one for a closed epoch
-/// is refused, one its sender does not name is ignored; an `Error` is
-/// ignored, anything else refused.
+/// registered (a join only from a user on the board, a leave only from
+/// a known user), one for a closed epoch is refused, one its sender does
+/// not name is ignored; an `Error` is ignored, anything else refused.
 fn expected_coordinator(
     before: &CoordinatorCheckpoint,
     env: &Envelope,
@@ -740,6 +746,7 @@ fn expected_coordinator(
         Message::Join { epoch, .. } | Message::Leave { epoch, .. } if *epoch < before.epoch => {
             Answer::Error
         }
+        Message::Join { user, .. } if !on_board(*user) => Answer::Error,
         Message::Join { user, .. } => {
             if !before.roster.contains(user) {
                 insert(&mut after.pending_joins, *user);
@@ -773,7 +780,7 @@ fn every_join_and_leave_mutant_is_registered_refused_or_ignored_as_the_epoch_say
             let (want, state) = expected_coordinator(&before, &env);
             let mut coordinator = coordinator();
             let bound = 2 * input.len() + SERVER_SLACK;
-            let got = answer(bound, &what, || coordinator.on_envelope(&env));
+            let got = answer(bound, &what, || coordinator.on_envelope(&env, on_board));
             assert_eq!(got, want, "{what}");
             assert_eq!(coordinator.checkpoint(), state, "{what}: the state");
             registered += usize::from(state != before);
@@ -802,7 +809,7 @@ fn the_coordinator_ignores_a_join_or_leave_its_sender_does_not_name() {
     ] {
         for sender in [NodeId::Client(7), NodeId::Backend, NodeId::Oprf] {
             let env = Envelope::new(sender, ROUND, msg.clone());
-            assert_eq!(coordinator.on_envelope(&env), None, "{sender}");
+            assert_eq!(coordinator.on_envelope(&env, on_board), None, "{sender}");
         }
     }
     assert_eq!(

@@ -17,6 +17,9 @@
 //!   is refused for good.
 //! * **Randomized schedule** — a fixed-seed random mix of crash points,
 //!   storms and clock jitter replays bit-identically, run to run.
+//! * **Forged join** — a `Join` from and for a user with no key on the
+//!   bulletin board is refused, and the campaign runs as if it had never
+//!   been sent.
 
 mod world;
 
@@ -25,14 +28,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
-use eyewnder::proto::FaultConfig;
+use eyewnder::proto::{error_code, Envelope, FaultConfig, Message, NodeId, TransportError};
 use eyewnder::simnet::RestartPhase::{MidReplay, Recovery, Reports};
 use eyewnder::simnet::{
     CoordinatorCrash, CoordinatorFault, CrashPoint, DriverScale, EpochChurn, ShardKill,
     ShardRestart, StragglerStorm,
 };
+use eyewnder::system::node::{RoundPhase, ServiceBus};
 use eyewnder::system::{
-    ChurnMetrics, Clock, EpochOutcome, EyewnderSystem, LogicalClock, VirtualClock,
+    ChurnMetrics, Clock, Coordinator, EpochConfig, EpochOutcome, EyewnderSystem, LogicalClock,
+    ReplayMetrics, VirtualClock,
 };
 use world::{assert_epochs_identical, churn_schedule, clear_view, Cell, World};
 
@@ -464,6 +469,96 @@ fn composed_faults_finalize_the_clear_text_view() {
         drawn.iter().all(|&n| n > 0),
         "every fault kind is drawn by some seed: {drawn:?}"
     );
+}
+
+/// A bus that slips one forged envelope in front of the coordinator's
+/// first drain.
+struct Forger {
+    inner: world::Bus,
+    forged: Option<Envelope>,
+}
+
+impl ServiceBus for Forger {
+    fn send(&mut self, dest: NodeId, env: Envelope) -> Result<(), TransportError> {
+        self.inner.send(dest, env)
+    }
+
+    fn drain(&mut self, dest: NodeId) -> (Vec<Envelope>, usize) {
+        let (mut envs, corrupt) = self.inner.drain(dest);
+        if dest == NodeId::Coordinator {
+            envs.splice(0..0, self.forged.take());
+        }
+        (envs, corrupt)
+    }
+
+    fn on_phase(&mut self, phase: RoundPhase) {
+        self.inner.on_phase(phase)
+    }
+
+    fn take_metrics(&mut self) -> Option<ReplayMetrics> {
+        self.inner.take_metrics()
+    }
+}
+
+#[test]
+fn a_forged_join_without_a_published_key_is_refused() {
+    // A `Join` from and for user 4 000 000, whose sender field agrees
+    // with its payload, arrives in the coordinator's first drain on a
+    // 12-client cohort. Nobody by that id has a key on the bulletin
+    // board, so the coordinator answers NOT_ENROLLED and never admits
+    // it: the epoch driver does not panic, and every epoch is the
+    // honest baseline's and the clear-text view of its reporters.
+    const FORGED: u32 = 4_000_000;
+    let world = world();
+    let mut sys = world.ingested();
+    let (mut backend, bus) = world::cluster(&mut sys, Cell::new(1, false));
+    let mut bus = Forger {
+        inner: bus,
+        forged: Some(Envelope::new(
+            NodeId::Client(FORGED),
+            0,
+            Message::Join {
+                user: FORGED,
+                epoch: 0,
+            },
+        )),
+    };
+    let mut coordinator = Coordinator::new(EpochConfig::default().with_min_clients(4));
+    let outcomes = sys.run_epochs_deadline_on(
+        &mut backend,
+        &mut bus,
+        &mut coordinator,
+        &mut LogicalClock::new(),
+        &churn_schedule(),
+        &CoordinatorFault::none(),
+    );
+
+    assert!(bus.forged.is_none(), "the forgery was delivered");
+    let (replies, _) = bus.drain(NodeId::Client(FORGED));
+    assert_eq!(replies.len(), 1, "one reply to the forger");
+    assert!(matches!(
+        replies[0].msg,
+        Message::Error {
+            code: error_code::NOT_ENROLLED,
+            ..
+        }
+    ));
+    assert!(outcomes.iter().all(|e| !e.members.contains(&FORGED)));
+    assert_epochs_identical(&outcomes, &baseline().0, "forged join");
+    let mut finalized = 0;
+    for epoch in &outcomes {
+        let Some(round) = &epoch.outcome else {
+            continue;
+        };
+        let reporters = world::reporters(&epoch.members, &round.missing);
+        assert!(
+            round.view == clear_view(&sys, &world.weeks[0], &reporters),
+            "epoch {}: the view is not the clear-text view of its reporters",
+            epoch.epoch
+        );
+        finalized += 1;
+    }
+    assert!(finalized > 0, "no epoch finalized");
 }
 
 proptest! {

@@ -754,11 +754,15 @@ const UNSAFE_SITES: [(&str, &[&str], &str); 4] = [
         &["let sweep_block = |cms: &Self, first, n, block: &mut Block| unsafe {"],
         "ew-sketch allows unsafe code only at the sweep dispatch",
     ),
-    // The keystream dispatch into its AVX-512 and AVX2 bodies.
+    // The keystream dispatch into its AVX-512 and AVX2 bodies, and the
+    // SHA-256 dispatch into its SHA-extensions body.
     (
         "ew-crypto",
-        &["pub(crate) fn add_keystream(key: &[u32; 8], negate: bool, out: &mut [u32]) {"],
-        "ew-crypto allows unsafe code only at the keystream dispatch",
+        &[
+            "pub(crate) fn add_keystream(key: &[u32; 8], negate: bool, out: &mut [u32]) {",
+            "pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {",
+        ],
+        "ew-crypto allows unsafe code only at the keystream and SHA-256 dispatches",
     ),
 ];
 
