@@ -111,7 +111,7 @@ impl Envelope {
     /// `sender id` is the user id for clients and 0 for the singleton
     /// servers (always present, so the header is fixed-size).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.encoded_len_hint());
+        let mut buf = Vec::new();
         self.encode_into(&mut buf);
         buf
     }
@@ -122,8 +122,13 @@ impl Envelope {
     }
 
     /// Appends header + payload to `buf`, the message straight after
-    /// the header with no intermediate copy.
+    /// the header with no intermediate copy. Room for the whole encoding
+    /// is reserved first, so `buf` grows at most once: a buffer grown by
+    /// doubling each round (the round log's fingerprint scratch) leaves
+    /// freed chunks the allocator may hand back to the system, and the
+    /// next round then faults those pages in again.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.reserve(self.encoded_len_hint());
         buf.put_u8(self.version);
         match self.sender {
             NodeId::Client(id) => {
@@ -236,6 +241,33 @@ mod tests {
             let encoded = env.encode();
             assert_eq!(Envelope::decode(&encoded).unwrap(), env);
         }
+    }
+
+    #[test]
+    fn encode_into_reserves_the_whole_encoding_up_front() {
+        // A report of 5 × 2 048 cells: grown by doubling, an empty
+        // buffer would end at 68 KB after four reallocations.
+        let report = Envelope::new(
+            NodeId::Client(3),
+            9,
+            Message::Report {
+                user: 3,
+                round: 9,
+                depth: 5,
+                width: 2048,
+                seed: 1,
+                cells: vec![7; 5 * 2048],
+            },
+        );
+        let mut buf = Vec::new();
+        report.encode_into(&mut buf);
+        assert_eq!(buf.capacity(), report.encoded_len_hint());
+        // A cleared buffer is reused as it is.
+        let capacity = buf.capacity();
+        buf.clear();
+        report.encode_into(&mut buf);
+        assert_eq!(buf.capacity(), capacity);
+        assert_eq!(buf, report.encode());
     }
 
     #[test]
