@@ -5,7 +5,7 @@
 //! crashes at chosen phase boundaries and deterministic straggler storms
 //! that blow the report deadline. A consuming system maps a
 //! [`CoordinatorFault`] onto its epoch runner — crash-and-restore the
-//! coordinator from its journal checkpoint at the named [`CrashPoint`],
+//! coordinator from its journal checkpoint in the named [`CrashPoint`],
 //! and withhold the storm's victims from the report wave, delivering
 //! their reports `lateness` ticks after finalize so the grace window
 //! (or its expiry) is exercised.
@@ -20,22 +20,32 @@ use rand::{Rng, SeedableRng};
 
 /// Where in the epoch lifecycle a scripted coordinator crash strikes.
 ///
-/// Each point names the *boundary after* the phase's work is done: the
-/// coordinator is destroyed once the phase's ticks have been absorbed
-/// and journaled, then rebuilt from its latest checkpoint — so the
-/// drill proves the checkpoint taken there is sufficient to resume.
+/// Each point names the coordinator phase of the same name. The
+/// coordinator's ticks drive the round: the tick that enters a phase is
+/// followed by that phase's round step. A crash strikes on that tick,
+/// once the step is done and the coordinator is journaled, and the
+/// coordinator is rebuilt from that checkpoint — so the drill proves
+/// the checkpoint taken at the *boundary after* the step is sufficient
+/// to resume the round. An epoch that collapses or has no grace window
+/// never reaches the later points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// After admission, while warmup ticks are still counting down.
+    /// After admission, while warmup ticks are still counting down;
+    /// the round is not open yet.
     Warmup,
-    /// Mid report window, after the report wave is absorbed.
+    /// At the start of the report window: the round is open and the
+    /// window's leaves and drops are registered, but no report has
+    /// been collected.
     Reports,
-    /// During recovery, after silent members are marked dropped.
+    /// At the start of recovery: the reports are absorbed and the
+    /// `MissingClients` wave has been answered, but the round is not
+    /// finalized.
     Recovery,
-    /// At finalization, after the epoch completes but before the next
-    /// forms.
+    /// At finalization: the round has published its view, but the
+    /// epoch has not completed.
     Finalize,
-    /// Mid grace window, with late reports potentially parked.
+    /// Mid grace window: the epoch has completed and its late reports
+    /// are parked or refused.
     Grace,
 }
 

@@ -14,8 +14,11 @@
 //!   on the same bus fabric as every other role, and speaks only
 //!   membership: clients ask to participate with [`Message::Join`] and
 //!   depart cleanly with [`Message::Leave`]. The campaign driver moves
-//!   time forward by calling [`Coordinator::tick`] directly, and hands
-//!   the frozen roster to the cluster and the clients itself.
+//!   time forward by calling [`Coordinator::tick`] directly, and each
+//!   [`EpochEvent`] a tick returns is its cue for the next round step
+//!   (`EyewnderSystem::run_epochs_deadline_on`): the coordinator's
+//!   phases gate the round, as a Psyche coordinator's state gates its
+//!   clients.
 //! * Time is a **monotone tick count**: every deadline is expressed in
 //!   the caller-supplied `now` of [`Coordinator::tick`], so a campaign
 //!   is deterministic and replayable — the same join/leave/tick history
@@ -56,19 +59,25 @@
 //!   roster, and dropping below `min_clients` **regresses** to
 //!   `WaitingForMembers` instead of running a round the blinding could
 //!   not cancel over.
-//! * **Reports** — the roster is frozen; the aggregation round runs
-//!   over exactly these members. A client that vanishes mid-phase is
-//!   [`Coordinator::mark_dropped`] and becomes part of the round's
-//!   silent set — the *existing* §6 adjustment/recovery path absorbs
-//!   the churn; nothing new is invented for it. If drops push the
-//!   effective roster below `min_clients`, the epoch **collapses**: the
-//!   round is abandoned (never finalized — a below-threshold view is
-//!   cryptographic noise) and the machine regresses to
+//! * **Reports** — the roster is frozen; the aggregation round opens
+//!   over exactly these members ([`EpochEvent::ReportsOpened`]), and
+//!   their reports are due by the deadline. A client that vanishes
+//!   mid-phase is [`Coordinator::mark_dropped`] and becomes part of the
+//!   round's silent set — the *existing* §6 adjustment/recovery path
+//!   absorbs the churn; nothing new is invented for it. If drops push
+//!   the effective roster below `min_clients`, the epoch **collapses**:
+//!   the round is abandoned (never finalized — a below-threshold view
+//!   is cryptographic noise) and the machine regresses to
 //!   `WaitingForMembers` with the survivors still enrolled.
-//! * **Recovery → Finalize** — deadline-driven mirrors of the round
-//!   machine's phases; at the end of `Finalize` the epoch completes:
-//!   survivors (roster minus dropped minus clean leaves) carry into the
-//!   next epoch's forming roster, and pending joins land there too.
+//! * **Recovery** — the report deadline has passed
+//!   ([`EpochEvent::RecoveryStarted`]): the reports are collected, and
+//!   whoever has not reported is named in the `MissingClients` wave and
+//!   recovered through the survivors' adjustments.
+//! * **Finalize** — recovery's deadline has passed
+//!   ([`EpochEvent::FinalizeStarted`]): the round finalizes. The next
+//!   tick completes the epoch: survivors (roster minus dropped minus
+//!   clean leaves) carry into the next epoch's forming roster, and
+//!   pending joins land there too.
 //!
 //! Joins received in any phase other than `WaitingForMembers` are
 //! parked for the **next** epoch — a roster never grows mid-flight.
@@ -518,15 +527,16 @@ impl Coordinator {
     }
 
     /// Advances logical time to `now` and runs at most one phase
-    /// transition, returning the events it produced. Non-monotone calls
-    /// (`now` below the last tick) are ignored — time never rewinds.
+    /// transition, returning the event it produced, if any. Non-monotone
+    /// calls (`now` below the last tick) are ignored — time never
+    /// rewinds.
     ///
     /// All accumulated joins/leaves/drops are folded here, at the tick
     /// boundary, so the post-tick state is independent of their
     /// delivery order within the window.
-    pub fn tick(&mut self, now: u64) -> Vec<EpochEvent> {
+    pub fn tick(&mut self, now: u64) -> Option<EpochEvent> {
         if now < self.last_tick {
-            return Vec::new();
+            return None;
         }
         let entered = std::time::Instant::now();
         if let Some((phase, opened)) = self.wall.take() {
@@ -540,14 +550,14 @@ impl Coordinator {
             now,
             epoch_phase_index(self.phase) as u64,
         );
-        let events = self.advance(now);
+        let event = self.advance(now);
         self.wall = Some((self.phase, std::time::Instant::now()));
-        events
+        event
     }
 
     /// The phase-machine body of [`Coordinator::tick`], after the
     /// monotonicity gate and timing bookkeeping have run.
-    fn advance(&mut self, now: u64) -> Vec<EpochEvent> {
+    fn advance(&mut self, now: u64) -> Option<EpochEvent> {
         match self.phase {
             EpochPhase::WaitingForMembers => {
                 // Fold joins first, leaves second: a user who joined and
@@ -563,19 +573,19 @@ impl Coordinator {
                     self.membership = self.membership.successor(self.epoch, &self.roster);
                     self.phase = EpochPhase::Warmup;
                     self.deadline = now + WARMUP_TICKS;
-                    return vec![EpochEvent::EpochStarted {
+                    return Some(EpochEvent::EpochStarted {
                         epoch: self.epoch,
                         round: self.round,
-                    }];
+                    });
                 }
-                Vec::new()
+                None
             }
             EpochPhase::Warmup => {
                 for user in std::mem::take(&mut self.pending_leaves) {
                     self.roster.remove(&user);
                 }
                 if self.roster.len() < self.config.min_clients as usize {
-                    return vec![self.collapse()];
+                    return Some(self.collapse());
                 }
                 if now >= self.deadline {
                     // Freeze the roster against the installed ledger so
@@ -584,12 +594,12 @@ impl Coordinator {
                     self.membership = self.membership.successor(self.epoch, &self.roster);
                     self.phase = EpochPhase::Reports;
                     self.deadline = now + REPORT_TICKS;
-                    return vec![EpochEvent::ReportsOpened {
+                    return Some(EpochEvent::ReportsOpened {
                         epoch: self.epoch,
                         round: self.round,
-                    }];
+                    });
                 }
-                Vec::new()
+                None
             }
             EpochPhase::Reports => {
                 let effective = self.roster.len() - self.dropped.len();
@@ -599,27 +609,27 @@ impl Coordinator {
                     for user in std::mem::take(&mut self.dropped) {
                         self.roster.remove(&user);
                     }
-                    return vec![self.collapse()];
+                    return Some(self.collapse());
                 }
                 if now >= self.deadline {
                     self.phase = EpochPhase::Recovery;
                     self.deadline = now + RECOVERY_TICKS;
-                    return vec![EpochEvent::RecoveryStarted {
+                    return Some(EpochEvent::RecoveryStarted {
                         epoch: self.epoch,
                         round: self.round,
-                    }];
+                    });
                 }
-                Vec::new()
+                None
             }
             EpochPhase::Recovery => {
                 if now >= self.deadline {
                     self.phase = EpochPhase::Finalize;
-                    return vec![EpochEvent::FinalizeStarted {
+                    return Some(EpochEvent::FinalizeStarted {
                         epoch: self.epoch,
                         round: self.round,
-                    }];
+                    });
                 }
-                Vec::new()
+                None
             }
             EpochPhase::Finalize => {
                 for user in std::mem::take(&mut self.dropped) {
@@ -638,17 +648,17 @@ impl Coordinator {
                 } else {
                     self.phase = EpochPhase::WaitingForMembers;
                 }
-                vec![EpochEvent::EpochCompleted {
+                Some(EpochEvent::EpochCompleted {
                     epoch: self.epoch,
                     round: self.round,
                     survivors: self.roster.iter().copied().collect(),
-                }]
+                })
             }
             EpochPhase::Grace => {
                 if now >= self.deadline {
                     self.phase = EpochPhase::WaitingForMembers;
                 }
-                Vec::new()
+                None
             }
         }
     }
@@ -805,14 +815,11 @@ mod tests {
         let mut c = coordinator(3);
         c.register_join(1);
         c.register_join(2);
-        assert!(c.tick(1).is_empty(), "below threshold: keep waiting");
+        assert!(c.tick(1).is_none(), "below threshold: keep waiting");
         assert_eq!(c.phase(), EpochPhase::WaitingForMembers);
         c.register_join(3);
-        let events = c.tick(2);
-        assert_eq!(
-            events,
-            vec![EpochEvent::EpochStarted { epoch: 1, round: 1 }]
-        );
+        let event = c.tick(2);
+        assert_eq!(event, Some(EpochEvent::EpochStarted { epoch: 1, round: 1 }));
         assert_eq!(c.phase(), EpochPhase::Warmup);
         assert_eq!(c.membership().version(), 1);
         assert_eq!(c.membership().members(), &[1, 2, 3]);
@@ -846,22 +853,19 @@ mod tests {
         c.tick(1);
         assert_eq!(c.phase(), EpochPhase::Warmup);
         c.register_leave(2);
-        let events = c.tick(2);
+        let event = c.tick(2);
         assert_eq!(
-            events,
-            vec![EpochEvent::Collapsed {
+            event,
+            Some(EpochEvent::Collapsed {
                 epoch: 1,
                 remaining: vec![1, 3],
-            }]
+            })
         );
         assert_eq!(c.phase(), EpochPhase::WaitingForMembers);
         // A refill re-forms the next epoch under a bumped ledger.
         c.register_join(4);
-        let events = c.tick(3);
-        assert_eq!(
-            events,
-            vec![EpochEvent::EpochStarted { epoch: 2, round: 2 }]
-        );
+        let event = c.tick(3);
+        assert_eq!(event, Some(EpochEvent::EpochStarted { epoch: 2, round: 2 }));
         assert_eq!(c.membership().members(), &[1, 3, 4]);
     }
 
@@ -877,14 +881,14 @@ mod tests {
         c.mark_dropped(99); // unknown: ignored
         assert_eq!(c.dropped(), vec![3]);
         let now = tick_until(&mut c, 10, EpochPhase::Finalize);
-        let events = c.tick(now + 1);
+        let event = c.tick(now + 1);
         assert_eq!(
-            events,
-            vec![EpochEvent::EpochCompleted {
+            event,
+            Some(EpochEvent::EpochCompleted {
                 epoch: 1,
                 round: 1,
                 survivors: vec![1, 2, 4],
-            }]
+            })
         );
         assert_eq!(c.phase(), EpochPhase::Grace, "grace window opens");
         tick_until(&mut c, now + 1, EpochPhase::WaitingForMembers);
@@ -899,13 +903,13 @@ mod tests {
         c.tick(1);
         tick_until(&mut c, 1, EpochPhase::Reports);
         c.mark_dropped(1);
-        let events = c.tick(20);
+        let event = c.tick(20);
         assert_eq!(
-            events,
-            vec![EpochEvent::Collapsed {
+            event,
+            Some(EpochEvent::Collapsed {
                 epoch: 1,
                 remaining: vec![2, 3],
-            }]
+            })
         );
         assert_eq!(c.phase(), EpochPhase::WaitingForMembers);
         assert_eq!(c.dropped(), Vec::<u32>::new(), "dropouts folded out");
@@ -930,11 +934,8 @@ mod tests {
         c.tick(now); // epoch completes, grace opens
         now = tick_until(&mut c, now, EpochPhase::WaitingForMembers);
         // Next admission folds the parked join in.
-        let events = c.tick(now + 1);
-        assert_eq!(
-            events,
-            vec![EpochEvent::EpochStarted { epoch: 2, round: 2 }]
-        );
+        let event = c.tick(now + 1);
+        assert_eq!(event, Some(EpochEvent::EpochStarted { epoch: 2, round: 2 }));
         assert_eq!(c.membership().members(), &[1, 2, 9]);
     }
 
@@ -952,14 +953,14 @@ mod tests {
         assert!(c.membership().contains(3));
         assert_eq!(c.dropped(), Vec::<u32>::new(), "a clean leave is no drop");
         let now = tick_until(&mut c, 10, EpochPhase::Finalize);
-        let events = c.tick(now + 1);
+        let event = c.tick(now + 1);
         assert_eq!(
-            events,
-            vec![EpochEvent::EpochCompleted {
+            event,
+            Some(EpochEvent::EpochCompleted {
                 epoch: 1,
                 round: 1,
                 survivors: vec![1, 2],
-            }]
+            })
         );
     }
 
@@ -972,7 +973,7 @@ mod tests {
         c.tick(5);
         assert_eq!(c.phase(), EpochPhase::Warmup);
         let rewound = c.tick(3);
-        assert!(rewound.is_empty(), "time never rewinds");
+        assert!(rewound.is_none(), "time never rewinds");
         assert_eq!(c.phase(), EpochPhase::Warmup);
         let metrics = c.take_churn_metrics();
         assert_eq!(metrics.joins, 2, "the double join counted once");
@@ -1201,11 +1202,11 @@ mod tests {
             let mut phases = vec![];
             let mut events = vec![];
             for _ in 0..32 {
-                let evs = c.tick(clock.now());
+                let event = c.tick(clock.now());
                 if phases.last() != Some(&c.phase()) {
                     phases.push(c.phase());
                 }
-                events.extend(evs);
+                events.extend(event);
                 if matches!(events.last(), Some(EpochEvent::EpochCompleted { .. }))
                     && c.phase() == EpochPhase::WaitingForMembers
                 {

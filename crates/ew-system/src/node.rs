@@ -581,7 +581,9 @@ impl RoundRecovery {
 }
 
 /// Runs one complete round through the typestate machine — the engine
-/// behind `EyewnderSystem::run_round_on` and every campaign epoch.
+/// behind `EyewnderSystem::run_round_on`; a churn campaign steps the
+/// same chain one coordinator event at a time
+/// (`EyewnderSystem::run_epochs_deadline_on`).
 /// `_threads` is accepted and ignored: a round runs on the calling
 /// thread.
 pub fn drive_round<C, A, B>(

@@ -5,8 +5,11 @@
 //! ([`crate::node`]) and there is one driver per thing the week does:
 //! [`EyewnderSystem::ingest_on`] maps and observes a week of
 //! impressions, [`EyewnderSystem::run_round_on`] runs one aggregation
-//! round, [`EyewnderSystem::run_epochs_deadline_on`] runs a churn
-//! campaign, [`EyewnderSystem::audit_on`] answers one real-time audit.
+//! round straight through the typestate machine of [`crate::node`],
+//! [`EyewnderSystem::run_epochs_deadline_on`] runs a churn campaign in
+//! which the epoch [`Coordinator`]'s ticks step that same machine one
+//! phase at a time, [`EyewnderSystem::audit_on`] answers one real-time
+//! audit.
 //! Everything that varies — transport, shard count, clock, fault script
 //! — is an argument the caller builds ([`RoutingBus::in_proc`] /
 //! [`RoutingBus::over_wire`], [`EyewnderSystem::new_cluster`], a
@@ -42,7 +45,7 @@ use crate::client::Client;
 use crate::cluster::{ClusterBackend, RoutingBus};
 use crate::coordinator::{Clock, Coordinator, EpochConfig, EpochEvent};
 use crate::ids::AdIdMapper;
-use crate::node::{drive_round, pump, ClientNode, DrivenRound, InProcBus, ServiceBus};
+use crate::node::{drive_round, pump, ClientNode, DrivenRound, InProcBus, RoundOpen, ServiceBus};
 use crate::oprf_server::OprfService;
 use crate::store::{RoundRecord, Store};
 use crate::telemetry::TelemetryService;
@@ -376,30 +379,36 @@ impl EyewnderSystem {
     }
 
     /// The one churn-campaign driver: runs a multi-epoch schedule
-    /// against one long-lived cluster backend, driven by the tick-based
-    /// epoch [`Coordinator`] with `now` drawn from an arbitrary
-    /// [`Clock`] and the coordinator's state checkpointed into the
-    /// cluster's control journal at every tick boundary:
+    /// against one long-lived cluster backend. The tick-based epoch
+    /// [`Coordinator`] drives the round: `now` is drawn from an
+    /// arbitrary [`Clock`], and each scheduled epoch is one loop of
+    /// ticks, each tick followed by the round step its [`EpochEvent`]
+    /// asks for and a checkpoint of the coordinator into the cluster's
+    /// control journal:
     ///
-    /// 1. each epoch's joins cross the bus as [`Message::Join`]
-    ///    envelopes and the coordinator is ticked to admission
-    ///    (`min_clients`) and through warmup;
-    /// 2. the frozen roster becomes the epoch's world: the cluster
-    ///    reads its bulletin board through it
-    ///    ([`ClusterBackend::begin_epoch`]) and every member
-    ///    incrementally re-syncs its blinding state to the roster
-    ///    directory ([`Client::sync_blinding`] — surviving pairs keep
-    ///    their cached streams, departed peers are evicted);
-    /// 3. clean leaves and silent drops are registered mid-window; the
-    ///    drops become the round's silent set and the **existing**
-    ///    recovery path absorbs them;
-    /// 4. if drops push the epoch below `min_clients` the round is
-    ///    abandoned ([`ClusterBackend::collapse_epoch`]) and the
-    ///    campaign carries on with the survivors — the next epoch's
-    ///    round log starts clean;
-    /// 5. otherwise the standard typestate round runs over exactly the
-    ///    roster members and the coordinator ticks through recovery and
-    ///    finalization to complete the epoch.
+    /// 1. the epoch's joins cross the bus as [`Message::Join`] envelopes
+    ///    and the first tick admits them (`min_clients`) and starts the
+    ///    warmup countdown — below `min_clients` the epoch never forms;
+    /// 2. `ReportsOpened`: the frozen roster becomes the epoch's world —
+    ///    the cluster reads its bulletin board through it
+    ///    ([`ClusterBackend::begin_epoch`]), every member re-syncs its
+    ///    blinding state to the roster directory
+    ///    ([`Client::sync_blinding`]) — and the round opens; the
+    ///    window's clean leaves and silent drops are registered, and
+    ///    the drops become the round's silent set;
+    /// 3. `RecoveryStarted`: the report deadline has passed, so the
+    ///    members' reports are collected and whoever is missing is
+    ///    recovered through the `MissingClients` wave;
+    /// 4. `FinalizeStarted`: the round finalizes;
+    /// 5. `Collapsed`: drops pushed the epoch below `min_clients`, so
+    ///    the open round is abandoned ([`ClusterBackend::collapse_epoch`])
+    ///    and the campaign carries on with the survivors.
+    ///
+    /// The epoch's loop ends when the coordinator is back to
+    /// [`EpochPhase::WaitingForMembers`]. The coordinator must be there
+    /// when the call starts, too: each step takes over the round the
+    /// step before it left, so a coordinator handed over mid-epoch
+    /// panics instead of skipping a step.
     ///
     /// Epoch ids the schedule churns must be below the system's cohort
     /// size (the campaign population is a subset of the built cohort).
@@ -408,9 +417,10 @@ impl EyewnderSystem {
     /// [`CoordinatorFault::none()`]; a scripted [`CoordinatorFault`]
     /// layers on top:
     ///
-    /// * a [`ew_simnet::CoordinatorCrash`] destroys the coordinator at
-    ///   its [`CrashPoint`] in every epoch and rebuilds it from the
-    ///   journal's latest checkpoint alone
+    /// * a [`ew_simnet::CoordinatorCrash`] destroys the coordinator in
+    ///   every epoch, after the tick that enters its [`CrashPoint`]'s
+    ///   phase once that tick's round step is done and journaled, and
+    ///   rebuilds it from the journal's latest checkpoint alone
     ///   ([`restart_coordinator`]) — the coordinator half of the
     ///   shard crash-restart drill, and like that drill it must leave
     ///   campaign outcomes bit-identical;
@@ -443,11 +453,13 @@ impl EyewnderSystem {
     ) -> Vec<EpochOutcome> {
         let params = self.config.cms;
         let mut outcomes = Vec::with_capacity(schedule.len());
+        assert_eq!(
+            coordinator.phase(),
+            EpochPhase::WaitingForMembers,
+            "a campaign starts between epochs"
+        );
 
         for spec in schedule {
-            // One scripted crash per epoch, at the fault's phase.
-            let mut crashed = false;
-
             // Reports parked during the previous epoch's grace window
             // fold in ahead of the scheduled joins: a parked envelope
             // has proven its sender is alive, so the sender is
@@ -486,189 +498,137 @@ impl EyewnderSystem {
             });
             backend.checkpoint_coordinator(coordinator.checkpoint());
 
-            // Admission: one tick folds the pending joins; below
-            // min_clients the epoch never forms and the campaign moves
-            // on (later joins may refill the pool).
-            let events = coordinator.tick(clock.now());
-            backend.checkpoint_coordinator(coordinator.checkpoint());
-            let started = events
-                .iter()
-                .any(|e| matches!(e, EpochEvent::EpochStarted { .. }));
-            if !started {
-                outcomes.push(EpochOutcome {
-                    epoch: coordinator.epoch(),
-                    round: coordinator.round(),
-                    members: Vec::new(),
-                    joined: joining,
-                    dropped: Vec::new(),
-                    collapsed: true,
-                    outcome: None,
-                });
-                continue;
-            }
-            let epoch = coordinator.epoch();
-            let round = coordinator.round();
-            crash_drill(
-                &mut crashed,
-                fault,
-                CrashPoint::Warmup,
-                backend,
-                coordinator,
-                &mut self.telemetry,
-            );
+            // What the epoch's outcome reports; an epoch that never
+            // forms keeps the coordinator's current ids.
+            let (mut epoch, mut round) = (coordinator.epoch(), coordinator.round());
+            let (mut formed, mut collapsed) = (false, false);
+            let mut members = Vec::new();
+            let mut silent = Vec::new();
+            let mut victims = Vec::new();
+            // The round between the steps that advance it.
+            let mut open = None;
+            let mut recovered = None;
+            let mut driven = None;
+            // One scripted crash per epoch, at the fault's phase.
+            let mut crash = fault.crash.map(|c| c.phase);
 
-            // Warmup countdown (no churn is scheduled inside it here, so
-            // it cannot collapse — the deadline just elapses).
-            while coordinator.phase() == EpochPhase::Warmup {
-                coordinator.tick(clock.now());
-                backend.checkpoint_coordinator(coordinator.checkpoint());
-            }
-            debug_assert_eq!(coordinator.phase(), EpochPhase::Reports);
-            let membership = coordinator.membership().clone();
-
-            // The frozen roster becomes the epoch's world: the cluster's
-            // bulletin board is read through it and every member
-            // re-syncs its blinding state incrementally.
-            backend.begin_epoch(&membership);
-            let mut directory = KeyDirectory::new(self.group.element_len());
-            for &user in membership.members() {
-                directory.publish(user, self.clients[user as usize].public_key().clone());
-            }
-            for &user in membership.members() {
-                self.clients[user as usize].sync_blinding(&self.group, &directory);
-            }
-
-            // Mid-window churn: clean leaves over the bus, silent drops
-            // through the failure-detector seam, and the storm's
-            // victims through the deadline scheduler's.
-            for &user in &spec.leaves {
-                let env =
-                    Envelope::new(NodeId::Client(user), round, Message::Leave { user, epoch });
-                bus.send(NodeId::Coordinator, env)
-                    .expect("coordinator mailbox open");
-            }
-            pump(bus, NodeId::Coordinator, |req| {
-                coordinator.on_envelope(&req, |u| self.directory.get(u).is_some())
-            });
-            for &user in &spec.drops {
-                coordinator.mark_dropped(user);
-            }
-            let victims = fault
-                .storm
-                .map(|storm| storm.victims(epoch, membership.members()))
-                .unwrap_or_default();
-            if !victims.is_empty() {
-                trace::instant("straggler_storm", epoch, victims.len() as u64);
-            }
-            for &user in &victims {
-                coordinator.drop_straggler(user);
-            }
-            // The dropouts (silent and deadline-dropped alike) as the
-            // coordinator recorded them: members only, each once. Read
-            // before the tick, which folds them out of a collapsing
-            // epoch.
-            let silent = coordinator.dropped();
-            let events = coordinator.tick(clock.now());
-            backend.checkpoint_coordinator(coordinator.checkpoint());
-            if events
-                .iter()
-                .any(|e| matches!(e, EpochEvent::Collapsed { .. }))
-            {
-                backend.collapse_epoch();
-                self.telemetry
-                    .observe_churn(&coordinator.take_churn_metrics());
-                outcomes.push(EpochOutcome {
-                    epoch,
-                    round,
-                    members: membership.members().to_vec(),
-                    joined: joining,
-                    dropped: silent,
-                    collapsed: true,
-                    outcome: None,
-                });
-                continue;
-            }
-
-            // The aggregation round runs over exactly the roster, with
-            // the dropouts as its silent set.
-            let driven = {
-                let members: Vec<&Client> = membership
-                    .members()
-                    .iter()
-                    .map(|&u| &self.clients[u as usize])
-                    .collect();
-                drive_round(&members, backend, bus, params, round, &silent, 1)
-            };
-            crash_drill(
-                &mut crashed,
-                fault,
-                CrashPoint::Reports,
-                backend,
-                coordinator,
-                &mut self.telemetry,
-            );
-
-            // Tick the coordinator through recovery, finalization and
-            // the grace window; the storm's late reports land once the
-            // epoch completes.
-            while coordinator.phase() != EpochPhase::WaitingForMembers {
-                let events = coordinator.tick(clock.now());
-                backend.checkpoint_coordinator(coordinator.checkpoint());
-                if coordinator.phase() == EpochPhase::Recovery {
-                    crash_drill(
-                        &mut crashed,
-                        fault,
-                        CrashPoint::Recovery,
-                        backend,
-                        coordinator,
-                        &mut self.telemetry,
-                    );
-                }
-                let completed = events
-                    .iter()
-                    .any(|e| matches!(e, EpochEvent::EpochCompleted { .. }));
-                if completed {
-                    crash_drill(
-                        &mut crashed,
-                        fault,
-                        CrashPoint::Finalize,
-                        backend,
-                        coordinator,
-                        &mut self.telemetry,
-                    );
-                    if let Some(storm) = fault.storm {
-                        for &user in &victims {
-                            let report = self.clients[user as usize].report_envelope(params, round);
-                            let (_, refusal) =
-                                deliver_late_report(backend, coordinator, report, storm.lateness);
-                            bus.send(NodeId::Client(user), refusal)
-                                .expect("straggler mailbox open");
-                        }
+            loop {
+                match coordinator.tick(clock.now()) {
+                    None => {}
+                    Some(EpochEvent::EpochStarted { epoch: e, round: r }) => {
+                        (epoch, round, formed) = (e, r, true);
                     }
-                    if coordinator.in_grace() {
-                        crash_drill(
-                            &mut crashed,
-                            fault,
-                            CrashPoint::Grace,
-                            backend,
-                            coordinator,
-                            &mut self.telemetry,
+                    Some(EpochEvent::ReportsOpened { .. }) => {
+                        backend.begin_epoch(coordinator.membership());
+                        members = coordinator.membership().members().to_vec();
+                        let mut directory = KeyDirectory::new(self.group.element_len());
+                        for &user in &members {
+                            directory
+                                .publish(user, self.clients[user as usize].public_key().clone());
+                        }
+                        for &user in &members {
+                            self.clients[user as usize].sync_blinding(&self.group, &directory);
+                        }
+                        open = Some(RoundOpen::open(backend, bus, round));
+
+                        // Mid-window churn: clean leaves over the bus,
+                        // silent drops through the failure-detector
+                        // seam, and the storm's victims through the
+                        // deadline scheduler's.
+                        for &user in &spec.leaves {
+                            let env = Envelope::new(
+                                NodeId::Client(user),
+                                round,
+                                Message::Leave { user, epoch },
+                            );
+                            bus.send(NodeId::Coordinator, env)
+                                .expect("coordinator mailbox open");
+                        }
+                        pump(bus, NodeId::Coordinator, |req| {
+                            coordinator.on_envelope(&req, |u| self.directory.get(u).is_some())
+                        });
+                        for &user in &spec.drops {
+                            coordinator.mark_dropped(user);
+                        }
+                        victims = fault
+                            .storm
+                            .map(|storm| storm.victims(epoch, &members))
+                            .unwrap_or_default();
+                        if !victims.is_empty() {
+                            trace::instant("straggler_storm", epoch, victims.len() as u64);
+                        }
+                        for &user in &victims {
+                            coordinator.drop_straggler(user);
+                        }
+                        // The dropouts (silent and deadline-dropped
+                        // alike) as the coordinator recorded them:
+                        // members only, each once. Read now: a
+                        // collapsing tick folds them out.
+                        silent = coordinator.dropped();
+                    }
+                    Some(EpochEvent::RecoveryStarted { .. }) => {
+                        let clients: Vec<&Client> =
+                            members.iter().map(|&u| &self.clients[u as usize]).collect();
+                        let round = open.take().expect("round opened at ReportsOpened");
+                        recovered = Some(
+                            round
+                                .collect_reports(&clients, &silent, params, 1, backend, bus)
+                                .recover(&clients, params, 1, backend, bus),
                         );
                     }
+                    Some(EpochEvent::FinalizeStarted { .. }) => {
+                        let round = recovered
+                            .take()
+                            .expect("round recovered at RecoveryStarted");
+                        driven = Some(round.finalize(backend, bus));
+                    }
+                    Some(EpochEvent::EpochCompleted { .. }) => {
+                        // The storm's late reports land once the epoch
+                        // completes.
+                        if let Some(storm) = fault.storm {
+                            for &user in &victims {
+                                let report =
+                                    self.clients[user as usize].report_envelope(params, round);
+                                let (_, refusal) = deliver_late_report(
+                                    backend,
+                                    coordinator,
+                                    report,
+                                    storm.lateness,
+                                );
+                                bus.send(NodeId::Client(user), refusal)
+                                    .expect("straggler mailbox open");
+                            }
+                        }
+                    }
+                    Some(EpochEvent::Collapsed { .. }) => {
+                        backend.collapse_epoch();
+                        collapsed = true;
+                    }
+                }
+                backend.checkpoint_coordinator(coordinator.checkpoint());
+                if let Some(point) = crash.take_if(|&mut p| crash_phase(p) == coordinator.phase()) {
+                    crash_drill(point, backend, coordinator, &mut self.telemetry);
+                }
+                if coordinator.phase() == EpochPhase::WaitingForMembers {
+                    break;
                 }
             }
 
-            self.finish_round(backend, bus, membership.members(), &driven);
-            self.telemetry
-                .observe_churn(&coordinator.take_churn_metrics());
+            if let Some(driven) = &driven {
+                self.finish_round(backend, bus, &members, driven);
+            }
+            if formed {
+                self.telemetry
+                    .observe_churn(&coordinator.take_churn_metrics());
+            }
             outcomes.push(EpochOutcome {
                 epoch,
                 round,
-                members: membership.members().to_vec(),
+                members,
                 joined: joining,
                 dropped: silent,
-                collapsed: false,
-                outcome: Some(driven),
+                collapsed: !formed || collapsed,
+                outcome: driven,
             });
         }
         // Campaign over: one snapshot line set per campaign when
@@ -829,25 +789,31 @@ pub fn restart_coordinator(backend: &ClusterBackend, config: EpochConfig) -> Coo
     }
 }
 
-/// Executes one scripted coordinator crash if `fault` names `point` and
-/// this epoch has not crashed yet: the coordinator is dropped on the
-/// floor and rebuilt from the control journal's latest checkpoint.
+/// The coordinator phase a scripted crash at `point` strikes in.
+fn crash_phase(point: CrashPoint) -> EpochPhase {
+    match point {
+        CrashPoint::Warmup => EpochPhase::Warmup,
+        CrashPoint::Reports => EpochPhase::Reports,
+        CrashPoint::Recovery => EpochPhase::Recovery,
+        CrashPoint::Finalize => EpochPhase::Finalize,
+        CrashPoint::Grace => EpochPhase::Grace,
+    }
+}
+
+/// Executes one scripted coordinator crash at `point`: the coordinator
+/// is dropped on the floor and rebuilt from the control journal's
+/// latest checkpoint.
 ///
 /// The drill knows the crash is coming, so it first drains the doomed
 /// coordinator's churn counters into `telemetry` — they live outside
 /// the checkpoint (and outside protocol state), and would otherwise
 /// vanish with the in-memory coordinator.
 fn crash_drill(
-    crashed: &mut bool,
-    fault: &CoordinatorFault,
     point: CrashPoint,
     backend: &ClusterBackend,
     coordinator: &mut Coordinator,
     telemetry: &mut TelemetryService,
 ) {
-    if *crashed || fault.crash.map(|c| c.phase) != Some(point) {
-        return;
-    }
     telemetry.observe_churn(&coordinator.take_churn_metrics());
     let config = coordinator.config();
     // The causality chain a crash drill must leave in the flight
@@ -865,7 +831,6 @@ fn crash_drill(
     );
     *coordinator = restart_coordinator(backend, config);
     drop(span);
-    *crashed = true;
 }
 
 /// Handles a report that arrived after its epoch finalized. When the
@@ -1262,6 +1227,31 @@ mod tests {
             restored.checkpoint(),
             coordinator.checkpoint(),
             "the restored coordinator re-checkpoints to the same record"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a campaign starts between epochs")]
+    fn a_campaign_refuses_a_coordinator_handed_over_mid_epoch() {
+        // Each step takes over the round its predecessor left, so a
+        // coordinator already past admission would skip the round's
+        // open and report the epoch wrongly: the driver refuses it.
+        let (mut sys, ..) = small_system();
+        let map = sys.cluster_map();
+        let mut backend = sys.new_cluster(&map);
+        let mut bus = RoutingBus::in_proc(map, None);
+        let mut coordinator = Coordinator::new(EpochConfig::default().with_min_clients(2));
+        coordinator.register_join(0);
+        coordinator.register_join(1);
+        coordinator.tick(1);
+        assert_eq!(coordinator.phase(), EpochPhase::Warmup);
+        sys.run_epochs_deadline_on(
+            &mut backend,
+            &mut bus,
+            &mut coordinator,
+            &mut LogicalClock::starting_at(1),
+            &[EpochChurn::default()],
+            &CoordinatorFault::none(),
         );
     }
 

@@ -233,10 +233,7 @@ fn coordinator_trace(schedule: &[EpochChurn]) -> Vec<EpochTrace> {
             coordinator.register_join(user);
         }
         now += 1;
-        let started = coordinator
-            .tick(now)
-            .iter()
-            .any(|e| matches!(e, EpochEvent::EpochStarted { .. }));
+        let started = matches!(coordinator.tick(now), Some(EpochEvent::EpochStarted { .. }));
         if !started {
             trace.push((
                 coordinator.epoch(),
@@ -270,10 +267,7 @@ fn coordinator_trace(schedule: &[EpochChurn]) -> Vec<EpochTrace> {
             }
         }
         now += 1;
-        let collapsed = coordinator
-            .tick(now)
-            .iter()
-            .any(|e| matches!(e, EpochEvent::Collapsed { .. }));
+        let collapsed = matches!(coordinator.tick(now), Some(EpochEvent::Collapsed { .. }));
         let silent = coordinator.dropped();
         while coordinator.phase() != EpochPhase::WaitingForMembers {
             now += 1;

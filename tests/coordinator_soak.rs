@@ -11,6 +11,11 @@
 //!   reports, recovery, finalize, mid-grace) must leave campaign
 //!   outcomes bit-identical to the no-crash baseline across the same
 //!   matrix: a restart is not allowed to leave a fingerprint.
+//! * **Crash placement** — the coordinator drives the round, so each
+//!   crash point lands at a place in the round the flight recorder's
+//!   order pins: a `Recovery` crash after the `MissingClients` wave
+//!   and before finalize, and the restored coordinator still finalizes
+//!   the clear-text view.
 //! * **Grace window** — a report that blows the deadline but arrives
 //!   inside the grace window is parked (journaled) and its sender folds
 //!   into the next epoch: never silently dropped. Beyond the window it
@@ -28,7 +33,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
-use eyewnder::proto::{error_code, Envelope, FaultConfig, Message, NodeId, TransportError};
+use eyewnder::proto::{
+    error_code, Envelope, EpochPhase, FaultConfig, Message, NodeId, TransportError,
+};
 use eyewnder::simnet::RestartPhase::{MidReplay, Recovery, Reports};
 use eyewnder::simnet::{
     CoordinatorCrash, CoordinatorFault, CrashPoint, DriverScale, EpochChurn, ShardKill,
@@ -36,8 +43,8 @@ use eyewnder::simnet::{
 };
 use eyewnder::system::node::{RoundPhase, ServiceBus};
 use eyewnder::system::{
-    ChurnMetrics, Clock, Coordinator, EpochConfig, EpochOutcome, EyewnderSystem, LogicalClock,
-    ReplayMetrics, VirtualClock,
+    epoch_phase_index, ChurnMetrics, Clock, Coordinator, EpochConfig, EpochOutcome, EyewnderSystem,
+    LogicalClock, ReplayMetrics, VirtualClock,
 };
 use world::{assert_epochs_identical, churn_schedule, clear_view, Cell, World};
 
@@ -307,68 +314,159 @@ fn randomized_crash_and_deadline_schedule_is_deterministic() {
 #[test]
 fn crash_drill_leaves_the_flight_recorder_causality_chain() {
     use eyewnder::system::trace;
-    use eyewnder::system::TraceEventKind;
+    use eyewnder::system::{TraceEvent, TraceEventKind};
 
     // A crash drill must leave the full causality chain in the flight
     // recorder: the crash instant, then a `coordinator_restart` span
     // whose child is the `coordinator_restore` instant the journal
     // replay emits, then the span's close — in that sequence order.
-    let fault = CoordinatorFault {
-        crash: Some(CoordinatorCrash {
-            phase: CrashPoint::Reports,
-        }),
-        storm: None,
-    };
-    trace::enable(8192);
-    let (outcomes, _) = deadline_campaign(2, false, LogicalClock::new(), &fault);
-    let events = trace::drain();
-    trace::disable();
-    assert_epochs_identical(&baseline().0, &outcomes, "crash drill with tracing on");
+    //
+    // The coordinator drives the round, so a crash point is also a
+    // place in the round, read off the same order. Every crash
+    // follows the tick that entered its point's phase (a
+    // `coordinator_tick` records the phase it ticked *from*) and that
+    // tick's round step, and comes before the next step. In particular
+    // a `Recovery` crash falls after the `round_recovery` span — the
+    // `MissingClients` wave and its adjustments — and before
+    // `round_finalize`: the restored coordinator finalizes a round
+    // that its predecessor opened and recovered.
+    let world = world();
+    let tick_from = |phase: EpochPhase| epoch_phase_index(phase) as u64;
+    for point in CrashPoint::ALL {
+        let fault = CoordinatorFault {
+            crash: Some(CoordinatorCrash { phase: point }),
+            storm: None,
+        };
+        trace::enable(1 << 16);
+        let (outcomes, sys) = deadline_campaign(2, false, LogicalClock::new(), &fault);
+        let events = trace::drain();
+        let overwritten = trace::disable().map_or(0, |recorder| recorder.dropped());
+        let label = format!("crash={point:?}");
+        assert_eq!(overwritten, 0, "{label}: the whole campaign is recorded");
+        assert_epochs_identical(&baseline().0, &outcomes, &label);
 
-    let crash = events
-        .iter()
-        .find(|e| e.label == "coordinator_crash" && e.kind == TraceEventKind::Instant)
-        .expect("the drill records the crash instant");
-    let open = events
-        .iter()
-        .find(|e| e.label == "coordinator_restart" && e.kind == TraceEventKind::SpanOpen)
-        .expect("the drill opens a restart span");
-    let restore = events
-        .iter()
-        .find(|e| e.label == "coordinator_restore" && e.kind == TraceEventKind::Instant)
-        .expect("the journal replay records the restore");
-    let close = events
-        .iter()
-        .find(|e| e.label == "coordinator_restart" && e.kind == TraceEventKind::SpanClose)
-        .expect("the restart span closes");
-    assert!(crash.seq < open.seq, "crash precedes the restart span");
-    assert_eq!(
-        restore.parent, open.span,
-        "the restore instant is a child of the restart span"
-    );
-    assert!(
-        open.seq < restore.seq && restore.seq < close.seq,
-        "restore happens inside the restart span"
-    );
-    // The round machine's phase spans surround the drill: the campaign
-    // itself is traced, not just the crash.
-    for phase in [
-        "round_open",
-        "round_reports",
-        "round_recovery",
-        "round_finalize",
-    ] {
+        let crashes: Vec<&TraceEvent> = events
+            .iter()
+            .filter(|e| e.label == "coordinator_crash")
+            .collect();
+        // Warmup and Reports are reached by every epoch that forms,
+        // the later phases only by the epochs that finalize.
+        let struck = outcomes
+            .iter()
+            .filter(|epoch| match point {
+                CrashPoint::Warmup | CrashPoint::Reports => !epoch.members.is_empty(),
+                _ => epoch.outcome.is_some(),
+            })
+            .count();
+        assert_eq!(crashes.len(), struck, "{label}: one crash per epoch");
+        let open = events
+            .iter()
+            .find(|e| e.label == "coordinator_restart" && e.kind == TraceEventKind::SpanOpen)
+            .expect("the drill opens a restart span");
+        let restore = events
+            .iter()
+            .find(|e| e.label == "coordinator_restore" && e.kind == TraceEventKind::Instant)
+            .expect("the journal replay records the restore");
+        let close = events
+            .iter()
+            .find(|e| e.label == "coordinator_restart" && e.kind == TraceEventKind::SpanClose)
+            .expect("the restart span closes");
+        assert_eq!(crashes[0].kind, TraceEventKind::Instant, "{label}");
         assert!(
-            events
-                .iter()
-                .any(|e| e.label == phase && e.kind == TraceEventKind::SpanOpen),
-            "phase span {phase} recorded"
+            crashes[0].seq < open.seq,
+            "{label}: crash precedes the restart span"
         );
+        assert_eq!(
+            restore.parent, open.span,
+            "{label}: the restore instant is a child of the restart span"
+        );
+        assert!(
+            open.seq < restore.seq && restore.seq < close.seq,
+            "{label}: restore happens inside the restart span"
+        );
+        // The round machine's phase spans surround the drill: the
+        // campaign itself is traced, not just the crash.
+        for phase in [
+            "round_open",
+            "round_reports",
+            "round_recovery",
+            "round_finalize",
+        ] {
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.label == phase && e.kind == TraceEventKind::SpanOpen),
+                "{label}: phase span {phase} recorded"
+            );
+        }
+        assert!(
+            events.iter().any(|e| e.label == "coordinator_tick"),
+            "{label}: coordinator ticks recorded"
+        );
+        for crash in crashes {
+            assert_eq!(crash.a, point.index() as u64, "{label}");
+            let epoch = outcomes
+                .iter()
+                .find(|epoch| epoch.epoch == crash.b)
+                .expect("the crash names an epoch of the campaign");
+            let label = format!("{label} epoch={}", epoch.epoch);
+            // A round span's open carries its round; its close, its id.
+            let span = |name: &str| {
+                events.iter().find(|e| {
+                    e.label == name && e.kind == TraceEventKind::SpanOpen && e.a == epoch.round
+                })
+            };
+            let opened = |name| span(name).map(|open| open.seq);
+            let closed = |name| {
+                let open = span(name)?;
+                events
+                    .iter()
+                    .find(|e| e.kind == TraceEventKind::SpanClose && e.span == open.span)
+                    .map(|close| close.seq)
+            };
+            let before = |step: Option<u64>| step.is_some_and(|s| s < crash.seq);
+            let after = |step: Option<u64>| step.is_none_or(|s| crash.seq < s);
+            let entered = events
+                .iter()
+                .rev()
+                .find(|e| e.label == "coordinator_tick" && e.seq < crash.seq)
+                .map(|e| e.b);
+            match point {
+                CrashPoint::Warmup => {
+                    let admission = tick_from(EpochPhase::WaitingForMembers);
+                    assert_eq!(entered, Some(admission), "{label}");
+                    assert!(after(opened("round_open")), "{label}: round not open");
+                }
+                CrashPoint::Reports => {
+                    assert_eq!(entered, Some(tick_from(EpochPhase::Warmup)), "{label}");
+                    assert!(before(closed("round_open")), "{label}: round open");
+                    assert!(after(opened("round_reports")), "{label}: no report");
+                }
+                CrashPoint::Recovery => {
+                    assert_eq!(entered, Some(tick_from(EpochPhase::Reports)), "{label}");
+                    assert!(before(closed("round_recovery")), "{label}: wave sent");
+                    assert!(after(opened("round_finalize")), "{label}: not final");
+                }
+                CrashPoint::Finalize => {
+                    assert_eq!(entered, Some(tick_from(EpochPhase::Recovery)), "{label}");
+                    assert!(before(closed("round_finalize")), "{label}: finalized");
+                }
+                CrashPoint::Grace => {
+                    assert_eq!(entered, Some(tick_from(EpochPhase::Finalize)), "{label}");
+                    assert!(before(closed("round_finalize")), "{label}: finalized");
+                }
+            }
+        }
+        for epoch in outcomes.iter().filter(|epoch| epoch.outcome.is_some()) {
+            let round = epoch.outcome.as_ref().expect("a finalized epoch");
+            let reporters = world::reporters(&epoch.members, &round.missing);
+            assert!(
+                round.view == clear_view(&sys, &world.weeks[0], &reporters),
+                "{label} epoch={}: the view is not the clear-text view of its reporters",
+                epoch.epoch
+            );
+        }
     }
-    assert!(
-        events.iter().any(|e| e.label == "coordinator_tick"),
-        "coordinator ticks recorded"
-    );
 }
 
 #[test]
@@ -407,7 +505,10 @@ fn composed_faults_finalize_the_clear_text_view() {
     // straggler storm — plus a cluster size, and runs the churn campaign
     // through all of them at once. Every finalized epoch must be the
     // clear-text view of the members that reported: whatever the faults
-    // lost went missing, and recovery cancelled it exactly.
+    // lost went missing, and recovery cancelled it exactly. The rosters
+    // must agree too: the backend's missing set lies inside the
+    // coordinator's roster and covers its dropouts, and a collapsed
+    // epoch publishes no round.
     let world = world();
     let mut drawn = [0usize; 5];
     for seed in (1..=8).map(|i| SEED ^ (i << 32)) {
@@ -452,12 +553,33 @@ fn composed_faults_finalize_the_clear_text_view() {
 
         let clock = LogicalClock::new();
         let (outcomes, sys) = world.campaign(cell, 4, clock, &churn_schedule(), &fault);
+        for epoch in outcomes.iter().filter(|e| e.collapsed) {
+            assert!(
+                epoch.outcome.is_none(),
+                "{label} epoch={}: a collapsed epoch publishes nothing",
+                epoch.epoch
+            );
+        }
         let rounds: Vec<_> = outcomes.iter().filter(|e| e.outcome.is_some()).collect();
         assert!(!rounds.is_empty(), "{label}: no epoch finalized");
         for epoch in rounds {
             let round = epoch.outcome.as_ref().expect("a finalized epoch");
             let reporters = world::reporters(&epoch.members, &round.missing);
             let label = format!("{label} epoch={}", epoch.epoch);
+            // Roster agreement: the backend misses only members, and
+            // every member the coordinator dropped is missing.
+            assert!(
+                round.missing.iter().all(|u| epoch.members.contains(u)),
+                "{label}: missing {:?} outside the roster {:?}",
+                round.missing,
+                epoch.members
+            );
+            assert!(
+                epoch.dropped.iter().all(|u| round.missing.contains(u)),
+                "{label}: dropped {:?} not all missing {:?}",
+                epoch.dropped,
+                round.missing
+            );
             assert_eq!(round.reports, reporters.len(), "{label}");
             assert!(
                 round.view == clear_view(&sys, &world.weeks[0], &reporters),
