@@ -1,6 +1,5 @@
 //! CRC-32 (IEEE 802.3 / zlib polynomial, reflected). Guards every frame
-//! payload against in-flight corruption, and fingerprints every envelope
-//! in the server's round log.
+//! payload against in-flight corruption.
 //!
 //! ## Tiers
 //!

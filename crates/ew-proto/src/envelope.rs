@@ -123,10 +123,9 @@ impl Envelope {
 
     /// Appends header + payload to `buf`, the message straight after
     /// the header with no intermediate copy. Room for the whole encoding
-    /// is reserved first, so `buf` grows at most once: a buffer grown by
-    /// doubling each round (the round log's fingerprint scratch) leaves
-    /// freed chunks the allocator may hand back to the system, and the
-    /// next round then faults those pages in again.
+    /// is reserved first, so `buf` grows at most once: [`Self::encode`]
+    /// starts from an empty buffer, which doubling would reallocate
+    /// several times for one report and leave freed chunks behind.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.reserve(self.encoded_len_hint());
         buf.put_u8(self.version);

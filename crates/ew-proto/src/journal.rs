@@ -6,9 +6,9 @@
 //!
 //! * [`JournalEvent::Absorbed`] — a data-plane envelope (report or
 //!   adjustment) was **successfully** absorbed by a shard. A restarted
-//!   shard re-absorbs its `Absorbed` suffix, and the log's dedupe index
-//!   is built from the same records. Rejected envelopes are never
-//!   journaled, so replaying the log can never re-deliver a duplicate.
+//!   shard re-absorbs its `Absorbed` suffix. Rejected envelopes are
+//!   never journaled, so replaying the log can never re-deliver a
+//!   duplicate.
 //! * [`JournalEvent::CoordinatorState`] — a [`CoordinatorCheckpoint`];
 //!   a restarted coordinator resumes from the latest one.
 //! * [`JournalEvent::ReportParked`] — a late report parked inside the

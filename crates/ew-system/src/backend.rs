@@ -467,16 +467,18 @@ pub(crate) mod tests {
             Err(RoundError::UnknownUser(9))
         );
         // Duplicates. A conflicting one (same user and round, other
-        // cells) is refused; a byte-identical one sent outside a batch is
-        // a replay of a journaled absorption: acknowledged and counted,
-        // never absorbed twice.
+        // cells) and a byte-identical one are refused alike, and neither
+        // is absorbed or journaled a second time.
         assert_eq!(send(&mut srv, report_env(p, 0, 1, &[1])), Ok(None));
         assert_eq!(
             send(&mut srv, report_env(p, 0, 1, &[2])),
             Err(RoundError::DuplicateReport(0))
         );
-        assert_eq!(send(&mut srv, report_env(p, 0, 1, &[1])), Ok(None));
-        assert_eq!(srv.take_metrics().deduped, 1);
+        assert_eq!(
+            send(&mut srv, report_env(p, 0, 1, &[1])),
+            Err(RoundError::DuplicateReport(0))
+        );
+        assert_eq!(srv.log().depth(), 1, "absorbed once");
         // Dimension mismatch.
         srv.enroll(1, UBig::from_u64(2));
         assert_eq!(

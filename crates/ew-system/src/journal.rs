@@ -1,20 +1,21 @@
 //! The cluster's event-sourced round log: one append-only sequence of
-//! [`JournalRecord`]s that is the source of truth for duplicate
-//! suppression and cold crash-restart.
+//! [`JournalRecord`]s that is the source of truth for cold
+//! crash-restart.
 //!
 //! * every **successful** absorption appends an
 //!   [`JournalEvent::Absorbed`] record (rejections are never journaled,
 //!   and a rejected envelope leaves no trace in a [`RoundState`], so
 //!   replaying the log rebuilds exactly the state that wrote it) — a
 //!   cluster's round log holds nothing else;
-//! * an index over the absorbed records answers "was this exact
-//!   envelope already absorbed?" in `O(log n)` — the dedupe check that
-//!   makes a re-delivery (an in-flight re-send after an uplink sever)
-//!   a silent acknowledgment instead of a second absorption;
 //! * a **snapshot watermark** bounds the log: once every live shard's
 //!   round state is checkpointed, records at or below the watermark are
 //!   truncated and restart recovery is *clone the checkpoint + replay
 //!   the suffix* instead of replay-from-genesis.
+//!
+//! The log decides nothing about duplicates. Exactly-once is the
+//! shard's: [`RoundState::absorb`] refuses a second report or
+//! adjustment for a `(user, round)`, and its seen-set travels inside
+//! every checkpoint, so truncation does not erode it.
 //!
 //! The same type is the cluster's control-plane log, which holds the
 //! coordinator's checkpoints and parked late reports
@@ -25,43 +26,17 @@
 //! A checkpoint is a clone of the shard's [`RoundState`] — there is no
 //! separate checkpoint type. [`RoundLog::snapshot`] stores one per live
 //! shard and drops every retained record (they are all at or below the
-//! new watermark by construction). The **dedupe index survives
-//! truncation** — exactly-once does not erode as the log is bounded. A
-//! cold restart of shard `s` clones `checkpoint_for(s)` (or opens a
-//! fresh state) and absorbs the shard's `Absorbed` suffix above the
-//! watermark, by reference, in sequence order.
+//! new watermark by construction). A cold restart of shard `s` clones
+//! `checkpoint_for(s)` (or opens a fresh state) and absorbs the shard's
+//! `Absorbed` suffix above the watermark, by reference, in sequence
+//! order.
 
 use crate::backend::RoundState;
-use ew_proto::crc32::crc32;
-use ew_proto::{Envelope, JournalEvent, JournalRecord, Message};
+use ew_proto::{Envelope, JournalEvent, JournalRecord};
 use std::collections::BTreeMap;
 
-/// The dedupe identity of a data-plane envelope: `(kind, user, round)`
-/// where kind 0 is a report and kind 1 an adjustment. `None` for
-/// control-plane messages — only data-plane envelopes are journaled.
-pub fn dedupe_key(env: &Envelope) -> Option<(u8, u32, u64)> {
-    match &env.msg {
-        Message::Report { user, round, .. } => Some((0, *user, *round)),
-        Message::Adjustment { user, round, .. } => Some((1, *user, *round)),
-        _ => None,
-    }
-}
-
-/// What the log remembers about one absorbed envelope (the value side
-/// of the dedupe index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AbsorbedEntry {
-    /// The journal sequence number of the `Absorbed` record.
-    pub seq: u64,
-    /// CRC-32 of the absorbed envelope's encoding — a replayed envelope
-    /// must match byte-for-byte to be treated as the same absorption;
-    /// same key with different bytes is a *conflicting* duplicate and
-    /// is rejected by the shard, not deduped.
-    pub crc: u32,
-}
-
 /// The append-only, sequence-numbered round log with snapshot-bounded
-/// depth and a duplicate-suppression index over absorbed envelopes.
+/// depth.
 #[derive(Debug, Default)]
 pub struct RoundLog {
     /// Retained records: everything appended after the watermark.
@@ -74,60 +49,32 @@ pub struct RoundLog {
     watermark: u64,
     /// Per-shard round states cloned at the watermark.
     checkpoints: BTreeMap<u32, RoundState>,
-    /// Dedupe index: data-plane identity → absorbed entry. Survives
-    /// truncation — exactly-once outlives the records themselves.
-    absorbed: BTreeMap<(u8, u32, u64), AbsorbedEntry>,
     /// Total records dropped by snapshots (telemetry).
     truncated: u64,
-    /// Where an envelope is encoded to be fingerprinted; kept so that
-    /// takes no allocation per report.
-    scratch: Vec<u8>,
 }
 
 impl RoundLog {
     /// An empty log (sequence numbers start at 1).
     pub fn new() -> Self {
         RoundLog {
-            records: Vec::new(),
             next_seq: 1,
-            watermark: 0,
-            checkpoints: BTreeMap::new(),
-            absorbed: BTreeMap::new(),
-            truncated: 0,
-            scratch: Vec::new(),
+            ..RoundLog::default()
         }
     }
 
-    /// Resets the log for a new round: records, index, checkpoints and
+    /// Resets the log for a new round: records, checkpoints and
     /// sequence numbering all start over (a round is the log's epoch).
     pub fn open(&mut self) {
         *self = RoundLog::new();
     }
 
-    /// Appends `event` as the next sequence-numbered record, indexing
-    /// it if it is an absorption. Returns the assigned sequence number.
+    /// Appends `event` as the next sequence-numbered record. Returns the
+    /// assigned sequence number.
     pub fn append(&mut self, event: JournalEvent) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if let JournalEvent::Absorbed { envelope, .. } = &event {
-            if let Some(key) = dedupe_key(envelope) {
-                let crc = self.fingerprint(envelope);
-                self.absorbed.insert(key, AbsorbedEntry { seq, crc });
-            }
-        }
         self.records.push(JournalRecord { seq, event });
         seq
-    }
-
-    /// The content fingerprint of `envelope`: CRC-32 of its wire
-    /// encoding. The one definition of "byte-identical" — the index
-    /// stores it at absorption and a re-delivery is a replay only if it
-    /// fingerprints the same. Encodes into the log's scratch buffer, so
-    /// it allocates nothing once that has grown to a report's size.
-    pub(crate) fn fingerprint(&mut self, envelope: &Envelope) -> u32 {
-        self.scratch.clear();
-        envelope.encode_into(&mut self.scratch);
-        crc32(&self.scratch)
     }
 
     /// The highest sequence number assigned so far (0 if none).
@@ -155,11 +102,6 @@ impl RoundLog {
         self.truncated
     }
 
-    /// Looks up the absorbed entry for a data-plane envelope identity.
-    pub fn absorbed_entry(&self, key: (u8, u32, u64)) -> Option<AbsorbedEntry> {
-        self.absorbed.get(&key).copied()
-    }
-
     /// The envelopes `shard` absorbed above the watermark, in sequence
     /// order — the suffix a restarted shard re-absorbs on top of its
     /// checkpoint.
@@ -177,7 +119,7 @@ impl RoundLog {
 
     /// Installs per-shard checkpoints covering everything appended so
     /// far, advances the watermark to the last assigned sequence number
-    /// and truncates the retained records. The dedupe index is kept.
+    /// and truncates the retained records.
     pub fn snapshot(&mut self, checkpoints: Vec<(u32, RoundState)>) {
         self.checkpoints = checkpoints.into_iter().collect();
         self.watermark = self.last_seq();
@@ -215,7 +157,8 @@ impl RoundLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ew_proto::{CoordinatorCheckpoint, NodeId};
+    use ew_proto::{CoordinatorCheckpoint, Message, NodeId};
+    use ew_sketch::CmsParams;
 
     fn report_env(user: u32, round: u64, seed: u64) -> Envelope {
         Envelope::new(
@@ -250,49 +193,20 @@ mod tests {
     }
 
     #[test]
-    fn absorbed_index_tracks_identity_and_bytes() {
-        let mut log = RoundLog::new();
-        let env = report_env(3, 7, 9);
-        let seq = absorb(&mut log, 1, env.clone());
-        let entry = log
-            .absorbed_entry(dedupe_key(&env).unwrap())
-            .expect("indexed");
-        assert_eq!(entry.seq, seq);
-        assert_eq!(entry.crc, crc32(&env.encode()));
-        assert_eq!(entry.crc, log.fingerprint(&env));
-        // A different-content envelope under the same identity does NOT
-        // match byte-wise: the caller must treat it as a conflicting
-        // duplicate, not a replay.
-        let conflicting = report_env(3, 7, 10);
-        assert_eq!(dedupe_key(&conflicting), dedupe_key(&env));
-        assert_ne!(entry.crc, log.fingerprint(&conflicting));
-    }
-
-    #[test]
-    fn control_plane_envelopes_have_no_dedupe_identity() {
-        let env = Envelope::new(
-            NodeId::Backend,
-            7,
-            Message::MissingClients {
-                round: 7,
-                users: vec![1, 2],
-            },
-        );
-        assert_eq!(dedupe_key(&env), None);
-    }
-
-    #[test]
     fn snapshot_truncates_but_keeps_the_index() {
         let mut log = RoundLog::new();
-        let env = report_env(5, 7, 1);
-        absorb(&mut log, 0, env.clone());
-        absorb(&mut log, 0, report_env(6, 7, 2));
-        log.snapshot(Vec::new());
+        let mut state = RoundState::open(CmsParams::new(2, 4, 1), 7);
+        for user in [5, 6] {
+            let env = report_env(user, 7, 1);
+            state.absorb(&env, |_| true).unwrap();
+            absorb(&mut log, 0, env);
+        }
+        log.snapshot(vec![(0, state)]);
         assert_eq!(log.depth(), 0);
         assert_eq!(log.watermark(), 2);
         assert_eq!(log.truncated_total(), 2);
-        // Dedupe outlives the records.
-        assert!(log.absorbed_entry(dedupe_key(&env).unwrap()).is_some());
+        // The shard's seen-set outlives the records, in its checkpoint.
+        assert!(log.checkpoint_for(0).is_some_and(|s| s.has_reported(5)));
         // New appends continue the sequence above the watermark.
         assert_eq!(absorb(&mut log, 0, report_env(7, 7, 3)), 3);
         assert_eq!(log.depth(), 1);
@@ -311,8 +225,8 @@ mod tests {
         });
         let suffix = log.replay_for_shard(0);
         assert_eq!(suffix.len(), 2);
-        assert_eq!(dedupe_key(&suffix[0]).unwrap().1, 1);
-        assert_eq!(dedupe_key(&suffix[1]).unwrap().1, 3);
+        assert_eq!(suffix[0].sender, NodeId::Client(1));
+        assert_eq!(suffix[1].sender, NodeId::Client(3));
     }
 
     #[test]

@@ -33,10 +33,9 @@
 //!   round log. No failure moves a key range mid-round.
 //! * [`journal`] — the event-sourced round log behind the cluster:
 //!   sequence-numbered `Absorbed` [`ew_proto::journal::JournalRecord`]s
-//!   and nothing else, with snapshot/replay semantics, a
-//!   content-addressed dedupe index, and watermark truncation that keeps
-//!   the log's depth bounded. The one source of truth for duplicate
-//!   suppression and cold crash-restart.
+//!   and nothing else, with snapshot/replay semantics and watermark
+//!   truncation that keeps the log's depth bounded. The one source of
+//!   truth for cold crash-restart; duplicates are the shards' to refuse.
 //! * [`coordinator`] — the tick-driven epoch coordinator: a
 //!   [`ew_proto::NodeId::Coordinator`] role service owning the
 //!   WaitingForMembers → Warmup → Reports → Recovery → Finalize epoch
@@ -46,10 +45,10 @@
 //!   silent-client recovery path, and a below-threshold collapse
 //!   regresses to waiting without finalizing its round.
 //! * [`telemetry`] — per-round and lifetime
-//!   [`telemetry::ReplayMetrics`] (envelopes routed / replayed /
-//!   deduped, journal depth, queue high-water, per-phase timings) and
-//!   the coordinator's [`telemetry::ChurnMetrics`], read in process and
-//!   exported as JSON lines or Prometheus text.
+//!   [`telemetry::ReplayMetrics`] (envelopes routed / replayed, journal
+//!   depth, queue high-water, per-phase timings) and the coordinator's
+//!   [`telemetry::ChurnMetrics`], read in process and exported as JSON
+//!   lines or Prometheus text.
 //! * [`node`] — the role-service API: [`node::ClientNode`],
 //!   [`node::OprfFrontend`] and [`node::AggregationBackend`] interact
 //!   only through versioned `Envelope`s over a [`node::ServiceBus`]
@@ -91,7 +90,7 @@ pub use coordinator::{
 pub use crawler::Crawler;
 pub use eval::{EvalOracles, EvalTree};
 pub use ids::AdIdMapper;
-pub use journal::{dedupe_key, AbsorbedEntry, RoundLog};
+pub use journal::RoundLog;
 pub use node::{
     drive_round, pump, AggregationBackend, ClientNode, DrivenRound, InProcBus, OprfFrontend,
     RoundPhase, ServiceBus, WireBus,

@@ -133,9 +133,10 @@ pub trait AggregationBackend {
     fn on_envelope(&mut self, env: Envelope) -> Result<Option<Envelope>, RoundError>;
 
     /// Absorbs one full mailbox drain, in stream order, returning one
-    /// result per envelope (index-aligned with the input). The batch is
-    /// one delivery: a duplicate *within* it is a rejection, not a
-    /// replay of an earlier absorption.
+    /// result per envelope (index-aligned with the input). Each envelope
+    /// is answered as [`Self::on_envelope`] answers it: a duplicate is a
+    /// rejection, whether it repeats an envelope of this batch or of an
+    /// earlier one.
     ///
     /// `_threads` is accepted and ignored: a round runs on the calling
     /// thread, and `ClusterBackend` walks the batch serially.
@@ -387,9 +388,8 @@ impl RoundOpen {
             let _ = bus.send(NodeId::Backend, c.report_envelope(params, round));
         }
         let (envelopes, corrupt_frames) = bus.drain(NodeId::Backend);
-        // The whole drain goes to the backend as one batch, so a wire
-        // duplicate inside it is answered as a duplicate, not deduped as
-        // a replay (see `AggregationBackend::absorb_batch`).
+        // The whole drain goes to the backend as one batch; a wire
+        // duplicate inside it is rejected like any other duplicate.
         let routing: Vec<(bool, NodeId)> = envelopes
             .iter()
             .map(|env| {

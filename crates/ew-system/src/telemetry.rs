@@ -11,8 +11,7 @@
 //!
 //! The counters are deliberately split by kind:
 //!
-//! * **monotone counters** (`routed`, `replayed`, `deduped`,
-//!   `truncated`) accumulate across observations — they answer "how
+//! * **monotone counters** (`routed`, `replayed`, `truncated`) accumulate across observations — they answer "how
 //!   much replay machinery actually ran?",
 //! * **gauges** (`journal_depth`) report the latest observation — they
 //!   answer "is the log bounded right now?",
@@ -241,8 +240,9 @@ pub struct ReplayMetrics {
     /// Envelopes re-delivered from a journal (in-flight re-sends after
     /// an uplink sever, or cold-restart replay).
     pub replayed: u64,
-    /// Replay deliveries suppressed because the round log already held
-    /// a byte-identical `Absorbed` record.
+    /// Always 0: no delivery is suppressed, because a shard refuses
+    /// every duplicate report or adjustment as `DuplicateReport`. Kept
+    /// because `benchmark/src/run.rs` reads it; neither export prints it.
     pub deduped: u64,
     /// Round-log records above the snapshot watermark (gauge).
     pub journal_depth: u64,
@@ -406,10 +406,9 @@ impl TelemetrySnapshot {
     /// caller's `scope` label.
     pub fn to_json_lines(&self, scope: &str) -> String {
         let mut out = String::new();
-        let scalars: [(&str, u64); 16] = [
+        let scalars: [(&str, u64); 15] = [
             ("routed", self.totals.routed),
             ("replayed", self.totals.replayed),
-            ("deduped", self.totals.deduped),
             ("journal_depth", self.totals.journal_depth),
             ("truncated", self.totals.truncated),
             ("queue_depth", self.totals.queue_depth),
@@ -472,7 +471,6 @@ impl TelemetrySnapshot {
         };
         counter(&mut out, "routed_total", self.totals.routed);
         counter(&mut out, "replayed_total", self.totals.replayed);
-        counter(&mut out, "deduped_total", self.totals.deduped);
         gauge(&mut out, "journal_depth", self.totals.journal_depth);
         counter(&mut out, "truncated_total", self.totals.truncated);
         gauge(&mut out, "queue_depth_high_water", self.totals.queue_depth);
@@ -823,7 +821,7 @@ mod tests {
         let snap = svc.snapshot();
 
         let json = snap.to_json_lines("unit_test");
-        assert!(json.lines().count() >= 16 + 6 + hist_kind::ALL.len());
+        assert!(json.lines().count() >= 15 + 6 + hist_kind::ALL.len());
         assert!(json.contains("\"metric\": \"routed\", \"value\": 4"));
         assert!(json.contains("\"hist\": \"absorb\", \"count\": 2"));
         assert!(json.contains("\"scope\": \"unit_test\""));

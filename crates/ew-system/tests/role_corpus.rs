@@ -57,8 +57,8 @@ use ew_proto::{
 };
 use ew_sketch::{CmsParams, CountMinSketch};
 use ew_system::{
-    dedupe_key, AdIdMapper, AggregationBackend, Client, ClientNode, ClusterBackend, Coordinator,
-    EpochConfig, OprfFrontend, OprfService,
+    AdIdMapper, AggregationBackend, Client, ClientNode, ClusterBackend, Coordinator, EpochConfig,
+    OprfFrontend, OprfService,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,7 +80,7 @@ const EPOCH: u64 = 1;
 const SHARDS: u32 = 4;
 /// What the backend and the coordinator may allocate per answer beyond
 /// twice the input. A fresh backend's first absorption grows its round
-/// log, dedupe index and reported set from empty (≈ 1 KB here).
+/// log and reported set from empty.
 const SERVER_SLACK: usize = 2048;
 
 /// The most elements the OPRF service evaluates in one batch
@@ -650,7 +650,9 @@ fn backend_corpus(
             Answer::Error
         };
         if absorbs {
-            let (_, user, _) = dedupe_key(&env).expect("only reports and adjustments absorb");
+            let NodeId::Client(user) = env.sender else {
+                unreachable!("only a client's report or adjustment absorbs")
+            };
             log.push(JournalRecord {
                 seq: backend.log().last_seq() + 1,
                 event: JournalEvent::Absorbed {

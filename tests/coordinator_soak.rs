@@ -580,6 +580,17 @@ fn composed_faults_finalize_the_clear_text_view() {
                 epoch.dropped,
                 round.missing
             );
+            // Exactly-once tally: the absorbed reports and the missing
+            // set split the roster, so a report absorbed twice or lost
+            // across a sever or restart shows up as a mismatch.
+            assert_eq!(
+                round.reports + round.missing.len(),
+                epoch.members.len(),
+                "{label}: reports {} + missing {:?} do not split the roster {:?}",
+                round.reports,
+                round.missing,
+                epoch.members
+            );
             assert_eq!(round.reports, reporters.len(), "{label}");
             assert!(
                 round.view == clear_view(&sys, &world.weeks[0], &reporters),

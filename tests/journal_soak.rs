@@ -12,6 +12,7 @@ mod world;
 
 use eyewnder::proto::{Envelope, Message, NodeId};
 use eyewnder::sketch::{BlindedSketch, CmsParams, CountMinSketch};
+use eyewnder::system::backend::RoundError;
 use eyewnder::system::AggregationBackend;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -84,11 +85,20 @@ fn ten_thousand_report_soak_keeps_journal_depth_bounded() {
 #[test]
 fn dedupe_index_survives_truncation_across_the_soak() {
     // Replay protection must not decay as the log truncates: an
-    // envelope absorbed long before the last snapshot is still deduped,
-    // not double-absorbed and not answered with a fatal error.
+    // envelope absorbed long before the last snapshot is still refused
+    // (each shard's seen-set rides in its checkpoint), never
+    // double-absorbed and never journaled twice.
     const USERS: u32 = 1_000;
 
     let p = params();
+    let reference = {
+        let mut c = world::bare_cluster(2, p, 0..USERS);
+        AggregationBackend::open_round(&mut c, 1);
+        for u in 0..USERS {
+            AggregationBackend::on_envelope(&mut c, report_env(p, u, 1)).unwrap();
+        }
+        AggregationBackend::finalize(&mut c).unwrap()
+    };
     let mut c = world::bare_cluster(2, p, 0..USERS);
     AggregationBackend::open_round(&mut c, 1);
     for u in 0..USERS {
@@ -98,17 +108,17 @@ fn dedupe_index_survives_truncation_across_the_soak() {
         }
     }
     // Every 97th user's report is re-delivered: all long since
-    // truncated, all must dedupe silently.
+    // truncated, all must be refused as duplicates.
     for u in (0..USERS).step_by(97) {
         assert_eq!(
             AggregationBackend::on_envelope(&mut c, report_env(p, u, 1)),
-            Ok(None),
-            "user {u}: replay after truncation must stay silent"
+            Err(RoundError::DuplicateReport(u)),
+            "user {u}: replay after truncation is a duplicate"
         );
     }
-    let metrics = c.take_metrics();
-    assert_eq!(metrics.deduped, (0..USERS).step_by(97).count() as u64);
-    AggregationBackend::finalize(&mut c).expect("round finalizes despite replays");
+    assert_eq!(c.log().depth(), 0, "no refused replay is journaled");
+    let view = AggregationBackend::finalize(&mut c).expect("round finalizes despite replays");
+    assert_eq!(view, reference, "every report absorbed once");
 }
 
 proptest! {
@@ -147,7 +157,7 @@ proptest! {
                     let victim = rng.gen_range(0..u + 1);
                     prop_assert_eq!(
                         AggregationBackend::on_envelope(&mut c, report_env(p, victim, 1)),
-                        Ok(None)
+                        Err(RoundError::DuplicateReport(victim))
                     );
                 }
                 _ => {}

@@ -7,12 +7,15 @@ use eyewnder::proto::{
     channel_pair, error_code, Envelope, FaultConfig, Message, NodeId, ShardMap, TransportError,
 };
 use eyewnder::simnet::{ImpressionLog, Scenario, ScenarioConfig};
-use eyewnder::sketch::CmsParams;
+use eyewnder::sketch::{BlindedSketch, CmsParams, CountMinSketch};
 use eyewnder::system::backend::RoundError;
 use eyewnder::system::cluster::RoutingBus;
-use eyewnder::system::node::{ClientNode, InProcBus, RoundOpen, ServiceBus, WireBus};
+use eyewnder::system::node::{
+    ClientNode, DrivenRound, InProcBus, RoundOpen, RoundPhase, ServiceBus, WireBus,
+};
+use eyewnder::system::telemetry::ReplayMetrics;
 use eyewnder::system::{EyewnderSystem, SystemConfig};
-use world::{assert_rounds_identical, Cell};
+use world::{assert_rounds_identical, clear_view, Cell};
 
 fn world(seed: u64) -> (Scenario, ImpressionLog, EyewnderSystem) {
     let cfg = ScenarioConfig {
@@ -80,14 +83,146 @@ fn duplicated_reports_are_rejected_not_double_counted() {
     };
     let outcome = world::round(&mut sys, Cell::lossy(1, Some(dup_only)), 1, &[]);
     assert_eq!(outcome.reports, 14, "duplicates rejected by the backend");
-    // Counts not inflated: every estimate is at most cohort + CMS slack.
-    for (sim_ad, users) in log.users_per_ad() {
-        let key = sys.ad_key_of(sim_ad).unwrap();
+    assert!(outcome.missing.is_empty());
+    // Counts not inflated: exactly the clear-text view of the 14
+    // reporters, each counted once.
+    let reporters: Vec<u32> = (0..14).collect();
+    assert!(
+        outcome.view == clear_view(&sys, &log, &reporters),
+        "the view is not the clear-text view of its reporters"
+    );
+}
+
+/// A client that reports the raw (unblinded) count-min sketch of
+/// `ads`; with nothing to unblind, its answer to a `MissingClients`
+/// notice is an all-zero adjustment.
+struct RawClient {
+    id: u32,
+    ads: [u64; 2],
+}
+
+impl ClientNode for RawClient {
+    fn client_id(&self) -> u32 {
+        self.id
+    }
+
+    fn report_envelope(&self, params: CmsParams, round: u64) -> Envelope {
+        let mut sketch = CountMinSketch::new(params);
+        for &ad in &self.ads {
+            sketch.update(ad);
+        }
+        let msg = Message::Report {
+            user: self.id,
+            round,
+            depth: params.depth as u32,
+            width: params.width as u32,
+            seed: params.hash_seed,
+            cells: BlindedSketch::from_raw(params, sketch.cells().to_vec()).into_cells(),
+        };
+        Envelope::new(NodeId::Client(self.id), round, msg)
+    }
+
+    fn on_envelope(&self, params: CmsParams, env: &Envelope) -> Option<Envelope> {
+        FixedClient {
+            id: self.id,
+            adjustment_cells: params.num_cells(),
+        }
+        .on_envelope(params, env)
+    }
+}
+
+/// A bus that keeps a copy of every report sent to the backend and, as
+/// the round enters `Recovery`, sends each one to the backend again: a
+/// replay that crosses a drain, landing in the recovery wave.
+struct ReplayOnRecovery<B> {
+    inner: B,
+    reports: Vec<Envelope>,
+}
+
+impl<B: ServiceBus> ServiceBus for ReplayOnRecovery<B> {
+    fn send(&mut self, dest: NodeId, env: Envelope) -> Result<(), TransportError> {
+        if dest == NodeId::Backend && matches!(env.msg, Message::Report { .. }) {
+            self.reports.push(env.clone());
+        }
+        self.inner.send(dest, env)
+    }
+
+    fn drain(&mut self, dest: NodeId) -> (Vec<Envelope>, usize) {
+        self.inner.drain(dest)
+    }
+
+    fn on_phase(&mut self, phase: RoundPhase) {
+        self.inner.on_phase(phase);
+        if phase == RoundPhase::Recovery {
+            for env in std::mem::take(&mut self.reports) {
+                self.inner.send(NodeId::Backend, env).unwrap();
+            }
+        }
+    }
+
+    fn take_metrics(&mut self) -> Option<ReplayMetrics> {
+        self.inner.take_metrics()
+    }
+}
+
+/// Round 3 of `clients` over `bus` into a fresh 2-shard cluster with
+/// users 0..6 enrolled: the finalized round and the recovery-phase
+/// rejections.
+fn raw_round<B: ServiceBus>(
+    clients: &[RawClient],
+    silent: &[u32],
+    bus: &mut B,
+) -> (DrivenRound, Vec<(NodeId, RoundError)>) {
+    let params = CmsParams::new(2, 32, 3);
+    let mut backend = world::bare_cluster(2, params, 0..6);
+    let recovery = RoundOpen::open(&mut backend, bus, 3)
+        .collect_reports(clients, silent, params, 1, &mut backend, bus)
+        .recover(clients, params, 1, &mut backend, bus);
+    let rejected = recovery.rejected_adjustments().to_vec();
+    (recovery.finalize(&mut backend, bus), rejected)
+}
+
+#[test]
+fn reports_replayed_into_the_recovery_wave_are_rejected_once_each() {
+    // Clients 0..5 report, client 5 stays silent, so the recovery wave
+    // is drained. Every report comes back once more in that wave: each
+    // replay is refused as a duplicate, its sender is told so, and the
+    // round is the one a single delivery makes.
+    let clients: Vec<RawClient> = (0..6u32)
+        .map(|id| RawClient {
+            id,
+            ads: [u64::from(id), 40 + u64::from(id % 2)],
+        })
+        .collect();
+    let (silent, reporters) = ([5u32], 0..5u32);
+    let fresh_bus = || world::bus(ShardMap::uniform(2), Cell::new(2, false));
+    let (single, none) = raw_round(&clients, &silent, &mut fresh_bus());
+    assert!(none.is_empty());
+    let mut bus = ReplayOnRecovery {
+        inner: fresh_bus(),
+        reports: Vec::new(),
+    };
+    let (replayed, mut rejected) = raw_round(&clients, &silent, &mut bus);
+
+    rejected.sort_by_key(|(sender, _)| *sender);
+    let want: Vec<_> = reporters
+        .clone()
+        .map(|u| (NodeId::Client(u), RoundError::DuplicateReport(u)))
+        .collect();
+    assert_eq!(rejected, want, "each replay is rejected once");
+    for user in reporters {
+        let (inbox, _) = bus.drain(NodeId::Client(user));
         assert!(
-            outcome.view.users(key) <= users as f64 + 5.0,
-            "ad {sim_ad} double counted"
+            matches!(
+                &inbox[..],
+                [Envelope { sender: NodeId::Backend, msg: Message::Error { code, .. }, .. }]
+                    if *code == error_code::REJECTED_REPORT
+            ),
+            "client {user} is told its replay was rejected: {inbox:?}"
         );
     }
+    assert_eq!(replayed.missing, silent);
+    assert_rounds_identical(&replayed, &single, "a replay is not a second report");
 }
 
 /// A client that reports an all-zero sketch and answers a

@@ -196,11 +196,16 @@ pub fn cluster(sys: &mut EyewnderSystem, cell: Cell) -> (ClusterBackend, Bus) {
     if let Some(restart) = cell.restart {
         backend.script_restart(restart);
     }
-    let bus: Box<dyn ServiceBus> = match cell.transport {
+    (backend, bus(map, cell))
+}
+
+/// The bus `cell` puts in front of a cluster routed by `map` (its
+/// sever scripted).
+pub fn bus(map: ShardMap, cell: Cell) -> Bus {
+    Bus(match cell.transport {
         Transport::InProc => Box::new(RoutingBus::in_proc(map, cell.sever)),
         Transport::Wire(fault) => Box::new(RoutingBus::over_wire(map, fault, cell.sever)),
-    };
-    (backend, Bus(bus))
+    })
 }
 
 /// One round on a fresh cluster in `cell`, with `silent` clients.
