@@ -29,24 +29,28 @@
 //! `H` may be any PRF keyed by the pairwise secret; this one has two
 //! levels. Per peer the generator holds the [`HmacKey`] midstates of the
 //! secret `s_ij = y_j^{x_i}`, computed once at enrolment. Per round, one
-//! MAC per pair derives that pair's stream key, and the key's ChaCha20
-//! keystream ([`crate::keystream`]) supplies one word per cell:
+//! MAC per pair derives that pair's stream key, and the key's AES-256
+//! counter-mode keystream ([`crate::keystream`]) supplies one word per
+//! cell:
 //!
 //! ```text
-//! k_ij    = HMAC-SHA256(s_ij, "eyewnder/blinding/v2" ‖ be64(s))
-//! c_ij[m] = ChaCha20(key = k_ij as 8 LE words, nonce = 0)[m]   (block m/16, word m%16)
+//! k_ij    = HMAC-SHA256(s_ij, "eyewnder/blinding/v3" ‖ be64(s))
+//! c_ij[m] = LE word m % 4 of AES-256_{k_ij}(le128(m / 4))
 //! ```
 //!
-//! Both ends of a pair derive the same `k_ij`, so the terms still cancel.
-//! Each keystream is added into the output (or subtracted from it) as it
-//! is computed: there is no per-peer buffer, nothing is kept across
-//! rounds, a generator is plain `Clone` data, and a derivation into an
-//! output with capacity allocates nothing.
+//! The 32 MAC bytes are the AES-256 key, and the block index is the
+//! whole counter: the nonce is zero, which is safe because a key serves
+//! one pair in one round. Both ends of a pair derive the same `k_ij`, so
+//! the terms still cancel. Each keystream is added into the output (or
+//! subtracted from it) as it is computed: there is no per-peer buffer,
+//! nothing is kept across rounds, a generator is plain `Clone` data,
+//! and a derivation into an output with capacity allocates nothing.
 //!
-//! The `v2` label marks a protocol change: blinded reports differ from
-//! those of the counter-mode HMAC derivation that `v1` named, so a
-//! cohort cannot mix the two. Aggregates, and everything computed from
-//! them, do not change, because the blinding cancels either way.
+//! The label's version marks a protocol change. `v1` named a
+//! counter-mode HMAC expansion and `v2` a ChaCha20 keystream; each
+//! blinds differently, so a cohort cannot mix them. Aggregates, and
+//! everything computed from them, do not change, because the blinding
+//! cancels either way.
 
 use crate::dh::DhKeyPair;
 use crate::directory::{KeyDirectory, UserId};
@@ -66,7 +70,7 @@ pub struct BlindingParams {
 }
 
 /// Domain-separation label of the per-(pair, round) stream key.
-const BLIND_LABEL: &[u8] = b"eyewnder/blinding/v2";
+const BLIND_LABEL: &[u8] = b"eyewnder/blinding/v3";
 
 /// The MAC input of one round's stream keys: label ‖ be64(round).
 fn stream_info(round: u64) -> [u8; BLIND_LABEL.len() + 8] {
@@ -76,7 +80,7 @@ fn stream_info(round: u64) -> [u8; BLIND_LABEL.len() + 8] {
     info
 }
 
-/// One pair's ChaCha20 key for the round `info` names: the MAC as eight
+/// One pair's AES-256 key for the round `info` names: the MAC as eight
 /// little-endian words.
 fn stream_key(secret: &HmacKey, info: &[u8]) -> [u32; 8] {
     let mac = secret.mac(info);
@@ -550,15 +554,15 @@ mod tests {
 
     #[test]
     fn blinding_vector_matches_its_definition() {
-        // b_i[m] = Σ_j ±ChaCha20(k_ij)[m] with k_ij = HMAC(s_ij, label ‖
-        // be64(round)), rebuilt here from the pairwise secrets, the RFC
-        // block function and `hmac_sha256`, for cell counts around a
-        // block and a lane group.
+        // b_i[m] = Σ_j ±AES-256_{k_ij}(le128(m / 4))[m % 4] with k_ij =
+        // HMAC(s_ij, label ‖ be64(round)), rebuilt here from the pairwise
+        // secrets, `hmac_sha256` and the portable block function, for
+        // cell counts around a block and a VAES pass.
         let (group, pairs, dir) = cohort(4, 106);
         let me = 2u32;
         let generator = BlindingGenerator::new(&group, me, &pairs[me as usize], &dir);
         for (round, num_cells) in [(1u64, 1usize), (7, 16), (9, 17), (u64::MAX, 300)] {
-            let mut info = b"eyewnder/blinding/v2".to_vec();
+            let mut info = b"eyewnder/blinding/v3".to_vec();
             info.extend_from_slice(&round.to_be_bytes());
             let mut want = vec![0u32; num_cells];
             for (peer, public) in dir.iter().filter(|&(peer, _)| peer != me) {
@@ -569,7 +573,7 @@ mod tests {
                 });
                 for (m, cell) in want.iter_mut().enumerate() {
                     let word =
-                        crate::keystream::chacha20_block(&key, (m / 16) as u32, &[0; 3])[m % 16];
+                        crate::keystream::aes256_block(&key, [(m / 4) as u32, 0, 0, 0])[m % 4];
                     *cell = if me > peer {
                         cell.wrapping_sub(word)
                     } else {

@@ -1,62 +1,60 @@
-//! The ChaCha20 keystream (RFC 8439 §2.3–2.4), added straight into
-//! `u32` cells — the expansion half of the blinding derivation (see
-//! [`crate::blinding`]).
+//! The AES-256 counter-mode keystream (FIPS 197, NIST SP 800-38A),
+//! added straight into `u32` cells — the expansion half of the blinding
+//! derivation (see [`crate::blinding`]).
 //!
-//! Cell `m` of `out` receives keystream word `m`: word `m % 16` of block
-//! `m / 16`, blocks numbered from counter 0 under an all-zero nonce. That
-//! is RFC 8439's own order, so the output is exactly the RFC keystream
-//! read as little-endian words. The zero nonce is safe because every
+//! The key is the 32 little-endian bytes of the eight key words. Cell
+//! `m` of `out` receives little-endian word `m % 4` of
+//! `AES-256_k(le128(m / 4))`: block `n` encrypts the 16-byte
+//! little-endian encoding of `n`, so the block index is the whole
+//! counter and the nonce is zero. The zero nonce is safe because every
 //! caller keys one stream per (pair, round) and never reuses a key.
 //!
-//! ## Lanes
+//! ## Tiers
 //!
-//! Blocks are independent, so every tier computes 16 consecutive blocks
-//! at once with the state held as words indexed `[word][lane]` (lane `l`
-//! is block `base + l`), then transposes the 16 × 16 words to cell order
-//! on their way into the output. There are two bodies.
+//! Blocks are independent, so the hardware tiers keep several in flight
+//! and each encrypted block lands in its four cells as one vector add,
+//! with no transpose: a block's 32-bit lanes already are its cells.
 //!
-//! * `add_lanes::<L>` is safe Rust without intrinsics: every operation
-//!   is an elementwise add, xor or rotate over a `[u32; L]`, which the
-//!   compiler turns into whatever vector ISA the enclosing function is
-//!   compiled for. It is `#[inline(always)]` and instantiated twice:
-//!   under `avx2`, and plain (SSE2 on baseline x86-64, NEON on aarch64 —
-//!   the only body compiled off x86-64). Both are 16 lanes wide: at 8
-//!   lanes the compiler leaves the rounds scalar (about 3 × slower under
-//!   `avx2` and 1.5–2 × under SSE2; see ARCHITECTURE.md). A short last
-//!   group is one more full-width pass whose surplus lanes are
-//!   discarded.
-//! * The `avx512f,avx512vl` tier has a body of its own, written with
-//!   `core::arch` intrinsics as safe calls inside `#[target_feature]`
-//!   fns. The rounds are the same `vpaddd`/`vpxord`/`vprold` the generic
-//!   body compiles to; the reason is the transpose. From the generic
-//!   body LLVM emits 64 `vpgatherqd` per pass, about a third of the
-//!   kernel's time. Here it is 16 `unpack{lo,hi}_epi32`, 16
-//!   `unpack{lo,hi}_epi64` and 32 `shuffle_i32x4` in registers, and
-//!   each block is added into its 16 cells with one load and one store.
-//!   A short last group runs in a 256-word stack copy that is copied
-//!   back, so nothing is allocated.
+//! * `vaes/32` (`avx512f` + `vaes` + `aes`): eight `zmm` registers of
+//!   four blocks each, one `vaesenc` per register per round, the round
+//!   keys broadcast to all four 128-bit lanes.
+//! * `aes-ni/8` (`aes` + `sse2`): eight `xmm` blocks, one `aesenc` each
+//!   per round.
+//! * `portable/1`: FIPS 197 one block at a time, in the four-table form
+//!   (FIPS 197 §5 folded into 32-bit table lookups, as in Daemen and
+//!   Rijmen's reference). The tables are computed at compile time from
+//!   the GF(2⁸) inverse and the affine map, never typed in. Lookups are
+//!   indexed by secret bytes, which the crate's "not constant-time"
+//!   disclaimer covers; the hardware tiers' instructions are
+//!   constant-time. This tier is the oracle the others are tested
+//!   against and the only one compiled off x86-64.
+//!
+//! Both hardware tiers expand the key with `aeskeygenassist`. Their
+//! intrinsics are safe calls inside `#[target_feature]` fns: cells are
+//! read with `_mm512_set_epi32` or as `u64` pairs and written back as
+//! `u64` pairs, with no raw pointers. Both walk the cells with one
+//! helper, `in_groups`: a short last group runs in a stack copy that is
+//! copied back, so nothing is allocated.
 //!
 //! `add_keystream` picks a tier per call with one feature test,
 //! `Tier::detected` (`is_x86_feature_detected!`), which
 //! [`keystream_tier`] and the tier tests read too, so the reported tier
 //! is the dispatched one; there is no build flag, feature or environment
-//! switch.
-//!
-//! Every tier is bit-identical to the scalar RFC block function, which a
-//! per-tier differential test and the RFC 8439 §2.3.2 vector pin.
+//! switch. Every tier is bit-identical to the portable block function,
+//! which a per-tier differential test and the FIPS 197 C.3 vector pin.
 
-/// `"expand 32-byte k"` as four little-endian words (RFC 8439 §2.3).
-const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+/// AES-256 rounds (FIPS 197 §5, `Nr` for `Nk = 8`).
+const ROUNDS: usize = 14;
 
-/// Cells (keystream words) per ChaCha20 block.
-const BLOCK_WORDS: usize = 16;
+/// Cells (keystream words) per AES block.
+const BLOCK_WORDS: usize = 4;
 
-/// Adds the ChaCha20 keystream of `key` (nonce zero, block counter from
-/// 0) into `out`, one keystream word per cell, wrapping — or subtracts
-/// it when `negate` is set.
+/// Adds the AES-256-CTR keystream of `key` (the key's 32 LE bytes;
+/// block `n` encrypts `le128(n)`, `n` from 0) into `out`, one keystream
+/// word per cell, wrapping — or subtracts it when `negate` is set.
 ///
 /// # Panics
-/// Panics if `out` needs more than 2³² blocks (the counter is 32 bits).
+/// Panics if `out` needs more than 2³² blocks.
 #[allow(unsafe_code)]
 pub(crate) fn add_keystream(key: &[u32; 8], negate: bool, out: &mut [u32]) {
     assert!(
@@ -64,33 +62,32 @@ pub(crate) fn add_keystream(key: &[u32; 8], negate: bool, out: &mut [u32]) {
         "keystream too long"
     );
     match Tier::detected() {
-        // SAFETY: `Tier::detected` found avx512f and avx512vl on this CPU.
+        // SAFETY: `Tier::detected` found avx512f, vaes and aes on this CPU.
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => unsafe { avx512::add(key, negate, out) },
-        // SAFETY: `Tier::detected` found avx2 on this CPU.
+        Tier::Vaes => unsafe { vaes::add(key, negate, out) },
+        // SAFETY: `Tier::detected` found aes and sse2 on this CPU.
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => unsafe { add_avx2(key, negate, out) },
-        Tier::Portable => add_portable(key, negate, out),
+        Tier::AesNi => unsafe { aes_ni::add(key, negate, out) },
+        Tier::Portable => portable::add(key, negate, out),
     }
 }
 
-/// Which body of the lane kernel `add_keystream` runs on this
-/// CPU, as `"<isa>/<lanes>"`: `"avx512/16"`, `"avx2/16"` or
-/// `"portable/16"`. A read-only report for benchmark headers and
-/// telemetry — it cannot be set.
+/// Which body `add_keystream` runs on this CPU, as `"<isa>/<blocks in
+/// flight>"`: `"vaes/32"`, `"aes-ni/8"` or `"portable/1"`. A read-only
+/// report for benchmark headers and telemetry — it cannot be set.
 pub fn keystream_tier() -> &'static str {
     Tier::detected().name()
 }
 
 /// The keystream's bodies, narrowest first. Each x86-64 tier's features
-/// include the narrower one's: rustc's `avx512f` implies `avx2`.
+/// include the narrower one's: rustc's `avx512f` implies `sse2`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Tier {
     Portable,
     #[cfg(target_arch = "x86_64")]
-    Avx2,
+    AesNi,
     #[cfg(target_arch = "x86_64")]
-    Avx512,
+    Vaes,
 }
 
 impl Tier {
@@ -98,52 +95,193 @@ impl Tier {
     /// `add_keystream`, [`keystream_tier`] and the tier tests.
     fn detected() -> Tier {
         #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
-                return Tier::Avx512;
+        if is_x86_feature_detected!("aes") && is_x86_feature_detected!("sse2") {
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("vaes") {
+                return Tier::Vaes;
             }
-            if is_x86_feature_detected!("avx2") {
-                return Tier::Avx2;
-            }
+            return Tier::AesNi;
         }
         Tier::Portable
     }
 
-    /// `"<isa>/<lanes>"`, as [`keystream_tier`] reports it.
+    /// `"<isa>/<blocks in flight>"`, as [`keystream_tier`] reports it.
     fn name(self) -> &'static str {
         match self {
-            Tier::Portable => "portable/16",
+            Tier::Portable => "portable/1",
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => "avx2/16",
+            Tier::AesNi => "aes-ni/8",
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => "avx512/16",
+            Tier::Vaes => "vaes/32",
         }
     }
 }
 
-/// The AVX-512 body: the same design as `add_lanes::<16>` — lane `l` of
-/// word `w` is word `w` of block `16g + l` — written with intrinsics so
-/// that the transpose to cell order is 64 register shuffles rather than
-/// the gathers LLVM emits for the generic body. Every fn takes the tier's
-/// target features, so the intrinsics are safe calls and the helpers
-/// inline into `add_group`.
+/// Runs `add_group` over `out` a group of `GROUP` cells at a time,
+/// with each group's first block index: whole groups in place, and a
+/// short last group in a stack copy that is copied back, so nothing is
+/// allocated. `#[inline(always)]`: it compiles into the calling tier's
+/// `#[target_feature]` body, whose closure takes the tier's features.
 #[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::{BLOCK_WORDS, SIGMA};
+#[inline(always)]
+fn in_groups<const GROUP: usize>(
+    out: &mut [u32],
+    mut add_group: impl FnMut(u64, &mut [u32; GROUP]),
+) {
+    let blocks = (GROUP / BLOCK_WORDS) as u64;
+    let (groups, tail) = out.as_chunks_mut::<GROUP>();
+    for (g, group) in (0u64..).zip(groups.iter_mut()) {
+        add_group(g * blocks, group);
+    }
+    if !tail.is_empty() {
+        let mut buf = [0u32; GROUP];
+        buf[..tail.len()].copy_from_slice(tail);
+        add_group(groups.len() as u64 * blocks, &mut buf);
+        tail.copy_from_slice(&buf[..tail.len()]);
+    }
+}
+
+/// The AES-NI body, and the key expansion both hardware tiers share.
+#[cfg(target_arch = "x86_64")]
+mod aes_ni {
+    use super::{BLOCK_WORDS, ROUNDS};
     use std::arch::x86_64::*;
 
-    /// Cells per pass: sixteen blocks.
-    const GROUP: usize = 16 * BLOCK_WORDS;
+    /// Blocks in flight per pass.
+    const BLOCKS: usize = 8;
 
-    /// `_mm512_shuffle_i32x4` picks: 128-bit lanes 0 and 2 of each
-    /// operand, or lanes 1 and 3.
-    const EVEN: i32 = 0b10_00_10_00;
-    const ODD: i32 = 0b11_01_11_01;
+    /// Cells per pass.
+    const GROUP: usize = BLOCKS * BLOCK_WORDS;
+
+    /// Four cells in one register, lane `i` = `s[i]`.
+    #[target_feature(enable = "aes,sse2")]
+    #[inline]
+    pub(super) fn load(s: &[u32; 4]) -> __m128i {
+        let pair = |i: usize| (u64::from(s[i + 1]) << 32 | u64::from(s[i])) as i64;
+        _mm_set_epi64x(pair(2), pair(0))
+    }
+
+    /// `v`'s four lanes back into cells, lane `i` to `s[i]`.
+    #[target_feature(enable = "aes,sse2")]
+    #[inline]
+    pub(super) fn store(s: &mut [u32; 4], v: __m128i) {
+        let pairs = [
+            _mm_cvtsi128_si64(v) as u64,
+            _mm_cvtsi128_si64(_mm_unpackhi_epi64(v, v)) as u64,
+        ];
+        for (cells, pair) in s.chunks_exact_mut(2).zip(pairs) {
+            cells[0] = pair as u32;
+            cells[1] = (pair >> 32) as u32;
+        }
+    }
+
+    /// `a ^ (a << 32) ^ (a << 64) ^ (a << 96)`: each word of a round
+    /// key xored with every word below it (FIPS 197 §5.2's running xor).
+    #[target_feature(enable = "aes,sse2")]
+    #[inline]
+    fn prefix_xor(a: __m128i) -> __m128i {
+        let a = _mm_xor_si128(a, _mm_slli_si128::<4>(a));
+        let a = _mm_xor_si128(a, _mm_slli_si128::<4>(a));
+        _mm_xor_si128(a, _mm_slli_si128::<4>(a))
+    }
+
+    /// The AES-256 key schedule (FIPS 197 §5.2). An even round key
+    /// takes `RotWord(SubWord(w)) ^ Rcon` of the odd key before it
+    /// (`aeskeygenassist` dword 3), an odd one `SubWord(w)` of the even
+    /// key before it (dword 2).
+    #[target_feature(enable = "aes,sse2")]
+    #[inline]
+    pub(super) fn expand_key(key: &[u32; 8]) -> [__m128i; ROUNDS + 1] {
+        let even = |prev: __m128i, assist: __m128i| {
+            _mm_xor_si128(prefix_xor(prev), _mm_shuffle_epi32::<0xff>(assist))
+        };
+        let odd = |prev: __m128i, assist: __m128i| {
+            _mm_xor_si128(prefix_xor(prev), _mm_shuffle_epi32::<0xaa>(assist))
+        };
+        let mut rk = [_mm_setzero_si128(); ROUNDS + 1];
+        rk[0] = load(&[key[0], key[1], key[2], key[3]]);
+        rk[1] = load(&[key[4], key[5], key[6], key[7]]);
+        rk[2] = even(rk[0], _mm_aeskeygenassist_si128::<0x01>(rk[1]));
+        rk[3] = odd(rk[1], _mm_aeskeygenassist_si128::<0>(rk[2]));
+        rk[4] = even(rk[2], _mm_aeskeygenassist_si128::<0x02>(rk[3]));
+        rk[5] = odd(rk[3], _mm_aeskeygenassist_si128::<0>(rk[4]));
+        rk[6] = even(rk[4], _mm_aeskeygenassist_si128::<0x04>(rk[5]));
+        rk[7] = odd(rk[5], _mm_aeskeygenassist_si128::<0>(rk[6]));
+        rk[8] = even(rk[6], _mm_aeskeygenassist_si128::<0x08>(rk[7]));
+        rk[9] = odd(rk[7], _mm_aeskeygenassist_si128::<0>(rk[8]));
+        rk[10] = even(rk[8], _mm_aeskeygenassist_si128::<0x10>(rk[9]));
+        rk[11] = odd(rk[9], _mm_aeskeygenassist_si128::<0>(rk[10]));
+        rk[12] = even(rk[10], _mm_aeskeygenassist_si128::<0x20>(rk[11]));
+        rk[13] = odd(rk[11], _mm_aeskeygenassist_si128::<0>(rk[12]));
+        rk[14] = even(rk[12], _mm_aeskeygenassist_si128::<0x40>(rk[13]));
+        rk
+    }
+
+    /// AES-256 of every block in `x`, round by round across the blocks.
+    #[target_feature(enable = "aes,sse2")]
+    #[inline]
+    pub(super) fn encrypt<const N: usize>(
+        rk: &[__m128i; ROUNDS + 1],
+        mut x: [__m128i; N],
+    ) -> [__m128i; N] {
+        for b in &mut x {
+            *b = _mm_xor_si128(*b, rk[0]);
+        }
+        for k in &rk[1..ROUNDS] {
+            for b in &mut x {
+                *b = _mm_aesenc_si128(*b, *k);
+            }
+        }
+        for b in &mut x {
+            *b = _mm_aesenclast_si128(*b, rk[ROUNDS]);
+        }
+        x
+    }
+
+    /// Blocks `first..first + 8`, added into 32 cells. `mask` is all
+    /// ones to subtract: `(k ^ m) - m` is `-k` then, `k` otherwise.
+    #[target_feature(enable = "aes,sse2")]
+    #[inline]
+    fn add_group(rk: &[__m128i; ROUNDS + 1], first: u64, mask: __m128i, cells: &mut [u32; GROUP]) {
+        let mut x = [_mm_setzero_si128(); BLOCKS];
+        for (n, b) in (first..).zip(&mut x) {
+            *b = _mm_set_epi64x(0, n as i64);
+        }
+        let x = encrypt(rk, x);
+        for (block, k) in cells.as_chunks_mut::<BLOCK_WORDS>().0.iter_mut().zip(x) {
+            let k = _mm_sub_epi32(_mm_xor_si128(k, mask), mask);
+            store(block, _mm_add_epi32(load(block), k));
+        }
+    }
+
+    /// `add_keystream` on AES-NI.
+    #[target_feature(enable = "aes,sse2")]
+    pub(super) fn add(key: &[u32; 8], negate: bool, out: &mut [u32]) {
+        let rk = expand_key(key);
+        let mask = _mm_set1_epi32(-(negate as i32));
+        super::in_groups(out, |first, cells| add_group(&rk, first, mask, cells));
+    }
+}
+
+/// The VAES body: the AES-NI design at four blocks per register, eight
+/// registers in flight, on the AES-NI key schedule.
+#[cfg(target_arch = "x86_64")]
+mod vaes {
+    use super::{aes_ni, BLOCK_WORDS, ROUNDS};
+    use std::arch::x86_64::*;
+
+    /// Registers in flight per pass.
+    const REGS: usize = 8;
+
+    /// Blocks per pass: four per register.
+    const BLOCKS: usize = 4 * REGS;
+
+    /// Cells per pass.
+    const GROUP: usize = BLOCKS * BLOCK_WORDS;
 
     /// Sixteen cells in one register, lane `i` = `s[i]`.
-    #[target_feature(enable = "avx512f,avx512vl")]
+    #[target_feature(enable = "avx512f,vaes,aes")]
     #[inline]
-    fn load(s: &[u32; 16]) -> __m512i {
+    pub(super) fn load(s: &[u32; 16]) -> __m512i {
         let s = s.map(|c| c as i32);
         _mm512_set_epi32(
             s[15], s[14], s[13], s[12], s[11], s[10], s[9], s[8], s[7], s[6], s[5], s[4], s[3],
@@ -152,9 +290,9 @@ mod avx512 {
     }
 
     /// `v`'s sixteen lanes back into cells, lane `i` to `s[i]`.
-    #[target_feature(enable = "avx512f,avx512vl")]
+    #[target_feature(enable = "avx512f,vaes,aes")]
     #[inline]
-    fn store(s: &mut [u32; 16], v: __m512i) {
+    pub(super) fn store(s: &mut [u32; 16], v: __m512i) {
         let (lo, hi) = (
             _mm512_extracti64x4_epi64::<0>(v),
             _mm512_extracti64x4_epi64::<1>(v),
@@ -175,298 +313,296 @@ mod avx512 {
         }
     }
 
-    /// One ChaCha quarter round on four state words, every lane at once.
-    #[target_feature(enable = "avx512f,avx512vl")]
+    /// The AES-NI schedule, each round key in all four 128-bit lanes.
+    #[target_feature(enable = "avx512f,vaes,aes")]
     #[inline]
-    fn quarter_round(x: &mut [__m512i; 16], a: usize, b: usize, c: usize, d: usize) {
-        x[a] = _mm512_add_epi32(x[a], x[b]);
-        x[d] = _mm512_rol_epi32::<16>(_mm512_xor_si512(x[d], x[a]));
-        x[c] = _mm512_add_epi32(x[c], x[d]);
-        x[b] = _mm512_rol_epi32::<12>(_mm512_xor_si512(x[b], x[c]));
-        x[a] = _mm512_add_epi32(x[a], x[b]);
-        x[d] = _mm512_rol_epi32::<8>(_mm512_xor_si512(x[d], x[a]));
-        x[c] = _mm512_add_epi32(x[c], x[d]);
-        x[b] = _mm512_rol_epi32::<7>(_mm512_xor_si512(x[b], x[c]));
+    pub(super) fn expand_key(key: &[u32; 8]) -> [__m512i; ROUNDS + 1] {
+        aes_ni::expand_key(key).map(|k| _mm512_broadcast_i32x4(k))
     }
 
-    /// `x[w]` lane `l` (word `w` of block `l`) to `x[l]` lane `w` (block
-    /// `l`'s words in RFC order). The 32-bit and 64-bit unpacks transpose
-    /// each 128-bit lane's 4 × 4 words: afterwards `x[4i + j]` holds, in
-    /// its 128-bit lane `q`, words `4i..4i + 4` of block `4q + j`. Two
-    /// levels of `shuffle_i32x4` then transpose the 4 × 4 grid of 128-bit
-    /// lanes among `x[j]`, `x[4 + j]`, `x[8 + j]` and `x[12 + j]`.
-    #[target_feature(enable = "avx512f,avx512vl")]
+    /// AES-256 of every 128-bit lane of every register in `x`, round by
+    /// round across the registers.
+    #[target_feature(enable = "avx512f,vaes,aes")]
     #[inline]
-    fn transpose(x: [__m512i; 16]) -> [__m512i; 16] {
-        let mut a = x;
-        for i in 0..8 {
-            a[2 * i] = _mm512_unpacklo_epi32(x[2 * i], x[2 * i + 1]);
-            a[2 * i + 1] = _mm512_unpackhi_epi32(x[2 * i], x[2 * i + 1]);
+    pub(super) fn encrypt<const N: usize>(
+        rk: &[__m512i; ROUNDS + 1],
+        mut x: [__m512i; N],
+    ) -> [__m512i; N] {
+        for b in &mut x {
+            *b = _mm512_xor_si512(*b, rk[0]);
         }
-        let mut b = a;
-        for i in 0..4 {
-            let w = 4 * i;
-            b[w] = _mm512_unpacklo_epi64(a[w], a[w + 2]);
-            b[w + 1] = _mm512_unpackhi_epi64(a[w], a[w + 2]);
-            b[w + 2] = _mm512_unpacklo_epi64(a[w + 1], a[w + 3]);
-            b[w + 3] = _mm512_unpackhi_epi64(a[w + 1], a[w + 3]);
-        }
-        let mut rows = b;
-        for j in 0..4 {
-            let (p, q, r, s) = (b[j], b[4 + j], b[8 + j], b[12 + j]);
-            let (pq_even, pq_odd) = (
-                _mm512_shuffle_i32x4::<EVEN>(p, q),
-                _mm512_shuffle_i32x4::<ODD>(p, q),
-            );
-            let (rs_even, rs_odd) = (
-                _mm512_shuffle_i32x4::<EVEN>(r, s),
-                _mm512_shuffle_i32x4::<ODD>(r, s),
-            );
-            rows[j] = _mm512_shuffle_i32x4::<EVEN>(pq_even, rs_even);
-            rows[4 + j] = _mm512_shuffle_i32x4::<EVEN>(pq_odd, rs_odd);
-            rows[8 + j] = _mm512_shuffle_i32x4::<ODD>(pq_even, rs_even);
-            rows[12 + j] = _mm512_shuffle_i32x4::<ODD>(pq_odd, rs_odd);
-        }
-        rows
-    }
-
-    /// Sixteen blocks from counter `base`, added into 256 cells.
-    #[target_feature(enable = "avx512f,avx512vl")]
-    #[inline]
-    fn add_group(init: &[__m512i; 16], base: u32, mask: __m512i, cells: &mut [u32; GROUP]) {
-        let mut init = *init;
-        init[12] = _mm512_add_epi32(
-            _mm512_set1_epi32(base as i32),
-            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
-        );
-        let mut x = init;
-        for _ in 0..10 {
-            quarter_round(&mut x, 0, 4, 8, 12);
-            quarter_round(&mut x, 1, 5, 9, 13);
-            quarter_round(&mut x, 2, 6, 10, 14);
-            quarter_round(&mut x, 3, 7, 11, 15);
-            quarter_round(&mut x, 0, 5, 10, 15);
-            quarter_round(&mut x, 1, 6, 11, 12);
-            quarter_round(&mut x, 2, 7, 8, 13);
-            quarter_round(&mut x, 3, 4, 9, 14);
-        }
-        // Feed-forward and sign, then block order.
-        for (xw, iw) in x.iter_mut().zip(&init) {
-            *xw = _mm512_sub_epi32(_mm512_xor_si512(_mm512_add_epi32(*xw, *iw), mask), mask);
-        }
-        let rows = transpose(x);
-        for (block, row) in cells.as_chunks_mut::<BLOCK_WORDS>().0.iter_mut().zip(rows) {
-            store(block, _mm512_add_epi32(load(block), row));
-        }
-    }
-
-    /// `add_keystream` on AVX-512: whole groups in place, and a short
-    /// last group through a stack copy, so nothing is allocated.
-    #[target_feature(enable = "avx512f,avx512vl")]
-    pub(super) fn add(key: &[u32; 8], negate: bool, out: &mut [u32]) {
-        let mask = _mm512_set1_epi32(if negate { -1 } else { 0 });
-        // Words 12..16 (counter and nonce) start at zero; `add_group`
-        // sets the counter.
-        let mut init = [_mm512_setzero_si512(); 16];
-        for (w, &c) in SIGMA.iter().chain(key).enumerate() {
-            init[w] = _mm512_set1_epi32(c as i32);
-        }
-        // A group's first counter is at most the last block's, which the
-        // caller bounded; surplus lanes past it may wrap and are never
-        // written back.
-        let (groups, tail) = out.as_chunks_mut::<GROUP>();
-        for (g, group) in groups.iter_mut().enumerate() {
-            add_group(&init, (g * 16) as u32, mask, group);
-        }
-        if !tail.is_empty() {
-            let mut buf = [0u32; GROUP];
-            buf[..tail.len()].copy_from_slice(tail);
-            add_group(&init, (groups.len() * 16) as u32, mask, &mut buf);
-            tail.copy_from_slice(&buf[..tail.len()]);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn add_avx2(key: &[u32; 8], negate: bool, out: &mut [u32]) {
-    add_lanes::<16>(key, negate, out)
-}
-
-fn add_portable(key: &[u32; 8], negate: bool, out: &mut [u32]) {
-    add_lanes::<16>(key, negate, out)
-}
-
-/// One ChaCha quarter round on four state words, every lane at once.
-#[inline(always)]
-fn quarter_round<const L: usize>(
-    a: &mut [u32; L],
-    b: &mut [u32; L],
-    c: &mut [u32; L],
-    d: &mut [u32; L],
-) {
-    for l in 0..L {
-        a[l] = a[l].wrapping_add(b[l]);
-        d[l] = (d[l] ^ a[l]).rotate_left(16);
-        c[l] = c[l].wrapping_add(d[l]);
-        b[l] = (b[l] ^ c[l]).rotate_left(12);
-        a[l] = a[l].wrapping_add(b[l]);
-        d[l] = (d[l] ^ a[l]).rotate_left(8);
-        c[l] = c[l].wrapping_add(d[l]);
-        b[l] = (b[l] ^ c[l]).rotate_left(7);
-    }
-}
-
-/// The generic body of `add_keystream`, compiled for the `avx2` and
-/// portable tiers: `L` blocks per pass, 20 rounds, feed-forward, then
-/// each block's words folded into its 16 cells. Negation is two's
-/// complement under a mask (`(k ^ m) - m`), so both signs run the same
-/// straight-line code. No heap allocation. `#[inline(always)]`: the
-/// body takes the target features of the tier wrapper it is
-/// instantiated in.
-#[inline(always)]
-fn add_lanes<const L: usize>(key: &[u32; 8], negate: bool, out: &mut [u32]) {
-    let mask = if negate { u32::MAX } else { 0 };
-    let mut init = [[0u32; L]; 16];
-    for (w, &c) in SIGMA.iter().chain(key).enumerate() {
-        init[w] = [c; L];
-    }
-    // Words 13..16, the nonce, stay zero.
-    for (g, group) in out.chunks_mut(BLOCK_WORDS * L).enumerate() {
-        // The group's first counter is at most the last block's, which
-        // the caller bounded; surplus lanes past it may wrap and are
-        // never written.
-        let base = (g * L) as u32;
-        for (l, counter) in init[12].iter_mut().enumerate() {
-            *counter = base.wrapping_add(l as u32);
-        }
-        // Sixteen named words rather than one indexed array, so that
-        // every word stays in its own vector register through the rounds.
-        #[rustfmt::skip]
-        let [
-            mut x0, mut x1, mut x2, mut x3, mut x4, mut x5, mut x6, mut x7,
-            mut x8, mut x9, mut x10, mut x11, mut x12, mut x13, mut x14, mut x15,
-        ] = init;
-        for _ in 0..10 {
-            quarter_round(&mut x0, &mut x4, &mut x8, &mut x12);
-            quarter_round(&mut x1, &mut x5, &mut x9, &mut x13);
-            quarter_round(&mut x2, &mut x6, &mut x10, &mut x14);
-            quarter_round(&mut x3, &mut x7, &mut x11, &mut x15);
-            quarter_round(&mut x0, &mut x5, &mut x10, &mut x15);
-            quarter_round(&mut x1, &mut x6, &mut x11, &mut x12);
-            quarter_round(&mut x2, &mut x7, &mut x8, &mut x13);
-            quarter_round(&mut x3, &mut x4, &mut x9, &mut x14);
-        }
-        let x = [
-            x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15,
-        ];
-        // Feed-forward and transpose to block order in one pass.
-        let mut blocks = [[0u32; BLOCK_WORDS]; L];
-        for (w, (xw, iw)) in x.iter().zip(&init).enumerate() {
-            for l in 0..L {
-                blocks[l][w] = xw[l].wrapping_add(iw[l]) ^ mask;
+        for k in &rk[1..ROUNDS] {
+            for b in &mut x {
+                *b = _mm512_aesenc_epi128(*b, *k);
             }
         }
-        for (cell, k) in group.iter_mut().zip(blocks.as_flattened()) {
-            *cell = cell.wrapping_add(k.wrapping_sub(mask));
+        for b in &mut x {
+            *b = _mm512_aesenclast_epi128(*b, rk[ROUNDS]);
+        }
+        x
+    }
+
+    /// Blocks `first..first + 32`, added into 128 cells; `mask` as in
+    /// the AES-NI body.
+    #[target_feature(enable = "avx512f,vaes,aes")]
+    #[inline]
+    fn add_group(rk: &[__m512i; ROUNDS + 1], first: u64, mask: __m512i, cells: &mut [u32; GROUP]) {
+        let step = _mm512_set_epi64(0, 4, 0, 4, 0, 4, 0, 4);
+        let n = first as i64;
+        let mut counters = _mm512_set_epi64(0, n + 3, 0, n + 2, 0, n + 1, 0, n);
+        let mut x = [_mm512_setzero_si512(); REGS];
+        for b in &mut x {
+            *b = counters;
+            counters = _mm512_add_epi64(counters, step);
+        }
+        let x = encrypt(rk, x);
+        for (row, k) in cells.as_chunks_mut::<16>().0.iter_mut().zip(x) {
+            let k = _mm512_sub_epi32(_mm512_xor_si512(k, mask), mask);
+            store(row, _mm512_add_epi32(load(row), k));
+        }
+    }
+
+    /// `add_keystream` on VAES.
+    #[target_feature(enable = "avx512f,vaes,aes")]
+    pub(super) fn add(key: &[u32; 8], negate: bool, out: &mut [u32]) {
+        let rk = expand_key(key);
+        let mask = _mm512_set1_epi32(-(negate as i32));
+        super::in_groups(out, |first, cells| add_group(&rk, first, mask, cells));
+    }
+}
+
+/// FIPS 197 in safe Rust, one block at a time. A state column is a
+/// `u32` whose byte `r` (little-endian) is row `r`, so the block's LE
+/// words are its columns and its keystream cells.
+mod portable {
+    use super::{BLOCK_WORDS, ROUNDS};
+
+    /// Multiplication by `x` in GF(2⁸) modulo `x⁸ + x⁴ + x³ + x + 1`.
+    const fn xtime(b: u8) -> u8 {
+        (b << 1) ^ if b & 0x80 != 0 { 0x1b } else { 0 }
+    }
+
+    /// Multiplication in GF(2⁸), shift and add.
+    const fn gf_mul(mut a: u8, mut b: u8) -> u8 {
+        let mut p = 0;
+        while b != 0 {
+            if b & 1 != 0 {
+                p ^= a;
+            }
+            a = xtime(a);
+            b >>= 1;
+        }
+        p
+    }
+
+    /// The S-box (FIPS 197 §5.1.1): the inverse `x²⁵⁴` (0 maps to 0),
+    /// then the affine map `b ^ rotl(b, 1..=4) ^ 0x63`.
+    const SBOX: [u8; 256] = {
+        let mut sbox = [0u8; 256];
+        let mut x = 0;
+        while x < 256 {
+            // x^254 = x^2 · x^4 · … · x^128.
+            let (mut inv, mut square) = (1u8, x as u8);
+            let mut i = 0;
+            while i < 7 {
+                square = gf_mul(square, square);
+                inv = gf_mul(inv, square);
+                i += 1;
+            }
+            sbox[x] = inv
+                ^ inv.rotate_left(1)
+                ^ inv.rotate_left(2)
+                ^ inv.rotate_left(3)
+                ^ inv.rotate_left(4)
+                ^ 0x63;
+            x += 1;
+        }
+        sbox
+    };
+
+    /// `TE[r][b]`: SubBytes then MixColumns of byte `b` in row `r`, as
+    /// the column it contributes. Row 0's is `(2s, s, s, 3s)` for
+    /// `s = SBOX[b]`; row `r`'s is that rotated by `r` bytes.
+    static TE: [[u32; 256]; 4] = {
+        let mut te = [[0u32; 256]; 4];
+        let mut b = 0;
+        while b < 256 {
+            let s = SBOX[b];
+            let t = u32::from_le_bytes([xtime(s), s, s, xtime(s) ^ s]);
+            let mut r = 0;
+            while r < 4 {
+                te[r][b] = t.rotate_left(8 * r as u32);
+                r += 1;
+            }
+            b += 1;
+        }
+        te
+    };
+
+    /// Byte `r` (row `r`) of a column, as a table index.
+    fn row(column: u32, r: usize) -> usize {
+        (column >> (8 * r)) as u8 as usize
+    }
+
+    /// SubWord: the S-box on each byte.
+    fn sub_word(w: u32) -> u32 {
+        u32::from_le_bytes(w.to_le_bytes().map(|b| SBOX[b as usize]))
+    }
+
+    /// The AES-256 key schedule (FIPS 197 §5.2), as `ROUNDS + 1` round
+    /// keys of four columns. RotWord is a right rotation of the
+    /// little-endian word.
+    pub(super) fn expand_key(key: &[u32; 8]) -> [[u32; 4]; ROUNDS + 1] {
+        let mut w = [[0u32; 4]; ROUNDS + 1];
+        let words = w.as_flattened_mut();
+        words[..8].copy_from_slice(key);
+        let mut rcon = 1u8;
+        for i in 8..words.len() {
+            let mut t = words[i - 1];
+            if i % 8 == 0 {
+                t = sub_word(t.rotate_right(8)) ^ rcon as u32;
+                rcon = xtime(rcon);
+            } else if i % 8 == 4 {
+                t = sub_word(t);
+            }
+            words[i] = words[i - 8] ^ t;
+        }
+        w
+    }
+
+    /// One block (four columns) through AES-256: ShiftRows folded into
+    /// which column each row's byte is read from.
+    pub(super) fn encrypt(rk: &[[u32; 4]; ROUNDS + 1], block: [u32; 4]) -> [u32; 4] {
+        let mut s: [u32; 4] = std::array::from_fn(|c| block[c] ^ rk[0][c]);
+        for k in &rk[1..ROUNDS] {
+            s = std::array::from_fn(|c| {
+                TE[0][row(s[c], 0)]
+                    ^ TE[1][row(s[(c + 1) % 4], 1)]
+                    ^ TE[2][row(s[(c + 2) % 4], 2)]
+                    ^ TE[3][row(s[(c + 3) % 4], 3)]
+                    ^ k[c]
+            });
+        }
+        std::array::from_fn(|c| {
+            let bytes: [u8; 4] = std::array::from_fn(|r| SBOX[row(s[(c + r) % 4], r)]);
+            u32::from_le_bytes(bytes) ^ rk[ROUNDS][c]
+        })
+    }
+
+    /// `add_keystream` one block at a time; a short last block adds its
+    /// first words only.
+    pub(super) fn add(key: &[u32; 8], negate: bool, out: &mut [u32]) {
+        let rk = expand_key(key);
+        for (n, cells) in (0u64..).zip(out.chunks_mut(BLOCK_WORDS)) {
+            let k = encrypt(&rk, [n as u32, (n >> 32) as u32, 0, 0]);
+            for (cell, k) in cells.iter_mut().zip(k) {
+                *cell = if negate {
+                    cell.wrapping_sub(k)
+                } else {
+                    cell.wrapping_add(k)
+                };
+            }
         }
     }
 }
 
-/// The RFC 8439 §2.3 block function, one block at a time: the oracle the
-/// lane tiers are tested against.
+/// AES-256 of one block on the portable tier, key and block as LE
+/// words: the oracle the tiers and the blinding derivation are tested
+/// against.
 #[cfg(test)]
-pub(crate) fn chacha20_block(key: &[u32; 8], counter: u32, nonce: &[u32; 3]) -> [u32; 16] {
-    let mut init = [0u32; 16];
-    init[..4].copy_from_slice(&SIGMA);
-    init[4..12].copy_from_slice(key);
-    init[12] = counter;
-    init[13..].copy_from_slice(nonce);
-    let mut x = init;
-    let mut qr = |a: usize, b: usize, c: usize, d: usize| {
-        x[a] = x[a].wrapping_add(x[b]);
-        x[d] = (x[d] ^ x[a]).rotate_left(16);
-        x[c] = x[c].wrapping_add(x[d]);
-        x[b] = (x[b] ^ x[c]).rotate_left(12);
-        x[a] = x[a].wrapping_add(x[b]);
-        x[d] = (x[d] ^ x[a]).rotate_left(8);
-        x[c] = x[c].wrapping_add(x[d]);
-        x[b] = (x[b] ^ x[c]).rotate_left(7);
-    };
-    for _ in 0..10 {
-        qr(0, 4, 8, 12);
-        qr(1, 5, 9, 13);
-        qr(2, 6, 10, 14);
-        qr(3, 7, 11, 15);
-        qr(0, 5, 10, 15);
-        qr(1, 6, 11, 12);
-        qr(2, 7, 8, 13);
-        qr(3, 4, 9, 14);
-    }
-    std::array::from_fn(|i| x[i].wrapping_add(init[i]))
+pub(crate) fn aes256_block(key: &[u32; 8], block: [u32; 4]) -> [u32; 4] {
+    portable::encrypt(&portable::expand_key(key), block)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Little-endian words of a byte string, as RFC 8439 §2.3 reads its
-    /// key and nonce.
+    /// Little-endian words of a byte string.
     fn le_words<const N: usize>(bytes: &[u8]) -> [u32; N] {
         std::array::from_fn(|i| u32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().unwrap()))
     }
 
-    #[test]
-    fn rfc8439_block_function_test_vector() {
-        // RFC 8439 §2.3.2: key 00 01 … 1f, nonce 00 00 00 09 00 00 00 4a
-        // 00 00 00 00, block count 1 — the serialized state after the
-        // feed-forward.
-        let key_bytes: Vec<u8> = (0..32).collect();
-        let key = le_words::<8>(&key_bytes);
-        let nonce = le_words::<3>(&[0, 0, 0, 0x09, 0, 0, 0, 0x4a, 0, 0, 0, 0]);
-        let want: [u32; 16] = [
-            0xe4e7f110, 0x15593bd1, 0x1fdd0f50, 0xc47120a3, //
-            0xc7f4d1c7, 0x0368c033, 0x9aaa2204, 0x4e6cd4c3, //
-            0x466482d2, 0x09aa9f07, 0x05d7c214, 0xa2028bd9, //
-            0xd19c12b5, 0xb94e16de, 0xe883d0cb, 0x4e3c50a2,
-        ];
-        assert_eq!(chacha20_block(&key, 1, &nonce), want);
-    }
-
     type TierFn = fn(&[u32; 8], bool, &mut [u32]);
+    type BlockFn = fn(&[u32; 8], [u32; 4]) -> [u32; 4];
 
-    /// Every tier this host can run, narrowest first, called
-    /// directly rather than through the dispatch.
+    /// Every tier this host can run, narrowest first, each as its
+    /// keystream fn and its one-block AES-256, called directly rather
+    /// than through the dispatch.
     #[allow(unsafe_code)]
-    fn host_tiers() -> Vec<(&'static str, TierFn)> {
+    fn host_tiers() -> Vec<(&'static str, TierFn, BlockFn)> {
         #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
-        let mut tiers: Vec<(&'static str, TierFn)> = vec![(Tier::Portable.name(), add_portable)];
+        let mut tiers: Vec<(&'static str, TierFn, BlockFn)> =
+            vec![(Tier::Portable.name(), portable::add, aes256_block)];
         #[cfg(target_arch = "x86_64")]
         {
-            let widest = Tier::detected();
-            if widest >= Tier::Avx2 {
-                // SAFETY: only pushed (so only callable) once avx2 was
-                // detected, directly or as part of avx512f.
-                tiers.push((Tier::Avx2.name(), |k, n, o| unsafe { add_avx2(k, n, o) }));
+            use std::arch::x86_64::*;
+
+            #[target_feature(enable = "aes,sse2")]
+            fn aes_ni_block(key: &[u32; 8], block: [u32; 4]) -> [u32; 4] {
+                let [x] = aes_ni::encrypt(&aes_ni::expand_key(key), [aes_ni::load(&block)]);
+                let mut out = [0; 4];
+                aes_ni::store(&mut out, x);
+                out
             }
-            if widest == Tier::Avx512 {
-                // SAFETY: only pushed once avx512f and avx512vl were detected.
-                tiers.push((Tier::Avx512.name(), |k, n, o| unsafe {
-                    avx512::add(k, n, o)
-                }));
+
+            #[target_feature(enable = "avx512f,vaes,aes")]
+            fn vaes_block(key: &[u32; 8], block: [u32; 4]) -> [u32; 4] {
+                let x = _mm512_broadcast_i32x4(aes_ni::load(&block));
+                let [x] = vaes::encrypt(&vaes::expand_key(key), [x]);
+                let mut out = [0; 16];
+                vaes::store(&mut out, x);
+                assert!(out.as_chunks::<4>().0.iter().all(|lane| *lane == out[..4]));
+                out[..4].try_into().unwrap()
+            }
+
+            let widest = Tier::detected();
+            if widest >= Tier::AesNi {
+                // SAFETY: only pushed (so only callable) once aes and
+                // sse2 were detected.
+                tiers.push((
+                    Tier::AesNi.name(),
+                    |k, n, o| unsafe { aes_ni::add(k, n, o) },
+                    |k, b| unsafe { aes_ni_block(k, b) },
+                ));
+            }
+            if widest == Tier::Vaes {
+                // SAFETY: only pushed once avx512f, vaes and aes were
+                // detected.
+                tiers.push((
+                    Tier::Vaes.name(),
+                    |k, n, o| unsafe { vaes::add(k, n, o) },
+                    |k, b| unsafe { vaes_block(k, b) },
+                ));
             }
         }
         tiers
     }
 
     #[test]
+    fn fips197_c3_vector_on_every_host_tier() {
+        // FIPS 197 Appendix C.3 (AES-256): key 00 01 … 1f.
+        let key = le_words::<8>(&(0..32).collect::<Vec<u8>>());
+        let plain = le_words::<4>(&[
+            0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
+            0xee, 0xff,
+        ]);
+        let cipher = le_words::<4>(&[
+            0x8e, 0xa2, 0xb7, 0xca, 0x51, 0x67, 0x45, 0xbf, 0xea, 0xfc, 0x49, 0x90, 0x4b, 0x49,
+            0x60, 0x89,
+        ]);
+        for (name, _, block) in host_tiers() {
+            assert_eq!(block(&key, plain), cipher, "tier={name}");
+        }
+    }
+
+    #[test]
     fn every_host_tier_matches_scalar_oracle() {
-        // Empty, a single cell, one word short of / exactly / one past a
-        // block and a 16-block group, a truncated tail, and the
-        // benchmark's 5 × 2048 cells; then every length to two whole
-        // 16-block groups, so every residue of a short last group goes
-        // through the AVX-512 body's stack copy. Both signs, onto
-        // non-zero cells.
+        // Empty, a single cell, around a block, the VAES tier's 128-cell
+        // pass and its doubles, a truncated tail, and the benchmark's 5 ×
+        // 2048 cells; then every length to four whole VAES passes, so
+        // every residue of a short last pass goes through each hardware
+        // body's stack copy. Both signs, onto non-zero cells.
         const CELLS: [usize; 10] = [0, 1, 15, 16, 17, 255, 256, 257, 1000, 10_240];
         let tiers = host_tiers();
         let names: Vec<&str> = tiers.iter().map(|t| t.0).collect();
@@ -481,13 +617,13 @@ mod tests {
         );
 
         let key: [u32; 8] = std::array::from_fn(|i| 0x9E37_79B9u32.wrapping_mul(i as u32 + 1));
-        let stream: Vec<u32> = (0..640u32)
-            .flat_map(|b| chacha20_block(&key, b, &[0; 3]))
+        let stream: Vec<u32> = (0..2560u32)
+            .flat_map(|n| aes256_block(&key, [n, 0, 0, 0]))
             .collect();
         let cells: Vec<u32> = (0..10_240u32)
             .map(|i| i.wrapping_mul(0x85EB_CA6B))
             .collect();
-        for &(name, tier) in &tiers {
+        for &(name, tier, _) in &tiers {
             for len in CELLS.into_iter().chain(0..=512) {
                 for negate in [false, true] {
                     let mut got = cells[..len].to_vec();

@@ -226,19 +226,20 @@ proptest! {
     }
 
     #[test]
-    fn keystream_equals_rfc_blocks_for_any_key_and_length(
+    fn keystream_equals_aes_ctr_blocks_for_any_key_and_length(
         key in proptest::collection::vec(any::<u32>(), 8..9),
         len in 0usize..1100,
         negate in any::<bool>(),
     ) {
         // Whatever tier the dispatch picks on this CPU: cell m gains (or
-        // loses) word m % 16 of RFC 8439 block m / 16, nonce zero.
-        use crate::keystream::{add_keystream, chacha20_block};
+        // loses) LE word m % 4 of AES-256 of le128(m / 4), on the
+        // portable block function.
+        use crate::keystream::{add_keystream, aes256_block};
         let key: [u32; 8] = key.try_into().unwrap();
         let mut got = vec![0x5A5A_5A5Au32; len];
         add_keystream(&key, negate, &mut got);
         for (m, cell) in got.iter().enumerate() {
-            let word = chacha20_block(&key, (m / 16) as u32, &[0; 3])[m % 16];
+            let word = aes256_block(&key, [(m / 4) as u32, 0, 0, 0])[m % 4];
             let want = if negate {
                 0x5A5A_5A5Au32.wrapping_sub(word)
             } else {

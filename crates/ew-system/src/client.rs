@@ -162,9 +162,9 @@ impl Client {
     /// Resolves a slice of URLs to ad IDs through a
     /// [`ServiceBus`](crate::node::ServiceBus): the
     /// uncached remainder is blinded with one shared inversion and
-    /// travels as `OprfBatchRequest` envelopes of at most
-    /// [`MAX_BATCH`](crate::oprf_server::MAX_BATCH) elements (one, for
-    /// any week a driver maps), the front-end answers each with one
+    /// travels as `OprfBatchRequest` envelopes of at most 1 024 elements,
+    /// the OPRF service's batch cap (one envelope, for any week a driver
+    /// maps), the front-end answers each with one
     /// `OprfBatchResponse` envelope, and every resolved ID is cached.
     ///
     /// This is the one way to map an ad — the path

@@ -91,8 +91,9 @@ impl OprfService {
     /// single ad is a batch of one) — and every request gets an answer:
     /// the response for a well-formed request, a [`Message::Error`] for
     /// a malformed or unsupported one, so peers can distinguish "the
-    /// network dropped it" from "the service refused it". A batch longer
-    /// than [`MAX_BATCH`] is refused before any element is converted. The
+    /// network dropped it" from "the service refused it". A batch of
+    /// more than 1 024 elements, the service's batch cap, is refused
+    /// before any element is converted. The
     /// single exception is an incoming `Error`, which is never answered
     /// (no error ping-pong).
     pub fn handle(&self, msg: &Message) -> Option<Message> {

@@ -714,10 +714,10 @@ fn unsafe_allowances(dir: &Path) -> Vec<String> {
 #[test]
 fn one_blinding_derivation() {
     // A blinding term is one MAC per pair per round expanded by the
-    // ChaCha20 keystream straight into the cells. The counter-mode HMAC
-    // expansion, its per-round stream buffers and the caller-less
-    // multi-server OPRF may not come back; `ew-crypto`'s `unsafe` sites
-    // are pinned in `unsafe_only_at_the_tier_dispatches`.
+    // AES-256-CTR keystream straight into the cells (derivation v3). The
+    // counter-mode HMAC expansion, its per-round stream buffers and the
+    // caller-less multi-server OPRF may not come back; `ew-crypto`'s
+    // `unsafe` sites are pinned in `unsafe_only_at_the_tier_dispatches`.
     let listing = surface(&PathBuf::from(env!("CARGO_MANIFEST_DIR")));
     for retired in [
         "BlindingStream",
@@ -754,7 +754,7 @@ const UNSAFE_SITES: [(&str, &[&str], &str); 4] = [
         &["let sweep_block = |cms: &Self, first, n, block: &mut Block| unsafe {"],
         "ew-sketch allows unsafe code only at the sweep dispatch",
     ),
-    // The keystream dispatch into its AVX-512 and AVX2 bodies, and the
+    // The keystream dispatch into its VAES and AES-NI bodies, and the
     // SHA-256 dispatch into its SHA-extensions body.
     (
         "ew-crypto",
