@@ -62,13 +62,26 @@ impl Detector {
     /// This is the complete §4.1 algorithm:
     /// `Targeted ⇔ #Domains(u,α) > Domains_th(u) ∧ #Users(α) < Users_th`.
     pub fn classify(&self, user: &UserCounters, ad: AdKey, global: &GlobalView) -> Verdict {
+        self.classify_estimate(user, ad, || global.users(ad), global.users_threshold())
+    }
+
+    /// [`Self::classify`] with the backend's half given as numbers:
+    /// `users` yields the `#Users(α)` estimate (a `UsersReply` off the
+    /// wire, or a view lookup) and is called once, past the activity
+    /// gate; `users_th` is the broadcast `Users_th`.
+    pub fn classify_estimate(
+        &self,
+        user: &UserCounters,
+        ad: AdKey,
+        users: impl FnOnce() -> f64,
+        users_th: f64,
+    ) -> Verdict {
         if user.distinct_domains() < self.config.min_active_domains {
             return Verdict::InsufficientData;
         }
         let domains = user.domain_count(ad) as f64;
         let domains_th = user.domains_threshold(self.config.policy);
-        let users = global.users(ad);
-        let users_th = global.users_threshold();
+        let users = users();
 
         if domains > domains_th && users < users_th {
             Verdict::Targeted

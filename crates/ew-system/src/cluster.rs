@@ -216,7 +216,6 @@ impl<B: ServiceBus> RoutingBus<B> {
         let now = Instant::now();
         if let Some((phase, since)) = self.clock.take() {
             let nanos = now.duration_since(since).as_nanos() as u64;
-            self.metrics.phase_nanos[phase_index(phase)] += nanos;
             self.metrics.phase_hist[phase_index(phase)].record(nanos);
         }
         self.clock = next.map(|p| (p, now));

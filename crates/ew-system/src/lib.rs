@@ -101,11 +101,9 @@ pub use pipeline::{
 };
 pub use store::{RoundRecord, Store, UserRecord};
 pub use system::{
-    deliver_late_report, restart_coordinator, EpochOutcome, EyewnderSystem, RoundOutcome,
-    SystemConfig,
+    deliver_late_report, restart_coordinator, EpochOutcome, EyewnderSystem, SystemConfig,
 };
 pub use telemetry::{
-    hist_kind, phase_index, ChurnMetrics, Hist64, ReplayMetrics, TelemetryService,
-    TelemetrySnapshot, MAX_ROUND_ROWS,
+    phase_index, ChurnMetrics, Hist64, ReplayMetrics, TelemetryService, TelemetrySnapshot,
 };
 pub use trace::{SpanGuard, TraceEvent, TraceEventKind, TraceRecorder};

@@ -292,8 +292,7 @@ impl ServiceBus for WireBus {
     }
 }
 
-/// The finalized result of one driven round (`crate::system::RoundOutcome`
-/// is this same type).
+/// The finalized result of one driven round.
 #[derive(Debug, Clone)]
 pub struct DrivenRound {
     /// The round index.

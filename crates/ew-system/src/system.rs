@@ -115,10 +115,6 @@ impl SystemConfig {
     }
 }
 
-/// Outcome of one aggregation round: the [`DrivenRound`] the typestate
-/// machine finalized.
-pub type RoundOutcome = DrivenRound;
-
 /// Outcome of one scheduled epoch in a churn campaign.
 #[derive(Debug, Clone)]
 pub struct EpochOutcome {
@@ -137,7 +133,7 @@ pub struct EpochOutcome {
     /// or mid-reports drop) instead of completing.
     pub collapsed: bool,
     /// The finalized round, when the epoch completed.
-    pub outcome: Option<RoundOutcome>,
+    pub outcome: Option<DrivenRound>,
 }
 
 /// The assembled system.
@@ -291,7 +287,7 @@ impl EyewnderSystem {
     /// [`Self::run_round_on`] against a fresh
     /// [`SystemConfig::cluster_backends`]-shard cluster behind an
     /// in-proc [`RoutingBus`].
-    pub fn run_round(&mut self, round: u64, silent: &[u32]) -> RoundOutcome {
+    pub fn run_round(&mut self, round: u64, silent: &[u32]) -> DrivenRound {
         let map = self.cluster_map();
         let mut backend = self.new_cluster(&map);
         let mut bus = RoutingBus::in_proc(map, None);
@@ -314,7 +310,7 @@ impl EyewnderSystem {
         bus: &mut B,
         round: u64,
         silent: &[u32],
-    ) -> RoundOutcome {
+    ) -> DrivenRound {
         let params = self.config.cms;
         let driven = drive_round(&self.clients, backend, bus, params, round, silent, 1);
         let roster: Vec<u32> = self.clients.iter().map(Client::id).collect();
@@ -335,10 +331,9 @@ impl EyewnderSystem {
         driven: &DrivenRound,
     ) {
         if let Some(metrics) = bus.take_metrics() {
-            self.telemetry.observe(driven.round, &metrics);
+            self.telemetry.observe(&metrics);
         }
-        self.telemetry
-            .observe(driven.round, &backend.take_metrics());
+        self.telemetry.observe(&backend.take_metrics());
         self.telemetry.observe_oprf(&self.oprf.take_batch_hist());
         for &user in roster {
             if !driven.missing.contains(&user) {
@@ -716,17 +711,12 @@ impl EyewnderSystem {
 
         // Local half of the decision: the client's own counters plus the
         // broadcast threshold.
-        let counters = client.counters();
-        if counters.distinct_domains() < self.config.detector.min_active_domains {
-            return Some(Verdict::InsufficientData);
-        }
-        let domains = counters.domain_count(ad) as f64;
-        let domains_th = counters.domains_threshold(self.config.detector.policy);
-        Some(if domains > domains_th && (estimate as f64) < users_th {
-            Verdict::Targeted
-        } else {
-            Verdict::NonTargeted
-        })
+        Some(Detector::new(self.config.detector).classify_estimate(
+            client.counters(),
+            ad,
+            || estimate as f64,
+            users_th,
+        ))
     }
 
     /// Clears every client's window (after a completed round).
@@ -1076,17 +1066,19 @@ mod tests {
         let outcome = sys.run_round(1, &[]);
         assert_eq!(outcome.reports, 24);
 
-        let metrics = sys
-            .telemetry()
-            .round_metrics(1)
-            .expect("round 1 was observed");
+        let metrics = sys.telemetry().totals();
         assert_eq!(metrics.routed, 24, "one routed envelope per report");
         assert_eq!(metrics.journal_depth, 0, "finalize truncates the log");
         assert!(metrics.truncated > 0, "the absorbed records were truncated");
+        for (phase, hist) in metrics.phase_hist.iter().enumerate() {
+            assert_eq!(hist.count(), 1, "phase {phase} timed once per round");
+        }
 
-        // Lifetime totals cover the same single round.
-        assert_eq!(sys.telemetry().totals().routed, metrics.routed);
-        assert_eq!(sys.telemetry().round_metrics(99), None);
+        // A second round adds to the lifetime totals.
+        sys.run_round(2, &[]);
+        let totals = sys.telemetry().totals();
+        assert_eq!(totals.routed, 2 * metrics.routed);
+        assert!(totals.phase_hist.iter().all(|h| h.count() == 2));
     }
 
     #[test]

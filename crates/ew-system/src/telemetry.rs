@@ -6,8 +6,8 @@
 //! that erodes. Every round drains the bus, the backend and the
 //! oprf-server into a [`ReplayMetrics`] observation, and the
 //! coordinator into a [`ChurnMetrics`] one; the [`TelemetryService`]
-//! folds them into per-round rows and lifetime totals. It lives in
-//! process: a driver reads it through `EyewnderSystem::telemetry()`.
+//! folds them into lifetime totals. It lives in process: a driver
+//! reads it through `EyewnderSystem::telemetry()`.
 //!
 //! The counters are deliberately split by kind:
 //!
@@ -17,77 +17,32 @@
 //!   answer "is the log bounded right now?",
 //! * **high-water marks** (`queue_depth`) keep the maximum — they
 //!   answer "how deep did the mailboxes ever get?",
-//! * **timings** (`phase_nanos`, and the churn plane's epoch-phase
-//!   `phase_nanos`) are wall-clock and accumulate; they are
-//!   intentionally excluded from every determinism comparison (two
-//!   bit-identical rounds will never have bit-identical clocks),
+//! * **timings** (the churn plane's epoch-phase `phase_nanos`) are
+//!   wall-clock and accumulate; they are intentionally excluded from
+//!   every determinism comparison (two bit-identical rounds will never
+//!   have bit-identical clocks),
 //! * **histograms** ([`Hist64`]) are merge-able log-linear latency
-//!   distributions, eight buckets per power of two — sums answer "how
-//!   much?", the histograms answer "how is it distributed?" with
-//!   p50/p90/p99 estimators. Like the
-//!   timings, they ride outside every determinism comparison.
+//!   distributions, eight buckets per power of two — their sums answer
+//!   "how much?" (a round phase's busy nanoseconds are its histogram's
+//!   sum), the buckets answer "how is it distributed?" with p50/p90/p99
+//!   estimators. Like the timings, they ride outside every determinism
+//!   comparison.
 //!
-//! Snapshots leave the process two ways: JSON lines appended to the
-//! file named by `EW_TELEMETRY_JSON`, and a Prometheus-style text
-//! exposition — see [`TelemetrySnapshot`].
+//! Snapshots leave the process two ways, both rendered from one scalar
+//! table and [`ReplayMetrics::hists`]: JSON lines appended to the file
+//! named by `EW_TELEMETRY_JSON`, and a Prometheus-style text exposition
+//! — see [`TelemetrySnapshot`].
 
 use crate::node::RoundPhase;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// The position of `phase` in the [`ReplayMetrics::phase_nanos`] row.
+/// The position of `phase` in the [`ReplayMetrics::phase_hist`] row.
 pub fn phase_index(phase: RoundPhase) -> usize {
     match phase {
         RoundPhase::Open => 0,
         RoundPhase::Reports => 1,
         RoundPhase::Recovery => 2,
         RoundPhase::Finalize => 3,
-    }
-}
-
-/// Export keys for the histogram families a [`ReplayMetrics`] snapshot
-/// carries: [`ReplayMetrics::hist`] looks a family up by kind, and
-/// [`label`](hist_kind::label) names it in both exports. They are not
-/// wire identifiers.
-pub mod hist_kind {
-    /// Round phase `Open` latency (nanoseconds per round).
-    pub(super) const PHASE_OPEN: u8 = 0;
-    /// Round phase `Reports` latency.
-    pub(super) const PHASE_REPORTS: u8 = 1;
-    /// Round phase `Recovery` latency.
-    pub(super) const PHASE_RECOVERY: u8 = 2;
-    /// Round phase `Finalize` latency.
-    pub(super) const PHASE_FINALIZE: u8 = 3;
-    /// Absorb-batch service time: one sample per absorbed batch.
-    pub(super) const ABSORB: u8 = 4;
-    /// OPRF batch service time (per blind-evaluated batch).
-    pub(super) const OPRF_BATCH: u8 = 5;
-    /// Journal replay duration (uplink re-link or cold restart).
-    pub(super) const REPLAY: u8 = 6;
-
-    /// Every kind, in export order.
-    pub const ALL: [u8; 7] = [
-        PHASE_OPEN,
-        PHASE_REPORTS,
-        PHASE_RECOVERY,
-        PHASE_FINALIZE,
-        ABSORB,
-        OPRF_BATCH,
-        REPLAY,
-    ];
-
-    /// Human label for `kind` (unknown kinds render as `"unknown"`).
-    pub fn label(kind: u8) -> &'static str {
-        match kind {
-            PHASE_OPEN => "phase_open",
-            PHASE_REPORTS => "phase_reports",
-            PHASE_RECOVERY => "phase_recovery",
-            PHASE_FINALIZE => "phase_finalize",
-            ABSORB => "absorb",
-            OPRF_BATCH => "oprf_batch",
-            REPLAY => "replay",
-            _ => "unknown",
-        }
     }
 }
 
@@ -112,9 +67,8 @@ const HIST_BUCKETS: usize = SUB_BUCKETS * (64 - SUB_BITS as usize + 1);
 /// Quantile estimates resolve to the **upper bound** of the bucket the
 /// rank lands in: a conservative (never under-reported) latency bound
 /// at most 12.5 % above the true quantile — a bucket is an eighth of
-/// its octave wide. Bucket counts are `u32` (2 KB of buckets in all:
-/// the telemetry keeps up to [`MAX_ROUND_ROWS`] rows of seven
-/// histograms each) and saturate like the totals.
+/// its octave wide. Bucket counts are `u32` (2 KB of buckets per
+/// histogram) and saturate like the totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hist64 {
     buckets: [u32; HIST_BUCKETS],
@@ -252,11 +206,10 @@ pub struct ReplayMetrics {
     pub queue_depth: u64,
     /// Late reports parked during a grace window instead of dropped.
     pub late_reports_parked: u64,
-    /// Cumulative busy nanoseconds per round phase, indexed by
-    /// [`phase_index`]. Wall-clock: never part of determinism checks.
-    pub phase_nanos: [u64; 4],
     /// Round-phase latency distributions (nanoseconds per round),
-    /// indexed by [`phase_index`].
+    /// indexed by [`phase_index`]; a phase's busy nanoseconds are its
+    /// histogram's [`Hist64::sum`]. Wall-clock: never part of
+    /// determinism checks.
     pub phase_hist: [Hist64; 4],
     /// Absorb-batch service-time distribution (one sample per batch).
     pub absorb_hist: Hist64,
@@ -268,9 +221,9 @@ pub struct ReplayMetrics {
 }
 
 impl ReplayMetrics {
-    /// Folds `other` into `self` with per-kind semantics: counters,
-    /// timings and histograms add, gauges take the newer value,
-    /// high-water marks max.
+    /// Folds `other` into `self` with per-kind semantics: counters and
+    /// histograms add, gauges take the newer value, high-water marks
+    /// max.
     pub fn merge(&mut self, other: &ReplayMetrics) {
         self.routed += other.routed;
         self.replayed += other.replayed;
@@ -279,9 +232,6 @@ impl ReplayMetrics {
         self.truncated += other.truncated;
         self.queue_depth = self.queue_depth.max(other.queue_depth);
         self.late_reports_parked += other.late_reports_parked;
-        for (mine, theirs) in self.phase_nanos.iter_mut().zip(other.phase_nanos) {
-            *mine += theirs;
-        }
         for (mine, theirs) in self.phase_hist.iter_mut().zip(&other.phase_hist) {
             mine.merge(theirs);
         }
@@ -290,18 +240,17 @@ impl ReplayMetrics {
         self.replay_hist.merge(&other.replay_hist);
     }
 
-    /// The histogram family `kind` names, if this snapshot carries it.
-    pub fn hist(&self, kind: u8) -> Option<&Hist64> {
-        match kind {
-            hist_kind::PHASE_OPEN => Some(&self.phase_hist[0]),
-            hist_kind::PHASE_REPORTS => Some(&self.phase_hist[1]),
-            hist_kind::PHASE_RECOVERY => Some(&self.phase_hist[2]),
-            hist_kind::PHASE_FINALIZE => Some(&self.phase_hist[3]),
-            hist_kind::ABSORB => Some(&self.absorb_hist),
-            hist_kind::OPRF_BATCH => Some(&self.oprf_hist),
-            hist_kind::REPLAY => Some(&self.replay_hist),
-            _ => None,
-        }
+    /// Every histogram family with its export name, in export order.
+    pub fn hists(&self) -> [(&'static str, &Hist64); 7] {
+        [
+            ("phase_open", &self.phase_hist[0]),
+            ("phase_reports", &self.phase_hist[1]),
+            ("phase_recovery", &self.phase_hist[2]),
+            ("phase_finalize", &self.phase_hist[3]),
+            ("absorb", &self.absorb_hist),
+            ("oprf_batch", &self.oprf_hist),
+            ("replay", &self.replay_hist),
+        ]
     }
 }
 
@@ -379,10 +328,16 @@ fn engine_tiers() -> [(&'static str, &'static str); 5] {
     ]
 }
 
-/// How many per-round rows [`TelemetryService`] retains before
-/// evicting the oldest — bounds a long campaign's memory the same way
-/// the ring bounds the flight recorder.
-pub const MAX_ROUND_ROWS: usize = 64;
+/// How a scalar folds, and so how the Prometheus text names and types
+/// it: a counter is `ew_<name>_total`, a gauge `ew_<name>` and a
+/// high-water mark `ew_<name>_high_water` (typed as a gauge). The JSON
+/// lines print the bare name.
+#[derive(Debug, Clone, Copy)]
+enum Fold {
+    Counter,
+    Gauge,
+    HighWater,
+}
 
 /// A point-in-time copy of everything the telemetry service knows,
 /// with the two export serializers: JSON lines (the shape
@@ -394,11 +349,35 @@ pub struct TelemetrySnapshot {
     pub totals: ReplayMetrics,
     /// Lifetime membership-plane view.
     pub churn: ChurnMetrics,
-    /// The retained per-round rows, ascending by round.
-    pub rounds: Vec<(u64, ReplayMetrics)>,
 }
 
 impl TelemetrySnapshot {
+    /// Every scalar both exports print, in export order.
+    fn scalars(&self) -> [(&'static str, Fold, u64); 15] {
+        let (t, c) = (&self.totals, &self.churn);
+        [
+            ("routed", Fold::Counter, t.routed),
+            ("replayed", Fold::Counter, t.replayed),
+            ("journal_depth", Fold::Gauge, t.journal_depth),
+            ("truncated", Fold::Counter, t.truncated),
+            ("queue_depth", Fold::HighWater, t.queue_depth),
+            ("late_reports_parked", Fold::Counter, t.late_reports_parked),
+            ("deadline_drops", Fold::Counter, c.deadline_drops),
+            (
+                "coordinator_restarts",
+                Fold::Counter,
+                c.coordinator_restarts,
+            ),
+            ("members", Fold::Gauge, c.members),
+            ("pending_joins", Fold::Gauge, c.pending_joins),
+            ("joins", Fold::Counter, c.joins),
+            ("leaves", Fold::Counter, c.leaves),
+            ("drops", Fold::Counter, c.drops),
+            ("epochs_completed", Fold::Counter, c.epochs_completed),
+            ("collapses", Fold::Counter, c.collapses),
+        ]
+    }
+
     /// The snapshot as JSON lines: one `{"metric": …, "value": …}` line
     /// per scalar, one `{"hist": …, "count": …, "p50": …}` line per
     /// histogram family and one `{"engine": …, "tier": …}` line per
@@ -406,24 +385,7 @@ impl TelemetrySnapshot {
     /// caller's `scope` label.
     pub fn to_json_lines(&self, scope: &str) -> String {
         let mut out = String::new();
-        let scalars: [(&str, u64); 15] = [
-            ("routed", self.totals.routed),
-            ("replayed", self.totals.replayed),
-            ("journal_depth", self.totals.journal_depth),
-            ("truncated", self.totals.truncated),
-            ("queue_depth", self.totals.queue_depth),
-            ("late_reports_parked", self.totals.late_reports_parked),
-            ("deadline_drops", self.churn.deadline_drops),
-            ("coordinator_restarts", self.churn.coordinator_restarts),
-            ("members", self.churn.members),
-            ("pending_joins", self.churn.pending_joins),
-            ("joins", self.churn.joins),
-            ("leaves", self.churn.leaves),
-            ("drops", self.churn.drops),
-            ("epochs_completed", self.churn.epochs_completed),
-            ("collapses", self.churn.collapses),
-        ];
-        for (name, value) in scalars {
+        for (name, _, value) in self.scalars() {
             let _ = writeln!(
                 out,
                 "{{\"scope\": \"{scope}\", \"metric\": \"{name}\", \"value\": {value}}}"
@@ -435,12 +397,10 @@ impl TelemetrySnapshot {
                 "{{\"scope\": \"{scope}\", \"metric\": \"epoch_phase_nanos\", \"phase\": {i}, \"value\": {nanos}}}"
             );
         }
-        for kind in hist_kind::ALL {
-            let hist = self.totals.hist(kind).expect("ALL names only known kinds");
+        for (name, hist) in self.totals.hists() {
             let _ = writeln!(
                 out,
-                "{{\"scope\": \"{scope}\", \"hist\": \"{}\", \"count\": {}, \"sum\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                hist_kind::label(kind),
+                "{{\"scope\": \"{scope}\", \"hist\": \"{name}\", \"count\": {}, \"sum\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
                 hist.count(),
                 hist.sum(),
                 hist.p50(),
@@ -463,52 +423,28 @@ impl TelemetrySnapshot {
     /// kernels (see `engine_tiers`) as one `ew_engine_info` line each.
     pub fn to_prometheus_text(&self) -> String {
         let mut out = String::new();
-        let counter = |out: &mut String, name: &str, value: u64| {
-            let _ = writeln!(out, "# TYPE ew_{name} counter\new_{name} {value}");
-        };
-        let gauge = |out: &mut String, name: &str, value: u64| {
-            let _ = writeln!(out, "# TYPE ew_{name} gauge\new_{name} {value}");
-        };
-        counter(&mut out, "routed_total", self.totals.routed);
-        counter(&mut out, "replayed_total", self.totals.replayed);
-        gauge(&mut out, "journal_depth", self.totals.journal_depth);
-        counter(&mut out, "truncated_total", self.totals.truncated);
-        gauge(&mut out, "queue_depth_high_water", self.totals.queue_depth);
-        counter(
-            &mut out,
-            "late_reports_parked_total",
-            self.totals.late_reports_parked,
-        );
-        counter(&mut out, "deadline_drops_total", self.churn.deadline_drops);
-        counter(
-            &mut out,
-            "coordinator_restarts_total",
-            self.churn.coordinator_restarts,
-        );
-        gauge(&mut out, "members", self.churn.members);
-        gauge(&mut out, "pending_joins", self.churn.pending_joins);
-        counter(&mut out, "joins_total", self.churn.joins);
-        counter(&mut out, "leaves_total", self.churn.leaves);
-        counter(&mut out, "drops_total", self.churn.drops);
-        counter(
-            &mut out,
-            "epochs_completed_total",
-            self.churn.epochs_completed,
-        );
-        counter(&mut out, "collapses_total", self.churn.collapses);
+        for (name, fold, value) in self.scalars() {
+            let (suffix, kind) = match fold {
+                Fold::Counter => ("_total", "counter"),
+                Fold::Gauge => ("", "gauge"),
+                Fold::HighWater => ("_high_water", "gauge"),
+            };
+            let _ = writeln!(
+                out,
+                "# TYPE ew_{name}{suffix} {kind}\new_{name}{suffix} {value}"
+            );
+        }
         let _ = writeln!(out, "# TYPE ew_epoch_phase_nanos counter");
         for (i, nanos) in self.churn.phase_nanos.iter().enumerate() {
             let _ = writeln!(out, "ew_epoch_phase_nanos{{phase=\"{i}\"}} {nanos}");
         }
-        for kind in hist_kind::ALL {
-            let hist = self.totals.hist(kind).expect("ALL names only known kinds");
-            let label = hist_kind::label(kind);
-            let _ = writeln!(out, "# TYPE ew_{label}_nanos summary");
+        for (name, hist) in self.totals.hists() {
+            let _ = writeln!(out, "# TYPE ew_{name}_nanos summary");
             for (q, v) in [(0.5, hist.p50()), (0.9, hist.p90()), (0.99, hist.p99())] {
-                let _ = writeln!(out, "ew_{label}_nanos{{quantile=\"{q}\"}} {v}");
+                let _ = writeln!(out, "ew_{name}_nanos{{quantile=\"{q}\"}} {v}");
             }
-            let _ = writeln!(out, "ew_{label}_nanos_sum {}", hist.sum());
-            let _ = writeln!(out, "ew_{label}_nanos_count {}", hist.count());
+            let _ = writeln!(out, "ew_{name}_nanos_sum {}", hist.sum());
+            let _ = writeln!(out, "ew_{name}_nanos_count {}", hist.count());
         }
         let _ = writeln!(out, "# TYPE ew_engine_info gauge");
         for (engine, tier) in engine_tiers() {
@@ -542,15 +478,11 @@ impl TelemetrySnapshot {
     }
 }
 
-/// The telemetry service: accumulates [`ReplayMetrics`] observations
-/// per round (and as lifetime totals) and tracks the membership plane's
-/// [`ChurnMetrics`]. Retains at most [`MAX_ROUND_ROWS`] per-round rows —
-/// older rounds evict, their contribution surviving in the lifetime
-/// totals.
+/// The telemetry service: folds [`ReplayMetrics`] observations into
+/// lifetime totals and tracks the membership plane's [`ChurnMetrics`].
 #[derive(Debug, Default)]
 pub struct TelemetryService {
     totals: ReplayMetrics,
-    rounds: BTreeMap<u64, ReplayMetrics>,
     churn: ChurnMetrics,
 }
 
@@ -560,30 +492,14 @@ impl TelemetryService {
         TelemetryService::default()
     }
 
-    /// Folds one observation into `round`'s row and the lifetime
-    /// totals, evicting the oldest row beyond [`MAX_ROUND_ROWS`].
-    pub fn observe(&mut self, round: u64, metrics: &ReplayMetrics) {
-        self.rounds.entry(round).or_default().merge(metrics);
+    /// Folds one observation into the lifetime totals.
+    pub fn observe(&mut self, metrics: &ReplayMetrics) {
         self.totals.merge(metrics);
-        while self.rounds.len() > MAX_ROUND_ROWS {
-            let oldest = *self.rounds.keys().next().expect("non-empty map");
-            self.rounds.remove(&oldest);
-        }
     }
 
     /// The lifetime totals across every observed round.
     pub fn totals(&self) -> ReplayMetrics {
         self.totals
-    }
-
-    /// The accumulated snapshot for one round, if still retained.
-    pub fn round_metrics(&self, round: u64) -> Option<ReplayMetrics> {
-        self.rounds.get(&round).copied()
-    }
-
-    /// How many per-round rows are currently retained.
-    pub fn retained_rounds(&self) -> usize {
-        self.rounds.len()
     }
 
     /// Folds one membership-plane observation (typically the
@@ -611,7 +527,6 @@ impl TelemetryService {
         TelemetrySnapshot {
             totals: self.totals,
             churn: self.churn,
-            rounds: self.rounds.iter().map(|(&r, &m)| (r, m)).collect(),
         }
     }
 }
@@ -629,7 +544,6 @@ mod tests {
             truncated: 3,
             queue_depth: routed,
             late_reports_parked: 1,
-            phase_nanos: [10, 20, 30, 40],
             ..ReplayMetrics::default()
         }
     }
@@ -637,7 +551,8 @@ mod tests {
     #[test]
     fn merge_respects_counter_kinds() {
         let mut acc = sample(4);
-        acc.merge(&ReplayMetrics {
+        acc.phase_hist[0].record(10);
+        let mut other = ReplayMetrics {
             routed: 6,
             replayed: 1,
             deduped: 0,
@@ -645,14 +560,15 @@ mod tests {
             truncated: 1,
             queue_depth: 1,
             late_reports_parked: 2,
-            phase_nanos: [1, 1, 1, 1],
             ..ReplayMetrics::default()
-        });
+        };
+        other.phase_hist[0].record(1);
+        acc.merge(&other);
         assert_eq!(acc.routed, 10); // counter: adds
         assert_eq!(acc.journal_depth, 2); // gauge: latest wins
         assert_eq!(acc.queue_depth, 4); // high-water: max
         assert_eq!(acc.late_reports_parked, 3); // counter: adds
-        assert_eq!(acc.phase_nanos, [11, 21, 31, 41]); // timing: adds
+        assert_eq!(acc.phase_hist[0].sum(), 11); // timing: adds
     }
 
     #[test]
@@ -725,33 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn observe_keeps_round_rows_and_lifetime_totals() {
-        let mut svc = TelemetryService::new();
-        svc.observe(7, &sample(4));
-        svc.observe(7, &sample(6));
-        svc.observe(8, &sample(1));
-
-        let row = svc.round_metrics(7).expect("round 7 observed");
-        assert_eq!(row.routed, 10);
-        assert_eq!(row.queue_depth, 6);
-        assert_eq!(svc.totals().routed, 11);
-        assert!(svc.round_metrics(9).is_none(), "never-observed round");
-    }
-
-    #[test]
-    fn round_rows_evict_oldest_beyond_the_cap() {
-        let mut svc = TelemetryService::new();
-        for round in 1..=(MAX_ROUND_ROWS as u64 + 10) {
-            svc.observe(round, &sample(1));
-        }
-        assert_eq!(svc.retained_rounds(), MAX_ROUND_ROWS);
-        assert!(svc.round_metrics(1).is_none(), "oldest rows evicted");
-        assert!(svc.round_metrics(MAX_ROUND_ROWS as u64 + 10).is_some());
-        // Evicted rounds still count in the lifetime totals.
-        assert_eq!(svc.totals().routed, MAX_ROUND_ROWS as u64 + 10);
-    }
-
-    #[test]
     fn churn_merge_respects_counter_kinds() {
         let mut svc = TelemetryService::new();
         svc.observe_churn(&ChurnMetrics {
@@ -811,31 +700,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshot_serializes_json_lines_and_prometheus() {
-        let mut svc = TelemetryService::new();
-        let mut m = sample(4);
+    /// A fixed snapshot: every scalar non-zero, every histogram family
+    /// with samples, and the churn plane's epoch-phase wall clock.
+    fn golden_snapshot() -> TelemetrySnapshot {
+        let mut m = ReplayMetrics {
+            routed: 24,
+            replayed: 3,
+            deduped: 7,
+            journal_depth: 5,
+            truncated: 17,
+            queue_depth: 9,
+            late_reports_parked: 2,
+            ..ReplayMetrics::default()
+        };
+        for (i, hist) in m.phase_hist.iter_mut().enumerate() {
+            hist.record(1_000 * (i as u64 + 1));
+            hist.record(40_000 + i as u64);
+        }
         m.absorb_hist.record(1500);
         m.absorb_hist.record(3000);
-        svc.observe(1, &m);
-        let snap = svc.snapshot();
+        m.replay_hist.record(70_000);
+        let mut svc = TelemetryService::new();
+        svc.observe(&m);
+        let mut oprf = Hist64::new();
+        oprf.record(250_000);
+        svc.observe_oprf(&oprf);
+        svc.observe_churn(&ChurnMetrics {
+            members: 18,
+            pending_joins: 2,
+            joins: 21,
+            leaves: 1,
+            drops: 3,
+            epochs_completed: 3,
+            collapses: 1,
+            deadline_drops: 2,
+            coordinator_restarts: 1,
+            phase_ticks: [3, 2, 3, 2, 1, 1],
+            phase_nanos: [11, 12, 13, 14, 15, 16],
+        });
+        svc.snapshot()
+    }
 
-        let json = snap.to_json_lines("unit_test");
-        assert!(json.lines().count() >= 15 + 6 + hist_kind::ALL.len());
-        assert!(json.contains("\"metric\": \"routed\", \"value\": 4"));
-        assert!(json.contains("\"hist\": \"absorb\", \"count\": 2"));
-        assert!(json.contains("\"scope\": \"unit_test\""));
-        for line in json.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
-
+    #[test]
+    fn snapshot_serializes_json_lines_and_prometheus() {
+        let snap = golden_snapshot();
+        let json = snap.to_json_lines("golden");
         let prom = snap.to_prometheus_text();
-        assert!(prom.contains("ew_routed_total 4"));
-        assert!(prom.contains("# TYPE ew_absorb_nanos summary"));
-        assert!(prom.contains("ew_absorb_nanos_count 2"));
-        // 3000 is in [2816, 3072), an eighth of the octave [2048, 4096).
-        assert!(prom.contains("ew_absorb_nanos{quantile=\"0.99\"} 3071"));
-        assert!(prom.contains("ew_epoch_phase_nanos{phase=\"5\"}"));
+        // Engine lines name the host's CPU tiers, so the golden texts
+        // leave them out; the loop below checks them per tier.
+        let host_free = |text: &str, engine: &str| -> String {
+            text.lines()
+                .filter(|line| !line.contains(engine))
+                .map(|line| format!("{line}\n"))
+                .collect()
+        };
+        assert_eq!(host_free(&json, "\"engine\": "), GOLDEN_JSON);
+        assert_eq!(host_free(&prom, "ew_engine_info{"), GOLDEN_PROMETHEUS);
 
         // One engine line per CPU-dispatched kernel, in both exports.
         for (engine, tier) in [
@@ -853,4 +773,119 @@ mod tests {
         assert_eq!(json.matches("\"engine\"").count(), 5);
         assert_eq!(prom.matches("ew_engine_info{").count(), 5);
     }
+
+    /// `to_json_lines("golden")` of [`golden_snapshot`], engine lines
+    /// left out.
+    const GOLDEN_JSON: &str = r#"{"scope": "golden", "metric": "routed", "value": 24}
+{"scope": "golden", "metric": "replayed", "value": 3}
+{"scope": "golden", "metric": "journal_depth", "value": 5}
+{"scope": "golden", "metric": "truncated", "value": 17}
+{"scope": "golden", "metric": "queue_depth", "value": 9}
+{"scope": "golden", "metric": "late_reports_parked", "value": 2}
+{"scope": "golden", "metric": "deadline_drops", "value": 2}
+{"scope": "golden", "metric": "coordinator_restarts", "value": 1}
+{"scope": "golden", "metric": "members", "value": 18}
+{"scope": "golden", "metric": "pending_joins", "value": 2}
+{"scope": "golden", "metric": "joins", "value": 21}
+{"scope": "golden", "metric": "leaves", "value": 1}
+{"scope": "golden", "metric": "drops", "value": 3}
+{"scope": "golden", "metric": "epochs_completed", "value": 3}
+{"scope": "golden", "metric": "collapses", "value": 1}
+{"scope": "golden", "metric": "epoch_phase_nanos", "phase": 0, "value": 11}
+{"scope": "golden", "metric": "epoch_phase_nanos", "phase": 1, "value": 12}
+{"scope": "golden", "metric": "epoch_phase_nanos", "phase": 2, "value": 13}
+{"scope": "golden", "metric": "epoch_phase_nanos", "phase": 3, "value": 14}
+{"scope": "golden", "metric": "epoch_phase_nanos", "phase": 4, "value": 15}
+{"scope": "golden", "metric": "epoch_phase_nanos", "phase": 5, "value": 16}
+{"scope": "golden", "hist": "phase_open", "count": 2, "sum": 41000, "p50": 1023, "p90": 40959, "p99": 40959}
+{"scope": "golden", "hist": "phase_reports", "count": 2, "sum": 42001, "p50": 2047, "p90": 40959, "p99": 40959}
+{"scope": "golden", "hist": "phase_recovery", "count": 2, "sum": 43002, "p50": 3071, "p90": 40959, "p99": 40959}
+{"scope": "golden", "hist": "phase_finalize", "count": 2, "sum": 44003, "p50": 4095, "p90": 40959, "p99": 40959}
+{"scope": "golden", "hist": "absorb", "count": 2, "sum": 4500, "p50": 1535, "p90": 3071, "p99": 3071}
+{"scope": "golden", "hist": "oprf_batch", "count": 1, "sum": 250000, "p50": 262143, "p90": 262143, "p99": 262143}
+{"scope": "golden", "hist": "replay", "count": 1, "sum": 70000, "p50": 73727, "p90": 73727, "p99": 73727}
+"#;
+    /// `to_prometheus_text()` of [`golden_snapshot`], engine lines left
+    /// out.
+    const GOLDEN_PROMETHEUS: &str = r#"# TYPE ew_routed_total counter
+ew_routed_total 24
+# TYPE ew_replayed_total counter
+ew_replayed_total 3
+# TYPE ew_journal_depth gauge
+ew_journal_depth 5
+# TYPE ew_truncated_total counter
+ew_truncated_total 17
+# TYPE ew_queue_depth_high_water gauge
+ew_queue_depth_high_water 9
+# TYPE ew_late_reports_parked_total counter
+ew_late_reports_parked_total 2
+# TYPE ew_deadline_drops_total counter
+ew_deadline_drops_total 2
+# TYPE ew_coordinator_restarts_total counter
+ew_coordinator_restarts_total 1
+# TYPE ew_members gauge
+ew_members 18
+# TYPE ew_pending_joins gauge
+ew_pending_joins 2
+# TYPE ew_joins_total counter
+ew_joins_total 21
+# TYPE ew_leaves_total counter
+ew_leaves_total 1
+# TYPE ew_drops_total counter
+ew_drops_total 3
+# TYPE ew_epochs_completed_total counter
+ew_epochs_completed_total 3
+# TYPE ew_collapses_total counter
+ew_collapses_total 1
+# TYPE ew_epoch_phase_nanos counter
+ew_epoch_phase_nanos{phase="0"} 11
+ew_epoch_phase_nanos{phase="1"} 12
+ew_epoch_phase_nanos{phase="2"} 13
+ew_epoch_phase_nanos{phase="3"} 14
+ew_epoch_phase_nanos{phase="4"} 15
+ew_epoch_phase_nanos{phase="5"} 16
+# TYPE ew_phase_open_nanos summary
+ew_phase_open_nanos{quantile="0.5"} 1023
+ew_phase_open_nanos{quantile="0.9"} 40959
+ew_phase_open_nanos{quantile="0.99"} 40959
+ew_phase_open_nanos_sum 41000
+ew_phase_open_nanos_count 2
+# TYPE ew_phase_reports_nanos summary
+ew_phase_reports_nanos{quantile="0.5"} 2047
+ew_phase_reports_nanos{quantile="0.9"} 40959
+ew_phase_reports_nanos{quantile="0.99"} 40959
+ew_phase_reports_nanos_sum 42001
+ew_phase_reports_nanos_count 2
+# TYPE ew_phase_recovery_nanos summary
+ew_phase_recovery_nanos{quantile="0.5"} 3071
+ew_phase_recovery_nanos{quantile="0.9"} 40959
+ew_phase_recovery_nanos{quantile="0.99"} 40959
+ew_phase_recovery_nanos_sum 43002
+ew_phase_recovery_nanos_count 2
+# TYPE ew_phase_finalize_nanos summary
+ew_phase_finalize_nanos{quantile="0.5"} 4095
+ew_phase_finalize_nanos{quantile="0.9"} 40959
+ew_phase_finalize_nanos{quantile="0.99"} 40959
+ew_phase_finalize_nanos_sum 44003
+ew_phase_finalize_nanos_count 2
+# TYPE ew_absorb_nanos summary
+ew_absorb_nanos{quantile="0.5"} 1535
+ew_absorb_nanos{quantile="0.9"} 3071
+ew_absorb_nanos{quantile="0.99"} 3071
+ew_absorb_nanos_sum 4500
+ew_absorb_nanos_count 2
+# TYPE ew_oprf_batch_nanos summary
+ew_oprf_batch_nanos{quantile="0.5"} 262143
+ew_oprf_batch_nanos{quantile="0.9"} 262143
+ew_oprf_batch_nanos{quantile="0.99"} 262143
+ew_oprf_batch_nanos_sum 250000
+ew_oprf_batch_nanos_count 1
+# TYPE ew_replay_nanos summary
+ew_replay_nanos{quantile="0.5"} 73727
+ew_replay_nanos{quantile="0.9"} 73727
+ew_replay_nanos{quantile="0.99"} 73727
+ew_replay_nanos_sum 70000
+ew_replay_nanos_count 1
+# TYPE ew_engine_info gauge
+"#;
 }

@@ -25,8 +25,8 @@
 //! [`crate::telemetry`] instead). A thread-local recorder therefore
 //! needs no locks, and the
 //! serial-test lane's thread-local ops-trace counters set the
-//! precedent. Enable with [`enable`], harvest with [`snapshot`] or
-//! [`drain`], and turn off with [`disable`].
+//! precedent. Enable with [`enable`], harvest with [`drain`], and turn
+//! off with [`disable`].
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -144,34 +144,6 @@ impl TraceRecorder {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// The ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Replays an externally built event (e.g. one harvested from
-    /// another recorder) through this recorder's own bookkeeping, so
-    /// `seq` and `parent` stay recorder-consistent.
-    pub fn record(&mut self, event: TraceEvent) {
-        let TraceEvent {
-            kind,
-            span,
-            label,
-            a,
-            b,
-            ..
-        } = event;
-        match kind {
-            TraceEventKind::SpanOpen => {
-                self.next_span = self.next_span.max(span);
-                self.push(TraceEventKind::SpanOpen, span, label, a, b);
-                self.stack.push(span);
-            }
-            TraceEventKind::SpanClose => self.close(span, label),
-            TraceEventKind::Instant => self.instant(label, a, b),
-        }
-    }
 }
 
 thread_local! {
@@ -190,22 +162,12 @@ pub fn disable() -> Option<TraceRecorder> {
     RECORDER.with(|r| r.borrow_mut().take())
 }
 
-/// The retained window, oldest first — empty when disabled. The
-/// recorder keeps recording.
-pub fn snapshot() -> Vec<TraceEvent> {
-    RECORDER.with(|r| r.borrow().as_ref().map(|t| t.events()).unwrap_or_default())
-}
-
 /// Takes the retained window, leaving the recorder on but empty.
 pub fn drain() -> Vec<TraceEvent> {
     RECORDER.with(|r| {
         r.borrow_mut()
             .as_mut()
-            .map(|t| {
-                let out: Vec<TraceEvent> = t.ring.iter().copied().collect();
-                t.ring.clear();
-                out
-            })
+            .map(|t| t.ring.drain(..).collect())
             .unwrap_or_default()
     })
 }
@@ -233,13 +195,6 @@ pub fn span(label: &'static str, a: u64, b: u64) -> SpanGuard {
 pub struct SpanGuard {
     id: Option<u32>,
     label: &'static str,
-}
-
-impl SpanGuard {
-    /// The span id (None when tracing was disabled at open).
-    pub fn id(&self) -> Option<u32> {
-        self.id
-    }
 }
 
 impl Drop for SpanGuard {
@@ -322,10 +277,10 @@ mod tests {
         assert!(!is_enabled());
         {
             let guard = span("phase", 1, 2);
-            assert_eq!(guard.id(), None);
+            assert_eq!(guard.id, None);
             instant("mark", 0, 0);
         }
-        assert!(snapshot().is_empty());
+        assert!(drain().is_empty());
 
         enable(8);
         assert!(is_enabled());
@@ -333,34 +288,16 @@ mod tests {
             let _g = span("phase", 1, 2);
             instant("mark", 9, 9);
         }
-        let ev = snapshot();
+        let ev = drain();
         assert_eq!(ev.len(), 3, "open, instant, close");
         assert_eq!(ev[1].label, "mark");
         assert_eq!(ev[1].parent, ev[0].span);
-        assert_eq!(drain().len(), 3);
-        assert!(snapshot().is_empty(), "drain empties but keeps recording");
+        assert!(drain().is_empty(), "drain empties but keeps recording");
         assert!(is_enabled());
+        instant("after", 0, 0);
         let rec = disable().expect("recorder returned");
-        assert_eq!(rec.capacity(), 8);
+        assert_eq!(rec.capacity, 8);
+        assert_eq!(rec.events().len(), 1, "drained recorder kept recording");
         assert!(!is_enabled());
-    }
-
-    #[test]
-    fn external_events_reenter_through_sink_bookkeeping() {
-        let mut t = TraceRecorder::new(8);
-        t.record(TraceEvent {
-            seq: 999, // ignored: the recorder re-sequences
-            kind: TraceEventKind::SpanOpen,
-            span: 7,
-            parent: 0,
-            label: "imported",
-            a: 0,
-            b: 0,
-        });
-        t.instant("inside", 0, 0);
-        t.close(7, "imported");
-        let ev = t.events();
-        assert_eq!(ev[0].seq, 1, "re-sequenced on entry");
-        assert_eq!(ev[1].parent, 7, "imported span became the parent");
     }
 }

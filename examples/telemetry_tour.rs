@@ -14,8 +14,7 @@ use eyewnder::simnet::{
 };
 use eyewnder::system::cluster::RoutingBus;
 use eyewnder::system::{
-    hist_kind, trace, Coordinator, EpochConfig, EyewnderSystem, LogicalClock, SystemConfig,
-    TraceEventKind,
+    trace, Coordinator, EpochConfig, EyewnderSystem, LogicalClock, SystemConfig, TraceEventKind,
 };
 
 fn main() {
@@ -145,15 +144,14 @@ fn main() {
 
     // 3. Latency quantiles, read in process from the lifetime totals.
     let totals = sys.telemetry().totals();
-    println!("\n--- latency quantiles (nanoseconds, log2-bucket upper bounds) ---");
-    for kind in hist_kind::ALL {
-        let hist = totals.hist(kind).expect("known kind");
+    println!("\n--- latency quantiles (nanoseconds, bucket upper bounds, at most 12.5 % high) ---");
+    for (name, hist) in totals.hists() {
         if hist.is_empty() {
             continue;
         }
         println!(
             "{:<14} n={:<5} p50={:<12} p90={:<12} p99={}",
-            hist_kind::label(kind),
+            name,
             hist.count(),
             hist.p50(),
             hist.p90(),

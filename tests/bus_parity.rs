@@ -1,7 +1,7 @@
 //! The acceptance property of the node-API redesign: `run_round` and
 //! `run_round_on` over wire uplinks are thin drivers over the *same*
 //! `ServiceBus` round state machine, so on a lossless link the in-proc
-//! and wire paths produce **bit-identical** `RoundOutcome`s, in debug
+//! and wire paths produce **bit-identical** `DrivenRound`s, in debug
 //! and release (CI runs both).
 //!
 //! Fault coverage on the new bus: reordering must not change the

@@ -1,7 +1,7 @@
 //! The acceptance property of the multi-backend aggregation cluster:
 //! a weekly round driven against N backend shards behind a routing bus
 //! — in-proc or over per-shard wire uplinks, with or without a
-//! mid-round uplink sever — produces a `RoundOutcome` **bit-identical**
+//! mid-round uplink sever — produces a `DrivenRound` **bit-identical**
 //! to the single-backend round (`run_round`'s default cluster of one,
 //! itself pinned ≡ the bare `RoundState` walk by `cluster.rs`'s unit
 //! tests), for every cluster size. Blinded cell
@@ -20,7 +20,7 @@ use eyewnder::proto::FaultConfig;
 use eyewnder::simnet::{CoordinatorFault, DriverScale, RestartPhase, ShardKill, ShardRestart};
 use eyewnder::system::node::WireBus;
 use eyewnder::system::{
-    Coordinator, EpochConfig, EpochOutcome, EyewnderSystem, LogicalClock, RoundOutcome,
+    Coordinator, DrivenRound, EpochConfig, EpochOutcome, EyewnderSystem, LogicalClock,
 };
 use world::{
     assert_epochs_identical, assert_rounds_identical, churn_schedule, clear_view, Cell, World,
@@ -172,7 +172,7 @@ const HARSH: FaultConfig = FaultConfig {
 
 /// One round of the first week over [`HARSH`] uplinks with an optional
 /// scripted sever: the outcome, the system that ran it and its world.
-fn lossy_round(backends: usize, sever: Option<ShardKill>) -> (RoundOutcome, EyewnderSystem, World) {
+fn lossy_round(backends: usize, sever: Option<ShardKill>) -> (DrivenRound, EyewnderSystem, World) {
     let world = world(1);
     let mut sys = world.ingested();
     let cell = Cell {
@@ -185,7 +185,7 @@ fn lossy_round(backends: usize, sever: Option<ShardKill>) -> (RoundOutcome, Eyew
 
 /// A lost report surfaces as a missing client whose blinding recovery
 /// cancels exactly: the view is the clear-text view of everyone else.
-fn assert_residue_free(outcome: &RoundOutcome, sys: &EyewnderSystem, world: &World, label: &str) {
+fn assert_residue_free(outcome: &DrivenRound, sys: &EyewnderSystem, world: &World, label: &str) {
     let cohort: Vec<u32> = (0..world.cohort() as u32).collect();
     let reporters = world::reporters(&cohort, &outcome.missing);
     assert_eq!(outcome.reports, reporters.len(), "{label}");
@@ -303,10 +303,7 @@ fn restart_phases_cover_reports_recovery_and_midreplay() {
         };
         let outcome = world::round(&mut sys, cell, 1, &[]);
         assert_rounds_identical(&baseline, &outcome, &format!("phase={phase:?}"));
-        let metrics = sys
-            .telemetry()
-            .round_metrics(1)
-            .expect("round 1 was observed");
+        let metrics = sys.telemetry().totals();
         let prior: u64 = replayed.values().sum();
         replayed.insert(format!("{phase:?}"), metrics.replayed - prior);
     }

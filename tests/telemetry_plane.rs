@@ -1,6 +1,6 @@
-//! Property coverage for the observability plane: histogram algebra,
-//! metric-merge semantics and round-row eviction bounds. Telemetry is
-//! read in process, so none of it has a wire form.
+//! Property coverage for the observability plane: histogram algebra
+//! and metric-merge semantics. Telemetry is read in process, so none of
+//! it has a wire form.
 //!
 //! * **Merge algebra** — `Hist64::merge` is associative *and*
 //!   commutative (it is a per-bucket sum); `ReplayMetrics::merge` and
@@ -10,13 +10,10 @@
 //! * **Quantile bounds** — a bucketed quantile never understates:
 //!   `quantile(q)` is an upper bound on the true q-quantile and at most
 //!   12.5 % above it (eight buckets per power of two).
-//! * **Eviction** — the per-round table never exceeds
-//!   [`MAX_ROUND_ROWS`] and always evicts the *oldest* round.
 
 use proptest::prelude::*;
 
-use eyewnder::system::MAX_ROUND_ROWS;
-use eyewnder::system::{ChurnMetrics, Hist64, ReplayMetrics, TelemetryService};
+use eyewnder::system::{ChurnMetrics, Hist64, ReplayMetrics};
 
 /// A bounded counter value: large enough to exercise wide buckets,
 /// small enough that chains of `+=` merges cannot overflow in debug.
@@ -35,30 +32,24 @@ fn hist() -> impl Strategy<Value = Hist64> {
 }
 
 fn replay_metrics() -> impl Strategy<Value = ReplayMetrics> {
-    // 7 scalar counters + 4 phase nanos, as one flat draw (the
-    // proptest shim caps tuples at arity 6), plus the 7 histogram
-    // families.
+    // 7 scalar counters as one flat draw (the proptest shim caps tuples
+    // at arity 6), plus the 7 histogram families.
     (
-        proptest::collection::vec(counter(), 11..12),
+        proptest::collection::vec(counter(), 7..8),
         proptest::collection::vec(hist(), 7..8),
     )
-        .prop_map(|(v, h)| {
-            let mut metrics = ReplayMetrics {
-                routed: v[0],
-                replayed: v[1],
-                deduped: v[2],
-                journal_depth: v[3],
-                truncated: v[4],
-                queue_depth: v[5],
-                late_reports_parked: v[6],
-                phase_hist: [h[0], h[1], h[2], h[3]],
-                absorb_hist: h[4],
-                oprf_hist: h[5],
-                replay_hist: h[6],
-                ..ReplayMetrics::default()
-            };
-            metrics.phase_nanos.copy_from_slice(&v[7..11]);
-            metrics
+        .prop_map(|(v, h)| ReplayMetrics {
+            routed: v[0],
+            replayed: v[1],
+            deduped: v[2],
+            journal_depth: v[3],
+            truncated: v[4],
+            queue_depth: v[5],
+            late_reports_parked: v[6],
+            phase_hist: [h[0], h[1], h[2], h[3]],
+            absorb_hist: h[4],
+            oprf_hist: h[5],
+            replay_hist: h[6],
         })
 }
 
@@ -191,31 +182,4 @@ proptest! {
         ba.pending_joins = 0;
         prop_assert_eq!(ab, ba, "everything but the gauges commutes");
     }
-}
-
-#[test]
-fn round_rows_never_exceed_the_cap_and_evict_oldest() {
-    let mut svc = TelemetryService::new();
-    let sample = ReplayMetrics {
-        routed: 1,
-        ..ReplayMetrics::default()
-    };
-    let total = (MAX_ROUND_ROWS as u64) * 2;
-    for round in 1..=total {
-        svc.observe(round, &sample);
-        assert!(
-            svc.retained_rounds() <= MAX_ROUND_ROWS,
-            "cap holds at round {round}"
-        );
-    }
-    assert_eq!(svc.retained_rounds(), MAX_ROUND_ROWS);
-    let snapshot = svc.snapshot();
-    let oldest_retained = snapshot.rounds.first().expect("rows retained").0;
-    assert_eq!(
-        oldest_retained,
-        total - MAX_ROUND_ROWS as u64 + 1,
-        "eviction removes the oldest round first"
-    );
-    // Lifetime totals keep counting across evictions.
-    assert_eq!(svc.totals().routed, total);
 }

@@ -21,8 +21,8 @@ use eyewnder::sketch::{CmsParams, CountMinSketch};
 use eyewnder::system::cluster::{ClusterBackend, RoutingBus};
 use eyewnder::system::node::{RoundPhase, ServiceBus};
 use eyewnder::system::{
-    AdIdMapper, Clock, Coordinator, EpochConfig, EpochOutcome, EyewnderSystem, ReplayMetrics,
-    RoundOutcome, SystemConfig,
+    AdIdMapper, Clock, Coordinator, DrivenRound, EpochConfig, EpochOutcome, EyewnderSystem,
+    ReplayMetrics, SystemConfig,
 };
 use std::collections::BTreeSet;
 
@@ -209,7 +209,7 @@ pub fn bus(map: ShardMap, cell: Cell) -> Bus {
 }
 
 /// One round on a fresh cluster in `cell`, with `silent` clients.
-pub fn round(sys: &mut EyewnderSystem, cell: Cell, round: u64, silent: &[u32]) -> RoundOutcome {
+pub fn round(sys: &mut EyewnderSystem, cell: Cell, round: u64, silent: &[u32]) -> DrivenRound {
     let (mut backend, mut bus) = cluster(sys, cell);
     sys.run_round_on(&mut backend, &mut bus, round, silent)
 }
@@ -256,7 +256,7 @@ pub fn bare_cluster(
 
 /// Two finalized rounds are the same round, to the last bit of
 /// `Users_th`.
-pub fn assert_rounds_identical(a: &RoundOutcome, b: &RoundOutcome, label: &str) {
+pub fn assert_rounds_identical(a: &DrivenRound, b: &DrivenRound, label: &str) {
     assert_eq!(a.round, b.round, "{label}");
     assert_eq!(a.reports, b.reports, "{label}");
     assert_eq!(a.missing, b.missing, "{label}");
