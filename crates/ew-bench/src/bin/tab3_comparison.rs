@@ -39,7 +39,7 @@ fn check_privacy_preserving() -> bool {
     let params = CmsParams::new(2, 32, 1);
     let mut sketch = CountMinSketch::new(params);
     sketch.update(42);
-    let blinded = BlindedSketch::from_sketch(&sketch, &gen0, 1);
+    let blinded = BlindedSketch::from_sketch(sketch.clone(), &gen0, 1);
     blinded.cells() != sketch.cells()
 }
 

@@ -29,28 +29,35 @@
 //! `H` may be any PRF keyed by the pairwise secret; this one has two
 //! levels. Per peer the generator holds the [`HmacKey`] midstates of the
 //! secret `s_ij = y_j^{x_i}`, computed once at enrolment. Per round, one
-//! MAC per pair derives that pair's stream key, and the key's AES-256
+//! MAC per pair derives that pair's stream key, and the key's AES-128
 //! counter-mode keystream ([`crate::keystream`]) supplies one word per
 //! cell:
 //!
 //! ```text
-//! k_ij    = HMAC-SHA256(s_ij, "eyewnder/blinding/v3" ‖ be64(s))
-//! c_ij[m] = LE word m % 4 of AES-256_{k_ij}(le128(m / 4))
+//! k_ij    = first 16 bytes of HMAC-SHA256(s_ij, "eyewnder/blinding/v4" ‖ be64(s))
+//! c_ij[m] = LE word m % 4 of AES-128_{k_ij}(le128(m / 4))
 //! ```
 //!
-//! The 32 MAC bytes are the AES-256 key, and the block index is the
-//! whole counter: the nonce is zero, which is safe because a key serves
-//! one pair in one round. Both ends of a pair derive the same `k_ij`, so
-//! the terms still cancel. Each keystream is added into the output (or
-//! subtracted from it) as it is computed: there is no per-peer buffer,
-//! nothing is kept across rounds, a generator is plain `Clone` data,
-//! and a derivation into an output with capacity allocates nothing.
+//! The first 16 MAC bytes are the AES-128 key, and the block index is
+//! the whole counter: the nonce is zero, which is safe because a key
+//! serves one pair in one round. Both ends of a pair derive the same
+//! `k_ij`, so the terms still cancel. Each keystream is added into the
+//! output (or subtracted from it) as it is computed: there is no
+//! per-peer buffer, nothing is kept across rounds, a generator is plain
+//! `Clone` data, and a derivation into an output with capacity
+//! allocates nothing.
+//!
+//! A 128-bit key matches the strength target the rest of the crate is
+//! sized for ([`crate::group`]): the pairwise secret under it comes
+//! from a MODP-2048 exchange, worth ≈ 112 bits, so AES-256's four extra
+//! rounds bought strength the secret cannot supply.
 //!
 //! The label's version marks a protocol change. `v1` named a
-//! counter-mode HMAC expansion and `v2` a ChaCha20 keystream; each
-//! blinds differently, so a cohort cannot mix them. Aggregates, and
-//! everything computed from them, do not change, because the blinding
-//! cancels either way.
+//! counter-mode HMAC expansion, `v2` a ChaCha20 keystream and `v3` an
+//! AES-256 keystream keyed by all 32 MAC bytes; each blinds
+//! differently, so a cohort cannot mix them. Aggregates, and everything
+//! computed from them, do not change, because the blinding cancels
+//! either way.
 
 use crate::dh::DhKeyPair;
 use crate::directory::{KeyDirectory, UserId};
@@ -70,7 +77,7 @@ pub struct BlindingParams {
 }
 
 /// Domain-separation label of the per-(pair, round) stream key.
-const BLIND_LABEL: &[u8] = b"eyewnder/blinding/v3";
+const BLIND_LABEL: &[u8] = b"eyewnder/blinding/v4";
 
 /// The MAC input of one round's stream keys: label ‖ be64(round).
 fn stream_info(round: u64) -> [u8; BLIND_LABEL.len() + 8] {
@@ -80,9 +87,9 @@ fn stream_info(round: u64) -> [u8; BLIND_LABEL.len() + 8] {
     info
 }
 
-/// One pair's AES-256 key for the round `info` names: the MAC as eight
-/// little-endian words.
-fn stream_key(secret: &HmacKey, info: &[u8]) -> [u32; 8] {
+/// One pair's AES-128 key for the round `info` names: the MAC's first
+/// 16 bytes as four little-endian words.
+fn stream_key(secret: &HmacKey, info: &[u8]) -> [u32; 4] {
     let mac = secret.mac(info);
     std::array::from_fn(|i| u32::from_le_bytes(mac[i * 4..i * 4 + 4].try_into().expect("4 bytes")))
 }
@@ -554,26 +561,26 @@ mod tests {
 
     #[test]
     fn blinding_vector_matches_its_definition() {
-        // b_i[m] = Σ_j ±AES-256_{k_ij}(le128(m / 4))[m % 4] with k_ij =
-        // HMAC(s_ij, label ‖ be64(round)), rebuilt here from the pairwise
+        // b_i[m] = Σ_j ±AES-128_{k_ij}(le128(m / 4))[m % 4] with k_ij =
+        // HMAC(s_ij, label ‖ be64(round))[..16], rebuilt here from the pairwise
         // secrets, `hmac_sha256` and the portable block function, for
         // cell counts around a block and a VAES pass.
         let (group, pairs, dir) = cohort(4, 106);
         let me = 2u32;
         let generator = BlindingGenerator::new(&group, me, &pairs[me as usize], &dir);
         for (round, num_cells) in [(1u64, 1usize), (7, 16), (9, 17), (u64::MAX, 300)] {
-            let mut info = b"eyewnder/blinding/v3".to_vec();
+            let mut info = b"eyewnder/blinding/v4".to_vec();
             info.extend_from_slice(&round.to_be_bytes());
             let mut want = vec![0u32; num_cells];
             for (peer, public) in dir.iter().filter(|&(peer, _)| peer != me) {
                 let secret = pairs[me as usize].shared_secret(&group, public);
                 let mac = crate::hmac::hmac_sha256(&secret, &info);
-                let key: [u32; 8] = std::array::from_fn(|i| {
+                let key: [u32; 4] = std::array::from_fn(|i| {
                     u32::from_le_bytes(mac[i * 4..i * 4 + 4].try_into().unwrap())
                 });
                 for (m, cell) in want.iter_mut().enumerate() {
                     let word =
-                        crate::keystream::aes256_block(&key, [(m / 4) as u32, 0, 0, 0])[m % 4];
+                        crate::keystream::aes128_block(&key, [(m / 4) as u32, 0, 0, 0])[m % 4];
                     *cell = if me > peer {
                         cell.wrapping_sub(word)
                     } else {
@@ -583,6 +590,52 @@ mod tests {
             }
             let params = BlindingParams { round, num_cells };
             assert_eq!(generator.blinding_vector(params), want, "round {round}");
+        }
+    }
+
+    #[test]
+    fn derivation_v4_golden_cells() {
+        // Derivation v4 pinned as literals, so a change of label, key
+        // truncation or counter layout fails here even though the
+        // blinding would still cancel. Computed by an independent
+        // byte-wise AES-128 and HMAC-SHA256 from user 2's three pairwise
+        // secrets in this cohort.
+        let (group, pairs, dir) = cohort(4, 106);
+        let generator = BlindingGenerator::new(&group, 2, &pairs[2], &dir);
+        let golden: [(u64, [u32; 8]); 2] = [
+            (
+                7,
+                [
+                    0xf420_6d88,
+                    0x1277_243a,
+                    0x4f77_8a1b,
+                    0x871f_8e18,
+                    0x6ba4_b1f0,
+                    0x2e8e_ff48,
+                    0xbc4e_47c9,
+                    0xcfec_9891,
+                ],
+            ),
+            (
+                u64::MAX,
+                [
+                    0x3913_934f,
+                    0x8cb1_3057,
+                    0x2492_9a54,
+                    0xc0e2_be32,
+                    0x7213_a8ce,
+                    0x9467_28e8,
+                    0xb483_19e7,
+                    0xdaaa_86ea,
+                ],
+            ),
+        ];
+        for (round, cells) in golden {
+            let params = BlindingParams {
+                round,
+                num_cells: cells.len(),
+            };
+            assert_eq!(generator.blinding_vector(params), cells, "round {round}");
         }
     }
 

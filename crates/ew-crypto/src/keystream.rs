@@ -1,13 +1,15 @@
-//! The AES-256 counter-mode keystream (FIPS 197, NIST SP 800-38A),
+//! The AES-128 counter-mode keystream (FIPS 197, NIST SP 800-38A),
 //! added straight into `u32` cells — the expansion half of the blinding
 //! derivation (see [`crate::blinding`]).
 //!
-//! The key is the 32 little-endian bytes of the eight key words. Cell
+//! The key is the 16 little-endian bytes of the four key words. Cell
 //! `m` of `out` receives little-endian word `m % 4` of
-//! `AES-256_k(le128(m / 4))`: block `n` encrypts the 16-byte
+//! `AES-128_k(le128(m / 4))`: block `n` encrypts the 16-byte
 //! little-endian encoding of `n`, so the block index is the whole
 //! counter and the nonce is zero. The zero nonce is safe because every
 //! caller keys one stream per (pair, round) and never reuses a key.
+//! AES-128 is ten rounds to AES-256's fourteen; [`crate::blinding`]
+//! says why its key is strong enough for the derivation.
 //!
 //! ## Tiers
 //!
@@ -41,22 +43,22 @@
 //! [`keystream_tier`] and the tier tests read too, so the reported tier
 //! is the dispatched one; there is no build flag, feature or environment
 //! switch. Every tier is bit-identical to the portable block function,
-//! which a per-tier differential test and the FIPS 197 C.3 vector pin.
+//! which a per-tier differential test and the FIPS 197 C.1 vector pin.
 
-/// AES-256 rounds (FIPS 197 §5, `Nr` for `Nk = 8`).
-const ROUNDS: usize = 14;
+/// AES-128 rounds (FIPS 197 §5, `Nr` for `Nk = 4`).
+const ROUNDS: usize = 10;
 
 /// Cells (keystream words) per AES block.
 const BLOCK_WORDS: usize = 4;
 
-/// Adds the AES-256-CTR keystream of `key` (the key's 32 LE bytes;
+/// Adds the AES-128-CTR keystream of `key` (the key's 16 LE bytes;
 /// block `n` encrypts `le128(n)`, `n` from 0) into `out`, one keystream
 /// word per cell, wrapping — or subtracts it when `negate` is set.
 ///
 /// # Panics
 /// Panics if `out` needs more than 2³² blocks.
 #[allow(unsafe_code)]
-pub(crate) fn add_keystream(key: &[u32; 8], negate: bool, out: &mut [u32]) {
+pub(crate) fn add_keystream(key: &[u32; 4], negate: bool, out: &mut [u32]) {
     assert!(
         out.len().div_ceil(BLOCK_WORDS) as u64 <= 1 << 32,
         "keystream too long"
@@ -184,39 +186,31 @@ mod aes_ni {
         _mm_xor_si128(a, _mm_slli_si128::<4>(a))
     }
 
-    /// The AES-256 key schedule (FIPS 197 §5.2). An even round key
-    /// takes `RotWord(SubWord(w)) ^ Rcon` of the odd key before it
-    /// (`aeskeygenassist` dword 3), an odd one `SubWord(w)` of the even
-    /// key before it (dword 2).
+    /// The AES-128 key schedule (FIPS 197 §5.2): round key `i` is the
+    /// running xor of key `i - 1` and `RotWord(SubWord(w)) ^ Rcon` of its
+    /// last word (`aeskeygenassist` dword 3).
     #[target_feature(enable = "aes,sse2")]
     #[inline]
-    pub(super) fn expand_key(key: &[u32; 8]) -> [__m128i; ROUNDS + 1] {
-        let even = |prev: __m128i, assist: __m128i| {
+    pub(super) fn expand_key(key: &[u32; 4]) -> [__m128i; ROUNDS + 1] {
+        let next = |prev: __m128i, assist: __m128i| {
             _mm_xor_si128(prefix_xor(prev), _mm_shuffle_epi32::<0xff>(assist))
         };
-        let odd = |prev: __m128i, assist: __m128i| {
-            _mm_xor_si128(prefix_xor(prev), _mm_shuffle_epi32::<0xaa>(assist))
-        };
         let mut rk = [_mm_setzero_si128(); ROUNDS + 1];
-        rk[0] = load(&[key[0], key[1], key[2], key[3]]);
-        rk[1] = load(&[key[4], key[5], key[6], key[7]]);
-        rk[2] = even(rk[0], _mm_aeskeygenassist_si128::<0x01>(rk[1]));
-        rk[3] = odd(rk[1], _mm_aeskeygenassist_si128::<0>(rk[2]));
-        rk[4] = even(rk[2], _mm_aeskeygenassist_si128::<0x02>(rk[3]));
-        rk[5] = odd(rk[3], _mm_aeskeygenassist_si128::<0>(rk[4]));
-        rk[6] = even(rk[4], _mm_aeskeygenassist_si128::<0x04>(rk[5]));
-        rk[7] = odd(rk[5], _mm_aeskeygenassist_si128::<0>(rk[6]));
-        rk[8] = even(rk[6], _mm_aeskeygenassist_si128::<0x08>(rk[7]));
-        rk[9] = odd(rk[7], _mm_aeskeygenassist_si128::<0>(rk[8]));
-        rk[10] = even(rk[8], _mm_aeskeygenassist_si128::<0x10>(rk[9]));
-        rk[11] = odd(rk[9], _mm_aeskeygenassist_si128::<0>(rk[10]));
-        rk[12] = even(rk[10], _mm_aeskeygenassist_si128::<0x20>(rk[11]));
-        rk[13] = odd(rk[11], _mm_aeskeygenassist_si128::<0>(rk[12]));
-        rk[14] = even(rk[12], _mm_aeskeygenassist_si128::<0x40>(rk[13]));
+        rk[0] = load(key);
+        rk[1] = next(rk[0], _mm_aeskeygenassist_si128::<0x01>(rk[0]));
+        rk[2] = next(rk[1], _mm_aeskeygenassist_si128::<0x02>(rk[1]));
+        rk[3] = next(rk[2], _mm_aeskeygenassist_si128::<0x04>(rk[2]));
+        rk[4] = next(rk[3], _mm_aeskeygenassist_si128::<0x08>(rk[3]));
+        rk[5] = next(rk[4], _mm_aeskeygenassist_si128::<0x10>(rk[4]));
+        rk[6] = next(rk[5], _mm_aeskeygenassist_si128::<0x20>(rk[5]));
+        rk[7] = next(rk[6], _mm_aeskeygenassist_si128::<0x40>(rk[6]));
+        rk[8] = next(rk[7], _mm_aeskeygenassist_si128::<0x80>(rk[7]));
+        rk[9] = next(rk[8], _mm_aeskeygenassist_si128::<0x1b>(rk[8]));
+        rk[10] = next(rk[9], _mm_aeskeygenassist_si128::<0x36>(rk[9]));
         rk
     }
 
-    /// AES-256 of every block in `x`, round by round across the blocks.
+    /// AES-128 of every block in `x`, round by round across the blocks.
     #[target_feature(enable = "aes,sse2")]
     #[inline]
     pub(super) fn encrypt<const N: usize>(
@@ -255,7 +249,7 @@ mod aes_ni {
 
     /// `add_keystream` on AES-NI.
     #[target_feature(enable = "aes,sse2")]
-    pub(super) fn add(key: &[u32; 8], negate: bool, out: &mut [u32]) {
+    pub(super) fn add(key: &[u32; 4], negate: bool, out: &mut [u32]) {
         let rk = expand_key(key);
         let mask = _mm_set1_epi32(-(negate as i32));
         super::in_groups(out, |first, cells| add_group(&rk, first, mask, cells));
@@ -316,11 +310,11 @@ mod vaes {
     /// The AES-NI schedule, each round key in all four 128-bit lanes.
     #[target_feature(enable = "avx512f,vaes,aes")]
     #[inline]
-    pub(super) fn expand_key(key: &[u32; 8]) -> [__m512i; ROUNDS + 1] {
+    pub(super) fn expand_key(key: &[u32; 4]) -> [__m512i; ROUNDS + 1] {
         aes_ni::expand_key(key).map(|k| _mm512_broadcast_i32x4(k))
     }
 
-    /// AES-256 of every 128-bit lane of every register in `x`, round by
+    /// AES-128 of every 128-bit lane of every register in `x`, round by
     /// round across the registers.
     #[target_feature(enable = "avx512f,vaes,aes")]
     #[inline]
@@ -364,7 +358,7 @@ mod vaes {
 
     /// `add_keystream` on VAES.
     #[target_feature(enable = "avx512f,vaes,aes")]
-    pub(super) fn add(key: &[u32; 8], negate: bool, out: &mut [u32]) {
+    pub(super) fn add(key: &[u32; 4], negate: bool, out: &mut [u32]) {
         let rk = expand_key(key);
         let mask = _mm512_set1_epi32(-(negate as i32));
         super::in_groups(out, |first, cells| add_group(&rk, first, mask, cells));
@@ -449,28 +443,26 @@ mod portable {
         u32::from_le_bytes(w.to_le_bytes().map(|b| SBOX[b as usize]))
     }
 
-    /// The AES-256 key schedule (FIPS 197 §5.2), as `ROUNDS + 1` round
-    /// keys of four columns. RotWord is a right rotation of the
-    /// little-endian word.
-    pub(super) fn expand_key(key: &[u32; 8]) -> [[u32; 4]; ROUNDS + 1] {
+    /// The AES-128 key schedule (FIPS 197 §5.2, `Nk = 4`), as
+    /// `ROUNDS + 1` round keys of four columns. RotWord is a right
+    /// rotation of the little-endian word.
+    pub(super) fn expand_key(key: &[u32; 4]) -> [[u32; 4]; ROUNDS + 1] {
         let mut w = [[0u32; 4]; ROUNDS + 1];
+        w[0] = *key;
         let words = w.as_flattened_mut();
-        words[..8].copy_from_slice(key);
         let mut rcon = 1u8;
-        for i in 8..words.len() {
+        for i in 4..words.len() {
             let mut t = words[i - 1];
-            if i % 8 == 0 {
+            if i % 4 == 0 {
                 t = sub_word(t.rotate_right(8)) ^ rcon as u32;
                 rcon = xtime(rcon);
-            } else if i % 8 == 4 {
-                t = sub_word(t);
             }
-            words[i] = words[i - 8] ^ t;
+            words[i] = words[i - 4] ^ t;
         }
         w
     }
 
-    /// One block (four columns) through AES-256: ShiftRows folded into
+    /// One block (four columns) through AES-128: ShiftRows folded into
     /// which column each row's byte is read from.
     pub(super) fn encrypt(rk: &[[u32; 4]; ROUNDS + 1], block: [u32; 4]) -> [u32; 4] {
         let mut s: [u32; 4] = std::array::from_fn(|c| block[c] ^ rk[0][c]);
@@ -491,7 +483,7 @@ mod portable {
 
     /// `add_keystream` one block at a time; a short last block adds its
     /// first words only.
-    pub(super) fn add(key: &[u32; 8], negate: bool, out: &mut [u32]) {
+    pub(super) fn add(key: &[u32; 4], negate: bool, out: &mut [u32]) {
         let rk = expand_key(key);
         for (n, cells) in (0u64..).zip(out.chunks_mut(BLOCK_WORDS)) {
             let k = encrypt(&rk, [n as u32, (n >> 32) as u32, 0, 0]);
@@ -506,11 +498,11 @@ mod portable {
     }
 }
 
-/// AES-256 of one block on the portable tier, key and block as LE
+/// AES-128 of one block on the portable tier, key and block as LE
 /// words: the oracle the tiers and the blinding derivation are tested
 /// against.
 #[cfg(test)]
-pub(crate) fn aes256_block(key: &[u32; 8], block: [u32; 4]) -> [u32; 4] {
+pub(crate) fn aes128_block(key: &[u32; 4], block: [u32; 4]) -> [u32; 4] {
     portable::encrypt(&portable::expand_key(key), block)
 }
 
@@ -523,23 +515,23 @@ mod tests {
         std::array::from_fn(|i| u32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().unwrap()))
     }
 
-    type TierFn = fn(&[u32; 8], bool, &mut [u32]);
-    type BlockFn = fn(&[u32; 8], [u32; 4]) -> [u32; 4];
+    type TierFn = fn(&[u32; 4], bool, &mut [u32]);
+    type BlockFn = fn(&[u32; 4], [u32; 4]) -> [u32; 4];
 
     /// Every tier this host can run, narrowest first, each as its
-    /// keystream fn and its one-block AES-256, called directly rather
+    /// keystream fn and its one-block AES-128, called directly rather
     /// than through the dispatch.
     #[allow(unsafe_code)]
     fn host_tiers() -> Vec<(&'static str, TierFn, BlockFn)> {
         #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
         let mut tiers: Vec<(&'static str, TierFn, BlockFn)> =
-            vec![(Tier::Portable.name(), portable::add, aes256_block)];
+            vec![(Tier::Portable.name(), portable::add, aes128_block)];
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::x86_64::*;
 
             #[target_feature(enable = "aes,sse2")]
-            fn aes_ni_block(key: &[u32; 8], block: [u32; 4]) -> [u32; 4] {
+            fn aes_ni_block(key: &[u32; 4], block: [u32; 4]) -> [u32; 4] {
                 let [x] = aes_ni::encrypt(&aes_ni::expand_key(key), [aes_ni::load(&block)]);
                 let mut out = [0; 4];
                 aes_ni::store(&mut out, x);
@@ -547,7 +539,7 @@ mod tests {
             }
 
             #[target_feature(enable = "avx512f,vaes,aes")]
-            fn vaes_block(key: &[u32; 8], block: [u32; 4]) -> [u32; 4] {
+            fn vaes_block(key: &[u32; 4], block: [u32; 4]) -> [u32; 4] {
                 let x = _mm512_broadcast_i32x4(aes_ni::load(&block));
                 let [x] = vaes::encrypt(&vaes::expand_key(key), [x]);
                 let mut out = [0; 16];
@@ -580,16 +572,16 @@ mod tests {
     }
 
     #[test]
-    fn fips197_c3_vector_on_every_host_tier() {
-        // FIPS 197 Appendix C.3 (AES-256): key 00 01 … 1f.
-        let key = le_words::<8>(&(0..32).collect::<Vec<u8>>());
+    fn fips197_c1_vector_on_every_host_tier() {
+        // FIPS 197 Appendix C.1 (AES-128): key 00 01 … 0f.
+        let key = le_words::<4>(&(0..16).collect::<Vec<u8>>());
         let plain = le_words::<4>(&[
             0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
             0xee, 0xff,
         ]);
         let cipher = le_words::<4>(&[
-            0x8e, 0xa2, 0xb7, 0xca, 0x51, 0x67, 0x45, 0xbf, 0xea, 0xfc, 0x49, 0x90, 0x4b, 0x49,
-            0x60, 0x89,
+            0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
+            0xc5, 0x5a,
         ]);
         for (name, _, block) in host_tiers() {
             assert_eq!(block(&key, plain), cipher, "tier={name}");
@@ -616,9 +608,9 @@ mod tests {
             "dispatch runs the widest tier"
         );
 
-        let key: [u32; 8] = std::array::from_fn(|i| 0x9E37_79B9u32.wrapping_mul(i as u32 + 1));
+        let key: [u32; 4] = std::array::from_fn(|i| 0x9E37_79B9u32.wrapping_mul(i as u32 + 1));
         let stream: Vec<u32> = (0..2560u32)
-            .flat_map(|n| aes256_block(&key, [n, 0, 0, 0]))
+            .flat_map(|n| aes128_block(&key, [n, 0, 0, 0]))
             .collect();
         let cells: Vec<u32> = (0..10_240u32)
             .map(|i| i.wrapping_mul(0x85EB_CA6B))
@@ -647,7 +639,7 @@ mod tests {
 
     #[test]
     fn adding_then_subtracting_cancels() {
-        let key = [7u32, 1, 4, 1, 5, 9, 2, 6];
+        let key = [7u32, 1, 4, 1];
         let mut cells: Vec<u32> = (0..333).collect();
         add_keystream(&key, false, &mut cells);
         assert_ne!(cells, (0..333).collect::<Vec<u32>>());

@@ -10,9 +10,11 @@
 //!   hash backbone for blinding stream keys and hash-to-group. Every
 //!   compression runs on the CPU's SHA extensions where it has them and
 //!   on the scalar loop elsewhere ([`sha256::sha256_tier`] says which).
-//! * [`keystream`] — the AES-256 counter-mode keystream (FIPS 197, NIST
+//! * [`keystream`] — the AES-128 counter-mode keystream (FIPS 197, NIST
 //!   SP 800-38A) that expands each blinding stream key, on the CPU's AES
-//!   instructions where it has them, added straight into the cells.
+//!   instructions where it has them, added straight into the cells. A
+//!   128-bit key meets the crate's 128-bit strength target, which the
+//!   MODP-2048 secret under it (≈ 112 bits) already caps.
 //! * [`group`] — multiplicative groups modulo a safe prime, including
 //!   the RFC 3526 MODP-2048 group the deployment-scale protocol would
 //!   use and small generated groups for fast tests.

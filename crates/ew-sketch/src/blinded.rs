@@ -19,14 +19,13 @@ pub struct BlindedSketch {
 
 impl BlindedSketch {
     /// Blinds `sketch` with the user's blinding vector for `round`,
-    /// added straight into a copy of its cells.
-    pub fn from_sketch(sketch: &CountMinSketch, generator: &BlindingGenerator, round: u64) -> Self {
-        let mut cells = sketch.cells().to_vec();
+    /// added straight into its own cells: the report takes the sketch's
+    /// cell vector, so a caller that keeps the sketch passes a clone.
+    pub fn from_sketch(sketch: CountMinSketch, generator: &BlindingGenerator, round: u64) -> Self {
+        let params = sketch.params();
+        let mut cells = sketch.into_cells();
         generator.blind_in_place(round, &mut cells);
-        BlindedSketch {
-            params: sketch.params(),
-            cells,
-        }
+        BlindedSketch { params, cells }
     }
 
     /// Wraps raw wire cells (used by the codec on the receive path).
@@ -192,7 +191,7 @@ mod tests {
             sketch.update(i as u64 + 1);
             sketch.update(100);
             clear_total.merge(&sketch);
-            acc.add(&BlindedSketch::from_sketch(&sketch, g, round));
+            acc.add(&BlindedSketch::from_sketch(sketch, g, round));
         }
         assert_eq!(acc.reports(), 4);
         let agg = acc.finalize(clear_total.insertions());
@@ -214,7 +213,7 @@ mod tests {
             sketch.update(7);
             sketch.update(i as u64);
             clear_total.merge(&sketch);
-            acc.add(&BlindedSketch::from_sketch(&sketch, g, round));
+            acc.add(&BlindedSketch::from_sketch(sketch, g, round));
         }
         // Residue present before recovery.
         assert_ne!(acc.cells(), clear_total.cells());
@@ -237,7 +236,7 @@ mod tests {
         let params = CmsParams::new(2, 16, 1);
         let mut sketch = CountMinSketch::new(params);
         sketch.update(3);
-        let blinded = BlindedSketch::from_sketch(&sketch, &gens[0], 1);
+        let blinded = BlindedSketch::from_sketch(sketch.clone(), &gens[0], 1);
         // The blinded report must differ from the cleartext sketch.
         assert_ne!(blinded.cells(), sketch.cells());
     }
@@ -261,7 +260,7 @@ mod tests {
                 let mut sketch = CountMinSketch::new(params);
                 sketch.update(i as u64);
                 sketch.update(55);
-                BlindedSketch::from_sketch(&sketch, g, round)
+                BlindedSketch::from_sketch(sketch, g, round)
             })
             .collect();
 

@@ -55,6 +55,13 @@ impl CountMinSketch {
         &self.cells
     }
 
+    /// Consumes the sketch, yielding its row-major cells without a copy
+    /// (what [`crate::blinded::BlindedSketch::from_sketch`] blinds in
+    /// place).
+    pub fn into_cells(self) -> Vec<u32> {
+        self.cells
+    }
+
     /// Rebuilds a sketch from raw cells (e.g. an unblinded aggregate),
     /// so the standard `query` API works on server-side aggregates.
     ///

@@ -232,7 +232,7 @@ impl Client {
         for &ad in &self.seen_ads {
             sketch.update(ad);
         }
-        BlindedSketch::from_sketch(&sketch, generator, round)
+        BlindedSketch::from_sketch(sketch, generator, round)
     }
 
     /// The recovery-round adjustment for a set of missing clients: the

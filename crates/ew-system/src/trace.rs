@@ -135,11 +135,6 @@ impl TraceRecorder {
         self.push(TraceEventKind::Instant, span, label, a, b);
     }
 
-    /// The retained window, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.ring.iter().copied().collect()
-    }
-
     /// Events evicted by ring wraparound.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -212,6 +207,13 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TraceRecorder {
+        /// The retained window, oldest first.
+        fn events(&self) -> Vec<TraceEvent> {
+            self.ring.iter().copied().collect()
+        }
+    }
 
     /// Whether this thread's recorder is on; tests check the seam's
     /// enable/disable pair with it.

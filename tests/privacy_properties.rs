@@ -44,8 +44,8 @@ fn single_report_looks_unrelated_to_its_cleartext() {
     let light = CountMinSketch::new(params); // nothing at all
 
     // ...produce blinded reports that are both "random-looking":
-    let b_heavy = BlindedSketch::from_sketch(&heavy, &gens[0], 1);
-    let b_light = BlindedSketch::from_sketch(&light, &gens[0], 1);
+    let b_heavy = BlindedSketch::from_sketch(heavy.clone(), &gens[0], 1);
+    let b_light = BlindedSketch::from_sketch(light.clone(), &gens[0], 1);
 
     let nonzero =
         |cells: &[u32]| cells.iter().filter(|&&c| c != 0).count() as f64 / cells.len() as f64;
@@ -71,7 +71,7 @@ fn aggregate_recovers_exactly_what_merge_would() {
             s.update(ad * 3);
         }
         clear.merge(&s);
-        acc.add(&BlindedSketch::from_sketch(&s, g, round));
+        acc.add(&BlindedSketch::from_sketch(s, g, round));
     }
     assert_eq!(acc.finalize(0).cells(), clear.cells());
 }
@@ -92,7 +92,7 @@ fn recovery_only_cancels_blinding_never_reveals_more() {
         let mut s = CountMinSketch::new(params);
         s.update(i as u64);
         clear_reporting.merge(&s);
-        acc.add(&BlindedSketch::from_sketch(&s, g, round));
+        acc.add(&BlindedSketch::from_sketch(s, g, round));
     }
     let bp = BlindingParams {
         round,
@@ -150,8 +150,8 @@ fn blinding_depends_on_round_preventing_replay_correlation() {
     let (_g, gens) = cohort(3, 6);
     let params = CmsParams::new(2, 16, 2);
     let sketch = CountMinSketch::new(params);
-    let week1 = BlindedSketch::from_sketch(&sketch, &gens[0], 1);
-    let week2 = BlindedSketch::from_sketch(&sketch, &gens[0], 2);
+    let week1 = BlindedSketch::from_sketch(sketch.clone(), &gens[0], 1);
+    let week2 = BlindedSketch::from_sketch(sketch, &gens[0], 2);
     // Same (empty) data, different rounds: reports must not repeat.
     assert_ne!(week1.cells(), week2.cells());
 }

@@ -714,7 +714,7 @@ fn unsafe_allowances(dir: &Path) -> Vec<String> {
 #[test]
 fn one_blinding_derivation() {
     // A blinding term is one MAC per pair per round expanded by the
-    // AES-256-CTR keystream straight into the cells (derivation v3). The
+    // AES-128-CTR keystream straight into the cells (derivation v4). The
     // counter-mode HMAC expansion, its per-round stream buffers and the
     // caller-less multi-server OPRF may not come back; `ew-crypto`'s
     // `unsafe` sites are pinned in `unsafe_only_at_the_tier_dispatches`.
@@ -759,7 +759,7 @@ const UNSAFE_SITES: [(&str, &[&str], &str); 4] = [
     (
         "ew-crypto",
         &[
-            "pub(crate) fn add_keystream(key: &[u32; 8], negate: bool, out: &mut [u32]) {",
+            "pub(crate) fn add_keystream(key: &[u32; 4], negate: bool, out: &mut [u32]) {",
             "pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {",
         ],
         "ew-crypto allows unsafe code only at the keystream and SHA-256 dispatches",
