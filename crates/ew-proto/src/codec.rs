@@ -6,6 +6,7 @@
 //! huge allocation.
 
 use bytes::{Buf, BufMut};
+use std::collections::BTreeSet;
 
 /// Maximum variable-length field size accepted on decode (16 MiB —
 /// comfortably above the largest CMS report, far below anything silly).
@@ -24,6 +25,9 @@ pub enum CodecError {
     BadVersion(u8),
     /// A string field was not valid UTF-8.
     BadString,
+    /// A set's id list was not strictly ascending (unsorted or
+    /// duplicated ids): a set has one canonical encoding.
+    NotAscending,
 }
 
 impl std::fmt::Display for CodecError {
@@ -34,6 +38,7 @@ impl std::fmt::Display for CodecError {
             CodecError::FieldTooLarge(n) => write!(f, "field length {n} exceeds limit"),
             CodecError::BadVersion(v) => write!(f, "unsupported envelope version {v}"),
             CodecError::BadString => write!(f, "string field is not valid UTF-8"),
+            CodecError::NotAscending => write!(f, "set is not strictly ascending"),
         }
     }
 }
@@ -99,6 +104,17 @@ pub fn get_u32_vec(buf: &mut impl Buf) -> Result<Vec<u32>, CodecError> {
     Ok(out)
 }
 
+/// Reads a set written by [`put_u32_set`]: a length-prefixed `u32`
+/// list that must be strictly ascending, so every set decodes from
+/// exactly one encoding.
+pub fn get_u32_set(buf: &mut impl Buf) -> Result<BTreeSet<u32>, CodecError> {
+    let ids = get_u32_vec(buf)?;
+    if ids.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(CodecError::NotAscending);
+    }
+    Ok(BTreeSet::from_iter(ids))
+}
+
 /// Reads a length-prefixed `u32`-element id list (same wire shape as
 /// [`get_u32_vec`], separate name for clarity at call sites).
 pub fn get_user_list(buf: &mut impl Buf) -> Result<Vec<u32>, CodecError> {
@@ -150,6 +166,14 @@ pub fn put_bytes(buf: &mut impl BufMut, data: &[u8]) {
     buf.put_slice(data);
 }
 
+/// Writes a set as a length-prefixed `u32` list, ascending.
+pub fn put_u32_set(buf: &mut impl BufMut, set: &BTreeSet<u32>) {
+    buf.put_u32_le(set.len() as u32);
+    for &id in set {
+        buf.put_u32_le(id);
+    }
+}
+
 /// Writes a length-prefixed `u32` slice.
 pub fn put_u32_vec(buf: &mut impl BufMut, data: &[u32]) {
     debug_assert!(data.len() * 4 <= MAX_FIELD_LEN);
@@ -192,6 +216,21 @@ mod tests {
         let mut r = &buf[..];
         assert_eq!(get_bytes(&mut r).unwrap(), b"hello");
         assert_eq!(get_u32_vec(&mut r).unwrap(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn sets_roundtrip_and_only_ascending_lists_decode() {
+        let set = BTreeSet::from([9, 1, 5]);
+        let mut buf = Vec::new();
+        put_u32_set(&mut buf, &set);
+        let mut r = &buf[..];
+        assert_eq!(get_u32_set(&mut r), Ok(set));
+        for ids in [[5, 1, 9], [1, 5, 5]] {
+            let mut buf = Vec::new();
+            put_u32_vec(&mut buf, &ids);
+            let mut r = &buf[..];
+            assert_eq!(get_u32_set(&mut r), Err(CodecError::NotAscending));
+        }
     }
 
     #[test]

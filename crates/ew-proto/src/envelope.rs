@@ -46,7 +46,7 @@ pub enum NodeId {
     /// The OPRF front-end.
     Oprf,
     /// The epoch coordinator role service (owns the tick-driven epoch
-    /// state machine and the versioned membership ledger).
+    /// state machine and the epoch roster).
     Coordinator,
 }
 

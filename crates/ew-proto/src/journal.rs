@@ -9,8 +9,9 @@
 //!   shard re-absorbs its `Absorbed` suffix. Rejected envelopes are
 //!   never journaled, so replaying the log can never re-deliver a
 //!   duplicate.
-//! * [`JournalEvent::CoordinatorState`] — a [`CoordinatorCheckpoint`];
-//!   a restarted coordinator resumes from the latest one.
+//! * [`JournalEvent::CoordinatorState`] — a [`CoordinatorCheckpoint`],
+//!   the coordinator's whole protocol state; a restarted coordinator
+//!   resumes from the latest one.
 //! * [`JournalEvent::ReportParked`] — a late report parked inside the
 //!   grace window; the next epoch folds it in.
 //!
@@ -19,15 +20,20 @@
 //! Records encode with the same explicit little-endian codec discipline
 //! as [`crate::message::Message`]: one leading tag byte per event, all
 //! integers LE, variable fields length-prefixed, truncation and
-//! trailing bytes rejected. The record tag space is append-only and
-//! private to the journal (it never shares a byte stream with message
-//! tags; an embedded [`Envelope`] is a length-prefixed byte field).
+//! trailing bytes rejected. An id set is a strictly ascending `u32`
+//! list, and any other list is refused ([`CodecError::NotAscending`]),
+//! so every record has exactly one encoding. The record tag space is
+//! append-only and private to the journal (it never shares a byte
+//! stream with message tags; an embedded [`Envelope`] is a
+//! length-prefixed byte field).
 
 use crate::codec::{
-    get_bytes, get_u32, get_u32_vec, get_u64, get_u8, put_bytes, put_u32_vec, CodecError,
+    get_bytes, get_u32, get_u32_set, get_u64, get_u8, put_bytes, put_u32_set, CodecError,
 };
 use crate::envelope::Envelope;
+use crate::membership::EpochPhase;
 use bytes::BufMut;
+use std::collections::BTreeSet;
 
 /// Journal record tags (stable; append-only).
 mod record_tag {
@@ -35,47 +41,43 @@ mod record_tag {
     // 0x02 (the round's shard map), 0x03 (the shard adoption marker of
     // mid-round reassignment), 0x04 (round finalized), 0x05 (epoch
     // opened), 0x06 (membership installed) and 0x07 (epoch collapsed)
-    // were written and never read back. They are retired, never
-    // reassigned: `BadTag`.
-    pub(super) const COORDINATOR_STATE: u8 = 0x08;
+    // were written and never read back; 0x08 (the coordinator state
+    // with its versioned membership ledger) gave way to 0x0A. They are
+    // retired, never reassigned: `BadTag`.
     pub(super) const REPORT_PARKED: u8 = 0x09;
+    pub(super) const COORDINATOR_STATE: u8 = 0x0A;
 }
 
-/// A checkpoint of the coordinator's mutable state, journaled after
-/// every tick-boundary mutation. Restoring a coordinator needs only the
-/// latest one, so a restarted coordinator resumes at the exact phase it
-/// died in. Deployment configuration (tick budgets, `min_clients`
-/// policy) and telemetry counters are deliberately **not** part of it:
-/// config is supplied at restart, and counters restart from zero like
-/// every other node's.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The coordinator's protocol state, journaled after every
+/// tick-boundary mutation. The coordinator holds exactly this value, so
+/// restoring one needs only the latest checkpoint and resumes at the
+/// exact phase it died in. Deployment configuration (tick budgets,
+/// `min_clients`) and telemetry counters are deliberately **not** part
+/// of it: config is supplied at restart, and counters restart from zero
+/// like every other node's.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoordinatorCheckpoint {
-    /// The coordinator's current epoch.
+    /// The coordinator's current epoch (0 = none formed yet).
     pub epoch: u64,
     /// The aggregation round the epoch drives.
     pub round: u64,
-    /// The current phase, as its [`crate::EpochPhase`] wire byte.
-    pub phase: u8,
-    /// The installed membership ledger's version.
-    pub version: u32,
-    /// The epoch the installed ledger was stamped for.
-    pub ledger_epoch: u64,
-    /// The installed ledger's admission threshold.
-    pub min_clients: u32,
-    /// The installed ledger's member ids, ascending.
-    pub members: Vec<u32>,
-    /// The live roster (admitted, not yet left/dropped), ascending.
-    pub roster: Vec<u32>,
-    /// Joins parked for the next admission, ascending.
-    pub pending_joins: Vec<u32>,
-    /// Leaves parked for the next tick boundary, ascending.
-    pub pending_leaves: Vec<u32>,
-    /// Members dropped mid-epoch (the §6 silent set), ascending.
-    pub dropped: Vec<u32>,
+    /// The current phase.
+    pub phase: EpochPhase,
     /// The tick at which the current phase times out.
     pub deadline: u64,
     /// The last tick instant the coordinator observed.
     pub last_tick: u64,
+    /// The live roster: forming in `WaitingForMembers`/`Warmup`, frozen
+    /// from `Reports` on.
+    pub roster: BTreeSet<u32>,
+    /// Joins parked until the next `WaitingForMembers` fold.
+    pub pending_joins: BTreeSet<u32>,
+    /// Clean departures, folded out at the next tick boundary that
+    /// honors them (immediately while forming, after the round while
+    /// frozen).
+    pub pending_leaves: BTreeSet<u32>,
+    /// Members dropped mid-epoch (the §6 silent set).
+    pub dropped: BTreeSet<u32>,
 }
 
 /// One journaled state transition.
@@ -139,17 +141,13 @@ impl JournalRecord {
                 buf.put_u8(record_tag::COORDINATOR_STATE);
                 buf.put_u64_le(state.epoch);
                 buf.put_u64_le(state.round);
-                buf.put_u8(state.phase);
-                buf.put_u32_le(state.version);
-                buf.put_u64_le(state.ledger_epoch);
-                buf.put_u32_le(state.min_clients);
-                put_u32_vec(&mut buf, &state.members);
-                put_u32_vec(&mut buf, &state.roster);
-                put_u32_vec(&mut buf, &state.pending_joins);
-                put_u32_vec(&mut buf, &state.pending_leaves);
-                put_u32_vec(&mut buf, &state.dropped);
+                buf.put_u8(state.phase.as_wire());
                 buf.put_u64_le(state.deadline);
                 buf.put_u64_le(state.last_tick);
+                put_u32_set(&mut buf, &state.roster);
+                put_u32_set(&mut buf, &state.pending_joins);
+                put_u32_set(&mut buf, &state.pending_leaves);
+                put_u32_set(&mut buf, &state.dropped);
             }
             JournalEvent::ReportParked {
                 epoch,
@@ -181,28 +179,17 @@ impl JournalRecord {
                 }
             }
             record_tag::COORDINATOR_STATE => {
-                let epoch = get_u64(buf)?;
-                let round = get_u64(buf)?;
-                let phase = get_u8(buf)?;
-                // The phase byte is the EpochPhase wire space; unknown
-                // bytes are corruption, rejected like a bad tag.
-                if crate::membership::EpochPhase::from_wire(phase).is_err() {
-                    return Err(CodecError::BadTag(phase));
-                }
                 JournalEvent::CoordinatorState(CoordinatorCheckpoint {
-                    epoch,
-                    round,
-                    phase,
-                    version: get_u32(buf)?,
-                    ledger_epoch: get_u64(buf)?,
-                    min_clients: get_u32(buf)?,
-                    members: get_u32_vec(buf)?,
-                    roster: get_u32_vec(buf)?,
-                    pending_joins: get_u32_vec(buf)?,
-                    pending_leaves: get_u32_vec(buf)?,
-                    dropped: get_u32_vec(buf)?,
+                    epoch: get_u64(buf)?,
+                    round: get_u64(buf)?,
+                    // An unknown phase byte is corruption: `BadTag`.
+                    phase: EpochPhase::from_wire(get_u8(buf)?)?,
                     deadline: get_u64(buf)?,
                     last_tick: get_u64(buf)?,
+                    roster: get_u32_set(buf)?,
+                    pending_joins: get_u32_set(buf)?,
+                    pending_leaves: get_u32_set(buf)?,
+                    dropped: get_u32_set(buf)?,
                 })
             }
             record_tag::REPORT_PARKED => {
@@ -270,17 +257,13 @@ mod tests {
                 event: JournalEvent::CoordinatorState(CoordinatorCheckpoint {
                     epoch: 3,
                     round: 15,
-                    phase: 0x02,
-                    version: 7,
-                    ledger_epoch: 3,
-                    min_clients: 3,
-                    members: vec![1, 4, 7, 9],
-                    roster: vec![1, 4, 9],
-                    pending_joins: vec![11],
-                    pending_leaves: vec![],
-                    dropped: vec![7],
+                    phase: EpochPhase::Reports,
                     deadline: 42,
                     last_tick: 40,
+                    roster: BTreeSet::from([1, 4, 7, 9]),
+                    pending_joins: BTreeSet::from([11]),
+                    pending_leaves: BTreeSet::new(),
+                    dropped: BTreeSet::from([7]),
                 }),
             },
             JournalRecord {
@@ -314,12 +297,13 @@ mod tests {
 
     #[test]
     fn surviving_record_encodings_are_unchanged() {
-        // (length, CRC-32) of each sample's encoding as the eight-kind
-        // codec wrote it: retiring the other kinds moved no byte.
+        // (length, CRC-32) of each sample's encoding: the `Absorbed` and
+        // `ReportParked` bytes are as the eight-kind codec wrote them,
+        // and the coordinator state is the `0x0A` layout.
         let golden = [
             (96, 0x2281_ccc6),
             (80, 0xd4de_ac0d),
-            (114, 0x0b17_a943),
+            (82, 0xcc51_c49c),
             (108, 0x0a61_1172),
         ];
         for (rec, (len, crc)) in samples().iter().zip(golden) {
@@ -336,17 +320,7 @@ mod tests {
             event: JournalEvent::CoordinatorState(CoordinatorCheckpoint {
                 epoch: 1,
                 round: 1,
-                phase: 0x00,
-                version: 1,
-                ledger_epoch: 1,
-                min_clients: 1,
-                members: vec![],
-                roster: vec![],
-                pending_joins: vec![],
-                pending_leaves: vec![],
-                dropped: vec![],
-                deadline: 0,
-                last_tick: 0,
+                ..CoordinatorCheckpoint::default()
             }),
         };
         let mut encoded = rec.encode();
@@ -381,7 +355,10 @@ mod tests {
         // slot ring), the adoption marker (dead shard, map version),
         // round finalized (round), epoch opened (epoch, round, version,
         // members), membership installed (version, epoch, min_clients,
-        // members) and epoch collapsed (epoch, remaining).
+        // members), epoch collapsed (epoch, remaining) and the coordinator
+        // state with its ledger (epoch, round, phase, version, ledger
+        // epoch, min_clients, members, roster, pending joins, pending
+        // leaves, dropped, deadline, last tick).
         let retired = [
             (0x02, "0300000000000000020100000004000000080000000000000001000000030000000000000001000000030000000000000001000000"),
             (0x03, "0400000000000000030200000001000000"),
@@ -389,6 +366,7 @@ mod tests {
             (0x05, "05000000000000000502000000000000000e00000000000000060000000400000001000000040000000700000009000000"),
             (0x06, "060000000000000006060000000200000000000000030000000400000001000000040000000700000009000000"),
             (0x07, "0700000000000000070200000000000000020000000100000009000000"),
+            (0x08, "08000000000000000803000000000000000f000000000000000207000000030000000000000003000000040000000100000004000000070000000900000003000000010000000400000009000000010000000b0000000000000001000000070000002a000000000000002800000000000000"),
         ];
         for (tag, hex) in retired {
             let buf = from_hex(hex);

@@ -40,7 +40,8 @@
 //! update), `0x10`/`0x11` (the telemetry query / reply) and `0x14`/`0x15`
 //! (the coordinator's tick and epoch-state broadcast), sender tag `0x04`
 //! (the telemetry sidecar) and journal record tags `0x02`–`0x07` (the
-//! records nothing read back) decode to `BadTag`; error codes 3, 6, 8
+//! records nothing read back) and `0x08` (the coordinator state with its
+//! versioned membership ledger) decode to `BadTag`; error codes 3, 6, 8
 //! and 11 are reserved.
 
 pub mod cluster;
@@ -62,6 +63,6 @@ pub use envelope::{Envelope, NodeId, ENVELOPE_VERSION};
 pub use fault::{FaultConfig, FaultyLink};
 pub use framing::{FrameDecoder, FrameError, MAGIC};
 pub use journal::{CoordinatorCheckpoint, JournalEvent, JournalRecord};
-pub use membership::{EpochPhase, Membership, MembershipError, MAX_MEMBERS};
+pub use membership::EpochPhase;
 pub use message::{error_code, AdmissionHint, Message};
 pub use transport::{channel_pair, Endpoint, TransportError};

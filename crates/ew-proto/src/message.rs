@@ -30,7 +30,7 @@ pub mod error_code {
     /// the explicit reply that replaces silently dropping it.
     pub const REJECTED_REPORT: u32 = 7;
     // 8 (malformed shard map) is retired, never reassigned.
-    /// A membership-plane request named a user the coordinator's ledger
+    /// A membership-plane request named a user the coordinator's roster
     /// does not carry (e.g. a `Leave` for a client that never joined).
     pub const NOT_ENROLLED: u32 = 9;
     /// A membership-plane request referenced an epoch the coordinator

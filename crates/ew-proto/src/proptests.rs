@@ -135,8 +135,6 @@ proptest! {
         let (mut a, mut b) = channel_pair(None);
         a.send_envelope(&env).unwrap();
         prop_assert_eq!(b.recv_raw(), Some(encode_frame(&env.encode())));
-        a.send(&env.msg).unwrap();
-        prop_assert_eq!(b.recv_raw(), Some(encode_frame(&env.msg.encode())));
         prop_assert_eq!(b.recv_raw(), None);
     }
 

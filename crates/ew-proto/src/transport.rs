@@ -8,11 +8,9 @@
 //! would impose. Endpoints are cheap and the channel is unbounded, so a
 //! simulated cohort of hundreds of clients runs in one process.
 
-use crate::codec::CodecError;
 use crate::envelope::Envelope;
 use crate::fault::{FaultConfig, FaultyLink};
 use crate::framing::{frame_with, FrameDecoder, FrameError};
-use crate::message::Message;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 
 /// Errors on the receive path.
@@ -87,22 +85,15 @@ impl Endpoint {
         }
     }
 
-    /// Sends one message.
-    ///
-    /// `Err(TransportError::Disconnected)` means the peer endpoint is
-    /// gone — the message cannot have arrived (a fault link may still
-    /// drop it silently; that is the *link's* failure model, not the
-    /// peer's). Call sites must not ignore the result: a silently
-    /// dropped send makes fault diagnosis guesswork.
-    pub fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
-        self.transmit(frame_with(msg.encoded_len_hint(), |frame| {
-            msg.encode_into(frame)
-        }))
-    }
-
     /// Sends one [`Envelope`] (the node-service interaction unit):
     /// header, envelope bytes and checksum trailer are written into the
     /// one frame buffer that goes on the link.
+    ///
+    /// `Err(TransportError::Disconnected)` means the peer endpoint is
+    /// gone — the envelope cannot have arrived (a fault link may still
+    /// drop it silently; that is the *link's* failure model, not the
+    /// peer's). Call sites must not ignore the result: a silently
+    /// dropped send makes fault diagnosis guesswork.
     pub fn send_envelope(&mut self, env: &Envelope) -> Result<(), TransportError> {
         self.transmit(frame_with(env.encoded_len_hint(), |frame| {
             env.encode_into(frame)
@@ -124,15 +115,13 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Non-blocking receive of the next complete frame, its payload
-    /// decoded where it lies in the frame decoder's buffer.
+    /// Non-blocking receive of the next complete [`Envelope`], decoded
+    /// where it lies in the frame decoder's buffer.
     ///
     /// `Ok(None)` means no complete frame is available right now.
-    fn try_recv_with<T>(
-        &mut self,
-        decode: impl Fn(&[u8]) -> Result<T, CodecError>,
-    ) -> Result<Option<T>, TransportError> {
-        let read = |payload: &[u8]| decode(payload).map_err(|_| TransportError::BadMessage);
+    pub fn try_recv_envelope(&mut self) -> Result<Option<Envelope>, TransportError> {
+        let read =
+            |payload: &[u8]| Envelope::decode(payload).map_err(|_| TransportError::BadMessage);
         loop {
             // First, drain whatever the decoder can already produce.
             match self.decoder.next_frame_with(read) {
@@ -157,40 +146,10 @@ impl Endpoint {
         }
     }
 
-    /// Non-blocking receive of the next complete message.
-    ///
-    /// `Ok(None)` means no complete message is available right now.
-    pub fn try_recv(&mut self) -> Result<Option<Message>, TransportError> {
-        self.try_recv_with(Message::decode)
-    }
-
-    /// Non-blocking receive of the next complete [`Envelope`].
-    pub fn try_recv_envelope(&mut self) -> Result<Option<Envelope>, TransportError> {
-        self.try_recv_with(Envelope::decode)
-    }
-
     /// The next raw frame off the link, undecoded.
     #[cfg(test)]
     pub(crate) fn recv_raw(&mut self) -> Option<Vec<u8>> {
         self.rx.try_recv().ok()
-    }
-
-    /// Receives every currently deliverable message, skipping corrupt
-    /// frames (they are counted, not returned).
-    pub fn drain(&mut self) -> (Vec<Message>, usize) {
-        let mut msgs = Vec::new();
-        let mut corrupt = 0;
-        loop {
-            match self.try_recv() {
-                Ok(Some(m)) => msgs.push(m),
-                Ok(None) => break,
-                Err(TransportError::CorruptFrame) | Err(TransportError::BadMessage) => {
-                    corrupt += 1;
-                }
-                Err(TransportError::Disconnected) => break,
-            }
-        }
-        (msgs, corrupt)
     }
 
     /// Receives every currently deliverable [`Envelope`], skipping
@@ -215,33 +174,39 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::NodeId;
+    use crate::framing::encode_frame;
+    use crate::message::Message;
 
     fn msg(ad: u64) -> Message {
         Message::UsersQuery { round: 1, ad }
     }
 
+    fn env(ad: u64) -> Envelope {
+        Envelope::new(NodeId::Client(1), 1, msg(ad))
+    }
+
     #[test]
     fn roundtrip_over_perfect_link() {
         let (mut a, mut b) = channel_pair(None);
-        a.send(&msg(1)).unwrap();
-        a.send(&msg(2)).unwrap();
-        assert_eq!(b.try_recv().unwrap(), Some(msg(1)));
-        assert_eq!(b.try_recv().unwrap(), Some(msg(2)));
-        assert_eq!(b.try_recv().unwrap(), None);
+        a.send_envelope(&env(1)).unwrap();
+        a.send_envelope(&env(2)).unwrap();
+        assert_eq!(b.try_recv_envelope().unwrap(), Some(env(1)));
+        assert_eq!(b.try_recv_envelope().unwrap(), Some(env(2)));
+        assert_eq!(b.try_recv_envelope().unwrap(), None);
     }
 
     #[test]
     fn bidirectional() {
         let (mut a, mut b) = channel_pair(None);
-        a.send(&msg(10)).unwrap();
-        b.send(&msg(20)).unwrap();
-        assert_eq!(b.try_recv().unwrap(), Some(msg(10)));
-        assert_eq!(a.try_recv().unwrap(), Some(msg(20)));
+        a.send_envelope(&env(10)).unwrap();
+        b.send_envelope(&env(20)).unwrap();
+        assert_eq!(b.try_recv_envelope().unwrap(), Some(env(10)));
+        assert_eq!(a.try_recv_envelope().unwrap(), Some(env(20)));
     }
 
     #[test]
     fn envelopes_roundtrip_over_the_link() {
-        use crate::envelope::NodeId;
         let (mut a, mut b) = channel_pair(None);
         let envs = [
             Envelope::new(NodeId::Client(3), 1, msg(10)),
@@ -262,12 +227,12 @@ mod tests {
         // and envelope versions (0xE0..) are disjoint byte ranges, so
         // the version gate rejects every message tag structurally.
         let (mut a, mut b) = channel_pair(None);
-        a.send(&msg(1)).unwrap();
-        a.send(&Message::PublishKey {
+        a.transmit(encode_frame(&msg(1).encode())).unwrap();
+        let key = Message::PublishKey {
             user: 1,
             public_key: vec![1, 2, 3],
-        })
-        .unwrap();
+        };
+        a.transmit(encode_frame(&key.encode())).unwrap();
         let (got, corrupt) = b.drain_envelopes();
         assert!(got.is_empty());
         assert_eq!(corrupt, 2);
@@ -282,15 +247,15 @@ mod tests {
         };
         let (mut a, mut b) = channel_pair(Some(cfg));
         for i in 0..20 {
-            a.send(&msg(i)).unwrap();
+            a.send_envelope(&env(i)).unwrap();
         }
-        let (msgs, corrupt) = b.drain();
+        let (envs, corrupt) = b.drain_envelopes();
         // All frames were corrupted somewhere; most flips land in the
         // payload/CRC and are caught; flips in the header surface as
         // resync (also counted as loss here).
         assert!(corrupt > 0, "corruption must be observed");
         assert!(
-            msgs.len() < 20,
+            envs.len() < 20,
             "not everything can survive 100% corruption"
         );
     }
@@ -304,16 +269,16 @@ mod tests {
         };
         let (mut a, mut b) = channel_pair(Some(cfg));
         for i in 0..100 {
-            a.send(&msg(i)).unwrap();
+            a.send_envelope(&env(i)).unwrap();
         }
-        let (msgs, corrupt) = b.drain();
+        let (envs, corrupt) = b.drain_envelopes();
         assert_eq!(corrupt, 0);
-        assert!(msgs.len() > 40 && msgs.len() < 100);
+        assert!(envs.len() > 40 && envs.len() < 100);
         // Surviving subsequence preserves order.
-        let ads: Vec<u64> = msgs
+        let ads: Vec<u64> = envs
             .iter()
-            .map(|m| match m {
-                Message::UsersQuery { ad, .. } => *ad,
+            .map(|e| match e.msg {
+                Message::UsersQuery { ad, .. } => ad,
                 _ => unreachable!(),
             })
             .collect();
@@ -324,8 +289,8 @@ mod tests {
     fn disconnect_detected() {
         let (mut a, b) = channel_pair(None);
         drop(b);
-        assert_eq!(a.send(&msg(1)), Err(TransportError::Disconnected));
-        assert_eq!(a.try_recv(), Err(TransportError::Disconnected));
+        assert_eq!(a.send_envelope(&env(1)), Err(TransportError::Disconnected));
+        assert_eq!(a.try_recv_envelope(), Err(TransportError::Disconnected));
     }
 
     #[test]
@@ -339,7 +304,8 @@ mod tests {
             seed: 0,
             cells: vec![0xABCD_EF01; 17 * 2719],
         };
-        a.send(&big).unwrap();
-        assert_eq!(b.try_recv().unwrap(), Some(big));
+        let big = Envelope::new(NodeId::Client(1), 1, big);
+        a.send_envelope(&big).unwrap();
+        assert_eq!(b.try_recv_envelope().unwrap(), Some(big));
     }
 }

@@ -10,25 +10,27 @@
 //! * one decode allocates at most [`ALLOC_BYTES_PER_INPUT_BYTE`] bytes
 //!   per input byte, plus [`ALLOC_SLACK`].
 //!
-//! The checkpointed membership ledger is plain fields to the record
-//! codec; `Membership::from_wire` validates it. Targeted mutations of the
-//! sample ledger — unsorted members, duplicated members, a zero
-//! `min_clients` and `MAX_MEMBERS + 1` members — must each decode as a
-//! record and come back from `from_wire` as a typed `MembershipError`.
+//! A coordinator checkpoint carries four id sets, each a strictly
+//! ascending list. An unsorted list and a duplicated list, in each of
+//! the four, must come back from the record decoder as
+//! `CodecError::NotAscending`.
 //!
 //! The counting allocator and [`Tally`] live in `corpus/mod.rs`, shared
 //! with the envelope corpus. A decode copies an embedded envelope out
 //! of the record once and decodes its cells into a vector once: 111
-//! bytes for the 96-byte report record, this corpus's largest ratio.
+//! bytes for the 96-byte report record. A coordinator state reads each
+//! set into a vector and builds one 56-byte B-tree leaf per non-empty
+//! set: up to 196 bytes for the 82-byte sample, this corpus's largest
+//! ratio, inside the bound only through its fixed `ALLOC_SLACK`.
 
 mod corpus;
 
 use corpus::Tally;
-use ew_proto::codec::{CodecError, MAX_FIELD_LEN};
+use ew_proto::codec::{put_u32_vec, CodecError, MAX_FIELD_LEN};
 use ew_proto::{
-    CoordinatorCheckpoint, Envelope, JournalEvent, JournalRecord, Membership, MembershipError,
-    Message, NodeId, MAX_MEMBERS,
+    CoordinatorCheckpoint, Envelope, EpochPhase, JournalEvent, JournalRecord, Message, NodeId,
 };
+use std::collections::BTreeSet;
 
 /// The record tag byte follows the `u64` sequence number.
 const TAG_AT: usize = 8;
@@ -86,21 +88,17 @@ fn samples() -> Vec<Sample> {
                 event: JournalEvent::CoordinatorState(CoordinatorCheckpoint {
                     epoch: 3,
                     round: 15,
-                    phase: 0x02,
-                    version: 7,
-                    ledger_epoch: 3,
-                    min_clients: 3,
-                    members: vec![1, 4, 7, 9],
-                    roster: vec![1, 4, 9],
-                    pending_joins: vec![11],
-                    pending_leaves: vec![],
-                    dropped: vec![7],
+                    phase: EpochPhase::Reports,
                     deadline: 42,
                     last_tick: 40,
+                    roster: BTreeSet::from([1, 4, 7, 9]),
+                    pending_joins: BTreeSet::from([11]),
+                    pending_leaves: BTreeSet::new(),
+                    dropped: BTreeSet::from([7]),
                 }),
             },
-            // members, roster, pending joins, pending leaves, dropped.
-            prefixes: &[(42, 4), (62, 3), (78, 1), (86, 0), (90, 1)],
+            // roster, pending joins, pending leaves, dropped.
+            prefixes: &[(42, 4), (62, 1), (70, 0), (74, 1)],
         },
         Sample {
             record: JournalRecord {
@@ -200,8 +198,8 @@ fn every_record_tag_but_the_sample_s_own_is_rejected() {
             let verdict = tally.decode::<JournalRecord>(&mutant, &what);
             if tag == bytes[TAG_AT] {
                 assert_eq!(verdict.as_ref(), Ok(&sample.record), "{what}");
-            } else if ![0x01, 0x08, 0x09].contains(&tag) {
-                // Unknown and retired tags alike, `0x02`–`0x07` included.
+            } else if ![0x01, 0x09, 0x0A].contains(&tag) {
+                // Unknown and retired tags alike, `0x02`–`0x08` included.
                 assert_eq!(verdict, Err(CodecError::BadTag(tag)), "{what}");
             } else {
                 assert!(verdict.is_err(), "{what}: read as another kind");
@@ -211,69 +209,44 @@ fn every_record_tag_but_the_sample_s_own_is_rejected() {
     assert_eq!(tally.accepted, 4);
 }
 
+/// A coordinator-state record whose four sets are written as the given
+/// raw lists, in the codec's order: roster, pending joins, pending
+/// leaves, dropped.
+fn checkpoint_with_lists(lists: [&[u32]; 4]) -> Vec<u8> {
+    let empty = JournalRecord {
+        seq: 8,
+        event: JournalEvent::CoordinatorState(CoordinatorCheckpoint {
+            epoch: 3,
+            round: 15,
+            ..CoordinatorCheckpoint::default()
+        }),
+    };
+    let mut bytes = empty.encode();
+    // The four empty sets are the record's last sixteen bytes.
+    bytes.truncate(bytes.len() - 16);
+    for list in lists {
+        put_u32_vec(&mut bytes, list);
+    }
+    bytes
+}
+
 #[test]
-fn malformed_ledgers_decode_and_are_refused_by_membership() {
-    // The record codec carries the checkpointed ledger as plain fields;
-    // `Membership::from_wire` is the decoder that validates it. Each
-    // targeted mutation of the sample's ledger still frames as a record
-    // and must come back from `from_wire` as a typed reject.
-    let sample = samples()
-        .into_iter()
-        .find_map(|sample| match sample.record.event {
-            JournalEvent::CoordinatorState(state) => Some(state),
-            _ => None,
-        })
-        .expect("the corpus has a coordinator checkpoint");
-    let too_many = (0..=MAX_MEMBERS).collect::<Vec<u32>>();
-    let cases: [(&str, u32, Vec<u32>, MembershipError); 4] = [
-        (
-            "unsorted",
-            sample.min_clients,
-            vec![4, 1, 7, 9],
-            MembershipError::Unsorted,
-        ),
-        (
-            "duplicated",
-            sample.min_clients,
-            vec![1, 4, 4, 9],
-            MembershipError::Unsorted,
-        ),
-        (
-            "zero min_clients",
-            0,
-            sample.members.clone(),
-            MembershipError::ZeroMinClients,
-        ),
-        (
-            "MAX_MEMBERS + 1 members",
-            sample.min_clients,
-            too_many,
-            MembershipError::TooManyMembers(MAX_MEMBERS as usize + 1),
-        ),
-    ];
-    for (what, min_clients, members, refusal) in cases {
-        let record = JournalRecord {
-            seq: 8,
-            event: JournalEvent::CoordinatorState(CoordinatorCheckpoint {
-                min_clients,
-                members,
-                ..sample.clone()
-            }),
-        };
-        let bytes = record.encode();
-        let Ok(JournalRecord {
-            event: JournalEvent::CoordinatorState(state),
-            ..
-        }) = JournalRecord::decode(&bytes)
-        else {
-            panic!("{what}: the record itself is well-formed");
-        };
-        let verdict = Membership::from_wire(
-            state.version,
-            state.ledger_epoch,
-            state.min_clients,
-            state.members,
-        );
-        assert_eq!(verdict, Err(refusal), "{what}");
+fn unsorted_or_duplicated_sets_are_refused_by_the_codec() {
+    let valid: [&[u32]; 4] = [&[1, 4, 7, 9], &[11, 12], &[4], &[7, 9]];
+    let bytes = checkpoint_with_lists(valid);
+    let Ok(record) = JournalRecord::decode(&bytes) else {
+        panic!("ascending lists decode");
+    };
+    assert_eq!(record.encode(), bytes, "and re-encode to their own bytes");
+    for set in 0..4 {
+        for (what, ids) in [("unsorted", [4, 1, 7, 9]), ("duplicated", [1, 4, 4, 9])] {
+            let mut lists = valid;
+            lists[set] = &ids;
+            assert_eq!(
+                JournalRecord::decode(&checkpoint_with_lists(lists)),
+                Err(CodecError::NotAscending),
+                "set {set}: {what}"
+            );
+        }
     }
 }

@@ -65,11 +65,11 @@ use ew_core::{GlobalView, ThresholdPolicy};
 use ew_crypto::directory::KeyDirectory;
 use ew_proto::transport::TransportError;
 use ew_proto::{
-    CoordinatorCheckpoint, Envelope, FaultConfig, JournalEvent, Membership, Message, NodeId,
-    ShardMap,
+    CoordinatorCheckpoint, Envelope, FaultConfig, JournalEvent, Message, NodeId, ShardMap,
 };
 use ew_simnet::{RestartPhase, ShardKill, ShardRestart};
 use ew_sketch::CmsParams;
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// The payload's `user` of a report or adjustment; `None` for every
@@ -357,11 +357,11 @@ pub struct ClusterBackend {
     /// the absorb and replay timings (wall-clock; excluded from
     /// determinism checks like every timing).
     metrics: ReplayMetrics,
-    /// The frozen membership ledger of the coordinator's current epoch,
-    /// when this cluster is driven by one. Restricts the bulletin board
-    /// to the epoch roster, so `missing_clients` is roster minus
-    /// reported, not cohort minus reported.
-    epoch_context: Option<Membership>,
+    /// The frozen roster of the coordinator's current epoch, when this
+    /// cluster is driven by one. Restricts the bulletin board to the
+    /// epoch roster, so `missing_clients` is roster minus reported, not
+    /// cohort minus reported.
+    epoch_context: Option<BTreeSet<u32>>,
     /// The control-plane log: coordinator checkpoints and parked late
     /// reports. Unlike `log` it is **never** reset per round — it plays
     /// for the coordinator the role the round log plays for the shards,
@@ -380,13 +380,13 @@ pub struct ClusterBackend {
 /// frozen roster lists them.
 fn roster<'a>(
     directory: &'a KeyDirectory,
-    epoch_context: &'a Option<Membership>,
+    epoch_context: &'a Option<BTreeSet<u32>>,
 ) -> impl Fn(u32) -> bool + Copy + 'a {
     move |user| {
         directory.get(user).is_some()
             && epoch_context
                 .as_ref()
-                .is_none_or(|membership| membership.contains(user))
+                .is_none_or(|roster| roster.contains(&user))
     }
 }
 
@@ -428,16 +428,16 @@ impl ClusterBackend {
         &self.map
     }
 
-    /// Installs an epoch's frozen membership ledger and closes whatever
-    /// round the live shards still held. From here on the bulletin
+    /// Installs an epoch's frozen roster and closes whatever round the
+    /// live shards still held. From here on the bulletin
     /// board is read through that roster: `missing_clients` means
     /// *roster* minus reported — a mid-epoch dropout folds into the
     /// existing silent-client recovery path, and a departed member is
     /// simply absent rather than forever "missing" — and a member with
     /// no published key is not enrolled (it enrolls on first join, like
     /// any cohort build).
-    pub fn begin_epoch(&mut self, membership: &Membership) {
-        self.epoch_context = Some(membership.clone());
+    pub fn begin_epoch(&mut self, roster: &BTreeSet<u32>) {
+        self.epoch_context = Some(roster.clone());
         for slot in self.shards.iter_mut().flatten() {
             *slot = None;
         }
@@ -740,7 +740,6 @@ mod tests {
     use ew_proto::error_code;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
-    use std::collections::BTreeSet;
 
     fn params() -> CmsParams {
         CmsParams::new(2, 32, 3)
@@ -1309,16 +1308,11 @@ mod tests {
         }
     }
 
-    fn ledger(epoch: u64, members: &[u32]) -> Membership {
-        let roster: BTreeSet<u32> = members.iter().copied().collect();
-        Membership::genesis(1).successor(epoch, &roster)
-    }
-
     #[test]
     fn begin_epoch_restricts_the_missing_set_to_the_roster() {
         let p = params();
         let mut c = cluster(ShardMap::uniform(3), 10);
-        c.begin_epoch(&ledger(1, &[0, 2, 4, 6]));
+        c.begin_epoch(&BTreeSet::from([0, 2, 4, 6]));
         AggregationBackend::open_round(&mut c, 1);
         for u in [0u32, 2, 4] {
             AggregationBackend::on_envelope(&mut c, report_env(p, u, 1, &[u as u64])).unwrap();
@@ -1353,7 +1347,7 @@ mod tests {
         AggregationBackend::finalize(&mut c).unwrap();
         only_absorbed(&c, 0);
 
-        c.begin_epoch(&ledger(2, &[1, 3, 5]));
+        c.begin_epoch(&BTreeSet::from([1, 3, 5]));
         AggregationBackend::open_round(&mut c, 2);
         only_absorbed(&c, 0);
         for u in [1u32, 3] {
@@ -1369,7 +1363,7 @@ mod tests {
     fn collapse_abandons_the_round_without_corrupting_the_log() {
         let p = params();
         let mut c = cluster(ShardMap::uniform(2), 6);
-        c.begin_epoch(&ledger(1, &[0, 1, 2]));
+        c.begin_epoch(&BTreeSet::from([0, 1, 2]));
         AggregationBackend::open_round(&mut c, 1);
         AggregationBackend::on_envelope(&mut c, report_env(p, 0, 1, &[9])).unwrap();
         c.collapse_epoch();
@@ -1380,10 +1374,10 @@ mod tests {
         );
         // The next epoch runs over the same backend to the same view a
         // fresh cluster produces — the abandoned round left no residue.
-        c.begin_epoch(&ledger(2, &[3, 4, 5]));
+        c.begin_epoch(&BTreeSet::from([3, 4, 5]));
         AggregationBackend::open_round(&mut c, 2);
         let mut fresh = cluster(ShardMap::uniform(2), 6);
-        fresh.begin_epoch(&ledger(2, &[3, 4, 5]));
+        fresh.begin_epoch(&BTreeSet::from([3, 4, 5]));
         AggregationBackend::open_round(&mut fresh, 2);
         for u in [3u32, 4, 5] {
             let env = report_env(p, u, 2, &[u as u64]);
@@ -1403,7 +1397,7 @@ mod tests {
 
         // Epoch 1 runs to completion on both.
         for backend in [&mut c, &mut twin] {
-            backend.begin_epoch(&ledger(1, &[0, 1, 2, 3]));
+            backend.begin_epoch(&BTreeSet::from([0, 1, 2, 3]));
             AggregationBackend::open_round(backend, 1);
             for u in [0u32, 1, 2, 3] {
                 AggregationBackend::on_envelope(backend, report_env(p, u, 1, &[u as u64])).unwrap();
@@ -1412,7 +1406,7 @@ mod tests {
         }
 
         // Epoch 2 churns the roster; one backend loses a shard mid-round.
-        let roster2 = ledger(2, &[1, 2, 3, 5, 7]);
+        let roster2 = BTreeSet::from([1, 2, 3, 5, 7]);
         for backend in [&mut c, &mut twin] {
             backend.begin_epoch(&roster2);
             AggregationBackend::open_round(backend, 2);

@@ -33,9 +33,10 @@
 //!   tick is independent of the *delivery order* of joins, leaves and
 //!   drops within the window — the property
 //!   `tests/churn_soak.rs` pins by shuffling interleavings.
-//! * The installed roster is a versioned [`Membership`] ledger: every
-//!   admission and every roster freeze installs a successor one version
-//!   up, and the ledger is journaled with every checkpoint.
+//! * The coordinator's state **is** its [`CoordinatorCheckpoint`]: the
+//!   epoch, round, phase and deadline, and four ordered sets — the
+//!   roster and the pending joins, leaves and drops. A checkpoint is a
+//!   clone of it, and its counters are the [`ChurnMetrics`] it reports.
 //!
 //! ## The phase machine
 //!
@@ -52,9 +53,8 @@
 //! ```
 //!
 //! * **WaitingForMembers** — joins accumulate; once the forming roster
-//!   reaches `min_clients` the coordinator installs a successor
-//!   [`Membership`], assigns the epoch's round and starts the warmup
-//!   countdown.
+//!   reaches `min_clients` the coordinator opens the next epoch, assigns
+//!   its round and starts the warmup countdown.
 //! * **Warmup** — the admission window: late leaves still shrink the
 //!   roster, and dropping below `min_clients` **regresses** to
 //!   `WaitingForMembers` instead of running a round the blinding could
@@ -100,8 +100,7 @@
 use crate::telemetry::ChurnMetrics;
 use crate::trace;
 use ew_proto::{
-    error_code, AdmissionHint, CoordinatorCheckpoint, Envelope, EpochPhase, Membership, Message,
-    NodeId,
+    error_code, AdmissionHint, CoordinatorCheckpoint, Envelope, EpochPhase, Message, NodeId,
 };
 use std::collections::BTreeSet;
 
@@ -207,7 +206,7 @@ impl EpochConfig {
     ///
     /// # Panics
     /// Panics if `min_clients` is zero — an epoch admits at least one
-    /// client (the same invariant [`Membership::genesis`] enforces).
+    /// client (the same invariant [`Coordinator::new`] enforces).
     pub fn with_min_clients(mut self, min_clients: u32) -> Self {
         assert!(min_clients > 0, "an epoch admits at least one client");
         self.min_clients = min_clients;
@@ -282,38 +281,15 @@ pub enum EpochEvent {
 #[derive(Debug)]
 pub struct Coordinator {
     config: EpochConfig,
-    /// The installed (versioned, journaled) ledger.
-    membership: Membership,
-    /// The live roster: forming in `WaitingForMembers`/`Warmup`, frozen
-    /// from `Reports` on.
-    roster: BTreeSet<u32>,
-    /// Joins parked until the next `WaitingForMembers` fold.
-    pending_joins: BTreeSet<u32>,
-    /// Clean departures, folded out at the next tick boundary that
-    /// honors them (immediately while forming, after the round while
-    /// frozen).
-    pending_leaves: BTreeSet<u32>,
-    /// Mid-epoch dropouts — the round's silent set.
-    dropped: BTreeSet<u32>,
-    phase: EpochPhase,
-    epoch: u64,
-    round: u64,
-    deadline: u64,
-    last_tick: u64,
-    /// Drained by [`Coordinator::take_churn_metrics`].
-    joins_total: u64,
-    leaves_total: u64,
-    drops_total: u64,
-    epochs_completed: u64,
-    collapses: u64,
-    deadline_drops: u64,
-    restarts: u64,
-    phase_ticks: [u64; 6],
-    /// Wall-clock nanoseconds attributed to each phase (the window
-    /// between consecutive accepted ticks belongs to the phase the
-    /// earlier tick left installed). Wall-clock, so excluded from
-    /// checkpoints and never part of a determinism comparison.
-    phase_nanos: [u64; 6],
+    /// The protocol state, exactly as [`Coordinator::checkpoint`]
+    /// journals it.
+    state: CoordinatorCheckpoint,
+    /// The counters [`Coordinator::take_churn_metrics`] drains; its two
+    /// gauges are set at the drain. The phase timings are wall-clock
+    /// (the window between consecutive accepted ticks belongs to the
+    /// phase the earlier tick left installed), so they are never part
+    /// of a determinism comparison.
+    churn: ChurnMetrics,
     /// The open attribution window: the phase installed by the last
     /// accepted tick and when it was installed.
     wall: Option<(EpochPhase, std::time::Instant)>,
@@ -338,27 +314,14 @@ impl Coordinator {
     /// # Panics
     /// Panics if `config.min_clients` is zero.
     pub fn new(config: EpochConfig) -> Self {
+        assert!(
+            config.min_clients > 0,
+            "an epoch admits at least one client"
+        );
         Coordinator {
-            membership: Membership::genesis(config.min_clients),
             config,
-            roster: BTreeSet::new(),
-            pending_joins: BTreeSet::new(),
-            pending_leaves: BTreeSet::new(),
-            dropped: BTreeSet::new(),
-            phase: EpochPhase::WaitingForMembers,
-            epoch: 0,
-            round: 0,
-            deadline: 0,
-            last_tick: 0,
-            joins_total: 0,
-            leaves_total: 0,
-            drops_total: 0,
-            epochs_completed: 0,
-            collapses: 0,
-            deadline_drops: 0,
-            restarts: 0,
-            phase_ticks: [0; 6],
-            phase_nanos: [0; 6],
+            state: CoordinatorCheckpoint::default(),
+            churn: ChurnMetrics::default(),
             wall: None,
         }
     }
@@ -370,56 +333,52 @@ impl Coordinator {
 
     /// The last logical time [`Coordinator::tick`] accepted.
     pub fn last_tick(&self) -> u64 {
-        self.last_tick
+        self.state.last_tick
     }
 
     /// The current phase.
     pub fn phase(&self) -> EpochPhase {
-        self.phase
+        self.state.phase
     }
 
     /// The current epoch (0 = none formed yet).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.state.epoch
     }
 
     /// The aggregation round assigned to the current epoch.
     pub fn round(&self) -> u64 {
-        self.round
+        self.state.round
     }
 
-    /// The installed membership ledger.
-    pub fn membership(&self) -> &Membership {
-        &self.membership
-    }
-
-    /// The live roster (forming or frozen, depending on phase).
+    /// The live roster: forming in `WaitingForMembers`/`Warmup`, frozen
+    /// from `ReportsOpened` until the epoch completes or collapses.
     pub fn roster(&self) -> &BTreeSet<u32> {
-        &self.roster
+        &self.state.roster
     }
 
     /// Joins parked for the next epoch.
     pub fn pending_joins(&self) -> &BTreeSet<u32> {
-        &self.pending_joins
+        &self.state.pending_joins
     }
 
     /// The current epoch's dropouts — the round's silent set, in
     /// ascending order.
     pub fn dropped(&self) -> Vec<u32> {
-        self.dropped.iter().copied().collect()
+        self.state.dropped.iter().copied().collect()
     }
 
     /// Whether `user` is currently enrolled or pending admission.
     fn is_known(&self, user: u32) -> bool {
-        self.roster.contains(&user) || self.pending_joins.contains(&user)
+        self.state.roster.contains(&user) || self.state.pending_joins.contains(&user)
     }
 
     /// Registers a join. Idempotent: re-joining while enrolled or
     /// already pending changes nothing. Joins only ever land in the
     /// pending set — the roster itself moves at tick boundaries.
     pub fn register_join(&mut self, user: u32) {
-        if !self.roster.contains(&user) && self.pending_joins.insert(user) {
-            self.joins_total += 1;
+        if !self.state.roster.contains(&user) && self.state.pending_joins.insert(user) {
+            self.churn.joins += 1;
         }
     }
 
@@ -427,8 +386,8 @@ impl Coordinator {
     /// next tick folds it out; while frozen the member still owes its
     /// report and adjustment, and departs when the epoch completes.
     pub fn register_leave(&mut self, user: u32) {
-        if self.pending_leaves.insert(user) {
-            self.leaves_total += 1;
+        if self.state.pending_leaves.insert(user) {
+            self.churn.leaves += 1;
         }
     }
 
@@ -437,8 +396,8 @@ impl Coordinator {
     /// send). The drop folds into the round's silent set at the next
     /// tick; unknown users are ignored.
     pub fn mark_dropped(&mut self, user: u32) {
-        if self.roster.contains(&user) && self.dropped.insert(user) {
-            self.drops_total += 1;
+        if self.state.roster.contains(&user) && self.state.dropped.insert(user) {
+            self.churn.drops += 1;
         }
     }
 
@@ -449,10 +408,10 @@ impl Coordinator {
     /// late client never stalls the epoch. Returns whether the user was
     /// actually dropped (enrolled and not already dropped).
     pub fn drop_straggler(&mut self, user: u32) -> bool {
-        if self.roster.contains(&user) && self.dropped.insert(user) {
-            self.drops_total += 1;
-            self.deadline_drops += 1;
-            trace::instant("deadline_drop", user as u64, self.epoch);
+        if self.state.roster.contains(&user) && self.state.dropped.insert(user) {
+            self.churn.drops += 1;
+            self.churn.deadline_drops += 1;
+            trace::instant("deadline_drop", user as u64, self.state.epoch);
             true
         } else {
             false
@@ -461,7 +420,7 @@ impl Coordinator {
 
     /// Whether the post-finalize grace window is currently open.
     pub fn in_grace(&self) -> bool {
-        self.phase == EpochPhase::Grace
+        self.state.phase == EpochPhase::Grace
     }
 
     /// The retry guidance carried in every `EPOCH_CLOSED` reply: the
@@ -470,58 +429,32 @@ impl Coordinator {
     /// remainder of the current phase, at least one tick).
     pub fn admission_hint(&self) -> AdmissionHint {
         AdmissionHint {
-            epoch: self.epoch + 1,
-            retry_after: self.deadline.saturating_sub(self.last_tick).max(1),
+            epoch: self.state.epoch + 1,
+            retry_after: self
+                .state
+                .deadline
+                .saturating_sub(self.state.last_tick)
+                .max(1),
         }
     }
 
-    /// A checkpoint of the coordinator's mutable state. Deployment
-    /// config and telemetry counters are deliberately excluded — config
-    /// is supplied at restart, counters restart at zero (the same
-    /// discipline as a restarted shard's).
+    /// The coordinator's protocol state, as the control journal keeps
+    /// it. Deployment config and telemetry counters are deliberately
+    /// excluded — config is supplied at restart, counters restart at
+    /// zero (the same discipline as a restarted shard's).
     pub fn checkpoint(&self) -> CoordinatorCheckpoint {
-        CoordinatorCheckpoint {
-            epoch: self.epoch,
-            round: self.round,
-            phase: self.phase.as_wire(),
-            version: self.membership.version(),
-            ledger_epoch: self.membership.epoch(),
-            min_clients: self.membership.min_clients(),
-            members: self.membership.members().to_vec(),
-            roster: self.roster.iter().copied().collect(),
-            pending_joins: self.pending_joins.iter().copied().collect(),
-            pending_leaves: self.pending_leaves.iter().copied().collect(),
-            dropped: self.dropped.iter().copied().collect(),
-            deadline: self.deadline,
-            last_tick: self.last_tick,
-        }
+        self.state.clone()
     }
 
     /// Rebuilds a coordinator from a checkpoint: the restart half of
     /// the crash drill. The restored coordinator resumes at the exact
     /// phase, deadline and churn sets of the checkpoint; its counters
     /// start from zero except `coordinator_restarts`, which records the
-    /// restart itself. A checkpoint is what [`Coordinator::checkpoint`]
-    /// wrote, so its phase byte and ledger are canonical.
+    /// restart itself.
     pub fn restore(config: EpochConfig, state: &CoordinatorCheckpoint) -> Self {
         let mut restored = Coordinator::new(config);
-        restored.membership = Membership::from_wire(
-            state.version,
-            state.ledger_epoch,
-            state.min_clients,
-            state.members.clone(),
-        )
-        .expect("checkpointed ledger is canonical");
-        restored.roster = state.roster.iter().copied().collect();
-        restored.pending_joins = state.pending_joins.iter().copied().collect();
-        restored.pending_leaves = state.pending_leaves.iter().copied().collect();
-        restored.dropped = state.dropped.iter().copied().collect();
-        restored.phase = EpochPhase::from_wire(state.phase).expect("checkpointed phase is known");
-        restored.epoch = state.epoch;
-        restored.round = state.round;
-        restored.deadline = state.deadline;
-        restored.last_tick = state.last_tick;
-        restored.restarts = 1;
+        restored.state = state.clone();
+        restored.churn.coordinator_restarts = 1;
         trace::instant("coordinator_restore", state.epoch, state.round);
         restored
     }
@@ -535,128 +468,126 @@ impl Coordinator {
     /// boundary, so the post-tick state is independent of their
     /// delivery order within the window.
     pub fn tick(&mut self, now: u64) -> Option<EpochEvent> {
-        if now < self.last_tick {
+        if now < self.state.last_tick {
             return None;
         }
         let entered = std::time::Instant::now();
         if let Some((phase, opened)) = self.wall.take() {
-            self.phase_nanos[epoch_phase_index(phase)] +=
+            self.churn.phase_nanos[epoch_phase_index(phase)] +=
                 entered.duration_since(opened).as_nanos() as u64;
         }
-        self.last_tick = now;
-        self.phase_ticks[epoch_phase_index(self.phase)] += 1;
-        trace::instant(
-            "coordinator_tick",
-            now,
-            epoch_phase_index(self.phase) as u64,
-        );
+        self.state.last_tick = now;
+        let slot = epoch_phase_index(self.state.phase);
+        self.churn.phase_ticks[slot] += 1;
+        trace::instant("coordinator_tick", now, slot as u64);
         let event = self.advance(now);
-        self.wall = Some((self.phase, std::time::Instant::now()));
+        self.wall = Some((self.state.phase, std::time::Instant::now()));
         event
     }
 
     /// The phase-machine body of [`Coordinator::tick`], after the
     /// monotonicity gate and timing bookkeeping have run.
     fn advance(&mut self, now: u64) -> Option<EpochEvent> {
-        match self.phase {
+        let min_clients = self.config.min_clients as usize;
+        let state = &mut self.state;
+        match state.phase {
             EpochPhase::WaitingForMembers => {
                 // Fold joins first, leaves second: a user who joined and
                 // left inside one window ends up out, regardless of the
                 // order the two envelopes arrived in.
-                self.roster.extend(std::mem::take(&mut self.pending_joins));
-                for user in std::mem::take(&mut self.pending_leaves) {
-                    self.roster.remove(&user);
+                state
+                    .roster
+                    .extend(std::mem::take(&mut state.pending_joins));
+                for user in std::mem::take(&mut state.pending_leaves) {
+                    state.roster.remove(&user);
                 }
-                if self.roster.len() >= self.config.min_clients as usize {
-                    self.epoch += 1;
-                    self.round += 1;
-                    self.membership = self.membership.successor(self.epoch, &self.roster);
-                    self.phase = EpochPhase::Warmup;
-                    self.deadline = now + WARMUP_TICKS;
+                if state.roster.len() >= min_clients {
+                    state.epoch += 1;
+                    state.round += 1;
+                    state.phase = EpochPhase::Warmup;
+                    state.deadline = now + WARMUP_TICKS;
                     return Some(EpochEvent::EpochStarted {
-                        epoch: self.epoch,
-                        round: self.round,
+                        epoch: state.epoch,
+                        round: state.round,
                     });
                 }
                 None
             }
             EpochPhase::Warmup => {
-                for user in std::mem::take(&mut self.pending_leaves) {
-                    self.roster.remove(&user);
+                for user in std::mem::take(&mut state.pending_leaves) {
+                    state.roster.remove(&user);
                 }
-                if self.roster.len() < self.config.min_clients as usize {
+                if state.roster.len() < min_clients {
                     return Some(self.collapse());
                 }
-                if now >= self.deadline {
-                    // Freeze the roster against the installed ledger so
-                    // the journaled truth matches what the round will
-                    // run over.
-                    self.membership = self.membership.successor(self.epoch, &self.roster);
-                    self.phase = EpochPhase::Reports;
-                    self.deadline = now + REPORT_TICKS;
+                if now >= state.deadline {
+                    // The roster is frozen from here until the epoch
+                    // completes or collapses.
+                    state.phase = EpochPhase::Reports;
+                    state.deadline = now + REPORT_TICKS;
                     return Some(EpochEvent::ReportsOpened {
-                        epoch: self.epoch,
-                        round: self.round,
+                        epoch: state.epoch,
+                        round: state.round,
                     });
                 }
                 None
             }
             EpochPhase::Reports => {
-                let effective = self.roster.len() - self.dropped.len();
-                if effective < self.config.min_clients as usize {
+                let effective = state.roster.len() - state.dropped.len();
+                if effective < min_clients {
                     // Fold the dropouts out before regressing — they
                     // are gone, not waiting.
-                    for user in std::mem::take(&mut self.dropped) {
-                        self.roster.remove(&user);
+                    for user in std::mem::take(&mut state.dropped) {
+                        state.roster.remove(&user);
                     }
                     return Some(self.collapse());
                 }
-                if now >= self.deadline {
-                    self.phase = EpochPhase::Recovery;
-                    self.deadline = now + RECOVERY_TICKS;
+                if now >= state.deadline {
+                    state.phase = EpochPhase::Recovery;
+                    state.deadline = now + RECOVERY_TICKS;
                     return Some(EpochEvent::RecoveryStarted {
-                        epoch: self.epoch,
-                        round: self.round,
+                        epoch: state.epoch,
+                        round: state.round,
                     });
                 }
                 None
             }
             EpochPhase::Recovery => {
-                if now >= self.deadline {
-                    self.phase = EpochPhase::Finalize;
+                if now >= state.deadline {
+                    state.phase = EpochPhase::Finalize;
                     return Some(EpochEvent::FinalizeStarted {
-                        epoch: self.epoch,
-                        round: self.round,
+                        epoch: state.epoch,
+                        round: state.round,
                     });
                 }
                 None
             }
             EpochPhase::Finalize => {
-                for user in std::mem::take(&mut self.dropped) {
-                    self.roster.remove(&user);
+                for user in std::mem::take(&mut state.dropped) {
+                    state.roster.remove(&user);
                 }
-                for user in std::mem::take(&mut self.pending_leaves) {
-                    self.roster.remove(&user);
+                for user in std::mem::take(&mut state.pending_leaves) {
+                    state.roster.remove(&user);
                 }
-                self.epochs_completed += 1;
+                self.churn.epochs_completed += 1;
                 if self.config.grace_ticks > 0 {
                     // The epoch is complete and its roster immutable,
                     // but late reports can still be parked until the
                     // grace deadline.
-                    self.phase = EpochPhase::Grace;
-                    self.deadline = now + self.config.grace_ticks;
+                    state.phase = EpochPhase::Grace;
+                    state.deadline = now + self.config.grace_ticks;
                 } else {
-                    self.phase = EpochPhase::WaitingForMembers;
+                    state.phase = EpochPhase::WaitingForMembers;
                 }
                 Some(EpochEvent::EpochCompleted {
-                    epoch: self.epoch,
-                    round: self.round,
-                    survivors: self.roster.iter().copied().collect(),
+                    epoch: state.epoch,
+                    round: state.round,
+                    survivors: state.roster.iter().copied().collect(),
                 })
             }
             EpochPhase::Grace => {
-                if now >= self.deadline {
-                    self.phase = EpochPhase::WaitingForMembers;
+                if now >= state.deadline {
+                    state.phase = EpochPhase::WaitingForMembers;
                 }
                 None
             }
@@ -665,11 +596,11 @@ impl Coordinator {
 
     /// Regresses to `WaitingForMembers` without completing the epoch.
     fn collapse(&mut self) -> EpochEvent {
-        self.collapses += 1;
-        self.phase = EpochPhase::WaitingForMembers;
+        self.churn.collapses += 1;
+        self.state.phase = EpochPhase::WaitingForMembers;
         EpochEvent::Collapsed {
-            epoch: self.epoch,
-            remaining: self.roster.iter().copied().collect(),
+            epoch: self.state.epoch,
+            remaining: self.state.roster.iter().copied().collect(),
         }
     }
 
@@ -697,10 +628,13 @@ impl Coordinator {
                 None
             }
             Message::Join { user, epoch } => {
-                if *epoch < self.epoch {
+                if *epoch < self.state.epoch {
                     return reply(Message::Error {
                         code: error_code::EPOCH_CLOSED,
-                        detail: format!("epoch {epoch} is closed (current is {})", self.epoch),
+                        detail: format!(
+                            "epoch {epoch} is closed (current is {})",
+                            self.state.epoch
+                        ),
                         hint: Some(self.admission_hint()),
                     });
                 }
@@ -715,10 +649,13 @@ impl Coordinator {
                 None
             }
             Message::Leave { user, epoch } => {
-                if *epoch < self.epoch {
+                if *epoch < self.state.epoch {
                     return reply(Message::Error {
                         code: error_code::EPOCH_CLOSED,
-                        detail: format!("epoch {epoch} is closed (current is {})", self.epoch),
+                        detail: format!(
+                            "epoch {epoch} is closed (current is {})",
+                            self.state.epoch
+                        ),
                         hint: Some(self.admission_hint()),
                     });
                 }
@@ -750,33 +687,13 @@ impl Coordinator {
         // the window from now.
         if let Some((phase, opened)) = self.wall.take() {
             let now = std::time::Instant::now();
-            self.phase_nanos[epoch_phase_index(phase)] +=
+            self.churn.phase_nanos[epoch_phase_index(phase)] +=
                 now.duration_since(opened).as_nanos() as u64;
             self.wall = Some((phase, now));
         }
-        let metrics = ChurnMetrics {
-            members: self.roster.len() as u64,
-            pending_joins: self.pending_joins.len() as u64,
-            joins: self.joins_total,
-            leaves: self.leaves_total,
-            drops: self.drops_total,
-            epochs_completed: self.epochs_completed,
-            collapses: self.collapses,
-            deadline_drops: self.deadline_drops,
-            coordinator_restarts: self.restarts,
-            phase_ticks: self.phase_ticks,
-            phase_nanos: self.phase_nanos,
-        };
-        self.joins_total = 0;
-        self.leaves_total = 0;
-        self.drops_total = 0;
-        self.epochs_completed = 0;
-        self.collapses = 0;
-        self.deadline_drops = 0;
-        self.restarts = 0;
-        self.phase_ticks = [0; 6];
-        self.phase_nanos = [0; 6];
-        metrics
+        self.churn.members = self.state.roster.len() as u64;
+        self.churn.pending_joins = self.state.pending_joins.len() as u64;
+        std::mem::take(&mut self.churn)
     }
 }
 
@@ -811,6 +728,24 @@ mod tests {
     }
 
     #[test]
+    fn genesis_is_empty_epoch_zero() {
+        let c = coordinator(4);
+        assert_eq!(c.phase(), EpochPhase::WaitingForMembers);
+        assert_eq!((c.epoch(), c.round(), c.last_tick()), (0, 0, 0));
+        assert!(c.roster().is_empty() && c.pending_joins().is_empty());
+        assert_eq!(c.checkpoint(), CoordinatorCheckpoint::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one client")]
+    fn genesis_rejects_zero_threshold() {
+        let _ = Coordinator::new(EpochConfig {
+            min_clients: 0,
+            grace_ticks: 1,
+        });
+    }
+
+    #[test]
     fn admission_waits_for_min_clients_then_counts_down() {
         let mut c = coordinator(3);
         c.register_join(1);
@@ -821,12 +756,11 @@ mod tests {
         let event = c.tick(2);
         assert_eq!(event, Some(EpochEvent::EpochStarted { epoch: 1, round: 1 }));
         assert_eq!(c.phase(), EpochPhase::Warmup);
-        assert_eq!(c.membership().version(), 1);
-        assert_eq!(c.membership().members(), &[1, 2, 3]);
+        assert_eq!(c.roster(), &BTreeSet::from([1, 2, 3]));
         let now = tick_until(&mut c, 2, EpochPhase::Reports);
         assert!(now <= 2 + WARMUP_TICKS + 1);
-        // The frozen ledger matches the roster the round runs over.
-        assert_eq!(c.membership().members(), &[1, 2, 3]);
+        // The frozen roster is the one the round runs over.
+        assert_eq!(c.roster(), &BTreeSet::from([1, 2, 3]));
     }
 
     #[test]
@@ -862,11 +796,11 @@ mod tests {
             })
         );
         assert_eq!(c.phase(), EpochPhase::WaitingForMembers);
-        // A refill re-forms the next epoch under a bumped ledger.
+        // A refill re-forms the next epoch.
         c.register_join(4);
         let event = c.tick(3);
         assert_eq!(event, Some(EpochEvent::EpochStarted { epoch: 2, round: 2 }));
-        assert_eq!(c.membership().members(), &[1, 3, 4]);
+        assert_eq!(c.roster(), &BTreeSet::from([1, 3, 4]));
     }
 
     #[test]
@@ -927,7 +861,7 @@ mod tests {
         c.tick(1);
         tick_until(&mut c, 1, EpochPhase::Reports);
         c.register_join(9);
-        assert!(!c.membership().contains(9), "roster is frozen");
+        assert!(!c.roster().contains(&9), "roster is frozen");
         assert!(c.pending_joins().contains(&9));
         let mut now = tick_until(&mut c, 10, EpochPhase::Finalize);
         now += 1;
@@ -936,7 +870,7 @@ mod tests {
         // Next admission folds the parked join in.
         let event = c.tick(now + 1);
         assert_eq!(event, Some(EpochEvent::EpochStarted { epoch: 2, round: 2 }));
-        assert_eq!(c.membership().members(), &[1, 2, 9]);
+        assert_eq!(c.roster(), &BTreeSet::from([1, 2, 9]));
     }
 
     #[test]
@@ -950,7 +884,7 @@ mod tests {
         c.register_leave(3);
         // Still on the frozen roster — it owes its report and
         // adjustment this round.
-        assert!(c.membership().contains(3));
+        assert!(c.roster().contains(&3));
         assert_eq!(c.dropped(), Vec::<u32>::new(), "a clean leave is no drop");
         let now = tick_until(&mut c, 10, EpochPhase::Finalize);
         let event = c.tick(now + 1);
@@ -1154,7 +1088,7 @@ mod tests {
         assert_eq!(restored.roster(), c.roster());
         assert_eq!(restored.pending_joins(), c.pending_joins());
         assert_eq!(restored.dropped(), c.dropped());
-        assert_eq!(restored.membership(), c.membership());
+        assert_eq!(restored.checkpoint(), c.checkpoint());
         assert_eq!(restored.last_tick(), c.last_tick());
 
         // Restore is idempotent: restoring the restored checkpoint is a

@@ -235,17 +235,9 @@ mod tests {
             JournalEvent::CoordinatorState(CoordinatorCheckpoint {
                 epoch,
                 round: epoch,
-                phase: 0x00,
-                version: epoch as u32,
-                ledger_epoch: epoch,
-                min_clients: 2,
-                members: vec![1, 2],
-                roster: vec![1, 2],
-                pending_joins: vec![],
-                pending_leaves: vec![],
-                dropped: vec![],
-                deadline: 0,
                 last_tick: epoch,
+                roster: [1, 2].into(),
+                ..CoordinatorCheckpoint::default()
             })
         };
         let mut log = RoundLog::new();

@@ -39,8 +39,9 @@
 //! * [`coordinator`] — the tick-driven epoch coordinator: a
 //!   [`ew_proto::NodeId::Coordinator`] role service owning the
 //!   WaitingForMembers → Warmup → Reports → Recovery → Finalize epoch
-//!   state machine over a versioned [`ew_proto::Membership`] ledger,
-//!   with `min_clients` admission, logical-time deadlines and mid-epoch
+//!   state machine, whose whole state is the
+//!   [`ew_proto::CoordinatorCheckpoint`] it journals, with
+//!   `min_clients` admission, logical-time deadlines and mid-epoch
 //!   churn: joins park for the next epoch, dropouts fold into the
 //!   silent-client recovery path, and a below-threshold collapse
 //!   regresses to waiting without finalizing its round.

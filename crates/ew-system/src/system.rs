@@ -514,8 +514,8 @@ impl EyewnderSystem {
                         (epoch, round, formed) = (e, r, true);
                     }
                     Some(EpochEvent::ReportsOpened { .. }) => {
-                        backend.begin_epoch(coordinator.membership());
-                        members = coordinator.membership().members().to_vec();
+                        backend.begin_epoch(coordinator.roster());
+                        members = coordinator.roster().iter().copied().collect();
                         let mut directory = KeyDirectory::new(self.group.element_len());
                         for &user in &members {
                             directory

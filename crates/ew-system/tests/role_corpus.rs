@@ -734,11 +734,6 @@ fn expected_coordinator(
     env: &Envelope,
 ) -> (Answer, CoordinatorCheckpoint) {
     let mut after = before.clone();
-    let insert = |set: &mut Vec<u32>, user: u32| {
-        set.push(user);
-        set.sort_unstable();
-        set.dedup();
-    };
     let answer = match &env.msg {
         Message::Join { user, .. } | Message::Leave { user, .. }
             if env.sender != NodeId::Client(*user) =>
@@ -751,13 +746,13 @@ fn expected_coordinator(
         Message::Join { user, .. } if !on_board(*user) => Answer::Error,
         Message::Join { user, .. } => {
             if !before.roster.contains(user) {
-                insert(&mut after.pending_joins, *user);
+                after.pending_joins.insert(*user);
             }
             Answer::Silent
         }
         Message::Leave { user, .. } => {
             if before.roster.contains(user) || before.pending_joins.contains(user) {
-                insert(&mut after.pending_leaves, *user);
+                after.pending_leaves.insert(*user);
                 Answer::Silent
             } else {
                 Answer::Error

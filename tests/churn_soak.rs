@@ -249,7 +249,7 @@ fn coordinator_trace(schedule: &[EpochChurn]) -> Vec<EpochTrace> {
             coordinator.tick(now);
         }
         let (epoch, round) = (coordinator.epoch(), coordinator.round());
-        let members = coordinator.membership().members().to_vec();
+        let members: Vec<u32> = coordinator.roster().iter().copied().collect();
         // Leaves and drops land mid-window, interleaved as given.
         let mut leaves = spec.leaves.iter();
         let mut drops = spec.drops.iter();

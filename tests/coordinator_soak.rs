@@ -25,6 +25,10 @@
 //! * **Forged join** — a `Join` from and for a user with no key on the
 //!   bulletin board is refused, and the campaign runs as if it had never
 //!   been sent.
+//! * **Restore is the identity** — at every tick of the churn schedule
+//!   the coordinator's checkpoint survives the journal codec, restoring
+//!   it gives it back, and the restored coordinator runs the rest of the
+//!   campaign step for step like the original.
 
 mod world;
 
@@ -34,7 +38,8 @@ use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
 use eyewnder::proto::{
-    error_code, Envelope, EpochPhase, FaultConfig, Message, NodeId, TransportError,
+    error_code, Envelope, EpochPhase, FaultConfig, JournalEvent, JournalRecord, Message, NodeId,
+    TransportError,
 };
 use eyewnder::simnet::RestartPhase::{MidReplay, Recovery, Reports};
 use eyewnder::simnet::{
@@ -43,9 +48,10 @@ use eyewnder::simnet::{
 };
 use eyewnder::system::node::{RoundPhase, ServiceBus};
 use eyewnder::system::{
-    epoch_phase_index, ChurnMetrics, Clock, Coordinator, EpochConfig, EpochOutcome, EyewnderSystem,
-    LogicalClock, ReplayMetrics, VirtualClock,
+    epoch_phase_index, ChurnMetrics, Clock, Coordinator, EpochConfig, EpochEvent, EpochOutcome,
+    EyewnderSystem, LogicalClock, ReplayMetrics, VirtualClock,
 };
+use std::collections::BTreeSet;
 use world::{assert_epochs_identical, churn_schedule, clear_view, Cell, World};
 
 const SEED: u64 = 0xC0DE_0009;
@@ -692,6 +698,117 @@ fn a_forged_join_without_a_published_key_is_refused() {
         finalized += 1;
     }
     assert!(finalized > 0, "no epoch finalized");
+}
+
+/// One input to a bare coordinator: a registration or a tick.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Join(u32),
+    Leave(u32),
+    Drop(u32),
+    Tick(u64),
+}
+
+fn apply(coordinator: &mut Coordinator, step: Step) -> Option<EpochEvent> {
+    match step {
+        Step::Join(user) => coordinator.register_join(user),
+        Step::Leave(user) => coordinator.register_leave(user),
+        Step::Drop(user) => coordinator.mark_dropped(user),
+        Step::Tick(now) => return coordinator.tick(now),
+    }
+    None
+}
+
+/// The churn schedule as a bare coordinator's input, in the order the
+/// campaign runner feeds it: an epoch's joins, ticks up to its report
+/// window, the window's leaves and drops, then ticks until the
+/// coordinator waits for members again.
+fn churn_script(config: EpochConfig) -> Vec<Step> {
+    let mut coordinator = Coordinator::new(config);
+    let mut script = Vec::new();
+    let mut now = 0;
+    let mut run = |coordinator: &mut Coordinator, step| {
+        script.push(step);
+        apply(coordinator, step);
+    };
+    for spec in churn_schedule() {
+        for &user in &spec.joins {
+            run(&mut coordinator, Step::Join(user));
+        }
+        // Formation, then the warmup countdown (or a collapse).
+        loop {
+            now += 1;
+            run(&mut coordinator, Step::Tick(now));
+            if coordinator.phase() != EpochPhase::Warmup {
+                break;
+            }
+        }
+        if coordinator.phase() == EpochPhase::Reports {
+            for &user in &spec.leaves {
+                run(&mut coordinator, Step::Leave(user));
+            }
+            for &user in &spec.drops {
+                run(&mut coordinator, Step::Drop(user));
+            }
+        }
+        while coordinator.phase() != EpochPhase::WaitingForMembers {
+            now += 1;
+            run(&mut coordinator, Step::Tick(now));
+        }
+    }
+    script
+}
+
+#[test]
+fn restore_of_a_checkpoint_is_the_identity_at_every_tick_of_the_churn_campaign() {
+    let config = EpochConfig::default().with_min_clients(4);
+    let script = churn_script(config);
+    // The original run: each step's event and the checkpoint after it.
+    let mut original = Coordinator::new(config);
+    let trace: Vec<_> = script
+        .iter()
+        .map(|&step| (apply(&mut original, step), original.checkpoint()))
+        .collect();
+    let mut phases = BTreeSet::new();
+    for (at, step) in script.iter().enumerate() {
+        if !matches!(step, Step::Tick(_)) {
+            continue;
+        }
+        let checkpoint = &trace[at].1;
+        phases.insert(checkpoint.phase);
+        let record = JournalRecord {
+            seq: at as u64 + 1,
+            event: JournalEvent::CoordinatorState(checkpoint.clone()),
+        };
+        assert_eq!(
+            JournalRecord::decode(&record.encode()).as_ref(),
+            Ok(&record),
+            "step {at}: the journaled checkpoint"
+        );
+        let mut restored = Coordinator::restore(config, checkpoint);
+        assert_eq!(&restored.checkpoint(), checkpoint, "step {at}: restore");
+        for (later, &step) in script.iter().enumerate().skip(at + 1) {
+            let after = (apply(&mut restored, step), restored.checkpoint());
+            assert_eq!(after, trace[later], "restored at step {at}: step {later}");
+        }
+    }
+    // Formation, churn, a collapse and a refill: every phase was
+    // checkpointed, Warmup and Grace included.
+    assert_eq!(phases.len(), 6, "{phases:?}");
+    let events: Vec<_> = trace
+        .iter()
+        .filter_map(|(event, _)| event.clone())
+        .collect();
+    assert!(events
+        .iter()
+        .any(|e| matches!(e, EpochEvent::Collapsed { .. })));
+    assert_eq!(
+        events
+            .iter()
+            .filter(|e| matches!(e, EpochEvent::EpochCompleted { .. }))
+            .count(),
+        3
+    );
 }
 
 proptest! {

@@ -360,8 +360,8 @@ fn unsendable_report_makes_its_sender_missing() {
 
 #[test]
 fn corruption_storm_never_wedges_the_receiver() {
-    // 100% corruption: nothing useful arrives, but drain() terminates
-    // and reports nothing decodable as a wrong message.
+    // 100% corruption: nothing useful arrives, but drain_envelopes()
+    // terminates and reports nothing decodable as a wrong envelope.
     let cfg = FaultConfig {
         corrupt_prob: 1.0,
         seed: 10,
@@ -369,15 +369,17 @@ fn corruption_storm_never_wedges_the_receiver() {
     };
     let (mut tx, mut rx) = channel_pair(Some(cfg));
     for i in 0..200u64 {
-        tx.send(&Message::UsersQuery { round: 1, ad: i }).unwrap();
+        let query = Message::UsersQuery { round: 1, ad: i };
+        tx.send_envelope(&Envelope::new(NodeId::Client(1), 1, query))
+            .unwrap();
     }
     drop(tx);
-    let (msgs, corrupt) = rx.drain();
+    let (envs, corrupt) = rx.drain_envelopes();
     assert!(corrupt > 0);
     // A single flipped bit can land in padding-free fields and still
-    // decode — but then it decodes to a *valid* message structure, not
+    // decode — but then it decodes to a *valid* envelope structure, not
     // garbage memory. Either way the receiver survived.
-    assert!(msgs.len() + corrupt <= 200 + corrupt);
+    assert!(envs.len() + corrupt <= 200 + corrupt);
 }
 
 #[test]
@@ -416,27 +418,26 @@ fn truncated_batch_frame_rejected_without_panicking() {
 fn query_reply_flow_over_wire() {
     // The real-time audit path: client asks #Users for an ad id.
     let (mut client, mut server) = channel_pair(None);
-    client
-        .send(&Message::UsersQuery { round: 3, ad: 77 })
-        .unwrap();
-    let (msgs, _) = server.drain();
-    assert_eq!(msgs, vec![Message::UsersQuery { round: 3, ad: 77 }]);
-    server
-        .send(&Message::UsersReply {
+    let query = Envelope::new(
+        NodeId::Client(5),
+        3,
+        Message::UsersQuery { round: 3, ad: 77 },
+    );
+    client.send_envelope(&query).unwrap();
+    let (msgs, _) = server.drain_envelopes();
+    assert_eq!(msgs, vec![query]);
+    let reply = Envelope::new(
+        NodeId::Backend,
+        3,
+        Message::UsersReply {
             round: 3,
             ad: 77,
             estimate: 4,
-        })
-        .unwrap();
-    let (replies, _) = client.drain();
-    assert_eq!(
-        replies,
-        vec![Message::UsersReply {
-            round: 3,
-            ad: 77,
-            estimate: 4
-        }]
+        },
     );
+    server.send_envelope(&reply).unwrap();
+    let (replies, _) = client.drain_envelopes();
+    assert_eq!(replies, vec![reply]);
 }
 
 #[test]
