@@ -108,17 +108,22 @@ pub fn get_u32_vec(buf: &mut impl Buf) -> Result<Vec<u32>, CodecError> {
 /// list that must be strictly ascending, so every set decodes from
 /// exactly one encoding.
 pub fn get_u32_set(buf: &mut impl Buf) -> Result<BTreeSet<u32>, CodecError> {
-    let ids = get_u32_vec(buf)?;
-    if ids.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(CodecError::NotAscending);
+    let len = get_u32(buf)? as usize;
+    if len.saturating_mul(4) > MAX_FIELD_LEN {
+        return Err(CodecError::FieldTooLarge(len));
     }
-    Ok(BTreeSet::from_iter(ids))
-}
-
-/// Reads a length-prefixed `u32`-element id list (same wire shape as
-/// [`get_u32_vec`], separate name for clarity at call sites).
-pub fn get_user_list(buf: &mut impl Buf) -> Result<Vec<u32>, CodecError> {
-    get_u32_vec(buf)
+    need(buf, len * 4)?;
+    // Each id goes straight into the set, checked against the one
+    // before it, so a decode allocates only the set's own nodes.
+    let mut set = BTreeSet::new();
+    for _ in 0..len {
+        let id = buf.get_u32_le();
+        if set.last().is_some_and(|&prev| prev >= id) {
+            return Err(CodecError::NotAscending);
+        }
+        set.insert(id);
+    }
+    Ok(set)
 }
 
 /// Reads a count-prefixed list of length-prefixed byte strings (the

@@ -4,7 +4,7 @@
 
 use crate::codec::{
     get_bytes, get_bytes_list, get_f64, get_string, get_u32, get_u32_vec, get_u64, get_u8,
-    get_user_list, put_bytes, put_bytes_list, put_string, put_u32_vec, CodecError,
+    put_bytes, put_bytes_list, put_string, put_u32_vec, CodecError,
 };
 use bytes::BufMut;
 
@@ -383,7 +383,7 @@ impl Message {
             },
             tag::MISSING_CLIENTS => Message::MissingClients {
                 round: get_u64(buf)?,
-                users: get_user_list(buf)?,
+                users: get_u32_vec(buf)?,
             },
             tag::ADJUSTMENT => Message::Adjustment {
                 user: get_u32(buf)?,

@@ -18,10 +18,11 @@
 //! The counting allocator and [`Tally`] live in `corpus/mod.rs`, shared
 //! with the envelope corpus. A decode copies an embedded envelope out
 //! of the record once and decodes its cells into a vector once: 111
-//! bytes for the 96-byte report record. A coordinator state reads each
-//! set into a vector and builds one 56-byte B-tree leaf per non-empty
-//! set: up to 196 bytes for the 82-byte sample, this corpus's largest
-//! ratio, inside the bound only through its fixed `ALLOC_SLACK`.
+//! bytes for the 96-byte report record. A coordinator state inserts
+//! each set's ids straight into its B-tree, one 56-byte leaf per
+//! non-empty set: 168 bytes for the 82-byte sample and no more for any
+//! of its bit flips, this corpus's largest ratio, inside the bound only
+//! through its fixed `ALLOC_SLACK`.
 
 mod corpus;
 

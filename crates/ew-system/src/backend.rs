@@ -11,8 +11,8 @@
 //! the one [`RoundState::finalize`] sweep. Reports and adjustments are
 //! validated in one place, [`RoundState::absorb`], and every check there
 //! precedes any mutation. Every envelope a backend answers — a shard's,
-//! or a `#Users` audit's against the latest finalized view — goes
-//! through one function, `serve`.
+//! or a `#Users` audit's against the finalized view the auditor's
+//! caller passes in — goes through one function, `serve`.
 
 use crate::ids::AdIdMapper;
 use ew_core::{AdKey, GlobalView, ThresholdPolicy};

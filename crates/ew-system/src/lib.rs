@@ -21,8 +21,6 @@
 //! * [`crawler`] — the clean-profile probe used purely for evaluation
 //!   (§5): visits sites with no history, so any ad it sees is
 //!   non-targeted with high probability.
-//! * [`store`] — the Figure 1 metadata database (active users, round
-//!   aggregates), in memory.
 //! * [`cluster`] — the aggregation cluster: a shard map partitioning
 //!   report ownership by client id, a [`cluster::RoutingBus`] fanning
 //!   envelopes out over per-shard uplinks, a [`cluster::ClusterBackend`]
@@ -77,7 +75,6 @@ pub mod journal;
 pub mod node;
 pub mod oprf_server;
 pub mod pipeline;
-pub mod store;
 pub mod system;
 pub mod telemetry;
 pub mod trace;
@@ -100,7 +97,6 @@ pub use oprf_server::OprfService;
 pub use pipeline::{
     cms_user_distribution, run_cleartext_pipeline, run_segmented_pipeline, PipelineResult,
 };
-pub use store::{RoundRecord, Store, UserRecord};
 pub use system::{
     deliver_late_report, restart_coordinator, EpochOutcome, EyewnderSystem, SystemConfig,
 };

@@ -33,22 +33,12 @@ pub struct PipelineResult {
 /// Runs the detector over a cleartext impression log: every user audits
 /// every ad they saw, with exact global counts.
 pub fn run_cleartext_pipeline(log: &ImpressionLog, config: DetectorConfig) -> PipelineResult {
-    // Per-user counters.
-    let mut per_user: BTreeMap<u32, UserCounters> = BTreeMap::new();
-    for r in log.records() {
-        per_user
-            .entry(r.user)
-            .or_default()
-            .observe(r.ad, r.site as u64);
-    }
-
     // Exact global view.
     let global = GlobalView::from_estimates(
         log.users_per_ad().into_iter().map(|(ad, n)| (ad, n as f64)),
         config.policy,
     );
-
-    classify_against(log, &per_user, &global, config)
+    classify_against(log, &global, config)
 }
 
 /// Runs the detector with a *CMS-estimated* global view (the privacy
@@ -59,15 +49,8 @@ pub fn run_cms_pipeline(
     config: DetectorConfig,
     params: CmsParams,
 ) -> PipelineResult {
-    let mut per_user: BTreeMap<u32, UserCounters> = BTreeMap::new();
-    for r in log.records() {
-        per_user
-            .entry(r.user)
-            .or_default()
-            .observe(r.ad, r.site as u64);
-    }
     let global = cms_global_view(log, config, params);
-    classify_against(log, &per_user, &global, config)
+    classify_against(log, &global, config)
 }
 
 /// Builds the global view through a per-user CMS aggregation, exactly as
@@ -110,20 +93,16 @@ pub fn run_segmented_pipeline(
     num_groups: usize,
 ) -> PipelineResult {
     assert!(num_groups >= 1, "need at least one group");
-    let mut per_user: BTreeMap<u32, UserCounters> = BTreeMap::new();
-    for r in log.records() {
-        per_user
-            .entry(r.user)
-            .or_default()
-            .observe(r.ad, r.site as u64);
-    }
+    let group = |user: u32| group_of.get(&user).copied().unwrap_or(0) % num_groups;
 
     // Per-group distinct users per ad.
     let mut group_sets: Vec<BTreeMap<AdKey, std::collections::BTreeSet<u32>>> =
         vec![BTreeMap::new(); num_groups];
     for r in log.records() {
-        let g = group_of.get(&r.user).copied().unwrap_or(0) % num_groups;
-        group_sets[g].entry(r.ad).or_default().insert(r.user);
+        group_sets[group(r.user)]
+            .entry(r.ad)
+            .or_default()
+            .insert(r.user);
     }
     let segmented = SegmentedGlobalView::from_group_estimates(
         group_sets
@@ -137,29 +116,18 @@ pub fn run_segmented_pipeline(
         config.policy,
     );
 
-    let detector = Detector::new(config);
+    let group_view = |user: u32| segmented.view(group(user));
+    let per_user = per_user_counters(log);
+    let threshold_sum = per_user
+        .keys()
+        .fold(0.0, |sum, &user| sum + group_view(user).users_threshold());
     let truth = log.truth_by_ad();
-    let mut confusion = ConfusionMatrix::new();
-    let mut verdicts = Vec::new();
-    let mut insufficient = 0usize;
-    let mut threshold_sum = 0.0;
-
-    for (&user, counters) in &per_user {
-        let g = group_of.get(&user).copied().unwrap_or(0) % num_groups;
-        let view = segmented.view(g);
-        threshold_sum += view.users_threshold();
-        for (ad, verdict) in detector.classify_all(counters, view) {
-            verdicts.push((user, ad, verdict));
-            match verdict {
-                Verdict::InsufficientData => insufficient += 1,
-                Verdict::Targeted | Verdict::NonTargeted => {
-                    let truth_targeted = truth[&ad] == AdClass::Targeted;
-                    confusion.record(truth_targeted, verdict == Verdict::Targeted);
-                }
-            }
-        }
-    }
-
+    let (confusion, verdicts, insufficient) = score(
+        per_user.iter().map(|(&user, counters)| (user, counters)),
+        config,
+        group_view,
+        |ad| truth[&ad] == AdClass::Targeted,
+    );
     PipelineResult {
         confusion,
         verdicts,
@@ -168,39 +136,68 @@ pub fn run_segmented_pipeline(
     }
 }
 
-/// Shared classification + scoring step.
+/// Every user's counters over the whole log, in user order.
+fn per_user_counters(log: &ImpressionLog) -> BTreeMap<u32, UserCounters> {
+    let mut per_user: BTreeMap<u32, UserCounters> = BTreeMap::new();
+    for r in log.records() {
+        per_user
+            .entry(r.user)
+            .or_default()
+            .observe(r.ad, r.site as u64);
+    }
+    per_user
+}
+
+/// Every user of the log audits every ad they saw against `global`,
+/// scored against the log's ground truth.
 fn classify_against(
     log: &ImpressionLog,
-    per_user: &BTreeMap<u32, UserCounters>,
     global: &GlobalView,
     config: DetectorConfig,
 ) -> PipelineResult {
-    let detector = Detector::new(config);
+    let per_user = per_user_counters(log);
     let truth = log.truth_by_ad();
-
-    let mut confusion = ConfusionMatrix::new();
-    let mut verdicts = Vec::new();
-    let mut insufficient = 0usize;
-
-    for (&user, counters) in per_user {
-        for (ad, verdict) in detector.classify_all(counters, global) {
-            verdicts.push((user, ad, verdict));
-            match verdict {
-                Verdict::InsufficientData => insufficient += 1,
-                Verdict::Targeted | Verdict::NonTargeted => {
-                    let truth_targeted = truth[&ad] == AdClass::Targeted;
-                    confusion.record(truth_targeted, verdict == Verdict::Targeted);
-                }
-            }
-        }
-    }
-
+    let (confusion, verdicts, insufficient) = score(
+        per_user.iter().map(|(&user, counters)| (user, counters)),
+        config,
+        |_| global,
+        |ad| truth[&ad] == AdClass::Targeted,
+    );
     PipelineResult {
         confusion,
         verdicts,
         insufficient,
         users_threshold: global.users_threshold(),
     }
+}
+
+/// The one scoring loop: each `(user, counters)` audits every ad in its
+/// counters, in ad order, against `view_of(user)`. A verdict other than
+/// `InsufficientData` is scored against `targeted(ad)`, the truth.
+/// Returns the confusion, every verdict in audit order, and the count
+/// of pairs the minimum-activity gate skipped.
+pub(crate) fn score<'c, 'v>(
+    users: impl IntoIterator<Item = (u32, &'c UserCounters)>,
+    config: DetectorConfig,
+    view_of: impl Fn(u32) -> &'v GlobalView,
+    targeted: impl Fn(AdKey) -> bool,
+) -> (ConfusionMatrix, Vec<(u32, AdKey, Verdict)>, usize) {
+    let detector = Detector::new(config);
+    let mut confusion = ConfusionMatrix::new();
+    let mut verdicts = Vec::new();
+    let mut insufficient = 0usize;
+    for (user, counters) in users {
+        for (ad, verdict) in detector.classify_all(counters, view_of(user)) {
+            verdicts.push((user, ad, verdict));
+            match verdict {
+                Verdict::InsufficientData => insufficient += 1,
+                Verdict::Targeted | Verdict::NonTargeted => {
+                    confusion.record(targeted(ad), verdict == Verdict::Targeted);
+                }
+            }
+        }
+    }
+    (confusion, verdicts, insufficient)
 }
 
 #[cfg(test)]
@@ -311,6 +308,8 @@ mod tests {
         let seg = run_segmented_pipeline(&log, DetectorConfig::default(), &groups, 1);
         let global = run_cleartext_pipeline(&log, DetectorConfig::default());
         assert_eq!(seg.confusion, global.confusion);
+        assert_eq!(seg.verdicts, global.verdicts);
+        assert_eq!(seg.insufficient, global.insufficient);
         assert!((seg.users_threshold - global.users_threshold).abs() < 1e-9);
     }
 

@@ -9,7 +9,10 @@
 //! [`EyewnderSystem::run_epochs_deadline_on`] runs a churn campaign in
 //! which the epoch [`Coordinator`]'s ticks step that same machine one
 //! phase at a time, [`EyewnderSystem::audit_on`] answers one real-time
-//! audit.
+//! audit against a finalized view the caller passes in.
+//! A finished round lives in what its driver returns (a [`DrivenRound`],
+//! an [`EpochOutcome`]): the system keeps the cohort, the bulletin board,
+//! the OPRF service and telemetry, and no copy of any round's output.
 //! Everything that varies — transport, shard count, clock, fault script
 //! — is an argument the caller builds ([`RoutingBus::in_proc`] /
 //! [`RoutingBus::over_wire`], [`EyewnderSystem::new_cluster`], a
@@ -47,7 +50,7 @@ use crate::coordinator::{Clock, Coordinator, EpochConfig, EpochEvent};
 use crate::ids::AdIdMapper;
 use crate::node::{drive_round, pump, ClientNode, DrivenRound, InProcBus, RoundOpen, ServiceBus};
 use crate::oprf_server::OprfService;
-use crate::store::{RoundRecord, Store};
+use crate::pipeline::score;
 use crate::telemetry::TelemetryService;
 use crate::trace;
 use ew_core::{AdKey, Detector, DetectorConfig, GlobalView, ThresholdPolicy, Verdict};
@@ -146,12 +149,7 @@ pub struct EyewnderSystem {
     /// The bulletin board every client enrols on; each round's cluster
     /// is built from it.
     directory: KeyDirectory,
-    /// The latest finalized view: audits and `#Users` queries answer
-    /// from it.
-    view: Option<GlobalView>,
     clients: Vec<Client>,
-    /// The Figure 1 metadata database.
-    store: Store,
     /// Simulator ad-id → protocol ad-ID, learned during ingestion
     /// (evaluation-side bookkeeping only).
     sim_ad_to_key: HashMap<u64, AdKey>,
@@ -181,10 +179,8 @@ impl EyewnderSystem {
                 )
             })
             .collect();
-        let mut store = Store::new();
         for c in &clients {
             directory.publish(c.id(), c.public_key().clone());
-            store.register_user(c.id(), 0);
         }
         for c in &mut clients {
             c.setup_blinding(&group, &directory);
@@ -195,17 +191,10 @@ impl EyewnderSystem {
             group,
             oprf,
             directory,
-            view: None,
             clients,
-            store,
             sim_ad_to_key: HashMap::new(),
             telemetry: TelemetryService::new(),
         }
-    }
-
-    /// The metadata store (round history, user activity).
-    pub fn store(&self) -> &Store {
-        &self.store
     }
 
     /// The DH group (exposed for overhead accounting in benches).
@@ -313,42 +302,20 @@ impl EyewnderSystem {
     ) -> DrivenRound {
         let params = self.config.cms;
         let driven = drive_round(&self.clients, backend, bus, params, round, silent, 1);
-        let roster: Vec<u32> = self.clients.iter().map(Client::id).collect();
-        self.finish_round(backend, bus, &roster, &driven);
+        self.finish_round(backend, bus);
         driven
     }
 
     /// Shared tail of every finalized round, single or campaign epoch:
     /// drains the bus, cluster and OPRF telemetry into the telemetry
-    /// service, records the round over `roster` in the metadata store
-    /// and keeps the view as the latest (replacing the previous one), so
-    /// audits and `#Users` queries answer from it.
-    fn finish_round<B: ServiceBus>(
-        &mut self,
-        backend: &mut ClusterBackend,
-        bus: &mut B,
-        roster: &[u32],
-        driven: &DrivenRound,
-    ) {
+    /// service. The round itself is the caller's: what the driver
+    /// returns is the only copy of it.
+    fn finish_round<B: ServiceBus>(&mut self, backend: &mut ClusterBackend, bus: &mut B) {
         if let Some(metrics) = bus.take_metrics() {
             self.telemetry.observe(&metrics);
         }
         self.telemetry.observe(&backend.take_metrics());
         self.telemetry.observe_oprf(&self.oprf.take_batch_hist());
-        for &user in roster {
-            if !driven.missing.contains(&user) {
-                self.store.mark_reported(user, driven.round);
-            }
-        }
-        self.store.record_round(RoundRecord {
-            round: driven.round,
-            reports: driven.reports,
-            missing: driven.missing.len(),
-            policy: self.config.policy,
-            users_threshold: driven.view.users_threshold(),
-            positive_ads: driven.view.num_ads(),
-        });
-        self.view = Some(driven.view.clone());
     }
 
     /// The key-space partition for this system's configured cluster
@@ -609,8 +576,8 @@ impl EyewnderSystem {
                 }
             }
 
-            if let Some(driven) = &driven {
-                self.finish_round(backend, bus, &members, driven);
+            if driven.is_some() {
+                self.finish_round(backend, bus);
             }
             if formed {
                 self.telemetry
@@ -670,23 +637,23 @@ impl EyewnderSystem {
     }
 
     /// The real-time audit (Figure 1, arrow 5 + the per-ad query) over
-    /// an arbitrary [`ServiceBus`]: the client sends a `UsersQuery`
-    /// envelope for the ad's ID, the backend answers a `UsersReply`
-    /// envelope from the latest finalized view (the same `serve` a
-    /// cluster shard answers through, with no round open),
-    /// and the client combines the estimate with its local counters and
-    /// the broadcast `Users_th`. Returns `None` if no round has been
-    /// finalized yet, the user id is unknown, or the bus lost the
-    /// exchange.
+    /// an arbitrary [`ServiceBus`], against `view`, a finalized round's
+    /// view the caller holds (a [`DrivenRound`]'s): the client sends a
+    /// `UsersQuery` envelope for the ad's ID, the backend answers a
+    /// `UsersReply` envelope from `view` (the same `serve` a cluster
+    /// shard answers through, with no round open), and the client
+    /// combines the estimate with its local counters and `view`'s
+    /// `Users_th`. Returns `None` if the user id or the ad is unknown,
+    /// or the bus lost the exchange.
     pub fn audit_on<B: ServiceBus>(
-        &mut self,
+        &self,
         bus: &mut B,
+        view: &GlobalView,
         user: u32,
         sim_ad: u64,
     ) -> Option<Verdict> {
         let client = self.clients.get(user as usize)?;
         let ad = self.sim_ad_to_key.get(&sim_ad).copied()?;
-        let view = self.view.as_ref()?;
         let users_th = view.users_threshold();
 
         // Client -> backend query, backend -> client reply, enveloped.
@@ -733,10 +700,6 @@ impl EyewnderSystem {
         log: &ImpressionLog,
         view: &GlobalView,
     ) -> (ConfusionMatrix, usize) {
-        let detector = Detector::new(self.config.detector);
-        let mut confusion = ConfusionMatrix::new();
-        let mut insufficient = 0usize;
-
         // Ground truth per protocol ad key (collisions: targeted wins,
         // conservative for FP accounting).
         let mut truth: HashMap<AdKey, AdClass> = HashMap::new();
@@ -749,18 +712,13 @@ impl EyewnderSystem {
             }
         }
 
-        for c in &self.clients {
-            let counters = c.counters();
-            for ad in counters.ads() {
-                match detector.classify(counters, ad, view) {
-                    Verdict::InsufficientData => insufficient += 1,
-                    v => {
-                        let t = truth.get(&ad).copied().unwrap_or(AdClass::NonTargeted);
-                        confusion.record(t == AdClass::Targeted, v == Verdict::Targeted);
-                    }
-                }
-            }
-        }
+        let (confusion, _, insufficient) = score(
+            self.clients.iter().map(|c| (c.id(), c.counters())),
+            self.config.detector,
+            |_| view,
+            // An ad the log never showed counts as non-targeted.
+            |ad| truth.get(&ad) == Some(&AdClass::Targeted),
+        );
         (confusion, insufficient)
     }
 }
@@ -945,7 +903,7 @@ mod tests {
     }
 
     #[test]
-    fn only_the_latest_view_is_kept_and_audits_answer_from_it() {
+    fn audits_answer_from_the_view_they_are_given() {
         /// An in-proc bus that keeps every `#Users` estimate it carries.
         #[derive(Default)]
         struct Recording {
@@ -970,10 +928,9 @@ mod tests {
         sys.run_round(2, &[5]);
         let silent: Vec<u32> = (0..12).collect();
         let third = sys.run_round(3, &silent);
-        assert_eq!(sys.view.as_ref(), Some(&third.view), "one view: round 3's");
 
         // An ad whose #Users moved between rounds 1 and 3, audited by a
-        // user who saw it.
+        // user who saw it, against each round's view in turn.
         let record = log
             .records()
             .iter()
@@ -983,14 +940,16 @@ mod tests {
             })
             .expect("silencing half the cohort moves some ad's count");
         let key = sys.ad_key_of(record.ad).expect("ad ingested");
-        let mut bus = Recording::default();
-        let verdict = sys
-            .audit_on(&mut bus, record.user, record.ad)
-            .expect("a finalized view answers");
-        assert_eq!(bus.estimates, vec![third.view.users(key) as u32]);
         let counters = sys.clients[record.user as usize].counters();
-        let expected = Detector::new(sys.config.detector).classify(counters, key, &third.view);
-        assert_eq!(verdict, expected);
+        let detector = Detector::new(sys.config.detector);
+        for view in [&first.view, &third.view] {
+            let mut bus = Recording::default();
+            let verdict = sys
+                .audit_on(&mut bus, view, record.user, record.ad)
+                .expect("a known user and ad are answered");
+            assert_eq!(bus.estimates, vec![view.users(key) as u32]);
+            assert_eq!(verdict, detector.classify(counters, key, view));
+        }
     }
 
     #[test]

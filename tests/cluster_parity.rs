@@ -427,22 +427,31 @@ fn epoch_boundary_crash_restart_is_invisible_to_the_campaign() {
 
 #[test]
 fn clustered_views_serve_audits_like_local_rounds() {
-    // The clustered round lands its merged view on the system's
-    // resident backend, so `#Users` audits answer from it exactly as
-    // they would after a local round.
+    // The clustered round's merged view answers `#Users` audits
+    // exactly as a local round's view does.
     let world = world(1);
     let mut local = world.ingested();
-    local.run_round(1, &[]);
+    let local_round = local.run_round(1, &[]);
 
     let mut clustered = world.ingested();
     clustered.config.cluster_backends = 4;
-    clustered.run_round(1, &[]);
+    let clustered_round = clustered.run_round(1, &[]);
 
     let mut audits = 0usize;
     for record in world.weeks[0].records() {
         if (record.user as usize) < world.cohort() && audits < 20 {
-            let a = local.audit_on(&mut WireBus::perfect(), record.user, record.ad);
-            let b = clustered.audit_on(&mut WireBus::perfect(), record.user, record.ad);
+            let a = local.audit_on(
+                &mut WireBus::perfect(),
+                &local_round.view,
+                record.user,
+                record.ad,
+            );
+            let b = clustered.audit_on(
+                &mut WireBus::perfect(),
+                &clustered_round.view,
+                record.user,
+                record.ad,
+            );
             assert_eq!(a, b, "user {} ad {}", record.user, record.ad);
             assert!(b.is_some(), "a finalized cluster view must answer");
             audits += 1;

@@ -1,5 +1,5 @@
 //! Multi-week operation: three consecutive privacy-preserving rounds
-//! (the Figure 2 regime), store bookkeeping, and threshold stability.
+//! (the Figure 2 regime), each round's outcome, and threshold stability.
 
 use eyewnder::simnet::{Scenario, ScenarioConfig};
 use eyewnder::system::{EyewnderSystem, SystemConfig};
@@ -23,35 +23,24 @@ fn three_week_deployment_with_store_history() {
         14,
     );
 
-    let mut thresholds = Vec::new();
+    let mut rounds = Vec::new();
     for week in 0..3u64 {
         let log = scenario.run_week(week);
         sys.ingest(&scenario, &log);
         // Week 1 loses two clients; others are clean.
         let silent: Vec<u32> = if week == 1 { vec![2, 9] } else { vec![] };
-        let outcome = sys.run_round(week + 1, &silent);
-        thresholds.push(outcome.view.users_threshold());
+        rounds.push(sys.run_round(week + 1, &silent));
         sys.reset_windows();
     }
 
-    // Store recorded every round with the right missing counts.
-    let store = sys.store();
-    assert_eq!(store.active_users(), 14);
-    assert_eq!(store.round(1).unwrap().missing, 0);
-    assert_eq!(store.round(2).unwrap().missing, 2);
-    assert_eq!(store.round(3).unwrap().missing, 0);
-    assert_eq!(store.threshold_history().len(), 3);
-    for (round, th) in store.threshold_history() {
-        assert_eq!(th, thresholds[(round - 1) as usize]);
-        assert!(th > 0.0);
-    }
-
-    // Clients 2 and 9 last reported in round 3 (they came back).
-    assert!(store.stale_users(4).len() == 14, "round 4 not run yet");
-    assert!(
-        store.stale_users(3).is_empty(),
-        "everyone reported in round 3"
-    );
+    // Every round reports who went missing and how many reported: the
+    // two silent clients in week 1 only, back again in week 2.
+    let missing: Vec<&[u32]> = rounds.iter().map(|r| r.missing.as_slice()).collect();
+    assert_eq!(missing, [&[][..], &[2, 9], &[]]);
+    let reports: Vec<usize> = rounds.iter().map(|r| r.reports).collect();
+    assert_eq!(reports, [14, 12, 14]);
+    let thresholds: Vec<f64> = rounds.iter().map(|r| r.view.users_threshold()).collect();
+    assert!(thresholds.iter().all(|&th| th > 0.0));
 
     // Weekly thresholds are in a stable band (same ecosystem).
     let max = thresholds.iter().cloned().fold(0.0f64, f64::max);

@@ -444,7 +444,7 @@ fn query_reply_flow_over_wire() {
 fn real_time_audit_on_the_wire_matches_direct_classification() {
     use eyewnder::core::Verdict;
     let (_scenario, log, mut sys) = world(6);
-    sys.run_round(1, &[]);
+    let round = sys.run_round(1, &[]);
 
     let mut audited = 0;
     let mut targeted = 0;
@@ -456,7 +456,7 @@ fn real_time_audit_on_the_wire_matches_direct_classification() {
             .find(|r| r.ad == sim_ad)
             .map(|r| r.user)
             .unwrap();
-        if let Some(v) = sys.audit_on(&mut WireBus::perfect(), user, sim_ad) {
+        if let Some(v) = sys.audit_on(&mut WireBus::perfect(), &round.view, user, sim_ad) {
             audited += 1;
             if v == Verdict::Targeted {
                 targeted += 1;
